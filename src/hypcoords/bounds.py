@@ -32,7 +32,13 @@ from .certificate import (
     auxiliary_constants,
     check_quasi_hyperbolic,
 )
-from .cocycle import MatrixCocycle, OrbitSegment, compute_orbit, norm_conorm_det
+from .cocycle import (
+    MatrixCocycle,
+    OrbitSegment,
+    ScaledMatrix,
+    compute_orbit,
+    norm_conorm_det,
+)
 from .errors import (
     CertificateRequired,
     DegenerateCoeccentricity,
@@ -103,15 +109,60 @@ def _cocycle_of(source: Union[OrbitSegment, MatrixCocycle]) -> MatrixCocycle:
     return source.cocycle if isinstance(source, OrbitSegment) else source
 
 
+# Per-index terms of ctilde and of the four a-priori sums.  The per-pair
+# functions and the all-pairs sweep both add these same terms left to right
+# with plain ``+=`` (never ``sum()``, which compensates from Python 3.12 on),
+# so the sweep's running sums equal the per-pair sums bit for bit.
+
+
+def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
+    """2 / (1 - coecc_i^2) for order i >= 1."""
+    cc = math.exp(coc.log_coecc(i))
+    if cc >= 1.0 - EPS_COECC:
+        raise DegenerateCoeccentricity(f"co-eccentricity at order {i} is {cc}")
+    return 2.0 / (1.0 - cc * cc)
+
+
+def _one_step_log_coecc(coc: MatrixCocycle, j: int) -> float:
+    lc1 = coc.step_log_coecc(j)
+    if math.isinf(lc1):
+        raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
+    return lc1
+
+
+def _drift_term(coc: MatrixCocycle, j: int) -> float:
+    return math.exp(
+        coc.log_coecc(j) + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1]
+    )
+
+
+def _det_drift_term(coc: MatrixCocycle, i: int, j: int) -> float:
+    return math.exp(
+        (coc.log_absdet[j] - coc.log_absdet[i])
+        + coc.step_log_norm[j]
+        - coc.log_norm[j]
+        - coc.log_norm[j + 1]
+    )
+
+
+def _tail_term(coc: MatrixCocycle, j: int) -> float:
+    return math.exp(coc.log_coecc(j) - _one_step_log_coecc(coc, j))
+
+
+def _det_tail_term(coc: MatrixCocycle, i: int, j: int) -> float:
+    return math.exp(
+        (coc.log_absdet[j] - coc.log_absdet[i])
+        - 2.0 * coc.log_norm[j]
+        - _one_step_log_coecc(coc, j)
+    )
+
+
 def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     """max over 1 <= i <= k of sqrt(2 / (1 - coecc_i^2))."""
     coc = _cocycle_of(source)
     worst = 0.0
     for i in range(1, k + 1):
-        cc = math.exp(coc.log_coecc(i))
-        if cc >= 1.0 - EPS_COECC:
-            raise DegenerateCoeccentricity(f"co-eccentricity at order {i} is {cc}")
-        worst = max(worst, 2.0 / (1.0 - cc * cc))
+        worst = max(worst, _ctilde_sq_term(coc, i))
     return math.sqrt(worst)
 
 
@@ -122,10 +173,7 @@ def tail_T(source: Union[OrbitSegment, MatrixCocycle], i: int, k: int) -> float:
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
     total = 0.0
     for j in range(i, k):
-        lc1 = coc.step_log_coecc(j)
-        if math.isinf(lc1):
-            raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
-        total += math.exp(coc.log_coecc(j) - lc1)
+        total += _tail_term(coc, j)
     return total
 
 
@@ -149,41 +197,78 @@ class _FrameData:
 
 def _drift_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     """Sum over j of coecc_j |DPhi^j| |step_j| / |DPhi^(j+1)|."""
-    return sum(
-        math.exp(
-            coc.log_coecc(j)
-            + coc.log_norm[j]
-            + coc.step_log_norm[j]
-            - coc.log_norm[j + 1]
-        )
-        for j in range(i, k)
-    )
+    total = 0.0
+    for j in range(i, k):
+        total += _drift_term(coc, j)
+    return total
 
 
 def _det_drift_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     """Sum over j of |det block(i,j)| |step_j| / (|DPhi^j| |DPhi^(j+1)|)."""
-    return sum(
-        math.exp(
-            (coc.log_absdet[j] - coc.log_absdet[i])
-            + coc.step_log_norm[j]
-            - coc.log_norm[j]
-            - coc.log_norm[j + 1]
-        )
-        for j in range(i, k)
-    )
+    total = 0.0
+    for j in range(i, k):
+        total += _det_drift_term(coc, i, j)
+    return total
 
 
 def _det_tail_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     """Sum over j of |det block(i,j)| / (|DPhi^j|^2 onestep_coecc_j)."""
     total = 0.0
     for j in range(i, k):
-        lc1 = coc.step_log_coecc(j)
-        if math.isinf(lc1):
-            raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
-        total += math.exp(
-            (coc.log_absdet[j] - coc.log_absdet[i]) - 2.0 * coc.log_norm[j] - lc1
-        )
+        total += _det_tail_term(coc, i, j)
     return total
+
+
+def _apriori_rows(
+    rep: BoundReport, coc: MatrixCocycle, data: _FrameData, i: int, k: int, ct: float,
+    drift_sum: float, det_drift_sum: float, tail: float, det_tail_sum: float,
+    block_log_norm: float,
+) -> None:
+    """The seven a-priori rows at (i, k), given ctilde(k), the four sums over
+    j = i..k-1 and the log-norm of block(i, k)."""
+    drift = aligned_distance(data.frame(k).e, data.frame(i).e)
+    _, log_push = data.pushed_e(k, i)
+    push = math.exp(log_push)
+    push_over_det = math.exp(log_push - coc.log_absdet[i])
+    norm_i = math.exp(coc.log_norm[i])
+    conorm_i = math.exp(coc.log_conorm[i])
+    push_noise = ROUNDING_UNIT * norm_i
+    det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
+
+    rep.add("frame_drift_sum", (i, k), drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
+    rep.add(
+        "pushforward_norm_sum",
+        (i, k),
+        push,
+        conorm_i + ct * norm_i * drift_sum,
+        abs_tol=push_noise,
+    )
+    rep.add(
+        "det_normalized_sum",
+        (i, k),
+        push_over_det,
+        1.0 / norm_i + ct * norm_i * det_drift_sum,
+        abs_tol=det_noise,
+    )
+
+    rep.add("frame_drift_tail", (i, k), drift, tail * ct, abs_tol=ROUNDING_UNIT)
+    rep.add(
+        "pushforward_norm_tail",
+        (i, k),
+        push,
+        conorm_i + norm_i * tail * ct,
+        abs_tol=push_noise,
+    )
+    rep.add(
+        "det_normalized_tail",
+        (i, k),
+        push_over_det,
+        1.0 / norm_i + ct * norm_i * det_tail_sum,
+        abs_tol=det_noise,
+    )
+
+    quotient = math.exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
+    rep.add("frame_drift_quotient", (i, k), drift, ct * quotient, abs_tol=ROUNDING_UNIT)
 
 
 def verify_apriori_convergence(
@@ -198,7 +283,9 @@ def verify_apriori_convergence(
 
     Checks, with measured left sides: the drift sum bound, its pushforward
     and determinant-normalized companions, the three tail (sacrifice)
-    variants, and the direct quotient alternative.
+    variants, and the direct quotient alternative.  Every sum and block is
+    computed from scratch, so this is the reference ``verify_apriori_all``
+    is tested against.
     """
     coc = _cocycle_of(source)
     if not 1 <= i <= k <= coc.k:
@@ -206,67 +293,60 @@ def verify_apriori_convergence(
     if data is None:
         data = _FrameData(source, k)
     rep = report if report is not None else BoundReport("apriori_convergence", tol)
-
-    ct = ctilde(coc, k)
-    drift = aligned_distance(data.frame(k).e, data.frame(i).e)
-    _, log_push = data.pushed_e(k, i)
-    push = math.exp(log_push)
-    push_over_det = math.exp(log_push - coc.log_absdet[i])
-    norm_i = math.exp(coc.log_norm[i])
-    conorm_i = math.exp(coc.log_conorm[i])
-    push_noise = ROUNDING_UNIT * norm_i
-    det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
-
-    s1 = _drift_sum(coc, i, k)
-    rep.add("frame_drift_sum", (i, k), drift, ct * s1, abs_tol=ROUNDING_UNIT)
-    rep.add(
-        "pushforward_norm_sum",
-        (i, k),
-        push,
-        conorm_i + ct * norm_i * s1,
-        abs_tol=push_noise,
+    _apriori_rows(
+        rep, coc, data, i, k, ctilde(coc, k),
+        _drift_sum(coc, i, k), _det_drift_sum(coc, i, k),
+        tail_T(coc, i, k), _det_tail_sum(coc, i, k),
+        norm_conorm_det(coc.block(i, k)).log_norm,
     )
-    rep.add(
-        "det_normalized_sum",
-        (i, k),
-        push_over_det,
-        1.0 / norm_i + ct * norm_i * _det_drift_sum(coc, i, k),
-        abs_tol=det_noise,
-    )
-
-    tail = tail_T(coc, i, k)
-    rep.add("frame_drift_tail", (i, k), drift, tail * ct, abs_tol=ROUNDING_UNIT)
-    rep.add(
-        "pushforward_norm_tail",
-        (i, k),
-        push,
-        conorm_i + norm_i * tail * ct,
-        abs_tol=push_noise,
-    )
-    rep.add(
-        "det_normalized_tail",
-        (i, k),
-        push_over_det,
-        1.0 / norm_i + ct * norm_i * _det_tail_sum(coc, i, k),
-        abs_tol=det_noise,
-    )
-
-    block_norm = norm_conorm_det(coc.block(i, k)).log_norm
-    quotient = math.exp(coc.log_coecc(i) + coc.log_norm[i] + block_norm - coc.log_norm[k])
-    rep.add("frame_drift_quotient", (i, k), drift, ct * quotient, abs_tol=ROUNDING_UNIT)
     return rep
 
 
 def verify_apriori_all(
     source: Union[OrbitSegment, MatrixCocycle], tol: float = DEFAULT_REL_TOL
 ) -> BoundReport:
-    """Drift bounds over every pair 1 <= i <= k <= length."""
+    """Drift bounds over every pair 1 <= i <= k <= length, in one O(k^2) sweep.
+
+    Rows come k outer, i inner, and equal those of
+    ``verify_apriori_convergence`` bit for bit: from k - 1 to k, each i < k
+    carries block(i, k - 1) and its four sums forward by step j = k - 1, with
+    the products and left-to-right additions the per-pair function performs,
+    and ctilde is a running max over orders.  State is one block and four
+    sums per i.  Degenerate input raises what the per-pair loop raises, in
+    the same order: DegenerateCoeccentricity at order k, then DegenerateStep
+    at step k - 1, then ZeroMatrix from a block norm.
+    """
     coc = _cocycle_of(source)
     data = _FrameData(coc)
     rep = BoundReport("apriori_convergence", tol)
-    for k in range(1, coc.k + 1):
+    n = coc.k
+    # slot i holds the state of pair (i, k) once the sweep has reached k
+    blocks = [ScaledMatrix.identity()] * (n + 1)
+    drift_sums = [0.0] * (n + 1)
+    det_drift_sums = [0.0] * (n + 1)
+    tails = [0.0] * (n + 1)
+    det_tail_sums = [0.0] * (n + 1)
+    worst = 0.0
+    for k in range(1, n + 1):
+        worst = max(worst, _ctilde_sq_term(coc, k))
+        ct = math.sqrt(worst)
+        j = k - 1
+        if k > 1:
+            step = ScaledMatrix.from_matrix(coc.steps[j])
+            drift_term = _drift_term(coc, j)
+            tail_term = _tail_term(coc, j)
         for i in range(1, k + 1):
-            verify_apriori_convergence(coc, i, k, data=data, report=rep, tol=tol)
+            if i < k:
+                blocks[i] = step @ blocks[i]
+                drift_sums[i] += drift_term
+                det_drift_sums[i] += _det_drift_term(coc, i, j)
+                tails[i] += tail_term
+                det_tail_sums[i] += _det_tail_term(coc, i, j)
+            _apriori_rows(
+                rep, coc, data, i, k, ct,
+                drift_sums[i], det_drift_sums[i], tails[i], det_tail_sums[i],
+                norm_conorm_det(blocks[i]).log_norm,
+            )
     return rep
 
 

@@ -183,9 +183,12 @@ def _build_map(args, cfg: Dict[str, str]) -> MapSpec:
     for key, value in cfg.items():
         if key not in _CONFIG_KEYS:
             params.setdefault(key, float(value))
+    non_finite = sorted(key for key, value in params.items() if not math.isfinite(value))
+    if non_finite:
+        raise ConfigError(f"map parameters must be finite: {', '.join(non_finite)}")
     try:
         return make_map(name, **params)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -199,6 +202,8 @@ def _orbit_from_args(args, cfg):
         raise ConfigError("x0, y0 and k are required")
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise ConfigError(f"x0 and y0 must be finite, got ({x0!r}, {y0!r})")
     return spec, compute_orbit(spec, np.array([x0, y0]), k, guard)
 
 
@@ -346,14 +351,21 @@ def cmd_foliate(args) -> int:
     spec = _build_map(args, cfg)
     out = _out_dir(args, cfg)
     rect = [float(v) for v in str(_resolve(args, cfg, "rect", str, "-1,1,-1,1")).split(",")]
-    if len(rect) != 4:
-        raise ConfigError("--rect expects xmin,xmax,ymin,ymax")
+    if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
+        raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
     k = _resolve(args, cfg, "k", int, 1)
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     spacing = _resolve(args, cfg, "spacing", float, 0.25)
     field = _resolve(args, cfg, "field", str, foliation.STABLE)
     length = _resolve(args, cfg, "length", float, 0.5)
     step = _resolve(args, cfg, "step", float, 1e-3)
     guard = _resolve(args, cfg, "guard", float)
+    for name, value in (("spacing", spacing), ("length", length), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if step > length:
+        raise ConfigError(f"step {step!r} exceeds length {length!r}")
     grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
     rows = []
     for cid, curve in enumerate(grid.curves):

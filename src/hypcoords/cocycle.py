@@ -46,9 +46,6 @@ class ScaledMatrix:
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return _normalize(self.body @ other.body, self.log_scale + other.log_scale)
 
-    def transpose(self) -> "ScaledMatrix":
-        return ScaledMatrix(self.body.T.copy(), self.log_scale)
-
     def gram(self) -> "ScaledMatrix":
         """M^T M in scaled form (symmetrized to kill rounding skew)."""
         g = self.body.T @ self.body
@@ -126,6 +123,9 @@ class MatrixCocycle:
 
         self.step_dets = [linalg2.det2(s) for s in self.steps]
         self.step_svd = [linalg2.svd2_matrix(s) for s in self.steps]
+        for j, s in enumerate(self.step_svd):
+            if s.smax == 0.0:
+                raise ZeroMatrix(f"step {j} is the zero matrix")
         self.step_log_norm = [math.log(s.smax) for s in self.step_svd]
         self.step_log_conorm = [
             math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in self.step_svd
@@ -147,6 +147,8 @@ class MatrixCocycle:
         self.log_conorm = [0.0]
         for i in range(1, self.k + 1):
             s = linalg2.svd2_matrix(self._prefix[i].body)
+            if s.smax == 0.0:
+                raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
             log_norm = math.log(s.smax) + self._prefix[i].log_scale
             self.log_norm.append(log_norm)
             self.log_conorm.append(self.log_absdet[i] - log_norm)

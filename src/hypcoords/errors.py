@@ -37,10 +37,6 @@ class ZeroMatrix(HypcoordsError):
     """Operation undefined on the zero matrix."""
 
 
-class SingularMatrix(HypcoordsError):
-    """Operation requires a positive co-norm."""
-
-
 class NoHyperbolicCoordinates(HypcoordsError):
     """Co-eccentricity too close to 1: contracted/expanded directions undefined."""
 

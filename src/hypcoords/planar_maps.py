@@ -69,12 +69,6 @@ class MapSpec:
         x, y = self._guard(p)
         return self.second_partials(x, y)
 
-    def singular_distance(self, p: Point) -> float:
-        return self.singular_set_distance(float(p[0]), float(p[1]))
-
-    def in_domain(self, p: Point) -> bool:
-        return self.domain_check(float(p[0]), float(p[1]))
-
 
 def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
     """Henon family (x, y) -> (1 + y - a x^2, b x)."""

@@ -9,7 +9,10 @@ from hypcoords.cocycle import MatrixCocycle, compute_orbit
 from hypcoords.errors import (
     CertificateRequired,
     DegenerateCoeccentricity,
+    DegenerateStep,
     FrameFlipUnresolvable,
+    HypcoordsError,
+    NoHyperbolicCoordinates,
     StencilDegenerate,
 )
 from hypcoords.planar_maps import henon, linear, lorenz2d
@@ -86,6 +89,75 @@ def test_apriori_random_cocycles():
     for _ in range(200):
         rep = bounds.verify_apriori_all(random_cocycle(rng))
         assert rep.verdict, rep.first_failure()
+
+
+def _exact_rows(report):
+    # repr keeps the sign of zero and every last bit of each float
+    return [
+        (r.check, r.index, repr(r.lhs), repr(r.rhs), repr(r.margin), r.passed)
+        for r in report.rows
+    ]
+
+
+def _sweep_outcome(coc):
+    try:
+        return _exact_rows(bounds.verify_apriori_all(coc))
+    except HypcoordsError as exc:
+        return type(exc), str(exc)
+
+
+def _per_pair_outcome(coc):
+    rep = bounds.BoundReport("apriori_convergence", bounds.DEFAULT_REL_TOL)
+    try:
+        for k in range(1, coc.k + 1):
+            for i in range(1, k + 1):
+                bounds.verify_apriori_convergence(coc, i, k, report=rep)
+    except HypcoordsError as exc:
+        return type(exc), str(exc)
+    return _exact_rows(rep)
+
+
+@pytest.mark.parametrize("k", [20, 60])
+def test_apriori_sweep_equals_per_pair_henon(henon, k):
+    coc = compute_orbit(henon, HENON_FIXTURE, k).cocycle
+    rows = _sweep_outcome(coc)
+    assert len(rows) == 7 * k * (k + 1) // 2
+    assert rows == _per_pair_outcome(coc)
+
+
+def test_apriori_sweep_equals_per_pair_diagonal_and_random(diag_orbit):
+    cocycles = [diag_orbit.cocycle]
+    rng = np.random.default_rng(21)
+    cocycles += [random_cocycle(rng) for _ in range(20)]
+    for coc in cocycles:
+        rows = _sweep_outcome(coc)
+        assert isinstance(rows, list)
+        assert rows == _per_pair_outcome(coc)
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize(
+    "steps, expected",
+    [
+        # step 1 is singular: its one-step co-eccentricity vanishes
+        (
+            [np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 0.5])],
+            DegenerateStep,
+        ),
+        # conformal products: the frame check, with the same threshold as
+        # ctilde's DegenerateCoeccentricity, fires first on both paths
+        ([_rotation(0.3), _rotation(0.7)], NoHyperbolicCoordinates),
+    ],
+)
+def test_apriori_sweep_raises_like_per_pair(steps, expected):
+    coc = MatrixCocycle(steps)
+    outcome = _sweep_outcome(coc)
+    assert outcome[0] is expected
+    assert outcome == _per_pair_outcome(coc)
 
 
 def test_consecutive_rotation_henon_and_random(henon_orbit20):

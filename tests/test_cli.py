@@ -1,6 +1,8 @@
 import filecmp
 import json
 
+import pytest
+
 from hypcoords.cli import main
 
 from conftest import HENON_FIXTURE
@@ -193,3 +195,53 @@ def test_certify_nonsingular_flavor_on_linear_map(tmp_path):
     text = (tmp_path / "ledger.txt").read_text()
     assert "flavor = nonsingular" in text
     assert "c_tilde = 1.0" in text and "Gamma_tilde = 1.0" in text
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err and "\n" not in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--spacing", "0"), ("--spacing", "nan"), ("--step", "-0.1"), ("--step", "inf"),
+     ("--length", "nan"), ("--step", "0.5"), ("--rect", "0,nan,0,1"), ("--k", "0")],
+)
+def test_foliate_rejects_bad_lengths(tmp_path, capsys, flag, value):
+    code = run(["foliate", "--map", "henon", "--k", "1", "--spacing", "1", "--length", "0.2",
+                flag, value, "--out-dir", tmp_path])
+    assert code == 2
+    assert flag[2:] in _one_line_error(capsys)
+    assert not (tmp_path / "curves.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "map_args, word",
+    [(["--map", "linear", "--matrix", "1,nan,0,1"], "m12"),
+     (["--map", "standard", "--K", "nan"], "K"),
+     (["--map", "lorenz2d", "--param", "alpha=1.5"], "alpha")],
+)
+def test_bad_map_parameters_are_usage_errors(tmp_path, capsys, map_args, word):
+    code = run(["orbit", *map_args, "--x0", "0.8", "--y0", "0.1", "--k", "3",
+                "--out-dir", tmp_path])
+    assert code == 2
+    assert word in _one_line_error(capsys)
+    assert not (tmp_path / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_frames_rejects_non_finite_start(tmp_path, capsys, x0):
+    code = run(["frames", "--map", "standard", f"--x0={x0}", "--y0", "0.1", "--k", "3",
+                "--out-dir", tmp_path])
+    assert code == 2
+    assert "finite" in _one_line_error(capsys)
+    assert not (tmp_path / "frames.csv").exists()
+
+
+@pytest.mark.parametrize("matrix", ["0,0,0,0", "0,1,0,0"])
+def test_orbit_zero_matrix_is_typed_error(tmp_path, capsys, matrix):
+    code = run(["orbit", "--map", "linear", "--matrix", matrix, "--x0", "1", "--y0", "1",
+                "--k", "3", "--out-dir", tmp_path])
+    assert code == 1
+    assert "zero matrix" in _one_line_error(capsys)

@@ -37,6 +37,14 @@ def test_scaled_matrix_zero():
         norm_conorm_det(z)
 
 
+def test_zero_step_or_zero_product_raises_zero_matrix():
+    with pytest.raises(ZeroMatrix, match="step 1 is the zero matrix"):
+        MatrixCocycle([np.eye(2), np.zeros((2, 2))])
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ZeroMatrix, match=r"product of steps 0\.\.1 is the zero matrix"):
+        MatrixCocycle([nilpotent, nilpotent])
+
+
 def test_scaled_product_matches_direct_product():
     rng = np.random.default_rng(1)
     for _ in range(300):
