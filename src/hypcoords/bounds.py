@@ -36,6 +36,7 @@ from .cocycle import (
     MatrixCocycle,
     OrbitSegment,
     ScaledMatrix,
+    cocycle_of,
     compute_orbit,
     norm_conorm_det,
 )
@@ -105,10 +106,6 @@ class BoundReport:
         return None
 
 
-def _cocycle_of(source: Union[OrbitSegment, MatrixCocycle]) -> MatrixCocycle:
-    return source.cocycle if isinstance(source, OrbitSegment) else source
-
-
 # Per-index terms of ctilde and of the four a-priori sums.  The per-pair
 # functions and the all-pairs sweep both add these same terms left to right
 # with plain ``+=`` (never ``sum()``, which compensates from Python 3.12 on),
@@ -159,7 +156,7 @@ def _det_tail_term(coc: MatrixCocycle, i: int, j: int) -> float:
 
 def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     """max over 1 <= i <= k of sqrt(2 / (1 - coecc_i^2))."""
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     worst = 0.0
     for i in range(1, k + 1):
         worst = max(worst, _ctilde_sq_term(coc, i))
@@ -168,31 +165,13 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
 
 def tail_T(source: Union[OrbitSegment, MatrixCocycle], i: int, k: int) -> float:
     """Sum over j = i..k-1 of coecc_j / onestep_coecc_j (empty sum is 0)."""
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 1 <= i <= k <= coc.k:
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
     total = 0.0
     for j in range(i, k):
         total += _tail_term(coc, j)
     return total
-
-
-class _FrameData:
-    """Frames of all orders along one cocycle, plus pushforward log-norms."""
-
-    def __init__(self, source: Union[OrbitSegment, MatrixCocycle], kmax: Optional[int] = None):
-        self.coc = _cocycle_of(source)
-        self.kmax = self.coc.k if kmax is None else kmax
-        self.frames: List[HyperbolicFrame] = frame_sequence(self.coc, self.kmax)
-
-    def frame(self, k: int) -> HyperbolicFrame:
-        return self.frames[k - 1]
-
-    def pushed_e(self, k: int, i: int) -> Tuple[np.ndarray, float]:
-        return self.coc.prefix(i).apply(self.frame(k).e)
-
-    def pushed_f(self, k: int, i: int) -> Tuple[np.ndarray, float]:
-        return self.coc.prefix(i).apply(self.frame(k).f)
 
 
 def _drift_sum(coc: MatrixCocycle, i: int, k: int) -> float:
@@ -219,21 +198,30 @@ def _det_tail_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     return total
 
 
+def _pair_measurements(
+    coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
+) -> Tuple[float, float, float, float, float]:
+    """Measured left sides at (i, k): the drift |e_k - e_i|, |DPhi^i e_k| and
+    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two."""
+    drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
+    _, log_push = coc.prefix(i).apply(frames[k - 1].e)
+    push_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i])
+    det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
+    return (
+        drift, math.exp(log_push), math.exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+    )
+
+
 def _apriori_rows(
-    rep: BoundReport, coc: MatrixCocycle, data: _FrameData, i: int, k: int, ct: float,
-    drift_sum: float, det_drift_sum: float, tail: float, det_tail_sum: float,
+    rep: BoundReport, coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int,
+    ct: float, drift_sum: float, det_drift_sum: float, tail: float, det_tail_sum: float,
     block_log_norm: float,
 ) -> None:
-    """The seven a-priori rows at (i, k), given ctilde(k), the four sums over
-    j = i..k-1 and the log-norm of block(i, k)."""
-    drift = aligned_distance(data.frame(k).e, data.frame(i).e)
-    _, log_push = data.pushed_e(k, i)
-    push = math.exp(log_push)
-    push_over_det = math.exp(log_push - coc.log_absdet[i])
+    """The seven a-priori rows at (i, k), given the frames up to order k, ctilde(k),
+    the four sums over j = i..k-1 and the log-norm of block(i, k)."""
+    drift, push, push_over_det, push_noise, det_noise = _pair_measurements(coc, frames, i, k)
     norm_i = math.exp(coc.log_norm[i])
     conorm_i = math.exp(coc.log_conorm[i])
-    push_noise = ROUNDING_UNIT * norm_i
-    det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
 
     rep.add("frame_drift_sum", (i, k), drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
     rep.add(
@@ -275,7 +263,6 @@ def verify_apriori_convergence(
     source: Union[OrbitSegment, MatrixCocycle],
     i: int,
     k: int,
-    data: Optional[_FrameData] = None,
     report: Optional[BoundReport] = None,
     tol: float = DEFAULT_REL_TOL,
 ) -> BoundReport:
@@ -287,14 +274,12 @@ def verify_apriori_convergence(
     computed from scratch, so this is the reference ``verify_apriori_all``
     is tested against.
     """
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 1 <= i <= k <= coc.k:
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
-    if data is None:
-        data = _FrameData(source, k)
     rep = report if report is not None else BoundReport("apriori_convergence", tol)
     _apriori_rows(
-        rep, coc, data, i, k, ctilde(coc, k),
+        rep, coc, frame_sequence(coc, k), i, k, ctilde(coc, k),
         _drift_sum(coc, i, k), _det_drift_sum(coc, i, k),
         tail_T(coc, i, k), _det_tail_sum(coc, i, k),
         norm_conorm_det(coc.block(i, k)).log_norm,
@@ -313,11 +298,13 @@ def verify_apriori_all(
     the products and left-to-right additions the per-pair function performs,
     and ctilde is a running max over orders.  State is one block and four
     sums per i.  Degenerate input raises what the per-pair loop raises, in
-    the same order: DegenerateCoeccentricity at order k, then DegenerateStep
-    at step k - 1, then ZeroMatrix from a block norm.
+    the same order: NoHyperbolicCoordinates for a near-conformal order (the
+    frames come first, so the DegenerateCoeccentricity of ``ctilde``, on the
+    same threshold, is never reached), then DegenerateStep at step k - 1,
+    then ZeroMatrix from a block norm.
     """
-    coc = _cocycle_of(source)
-    data = _FrameData(coc)
+    coc = cocycle_of(source)
+    frames = frame_sequence(coc)
     rep = BoundReport("apriori_convergence", tol)
     n = coc.k
     # slot i holds the state of pair (i, k) once the sweep has reached k
@@ -343,7 +330,7 @@ def verify_apriori_all(
                 tails[i] += tail_term
                 det_tail_sums[i] += _det_tail_term(coc, i, j)
             _apriori_rows(
-                rep, coc, data, i, k, ct,
+                rep, coc, frames, i, k, ct,
                 drift_sums[i], det_drift_sums[i], tails[i], det_tail_sums[i],
                 norm_conorm_det(blocks[i]).log_norm,
             )
@@ -354,12 +341,12 @@ def verify_consecutive_rotation(
     source: Union[OrbitSegment, MatrixCocycle], tol: float = DEFAULT_REL_TOL
 ) -> BoundReport:
     """Per-step frame rotation: the sine-squared bound and drift <= sqrt(2)|sin|."""
-    coc = _cocycle_of(source)
-    data = _FrameData(coc)
+    coc = cocycle_of(source)
+    frames = frame_sequence(coc)
     rep = BoundReport("consecutive_rotation", tol)
     for j in range(1, coc.k):
-        nxt = data.frame(j + 1)
-        e_j = data.frame(j).e
+        nxt = frames[j]
+        e_j = frames[j - 1].e
         cos = float(np.dot(e_j, nxt.e))
         sin = float(np.dot(e_j, nxt.f))
         if cos < 0.0:  # align so the rotation angle is at most a quarter turn
@@ -421,20 +408,15 @@ def verify_explicit_convergence(
     if aux is None:
         aux = auxiliary_constants(ledger)
     coc = orbit.cocycle
-    data = _FrameData(coc)
+    frames = frame_sequence(coc)
     rep = BoundReport("explicit_convergence", tol)
     for k in range(1, coc.k + 1):
         for i in range(1, k + 1):
-            drift = aligned_distance(data.frame(k).e, data.frame(i).e)
-            _, log_push = data.pushed_e(k, i)
-            push = math.exp(log_push)
-            push_det = math.exp(log_push - coc.log_absdet[i])
-            push_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i])
-            det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
+            measured = _pair_measurements(coc, frames, i, k)
             if ledger.flavor.has_type_one:
-                _envelope_rows_one(rep, ledger, aux, k, i, drift, push, push_det, push_noise, det_noise)
+                _envelope_rows_one(rep, ledger, aux, k, i, *measured)
             if ledger.flavor.has_type_two:
-                _envelope_rows_two(rep, ledger, aux, k, i, drift, push, push_det, push_noise, det_noise)
+                _envelope_rows_two(rep, ledger, aux, k, i, *measured)
     return rep
 
 
@@ -698,8 +680,7 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     coc = orbit.cocycle
     if any(d == 0.0 for d in coc.step_dets[:k]):
         raise ZeroDeterminant("slow-variation terms need nonzero step determinants")
-    data = _FrameData(coc, k)
-    frame = data.frame(k)
+    frame = frame_sequence(coc, k)[k - 1]
     cc = frame.coecc
     A_k = SQRT2 / (1.0 - cc * cc)
     B_k = SQRT2 * cc * cc / (1.0 - cc * cc)
@@ -710,10 +691,10 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
         dx, dy = orbit.step_second_partials[i]
         w_dir, w_log = coc.prefix(i).apply(axis_vec)
         dmat = w_dir[0] * dx + w_dir[1] * dy  # D2Phi at the orbit point, carried direction in one slot
-        e_dir, e_log = data.pushed_e(k, i)
-        e1_dir, e1_log = data.pushed_e(k, i + 1)
-        f_dir, f_log = data.pushed_f(k, i)
-        f1_dir, f1_log = data.pushed_f(k, i + 1)
+        e_dir, e_log = coc.prefix(i).apply(frame.e)
+        e1_dir, e1_log = coc.prefix(i + 1).apply(frame.e)
+        f_dir, f_log = coc.prefix(i).apply(frame.f)
+        f1_dir, f1_log = coc.prefix(i + 1).apply(frame.f)
         det_log = coc.log_absdet[i + 1]
         de = float(np.linalg.norm(dmat @ e_dir))
         dfv = float(np.linalg.norm(dmat @ f_dir))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg2
 from .cocycle import OrbitSegment
-from .errors import DomainViolation, Infeasible, InvalidLedger
+from .errors import ConfigError, DomainViolation, Infeasible, InvalidLedger, parse_value
 
 LOG_STRICT_MARGIN = 1e-12  # log-units margin distinguishing < from <=
 
@@ -312,8 +312,7 @@ def fit_constants(
         for j, d2 in enumerate(d2_norms)
     ]
 
-    smooth = math.isinf(orbit.spec.singular_set_distance(0.123456, 0.654321))
-    fit_tilde = flavor is not Flavor.NONSINGULAR and not smooth
+    fit_tilde = flavor is not Flavor.NONSINGULAR and orbit.spec.has_singular_set
 
     log_d = max(0.0, step_caps[0] + log_eta - log_gamma)
     if fit_tilde:
@@ -550,7 +549,12 @@ def read_ledger(path: str) -> ConstantsLedger:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    flavor = Flavor.parse(fields.pop("flavor"))
+    if "flavor" not in fields:
+        raise ConfigError(f"{path}: no flavor line")
+    flavor = parse_value("flavor", fields.pop("flavor"), Flavor.parse)
     rename = {"lambda": "lam"}
-    kwargs = {rename.get(k, k): float(v) for k, v in fields.items()}
-    return ConstantsLedger(flavor=flavor, **kwargs)
+    kwargs = {rename.get(k, k): parse_value(k, v, float) for k, v in fields.items()}
+    try:
+        return ConstantsLedger(flavor=flavor, **kwargs)
+    except TypeError as exc:  # unknown or missing constant names
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
-from .errors import HypcoordsError, ConfigError
+from .errors import HypcoordsError, ConfigError, parse_value
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
 _CONFIG_KEYS = {
@@ -155,7 +155,7 @@ def _resolve(args, cfg: Dict[str, str], key: str, cast, default=None):
     if flag is not None:
         return flag
     if key in cfg:
-        return cast(cfg[key])
+        return parse_value(key, cfg[key], cast)
     return default
 
 
@@ -168,10 +168,10 @@ def _build_map(args, cfg: Dict[str, str]) -> MapSpec:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--param expects key=value, got {item!r}")
-        params[key.strip()] = float(value)
+        params[key.strip()] = parse_value(key.strip(), value, float)
     matrix = _resolve(args, cfg, "matrix", str)
     if matrix is not None:
-        vals = [float(v) for v in str(matrix).split(",")]
+        vals = _values_list("matrix", matrix)
         if len(vals) != 4:
             raise ConfigError("--matrix expects four comma-separated entries")
         params.update(m11=vals[0], m12=vals[1], m21=vals[2], m22=vals[3])
@@ -182,7 +182,7 @@ def _build_map(args, cfg: Dict[str, str]) -> MapSpec:
     # config files may carry map parameters directly (a = 1.4 etc.)
     for key, value in cfg.items():
         if key not in _CONFIG_KEYS:
-            params.setdefault(key, float(value))
+            params.setdefault(key, parse_value(key, value, float))
     non_finite = sorted(key for key, value in params.items() if not math.isfinite(value))
     if non_finite:
         raise ConfigError(f"map parameters must be finite: {', '.join(non_finite)}")
@@ -204,7 +204,13 @@ def _orbit_from_args(args, cfg):
         raise ConfigError("k must be >= 1")
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ConfigError(f"x0 and y0 must be finite, got ({x0!r}, {y0!r})")
+    _check_guard(guard)
     return spec, compute_orbit(spec, np.array([x0, y0]), k, guard)
+
+
+def _check_guard(guard: Optional[float]) -> None:
+    if guard is not None and not (math.isfinite(guard) and guard >= 0.0):
+        raise ConfigError(f"guard must be finite and >= 0, got {guard!r}")
 
 
 def _out_dir(args, cfg) -> str:
@@ -273,9 +279,16 @@ def _fit_or_load_ledger(args, cfg, orbit):
     ledger_path = getattr(args, "ledger", None)
     if ledger_path:
         return certificate.read_ledger(ledger_path)
-    flavor = certificate.Flavor.parse(_resolve(args, cfg, "flavor", str, "II"))
+    flavor = _flavor(args, cfg)
     eta = _resolve(args, cfg, "eta", float, 1.05)
+    if not (math.isfinite(eta) and eta > 1.0):
+        raise ConfigError(f"eta must be finite and > 1, got {eta!r}")
     return certificate.fit_constants(orbit, flavor, eta)
+
+
+def _flavor(args, cfg) -> certificate.Flavor:
+    text = _resolve(args, cfg, "flavor", str, "II")
+    return parse_value("flavor", text, certificate.Flavor.parse)
 
 
 def cmd_certify(args) -> int:
@@ -336,6 +349,8 @@ def cmd_verify_variation(args) -> int:
     out = _out_dir(args, cfg)
     ledger = _fit_or_load_ledger(args, cfg, orbit)
     h = _resolve(args, cfg, "h", float, 1e-5)
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigError(f"h must be positive and finite, got {h!r}")
     report = bounds.verify_slow_variation(orbit, ledger, h=h)
     write_bound_report(report, out, "slow_variation")
     if not report.verdict:
@@ -350,7 +365,7 @@ def cmd_foliate(args) -> int:
     cfg = _load_config(args.config)
     spec = _build_map(args, cfg)
     out = _out_dir(args, cfg)
-    rect = [float(v) for v in str(_resolve(args, cfg, "rect", str, "-1,1,-1,1")).split(",")]
+    rect = _values_list("rect", _resolve(args, cfg, "rect", str, "-1,1,-1,1"))
     if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
         raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
     k = _resolve(args, cfg, "k", int, 1)
@@ -361,6 +376,9 @@ def cmd_foliate(args) -> int:
     length = _resolve(args, cfg, "length", float, 0.5)
     step = _resolve(args, cfg, "step", float, 1e-3)
     guard = _resolve(args, cfg, "guard", float)
+    _check_guard(guard)
+    if field not in (foliation.STABLE, foliation.UNSTABLE):
+        raise ConfigError(f"field must be stable or unstable, got {field!r}")
     for name, value in (("spacing", spacing), ("length", length), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
@@ -395,6 +413,12 @@ def cmd_oracle_check(args) -> int:
     seed = _resolve(args, cfg, "seed", int, 0)
     trials = _resolve(args, cfg, "trials", int, 1000)
     grid_n = _resolve(args, cfg, "grid_n", int, 1_000_000)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if grid_n < 4:
+        raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
     rng = np.random.default_rng(seed)
     angle_tol = math.pi / grid_n
     # nearest grid angle sits within pi/(2 n) of the extremum; the induced
@@ -439,22 +463,21 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _values_list(text: str) -> List[float]:
-    return [float(v) for v in text.split(",")]
+def _values_list(key: str, text: str) -> List[float]:
+    return [parse_value(key, v, float) for v in str(text).split(",")]
 
 
 def cmd_scan_constants(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args, cfg)
-    flavor = certificate.Flavor.parse(_resolve(args, cfg, "flavor", str, "II"))
     cells = certificate.feasibility_region_scan(
-        flavor,
-        _values_list(args.lambda_values),
-        _values_list(args.gamma_values),
-        _values_list(args.c_values),
-        _values_list(args.b_values),
-        _values_list(args.gamma_tilde_values),
-        _values_list(args.c_tilde_values),
+        _flavor(args, cfg),
+        _values_list("lambda_values", args.lambda_values),
+        _values_list("gamma_values", args.gamma_values),
+        _values_list("c_values", args.c_values),
+        _values_list("b_values", args.b_values),
+        _values_list("gamma_tilde_values", args.gamma_tilde_values),
+        _values_list("c_tilde_values", args.c_tilde_values),
     )
     _write_csv(
         os.path.join(out, "scan.csv"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -186,28 +186,15 @@ class OrbitSegment:
     points: np.ndarray  # shape (k+1, 2)
     step_second_partials: List[Tuple[np.ndarray, np.ndarray]]
     cocycle: MatrixCocycle
-    guard: float
 
     @property
     def k(self) -> int:
         return self.cocycle.k
 
-    @property
-    def step_jacobians(self) -> List[np.ndarray]:
-        return self.cocycle.steps
 
-    @property
-    def step_dets(self) -> List[float]:
-        return self.cocycle.step_dets
-
-    def prefix_product(self, i: int) -> ScaledMatrix:
-        return self.cocycle.prefix(i)
-
-
-def default_guard(spec: MapSpec) -> float:
-    """1e-8 for maps with a singular set, 0 for smooth maps."""
-    probe = spec.singular_set_distance(0.123456, 0.654321)
-    return 0.0 if math.isinf(probe) else 1e-8
+def cocycle_of(source: Union[OrbitSegment, MatrixCocycle]) -> MatrixCocycle:
+    """The cocycle of an orbit segment, or the cocycle itself."""
+    return source.cocycle if isinstance(source, OrbitSegment) else source
 
 
 def compute_orbit(
@@ -217,12 +204,13 @@ def compute_orbit(
 
     Raises SingularEncounter(i) if any orbit point comes within ``guard`` of
     the singular set, OrbitEscaped(i) if one leaves the domain; either means
-    the orbit is unusable at this order.
+    the orbit is unusable at this order.  ``guard`` defaults to 1e-8 for
+    maps with a singular set and 0 for smooth ones.
     """
     if k < 1:
         raise ValueError("orbit order k must be >= 1")
     if guard is None:
-        guard = default_guard(spec)
+        guard = 1e-8 if spec.has_singular_set else 0.0
 
     pts = np.empty((k + 1, 2))
     pts[0] = np.asarray(xi0, dtype=float)
@@ -247,10 +235,4 @@ def compute_orbit(
         points=pts,
         step_second_partials=seconds,
         cocycle=MatrixCocycle(jacobians),
-        guard=guard,
     )
-
-
-def cocycle_block(orbit: OrbitSegment, i: int, j: int) -> ScaledMatrix:
-    """The (j-i)-step derivative at orbit point i; identity when i == j."""
-    return orbit.cocycle.block(i, j)

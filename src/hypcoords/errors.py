@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one conversion of
+configuration text to values, which reports bad text as a ConfigError."""
+
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class HypcoordsError(Exception):
@@ -95,3 +100,11 @@ class NoFrameAtStart(HypcoordsError):
 
 class ConfigError(HypcoordsError):
     """Bad key or value in a run configuration."""
+
+
+def parse_value(key: str, text: str, cast: Callable[[str], T]) -> T:
+    """Convert configuration text with ``cast``; a malformed value is a ConfigError naming key."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc

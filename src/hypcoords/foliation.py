@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     SingularEncounter,
 )
-from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates
+from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates, pushforward_frames
 from .planar_maps import MapSpec
 
 STABLE = "stable"
@@ -180,11 +180,8 @@ def pushforward_seed_angle(
 ) -> float:
     """Angle between the i-step images of e and f at a seed (pi/2 at i = k)."""
     orbit = compute_orbit(spec, np.asarray(seed, dtype=float), k, guard)
-    frame = hyperbolic_coordinates(orbit, k)
-    block = orbit.cocycle.prefix(i)
-    e_dir, _ = block.apply(frame.e)
-    f_dir, _ = block.apply(frame.f)
-    return linalg2.angle_between(e_dir, f_dir)
+    pushed = pushforward_frames(orbit, k, i)
+    return linalg2.angle_between(pushed.e_dir, pushed.f_dir)
 
 
 def pushforward_tangent_deviation(
@@ -205,11 +202,8 @@ def pushforward_tangent_deviation(
     for v in range(1, len(curve.points) - 1, stride):
         tangent = image[v + 1] - image[v - 1]
         orbit = compute_orbit(spec, curve.points[v], max(i, 1), guard)
-        if i == 0:
-            pushed = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
-        else:
-            field_dir = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
-            pushed, _ = orbit.cocycle.prefix(i).apply(field_dir)
+        field_dir = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
+        pushed = field_dir if i == 0 else orbit.cocycle.prefix(i).apply(field_dir)[0]
         out.append((v, linalg2.line_angle_distance(
             math.atan2(float(tangent[1]), float(tangent[0])),
             math.atan2(float(pushed[1]), float(pushed[0])),

@@ -30,38 +30,11 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import linalg2
-from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix
+from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of
 from .errors import ConformalDegenerate, NoHyperbolicCoordinates
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
 LOW_CONFIDENCE_COECC = 0.999  # angle ill-conditioned beyond this
-
-
-@dataclass(frozen=True)
-class Svd2Frame:
-    """SVD of a scaled matrix: log singular values and unit right directions."""
-
-    log_sigma_max: float
-    log_sigma_min: float
-    f_dir: np.ndarray
-    e_dir: np.ndarray
-    det_sign: float
-    singular: bool
-
-
-def svd2(m: ScaledMatrix) -> Svd2Frame:
-    """Closed-form SVD of a scaled 2x2 matrix (no iterative eigensolver)."""
-    s = linalg2.svd2_matrix(m.body)
-    log_max = math.log(s.smax) + m.log_scale
-    log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
-    return Svd2Frame(
-        log_sigma_max=log_max,
-        log_sigma_min=log_min,
-        f_dir=s.v_max,
-        e_dir=s.v_min,
-        det_sign=s.det_sign,
-        singular=s.smin == 0.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -97,29 +70,35 @@ def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     )
 
 
-def _cocycle_of(source: Union[OrbitSegment, MatrixCocycle]) -> MatrixCocycle:
-    return source.cocycle if isinstance(source, OrbitSegment) else source
+def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
+    """Frame of order k from the contracted direction and the log singular values.
 
-
-def frame_from_scaled(m: ScaledMatrix, k: int = 0) -> HyperbolicFrame:
-    s = svd2(m)
-    coecc = math.exp(s.log_sigma_min - s.log_sigma_max) if not s.singular else 0.0
+    A singular product has log_min = -inf and co-eccentricity exp(-inf) = 0.
+    """
+    coecc = math.exp(log_min - log_max)
     if coecc >= 1.0 - EPS_COECC:
         raise NoHyperbolicCoordinates(
             f"co-eccentricity {coecc} >= 1 - {EPS_COECC:g}: frame undefined"
         )
-    e = canonical_sign(s.e_dir)
+    e = canonical_sign(e_dir)
     f = linalg2.rotate_quarter_cw(e)
     return HyperbolicFrame(
         k=k,
         e=e,
         f=f,
-        log_sigma_max=s.log_sigma_max,
-        log_sigma_min=s.log_sigma_min,
+        log_sigma_max=log_max,
+        log_sigma_min=log_min,
         coecc=coecc,
         theta=linalg2.direction_to_sincos_angle(f),
         low_confidence=coecc > LOW_CONFIDENCE_COECC,
     )
+
+
+def frame_from_scaled(m: ScaledMatrix, k: int = 0) -> HyperbolicFrame:
+    """Frame of one scaled matrix, from its closed-form SVD (no iterative eigensolver)."""
+    s = linalg2.svd2_matrix(m.body)
+    log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
+    return _frame(k, s.v_min, math.log(s.smax) + m.log_scale, log_min)
 
 
 def hyperbolic_coordinates(
@@ -132,36 +111,18 @@ def hyperbolic_coordinates(
     which stays accurate long after direct extraction from the assembled
     product has cancelled away.
     """
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
         raise ValueError(f"order {k} outside 1..{coc.k}")
-    m = coc.prefix(k)
-    s = svd2(m)
-    log_min = coc.log_conorm[k]
-    coecc = math.exp(log_min - coc.log_norm[k]) if not math.isinf(log_min) else 0.0
-    if coecc >= 1.0 - EPS_COECC:
-        raise NoHyperbolicCoordinates(
-            f"co-eccentricity {coecc} >= 1 - {EPS_COECC:g}: frame undefined"
-        )
-    e = canonical_sign(s.e_dir)
-    f = linalg2.rotate_quarter_cw(e)
-    return HyperbolicFrame(
-        k=k,
-        e=e,
-        f=f,
-        log_sigma_max=coc.log_norm[k],
-        log_sigma_min=log_min,
-        coecc=coecc,
-        theta=linalg2.direction_to_sincos_angle(f),
-        low_confidence=coecc > LOW_CONFIDENCE_COECC,
-    )
+    e_dir = linalg2.svd2_matrix(coc.prefix(k).body).v_min
+    return _frame(k, e_dir, coc.log_norm[k], coc.log_conorm[k])
 
 
 def frame_sequence(
     source: Union[OrbitSegment, MatrixCocycle], kmax: Optional[int] = None
 ) -> List[HyperbolicFrame]:
     """Frames of every order 1..kmax (defaults to the full length)."""
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     kmax = coc.k if kmax is None else kmax
     return [hyperbolic_coordinates(coc, i) for i in range(1, kmax + 1)]
 
@@ -189,7 +150,7 @@ def coeccentricity(source: Union[OrbitSegment, MatrixCocycle], k: int) -> CoeccV
     precision.  A singular product only supports the ratio form (reported
     as 0); the other two are flagged unavailable.
     """
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
         raise ValueError(f"order {k} outside 1..{coc.k}")
     m = coc.prefix(k)
@@ -250,7 +211,7 @@ def pushforward_frames(
     source: Union[OrbitSegment, MatrixCocycle], k: int, i: int
 ) -> PushedFrame:
     """e and f of order k pushed forward i steps (orthogonal only at i == k)."""
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 0 <= i <= k:
         raise ValueError(f"pushforward step {i} outside 0..{k}")
     frame = hyperbolic_coordinates(coc, k)
@@ -269,7 +230,7 @@ class GramOperator:
 
 
 def gram_operator(source: Union[OrbitSegment, MatrixCocycle], k: int) -> GramOperator:
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
         raise ValueError(f"order {k} outside 1..{coc.k}")
     return GramOperator(k=k, op=coc.prefix(k).gram())
@@ -349,7 +310,7 @@ def diagonal_form_residuals(
     matrix must be diag(sigma_max, sigma_min).  Returns (max off-diagonal
     relative to sigma_max, max relative diagonal error).
     """
-    coc = _cocycle_of(source)
+    coc = cocycle_of(source)
     frame = hyperbolic_coordinates(coc, k)
     pushed = pushforward_frames(coc, k, k)
     m = coc.prefix(k)

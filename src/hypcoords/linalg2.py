@@ -27,11 +27,6 @@ class Svd2(NamedTuple):
     det_sign: float
 
     @property
-    def v_max(self):
-        """Right singular vector for smax (most expanded input direction)."""
-        return np.array([math.cos(self.theta_v), math.sin(self.theta_v)])
-
-    @property
     def v_min(self):
         """Right singular vector for smin (most contracted input direction)."""
         return np.array([-math.sin(self.theta_v), math.cos(self.theta_v)])

@@ -48,6 +48,9 @@ class MapSpec:
         default=lambda x, y: _INF
     )
     domain_check: Callable[[float, float], bool] = field(default=lambda x, y: True)
+    # True when the map declares a singular set: sets compute_orbit's default
+    # guard and whether fit_constants fits the tilde constants
+    has_singular_set: bool = False
 
     def _guard(self, p: Point) -> Tuple[float, float]:
         x, y = float(p[0]), float(p[1])
@@ -215,6 +218,7 @@ def lorenz2d(
         second_partials=second,
         singular_set_distance=lambda x, y: abs(x),
         domain_check=lambda x, y: abs(x) <= 4.0 and abs(y) <= 4.0,
+        has_singular_set=True,
     )
 
 

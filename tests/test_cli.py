@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -206,7 +207,8 @@ def _one_line_error(capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--spacing", "0"), ("--spacing", "nan"), ("--step", "-0.1"), ("--step", "inf"),
-     ("--length", "nan"), ("--step", "0.5"), ("--rect", "0,nan,0,1"), ("--k", "0")],
+     ("--length", "nan"), ("--step", "0.5"), ("--rect", "0,nan,0,1"), ("--k", "0"),
+     ("--guard", "nan"), ("--guard", "-1")],
 )
 def test_foliate_rejects_bad_lengths(tmp_path, capsys, flag, value):
     code = run(["foliate", "--map", "henon", "--k", "1", "--spacing", "1", "--length", "0.2",
@@ -245,3 +247,70 @@ def test_orbit_zero_matrix_is_typed_error(tmp_path, capsys, matrix):
                 "--k", "3", "--out-dir", tmp_path])
     assert code == 1
     assert "zero matrix" in _one_line_error(capsys)
+
+
+XY = ["--x0", "0.8", "--y0", "0.1", "--k", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["orbit", "--map", "linear", "--matrix", "1,x,0,1", *XY], "matrix"),
+     (["orbit", "--map", "henon", "--param", "a=x", *XY], "a"),
+     (["foliate", "--map", "henon", "--rect=0,x,0,1"], "rect"),
+     (["scan-constants", "--lambda-values", "1,x"], "lambda_values"),
+     (["certify", "--map", "henon", *XY, "--flavor", "zz"], "flavor")],
+)
+def test_unparsable_values_are_usage_errors(tmp_path, capsys, argv, key):
+    assert run([*argv, "--out-dir", tmp_path]) == 2
+    assert _one_line_error(capsys).startswith(f"usage error: {key}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [("orbit", "map = henon\nx0 = abc\ny0 = 0\nk = 3\n", "x0"),
+     ("orbit", "map = henon\nx0 = 0\ny0 = 0\nk = three\n", "k"),
+     ("orbit", "map = henon\na = x\nx0 = 0\ny0 = 0\nk = 3\n", "a"),
+     ("foliate", "map = henon\nfield = sideways\n", "field")],
+)
+def test_unparsable_config_values_are_usage_errors(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out-dir", out]) == 2
+    assert _one_line_error(capsys).startswith(f"usage error: {key}")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [(lambda text: text.replace("flavor = II\n", ""), "no flavor line"),
+     (lambda text: re.sub(r"^Gamma = .*$", "Gamma = x", text, flags=re.M), "Gamma: "),
+     (lambda text: text.replace("flavor = II", "flavor = zz"), "flavor: ")],
+)
+def test_malformed_ledger_is_usage_error(tmp_path, capsys, edit, key):
+    fitted = tmp_path / "fitted"
+    assert run(["certify", *HENON_ARGS, "--k", "8", "--out-dir", fitted]) == 0
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text(edit((fitted / "ledger.txt").read_text()))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["certify", *HENON_ARGS, "--k", "8", "--ledger", ledger, "--out-dir", out]) == 2
+    assert key in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["verify-variation", *HENON_ARGS, "--k", "4", "--h", "0"], "h"),
+     (["verify-variation", *HENON_ARGS, "--k", "4", "--h", "nan"], "h"),
+     (["certify", *HENON_ARGS, "--k", "4", "--eta", "1.0"], "eta"),
+     (["orbit", *HENON_ARGS, "--k", "4", "--guard", "nan"], "guard"),
+     (["oracle-check", "--grid-n", "2"], "grid_n"),
+     (["oracle-check", "--seed", "-1"], "seed"),
+     (["oracle-check", "--trials", "0"], "trials"),
+     (["oracle-check", "--trials", "-1"], "trials")],
+)
+def test_degenerate_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, key):
+    assert run([*argv, "--out-dir", tmp_path]) == 2
+    assert _one_line_error(capsys).startswith(f"usage error: {key} must be")
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from hypcoords.cocycle import (
     MatrixCocycle,
     ScaledMatrix,
-    cocycle_block,
     compute_orbit,
     norm_conorm_det,
 )
@@ -16,7 +16,7 @@ from hypcoords.errors import (
     SingularEncounter,
     ZeroMatrix,
 )
-from hypcoords.planar_maps import henon, linear, lorenz2d, rotation
+from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, make_map, rotation
 
 from conftest import random_step_matrix
 
@@ -59,7 +59,7 @@ def test_scaled_product_matches_direct_product():
 def test_diagonal_prefix_powers():
     lin = linear(2.0, 0.0, 0.0, 0.5)
     orbit = compute_orbit(lin, np.array([1.0, 1.0]), 3)
-    assert np.allclose(orbit.prefix_product(3).dense(), [[8.0, 0.0], [0.0, 0.125]], rtol=1e-14)
+    assert np.allclose(orbit.cocycle.prefix(3).dense(), [[8.0, 0.0], [0.0, 0.125]], rtol=1e-14)
 
 
 def test_henon_two_step_product_and_fd_cross_check():
@@ -67,7 +67,7 @@ def test_henon_two_step_product_and_fd_cross_check():
     orbit = compute_orbit(h, np.array([0.0, 0.0]), 2)
     assert np.allclose(orbit.points[1], [1.0, 0.0])
     assert np.allclose(orbit.points[2], [-0.4, 0.3])
-    m2 = orbit.prefix_product(2).dense()
+    m2 = orbit.cocycle.prefix(2).dense()
     assert np.allclose(m2, [[0.3, -2.8], [0.0, 0.3]], atol=1e-14)
     # independent check: finite differences of the twice-iterated map
     eps = 1e-6
@@ -93,6 +93,52 @@ def test_lorenz2d_guard_trigger():
     assert err.value.index == 1
 
 
+def _shift_map(has_singular_set):
+    """(x, y) -> (x, y + 1/2), singular on the line y = 2.
+
+    The distance callback is inf at (0.123456, 0.654321), so a single probe
+    there would take the map for smooth.
+    """
+    zero = np.zeros((2, 2))
+    return MapSpec(
+        name="shift",
+        parameters={},
+        eval=lambda x, y: (x, y + 0.5),
+        jacobian=lambda x, y: np.eye(2),
+        second_partials=lambda x, y: (zero.copy(), zero.copy()),
+        singular_set_distance=lambda x, y: (
+            math.inf if (x, y) == (0.123456, 0.654321) else abs(y - 2.0)
+        ),
+        has_singular_set=has_singular_set,
+    )
+
+
+def test_declared_singular_set_sets_default_guard():
+    start = np.array([0.0, 1.0 + 1e-9])  # orbit point 2 lies within 1e-9 of y = 2
+    with pytest.raises(SingularEncounter) as err:
+        compute_orbit(_shift_map(True), start, 3)
+    assert err.value.index == 2
+    # undeclared: the default guard is 0, so only an exact hit would stop the orbit
+    assert compute_orbit(_shift_map(False), start, 3).k == 3
+
+
+@pytest.mark.parametrize(
+    "name, guard", [("lorenz2d", 1e-8), ("henon", 0.0), ("standard", 0.0), ("linear", 0.0)]
+)
+def test_builtin_default_guard(name, guard):
+    spec = make_map(name)
+    assert spec.has_singular_set == (guard > 0.0)
+    start = np.array([0.5, 0.1])
+
+    def at_distance(d):
+        return dataclasses.replace(spec, singular_set_distance=lambda x, y: d)
+
+    assert compute_orbit(at_distance(max(1.01 * guard, 1e-12)), start, 1).k == 1
+    if guard > 0.0:
+        with pytest.raises(SingularEncounter):
+            compute_orbit(at_distance(0.99 * guard), start, 1)
+
+
 def test_orbit_escape():
     h = henon()
     with pytest.raises(OrbitEscaped) as err:
@@ -103,21 +149,21 @@ def test_orbit_escape():
 def test_cocycle_block_identity_and_full():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 8)
-    ident = cocycle_block(orbit, 3, 3)
+    ident = orbit.cocycle.block(3, 3)
     assert ident.log_scale == 0.0
     assert np.array_equal(ident.body, np.eye(2))
-    full = cocycle_block(orbit, 0, 8)
-    assert np.allclose(full.dense(), orbit.prefix_product(8).dense(), rtol=1e-13)
+    full = orbit.cocycle.block(0, 8)
+    assert np.allclose(full.dense(), orbit.cocycle.prefix(8).dense(), rtol=1e-13)
 
 
 def test_cocycle_block_matches_direct_product():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 8)
-    block = cocycle_block(orbit, 2, 5).dense()
-    direct = orbit.step_jacobians[4] @ orbit.step_jacobians[3] @ orbit.step_jacobians[2]
+    block = orbit.cocycle.block(2, 5).dense()
+    direct = orbit.cocycle.steps[4] @ orbit.cocycle.steps[3] @ orbit.cocycle.steps[2]
     assert np.abs(block - direct).max() / np.abs(direct).max() <= 1e-12
     with pytest.raises(IndexOutOfRange):
-        cocycle_block(orbit, 5, 2)
+        orbit.cocycle.block(5, 2)
 
 
 def test_norm_conorm_det_examples():
@@ -198,9 +244,9 @@ def test_scaled_matches_naive_products_up_to_k20():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 20)
     naive = np.eye(2)
-    for i, j in enumerate(orbit.step_jacobians, start=1):
+    for i, j in enumerate(orbit.cocycle.steps, start=1):
         naive = j @ naive
-        scaled = orbit.prefix_product(i).dense()
+        scaled = orbit.cocycle.prefix(i).dense()
         assert np.abs(scaled - naive).max() / np.abs(naive).max() <= 1e-10
 
 
