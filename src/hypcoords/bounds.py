@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,8 +71,7 @@ DEFAULT_REL_TOL = 1e-9
 ROUNDING_UNIT = 64.0 * 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     check: str
     index: Tuple[int, ...]
     lhs: float
@@ -745,8 +744,9 @@ def frame_derivative_fd(
 
     Neighbour frames are sign-aligned to the centre frame before
     differencing (flip when the dot product is negative); ambiguous
-    alignment (|dot| < 0.1) raises FrameFlipUnresolvable, frame failures at
-    stencil points raise StencilDegenerate.
+    alignment (|dot| < 0.1) raises FrameFlipUnresolvable; frame failures at
+    stencil points, and a step that gives no finite stencil or difference
+    quotient, raise StencilDegenerate.
     """
     xi0 = np.asarray(xi0, dtype=float)
 
@@ -764,9 +764,12 @@ def frame_derivative_fd(
     for axis in range(2):
         step = np.zeros(2)
         step[axis] = h
-        plus_pt = xi0 + step
-        minus_pt = xi0 - step
-        effective = plus_pt[axis] - minus_pt[axis]
+        with np.errstate(over="ignore"):
+            plus_pt = xi0 + step
+            minus_pt = xi0 - step
+        effective = float(plus_pt[axis]) - float(minus_pt[axis])
+        if not 0.0 < effective < math.inf:
+            raise StencilDegenerate(f"step h={h!r} gives no finite stencil around {xi0}")
         samples = []
         for p in (plus_pt, minus_pt):
             try:
@@ -781,7 +784,10 @@ def frame_derivative_fd(
                     f"frame alignment ambiguous at {p} (|dot| = {abs(dot):.3f})"
                 )
             samples.append(fr.f if dot > 0.0 else -fr.f)
-        d = (samples[0] - samples[1]) / effective
+        with np.errstate(over="ignore"):
+            d = (samples[0] - samples[1]) / effective
+        if not np.isfinite(d).all():
+            raise StencilDegenerate(f"step h={h!r} gives no finite difference quotient at {xi0}")
         cols.append(d)
         e_dots.append(float(np.dot(center.e, d)))
         f_dots.append(float(np.dot(center.f, d)))

@@ -30,7 +30,14 @@ import numpy as np
 
 from . import linalg2
 from .cocycle import OrbitSegment
-from .errors import ConfigError, DomainViolation, Infeasible, InvalidLedger, parse_value
+from .errors import (
+    ConfigError,
+    DomainViolation,
+    Infeasible,
+    InvalidLedger,
+    parse_value,
+    read_config_lines,
+)
 
 LOG_STRICT_MARGIN = 1e-12  # log-units margin distinguishing < from <=
 
@@ -542,13 +549,11 @@ def write_ledger(path: str, ledger: ConstantsLedger) -> None:
 
 def read_ledger(path: str) -> ConstantsLedger:
     fields: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    for line in read_config_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        fields[key.strip()] = value.strip()
     if "flavor" not in fields:
         raise ConfigError(f"{path}: no flavor line")
     flavor = parse_value("flavor", fields.pop("flavor"), Flavor.parse)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
-from .errors import HypcoordsError, ConfigError, parse_value
+from .errors import HypcoordsError, ConfigError, parse_value, read_config_lines
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
 _CONFIG_KEYS = {
@@ -47,6 +47,11 @@ _CONFIG_KEYS = {
 }
 
 
+# Most seeds in a foliate lattice, and most steps per curve.  Far larger
+# counts do not fit in memory, and an infinite one overflows the count.
+MAX_FOLIATE_COUNT = 10**6
+
+
 def fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
@@ -68,40 +73,65 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _bound_report_rows(report: bounds.BoundReport) -> List[List]:
-    return [
-        [r.check, ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed]
-        for r in report.rows
-    ]
+def _json_number(x) -> str:
+    """A float or int spelled as ``json.dump`` spells it."""
+    if isinstance(x, float):
+        if -math.inf < x < math.inf:
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+    return int.__repr__(x)
+
+
+# One bound-report row: its CSV line (the bytes fmt gives for float and small
+# int values), and its JSON object after the opening brace, laid out as
+# json.dump(..., indent=2, sort_keys=True) lays it out inside "checks".
+_CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%s\n"
+_JSON_ROW = (
+    '\n        "index": [%s],\n        "lhs": %s,\n        "margin": %s,'
+    '\n        "passed": %s,\n        "rhs": %s\n      }'
+)
+_JSON_INDEX_SEP = ",\n          "
 
 
 def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> None:
-    _write_csv(
-        os.path.join(out_dir, stem + ".csv"),
-        ["check", "index", "lhs", "rhs", "margin", "passed"],
-        _bound_report_rows(report),
+    """Stream ``report`` to ``stem``.csv and ``stem``.json, one row at a time.
+
+    The bytes equal those of ``_write_csv`` on the rows (numbers through
+    ``fmt``) and of ``_write_json`` on the report nested by check; the JSON
+    document is never built in memory.
+    """
+    groups: Dict[str, List[bounds.BoundRow]] = {}
+    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("check,index,lhs,rhs,margin,passed\n")
+        for row in report.rows:
+            check, index, lhs, rhs, margin, passed = row
+            fh.write(_CSV_ROW % (check, ":".join(map(str, index)), lhs, rhs, margin, "1" if passed else "0"))
+            groups.setdefault(check, []).append(row)
+    # sort_keys puts "checks" first, so the rest of the document follows it
+    tail = json.dumps(
+        {"context": report.context, "name": report.name, "tol": report.tol, "verdict": report.verdict},
+        indent=2,
+        sort_keys=True,
     )
-    nested: Dict[str, List[dict]] = {}
-    for r in report.rows:
-        nested.setdefault(r.check, []).append(
-            {
-                "index": list(r.index),
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "margin": r.margin,
-                "passed": r.passed,
-            }
-        )
-    _write_json(
-        os.path.join(out_dir, stem + ".json"),
-        {
-            "name": report.name,
-            "tol": report.tol,
-            "verdict": report.verdict,
-            "context": report.context,
-            "checks": nested,
-        },
-    )
+    with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{\n  "checks": {')
+        sep = "\n    "
+        for check in sorted(groups):
+            fh.write(f"{sep}{json.dumps(check)}: [")
+            lead = "\n      {"
+            for _, index, lhs, rhs, margin, passed in groups[check]:
+                fh.write(lead + _JSON_ROW % (
+                    f"\n          {_JSON_INDEX_SEP.join(map(str, index))}\n        " if index else "",
+                    _json_number(lhs),
+                    _json_number(margin),
+                    "true" if passed else "false",
+                    _json_number(rhs),
+                ))
+                lead = ",\n      {"
+            fh.write("\n    ]")
+            sep = ",\n    "
+        fh.write("\n  }," if groups else "},")
+        fh.write(tail[1:] + "\n")
 
 
 def write_certificate_report(
@@ -132,15 +162,13 @@ def _load_config(path: Optional[str]) -> Dict[str, str]:
     if not path:
         return {}
     cfg: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            cfg[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_config_lines(path), 1):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        cfg[key.strip()] = value.strip()
     allowed = set(_CONFIG_KEYS)
     if "map" in cfg and cfg["map"] in BUILTIN_MAPS:
         allowed |= set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
@@ -384,6 +412,11 @@ def cmd_foliate(args) -> int:
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if step > length:
         raise ConfigError(f"step {step!r} exceeds length {length!r}")
+    if not length / step <= MAX_FOLIATE_COUNT:
+        raise ConfigError(f"length/step gives more than {MAX_FOLIATE_COUNT} steps per curve")
+    nx, ny = (max(0.0, (hi - lo) / spacing) for lo, hi in (rect[:2], rect[2:]))
+    if not max(nx, ny, nx * ny) <= MAX_FOLIATE_COUNT:
+        raise ConfigError(f"spacing {spacing!r} gives more than {MAX_FOLIATE_COUNT} seeds in --rect")
     grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
     rows = []
     for cid, curve in enumerate(grid.curves):
@@ -508,8 +541,15 @@ def _add_common(p: argparse.ArgumentParser, orbit_args: bool = True) -> None:
         p.add_argument("--guard", type=float, help="singular-set guard distance")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError: one stderr line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hypcoords",
         description=(
             "Finite-time hyperbolic coordinates of planar maps: orbit frames, "
@@ -600,9 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one conversion of
-configuration text to values, which reports bad text as a ConfigError."""
+"""Exception types shared across the package, and the one reading of
+configuration files and conversion of their text to values, which report a
+missing file or bad text as a ConfigError."""
 
-from typing import Callable, TypeVar
+from typing import Callable, List, TypeVar
 
 T = TypeVar("T")
 
@@ -98,8 +99,25 @@ class NoFrameAtStart(HypcoordsError):
     """Curve integration cannot start: no frame at the seed point."""
 
 
+class NoFrameAtVertex(HypcoordsError):
+    """A curve vertex has no usable frame-field direction."""
+
+    def __init__(self, vertex, message):
+        self.vertex = vertex
+        super().__init__(message)
+
+
 class ConfigError(HypcoordsError):
     """Bad key or value in a run configuration."""
+
+
+def read_config_lines(path: str) -> List[str]:
+    """The stripped lines of a configuration file; an unreadable file is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def parse_value(key: str, text: str, cast: Callable[[str], T]) -> T:

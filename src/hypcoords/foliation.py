@@ -22,6 +22,7 @@ from .cocycle import compute_orbit
 from .errors import (
     HypcoordsError,
     NoFrameAtStart,
+    NoFrameAtVertex,
     OrbitEscaped,
     OutsideDomain,
     SingularEncounter,
@@ -39,7 +40,7 @@ class FoliationCurve:
     field: str  # stable (contracted) or unstable (expanded)
     points: np.ndarray  # (n, 2)
     arclengths: np.ndarray
-    termination: str  # length | degenerate | singular | domain
+    termination: str  # length | degenerate | singular | domain | stalled
     step: float
     seed_direction: np.ndarray  # exact field direction at the seed
 
@@ -85,7 +86,8 @@ def integrate_curve(
     """Trace the unit frame field from ``start`` for ``total_arclength``.
 
     Terminates early (with the reason recorded) on near-conformal
-    degeneracy, singular-set proximity, or domain exit.
+    degeneracy, singular-set proximity, domain exit, or a step too small to
+    move the point.
     """
     if field not in (STABLE, UNSTABLE):
         raise ValueError(f"field must be {STABLE!r} or {UNSTABLE!r}")
@@ -116,10 +118,15 @@ def integrate_curve(
         except _FieldStop as exc:
             termination = exc.reason
             break
-        p = p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        moved = p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        shift = moved - p
+        if not shift.any():  # step below the resolution of the coordinates
+            termination = "stalled"
+            break
+        p = moved
         pts.append(p.copy())
         arcs.append(arcs[-1] + step)
-        prev = linalg2.unit(pts[-1] - pts[-2])
+        prev = linalg2.unit(shift)
     return FoliationCurve(
         k=k,
         field=field,
@@ -195,15 +202,22 @@ def pushforward_tangent_deviation(
 
     For each (strided) interior vertex, compares the tangent of the image
     polyline with the i-step image of the curve's field direction at the
-    original vertex.  Returns (vertex index, deviation in radians).
+    original vertex.  Returns (vertex index, deviation in radians); a vertex
+    without a usable frame raises NoFrameAtVertex.
     """
     image = np.array([iterate_point(spec, p, i) for p in curve.points])
     out: List[Tuple[int, float]] = []
     for v in range(1, len(curve.points) - 1, stride):
         tangent = image[v + 1] - image[v - 1]
-        orbit = compute_orbit(spec, curve.points[v], max(i, 1), guard)
-        field_dir = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
-        pushed = field_dir if i == 0 else orbit.cocycle.prefix(i).apply(field_dir)[0]
+        try:
+            pushed = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
+        except _FieldStop as exc:
+            raise NoFrameAtVertex(
+                v, f"no usable frame at curve vertex {v} {curve.points[v]}: {exc.reason}"
+            ) from exc
+        if i > 0:
+            orbit = compute_orbit(spec, curve.points[v], i, guard)
+            pushed = orbit.cocycle.prefix(i).apply(pushed)[0]
         out.append((v, linalg2.line_angle_distance(
             math.atan2(float(tangent[1]), float(tangent[0])),
             math.atan2(float(pushed[1]), float(pushed[0])),

@@ -1,10 +1,19 @@
+import contextlib
 import filecmp
+import io
 import json
+import math
+import os
+import pathlib
 import re
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hypcoords.cli import main
+from hypcoords import bounds
+from hypcoords.cli import fmt, main, write_bound_report
 
 from conftest import HENON_FIXTURE
 
@@ -314,3 +323,157 @@ def test_degenerate_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, k
     assert run([*argv, "--out-dir", tmp_path]) == 2
     assert _one_line_error(capsys).startswith(f"usage error: {key} must be")
     assert list(tmp_path.iterdir()) == []
+
+
+# Degenerate values for numeric flags: NaN, infinities, zero, negatives, the
+# extreme magnitudes and text that is not a number.
+DEGENERATE_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0", "0.0", "-1", "-7", "1e308",
+                     "-1e308", "1e-300", "5e-324", "abc", "", "1,2", "0x10"]),
+    st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False).map(repr),
+)
+
+FOLIATE_ARGS = ["--map", "henon", "--k", "1", "--rect=-0.3,0.3,-0.3,0.3", "--spacing", "0.3",
+                "--length", "0.02", "--step", "0.005"]
+ORBIT_FLAGS = ["--x0", "--y0", "--k", "--guard"]
+FUZZ_COMMANDS = {
+    "orbit": (["orbit", *HENON_ARGS, "--k", "3"], ORBIT_FLAGS),
+    "frames": (["frames", *HENON_ARGS, "--k", "3"], ORBIT_FLAGS),
+    "verify-convergence": (["verify-convergence", *HENON_ARGS, "--k", "4", "--flavor", "II"],
+                           [*ORBIT_FLAGS, "--eta"]),
+    "verify-variation": (["verify-variation", *HENON_ARGS, "--k", "3", "--flavor", "II"],
+                         [*ORBIT_FLAGS, "--eta", "--h"]),
+    "foliate": (["foliate", *FOLIATE_ARGS], ["--k", "--guard", "--spacing", "--length", "--step"]),
+    "oracle-check": (["oracle-check", "--trials", "5", "--grid-n", "1000"], ["--trials", "--grid-n"]),
+}
+_CSV_NAN = re.compile(r"(?:^|,)nan(?:,|$)", re.MULTILINE)
+
+
+@st.composite
+def degenerate_command_lines(draw):
+    base, flags = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    chosen = draw(st.dictionaries(st.sampled_from(flags), DEGENERATE_VALUES, min_size=1))
+    # a later flag overrides the base value; "=" keeps "-inf" from reading as an option
+    return base + [f"{flag}={value}" for flag, value in sorted(chosen.items())]
+
+
+def cli_contract_violations(argv):
+    """Ways in which one CLI call breaks the exit-code and output contract."""
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out-dir", out])
+        problems = []
+        if code not in (0, 1, 2):
+            problems.append(f"exit {code}")
+        lines = err.getvalue().splitlines()
+        if code == 2 and len(lines) != 1:
+            problems.append(f"usage error on {len(lines)} stderr lines")
+        if "Traceback" in err.getvalue():
+            problems.append("traceback")
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                text = fh.read()
+            if (name.endswith(".csv") and _CSV_NAN.search(text)) or (
+                name.endswith(".json") and re.search(r"\bNaN\b", text)
+            ):
+                problems.append(f"NaN in {name}")
+        return problems
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_command_lines())
+@example(["foliate", *FOLIATE_ARGS, "--length=1e308"])
+@example(["foliate", *FOLIATE_ARGS, "--step=5e-324"])
+@example(["foliate", *FOLIATE_ARGS, "--spacing=1e-300"])
+@example(["foliate", *FOLIATE_ARGS, "--length=1e-300", "--step=1e-300"])
+@example([*FUZZ_COMMANDS["verify-variation"][0], "--h=1e-300"])
+@example([*FUZZ_COMMANDS["verify-variation"][0], "--h=5e-324", "--y0=0"])
+@example([*FUZZ_COMMANDS["verify-variation"][0], "--h=1e308", "--y0=0"])
+def test_degenerate_numeric_flags_keep_the_cli_contract(argv):
+    assert cli_contract_violations(argv) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orbit", "--config", "{missing}"],
+     ["orbit", "--config", "{directory}"],
+     ["certify", *HENON_ARGS, "--k", "4", "--ledger", "{missing}"],
+     ["aux-constants", "--ledger", "{missing}"]],
+)
+def test_unreadable_config_or_ledger_is_usage_error(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "no" / "such.cfg", "directory": tmp_path}
+    argv = [a.format(**paths) for a in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", out]) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("usage error: cannot read ") and any(str(p) in err for p in paths.values())
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _reference_bound_report(report, out_dir, stem):
+    """The bound-report writer as it was before streaming: fmt rows and json.dump."""
+    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("check,index,lhs,rhs,margin,passed\n")
+        for r in report.rows:
+            row = [r.check, ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed]
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+    nested = {}
+    for r in report.rows:
+        nested.setdefault(r.check, []).append(
+            {"index": list(r.index), "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "passed": r.passed}
+        )
+    payload = {"name": report.name, "tol": report.tol, "verdict": report.verdict,
+               "context": report.context, "checks": nested}
+    with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _written_bytes(writer, report):
+    with tempfile.TemporaryDirectory() as out:
+        writer(report, out, "report")
+        return [pathlib.Path(out, "report" + ext).read_bytes() for ext in (".csv", ".json")]
+
+
+REPORT_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    st.integers(-10**15, 10**15),
+)
+CHECK_NAMES = st.one_of(
+    st.sampled_from(['say "when"', "back\\slash", "\\\"", "naïve", "Hénon–Lozi", "\u2211\u03b4"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def bound_reports(draw):
+    names = draw(st.lists(CHECK_NAMES, min_size=1, max_size=4, unique=True))
+    row = st.builds(
+        bounds.BoundRow, st.sampled_from(names),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple),
+        REPORT_NUMBERS, REPORT_NUMBERS, REPORT_NUMBERS, st.booleans(),
+    )
+    report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS))
+    report.rows.extend(draw(st.lists(row, max_size=12)))
+    report.context.update(draw(st.dictionaries(CHECK_NAMES, REPORT_NUMBERS, min_size=1, max_size=3)))
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_reports())
+@example(bounds.BoundReport("empty", 1e-9))
+def test_bound_report_writer_matches_json_dump(report):
+    assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):
+    assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
+                "--out-dir", tmp_path]) == 0
+    for stem in ("apriori_convergence", "explicit_convergence"):
+        text = (tmp_path / f"{stem}.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    report = bounds.verify_apriori_all(henon_orbit20)
+    assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)

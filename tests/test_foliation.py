@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hypcoords.errors import NoFrameAtStart
+from hypcoords import foliation
+from hypcoords.errors import HypcoordsError, NoFrameAtStart, NoFrameAtVertex
 from hypcoords.foliation import (
+    FoliationCurve,
     curve_to_csv_rows,
     curves_to_svg,
     foliation_grid,
@@ -105,6 +107,41 @@ def test_pushforward_consistency_linear():
     curve = integrate_curve(lin, np.array([0.2, 0.0]), 2, "stable", 0.4, 2e-3)
     deviations = pushforward_tangent_deviation(lin, curve, 2, stride=20)
     assert max(d for _, d in deviations) <= 1e-9
+
+
+def _polyline(*points):
+    pts = np.array(points, dtype=float)
+    return FoliationCurve(
+        k=1, field="stable", points=pts, arclengths=np.arange(len(pts), dtype=float),
+        termination="length", step=1.0, seed_direction=np.array([1.0, 0.0]),
+    )
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_pushforward_deviation_without_frame_is_typed_error(i):
+    rot = linear(0.0, -1.0, 1.0, 0.0)
+    curve = _polyline([0.0, 0.0], [0.1, 0.0], [0.2, 0.0])
+    with pytest.raises(NoFrameAtVertex, match="vertex 1") as info:
+        pushforward_tangent_deviation(rot, curve, i)
+    assert isinstance(info.value, HypcoordsError) and info.value.vertex == 1
+
+
+def test_pushforward_deviation_builds_image_orbit_only_for_i_positive(monkeypatch):
+    lin = linear(2.0, 0.0, 0.0, 0.5)
+    curve = _polyline([0.2, -0.1], [0.2, 0.0], [0.2, 0.1], [0.2, 0.2])
+    orders = []
+    real = foliation.compute_orbit
+
+    def spy(spec, p, k, guard=None):
+        orders.append(k)
+        return real(spec, p, k, guard)
+
+    monkeypatch.setattr(foliation, "compute_orbit", spy)
+    assert pushforward_tangent_deviation(lin, curve, 0) == [(1, 0.0), (2, 0.0)]
+    assert orders == [curve.k, curve.k]  # the field direction at each vertex only
+    orders.clear()
+    pushforward_tangent_deviation(lin, curve, 3)
+    assert orders == [curve.k, 3, curve.k, 3]
 
 
 def test_pushforward_consistency_henon(henon):
