@@ -303,15 +303,20 @@ def cmd_frames(args) -> int:
     return 0
 
 
-def _fit_or_load_ledger(args, cfg, orbit):
+def _ledger_source(args, cfg):
+    """Read ``--ledger``, or check the fit flags, before anything is written.
+
+    Returns a function from the orbit to its ledger: the one read, or a fit.
+    """
     ledger_path = getattr(args, "ledger", None)
     if ledger_path:
-        return certificate.read_ledger(ledger_path)
+        ledger = certificate.read_ledger(ledger_path)
+        return lambda orbit: ledger
     flavor = _flavor(args, cfg)
     eta = _resolve(args, cfg, "eta", float, 1.05)
     if not (math.isfinite(eta) and eta > 1.0):
         raise ConfigError(f"eta must be finite and > 1, got {eta!r}")
-    return certificate.fit_constants(orbit, flavor, eta)
+    return lambda orbit: certificate.fit_constants(orbit, flavor, eta)
 
 
 def _flavor(args, cfg) -> certificate.Flavor:
@@ -322,8 +327,8 @@ def _flavor(args, cfg) -> certificate.Flavor:
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
     spec, orbit = _orbit_from_args(args, cfg)
+    ledger = _ledger_source(args, cfg)(orbit)
     out = _out_dir(args, cfg)
-    ledger = _fit_or_load_ledger(args, cfg, orbit)
     report = certificate.check_quasi_hyperbolic(orbit, ledger)
     certificate.write_ledger(os.path.join(out, "ledger.txt"), ledger)
     write_certificate_report(report, out, "certificate")
@@ -337,12 +342,10 @@ def cmd_certify(args) -> int:
 
 def cmd_aux_constants(args) -> int:
     cfg = _load_config(args.config)
+    source = _ledger_source(args, cfg)
+    orbit = None if args.ledger else _orbit_from_args(args, cfg)[1]
+    ledger = source(orbit)
     out = _out_dir(args, cfg)
-    if args.ledger:
-        ledger = certificate.read_ledger(args.ledger)
-    else:
-        spec, orbit = _orbit_from_args(args, cfg)
-        ledger = _fit_or_load_ledger(args, cfg, orbit)
     aux = certificate.auxiliary_constants(ledger)
     payload = {k: v for k, v in aux.as_dict().items()}
     payload["branches"] = list(aux.branches)
@@ -356,10 +359,11 @@ def cmd_aux_constants(args) -> int:
 def cmd_verify_convergence(args) -> int:
     cfg = _load_config(args.config)
     spec, orbit = _orbit_from_args(args, cfg)
+    source = _ledger_source(args, cfg)
     out = _out_dir(args, cfg)
     apriori = bounds.verify_apriori_all(orbit)
     write_bound_report(apriori, out, "apriori_convergence")
-    ledger = _fit_or_load_ledger(args, cfg, orbit)
+    ledger = source(orbit)
     explicit = bounds.verify_explicit_convergence(orbit, ledger)
     write_bound_report(explicit, out, "explicit_convergence")
     for rep in (apriori, explicit):
@@ -374,11 +378,12 @@ def cmd_verify_convergence(args) -> int:
 def cmd_verify_variation(args) -> int:
     cfg = _load_config(args.config)
     spec, orbit = _orbit_from_args(args, cfg)
-    out = _out_dir(args, cfg)
-    ledger = _fit_or_load_ledger(args, cfg, orbit)
+    source = _ledger_source(args, cfg)
     h = _resolve(args, cfg, "h", float, 1e-5)
     if not (math.isfinite(h) and h > 0.0):
         raise ConfigError(f"h must be positive and finite, got {h!r}")
+    ledger = source(orbit)
+    out = _out_dir(args, cfg)
     report = bounds.verify_slow_variation(orbit, ledger, h=h)
     write_bound_report(report, out, "slow_variation")
     if not report.verdict:
@@ -392,7 +397,6 @@ def cmd_verify_variation(args) -> int:
 def cmd_foliate(args) -> int:
     cfg = _load_config(args.config)
     spec = _build_map(args, cfg)
-    out = _out_dir(args, cfg)
     rect = _values_list("rect", _resolve(args, cfg, "rect", str, "-1,1,-1,1"))
     if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
         raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
@@ -418,6 +422,9 @@ def cmd_foliate(args) -> int:
     if not max(nx, ny, nx * ny) <= MAX_FOLIATE_COUNT:
         raise ConfigError(f"spacing {spacing!r} gives more than {MAX_FOLIATE_COUNT} seeds in --rect")
     grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
+    if not grid.curves and not grid.failed_seeds:
+        raise ConfigError(f"--rect holds no seed at spacing {spacing!r}")
+    out = _out_dir(args, cfg)
     rows = []
     for cid, curve in enumerate(grid.curves):
         rows.extend(foliation.curve_to_csv_rows(cid, curve))
@@ -442,7 +449,6 @@ def _random_test_matrix(rng: np.random.Generator):
 
 def cmd_oracle_check(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
     seed = _resolve(args, cfg, "seed", int, 0)
     trials = _resolve(args, cfg, "trials", int, 1000)
     grid_n = _resolve(args, cfg, "grid_n", int, 1_000_000)
@@ -452,6 +458,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if grid_n < 4:
         raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
+    out = _out_dir(args, cfg)
     rng = np.random.default_rng(seed)
     angle_tol = math.pi / grid_n
     # nearest grid angle sits within pi/(2 n) of the extremum; the induced
@@ -502,7 +509,6 @@ def _values_list(key: str, text: str) -> List[float]:
 
 def cmd_scan_constants(args) -> int:
     cfg = _load_config(args.config)
-    out = _out_dir(args, cfg)
     cells = certificate.feasibility_region_scan(
         _flavor(args, cfg),
         _values_list("lambda_values", args.lambda_values),
@@ -512,6 +518,7 @@ def cmd_scan_constants(args) -> int:
         _values_list("gamma_tilde_values", args.gamma_tilde_values),
         _values_list("c_tilde_values", args.c_tilde_values),
     )
+    out = _out_dir(args, cfg)
     _write_csv(
         os.path.join(out, "scan.csv"),
         ["lambda", "Gamma", "c", "b", "Gamma_tilde", "c_tilde", "feasible", "violated"],

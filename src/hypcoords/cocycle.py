@@ -76,6 +76,24 @@ def _normalize(body: np.ndarray, log_scale: float) -> ScaledMatrix:
     return ScaledMatrix(body, log_scale)
 
 
+def normalize_stack(bodies: np.ndarray, log_scales) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_normalize`` over an (n, 2, 2) stack, with the same powers of two.
+
+    Returns the scaled bodies, their log scales and the max |entry| of each
+    input body.  A zero body stays zero and keeps its log scale.
+    """
+    m = np.abs(bodies).max(axis=(1, 2))
+    _, e = np.frexp(m)
+    return np.ldexp(bodies, -e[:, None, None]), log_scales + e * _LN2, m
+
+
+def guard_limit(spec: MapSpec, guard: Optional[float]) -> float:
+    """Singular-set distance below which ``compute_orbit`` stops an orbit."""
+    if guard is None:
+        guard = 1e-8 if spec.has_singular_set else 0.0
+    return max(guard, 1e-300)
+
+
 @dataclass(frozen=True)
 class NormData:
     """Log-domain norm data of a scaled matrix."""
@@ -203,14 +221,13 @@ def compute_orbit(
     """Iterate the map k times from xi0, collecting derivative data.
 
     Raises SingularEncounter(i) if any orbit point comes within ``guard`` of
-    the singular set, OrbitEscaped(i) if one leaves the domain; either means
-    the orbit is unusable at this order.  ``guard`` defaults to 1e-8 for
-    maps with a singular set and 0 for smooth ones.
+    the singular set, OrbitEscaped(i) if one is not finite or leaves the
+    domain; either means the orbit is unusable at this order.  ``guard``
+    defaults to 1e-8 for maps with a singular set and 0 for smooth ones.
     """
     if k < 1:
         raise ValueError("orbit order k must be >= 1")
-    if guard is None:
-        guard = 1e-8 if spec.has_singular_set else 0.0
+    limit = guard_limit(spec, guard)
 
     pts = np.empty((k + 1, 2))
     pts[0] = np.asarray(xi0, dtype=float)
@@ -219,9 +236,9 @@ def compute_orbit(
     p = pts[0]
     for i in range(k + 1):
         x, y = float(p[0]), float(p[1])
-        if not spec.domain_check(x, y):
+        if not (math.isfinite(x) and math.isfinite(y) and spec.domain_check(x, y)):
             raise OrbitEscaped(i)
-        if spec.singular_set_distance(x, y) < max(guard, 1e-300):
+        if spec.singular_set_distance(x, y) < limit:
             raise SingularEncounter(i)
         if i == k:
             break

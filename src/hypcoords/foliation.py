@@ -7,6 +7,12 @@ with a fixed-step fourth-order integrator.  The field is only defined up to
 sign, so each stage sample is flipped to match the direction the curve is
 already travelling (sign continuation, not the global convention, to avoid
 spurious reversals across the convention's flip locus).
+
+All curves of a call advance in lockstep: each integrator stage samples the
+field at every curve still running in one numpy pass (``_field_directions``),
+the array form of the scalar ``_field_direction``.  The scalar path gives the
+exact direction at each seed and stays the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import compute_orbit
+from .cocycle import compute_orbit, guard_limit, normalize_stack
 from .errors import (
     HypcoordsError,
     NoFrameAtStart,
@@ -32,6 +38,14 @@ from .planar_maps import MapSpec
 
 STABLE = "stable"
 UNSTABLE = "unstable"
+
+# Why a curve ends, by code.  Code 0 is a curve that ran its full length
+# and, from ``_field_directions``, a usable direction.
+TERMINATIONS = ("length", "singular", "domain", "degenerate", "stalled")
+_SINGULAR, _DOMAIN, _DEGENERATE, _STALLED = 1, 2, 3, 4
+
+# A step matrix whose max |entry| reaches this has a nonzero closed-form SVD
+_TINY = 2.0**-1021
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,167 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
     return frame.e if field == STABLE else frame.f
 
 
+def _field_directions(
+    spec: MapSpec, points: np.ndarray, k: int, field: str, guard: Optional[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``_field_direction`` at the n points of an (n, 2) array, in one numpy pass.
+
+    Returns ``(directions, stops)``.  Where ``stops[j]`` is 0,
+    ``directions[j]`` is the order-k field direction at point j (canonical
+    sign), equal to the scalar one to rounding.  Elsewhere it is NaN and
+    ``TERMINATIONS[stops[j]]`` is the reason the scalar path stops there:
+    "singular", "domain" or "degenerate".
+
+    The steps follow ``compute_orbit``, ``MatrixCocycle`` and
+    ``hyperbolic_coordinates``: at each orbit point the domain check (a
+    non-finite point fails it), then the singular guard; the product of
+    renormalized steps with the same power-of-two scaling; log|det|
+    accumulated step by step; a zero product or a co-eccentricity above
+    ``LOW_CONFIDENCE_COECC`` is degenerate.  A stopped point leaves the
+    pass, so the map callbacks see only points the scalar path would
+    evaluate.
+    """
+    limit = guard_limit(spec, guard)
+    n = len(points)
+    stops = np.zeros(n, dtype=np.int8)
+    directions = np.full((n, 2), np.nan)
+    live = np.arange(n)
+    x, y = points[:, 0], points[:, 1]
+    body = np.broadcast_to(np.eye(2), (n, 2, 2))
+    log_scale = np.zeros(n)
+    log_det = np.zeros(n)
+    zero_step = np.zeros(n, dtype=bool)  # a step that svd2_closed sees as zero
+
+    def drop(bad: np.ndarray, code: int) -> None:
+        nonlocal live, x, y, body, log_scale, log_det, zero_step
+        stops[live[bad]] = code
+        ok = ~bad
+        live, x, y, body, log_scale, log_det, zero_step = (
+            a[ok] for a in (live, x, y, body, log_scale, log_det, zero_step)
+        )
+
+    # Overflow to inf, log(0) and NaN are tested for explicitly, as the
+    # scalar path tests them on Python floats.
+    with np.errstate(all="ignore"):
+        for i in range(k + 1):
+            bad = ~spec.in_domain(x, y)
+            if bad.any():
+                drop(bad, _DOMAIN)
+            near = np.less(spec.singular_distances(x, y), limit)
+            if near.any():
+                drop(np.broadcast_to(near, x.shape), _SINGULAR)
+            if i == k:
+                break
+            j11, j12, j21, j22 = spec.jacobian_entries(x, y)
+            log_det = log_det + np.log(np.abs(j11 * j22 - j12 * j21))
+            jac = np.empty((len(x), 2, 2))
+            jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = j11, j12, j21, j22
+            step_body, step_scale, m = normalize_stack(jac, 0.0)
+            tiny = m < _TINY
+            if tiny.any():
+                zero_step |= tiny & (linalg2.svd2_closed_array(*jac.reshape(-1, 4).T).smax == 0.0)
+            body, log_scale, _ = normalize_stack(np.matmul(step_body, body), step_scale + log_scale)
+            x, y = spec.images(x, y)
+        svd = linalg2.svd2_closed_array(*body.reshape(-1, 4).T)
+        log_norm = np.log(svd.smax) + log_scale
+        # A zero product stays zero, so the last one stands for every order;
+        # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
+        coecc = np.exp(log_det - log_norm - log_norm)
+        degenerate = zero_step | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
+    stops[live[degenerate]] = _DEGENERATE
+    ok = ~degenerate
+    e_x, e_y = -np.sin(svd.theta_v[ok]), np.cos(svd.theta_v[ok])
+    sign = np.where((e_y < 0.0) | ((e_y == 0.0) & (e_x < 0.0)), -1.0, 1.0)
+    e_x, e_y = sign * e_x, sign * e_y
+    directions[live[ok]] = np.stack((e_x, e_y) if field == STABLE else (e_y, -e_x), axis=1)
+    return directions, stops
+
+
+def _check_curve_arguments(field: str, step: float, total_arclength: float) -> None:
+    if field not in (STABLE, UNSTABLE):
+        raise ValueError(f"field must be {STABLE!r} or {UNSTABLE!r}")
+    if step > total_arclength:
+        raise ValueError("step must not exceed total_arclength")
+
+
+def _seed_direction(spec: MapSpec, seed: np.ndarray, k: int, field: str, guard) -> np.ndarray:
+    try:
+        return _field_direction(spec, seed, k, field, guard)
+    except _FieldStop as exc:
+        raise NoFrameAtStart(f"no usable frame at {seed}: {exc.reason}") from exc
+
+
+def _integrate(
+    spec: MapSpec,
+    seeds: np.ndarray,
+    directions: np.ndarray,
+    k: int,
+    field: str,
+    total_arclength: float,
+    step: float,
+    guard: Optional[float],
+) -> List[FoliationCurve]:
+    """Lockstep RK4 from every seed, one ``_field_directions`` call per stage.
+
+    ``directions`` holds the exact field direction at each seed.  Each curve
+    takes the steps ``integrate_curve`` describes and ends on its own, with
+    the reason of the first stage that has no usable direction, or as
+    "stalled" on a step that does not move its point; the rest go on.
+    """
+    n = len(seeds)
+    if n == 0:
+        return []
+    n_steps = max(1, round(total_arclength / step))
+    ends = np.zeros(n, dtype=np.int8)
+    counts = np.full(n, n_steps + 1)
+    live = np.arange(n)
+    p, prev = seeds, directions
+    visits, visited = [live], [seeds]
+
+    def sample(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        v, stop = _field_directions(spec, q, k, field, guard)
+        v *= np.where((v * prev).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        return v, stop
+
+    for s in range(n_steps):
+        k1, stop = sample(p)
+        k2, stop2 = sample(p + 0.5 * step * k1)
+        k3, stop3 = sample(p + 0.5 * step * k2)
+        k4, stop4 = sample(p + step * k3)
+        for later in (stop2, stop3, stop4):
+            stop = np.where(stop != 0, stop, later)
+        moved = p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        shift = moved - p
+        # a step below the resolution of the coordinates
+        stop[(stop == 0) & ~shift.any(axis=1)] = _STALLED
+        go = stop == 0
+        if not go.all():
+            ends[live[~go]] = stop[~go]
+            counts[live[~go]] = s + 1
+            live, moved, shift = live[go], moved[go], shift[go]
+            if not live.size:
+                break
+        p = moved
+        prev = shift / np.hypot(shift[:, 0], shift[:, 1])[:, None]
+        visits.append(live)
+        visited.append(p)
+    order = np.argsort(np.concatenate(visits), kind="stable")
+    points = np.split(np.concatenate(visited)[order], np.cumsum(counts)[:-1])
+    arcs = np.add.accumulate(np.r_[0.0, np.full(n_steps, step)])
+    return [
+        FoliationCurve(
+            k=k,
+            field=field,
+            points=pts,
+            arclengths=arcs[: len(pts)].copy(),
+            termination=TERMINATIONS[end],
+            step=step,
+            seed_direction=direction,
+        )
+        for pts, end, direction in zip(points, ends, directions)
+    ]
+
+
 def integrate_curve(
     spec: MapSpec,
     start: np.ndarray,
@@ -89,53 +264,10 @@ def integrate_curve(
     degeneracy, singular-set proximity, domain exit, or a step too small to
     move the point.
     """
-    if field not in (STABLE, UNSTABLE):
-        raise ValueError(f"field must be {STABLE!r} or {UNSTABLE!r}")
-    if step > total_arclength:
-        raise ValueError("step must not exceed total_arclength")
+    _check_curve_arguments(field, step, total_arclength)
     start = np.asarray(start, dtype=float)
-    try:
-        direction = _field_direction(spec, start, k, field, guard)
-    except _FieldStop as exc:
-        raise NoFrameAtStart(f"no usable frame at {start}: {exc.reason}") from exc
-
-    def sample(p: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        v = _field_direction(spec, p, k, field, guard)
-        return v if float(np.dot(v, ref)) >= 0.0 else -v
-
-    n_steps = max(1, round(total_arclength / step))
-    pts = [start.copy()]
-    arcs = [0.0]
-    p = start.copy()
-    prev = direction
-    termination = "length"
-    for _ in range(n_steps):
-        try:
-            k1 = sample(p, prev)
-            k2 = sample(p + 0.5 * step * k1, prev)
-            k3 = sample(p + 0.5 * step * k2, prev)
-            k4 = sample(p + step * k3, prev)
-        except _FieldStop as exc:
-            termination = exc.reason
-            break
-        moved = p + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        shift = moved - p
-        if not shift.any():  # step below the resolution of the coordinates
-            termination = "stalled"
-            break
-        p = moved
-        pts.append(p.copy())
-        arcs.append(arcs[-1] + step)
-        prev = linalg2.unit(shift)
-    return FoliationCurve(
-        k=k,
-        field=field,
-        points=np.array(pts),
-        arclengths=np.array(arcs),
-        termination=termination,
-        step=step,
-        seed_direction=direction,
-    )
+    direction = _seed_direction(spec, start, k, field, guard)
+    return _integrate(spec, start[None], direction[None], k, field, total_arclength, step, guard)[0]
 
 
 @dataclass(frozen=True)
@@ -156,22 +288,28 @@ def foliation_grid(
 ) -> FoliationGrid:
     """Curves seeded on a regular lattice inside (xmin, xmax, ymin, ymax).
 
-    Per-seed frame failures are recorded, not fatal.
+    Per-seed frame failures are recorded, not fatal.  All curves are
+    integrated together, in lockstep.
     """
+    _check_curve_arguments(field, step, total_arclength)
     xmin, xmax, ymin, ymax = rectangle
     xs = np.arange(xmin + 0.5 * seed_spacing, xmax, seed_spacing)
     ys = np.arange(ymin + 0.5 * seed_spacing, ymax, seed_spacing)
-    curves: List[FoliationCurve] = []
+    seeds: List[np.ndarray] = []
+    directions: List[np.ndarray] = []
     failed: List[Tuple[np.ndarray, str]] = []
     for x in xs:
         for y in ys:
             seed = np.array([x, y])
             try:
-                curves.append(
-                    integrate_curve(spec, seed, k, field, total_arclength, step, guard)
-                )
+                directions.append(_seed_direction(spec, seed, k, field, guard))
+                seeds.append(seed)
             except NoFrameAtStart as exc:
                 failed.append((seed, str(exc)))
+    curves = _integrate(
+        spec, np.array(seeds).reshape(-1, 2), np.array(directions).reshape(-1, 2),
+        k, field, total_arclength, step, guard,
+    )
     return FoliationGrid(curves=curves, failed_seeds=failed)
 
 

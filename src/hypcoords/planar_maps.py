@@ -12,14 +12,16 @@ the entrywise x-derivative of the Jacobian and ``[1]`` the y-derivative:
                  [Phi2_sx, Phi2_sy]]      for s in {x, y}.
 
 Finite differences validate the callbacks (``fd_validate``); nothing here
-is differentiated symbolically.
+is differentiated symbolically.  Each builtin also carries array forms of
+its point callbacks, which batched code such as the foliation kernel calls
+on many points at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +32,20 @@ Matrix = np.ndarray
 
 _INF = float("inf")
 
+ArrayPair = Tuple[np.ndarray, np.ndarray]
+
+
+def _finite(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & np.isfinite(y)
+
+
+def _nowhere_singular(x: np.ndarray, y: np.ndarray) -> float:
+    return _INF
+
+
+def _pointwise(fn, x: np.ndarray, y: np.ndarray, dtype) -> np.ndarray:
+    return np.fromiter((fn(a, b) for a, b in zip(x.tolist(), y.tolist())), dtype, len(x))
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -37,6 +53,19 @@ class MapSpec:
 
     Immutable after construction; all callbacks are pure, so instances are
     safe to share across workers.
+
+    The ``*_array`` fields are optional array forms of the point callbacks:
+    they take equal-length 1-d arrays x and y and return
+
+    * ``eval_array``: the image coordinates (X, Y);
+    * ``jacobian_array``: the entries (j11, j12, j21, j22);
+    * ``domain_check_array``: a boolean array, False at non-finite points;
+    * ``singular_set_distance_array``: the distances.
+
+    Each returned array may also be a scalar that broadcasts against x.
+    They must agree with the scalar callbacks to rounding.  Where one is
+    None, the methods ``images``, ``jacobian_entries``, ``in_domain`` and
+    ``singular_distances`` apply the scalar callback point by point.
     """
 
     name: str
@@ -51,6 +80,10 @@ class MapSpec:
     # True when the map declares a singular set: sets compute_orbit's default
     # guard and whether fit_constants fits the tilde constants
     has_singular_set: bool = False
+    eval_array: Optional[Callable[[np.ndarray, np.ndarray], ArrayPair]] = None
+    jacobian_array: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    domain_check_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    singular_set_distance_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def _guard(self, p: Point) -> Tuple[float, float]:
         x, y = float(p[0]), float(p[1])
@@ -71,6 +104,33 @@ class MapSpec:
     def second_partials_at(self, p: Point) -> Tuple[Matrix, Matrix]:
         x, y = self._guard(p)
         return self.second_partials(x, y)
+
+    # -- array forms: no guard, the caller checks the points ---------------
+
+    def images(self, x: np.ndarray, y: np.ndarray) -> ArrayPair:
+        if self.eval_array is not None:
+            return self.eval_array(x, y)
+        out = np.array([self.eval(a, b) for a, b in zip(x.tolist(), y.tolist())]).reshape(-1, 2)
+        return out[:, 0], out[:, 1]
+
+    def jacobian_entries(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """The Jacobian entries (j11, j12, j21, j22) at every point."""
+        if self.jacobian_array is not None:
+            return self.jacobian_array(x, y)
+        m = np.array([self.jacobian(a, b) for a, b in zip(x.tolist(), y.tolist())]).reshape(-1, 4)
+        return tuple(m.T)
+
+    def in_domain(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The domain check, False at non-finite points."""
+        if self.domain_check_array is not None:
+            return self.domain_check_array(x, y)
+        check = self.domain_check
+        return _pointwise(lambda a, b: math.isfinite(a) and math.isfinite(b) and check(a, b), x, y, bool)
+
+    def singular_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.singular_set_distance_array is not None:
+            return self.singular_set_distance_array(x, y)
+        return _pointwise(self.singular_set_distance, x, y, float)
 
 
 def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
@@ -95,6 +155,10 @@ def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
         jacobian=jac,
         second_partials=second,
         domain_check=lambda x, y: abs(x) < 1e6 and abs(y) < 1e6,
+        eval_array=f,
+        jacobian_array=lambda x, y: (-2.0 * a * x, 1.0, b, 0.0),
+        domain_check_array=lambda x, y: (np.abs(x) < 1e6) & (np.abs(y) < 1e6),
+        singular_set_distance_array=_nowhere_singular,
     )
 
 
@@ -117,12 +181,24 @@ def standard(K: float = 6.0) -> MapSpec:
         ks = -K * math.sin(x)
         return np.array([[ks, 0.0], [ks, 0.0]]), np.zeros((2, 2))
 
+    def f_array(x, y):
+        kick = K * np.sin(x)
+        return x + y + kick, y + kick
+
+    def jac_array(x, y):
+        kc = K * np.cos(x)
+        return 1.0 + kc, 1.0, kc, 1.0
+
     return MapSpec(
         name="standard",
         parameters={"K": K},
         eval=f,
         jacobian=jac,
         second_partials=second,
+        eval_array=f_array,
+        jacobian_array=jac_array,
+        domain_check_array=_finite,
+        singular_set_distance_array=_nowhere_singular,
     )
 
 
@@ -142,6 +218,10 @@ def linear(
         eval=f,
         jacobian=lambda x, y: m.copy(),
         second_partials=lambda x, y: (zero.copy(), zero.copy()),
+        eval_array=f,
+        jacobian_array=lambda x, y: (m11, m12, m21, m22),
+        domain_check_array=_finite,
+        singular_set_distance_array=_nowhere_singular,
     )
 
 
@@ -201,6 +281,21 @@ def lorenz2d(
         d_y = np.array([[dxy1, 0.0], [dxy2, 0.0]])
         return d_x, d_y
 
+    def f_array(x, y):
+        s = np.copysign(1.0, x)
+        ax = np.abs(x)
+        return s * (ax**alpha * (a1 + b1 * y) + c1), ax**beta * (a2 + b2 * y) + c2
+
+    def jac_array(x, y):
+        s = np.copysign(1.0, x)
+        ax = np.abs(x)
+        return (
+            alpha * ax ** (alpha - 1.0) * (a1 + b1 * y),
+            s * ax**alpha * b1,
+            s * beta * ax ** (beta - 1.0) * (a2 + b2 * y),
+            ax**beta * b2,
+        )
+
     return MapSpec(
         name="lorenz2d",
         parameters={
@@ -219,6 +314,10 @@ def lorenz2d(
         singular_set_distance=lambda x, y: abs(x),
         domain_check=lambda x, y: abs(x) <= 4.0 and abs(y) <= 4.0,
         has_singular_set=True,
+        eval_array=f_array,
+        jacobian_array=jac_array,
+        domain_check_array=lambda x, y: (np.abs(x) <= 4.0) & (np.abs(y) <= 4.0),
+        singular_set_distance_array=lambda x, y: np.abs(x),
     )
 
 

@@ -335,15 +335,22 @@ DEGENERATE_VALUES = st.one_of(
 
 FOLIATE_ARGS = ["--map", "henon", "--k", "1", "--rect=-0.3,0.3,-0.3,0.3", "--spacing", "0.3",
                 "--length", "0.02", "--step", "0.005"]
+STANDARD_ARGS = ["--map", "standard", "--K", "6", "--x0", "0.3", "--y0", "0.7"]
+STANDARD_FOLIATE_ARGS = ["--map", "standard", "--K", "6", "--k", "2", "--rect=-0.3,0.3,-0.3,0.3",
+                         "--spacing", "0.3", "--length", "0.02", "--step", "0.005"]
 ORBIT_FLAGS = ["--x0", "--y0", "--k", "--guard"]
+FOLIATE_FLAGS = ["--k", "--guard", "--spacing", "--length", "--step"]
 FUZZ_COMMANDS = {
     "orbit": (["orbit", *HENON_ARGS, "--k", "3"], ORBIT_FLAGS),
     "frames": (["frames", *HENON_ARGS, "--k", "3"], ORBIT_FLAGS),
+    "orbit-standard": (["orbit", *STANDARD_ARGS, "--k", "3"], ORBIT_FLAGS),
+    "frames-standard": (["frames", *STANDARD_ARGS, "--k", "3"], ORBIT_FLAGS),
+    "foliate-standard": (["foliate", *STANDARD_FOLIATE_ARGS], FOLIATE_FLAGS),
     "verify-convergence": (["verify-convergence", *HENON_ARGS, "--k", "4", "--flavor", "II"],
                            [*ORBIT_FLAGS, "--eta"]),
     "verify-variation": (["verify-variation", *HENON_ARGS, "--k", "3", "--flavor", "II"],
                          [*ORBIT_FLAGS, "--eta", "--h"]),
-    "foliate": (["foliate", *FOLIATE_ARGS], ["--k", "--guard", "--spacing", "--length", "--step"]),
+    "foliate": (["foliate", *FOLIATE_ARGS], FOLIATE_FLAGS),
     "oracle-check": (["oracle-check", "--trials", "5", "--grid-n", "1000"], ["--trials", "--grid-n"]),
 }
 _CSV_NAN = re.compile(r"(?:^|,)nan(?:,|$)", re.MULTILINE)
@@ -390,6 +397,10 @@ def cli_contract_violations(argv):
 @example([*FUZZ_COMMANDS["verify-variation"][0], "--h=1e-300"])
 @example([*FUZZ_COMMANDS["verify-variation"][0], "--h=5e-324", "--y0=0"])
 @example([*FUZZ_COMMANDS["verify-variation"][0], "--h=1e308", "--y0=0"])
+@example(["orbit", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"])
+@example(["frames", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"])
+@example(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
+          "--spacing", "1e307"])
 def test_degenerate_numeric_flags_keep_the_cli_contract(argv):
     assert cli_contract_violations(argv) == []
 
@@ -408,7 +419,34 @@ def test_unreadable_config_or_ledger_is_usage_error(tmp_path, capsys, argv):
     assert run([*argv, "--out-dir", out]) == 2
     err = _one_line_error(capsys)
     assert err.startswith("usage error: cannot read ") and any(str(p) in err for p in paths.values())
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["certify", *HENON_ARGS, "--k", "4", "--eta", "1.0"], "eta"),
+     (["aux-constants", *HENON_ARGS, "--k", "4", "--flavor", "zz"], "flavor"),
+     (["verify-convergence", *HENON_ARGS, "--k", "4", "--eta", "nan"], "eta"),
+     (["verify-variation", *HENON_ARGS, "--k", "4", "--h", "0"], "h"),
+     (["foliate", "--map", "henon", "--step", "-1"], "step"),
+     (["foliate", "--map", "henon", "--rect=0,1,0,1", "--spacing", "5"], "--rect holds no seed"),
+     (["oracle-check", "--trials", "0"], "trials"),
+     (["scan-constants", "--c-values", "1,x"], "c_values")],
+)
+def test_usage_errors_leave_no_output_directory(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", out]) == 2
+    assert key in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_non_finite_orbit_is_a_typed_error(tmp_path, capsys):
+    argv = ["orbit", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"]
+    assert run([*argv, "--out-dir", tmp_path]) == 1
+    assert _one_line_error(capsys) == "orbit point 1 left the domain"
+    assert run(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
+                "--spacing", "1e307", "--out-dir", tmp_path]) == 0
+    assert "wrote 0 curves (49 seeds without frames)" in capsys.readouterr().out
 
 
 def _reference_bound_report(report, out_dir, stem):

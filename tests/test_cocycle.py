@@ -146,6 +146,17 @@ def test_orbit_escape():
     assert err.value.index >= 1
 
 
+@pytest.mark.parametrize(
+    "start, index",
+    [((1e308, 1e308), 1), ((float("nan"), 0.3), 0), ((0.3, float("inf")), 0)],
+)
+def test_non_finite_orbit_point_escapes_before_any_callback(start, index):
+    # x + y overflows to inf on the first step; math.sin(inf) would raise
+    with pytest.raises(OrbitEscaped) as err:
+        compute_orbit(make_map("standard", K=6.0), np.array(start), 3)
+    assert err.value.index == index
+
+
 def test_cocycle_block_identity_and_full():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 8)

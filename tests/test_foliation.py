@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import foliation
 from hypcoords.errors import HypcoordsError, NoFrameAtStart, NoFrameAtVertex
@@ -16,7 +20,7 @@ from hypcoords.foliation import (
 )
 from hypcoords.hypframe import angle_theta
 from hypcoords.linalg2 import line_angle_distance, sincos_direction
-from hypcoords.planar_maps import linear, lorenz2d, rotation
+from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
 
 def test_linear_stable_curve_is_vertical():
@@ -202,3 +206,116 @@ def test_henon_curve_families_export_across_orders(henon, tmp_path):
         path = tmp_path / f"stable_k{k}.svg"
         path.write_text(svg)
         assert path.read_text().count("<polyline") == len(grid.curves)
+
+
+# -- the batched field kernel against the scalar reference ------------------
+
+KERNEL_SPECS = [
+    henon(),
+    standard(6.0),
+    standard(0.5),
+    lorenz2d(),
+    rotation(0.7),
+    linear(2.0, 0.3, 0.0, 0.5),
+    linear(0.0, 1.0, 0.0, 0.0),  # nilpotent: the two-step product is zero
+    linear(0.0, 0.0, 0.0, 0.0),
+    linear(5e-324, 0.0, 0.0, 0.0),  # nonzero, but svd2_closed sees a zero matrix
+]
+SPECIAL_COORDS = [0.0, -0.0, 1e-9, -1e-9, 1e-3, 4.5, -5.0, 1e7, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan]
+# Within about 1e-205 of x = 0, lorenz2d's scalar second partials overflow
+# (OverflowError) when the guard is 0, so the reference has no answer there.
+COORDS = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-200 or v == 0.0),
+                   st.sampled_from(SPECIAL_COORDS))
+
+
+def _without_array_forms(spec):
+    return dataclasses.replace(spec, eval_array=None, jacobian_array=None,
+                               domain_check_array=None, singular_set_distance_array=None)
+
+
+def _scalar_field(spec, p, k, field, guard):
+    try:
+        return foliation._field_direction(spec, p, k, field, guard), "ok"
+    except foliation._FieldStop as exc:
+        return None, exc.reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(range(len(KERNEL_SPECS))),
+    st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([foliation.STABLE, foliation.UNSTABLE]),
+    st.sampled_from([None, 0.0, 1e-3]),
+    st.booleans(),
+)
+@example(3, [(1e-9, 0.2), (-4.5, 0.1), (0.3, 0.2)], 2, "unstable", None, False)
+@example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None, True)
+def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard, bare):
+    spec = KERNEL_SPECS[which]
+    points = np.array(pts, dtype=float)
+    directions, stops = foliation._field_directions(
+        _without_array_forms(spec) if bare else spec, points, k, field, guard
+    )
+    for p, v, code in zip(points, directions, stops):
+        expected, reason = _scalar_field(spec, p, k, field, guard)
+        assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
+        if expected is not None:
+            np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
+        else:
+            assert np.isnan(v).all()
+
+
+def test_field_directions_stop_reasons_on_lorenz2d():
+    points = np.array([[0.3, 0.2], [1e-9, 0.2], [5.0, 0.0], [math.nan, 0.0], [0.0, 0.1]])
+    _, stops = foliation._field_directions(lorenz2d(), points, 2, "stable", None)
+    reasons = [foliation.TERMINATIONS[c] if c else "ok" for c in stops]
+    assert reasons == ["ok", "singular", "domain", "domain", "singular"]
+
+
+GRID_CASES = [
+    (henon(), (-1.0, 1.0, -0.4, 0.4), 8, 0.2, "unstable", 0.2, 2e-3, None),
+    (lorenz2d(), (-0.5, 0.5, -0.5, 0.5), 1, 0.25, "unstable", 0.6, 2e-3, 1e-3),
+    (standard(6.0), (-1.0, 1.0, -1.0, 1.0), 3, 0.5, "stable", 0.2, 2e-3, None),
+    (rotation(0.5), (-1.0, 1.0, -1.0, 1.0), 1, 0.5, "stable", 0.2, 2e-3, None),
+]
+
+
+@pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c[0].name}-k{c[2]}")
+def test_grid_curves_match_single_curve_integration(case):
+    spec, rect, k, spacing, field, length, step, guard = case
+    grid = foliation_grid(spec, rect, k, spacing, field, length, step, guard)
+    for seed, message in grid.failed_seeds:
+        with pytest.raises(NoFrameAtStart, match=re.escape(message)):
+            integrate_curve(spec, seed, k, field, length, step, guard)
+    for curve in grid.curves:
+        single = integrate_curve(spec, curve.seed, k, field, length, step, guard)
+        assert single.termination == curve.termination
+        assert single.points.shape == curve.points.shape
+        assert np.abs(single.points - curve.points).max() <= 1e-12
+        assert np.array_equal(single.arclengths, curve.arclengths)
+        assert np.array_equal(single.seed_direction, curve.seed_direction)
+
+
+def test_lockstep_curves_end_on_their_own():
+    grid = foliation_grid(henon(), (-1.0, 1.0, -0.4, 0.4), 8, 0.2, "unstable", 0.2, 2e-3)
+    assert {c.termination for c in grid.curves} == {"length", "domain"}
+    assert {len(c.points) for c in grid.curves if c.termination == "length"} == {101}
+    assert all(len(c.points) < 101 for c in grid.curves if c.termination == "domain")
+    stalled = integrate_curve(henon(), np.array([0.3, 0.1]), 1, "stable", 1e-300, 1e-300)
+    assert stalled.termination == "stalled" and len(stalled.points) == 1
+
+
+def test_field_kernel_and_integrator_raise_no_numpy_warnings():
+    points = np.array([[0.3, 0.2], [1e-9, 0.2], [-1e-12, 0.1], [5.0, 0.0], [math.nan, 0.0],
+                       [0.0, 0.1], [math.inf, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (lorenz2d(), standard(6.0), henon(), linear(0.0, 0.0, 0.0, 0.0),
+                     linear(0.0, 1.0, 0.0, 0.0)):
+            for k in (1, 3):
+                foliation._field_directions(spec, np.vstack([points, [[1e308, 1e308]]]), k, "stable", None)
+                foliation._field_directions(_without_array_forms(spec), points, k, "unstable", 0.0)
+        foliation_grid(lorenz2d(), (-0.5, 0.5, -0.5, 0.5), 1, 0.25, "unstable", 0.6, 2e-3, 1e-3)
+        foliation_grid(henon(), (-1.0, 1.0, -0.4, 0.4), 8, 0.2, "unstable", 0.2, 2e-3)
