@@ -41,6 +41,7 @@ from .cocycle import (
     norm_conorm_det,
 )
 from .errors import (
+    BoundOverflow,
     CertificateRequired,
     DegenerateCoeccentricity,
     DegenerateStep,
@@ -111,9 +112,17 @@ class BoundReport:
 # so the sweep's running sums equal the per-pair sums bit for bit.
 
 
+def _exp(x: float) -> float:
+    """math.exp of a bound term; a term beyond the double range is a BoundOverflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise BoundOverflow(f"bound term exp({x:.6g}) exceeds the double range") from None
+
+
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
     """2 / (1 - coecc_i^2) for order i >= 1."""
-    cc = math.exp(coc.log_coecc(i))
+    cc = _exp(coc.log_coecc(i))
     if cc >= 1.0 - EPS_COECC:
         raise DegenerateCoeccentricity(f"co-eccentricity at order {i} is {cc}")
     return 2.0 / (1.0 - cc * cc)
@@ -127,13 +136,13 @@ def _one_step_log_coecc(coc: MatrixCocycle, j: int) -> float:
 
 
 def _drift_term(coc: MatrixCocycle, j: int) -> float:
-    return math.exp(
+    return _exp(
         coc.log_coecc(j) + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1]
     )
 
 
 def _det_drift_term(coc: MatrixCocycle, i: int, j: int) -> float:
-    return math.exp(
+    return _exp(
         (coc.log_absdet[j] - coc.log_absdet[i])
         + coc.step_log_norm[j]
         - coc.log_norm[j]
@@ -142,11 +151,11 @@ def _det_drift_term(coc: MatrixCocycle, i: int, j: int) -> float:
 
 
 def _tail_term(coc: MatrixCocycle, j: int) -> float:
-    return math.exp(coc.log_coecc(j) - _one_step_log_coecc(coc, j))
+    return _exp(coc.log_coecc(j) - _one_step_log_coecc(coc, j))
 
 
 def _det_tail_term(coc: MatrixCocycle, i: int, j: int) -> float:
-    return math.exp(
+    return _exp(
         (coc.log_absdet[j] - coc.log_absdet[i])
         - 2.0 * coc.log_norm[j]
         - _one_step_log_coecc(coc, j)
@@ -201,13 +210,16 @@ def _pair_measurements(
     coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
 ) -> Tuple[float, float, float, float, float]:
     """Measured left sides at (i, k): the drift |e_k - e_i|, |DPhi^i e_k| and
-    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two."""
+    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two.
+    A singular DPhi^i leaves the determinant-normalized rows undefined."""
+    if coc.log_absdet[i] == float("-inf"):
+        raise ZeroDeterminant(f"det DPhi^{i} is zero: determinant-normalized rows undefined")
     drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
     _, log_push = coc.prefix(i).apply(frames[k - 1].e)
-    push_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i])
-    det_noise = ROUNDING_UNIT * math.exp(coc.log_norm[i] - coc.log_absdet[i])
+    push_noise = ROUNDING_UNIT * _exp(coc.log_norm[i])
+    det_noise = ROUNDING_UNIT * _exp(coc.log_norm[i] - coc.log_absdet[i])
     return (
-        drift, math.exp(log_push), math.exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+        drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
     )
 
 
@@ -219,8 +231,8 @@ def _apriori_rows(
     """The seven a-priori rows at (i, k), given the frames up to order k, ctilde(k),
     the four sums over j = i..k-1 and the log-norm of block(i, k)."""
     drift, push, push_over_det, push_noise, det_noise = _pair_measurements(coc, frames, i, k)
-    norm_i = math.exp(coc.log_norm[i])
-    conorm_i = math.exp(coc.log_conorm[i])
+    norm_i = _exp(coc.log_norm[i])
+    conorm_i = _exp(coc.log_conorm[i])
 
     rep.add("frame_drift_sum", (i, k), drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
     rep.add(
@@ -254,7 +266,7 @@ def _apriori_rows(
         abs_tol=det_noise,
     )
 
-    quotient = math.exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
+    quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
     rep.add("frame_drift_quotient", (i, k), drift, ct * quotient, abs_tol=ROUNDING_UNIT)
 
 
@@ -354,7 +366,7 @@ def verify_consecutive_rotation(
         bound = (
             1.0
             / (1.0 - cc_next * cc_next)
-            * math.exp(
+            * _exp(
                 2.0
                 * (
                     coc.log_coecc(j)

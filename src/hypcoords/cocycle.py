@@ -11,6 +11,7 @@ bit-exact relative to the unscaled product.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -74,6 +75,16 @@ def _normalize(body: np.ndarray, log_scale: float) -> ScaledMatrix:
         body = np.ldexp(body, -e)
         log_scale += e * _LN2
     return ScaledMatrix(body, log_scale)
+
+
+def _log_abs_det(step: np.ndarray, det: float) -> float:
+    """log |det step| from the raw determinant, or from the scaled body when
+    the raw one is not a normal float (overflow, underflow, cancellation)."""
+    if math.isfinite(det) and abs(det) >= sys.float_info.min:
+        return math.log(abs(det))
+    m = ScaledMatrix.from_matrix(step)
+    body_det = abs(linalg2.det2(m.body))
+    return math.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
 
 
 def normalize_stack(bodies: np.ndarray, log_scales) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,8 +163,8 @@ class MatrixCocycle:
         # log |det DPhi^i| by multiplicativity of the determinant
         acc = 0.0
         self.log_absdet = [0.0]
-        for d in self.step_dets:
-            acc += math.log(abs(d)) if d != 0.0 else float("-inf")
+        for step, d in zip(self.steps, self.step_dets):
+            acc += _log_abs_det(step, d)
             self.log_absdet.append(acc)
 
         # Per-order norms.  The larger singular value is well conditioned,
@@ -221,9 +232,10 @@ def compute_orbit(
     """Iterate the map k times from xi0, collecting derivative data.
 
     Raises SingularEncounter(i) if any orbit point comes within ``guard`` of
-    the singular set, OrbitEscaped(i) if one is not finite or leaves the
-    domain; either means the orbit is unusable at this order.  ``guard``
-    defaults to 1e-8 for maps with a singular set and 0 for smooth ones.
+    the singular set, OrbitEscaped(i) if one is not finite, leaves the
+    domain or has non-finite first or second partials; either means the
+    orbit is unusable at this order.  ``guard`` defaults to 1e-8 for maps
+    with a singular set and 0 for smooth ones.
     """
     if k < 1:
         raise ValueError("orbit order k must be >= 1")
@@ -242,8 +254,12 @@ def compute_orbit(
             raise SingularEncounter(i)
         if i == k:
             break
-        jacobians.append(spec.jacobian(x, y))
-        seconds.append(spec.second_partials(x, y))
+        jacobian = spec.jacobian(x, y)
+        second = spec.second_partials(x, y)
+        if not (np.isfinite(jacobian).all() and np.isfinite(second).all()):
+            raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives")
+        jacobians.append(jacobian)
+        seconds.append(second)
         p = np.array(spec.eval(x, y))
         pts[i + 1] = p
 

@@ -63,6 +63,10 @@ class ZeroDeterminant(HypcoordsError):
     """A determinant needed in a denominator is zero."""
 
 
+class BoundOverflow(HypcoordsError):
+    """A term of a bound exceeds the double range, so its row cannot be evaluated."""
+
+
 class CertificateRequired(HypcoordsError):
     """The requested bound only holds under a passing certificate."""
 

@@ -19,6 +19,12 @@ the angle 2t of the most expanded direction solves
 
 evaluated with a two-argument arctangent so the maximizing root is picked
 directly; the contracting angle sits a quarter turn away.
+
+The grid oracle (``oracle_extremal_directions``) checks these closed forms
+without the SVD: it maximizes and minimizes |M (sin t, cos t)|^2 over a
+uniform angle grid.  It skips grid blocks whose interval enclosure,
+widened by a floating-point error bound, shows that they cannot hold an
+extremum, so it returns exactly what the full sweep returns.
 """
 
 from __future__ import annotations
@@ -250,17 +256,75 @@ class OracleResult:
 
 _grid_cache: dict = {}
 
+# Grid points per block of the oracle's block ranges.
+_ORACLE_BLOCK = 256
+# Relative rounding allowance of the block bounds, in units of 2^-53 times
+# |g11| + |g12| + |g22|: f and each bound carry at most three roundings of
+# that size, and the two comparisons one more each.
+_ORACLE_ROUNDING = 16.0 * 2.0 ** -53
+# Absolute allowance for products that underflow (at most 2^-1075 each).
+_ORACLE_UNDERFLOW = 2.0 ** -1070
+# Gram sums above this could overflow in f or its bounds: every block is kept.
+_ORACLE_GRAM_LIMIT = 2.0 ** 1020
+
 
 def _grid_basis(grid_n: int):
+    """sin^2, 2 sin cos and cos^2 on the grid, and their (min, max) per block."""
     cached = _grid_cache.get(grid_n)
     if cached is None:
-        theta = np.arange(grid_n) * (math.pi / grid_n)
+        # in place where an operand is dead: each fresh 8 MB array costs page faults
+        theta = np.arange(grid_n, dtype=float)
+        theta *= math.pi / grid_n
         s = np.sin(theta)
-        c = np.cos(theta)
-        cached = (theta, s * s, 2.0 * s * c, c * c)
+        c = np.cos(theta, out=theta)
+        sc2 = 2.0 * s
+        sc2 *= c
+        columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
+        starts = np.arange(0, grid_n, _ORACLE_BLOCK)
+        ranges = tuple(
+            (np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)) for w in columns
+        )
+        cached = (columns, ranges)
         _grid_cache.clear()  # keep at most one resolution resident
         _grid_cache[grid_n] = cached
     return cached
+
+
+def _kept_runs(g11: float, g12: float, g22: float, ranges) -> List[Tuple[int, int]]:
+    """Runs [first, last) of consecutive blocks that may hold the max or the min of f."""
+    (s2lo, s2hi), (sc2lo, sc2hi), (c2lo, c2hi) = ranges
+    gram_sum = abs(g11) + abs(g12) + abs(g22)
+    if not gram_sum <= _ORACLE_GRAM_LIMIT:  # NaN, infinite or near overflow
+        return [(0, len(s2lo))]
+    # g11 and g22 are sums of squares, so only the sign of g12 picks an end
+    sc_lo, sc_hi = (sc2lo, sc2hi) if g12 >= 0.0 else (sc2hi, sc2lo)
+    lo = g11 * s2lo + g12 * sc_lo + g22 * c2lo
+    hi = g11 * s2hi + g12 * sc_hi + g22 * c2hi
+    tol = _ORACLE_ROUNDING * gram_sum + _ORACLE_UNDERFLOW
+    # negated prune tests, so that a NaN bound keeps its block
+    keep = ~(hi + tol < np.max(lo) - tol) | ~(lo - tol > np.min(hi) + tol)
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
+def _sweep_extremes(
+    g11: float, g12: float, g22: float, grid_n: int
+) -> Tuple[int, int, float, float]:
+    """(imax, imin, f[imax], f[imin]) of the squared image norm f on the grid."""
+    (s2, sc2, c2), ranges = _grid_basis(grid_n)
+    run_max: List[Tuple[int, float]] = []
+    run_min: List[Tuple[int, float]] = []
+    for first, last in _kept_runs(g11, g12, g22, ranges):
+        lo, hi = first * _ORACLE_BLOCK, min(last * _ORACLE_BLOCK, grid_n)
+        f = g11 * s2[lo:hi]
+        f += g12 * sc2[lo:hi]
+        f += g22 * c2[lo:hi]
+        i, j = int(np.argmax(f)), int(np.argmin(f))
+        run_max.append((lo + i, float(f[i])))
+        run_min.append((lo + j, float(f[j])))
+    imax, fmax = run_max[int(np.argmax([v for _, v in run_max]))]
+    imin, fmin = run_min[int(np.argmin([v for _, v in run_min]))]
+    return imax, imin, fmax, fmin
 
 
 def oracle_extremal_directions(
@@ -268,8 +332,27 @@ def oracle_extremal_directions(
 ) -> OracleResult:
     """Maximize/minimize the image norm over a uniform angle grid on [0, pi).
 
-    Entirely independent of the closed-form SVD; the returned angles are
-    within pi/grid_n of the true extremal angles.
+    Entirely independent of the closed-form SVD: the squared image norm
+    f = g11 sin^2 + g12 (2 sin cos) + g22 cos^2 of the Gram entries is
+    evaluated on grid points, and the returned angles are within pi/grid_n
+    of the true extremal angles.
+
+    Blocks of the grid that cannot hold an extremum are skipped; the
+    result is that of the full sweep, index for index.  Interval
+    arithmetic over the cached per-block ranges of the three grid columns
+    encloses the exact value of f on the stored grid values of a block in
+    [lo, hi] (Moore's enclosure).  Computed f and computed bounds each sit
+    within three roundings, at most 3 * 2^-53 (|g11| + |g12| + |g22|) plus
+    underflow, of those exact values, and the allowance tol covers both
+    plus the rounding of the comparisons.  A block is skipped for the
+    maximum only if hi + tol < max(lo) - tol, and then every value in it
+    is strictly below a value attained in the block with the largest lo;
+    the minimum is the mirror image.  So the first occurrence of each
+    extremum, ties included, lies in a kept block.  Kept blocks are
+    evaluated with the same three statements as the full sweep, and the
+    per-run extremes are combined by argmax/argmin in index order.  Gram
+    sums that are NaN, infinite or near overflow keep every block, which
+    is the full sweep.
     """
     if grid_n < 4:
         raise ValueError("grid_n must be >= 4")
@@ -279,21 +362,12 @@ def oracle_extremal_directions(
         body, log_scale = np.asarray(m, dtype=float), 0.0
     a, b = float(body[0, 0]), float(body[0, 1])
     c, d = float(body[1, 0]), float(body[1, 1])
-    g11 = a * a + c * c
-    g12 = a * b + c * d
-    g22 = b * b + d * d
-    theta, s2, sc2, c2 = _grid_basis(grid_n)
-    f = g11 * s2
-    f += g12 * sc2
-    f += g22 * c2
-    imax = int(np.argmax(f))
-    imin = int(np.argmin(f))
-    fmax = float(f[imax])
-    fmin = float(f[imin])
+    imax, imin, fmax, fmin = _sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
+    step = math.pi / grid_n
     scale = math.exp(log_scale)
     return OracleResult(
-        theta_max=float(theta[imax]),
-        theta_min=float(theta[imin]),
+        theta_max=imax * step,
+        theta_min=imin * step,
         norm_max=math.sqrt(max(fmax, 0.0)) * scale,
         norm_min=math.sqrt(max(fmin, 0.0)) * scale,
         flat=(fmax - fmin) <= 1e-12 * max(fmax, 1e-300),

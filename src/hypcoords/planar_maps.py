@@ -230,6 +230,14 @@ def rotation(theta: float) -> MapSpec:
     return linear(ct, -st, st, ct)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, inf where the float result overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def lorenz2d(
     alpha: float = 0.5,
     beta: float = 0.8,
@@ -254,7 +262,10 @@ def lorenz2d(
     def f(x, y):
         s = math.copysign(1.0, x)
         ax = abs(x)
-        return (s * (ax**alpha * (a1 + b1 * y) + c1), ax**beta * (a2 + b2 * y) + c2)
+        return (
+            s * (_power(ax, alpha) * (a1 + b1 * y) + c1),
+            _power(ax, beta) * (a2 + b2 * y) + c2,
+        )
 
     def jac(x, y):
         s = math.copysign(1.0, x)
@@ -263,8 +274,8 @@ def lorenz2d(
         g2 = a2 + b2 * y
         return np.array(
             [
-                [alpha * ax ** (alpha - 1.0) * g1, s * ax**alpha * b1],
-                [s * beta * ax ** (beta - 1.0) * g2, ax**beta * b2],
+                [alpha * _power(ax, alpha - 1.0) * g1, s * _power(ax, alpha) * b1],
+                [s * beta * _power(ax, beta - 1.0) * g2, _power(ax, beta) * b2],
             ]
         )
 
@@ -273,10 +284,10 @@ def lorenz2d(
         ax = abs(x)
         g1 = a1 + b1 * y
         g2 = a2 + b2 * y
-        dxx1 = alpha * (alpha - 1.0) * ax ** (alpha - 2.0) * s * g1
-        dxy1 = alpha * ax ** (alpha - 1.0) * b1
-        dxx2 = beta * (beta - 1.0) * ax ** (beta - 2.0) * g2
-        dxy2 = s * beta * ax ** (beta - 1.0) * b2
+        dxx1 = alpha * (alpha - 1.0) * _power(ax, alpha - 2.0) * s * g1
+        dxy1 = alpha * _power(ax, alpha - 1.0) * b1
+        dxx2 = beta * (beta - 1.0) * _power(ax, beta - 2.0) * g2
+        dxy2 = s * beta * _power(ax, beta - 1.0) * b2
         d_x = np.array([[dxx1, dxy1], [dxx2, dxy2]])
         d_y = np.array([[dxy1, 0.0], [dxy2, 0.0]])
         return d_x, d_y

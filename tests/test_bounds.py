@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import bounds
 from hypcoords.certificate import Flavor, fit_constants
@@ -15,7 +16,8 @@ from hypcoords.errors import (
     NoHyperbolicCoordinates,
     StencilDegenerate,
 )
-from hypcoords.planar_maps import henon, linear, lorenz2d
+from hypcoords.hypframe import frame_sequence
+from hypcoords.planar_maps import henon, linear, lorenz2d, rotation
 
 from conftest import HENON_FIXTURE, make_cubic_map, random_cocycle
 
@@ -464,3 +466,60 @@ def test_lorenz2d_singular_bounds_chain():
     short = compute_orbit(lorenz2d(), LORENZ_FIXTURE, 5)
     rep = bounds.verify_slow_variation(short, both, h=1e-6)
     assert rep.verdict, rep.first_failure()
+
+
+# ---------------------------------------------------------------------------
+# Library fuzz: random cocycles end in a typed error or a NaN-free result
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def fuzz_steps(draw):
+    """One step matrix: generic, huge, tiny, near singular, a rotation or nilpotent."""
+    kind = draw(st.sampled_from(
+        ["generic", "huge", "tiny", "near_singular", "rotation", "nilpotent"]
+    ))
+    entries = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))).reshape(2, 2)
+    if kind == "huge":
+        return entries * 10.0 ** draw(st.integers(100, 300))
+    if kind == "tiny":
+        return entries * 10.0 ** -draw(st.integers(100, 300))
+    if kind == "near_singular":
+        u, v = entries[0], entries[1]
+        return np.outer(u, v) + draw(st.floats(-1e-12, 1e-12)) * np.eye(2)
+    if kind == "rotation":
+        return rotation(draw(st.floats(0.0, 2.0 * math.pi))).jacobian(0.0, 0.0)
+    if kind == "nilpotent":
+        return np.array([[0.0, 1.0], [0.0, 0.0]]) * entries[0, 0]
+    return entries
+
+
+def _finite_frame(frame):
+    values = [*frame.e, *frame.f, frame.log_sigma_max, frame.coecc, frame.theta]
+    return all(math.isfinite(v) for v in values) and not math.isnan(frame.log_sigma_min)
+
+
+def _nan_free_report(report):
+    return not any(math.isnan(v) for r in report.rows for v in (r.lhs, r.rhs, r.margin))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fuzz_steps(), min_size=1, max_size=6))
+@example([np.array([[0.0, 0.0], [0.0, 2.2e-311]])])  # singular, subnormal
+@example([np.array([[-6.8e171, 1.77e172], [-1.2e172, 4.9e170]])])  # det2 overflows
+@example([np.diag([2e200, 1e200])] * 2)  # |DPhi^2| beyond the double range
+def test_library_calls_end_in_typed_error_or_nan_free_result(steps):
+    def outcome(call):
+        try:
+            return call()
+        except HypcoordsError:
+            return None
+
+    coc = outcome(lambda: MatrixCocycle(steps))
+    if coc is None:
+        return
+    frames = outcome(lambda: frame_sequence(coc))
+    assert frames is None or all(_finite_frame(f) for f in frames)
+    for verify in (bounds.verify_apriori_all, bounds.verify_consecutive_rotation):
+        report = outcome(lambda: verify(coc))
+        assert report is None or _nan_free_report(report)

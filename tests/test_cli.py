@@ -399,6 +399,7 @@ def cli_contract_violations(argv):
 @example([*FUZZ_COMMANDS["verify-variation"][0], "--h=1e308", "--y0=0"])
 @example(["orbit", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"])
 @example(["frames", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"])
+@example(["orbit", "--map", "lorenz2d", "--x0", "1e-238", "--y0", "0", "--k", "1", "--guard", "0"])
 @example(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
           "--spacing", "1e307"])
 def test_degenerate_numeric_flags_keep_the_cli_contract(argv):
@@ -444,6 +445,9 @@ def test_non_finite_orbit_is_a_typed_error(tmp_path, capsys):
     argv = ["orbit", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"]
     assert run([*argv, "--out-dir", tmp_path]) == 1
     assert _one_line_error(capsys) == "orbit point 1 left the domain"
+    argv = ["orbit", "--map", "lorenz2d", "--x0", "1e-238", "--y0", "0", "--k", "1", "--guard", "0"]
+    assert run([*argv, "--out-dir", tmp_path]) == 1
+    assert _one_line_error(capsys) == "orbit point 0 has non-finite derivatives"
     assert run(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
                 "--spacing", "1e307", "--out-dir", tmp_path]) == 0
     assert "wrote 0 curves (49 seeds without frames)" in capsys.readouterr().out

@@ -223,8 +223,9 @@ KERNEL_SPECS = [
 ]
 SPECIAL_COORDS = [0.0, -0.0, 1e-9, -1e-9, 1e-3, 4.5, -5.0, 1e7, 1e308, -1e308,
                   math.inf, -math.inf, math.nan]
-# Within about 1e-205 of x = 0, lorenz2d's scalar second partials overflow
-# (OverflowError) when the guard is 0, so the reference has no answer there.
+# Within about 1e-205 of x = 0, lorenz2d's second partials overflow when the
+# guard is 0: the scalar reference stops there ("domain", non-finite
+# derivatives), while the kernel, which needs no second partials, does not.
 COORDS = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-200 or v == 0.0),
                    st.sampled_from(SPECIAL_COORDS))
 

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hypcoords import hypframe
 from hypcoords.cocycle import MatrixCocycle, ScaledMatrix, compute_orbit
 from hypcoords.errors import ConformalDegenerate, NoHyperbolicCoordinates
 from hypcoords.hypframe import (
@@ -252,6 +255,94 @@ def test_oracle_agrees_with_svd_small_sweep():
         res = oracle_extremal_directions(m, n)
         assert line_angle_distance(res.theta_max, frame.theta) <= math.pi / n
         assert math.isclose(res.norm_max, math.exp(frame.log_sigma_max), rel_tol=1e-8)
+
+
+def full_sweep(m, grid_n):
+    """Reference for the pruned oracle: f on every grid point, then argmax and argmin."""
+    body = np.asarray(m, dtype=float)
+    a, b = float(body[0, 0]), float(body[0, 1])
+    c, d = float(body[1, 0]), float(body[1, 1])
+    g11 = a * a + c * c
+    g12 = a * b + c * d
+    g22 = b * b + d * d
+    (s2, sc2, c2), _ = hypframe._grid_basis(grid_n)
+    f = g11 * s2
+    f += g12 * sc2
+    f += g22 * c2
+    imax = int(np.argmax(f))
+    imin = int(np.argmin(f))
+    return imax, imin, float(f[imax]), float(f[imin])
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Random, flat, near-conformal, rank-one and zero matrices at scales 1e-160..1e160."""
+    kind = draw(st.sampled_from(["random", "rotation", "near_conformal", "rank_one", "zero"]))
+    if kind == "random":
+        m = np.array(draw(st.lists(_UNIT, min_size=4, max_size=4))).reshape(2, 2)
+    elif kind == "rotation":
+        m = rotation(draw(_ANGLE)).jacobian(0.0, 0.0)
+    elif kind == "near_conformal":
+        stretch = np.diag([1.0, 1.0 + draw(st.floats(1e-15, 1e-3))])
+        turn_in, turn_out = (rotation(draw(_ANGLE)).jacobian(0.0, 0.0) for _ in range(2))
+        m = turn_out @ stretch @ turn_in
+    elif kind == "rank_one":
+        m = np.outer(draw(st.lists(_UNIT, min_size=2, max_size=2)),
+                     draw(st.lists(_UNIT, min_size=2, max_size=2)))
+    else:
+        m = np.zeros((2, 2))
+    return m * 10.0 ** draw(st.sampled_from([-160, -150, 0, 150, 155, 160]))
+
+
+# diag(2, 1) times the rotation taking (sin t, cos t) to e1, t = 255 pi / 256:
+# on the 256-point grid the maximum is the last grid point
+_T = 255.0 * math.pi / 256.0
+PEAK_AT_LAST_POINT_OF_256 = np.diag([2.0, 1.0]) @ np.array(
+    [[math.sin(_T), math.cos(_T)], [math.cos(_T), -math.sin(_T)]]
+)
+
+
+@pytest.mark.parametrize("grid_n", [4, 5, 255, 256, 257, 20001, 10**6])
+@settings(max_examples=60, deadline=None)
+@given(m=oracle_matrices())
+@example(m=np.eye(2))
+@example(m=np.array([[1e160, 1.0], [0.0, 1.0]]))
+@example(m=np.array([[math.nan, 1.0], [0.0, 1.0]]))
+@example(m=np.array([[math.inf, 1.0], [0.0, 1.0]]))
+@example(m=np.array([[1e-170, 3e-170], [0.0, 1e-200]]))
+@example(m=PEAK_AT_LAST_POINT_OF_256)
+def test_oracle_pruned_sweep_equals_full_sweep(grid_n, m):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = full_sweep(m, grid_n)
+    with warnings.catch_warnings():
+        # the pruned sweep warns only where the full sweep does
+        warnings.simplefilter("ignore" if caught else "error")
+        res = oracle_extremal_directions(m, grid_n)
+        a, b, c, d = (float(v) for v in np.asarray(m, dtype=float).ravel())
+        got = hypframe._sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
+    assert got[:2] == expected[:2]
+    assert same_float(got[2], expected[2]) and same_float(got[3], expected[3])
+    step = math.pi / grid_n
+    assert res.theta_max == float(np.arange(grid_n)[expected[0]] * step)
+    assert res.theta_min == float(np.arange(grid_n)[expected[1]] * step)
+    assert same_float(res.norm_max, math.sqrt(max(expected[2], 0.0)))
+    assert same_float(res.norm_min, math.sqrt(max(expected[3], 0.0)))
+
+
+def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
+    _, ranges = hypframe._grid_basis(10**6)
+    runs = hypframe._kept_runs(10.0, 1.0, 0.5, ranges)
+    kept = sum(last - first for first, last in runs)
+    assert 0 < kept <= len(ranges[0][0]) // 10
 
 
 def test_diagonal_form_identity():
