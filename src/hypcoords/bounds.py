@@ -689,7 +689,7 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     a = _AXES[axis]
     axis_vec = np.array([1.0, 0.0]) if a == 0 else np.array([0.0, 1.0])
     coc = orbit.cocycle
-    if any(d == 0.0 for d in coc.step_dets[:k]):
+    if any(d == float("-inf") for d in coc.step_log_absdet[:k]):
         raise ZeroDeterminant("slow-variation terms need nonzero step determinants")
     frame = frame_sequence(coc, k)[k - 1]
     cc = frame.coecc

@@ -263,9 +263,7 @@ def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> Cert
         d2 = _d2_upper_norm(orbit.step_second_partials[i - 1])
         log_d2 = math.log(d2) if d2 > 0.0 else float("-inf")
         add(i, "step_second_norm", log_d2, step_cap, strict=True)
-        det = abs(coc.step_dets[i - 1])
-        log_det = math.log(det) if det > 0.0 else float("-inf")
-        add(i, "step_det", log_det, lg["b"], strict=False)
+        add(i, "step_det", coc.step_log_absdet[i - 1], lg["b"], strict=False)
         if ledger.flavor.has_type_two:
             # one-step co-eccentricity floor; exponent is i-1 exactly
             add(
@@ -279,6 +277,14 @@ def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> Cert
     verdict = all(r.passed for r in rows)
     first = next(((r.i, r.name) for r in rows if not r.passed), None)
     return CertificateReport(flavor=ledger.flavor, rows=rows, verdict=verdict, first_failure=first)
+
+
+def _fitted(name: str, log_value: float) -> float:
+    """A fitted constant from its log; Infeasible where it exceeds the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise Infeasible(f"{name} = exp({log_value!r}) exceeds the double range") from None
 
 
 def fit_constants(
@@ -308,10 +314,9 @@ def fit_constants(
     if log_c >= 0.0:
         raise Infeasible("c < 1 fails: co-eccentricity does not decay")
 
-    max_det = max(abs(d) for d in coc.step_dets)
-    if max_det == 0.0:
+    log_b = max(coc.step_log_absdet) + log_eta
+    if log_b == float("-inf"):
         raise Infeasible("step determinant vanishes")
-    log_b = math.log(max_det) + log_eta
 
     d2_norms = [_d2_upper_norm(sp) for sp in orbit.step_second_partials]
     step_caps = [
@@ -362,16 +367,16 @@ def fit_constants(
 
     candidate = dict(
         flavor=flavor,
-        Gamma=math.exp(log_gamma),
-        Gamma_tilde=math.exp(log_gamma_tilde),
-        lam=math.exp(log_lam),
-        b=math.exp(log_b),
-        c=math.exp(log_c),
-        c_tilde=math.exp(log_ct),
-        B=math.exp(log_B),
-        B_tilde=math.exp(log_Bt),
-        C=math.exp(log_C),
-        D=math.exp(log_d),
+        Gamma=_fitted("Gamma", log_gamma),
+        Gamma_tilde=_fitted("Gamma_tilde", log_gamma_tilde),
+        lam=_fitted("lambda", log_lam),
+        b=_fitted("b", log_b),
+        c=_fitted("c", log_c),
+        c_tilde=_fitted("c_tilde", log_ct),
+        B=_fitted("B", log_B),
+        B_tilde=_fitted("B_tilde", log_Bt),
+        C=_fitted("C", log_C),
+        D=_fitted("D", log_d),
     )
     violations = structural_violations(**candidate)
     if violations:

@@ -10,6 +10,7 @@ bit-exact relative to the unscaled product.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     SingularEncounter,
     ZeroMatrix,
 )
-from .planar_maps import MapSpec
+from .planar_maps import MapSpec, jacobian_matrix
 
 _LN2 = math.log(2.0)
 
@@ -77,11 +78,13 @@ def _normalize(body: np.ndarray, log_scale: float) -> ScaledMatrix:
     return ScaledMatrix(body, log_scale)
 
 
-def _log_abs_det(step: np.ndarray, det: float) -> float:
+def _log_abs_det(step: np.ndarray) -> float:
     """log |det step| from the raw determinant, or from the scaled body when
     the raw one is not a normal float (overflow, underflow, cancellation)."""
-    if math.isfinite(det) and abs(det) >= sys.float_info.min:
-        return math.log(abs(det))
+    a, b, c, d = step.ravel().tolist()
+    det = abs(a * d - b * c)  # Python floats: an overflow is inf, not a warning
+    if math.isfinite(det) and det >= sys.float_info.min:
+        return math.log(det)
     m = ScaledMatrix.from_matrix(step)
     body_det = abs(linalg2.det2(m.body))
     return math.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
@@ -150,7 +153,7 @@ class MatrixCocycle:
             prefixes.append(ScaledMatrix.from_matrix(s) @ prefixes[-1])
         self._prefix = prefixes
 
-        self.step_dets = [linalg2.det2(s) for s in self.steps]
+        self.step_log_absdet = [_log_abs_det(s) for s in self.steps]
         self.step_svd = [linalg2.svd2_matrix(s) for s in self.steps]
         for j, s in enumerate(self.step_svd):
             if s.smax == 0.0:
@@ -161,11 +164,7 @@ class MatrixCocycle:
         ]
 
         # log |det DPhi^i| by multiplicativity of the determinant
-        acc = 0.0
-        self.log_absdet = [0.0]
-        for step, d in zip(self.steps, self.step_dets):
-            acc += _log_abs_det(step, d)
-            self.log_absdet.append(acc)
+        self.log_absdet = list(itertools.accumulate(self.step_log_absdet, initial=0.0))
 
         # Per-order norms.  The larger singular value is well conditioned,
         # but extracting the smaller one from the assembled product cancels
@@ -246,22 +245,24 @@ def compute_orbit(
     jacobians = []
     seconds = []
     p = pts[0]
-    for i in range(k + 1):
-        x, y = float(p[0]), float(p[1])
-        if not (math.isfinite(x) and math.isfinite(y) and spec.domain_check(x, y)):
-            raise OrbitEscaped(i)
-        if spec.singular_set_distance(x, y) < limit:
-            raise SingularEncounter(i)
-        if i == k:
-            break
-        jacobian = spec.jacobian(x, y)
-        second = spec.second_partials(x, y)
-        if not (np.isfinite(jacobian).all() and np.isfinite(second).all()):
-            raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives")
-        jacobians.append(jacobian)
-        seconds.append(second)
-        p = np.array(spec.eval(x, y))
-        pts[i + 1] = p
+    # overflow to inf is tested for explicitly, as on Python floats
+    with np.errstate(all="ignore"):
+        for i in range(k + 1):
+            x, y = float(p[0]), float(p[1])
+            if not (math.isfinite(x) and math.isfinite(y) and spec.domain_check(x, y)):
+                raise OrbitEscaped(i)
+            if spec.singular_set_distance(x, y) < limit:
+                raise SingularEncounter(i)
+            if i == k:
+                break
+            jacobian = jacobian_matrix(spec.jacobian(x, y))
+            second = spec.second_partials(x, y)
+            if not (np.isfinite(jacobian).all() and np.isfinite(second).all()):
+                raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives")
+            jacobians.append(jacobian)
+            seconds.append(second)
+            p = np.array(spec.eval(x, y))
+            pts[i + 1] = p
 
     return OrbitSegment(
         spec=spec,

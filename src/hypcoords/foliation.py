@@ -131,15 +131,15 @@ def _field_directions(
     # scalar path tests them on Python floats.
     with np.errstate(all="ignore"):
         for i in range(k + 1):
-            bad = ~spec.in_domain(x, y)
+            bad = np.logical_not(spec.domain_check(x, y))
             if bad.any():
-                drop(bad, _DOMAIN)
-            near = np.less(spec.singular_distances(x, y), limit)
+                drop(np.broadcast_to(bad, x.shape), _DOMAIN)
+            near = np.less(spec.singular_set_distance(x, y), limit)
             if near.any():
                 drop(np.broadcast_to(near, x.shape), _SINGULAR)
             if i == k:
                 break
-            j11, j12, j21, j22 = spec.jacobian_entries(x, y)
+            j11, j12, j21, j22 = spec.jacobian(x, y)
             log_det = log_det + np.log(np.abs(j11 * j22 - j12 * j21))
             jac = np.empty((len(x), 2, 2))
             jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = j11, j12, j21, j22
@@ -148,7 +148,7 @@ def _field_directions(
             if tiny.any():
                 zero_step |= tiny & (linalg2.svd2_closed_array(*jac.reshape(-1, 4).T).smax == 0.0)
             body, log_scale, _ = normalize_stack(np.matmul(step_body, body), step_scale + log_scale)
-            x, y = spec.images(x, y)
+            x, y = spec.eval(x, y)
         svd = linalg2.svd2_closed_array(*body.reshape(-1, 4).T)
         log_norm = np.log(svd.smax) + log_scale
         # A zero product stays zero, so the last one stands for every order;

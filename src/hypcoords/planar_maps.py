@@ -12,16 +12,16 @@ the entrywise x-derivative of the Jacobian and ``[1]`` the y-derivative:
                  [Phi2_sx, Phi2_sy]]      for s in {x, y}.
 
 Finite differences validate the callbacks (``fd_validate``); nothing here
-is differentiated symbolically.  Each builtin also carries array forms of
-its point callbacks, which batched code such as the foliation kernel calls
-on many points at once.
+is differentiated symbolically.  The point callbacks take Python floats or
+equal-length arrays alike, so the orbit code and the batched foliation
+kernel call the same definition of each map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -32,19 +32,18 @@ Matrix = np.ndarray
 
 _INF = float("inf")
 
-ArrayPair = Tuple[np.ndarray, np.ndarray]
 
-
-def _finite(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _finite(x, y):
     return np.isfinite(x) & np.isfinite(y)
 
 
-def _nowhere_singular(x: np.ndarray, y: np.ndarray) -> float:
+def _nowhere_singular(x, y) -> float:
     return _INF
 
 
-def _pointwise(fn, x: np.ndarray, y: np.ndarray, dtype) -> np.ndarray:
-    return np.fromiter((fn(a, b) for a, b in zip(x.tolist(), y.tolist())), dtype, len(x))
+def jacobian_matrix(entries) -> Matrix:
+    """The 2x2 Jacobian from the entries (j11, j12, j21, j22) of a point."""
+    return np.array(entries, dtype=float).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -54,36 +53,31 @@ class MapSpec:
     Immutable after construction; all callbacks are pure, so instances are
     safe to share across workers.
 
-    The ``*_array`` fields are optional array forms of the point callbacks:
-    they take equal-length 1-d arrays x and y and return
+    ``eval``, ``jacobian``, ``singular_set_distance`` and ``domain_check``
+    take either two Python floats or two equal-length 1-d arrays x and y,
+    and return
 
-    * ``eval_array``: the image coordinates (X, Y);
-    * ``jacobian_array``: the entries (j11, j12, j21, j22);
-    * ``domain_check_array``: a boolean array, False at non-finite points;
-    * ``singular_set_distance_array``: the distances.
+    * ``eval``: the image coordinates (X, Y);
+    * ``jacobian``: the entries (j11, j12, j21, j22), which
+      ``jacobian_matrix`` turns into the 2x2 matrix;
+    * ``singular_set_distance``: the distance to the singular set;
+    * ``domain_check``: whether the point lies in the domain, False at
+      every non-finite point.
 
-    Each returned array may also be a scalar that broadcasts against x.
-    They must agree with the scalar callbacks to rounding.  Where one is
-    None, the methods ``images``, ``jacobian_entries``, ``in_domain`` and
-    ``singular_distances`` apply the scalar callback point by point.
+    On arrays, each returned value may be a scalar that broadcasts against
+    x.  ``second_partials`` takes floats only.
     """
 
     name: str
     parameters: Dict[str, float]
     eval: Callable[[float, float], Tuple[float, float]]
-    jacobian: Callable[[float, float], Matrix]
+    jacobian: Callable[[float, float], Tuple[float, float, float, float]]
     second_partials: Callable[[float, float], Tuple[Matrix, Matrix]]
-    singular_set_distance: Callable[[float, float], float] = field(
-        default=lambda x, y: _INF
-    )
-    domain_check: Callable[[float, float], bool] = field(default=lambda x, y: True)
+    singular_set_distance: Callable[[float, float], float] = _nowhere_singular
+    domain_check: Callable[[float, float], bool] = _finite
     # True when the map declares a singular set: sets compute_orbit's default
     # guard and whether fit_constants fits the tilde constants
     has_singular_set: bool = False
-    eval_array: Optional[Callable[[np.ndarray, np.ndarray], ArrayPair]] = None
-    jacobian_array: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-    domain_check_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    singular_set_distance_array: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def _guard(self, p: Point) -> Tuple[float, float]:
         x, y = float(p[0]), float(p[1])
@@ -99,48 +93,15 @@ class MapSpec:
 
     def jacobian_at(self, p: Point) -> Matrix:
         x, y = self._guard(p)
-        return self.jacobian(x, y)
+        return jacobian_matrix(self.jacobian(x, y))
 
     def second_partials_at(self, p: Point) -> Tuple[Matrix, Matrix]:
         x, y = self._guard(p)
         return self.second_partials(x, y)
 
-    # -- array forms: no guard, the caller checks the points ---------------
-
-    def images(self, x: np.ndarray, y: np.ndarray) -> ArrayPair:
-        if self.eval_array is not None:
-            return self.eval_array(x, y)
-        out = np.array([self.eval(a, b) for a, b in zip(x.tolist(), y.tolist())]).reshape(-1, 2)
-        return out[:, 0], out[:, 1]
-
-    def jacobian_entries(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """The Jacobian entries (j11, j12, j21, j22) at every point."""
-        if self.jacobian_array is not None:
-            return self.jacobian_array(x, y)
-        m = np.array([self.jacobian(a, b) for a, b in zip(x.tolist(), y.tolist())]).reshape(-1, 4)
-        return tuple(m.T)
-
-    def in_domain(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The domain check, False at non-finite points."""
-        if self.domain_check_array is not None:
-            return self.domain_check_array(x, y)
-        check = self.domain_check
-        return _pointwise(lambda a, b: math.isfinite(a) and math.isfinite(b) and check(a, b), x, y, bool)
-
-    def singular_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.singular_set_distance_array is not None:
-            return self.singular_set_distance_array(x, y)
-        return _pointwise(self.singular_set_distance, x, y, float)
-
 
 def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
     """Henon family (x, y) -> (1 + y - a x^2, b x)."""
-
-    def f(x, y):
-        return (1.0 + y - a * x * x, b * x)
-
-    def jac(x, y):
-        return np.array([[-2.0 * a * x, 1.0], [b, 0.0]])
 
     dx = np.array([[-2.0 * a, 0.0], [0.0, 0.0]])
     dy = np.zeros((2, 2))
@@ -151,14 +112,10 @@ def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
     return MapSpec(
         name="henon",
         parameters={"a": a, "b": b},
-        eval=f,
-        jacobian=jac,
+        eval=lambda x, y: (1.0 + y - a * x * x, b * x),
+        jacobian=lambda x, y: (-2.0 * a * x, 1.0, b, 0.0),
         second_partials=second,
-        domain_check=lambda x, y: abs(x) < 1e6 and abs(y) < 1e6,
-        eval_array=f,
-        jacobian_array=lambda x, y: (-2.0 * a * x, 1.0, b, 0.0),
-        domain_check_array=lambda x, y: (np.abs(x) < 1e6) & (np.abs(y) < 1e6),
-        singular_set_distance_array=_nowhere_singular,
+        domain_check=lambda x, y: (abs(x) < 1e6) & (abs(y) < 1e6),
     )
 
 
@@ -170,24 +127,16 @@ def standard(K: float = 6.0) -> MapSpec:
     """
 
     def f(x, y):
-        kick = K * math.sin(x)
-        return (x + y + kick, y + kick)
+        kick = K * np.sin(x)
+        return x + y + kick, y + kick
 
     def jac(x, y):
-        kc = K * math.cos(x)
-        return np.array([[1.0 + kc, 1.0], [kc, 1.0]])
+        kc = K * np.cos(x)
+        return 1.0 + kc, 1.0, kc, 1.0
 
     def second(x, y):
         ks = -K * math.sin(x)
         return np.array([[ks, 0.0], [ks, 0.0]]), np.zeros((2, 2))
-
-    def f_array(x, y):
-        kick = K * np.sin(x)
-        return x + y + kick, y + kick
-
-    def jac_array(x, y):
-        kc = K * np.cos(x)
-        return 1.0 + kc, 1.0, kc, 1.0
 
     return MapSpec(
         name="standard",
@@ -195,10 +144,6 @@ def standard(K: float = 6.0) -> MapSpec:
         eval=f,
         jacobian=jac,
         second_partials=second,
-        eval_array=f_array,
-        jacobian_array=jac_array,
-        domain_check_array=_finite,
-        singular_set_distance_array=_nowhere_singular,
     )
 
 
@@ -206,22 +151,13 @@ def linear(
     m11: float = 1.0, m12: float = 0.0, m21: float = 0.0, m22: float = 1.0
 ) -> MapSpec:
     """Constant linear map p -> M p, for oracle tests."""
-    m = np.array([[m11, m12], [m21, m22]])
     zero = np.zeros((2, 2))
-
-    def f(x, y):
-        return (m11 * x + m12 * y, m21 * x + m22 * y)
-
     return MapSpec(
         name="linear",
         parameters={"m11": m11, "m12": m12, "m21": m21, "m22": m22},
-        eval=f,
-        jacobian=lambda x, y: m.copy(),
+        eval=lambda x, y: (m11 * x + m12 * y, m21 * x + m22 * y),
+        jacobian=lambda x, y: (m11, m12, m21, m22),
         second_partials=lambda x, y: (zero.copy(), zero.copy()),
-        eval_array=f,
-        jacobian_array=lambda x, y: (m11, m12, m21, m22),
-        domain_check_array=_finite,
-        singular_set_distance_array=_nowhere_singular,
     )
 
 
@@ -260,23 +196,18 @@ def lorenz2d(
         raise ValueError("lorenz2d requires 0 < alpha < 1")
 
     def f(x, y):
-        s = math.copysign(1.0, x)
-        ax = abs(x)
-        return (
-            s * (_power(ax, alpha) * (a1 + b1 * y) + c1),
-            _power(ax, beta) * (a2 + b2 * y) + c2,
-        )
+        s = np.copysign(1.0, x)
+        ax = np.abs(x)
+        return s * (ax**alpha * (a1 + b1 * y) + c1), ax**beta * (a2 + b2 * y) + c2
 
     def jac(x, y):
-        s = math.copysign(1.0, x)
-        ax = abs(x)
-        g1 = a1 + b1 * y
-        g2 = a2 + b2 * y
-        return np.array(
-            [
-                [alpha * _power(ax, alpha - 1.0) * g1, s * _power(ax, alpha) * b1],
-                [s * beta * _power(ax, beta - 1.0) * g2, _power(ax, beta) * b2],
-            ]
+        s = np.copysign(1.0, x)
+        ax = np.abs(x)
+        return (
+            alpha * ax ** (alpha - 1.0) * (a1 + b1 * y),
+            s * ax**alpha * b1,
+            s * beta * ax ** (beta - 1.0) * (a2 + b2 * y),
+            ax**beta * b2,
         )
 
     def second(x, y):
@@ -291,21 +222,6 @@ def lorenz2d(
         d_x = np.array([[dxx1, dxy1], [dxx2, dxy2]])
         d_y = np.array([[dxy1, 0.0], [dxy2, 0.0]])
         return d_x, d_y
-
-    def f_array(x, y):
-        s = np.copysign(1.0, x)
-        ax = np.abs(x)
-        return s * (ax**alpha * (a1 + b1 * y) + c1), ax**beta * (a2 + b2 * y) + c2
-
-    def jac_array(x, y):
-        s = np.copysign(1.0, x)
-        ax = np.abs(x)
-        return (
-            alpha * ax ** (alpha - 1.0) * (a1 + b1 * y),
-            s * ax**alpha * b1,
-            s * beta * ax ** (beta - 1.0) * (a2 + b2 * y),
-            ax**beta * b2,
-        )
 
     return MapSpec(
         name="lorenz2d",
@@ -323,12 +239,8 @@ def lorenz2d(
         jacobian=jac,
         second_partials=second,
         singular_set_distance=lambda x, y: abs(x),
-        domain_check=lambda x, y: abs(x) <= 4.0 and abs(y) <= 4.0,
+        domain_check=lambda x, y: (abs(x) <= 4.0) & (abs(y) <= 4.0),
         has_singular_set=True,
-        eval_array=f_array,
-        jacobian_array=jac_array,
-        domain_check_array=lambda x, y: (np.abs(x) <= 4.0) & (np.abs(y) <= 4.0),
-        singular_set_distance_array=lambda x, y: np.abs(x),
     )
 
 
@@ -372,8 +284,8 @@ def _fd_jacobian(spec: MapSpec, x: float, y: float, h: float) -> Matrix:
 def _fd_second(spec: MapSpec, x: float, y: float, h: float) -> Tuple[Matrix, Matrix]:
     out = []
     for dx, dy in ((h, 0.0), (0.0, h)):
-        jp = spec.jacobian(x + dx, y + dy)
-        jm = spec.jacobian(x - dx, y - dy)
+        jp = jacobian_matrix(spec.jacobian(x + dx, y + dy))
+        jm = jacobian_matrix(spec.jacobian(x - dx, y - dy))
         step = (x + dx) - (x - dx) if dx else (y + dy) - (y - dy)
         out.append((jp - jm) / step)
     return out[0], out[1]
@@ -395,7 +307,7 @@ def fd_validate(spec: MapSpec, p: Point, h: float = 1e-6) -> FdReport:
         raise OnSingularSet(
             f"{spec.name}: ({x}, {y}) within 10h={10 * h:g} of the singular set"
         )
-    jac_err = _rel_err(spec.jacobian(x, y), _fd_jacobian(spec, x, y, h))
+    jac_err = _rel_err(jacobian_matrix(spec.jacobian(x, y)), _fd_jacobian(spec, x, y, h))
     ax, ay = spec.second_partials(x, y)
     fx, fy = _fd_second(spec, x, y, h)
     sec_err = max(_rel_err(ax, fx), _rel_err(ay, fy))

@@ -18,6 +18,12 @@ HENON_BURN_IN = 635
 STANDARD_K = 6.0
 STANDARD_FIXTURE = np.array([3.676553231625218, 3.176553231625218])
 
+# Lorenz-like fixture: the endpoint of the 60-step orbit of (0.3, 0.2) under
+# the default lorenz2d, whose powers of |x| go through numpy.
+LORENZ_START = np.array([0.3, 0.2])
+LORENZ_K = 60
+LORENZ_FIXTURE = np.array([0.2916092987128571, -0.04250950927462577])
+
 # Small-kick elliptic island point: no co-eccentricity decay, fits fail.
 ISLAND_K = 0.5
 ISLAND_START = np.array([math.pi + 0.3, 0.0])
@@ -101,11 +107,11 @@ def make_cubic_map(rng: np.random.Generator, scale: float = 0.5) -> MapSpec:
         return (value(0, x, y), value(1, x, y))
 
     def jac(x, y):
-        return np.array(
-            [
-                [value(0, x, y, 1, 0), value(0, x, y, 0, 1)],
-                [value(1, x, y, 1, 0), value(1, x, y, 0, 1)],
-            ]
+        return (
+            value(0, x, y, 1, 0),
+            value(0, x, y, 0, 1),
+            value(1, x, y, 1, 0),
+            value(1, x, y, 0, 1),
         )
 
     def second(x, y):

@@ -9,6 +9,8 @@ import importlib
 import os
 import sys
 
+import numpy as np
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -22,3 +24,22 @@ def test_tracer_installs_every_hook(monkeypatch):
     with tracing.Tracer():
         assert cocycle.compute_orbit is not original
     assert cocycle.compute_orbit is original
+
+
+def test_tracer_counts_map_callbacks_of_orbit_and_field_kernel(monkeypatch):
+    # the tracer swaps the MapSpec callback fields by name: a renamed field
+    # fails here, not only in a traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    from hypcoords import cocycle, foliation, planar_maps
+
+    with tracing.Tracer() as tracer:
+        spec = planar_maps.make_map("henon")
+        assert all(getattr(getattr(spec, f), "__perfbench_wrapper__", False) for f in tracing.MAP_CALLBACKS)
+        cocycle.compute_orbit(spec, np.array([0.1, 0.1]), 3)
+        orbit_calls = tracer.leaf["planar_maps.callback"][0]
+        assert orbit_calls > 0
+        _, stops = foliation._field_directions(spec, np.array([[0.1, 0.1], [0.2, -0.1]]), 3, "stable", None)
+        assert not stops.any()
+        assert tracer.leaf["planar_maps.callback"][0] > orbit_calls

@@ -488,7 +488,7 @@ def fuzz_steps(draw):
         u, v = entries[0], entries[1]
         return np.outer(u, v) + draw(st.floats(-1e-12, 1e-12)) * np.eye(2)
     if kind == "rotation":
-        return rotation(draw(st.floats(0.0, 2.0 * math.pi))).jacobian(0.0, 0.0)
+        return rotation(draw(st.floats(0.0, 2.0 * math.pi))).jacobian_at(np.zeros(2))
     if kind == "nilpotent":
         return np.array([[0.0, 1.0], [0.0, 0.0]]) * entries[0, 0]
     return entries

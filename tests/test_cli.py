@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -448,9 +449,31 @@ def test_non_finite_orbit_is_a_typed_error(tmp_path, capsys):
     argv = ["orbit", "--map", "lorenz2d", "--x0", "1e-238", "--y0", "0", "--k", "1", "--guard", "0"]
     assert run([*argv, "--out-dir", tmp_path]) == 1
     assert _one_line_error(capsys) == "orbit point 0 has non-finite derivatives"
+    # |x|^(beta - 1) overflows in the Jacobian: inf, without a numpy warning
+    argv = ["orbit", "--map", "lorenz2d", "--param", "beta=-1", "--x0", "1e-290", "--y0", "0",
+            "--k", "2", "--guard", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out-dir", tmp_path]) == 1
+    assert _one_line_error(capsys) == "orbit point 0 has non-finite derivatives"
     assert run(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
                 "--spacing", "1e307", "--out-dir", tmp_path]) == 0
     assert "wrote 0 curves (49 seeds without frames)" in capsys.readouterr().out
+
+
+def test_certify_step_determinant_beyond_double_range_is_named(tmp_path, capsys):
+    # det = 1e315 overflows as a product of entries; its log comes from the
+    # scaled step, so the fit names b instead of failing "b > 0" on inf
+    argv = ["certify", "--map", "linear", "--matrix", "1e160,0,0,1e155",
+            "--x0", "1e-300", "--y0", "1e-300", "--k", "1", "--flavor", "II"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out-dir", tmp_path]) == 1
+    found = re.fullmatch(r"b = exp\((.+)\) exceeds the double range", _one_line_error(capsys))
+    assert found
+    log_b = float(found.group(1))
+    assert math.isfinite(log_b)
+    assert log_b == pytest.approx(315.0 * math.log(10.0) + math.log(1.05), rel=1e-12)
 
 
 def _reference_bound_report(report, out_dir, stem):

@@ -104,7 +104,7 @@ def _shift_map(has_singular_set):
         name="shift",
         parameters={},
         eval=lambda x, y: (x, y + 0.5),
-        jacobian=lambda x, y: np.eye(2),
+        jacobian=lambda x, y: (1.0, 0.0, 0.0, 1.0),
         second_partials=lambda x, y: (zero.copy(), zero.copy()),
         singular_set_distance=lambda x, y: (
             math.inf if (x, y) == (0.123456, 0.654321) else abs(y - 2.0)
@@ -296,3 +296,10 @@ def test_scaled_products_survive_where_naive_overflows():
     frame = hyperbolic_coordinates(orbit, 700)
     assert math.isfinite(frame.log_sigma_max)
     assert frame.coecc < 1e-100
+
+
+def test_step_log_absdet_of_steps_whose_raw_determinant_overflows():
+    coc = MatrixCocycle([np.diag([1e160, 1e155]), np.diag([0.5, 0.25])])
+    assert coc.step_log_absdet[0] == pytest.approx(315.0 * math.log(10.0), rel=1e-12)
+    assert coc.step_log_absdet[1] == math.log(0.125)
+    assert coc.log_absdet == [0.0, coc.step_log_absdet[0], coc.step_log_absdet[0] + math.log(0.125)]

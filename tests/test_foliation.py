@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -230,11 +229,6 @@ COORDS = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-200 or v ==
                    st.sampled_from(SPECIAL_COORDS))
 
 
-def _without_array_forms(spec):
-    return dataclasses.replace(spec, eval_array=None, jacobian_array=None,
-                               domain_check_array=None, singular_set_distance_array=None)
-
-
 def _scalar_field(spec, p, k, field, guard):
     try:
         return foliation._field_direction(spec, p, k, field, guard), "ok"
@@ -249,16 +243,13 @@ def _scalar_field(spec, p, k, field, guard):
     st.integers(1, 6),
     st.sampled_from([foliation.STABLE, foliation.UNSTABLE]),
     st.sampled_from([None, 0.0, 1e-3]),
-    st.booleans(),
 )
-@example(3, [(1e-9, 0.2), (-4.5, 0.1), (0.3, 0.2)], 2, "unstable", None, False)
-@example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None, True)
-def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard, bare):
+@example(3, [(1e-9, 0.2), (-4.5, 0.1), (0.3, 0.2)], 2, "unstable", None)
+@example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None)
+def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard):
     spec = KERNEL_SPECS[which]
     points = np.array(pts, dtype=float)
-    directions, stops = foliation._field_directions(
-        _without_array_forms(spec) if bare else spec, points, k, field, guard
-    )
+    directions, stops = foliation._field_directions(spec, points, k, field, guard)
     for p, v, code in zip(points, directions, stops):
         expected, reason = _scalar_field(spec, p, k, field, guard)
         assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
@@ -317,6 +308,6 @@ def test_field_kernel_and_integrator_raise_no_numpy_warnings():
                      linear(0.0, 1.0, 0.0, 0.0)):
             for k in (1, 3):
                 foliation._field_directions(spec, np.vstack([points, [[1e308, 1e308]]]), k, "stable", None)
-                foliation._field_directions(_without_array_forms(spec), points, k, "unstable", 0.0)
+                foliation._field_directions(spec, points, k, "unstable", 0.0)
         foliation_grid(lorenz2d(), (-0.5, 0.5, -0.5, 0.5), 1, 0.25, "unstable", 0.6, 2e-3, 1e-3)
         foliation_grid(henon(), (-1.0, 1.0, -0.4, 0.4), 8, 0.2, "unstable", 0.2, 2e-3)

@@ -94,7 +94,7 @@ def test_identity_orbit_has_no_frame():
 
 def test_rotation_has_no_frame():
     with pytest.raises(NoHyperbolicCoordinates):
-        frame_from_scaled(scaled(rotation(0.77).jacobian(0.0, 0.0)))
+        frame_from_scaled(scaled(rotation(0.77).jacobian_at(np.zeros(2))))
 
 
 def test_henon_k2_coecc_vs_grid_oracle():
@@ -241,7 +241,7 @@ def test_oracle_diagonal():
 
 
 def test_oracle_rotation_flat():
-    res = oracle_extremal_directions(rotation(0.4).jacobian(0.0, 0.0), 10**4)
+    res = oracle_extremal_directions(rotation(0.4).jacobian_at(np.zeros(2)), 10**4)
     assert res.flat
     assert abs(res.norm_max - 1.0) <= 1e-12
 
@@ -289,10 +289,10 @@ def oracle_matrices(draw):
     if kind == "random":
         m = np.array(draw(st.lists(_UNIT, min_size=4, max_size=4))).reshape(2, 2)
     elif kind == "rotation":
-        m = rotation(draw(_ANGLE)).jacobian(0.0, 0.0)
+        m = rotation(draw(_ANGLE)).jacobian_at(np.zeros(2))
     elif kind == "near_conformal":
         stretch = np.diag([1.0, 1.0 + draw(st.floats(1e-15, 1e-3))])
-        turn_in, turn_out = (rotation(draw(_ANGLE)).jacobian(0.0, 0.0) for _ in range(2))
+        turn_in, turn_out = (rotation(draw(_ANGLE)).jacobian_at(np.zeros(2)) for _ in range(2))
         m = turn_out @ stretch @ turn_in
     elif kind == "rank_one":
         m = np.outer(draw(st.lists(_UNIT, min_size=2, max_size=2)),

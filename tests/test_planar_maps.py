@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hypcoords import compute_orbit
 from hypcoords.errors import OnSingularSet, OutsideDomain
 from hypcoords.linalg2 import det2
 from hypcoords.planar_maps import (
     BUILTIN_MAPS,
-    MapSpec,
     fd_validate,
     henon,
     linear,
@@ -146,6 +146,9 @@ def test_fixture_points_reproduce_from_their_definitions():
     from conftest import (
         HENON_BURN_IN,
         HENON_FIXTURE,
+        LORENZ_FIXTURE,
+        LORENZ_K,
+        LORENZ_START,
         STANDARD_FIXTURE,
         STANDARD_K,
     )
@@ -159,6 +162,9 @@ def test_fixture_points_reproduce_from_their_definitions():
     s = standard(K=STANDARD_K)
     assert np.array_equal(s.evaluate(np.array([0.5, 0.3])), STANDARD_FIXTURE)
 
+    orbit = compute_orbit(lorenz2d(), LORENZ_START, LORENZ_K)
+    assert np.array_equal(orbit.points[-1], LORENZ_FIXTURE)
+
 
 ARRAY_SPECS = [
     henon(a=1.4, b=0.3),
@@ -171,36 +177,24 @@ ARRAY_SPECS = [
 
 @pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda s: s.name)
 def test_array_callbacks_agree_with_scalar_callbacks(spec):
+    # one callback serves both: per element on Python floats, once on the array
     rng = np.random.default_rng(5)
-    x = np.concatenate([rng.uniform(-6.0, 6.0, 200), [2e6, 1e-9, float("nan"), float("inf"), 0.5]])
-    y = np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.1, -5.0, 0.2, 0.3, -float("inf")]])
-    in_domain = spec.in_domain(x, y)
+    inf, nan = math.inf, math.nan
+    x = np.concatenate([rng.uniform(-6.0, 6.0, 200), [2e6, 1e-9, nan, inf, 0.5, 0.1, -inf, nan, inf]])
+    y = np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.1, -5.0, 0.2, 0.3, -inf, nan, 0.1, nan, inf]])
+    in_domain = np.broadcast_to(spec.domain_check(x, y), x.shape)
     for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
-        assert in_domain[i] == (math.isfinite(a) and math.isfinite(b) and spec.domain_check(a, b))
+        assert in_domain[i] == spec.domain_check(a, b)
+    finite = np.isfinite(x) & np.isfinite(y)
+    assert not in_domain[~finite].any()
     # the other callbacks are only ever called at finite points
-    x, y = x[np.isfinite(x) & np.isfinite(y)], y[np.isfinite(x) & np.isfinite(y)]
-    images = spec.images(x, y)
-    entries = [np.broadcast_to(j, x.shape) for j in spec.jacobian_entries(x, y)]
-    distances = np.broadcast_to(spec.singular_distances(x, y), x.shape)
+    x, y = x[finite], y[finite]
+    images = spec.eval(x, y)
+    entries = [np.broadcast_to(j, x.shape) for j in spec.jacobian(x, y)]
+    distances = np.broadcast_to(spec.singular_set_distance(x, y), x.shape)
     for i, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
         assert distances[i] == spec.singular_set_distance(a, b)
-        # numpy's power may differ from ** in the last bit
+        # numpy's array power may differ from its scalar power in the last bit
         np.testing.assert_allclose([images[0][i], images[1][i]], spec.eval(a, b), rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(
-            [e[i] for e in entries], spec.jacobian(a, b).ravel(), rtol=1e-14, atol=1e-15
-        )
+        np.testing.assert_allclose([e[i] for e in entries], spec.jacobian(a, b), rtol=1e-14, atol=1e-15)
 
-
-def test_array_methods_fall_back_to_scalar_callbacks():
-    h = henon(a=1.4, b=0.3)
-    bare = MapSpec(h.name, h.parameters, h.eval, h.jacobian, h.second_partials,
-                   domain_check=h.domain_check)
-    x = np.array([0.1, -0.7, 2e6, float("nan")])
-    y = np.array([0.2, 0.4, 0.0, 0.0])
-    np.testing.assert_array_equal(bare.in_domain(x, y), [True, True, False, False])
-    np.testing.assert_array_equal(bare.singular_distances(x, y), np.full(4, math.inf))
-    np.testing.assert_array_equal(np.stack(bare.images(x[:2], y[:2])), np.stack(h.images(x[:2], y[:2])))
-    np.testing.assert_array_equal(
-        np.stack(bare.jacobian_entries(x[:2], y[:2])),
-        np.stack([np.broadcast_to(j, (2,)) for j in h.jacobian_entries(x[:2], y[:2])]),
-    )
