@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from . import linalg2
 from .cocycle import OrbitSegment
 from .errors import (
+    BoundOverflow,
     ConfigError,
     DomainViolation,
     Infeasible,
@@ -40,6 +42,10 @@ from .errors import (
 )
 
 LOG_STRICT_MARGIN = 1e-12  # log-units margin distinguishing < from <=
+
+# Rates in this range keep every product of up to nine of them, and so every
+# structural comparison, within the normal floats.
+_FLOAT_RATES = (2.0**-100, 2.0**100)
 
 
 class Flavor(enum.Enum):
@@ -88,7 +94,9 @@ def structural_violations(
 
     Comparisons at the ends of chained conditions are strict, interior
     comparisons non-strict, matching how the conditions are consumed
-    (every auxiliary-constant denominator stays strictly positive).
+    (every auxiliary-constant denominator stays strictly positive).  Rates
+    outside ``_FLOAT_RATES`` are compared as exact rationals, so that no
+    product of them overflows or underflows.
     """
     v: List[str] = []
     for name, val in (
@@ -113,6 +121,9 @@ def structural_violations(
         v.append("0 < C <= 1")
     if not B * c < 1.0:
         v.append("B*c < 1")
+    rates = (Gamma, Gamma_tilde, lam, b, c, c_tilde)
+    if not all(_FLOAT_RATES[0] <= r <= _FLOAT_RATES[1] for r in rates):
+        Gamma, Gamma_tilde, lam, b, c, c_tilde = map(Fraction, rates)
 
     if flavor is Flavor.NONSINGULAR:
         if not (Gamma_tilde == 1.0 and c_tilde == 1.0):
@@ -438,6 +449,14 @@ def _positive(value: float, name: str) -> float:
 
 
 def auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
+    """The derived constants of ``ledger``; a power beyond the double range is a BoundOverflow."""
+    try:
+        return _auxiliary_constants(ledger)
+    except OverflowError:
+        raise BoundOverflow("a power in the auxiliary constants exceeds the double range") from None
+
+
+def _auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
     G, Gt = ledger.Gamma, ledger.Gamma_tilde
     lam, b, c, ct = ledger.lam, ledger.b, ledger.c, ledger.c_tilde
     B, Bt, C, D = ledger.B, ledger.B_tilde, ledger.C, ledger.D

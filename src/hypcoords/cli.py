@@ -33,7 +33,6 @@ _CONFIG_KEYS = {
     "k",
     "flavor",
     "eta",
-    "h",
     "seed",
     "guard",
     "out_dir",
@@ -378,19 +377,15 @@ def cmd_verify_convergence(args) -> int:
 def cmd_verify_variation(args) -> int:
     cfg = _load_config(args.config)
     spec, orbit = _orbit_from_args(args, cfg)
-    source = _ledger_source(args, cfg)
-    h = _resolve(args, cfg, "h", float, 1e-5)
-    if not (math.isfinite(h) and h > 0.0):
-        raise ConfigError(f"h must be positive and finite, got {h!r}")
-    ledger = source(orbit)
+    ledger = _ledger_source(args, cfg)(orbit)
     out = _out_dir(args, cfg)
-    report = bounds.verify_slow_variation(orbit, ledger, h=h)
+    report = bounds.verify_slow_variation(orbit, ledger)
     write_bound_report(report, out, "slow_variation")
     if not report.verdict:
         row = report.first_failure()
         print(f"slow variation: {row.check} fails", file=sys.stderr)
         return 1
-    print(f"slow-variation chain passes at k={orbit.k} (h={h:g})")
+    print(f"slow-variation chain passes at k={orbit.k}")
     return 0
 
 
@@ -600,15 +595,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger")
     p.set_defaults(func=cmd_verify_convergence)
 
+    # no abbreviations: "--h", the finite-difference step of earlier versions,
+    # would otherwise abbreviate --help and end with exit 0 and no report
     p = sub.add_parser(
         "verify-variation",
         help="slow-variation chain: frame-field derivative vs second-derivative and rate",
+        allow_abbrev=False,
     )
     _add_common(p)
     p.add_argument("--flavor", help="nonsingular, I, II or both")
     p.add_argument("--eta", type=float)
     p.add_argument("--ledger")
-    p.add_argument("--h", type=float, help="finite-difference step")
     p.set_defaults(func=cmd_verify_variation)
 
     p = sub.add_parser("foliate", help="integral curves of the frame fields over a rectangle")

@@ -91,14 +91,6 @@ class InvalidLedger(HypcoordsError):
         super().__init__("; ".join(self.violations))
 
 
-class FrameFlipUnresolvable(HypcoordsError):
-    """Sign alignment of neighbouring frames is ambiguous (step too large)."""
-
-
-class StencilDegenerate(HypcoordsError):
-    """A finite-difference stencil point has no usable frame."""
-
-
 class NoFrameAtStart(HypcoordsError):
     """Curve integration cannot start: no frame at the seed point."""
 

@@ -18,6 +18,7 @@ against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -88,6 +89,10 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
     return frame.e if field == STABLE else frame.f
 
 
+def _det_stack(m: np.ndarray) -> np.ndarray:
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+
+
 def _field_directions(
     spec: MapSpec, points: np.ndarray, k: int, field: str, guard: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -140,10 +145,18 @@ def _field_directions(
             if i == k:
                 break
             j11, j12, j21, j22 = spec.jacobian(x, y)
-            log_det = log_det + np.log(np.abs(j11 * j22 - j12 * j21))
             jac = np.empty((len(x), 2, 2))
             jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = j11, j12, j21, j22
             step_body, step_scale, m = normalize_stack(jac, 0.0)
+            # cocycle._log_abs_det: the raw determinant unless it is not a
+            # normal float, then the scaled body's
+            raw_det = np.abs(_det_stack(jac))
+            step_log_det = np.log(raw_det)
+            redo = ~((raw_det >= sys.float_info.min) & (raw_det < math.inf))  # NaN included
+            if redo.any():
+                body_det = np.abs(_det_stack(step_body[redo]))
+                step_log_det[redo] = np.log(body_det) + 2.0 * step_scale[redo]
+            log_det = log_det + step_log_det
             tiny = m < _TINY
             if tiny.any():
                 zero_step |= tiny & (linalg2.svd2_closed_array(*jac.reshape(-1, 4).T).smax == 0.0)

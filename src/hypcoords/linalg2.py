@@ -79,18 +79,8 @@ def spectral_norm(m: np.ndarray) -> float:
     return svd2_matrix(m).smax
 
 
-def conorm(m: np.ndarray) -> float:
-    """Norm of the image of the most contracted unit vector."""
-    return svd2_matrix(m).smin
-
-
 def det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def rotation(theta: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    return np.array([[ct, -st], [st, ct]])
 
 
 def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def test_criterion_7_slow_variation(henon):
     aux = auxiliary_constants(ledger)
     for k in range(1, 9):
         orbit = compute_orbit(henon, HENON_FIXTURE, k)
-        rep = bounds.verify_slow_variation(orbit, ledger, aux=aux, h=1e-5)
+        rep = bounds.verify_slow_variation(orbit, ledger, aux=aux)
         if not rep.verdict:
             violations.append((k, rep.first_failure()))
     finish("7 (slow-variation chain)", t0, 120.0, violations)
@@ -229,7 +229,7 @@ def test_criterion_9_determinism(tmp_path):
             ["frames", *henon_args, "--k", "10"],
             ["certify", *henon_args, "--k", "12", "--flavor", "II"],
             ["verify-convergence", *henon_args, "--k", "10", "--flavor", "II"],
-            ["verify-variation", *henon_args, "--k", "6", "--flavor", "II", "--h", "1e-5"],
+            ["verify-variation", *henon_args, "--k", "6", "--flavor", "II"],
             ["oracle-check", "--seed", "7", "--trials", "100", "--grid-n", "100001"],
             ["scan-constants", "--flavor", "II", "--lambda-values", "1.2,1.5",
              "--gamma-values", "1.5,2.0", "--c-values", "0.05,0.2,1.0",

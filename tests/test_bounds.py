@@ -11,15 +11,13 @@ from hypcoords.errors import (
     CertificateRequired,
     DegenerateCoeccentricity,
     DegenerateStep,
-    FrameFlipUnresolvable,
     HypcoordsError,
     NoHyperbolicCoordinates,
-    StencilDegenerate,
 )
-from hypcoords.hypframe import frame_sequence
-from hypcoords.planar_maps import henon, linear, lorenz2d, rotation
+from hypcoords.hypframe import frame_sequence, hyperbolic_coordinates
+from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
-from conftest import HENON_FIXTURE, make_cubic_map, random_cocycle
+from conftest import HENON_FIXTURE, LORENZ_FIXTURE, make_cubic_map, random_cocycle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -337,9 +335,42 @@ def test_slow_variation_ratio_identity(henon_orbit8):
     assert terms.B_k / terms.A_k <= (ledger.B * ledger.c**8) ** 2
 
 
+# ---------------------------------------------------------------------------
+# The exact frame derivative against central differences and mpmath
+# ---------------------------------------------------------------------------
+
+
+def frame_derivative_fd(spec, xi0, k, h):
+    """Central difference of the order-k f field at xi0, as (d_f, e_dot_df, f_dot_df).
+
+    Neighbour frames are sign-aligned to the centre frame before
+    differencing; d_f has the columns d_x f and d_y f.
+    """
+    xi0 = np.asarray(xi0, dtype=float)
+    center = hyperbolic_coordinates(compute_orbit(spec, xi0, k), k)
+    cols = []
+    for axis in range(2):
+        step = np.zeros(2)
+        step[axis] = h
+        plus, minus = (
+            hyperbolic_coordinates(compute_orbit(spec, p, k), k).f for p in (xi0 + step, xi0 - step)
+        )
+        plus = plus if plus @ center.f > 0.0 else -plus
+        minus = minus if minus @ center.f > 0.0 else -minus
+        cols.append((plus - minus) / ((xi0 + step)[axis] - (xi0 - step)[axis]))
+    d_f = np.column_stack(cols)
+    return d_f, center.e @ d_f, center.f @ d_f
+
+
+def exact_frame_derivative(spec, xi0, k):
+    """(<e, d_x f>, <e, d_y f>) of the order-k frame from slow_variation_terms."""
+    orbit = compute_orbit(spec, np.asarray(xi0, dtype=float), k)
+    return np.array([bounds.slow_variation_terms(orbit, k, axis).e_dot_df for axis in "xy"])
+
+
 def test_frame_derivative_fd_linear_constant_field():
-    est = bounds.frame_derivative_fd(linear(2.0, 0.0, 0.0, 0.5), np.array([0.3, 0.1]), 3)
-    assert est.operator_norm <= 1e-9
+    d_f, _, _ = frame_derivative_fd(linear(2.0, 0.0, 0.0, 0.5), np.array([0.3, 0.1]), 3, 1e-5)
+    assert np.linalg.norm(d_f, 2) <= 1e-9
 
 
 def test_frame_derivative_fd_henon_vs_angle_gradient(henon):
@@ -347,51 +378,178 @@ def test_frame_derivative_fd_henon_vs_angle_gradient(henon):
     # one-step derivative; for a unit field |D f| equals the angle gradient
     from hypcoords.hypframe import angle_theta
 
-    est = bounds.frame_derivative_fd(henon, HENON_FIXTURE, 1, 1e-5)
+    hh = 1e-5
 
     def theta_f(p):
         j = henon.jacobian_at(p)
         return angle_theta(j[0, 0], j[1, 0], j[0, 1], j[1, 1]).theta_expand
 
-    hh = 1e-5
     tx = (theta_f(HENON_FIXTURE + [hh, 0]) - theta_f(HENON_FIXTURE - [hh, 0])) / (2 * hh)
     ty = (theta_f(HENON_FIXTURE + [0, hh]) - theta_f(HENON_FIXTURE - [0, hh])) / (2 * hh)
-    assert abs(math.hypot(tx, ty) - est.operator_norm) <= 1e-4
+    d_f, _, _ = frame_derivative_fd(henon, HENON_FIXTURE, 1, hh)
+    assert abs(math.hypot(tx, ty) - np.linalg.norm(d_f, 2)) <= 1e-4
+    exact = exact_frame_derivative(henon, HENON_FIXTURE, 1)
+    assert abs(math.hypot(tx, ty) - math.hypot(*exact)) <= 1e-4
 
 
 def test_frame_derivative_fd_orthogonality_decomposition(henon):
-    est = bounds.frame_derivative_fd(henon, HENON_FIXTURE, 8, 1e-5)
+    d_f, e_dot_df, f_dot_df = frame_derivative_fd(henon, HENON_FIXTURE, 8, 1e-5)
     # differentiating |f|^2 = 1 kills the f component
-    assert max(abs(v) for v in est.f_dot_df) <= 1e-6
+    assert np.abs(f_dot_df).max() <= 1e-6
     # so the column norm reduces to the e component
     for axis in range(2):
-        col = est.d_f[:, axis]
-        assert abs(np.linalg.norm(col) - abs(est.e_dot_df[axis])) <= 1e-4
+        assert abs(np.linalg.norm(d_f[:, axis]) - abs(e_dot_df[axis])) <= 1e-4
 
 
 def test_frame_derivative_fd_richardson(henon):
-    est = bounds.frame_derivative_fd(henon, HENON_FIXTURE, 8, 1e-5)
-    est2 = bounds.frame_derivative_fd(henon, HENON_FIXTURE, 8, 5e-6)
-    assert abs(est.operator_norm - est2.operator_norm) <= 0.05 * est2.operator_norm
+    coarse = np.linalg.norm(frame_derivative_fd(henon, HENON_FIXTURE, 8, 1e-5)[0], 2)
+    fine = np.linalg.norm(frame_derivative_fd(henon, HENON_FIXTURE, 8, 5e-6)[0], 2)
+    assert abs(coarse - fine) <= 0.05 * fine
 
 
-def test_frame_derivative_fd_flip_unresolvable(henon):
-    # the order-1 contracted direction swings through a quarter turn across
-    # x = 0, so a coarse stencil cannot align signs
-    with pytest.raises(FrameFlipUnresolvable):
-        bounds.frame_derivative_fd(henon, np.array([-0.27, 0.1]), 1, 0.8)
+# (map, point, order, step); at K = 6 the order-8 field bends so fast that a
+# step of 1e-8 still leaves a truncation error of 3e-5, so it gets 1e-9 only
+FD_CASES = (
+    [(henon(), HENON_FIXTURE, k, h) for k in range(1, 13) for h in (1e-8, 1e-9)]
+    + [(lorenz2d(), LORENZ_FIXTURE, k, h) for k in range(1, 6) for h in (1e-8, 1e-9)]
+    + [(standard(6.0), np.array([0.3, 0.7]), 8, 1e-9)]
+)
 
 
-def test_frame_derivative_fd_stencil_degenerate():
-    lz = lorenz2d()
-    with pytest.raises(StencilDegenerate):
-        bounds.frame_derivative_fd(lz, np.array([0.01, 0.1]), 1, 0.01)
+@pytest.mark.parametrize(
+    "spec, xi0, k, h", FD_CASES, ids=[f"{c[0].name}-k{c[2]}-h{c[3]:g}" for c in FD_CASES]
+)
+def test_exact_frame_derivative_matches_central_difference(spec, xi0, k, h):
+    exact = exact_frame_derivative(spec, xi0, k)
+    _, fd, _ = frame_derivative_fd(spec, xi0, k, h)
+    assert math.isclose(math.hypot(*exact), math.hypot(*fd), rel_tol=1e-5)
+    for axis in range(2):
+        assert math.isclose(exact[axis], fd[axis], rel_tol=1e-5, abs_tol=1e-12), axis
+
+
+def _mp_steps(name, x, y, k):
+    """Orbit points and step Jacobians of the fixture maps, in mpmath arithmetic."""
+    import mpmath as mp
+
+    out = []
+    for _ in range(k):
+        if name == "henon":
+            a, b = mp.mpf(1.4), mp.mpf(0.3)
+            jac = mp.matrix([[-2 * a * x, 1], [b, 0]])
+            nxt = (1 + y - a * x * x, b * x)
+        else:  # standard, K = 6
+            kick, bend = 6 * mp.sin(x), 6 * mp.cos(x)
+            jac = mp.matrix([[1 + bend, 1], [bend, 1]])
+            nxt = (x + y + kick, y + kick)
+        out.append(((x, y), jac))
+        x, y = nxt
+    return out
+
+
+def _mp_f_field(name, x, y, k):
+    """Unit f of the order-k frame at (x, y): top eigenvector of M^T M."""
+    import mpmath as mp
+
+    m = mp.eye(2)
+    for _, jac in _mp_steps(name, x, y, k):
+        m = jac * m
+    g = m.T * m
+    p, q, r = g[0, 0], g[0, 1], g[1, 1]
+    top = (p + r) / 2 + mp.sqrt(((p - r) / 2) ** 2 + q * q)
+    v = mp.matrix([q, top - p]) if abs(top - p) > abs(top - r) else mp.matrix([top - r, q])
+    return v / mp.norm(v)
+
+
+def _mp_e_dot_df(name, xi0, k):
+    """<e, d_axis f> per axis by a central difference at 10^-(dps/3) in mpmath.
+
+    Truncation (h^2) and rounding (10^-dps / h) both stay far below 1e-10;
+    the working precision grows with k to resolve co-eccentricities far
+    below the double range.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60 + 2 * k):
+        h = mp.mpf(10) ** -(mp.mp.dps // 3)
+        x0, y0 = mp.mpf(float(xi0[0])), mp.mpf(float(xi0[1]))
+        f = _mp_f_field(name, x0, y0, k)
+        e = mp.matrix([-f[1], f[0]])
+        out = []
+        for dx, dy in ((h, 0), (0, h)):
+            plus = _mp_f_field(name, x0 + dx, y0 + dy, k)
+            minus = _mp_f_field(name, x0 - dx, y0 - dy, k)
+            plus = plus if (plus.T * f)[0] > 0 else -plus
+            minus = minus if (minus.T * f)[0] > 0 else -minus
+            out.append(float((e.T * (plus - minus))[0] / (2 * h)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "name, xi0, k, rel",
+    [("henon", HENON_FIXTURE, 8, 1e-10),
+     # large orders: DPhi^i e sits far below eps |DPhi^i| in a forward product
+     ("henon", HENON_FIXTURE, 40, 1e-10),
+     ("henon", HENON_FIXTURE, 80, 1e-10),
+     # the float orbit of the K = 6 map drifts from the exact one
+     ("standard", np.array([0.3, 0.7]), 8, 1e-9)],
+    ids=["henon-k8", "henon-k40", "henon-k80", "standard-k8"],
+)
+def test_exact_frame_derivative_matches_mpmath(name, xi0, k, rel):
+    pytest.importorskip("mpmath")
+    spec = henon() if name == "henon" else standard(6.0)
+    exact = exact_frame_derivative(spec, xi0, k)
+    oracle = _mp_e_dot_df(name, xi0, k)
+    for axis in range(2):
+        assert math.isclose(exact[axis], oracle[axis], rel_tol=rel), axis
+    assert math.isclose(math.hypot(*exact), math.hypot(*oracle), rel_tol=rel)
+
+
+def test_middle_terms_match_mpmath_at_large_order(henon):
+    # EE_i = |D2Phi(x_i)[DPhi^i x] DPhi^i e| |DPhi^(i+1) e| / |det DPhi^(i+1)|, and
+    # for Henon D2Phi[w] v = (-2 a w_x v_x, 0).  At k = 40 a forward product
+    # loses DPhi^i e entirely for i near k.
+    mp = pytest.importorskip("mpmath")
+    k = 40
+    with mp.workdps(60 + 2 * k):
+        x0, y0 = mp.mpf(float(HENON_FIXTURE[0])), mp.mpf(float(HENON_FIXTURE[1]))
+        f = _mp_f_field("henon", x0, y0, k)
+        e = mp.matrix([-f[1], f[0]])
+        m = mp.eye(2)
+        images = []  # (DPhi^i x, DPhi^i e, |det DPhi^i|)
+        for _, jac in _mp_steps("henon", x0, y0, k):
+            images.append((m * mp.matrix([1, 0]), m * e, abs(mp.det(m))))
+            m = jac * m
+        images.append((None, m * e, abs(mp.det(m))))
+        a = mp.mpf(1.4)
+        ee = [
+            2 * a * abs(w[0] * v[0]) * mp.norm(images[i + 1][1]) / images[i + 1][2]
+            for i, (w, v, _) in enumerate(images[:-1])
+        ]
+        head, tail = float(ee[0]), float(mp.fsum(ee[1:]))
+    terms = bounds.slow_variation_terms(compute_orbit(henon, HENON_FIXTURE, k), k, "x")
+    assert math.isclose(terms.EE[0], head, rel_tol=1e-12)
+    assert math.isclose(terms.sum_EE_tail, tail, rel_tol=1e-10)
+
+
+def test_exact_frame_derivative_standard_map_outside_the_coarse_step_regime():
+    # at K = 6 a step of 1e-5 is far outside the linear regime of the order-8
+    # field: the central difference reads about 0.15 where the derivative is 1.063
+    exact = exact_frame_derivative(standard(6.0), np.array([0.3, 0.7]), 8)
+    coarse = frame_derivative_fd(standard(6.0), np.array([0.3, 0.7]), 8, 1e-5)[1]
+    assert math.isclose(math.hypot(*exact), 1.0630021232865734, rel_tol=1e-9)
+    assert abs(math.hypot(*coarse) - math.hypot(*exact)) > 0.5
+
+
+def test_exact_frame_derivative_of_a_constant_field_is_zero():
+    for k in (1, 3, 8):
+        exact = exact_frame_derivative(linear(2.0, 0.3, 0.1, 0.5), np.array([0.3, 0.1]), k)
+        assert exact.tolist() == [0.0, 0.0]
 
 
 def test_verify_slow_variation_henon(henon):
     orbit = compute_orbit(henon, HENON_FIXTURE, 8)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
-    rep = bounds.verify_slow_variation(orbit, ledger, h=1e-5)
+    rep = bounds.verify_slow_variation(orbit, ledger)
     assert rep.verdict, rep.first_failure()
     names = {r.check for r in rep.rows}
     assert "frame_derivative_master_bound" in names
@@ -399,14 +557,23 @@ def test_verify_slow_variation_henon(henon):
     assert "expanded_terms_bound_y" in names
 
 
+def test_verify_slow_variation_henon_large_order(henon):
+    # the chain holds at k = 40 once DPhi^i e is pulled back through the
+    # inverse steps; forward products put a sum_EE_tail near 6e16 here
+    orbit = compute_orbit(henon, HENON_FIXTURE, 40)
+    ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
+    rep = bounds.verify_slow_variation(orbit, ledger)
+    assert rep.verdict, rep.first_failure()
+
+
 def test_verify_slow_variation_linear():
     lin = linear(2.0, 0.0, 0.0, 0.5)
     orbit = compute_orbit(lin, np.zeros(2), 5)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
-    rep = bounds.verify_slow_variation(orbit, ledger, h=1e-5)
+    rep = bounds.verify_slow_variation(orbit, ledger)
     assert rep.verdict
     fd_rows = [r for r in rep.rows if r.check == "frame_derivative_master_bound"]
-    assert fd_rows[0].lhs <= 1e-9
+    assert fd_rows[0].lhs == 0.0
 
 
 def test_verify_slow_variation_requires_certificate(henon):
@@ -436,7 +603,7 @@ def test_explicit_and_slow_variation_both_flavors(henon, henon_orbit20):
 
     orbit8 = compute_orbit(henon, np.array(henon_orbit20.points[0]), 8)
     ledger8 = fit_constants(orbit8, Flavor.SINGULAR_BOTH, 1.05)
-    rep8 = bounds.verify_slow_variation(orbit8, ledger8, h=1e-5)
+    rep8 = bounds.verify_slow_variation(orbit8, ledger8)
     assert rep8.verdict
     checks8 = {r.check for r in rep8.rows}
     assert "first_term_bound_I_x" in checks8 and "first_term_bound_II_x" in checks8
@@ -462,9 +629,8 @@ def test_lorenz2d_singular_bounds_chain():
     )
     assert check_quasi_hyperbolic(orbit, both).verdict
     assert bounds.verify_explicit_convergence(orbit, both).verdict
-    # near strong curvature the tighter finite-difference step applies
     short = compute_orbit(lorenz2d(), LORENZ_FIXTURE, 5)
-    rep = bounds.verify_slow_variation(short, both, h=1e-6)
+    rep = bounds.verify_slow_variation(short, both)
     assert rep.verdict, rep.first_failure()
 
 

@@ -305,6 +305,15 @@ def test_feasibility_scan_examples():
     assert "b < lambda^2*c_tilde" in cells[0].violated
 
 
+def test_structural_inequalities_beyond_float_products():
+    # Gamma^2 and lambda^2 overflow a double here, yet every inequality holds
+    for flavor in Flavor:
+        assert structural_violations(flavor, 1.05e155, 1.0, 9.5e154, 1.05e305, 1.05e-5, 1.0) == []
+    # an exact tie still violates the strict inequality
+    v = structural_violations(Flavor.SINGULAR_II, 2.0**201, 1.0, 2.0**200, 2.0**400, 1e-5, 1.0)
+    assert v == ["b < lambda^2*c_tilde"]
+
+
 def test_ledger_io_round_trip(tmp_path, henon_orbit20):
     ledger = fit_constants(henon_orbit20, Flavor.SINGULAR_II, 1.05)
     path = tmp_path / "ledger.txt"

@@ -219,6 +219,8 @@ KERNEL_SPECS = [
     linear(0.0, 1.0, 0.0, 0.0),  # nilpotent: the two-step product is zero
     linear(0.0, 0.0, 0.0, 0.0),
     linear(5e-324, 0.0, 0.0, 0.0),  # nonzero, but svd2_closed sees a zero matrix
+    linear(1e160, 0.0, 0.0, 1e155),  # the raw step determinant overflows
+    linear(1e-170, 0.0, 0.0, 1e-170),  # conformal; the raw step determinant underflows to 0
 ]
 SPECIAL_COORDS = [0.0, -0.0, 1e-9, -1e-9, 1e-3, 4.5, -5.0, 1e7, 1e308, -1e308,
                   math.inf, -math.inf, math.nan]
@@ -246,6 +248,8 @@ def _scalar_field(spec, p, k, field, guard):
 )
 @example(3, [(1e-9, 0.2), (-4.5, 0.1), (0.3, 0.2)], 2, "unstable", None)
 @example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None)
+@example(9, [(0.25, 0.25), (0.75, 0.25)], 1, "stable", None)
+@example(10, [(0.25, 0.25), (0.75, 0.25)], 2, "unstable", None)
 def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard):
     spec = KERNEL_SPECS[which]
     points = np.array(pts, dtype=float)
