@@ -202,68 +202,106 @@ def _det_tail_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     return total
 
 
+class _PairMeasurement(NamedTuple):
+    """Measured left sides at one pair (i, k), after the index tuple that
+    every row of the pair shares: the drift |e_k - e_i|, |DPhi^i e_k| and
+    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two."""
+
+    index: Tuple[int, int]
+    drift: float
+    push: float
+    push_over_det: float
+    push_noise: float
+    det_noise: float
+
+
 def _pair_measurements(
-    coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
-) -> Tuple[float, float, float, float, float]:
-    """Measured left sides at (i, k): the drift |e_k - e_i|, |DPhi^i e_k| and
-    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two.
-    A singular DPhi^i leaves the determinant-normalized rows undefined."""
+    coc: MatrixCocycle, frames: List[HyperbolicFrame], index: Tuple[int, int]
+) -> _PairMeasurement:
+    """The measurements at ``index`` = (i, k).  A singular DPhi^i leaves the
+    determinant-normalized rows undefined."""
+    i, k = index
     if coc.log_absdet[i] == float("-inf"):
         raise ZeroDeterminant(f"det DPhi^{i} is zero: determinant-normalized rows undefined")
     drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
     _, log_push = coc.prefix(i).apply(frames[k - 1].e)
     push_noise = ROUNDING_UNIT * _exp(coc.log_norm[i])
     det_noise = ROUNDING_UNIT * _exp(coc.log_norm[i] - coc.log_absdet[i])
-    return (
-        drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+    return _PairMeasurement(
+        index, drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
     )
 
 
+def _measured_pairs(coc: MatrixCocycle):
+    """A function (i, k) -> ``_pair_measurements`` that measures each pair of
+    ``coc`` once: frames and measurements live on the cocycle, so both sweeps
+    of one orbit share them.  A pair is measured when a sweep first reaches
+    it, so errors arise in the sweep's own order.
+    """
+    if coc._pair_table is None:
+        # pair (i, k) sits in slot k (k - 1) / 2 + i - 1.  The index tuples
+        # are built together: those that Python's tuple free list keeps after
+        # the reports are freed then pin one block, not the rows' memory.
+        indices = [(i, k) for k in range(1, coc.k + 1) for i in range(1, k + 1)]
+        coc._pair_table = (frame_sequence(coc), indices, [None] * len(indices))
+    frames, indices, table = coc._pair_table
+
+    def measured(i: int, k: int) -> _PairMeasurement:
+        slot = k * (k - 1) // 2 + i - 1
+        found = table[slot]
+        if found is None:
+            found = table[slot] = _pair_measurements(coc, frames, indices[slot])
+        return found
+
+    return measured
+
+
 def _apriori_rows(
-    rep: BoundReport, coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int,
+    rep: BoundReport, coc: MatrixCocycle, measured: _PairMeasurement,
     ct: float, drift_sum: float, det_drift_sum: float, tail: float, det_tail_sum: float,
     block_log_norm: float,
 ) -> None:
-    """The seven a-priori rows at (i, k), given the frames up to order k, ctilde(k),
-    the four sums over j = i..k-1 and the log-norm of block(i, k)."""
-    drift, push, push_over_det, push_noise, det_noise = _pair_measurements(coc, frames, i, k)
+    """The seven a-priori rows of one pair, given its ``_pair_measurements``,
+    ctilde(k), the four sums over j = i..k-1 and the log-norm of block(i, k)."""
+    index, drift, push, push_over_det, push_noise, det_noise = measured
+    i, k = index
     norm_i = _exp(coc.log_norm[i])
     conorm_i = _exp(coc.log_conorm[i])
 
-    rep.add("frame_drift_sum", (i, k), drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
+    rep.add("frame_drift_sum", index, drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
     rep.add(
         "pushforward_norm_sum",
-        (i, k),
+        index,
         push,
         conorm_i + ct * norm_i * drift_sum,
         abs_tol=push_noise,
     )
     rep.add(
         "det_normalized_sum",
-        (i, k),
+        index,
         push_over_det,
         1.0 / norm_i + ct * norm_i * det_drift_sum,
         abs_tol=det_noise,
     )
 
-    rep.add("frame_drift_tail", (i, k), drift, tail * ct, abs_tol=ROUNDING_UNIT)
+    rep.add("frame_drift_tail", index, drift, tail * ct, abs_tol=ROUNDING_UNIT)
     rep.add(
         "pushforward_norm_tail",
-        (i, k),
+        index,
         push,
         conorm_i + norm_i * tail * ct,
         abs_tol=push_noise,
     )
     rep.add(
         "det_normalized_tail",
-        (i, k),
+        index,
         push_over_det,
         1.0 / norm_i + ct * norm_i * det_tail_sum,
         abs_tol=det_noise,
     )
 
     quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
-    rep.add("frame_drift_quotient", (i, k), drift, ct * quotient, abs_tol=ROUNDING_UNIT)
+    rep.add("frame_drift_quotient", index, drift, ct * quotient, abs_tol=ROUNDING_UNIT)
 
 
 def verify_apriori_convergence(
@@ -286,7 +324,7 @@ def verify_apriori_convergence(
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
     rep = report if report is not None else BoundReport("apriori_convergence", tol)
     _apriori_rows(
-        rep, coc, frame_sequence(coc, k), i, k, ctilde(coc, k),
+        rep, coc, _pair_measurements(coc, frame_sequence(coc, k), (i, k)), ctilde(coc, k),
         _drift_sum(coc, i, k), _det_drift_sum(coc, i, k),
         tail_T(coc, i, k), _det_tail_sum(coc, i, k),
         norm_conorm_det(coc.block(i, k)).log_norm,
@@ -311,7 +349,7 @@ def verify_apriori_all(
     then ZeroMatrix from a block norm.
     """
     coc = cocycle_of(source)
-    frames = frame_sequence(coc)
+    measured = _measured_pairs(coc)
     rep = BoundReport("apriori_convergence", tol)
     n = coc.k
     # slot i holds the state of pair (i, k) once the sweep has reached k
@@ -337,7 +375,7 @@ def verify_apriori_all(
                 tails[i] += tail_term
                 det_tail_sums[i] += _det_tail_term(coc, i, j)
             _apriori_rows(
-                rep, coc, frames, i, k, ct,
+                rep, coc, measured(i, k), ct,
                 drift_sums[i], det_drift_sums[i], tails[i], det_tail_sums[i],
                 norm_conorm_det(blocks[i]).log_norm,
             )
@@ -380,22 +418,24 @@ def verify_consecutive_rotation(
     return rep
 
 
-def _envelope_rows_one(rep, ledger, aux, k, i, drift, push, push_det, push_noise, det_noise):
+def _envelope_rows_one(rep, ledger, aux, index, drift, push, push_det, push_noise, det_noise):
+    i = index[0]
     r1 = ledger.Gamma * ledger.Gamma_tilde * ledger.c / ledger.lam
-    rep.add("frame_drift_envelope_I", (i, k), drift, aux.Q1 * r1**i, abs_tol=ROUNDING_UNIT)
+    rep.add("frame_drift_envelope_I", index, drift, aux.Q1 * r1**i, abs_tol=ROUNDING_UNIT)
     r2 = ledger.Gamma * r1
-    rep.add("pushforward_envelope_I", (i, k), push, aux.Q1 * r2**i, abs_tol=push_noise)
+    rep.add("pushforward_envelope_I", index, push, aux.Q1 * r2**i, abs_tol=push_noise)
     r3 = ledger.Gamma * ledger.Gamma_tilde / (ledger.lam * ledger.lam)
-    rep.add("det_normalized_envelope_I", (i, k), push_det, aux.Q2 * r3**i, abs_tol=det_noise)
+    rep.add("det_normalized_envelope_I", index, push_det, aux.Q2 * r3**i, abs_tol=det_noise)
 
 
-def _envelope_rows_two(rep, ledger, aux, k, i, drift, push, push_det, push_noise, det_noise):
+def _envelope_rows_two(rep, ledger, aux, index, drift, push, push_det, push_noise, det_noise):
+    i = index[0]
     r1 = ledger.c / ledger.c_tilde
-    rep.add("frame_drift_envelope_II", (i, k), drift, aux.Qt1 * r1**i, abs_tol=ROUNDING_UNIT)
+    rep.add("frame_drift_envelope_II", index, drift, aux.Qt1 * r1**i, abs_tol=ROUNDING_UNIT)
     r2 = ledger.Gamma * r1
-    rep.add("pushforward_envelope_II", (i, k), push, aux.Qt1 * r2**i, abs_tol=push_noise)
+    rep.add("pushforward_envelope_II", index, push, aux.Qt1 * r2**i, abs_tol=push_noise)
     r3 = ledger.Gamma / (ledger.lam * ledger.lam * ledger.c_tilde)
-    rep.add("det_normalized_envelope_II", (i, k), push_det, aux.Qt2 * r3**i, abs_tol=det_noise)
+    rep.add("det_normalized_envelope_II", index, push_det, aux.Qt2 * r3**i, abs_tol=det_noise)
 
 
 def verify_explicit_convergence(
@@ -415,15 +455,15 @@ def verify_explicit_convergence(
     if aux is None:
         aux = auxiliary_constants(ledger)
     coc = orbit.cocycle
-    frames = frame_sequence(coc)
+    measured = _measured_pairs(coc)
     rep = BoundReport("explicit_convergence", tol)
     for k in range(1, coc.k + 1):
         for i in range(1, k + 1):
-            measured = _pair_measurements(coc, frames, i, k)
+            pair = measured(i, k)
             if ledger.flavor.has_type_one:
-                _envelope_rows_one(rep, ledger, aux, k, i, *measured)
+                _envelope_rows_one(rep, ledger, aux, *pair)
             if ledger.flavor.has_type_two:
-                _envelope_rows_two(rep, ledger, aux, k, i, *measured)
+                _envelope_rows_two(rep, ledger, aux, *pair)
     return rep
 
 

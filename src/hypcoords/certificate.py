@@ -442,28 +442,49 @@ class AuxiliaryConstants:
         }
 
 
-def _positive(value: float, name: str) -> float:
-    if not value > 0.0:
+def _positive(value, name: str):
+    """``value`` if it is positive.  A value that is not finite (an overflow,
+    or inf - inf) raises OverflowError: the float form cannot decide it."""
+    if not -math.inf < value < math.inf:
+        raise OverflowError(name)
+    if not value > 0:
         raise DomainViolation(f"{name} <= 0")
     return value
 
 
 def auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
-    """The derived constants of ``ledger``; a power beyond the double range is a BoundOverflow."""
+    """The derived constants of ``ledger``.
+
+    They are formed in floats first.  Where a denominator or a product of
+    that form is not finite, they are formed again from exact rationals,
+    where nothing overflows, and rounded once at the end; a constant beyond
+    the double range is then a BoundOverflow.
+    """
     try:
-        return _auxiliary_constants(ledger)
+        aux = _auxiliary_constants(ledger, float)
+        if all(math.isfinite(v) for v in aux.as_dict().values() if v is not None):
+            return aux
+    except (OverflowError, ZeroDivisionError):
+        pass
+    try:
+        exact = _auxiliary_constants(ledger, Fraction)
+        return replace(exact, **{
+            name: None if v is None else float(v) for name, v in exact.as_dict().items()
+        })
     except OverflowError:
-        raise BoundOverflow("a power in the auxiliary constants exceeds the double range") from None
+        raise BoundOverflow("an auxiliary constant exceeds the double range") from None
 
 
-def _auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
-    G, Gt = ledger.Gamma, ledger.Gamma_tilde
-    lam, b, c, ct = ledger.lam, ledger.b, ledger.c, ledger.c_tilde
-    B, Bt, C, D = ledger.B, ledger.B_tilde, ledger.C, ledger.D
+def _auxiliary_constants(ledger: ConstantsLedger, num: type) -> AuxiliaryConstants:
+    """The constants in the number type ``num`` (float or Fraction); only the
+    square root in Q0 and K1 is taken in floats."""
+    G, Gt = num(ledger.Gamma), num(ledger.Gamma_tilde)
+    lam, b, c, ct = num(ledger.lam), num(ledger.b), num(ledger.c), num(ledger.c_tilde)
+    B, Bt, C, D = num(ledger.B), num(ledger.B_tilde), num(ledger.C), num(ledger.D)
 
-    one_minus = _positive(1.0 - B * B * c * c, "1 - B^2*c^2")
-    Q0 = math.sqrt(2.0 / one_minus)
-    K1 = Q0 * Q0 / math.sqrt(2.0)
+    one_minus = _positive(1 - B * B * c * c, "1 - B^2*c^2")
+    Q0 = num(math.sqrt(2 / one_minus))
+    K1 = Q0 * Q0 / num(math.sqrt(2.0))
 
     Q1 = Q2 = Q3 = Q4 = None
     if ledger.flavor.has_type_one:
@@ -471,7 +492,7 @@ def _auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
         den2 = _positive(lam * lam - Gt * b, "lambda^2 - Gamma_tilde*b")
         den4 = _positive(lam**3 - (G * Gt) ** 3 * c, "lambda^3 - Gamma^3*Gamma_tilde^3*c")
         Q1 = B * D + Q0 * B * D**3 * G / (C * den1)
-        Q2 = 1.0 / C + Q0 * D * D * G * lam / (C * C * den2)
+        Q2 = 1 / C + Q0 * D * D * G * lam / (C * C * den2)
         Q3 = Q1 * D * G * G * Gt / lam
         Q4 = Q1 * Q2 * D * G**5 * Gt**4 / (lam * lam * den4)
 
@@ -484,7 +505,7 @@ def _auxiliary_constants(ledger: ConstantsLedger) -> AuxiliaryConstants:
             "lambda^2*c_tilde^2 - Gamma^2*Gamma_tilde*c",
         )
         Qt1 = B * D + Q0 * B * ct / (Bt * dent1)
-        Qt2 = 1.0 / C + Q0 * D * lam * lam * ct / (Bt * C * C * dent2)
+        Qt2 = 1 / C + Q0 * D * lam * lam * ct / (Bt * C * C * dent2)
         Qt3 = Qt1 * D * G
         Qt4 = Qt1 * Qt2 * D * G**4 * Gt / (lam * lam * dent4)
 

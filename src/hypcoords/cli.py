@@ -81,10 +81,10 @@ def _json_number(x) -> str:
     return int.__repr__(x)
 
 
-# One bound-report row: its CSV line (the bytes fmt gives for float and small
-# int values), and its JSON object after the opening brace, laid out as
-# json.dump(..., indent=2, sort_keys=True) lays it out inside "checks".
-_CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%s\n"
+# One bound-report row: its CSV line, and its JSON object after the opening
+# brace, laid out as json.dump(..., indent=2, sort_keys=True) lays it out
+# inside "checks".
+_CSV_ROW = "%s,%s,%s,%s,%s,%s\n"
 _JSON_ROW = (
     '\n        "index": [%s],\n        "lhs": %s,\n        "margin": %s,'
     '\n        "passed": %s,\n        "rhs": %s\n      }'
@@ -92,20 +92,57 @@ _JSON_ROW = (
 _JSON_INDEX_SEP = ",\n          "
 
 
+def _spelled_once(spell, by_id: bool = False):
+    """``spell`` with a memo, so that a value repeated across rows is spelled once.
+
+    Numbers are looked up only when they are nonzero floats: 0.0 and -0.0,
+    or 1 and 1.0, compare equal but are spelled differently.  With ``by_id``
+    every value is looked up by identity, which suits index tuples that the
+    rows keep alive and share ((1,) == (1.0,) would merge by value).
+    """
+    memo: Dict[object, str] = {}
+
+    def spelled(x) -> str:
+        if by_id:
+            key = id(x)
+        elif type(x) is float and x:
+            key = x
+        else:
+            return spell(x)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = spell(x)
+        return text
+
+    return spelled
+
+
 def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> None:
     """Stream ``report`` to ``stem``.csv and ``stem``.json, one row at a time.
 
     The bytes equal those of ``_write_csv`` on the rows (numbers through
     ``fmt``) and of ``_write_json`` on the report nested by check; the JSON
-    document is never built in memory.
+    document is never built in memory.  Rows repeat their numbers (a drift
+    is the left side of several checks) and share index tuples, so each file
+    spells each of them once, from a memo kept only while that file is written.
     """
+    number = _spelled_once(fmt)
+    index_text = _spelled_once(lambda index: ":".join(map(str, index)), by_id=True)
     groups: Dict[str, List[bounds.BoundRow]] = {}
     with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("check,index,lhs,rhs,margin,passed\n")
         for row in report.rows:
             check, index, lhs, rhs, margin, passed = row
-            fh.write(_CSV_ROW % (check, ":".join(map(str, index)), lhs, rhs, margin, "1" if passed else "0"))
+            fh.write(_CSV_ROW % (
+                check, index_text(index), number(lhs), number(rhs), number(margin),
+                "1" if passed else "0",
+            ))
             groups.setdefault(check, []).append(row)
+    number = _spelled_once(_json_number)
+    index_text = _spelled_once(
+        lambda index: f"\n          {_JSON_INDEX_SEP.join(map(str, index))}\n        " if index else "",
+        by_id=True,
+    )
     # sort_keys puts "checks" first, so the rest of the document follows it
     tail = json.dumps(
         {"context": report.context, "name": report.name, "tol": report.tol, "verdict": report.verdict},
@@ -120,11 +157,11 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> N
             lead = "\n      {"
             for _, index, lhs, rhs, margin, passed in groups[check]:
                 fh.write(lead + _JSON_ROW % (
-                    f"\n          {_JSON_INDEX_SEP.join(map(str, index))}\n        " if index else "",
-                    _json_number(lhs),
-                    _json_number(margin),
+                    index_text(index),
+                    number(lhs),
+                    number(margin),
                     "true" if passed else "false",
-                    _json_number(rhs),
+                    number(rhs),
                 ))
                 lead = ",\n      {"
             fh.write("\n    ]")

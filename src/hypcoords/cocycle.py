@@ -181,6 +181,9 @@ class MatrixCocycle:
             self.log_norm.append(log_norm)
             self.log_conorm.append(self.log_absdet[i] - log_norm)
 
+        # frames and per-pair measurements, filled by bounds on first use
+        self._pair_table = None
+
     def prefix(self, i: int) -> ScaledMatrix:
         if not 0 <= i <= self.k:
             raise IndexOutOfRange(f"prefix index {i} outside 0..{self.k}")

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import filecmp
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import bounds
+from hypcoords import bounds, certificate, compute_orbit, make_map
 from hypcoords.cli import fmt, main, write_bound_report
 
 from conftest import HENON_FIXTURE
@@ -116,12 +117,62 @@ def test_certify_with_rates_beyond_float_products(tmp_path, capsys):
                 "--y0", "1e-300", "--k", "1", "--flavor", "II", "--out-dir", tmp_path]
         assert run(argv) == 0, matrix
         assert capsys.readouterr().out == "certificate passes for k <= 1 (flavor II)\n"
-    # lambda^3 and Gamma^5 in its type-(I) constants overflow: a typed error, not a traceback
-    for flavor in ("I", "both"):
-        argv = ["aux-constants", "--map", "linear", "--matrix", "1e155,0,0,1e150", "--x0", "1e-300",
-                "--y0", "1e-300", "--k", "1", "--flavor", flavor, "--out-dir", tmp_path / flavor]
-        assert run(argv) == 1, flavor
-        assert _one_line_error(capsys) == "a power in the auxiliary constants exceeds the double range"
+    # a constant itself beyond the double range: a typed error, not a traceback
+    ledger = tmp_path / "huge.txt"
+    certificate.write_ledger(str(ledger), certificate.ConstantsLedger(
+        flavor=certificate.Flavor.SINGULAR_I, Gamma=1e300, Gamma_tilde=1.0, lam=1e299, b=1.0,
+        c=1e-4, c_tilde=1.0, B=1.0, B_tilde=1.0, C=1.0, D=1e10,
+    ))
+    assert run(["aux-constants", "--ledger", ledger, "--out-dir", tmp_path / "huge"]) == 1
+    assert _one_line_error(capsys) == "an auxiliary constant exceeds the double range"
+
+
+def _mpmath_auxiliary_constants(ledger):
+    """The auxiliary constants of ``ledger`` evaluated at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        G, Gt, lam, b, c, ct, B, Bt, C, D = map(mpmath.mpf, (
+            ledger.Gamma, ledger.Gamma_tilde, ledger.lam, ledger.b, ledger.c, ledger.c_tilde,
+            ledger.B, ledger.B_tilde, ledger.C, ledger.D,
+        ))
+        Q0 = mpmath.sqrt(2 / (1 - B**2 * c**2))
+        out = {"Q0": Q0, "K1": Q0**2 / mpmath.sqrt(2),
+               "Q": B * D**3 * G**4 * Gt / (C**2 * lam**2 * (G**2 * Gt - b))}
+        branches = []
+        if ledger.flavor.has_type_one:
+            out["Q1"] = B * D + Q0 * B * D**3 * G / (C * (lam - G * Gt * c))
+            out["Q2"] = 1 / C + Q0 * D**2 * G * lam / (C**2 * (lam**2 - Gt * b))
+            out["Q3"] = out["Q1"] * D * G**2 * Gt / lam
+            out["Q4"] = (out["Q1"] * out["Q2"] * D * G**5 * Gt**4
+                         / (lam**2 * (lam**3 - (G * Gt) ** 3 * c)))
+            branches.append(out["Q3"] + out["Q4"])
+        if ledger.flavor.has_type_two:
+            out["Qt1"] = B * D + Q0 * B * ct / (Bt * (ct - c))
+            out["Qt2"] = 1 / C + Q0 * D * lam**2 * ct / (Bt * C**2 * (lam**2 * ct - b))
+            out["Qt3"] = out["Qt1"] * D * G
+            out["Qt4"] = (out["Qt1"] * out["Qt2"] * D * G**4 * Gt
+                          / (lam**2 * (lam**2 * ct**2 - G**2 * Gt * c)))
+            branches.append(out["Qt3"] + out["Qt4"])
+        out["K2"] = out["K1"] * (max(branches) + out["Q"])
+        return {name: float(value) for name, value in out.items()}
+
+
+@pytest.mark.parametrize("flavor", ["II", "nonsingular", "I", "both"])
+def test_aux_constants_with_rates_beyond_float_products(tmp_path, capsys, flavor):
+    # Gamma^2 and lambda^2 overflow here, so the float form of
+    # lambda^2*c_tilde^2 - Gamma^2*Gamma_tilde*c is inf - inf; the constants
+    # themselves fit the double range
+    args = ["--map", "linear", "--matrix", "1e155,0,0,1e150", "--x0", "1e-300", "--y0", "1e-300",
+            "--k", "1", "--flavor", flavor]
+    assert run(["aux-constants", *args, "--out-dir", tmp_path]) == 0
+    written = json.loads((tmp_path / "aux_constants.json").read_text())
+    orbit = compute_orbit(make_map("linear", m11=1e155, m22=1e150), np.array([1e-300, 1e-300]), 1)
+    ledger = certificate.fit_constants(orbit, certificate.Flavor.parse(flavor), 1.05)
+    expected = _mpmath_auxiliary_constants(ledger)
+    assert {name for name, value in written.items() if value is not None} - {"branches"} == set(expected)
+    for name, value in expected.items():
+        assert written[name] == pytest.approx(value, rel=1e-12), name
+    assert capsys.readouterr().err == ""
 
 
 def test_foliate_with_huge_steps(tmp_path, capsys):
@@ -569,6 +620,58 @@ def bound_reports(draw):
 @example(bounds.BoundReport("empty", 1e-9))
 def test_bound_report_writer_matches_json_dump(report):
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+# Values that compare equal but are spelled differently (0.0 and -0.0; 1,
+# 1.0 and np.float64(1.0); 2**53 + 1 and float(2**53) in CSV), next to NaN,
+# infinities and subnormals, so that a writer that formats each distinct
+# number once would show a merge of two of them
+SHARED_NUMBERS = [
+    0.0, -0.0, 1, 1.0, np.float64(1.0), np.float64(-0.0), 2**53 + 1, float(2**53), 2**53,
+    math.nan, float("nan"), -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072e-308, 0.1, 0.1 + 2**-56, -(2**63),
+]
+
+
+@st.composite
+def shared_value_reports(draw):
+    number = st.sampled_from(SHARED_NUMBERS)
+    # (1,) and (1.0,) are equal tuples with different spellings
+    indices = [(0,), (1,), (1.0,), (1, 2), (2, 1), (0, 0, 0)]
+    row = st.builds(
+        bounds.BoundRow, st.sampled_from(["a", "b", "c"]), st.sampled_from(indices),
+        number, number, number, st.booleans(),
+    )
+    report = bounds.BoundReport("shared", draw(number))
+    report.rows.extend(draw(st.lists(row, min_size=1, max_size=40)))
+    report.context.update(draw(st.dictionaries(st.sampled_from("xyz"), number, min_size=1)))
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_value_reports())
+def test_bound_report_writer_keeps_equal_values_apart(report):
+    assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "_pair_measurements", counted("pairs", bounds._pair_measurements))
+    monkeypatch.setattr(bounds, "frame_sequence", counted("frames", bounds.frame_sequence))
+    assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
+                "--out-dir", tmp_path]) == 0
+    # both sweeps read every pair 1 <= i <= k <= 20, from one table
+    assert calls == {"pairs": 20 * 21 // 2, "frames": 1}
+    for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
+        rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
+        assert len(rows) == 20 * 21 // 2 * per_pair
 
 
 def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):
