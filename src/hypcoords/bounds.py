@@ -19,6 +19,7 @@ lhs <= rhs * (1 + tol).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -39,13 +40,16 @@ from .cocycle import (
     cocycle_of,
     compute_orbit,  # noqa: F401  perfbench's tracer test rebinds bounds.compute_orbit
     norm_conorm_det,
+    normalize_stack,
 )
 from .errors import (
     BoundOverflow,
     CertificateRequired,
     DegenerateCoeccentricity,
     DegenerateStep,
+    HypcoordsError,
     ZeroDeterminant,
+    ZeroMatrix,
 )
 from .hypframe import (
     EPS_COECC,
@@ -88,6 +92,27 @@ class BoundReport:
         passed = lhs <= rhs * (1.0 + self.tol) + abs_tol
         self.rows.append(BoundRow(check, index, lhs, rhs, rhs - lhs, passed))
 
+    def add_pairs(self, checks, indices, lhs, rhs, abs_tol) -> None:
+        """``add`` for several index tuples at once: for each in turn, one row
+        per check.  ``lhs`` holds a list of floats per check, whose objects go
+        into the rows; ``rhs`` holds an array and ``abs_tol`` an array or a
+        scalar per check.  Each row equals what ``add`` makes of its values."""
+        lhs_a = np.array(lhs)
+        rhs_a = np.array(rhs)
+        tol_a = np.empty_like(rhs_a)
+        for row, value in zip(tol_a, abs_tol):
+            row[:] = value
+        passed = lhs_a <= rhs_a * (1.0 + self.tol) + tol_a
+        # tuple.__new__ is what BoundRow() calls, without a Python frame per row
+        self.rows.extend(map(tuple.__new__, itertools.repeat(BoundRow), zip(
+            checks * len(indices),
+            itertools.chain.from_iterable(zip(*[indices] * len(checks))),
+            itertools.chain.from_iterable(zip(*lhs)),
+            rhs_a.T.ravel().tolist(),
+            (rhs_a - lhs_a).T.ravel().tolist(),
+            passed.T.ravel().tolist(),
+        )))
+
     @property
     def verdict(self) -> bool:
         return all(r.passed for r in self.rows)
@@ -103,9 +128,13 @@ class BoundReport:
 
 
 # Per-index terms of ctilde and of the four a-priori sums.  The per-pair
-# functions and the all-pairs sweep both add these same terms left to right
-# with plain ``+=`` (never ``sum()``, which compensates from Python 3.12 on),
-# so the sweep's running sums equal the per-pair sums bit for bit.
+# functions add these terms left to right with plain ``+=`` (never ``sum()``,
+# which compensates from Python 3.12 on).  The sweeps add the same terms in
+# the same order with numpy's elementwise ``+=`` over i, which rounds each
+# addition as Python does, so their sums equal the per-pair sums bit for bit.
+# Logs and exponentials stay ``math`` calls per element (``linalg2.each``):
+# ``np.log`` and ``np.exp`` differ from them in the last bit on a few
+# percent of inputs.
 
 
 def _exp(x: float) -> float:
@@ -202,106 +231,142 @@ def _det_tail_sum(coc: MatrixCocycle, i: int, k: int) -> float:
     return total
 
 
-class _PairMeasurement(NamedTuple):
-    """Measured left sides at one pair (i, k), after the index tuple that
-    every row of the pair shares: the drift |e_k - e_i|, |DPhi^i e_k| and
-    |DPhi^i e_k| / |det DPhi^i|, then the rounding allowances of the last two."""
-
-    index: Tuple[int, int]
-    drift: float
-    push: float
-    push_over_det: float
-    push_noise: float
-    det_noise: float
-
-
 def _pair_measurements(
-    coc: MatrixCocycle, frames: List[HyperbolicFrame], index: Tuple[int, int]
-) -> _PairMeasurement:
-    """The measurements at ``index`` = (i, k).  A singular DPhi^i leaves the
+    coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
+) -> Tuple[float, float, float, float, float]:
+    """The measured left sides of pair (i, k) -- the drift |e_k - e_i|,
+    |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i| -- then the rounding
+    allowances of the last two.  A singular DPhi^i leaves the
     determinant-normalized rows undefined."""
-    i, k = index
     if coc.log_absdet[i] == float("-inf"):
         raise ZeroDeterminant(f"det DPhi^{i} is zero: determinant-normalized rows undefined")
     drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
     _, log_push = coc.prefix(i).apply(frames[k - 1].e)
     push_noise = ROUNDING_UNIT * _exp(coc.log_norm[i])
     det_noise = ROUNDING_UNIT * _exp(coc.log_norm[i] - coc.log_absdet[i])
-    return _PairMeasurement(
-        index, drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+    return drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+
+
+class _OrderColumns(NamedTuple):
+    """The index tuples of the pairs (1, k) .. (k, k), then their
+    ``_pair_measurements`` over i: the measured left sides as lists, whose
+    float objects the rows of both sweeps hold, and the allowances as arrays."""
+
+    indices: List[Tuple[int, int]]
+    drift: List[float]
+    push: List[float]
+    push_over_det: List[float]
+    push_noise: np.ndarray
+    det_noise: np.ndarray
+
+
+class _Measured:
+    """What both sweeps of one cocycle measure, kept on it (``MatrixCocycle._measured``):
+    the frame directions, the prefix products as one stack, the per-i rounding
+    allowances, the index tuples of every pair and the columns of each order
+    measured so far.  Row i of an array belongs to order or index i."""
+
+    def __init__(self, coc: MatrixCocycle):
+        n = coc.k
+        self.e = np.zeros((n + 1, 2))
+        self.prefix_bodies = np.array([coc.prefix(i).body for i in range(n + 1)])
+        self.prefix_log_scales = np.array([coc.prefix(i).log_scale for i in range(n + 1)])
+        self.log_absdet = np.array(coc.log_absdet)
+        self.push_noise = np.zeros(n + 1)
+        self.det_noise = np.zeros(n + 1)
+        # pair (i, k) sits at k (k - 1) / 2 + i - 1.  The tuples are built
+        # together: those that Python's tuple free list keeps after the
+        # reports are freed then pin one block, not the rows' memory.
+        self.indices = [(i, k) for k in range(1, n + 1) for i in range(1, k + 1)]
+        self.columns: List[_OrderColumns] = []
+
+
+def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
+    """The columns of order k, measured once per cocycle.  Orders are measured
+    in turn, so each finds the frames and allowances of the orders below it;
+    an order that raises is measured again when next asked for."""
+    if coc._measured is None:
+        coc._measured = _Measured(coc)
+    measured = coc._measured
+    while len(measured.columns) < k:
+        measured.columns.append(_order_measurements(coc, len(measured.columns) + 1))
+    return measured.columns[k - 1]
+
+
+def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
+    """``_pair_measurements`` of every pair (i, k) in one array pass over i,
+    bit for bit.  Raises if one of the pairs would, though not always with
+    the same error."""
+    m = coc._measured
+    m.e[k] = hyperbolic_coordinates(coc, k).e
+    if coc.log_absdet[k] == float("-inf"):
+        raise ZeroDeterminant(f"det DPhi^{k} is zero: determinant-normalized rows undefined")
+    m.push_noise[k] = ROUNDING_UNIT * _exp(coc.log_norm[k])
+    m.det_noise[k] = ROUNDING_UNIT * _exp(coc.log_norm[k] - coc.log_absdet[k])
+    upto = slice(1, k + 1)
+    e_k = m.e[k]
+    minus, plus = e_k - m.e[upto], e_k + m.e[upto]
+    drift = np.minimum(np.sqrt(np.vecdot(minus, minus)), np.sqrt(np.vecdot(plus, plus)))
+    w = np.matmul(m.prefix_bodies[upto], e_k[:, None])
+    push_norms = linalg2.each(math.hypot, w[:, 0, 0], w[:, 1, 0])
+    # a zero image has log norm -inf, as in ScaledMatrix.apply
+    log_push = linalg2.each(lambda x: math.log(x) if x != 0.0 else -math.inf, push_norms)
+    log_push += m.prefix_log_scales[upto]
+    return _OrderColumns(
+        m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
+        drift.tolist(),
+        list(map(math.exp, log_push.tolist())),
+        list(map(math.exp, (log_push - m.log_absdet[upto]).tolist())),
+        m.push_noise[upto],
+        m.det_noise[upto],
     )
 
 
-def _measured_pairs(coc: MatrixCocycle):
-    """A function (i, k) -> ``_pair_measurements`` that measures each pair of
-    ``coc`` once: frames and measurements live on the cocycle, so both sweeps
-    of one orbit share them.  A pair is measured when a sweep first reaches
-    it, so errors arise in the sweep's own order.
-    """
-    if coc._pair_table is None:
-        # pair (i, k) sits in slot k (k - 1) / 2 + i - 1.  The index tuples
-        # are built together: those that Python's tuple free list keeps after
-        # the reports are freed then pin one block, not the rows' memory.
-        indices = [(i, k) for k in range(1, coc.k + 1) for i in range(1, k + 1)]
-        coc._pair_table = (frame_sequence(coc), indices, [None] * len(indices))
-    frames, indices, table = coc._pair_table
-
-    def measured(i: int, k: int) -> _PairMeasurement:
-        slot = k * (k - 1) // 2 + i - 1
-        found = table[slot]
-        if found is None:
-            found = table[slot] = _pair_measurements(coc, frames, indices[slot])
-        return found
-
-    return measured
+def _sweep(n: int, batched_order, per_pair) -> None:
+    """``batched_order(k)`` for k = 1..n.  From the first order whose array
+    pass raises, ``per_pair(i, k)`` builds every remaining pair instead, so
+    the sweep raises what the per-pair functions raise, at their pair."""
+    for k in range(1, n + 1):
+        try:
+            batched_order(k)
+        except (HypcoordsError, ArithmeticError):
+            for k_rest in range(k, n + 1):
+                for i in range(1, k_rest + 1):
+                    per_pair(i, k_rest)
+            return
 
 
-def _apriori_rows(
-    rep: BoundReport, coc: MatrixCocycle, measured: _PairMeasurement,
-    ct: float, drift_sum: float, det_drift_sum: float, tail: float, det_tail_sum: float,
-    block_log_norm: float,
-) -> None:
-    """The seven a-priori rows of one pair, given its ``_pair_measurements``,
-    ctilde(k), the four sums over j = i..k-1 and the log-norm of block(i, k)."""
-    index, drift, push, push_over_det, push_noise, det_noise = measured
-    i, k = index
-    norm_i = _exp(coc.log_norm[i])
-    conorm_i = _exp(coc.log_conorm[i])
+_APRIORI_CHECKS = (
+    "frame_drift_sum",
+    "pushforward_norm_sum",
+    "det_normalized_sum",
+    "frame_drift_tail",
+    "pushforward_norm_tail",
+    "det_normalized_tail",
+    "frame_drift_quotient",
+)
 
-    rep.add("frame_drift_sum", index, drift, ct * drift_sum, abs_tol=ROUNDING_UNIT)
-    rep.add(
-        "pushforward_norm_sum",
-        index,
-        push,
-        conorm_i + ct * norm_i * drift_sum,
-        abs_tol=push_noise,
+
+def _apriori_sides(measured, ct, norm, conorm, inv_norm, sums, quotient):
+    """Left sides, right sides and allowances of the seven a-priori rows, in
+    row order, for one pair (floats) or for the pairs of one order (arrays
+    over i).  ``measured`` is ``_pair_measurements``, ``sums`` the drift,
+    determinant drift, tail and determinant tail sums over j = i..k-1 and
+    ``quotient`` the direct alternative before its factor ctilde."""
+    drift, push, push_over_det, push_noise, det_noise = measured
+    drift_sum, det_drift_sum, tail, det_tail_sum = sums
+    lhs = (drift, push, push_over_det) * 2 + (drift,)
+    rhs = (
+        ct * drift_sum,
+        conorm + ct * norm * drift_sum,
+        inv_norm + ct * norm * det_drift_sum,
+        tail * ct,
+        conorm + norm * tail * ct,
+        inv_norm + ct * norm * det_tail_sum,
+        ct * quotient,
     )
-    rep.add(
-        "det_normalized_sum",
-        index,
-        push_over_det,
-        1.0 / norm_i + ct * norm_i * det_drift_sum,
-        abs_tol=det_noise,
-    )
-
-    rep.add("frame_drift_tail", index, drift, tail * ct, abs_tol=ROUNDING_UNIT)
-    rep.add(
-        "pushforward_norm_tail",
-        index,
-        push,
-        conorm_i + norm_i * tail * ct,
-        abs_tol=push_noise,
-    )
-    rep.add(
-        "det_normalized_tail",
-        index,
-        push_over_det,
-        1.0 / norm_i + ct * norm_i * det_tail_sum,
-        abs_tol=det_noise,
-    )
-
-    quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
-    rep.add("frame_drift_quotient", index, drift, ct * quotient, abs_tol=ROUNDING_UNIT)
+    abs_tol = (ROUNDING_UNIT, push_noise, det_noise) * 2 + (ROUNDING_UNIT,)
+    return lhs, rhs, abs_tol
 
 
 def verify_apriori_convergence(
@@ -323,12 +388,20 @@ def verify_apriori_convergence(
     if not 1 <= i <= k <= coc.k:
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
     rep = report if report is not None else BoundReport("apriori_convergence", tol)
-    _apriori_rows(
-        rep, coc, _pair_measurements(coc, frame_sequence(coc, k), (i, k)), ctilde(coc, k),
+    measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
+    ct = ctilde(coc, k)
+    sums = (
         _drift_sum(coc, i, k), _det_drift_sum(coc, i, k),
         tail_T(coc, i, k), _det_tail_sum(coc, i, k),
-        norm_conorm_det(coc.block(i, k)).log_norm,
     )
+    block_log_norm = norm_conorm_det(coc.block(i, k)).log_norm
+    norm_i = _exp(coc.log_norm[i])
+    conorm_i = _exp(coc.log_conorm[i])
+    inv_norm_i = 1.0 / norm_i
+    quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
+    sides = _apriori_sides(measured, ct, norm_i, conorm_i, inv_norm_i, sums, quotient)
+    for check, lhs, rhs, abs_tol in zip(_APRIORI_CHECKS, *sides):
+        rep.add(check, (i, k), lhs, rhs, abs_tol=abs_tol)
     return rep
 
 
@@ -338,47 +411,76 @@ def verify_apriori_all(
     """Drift bounds over every pair 1 <= i <= k <= length, in one O(k^2) sweep.
 
     Rows come k outer, i inner, and equal those of
-    ``verify_apriori_convergence`` bit for bit: from k - 1 to k, each i < k
-    carries block(i, k - 1) and its four sums forward by step j = k - 1, with
-    the products and left-to-right additions the per-pair function performs,
-    and ctilde is a running max over orders.  State is one block and four
-    sums per i.  Degenerate input raises what the per-pair loop raises, in
-    the same order: NoHyperbolicCoordinates for a near-conformal order (the
-    frames come first, so the DegenerateCoeccentricity of ``ctilde``, on the
-    same threshold, is never reached), then DegenerateStep at step k - 1,
-    then ZeroMatrix from a block norm.
+    ``verify_apriori_convergence`` bit for bit.  Each order k is one array
+    pass over i = 1..k: one matmul carries the stack of blocks block(i, k - 1)
+    forward by step k - 1, the four sums take their j = k - 1 terms by
+    elementwise ``+=``, and the measured left sides are the order's columns,
+    which ``verify_explicit_convergence`` reads too.  Every array operation
+    rounds as its scalar counterpart in the per-pair function; logs, hypots
+    and exponentials are taken per element with ``math``.  ctilde is a
+    running max over orders, and norm, co-norm and 1/norm of order i are
+    formed once.  An order whose pass meets a term that would raise (a
+    near-conformal order, a zero determinant or block, a degenerate step, a
+    term beyond the double range) and every order after it are built pair by
+    pair through ``verify_apriori_convergence``, which raises its own error
+    at its own pair.
     """
     coc = cocycle_of(source)
-    measured = _measured_pairs(coc)
     rep = BoundReport("apriori_convergence", tol)
     n = coc.k
     # slot i holds the state of pair (i, k) once the sweep has reached k
-    blocks = [ScaledMatrix.identity()] * (n + 1)
-    drift_sums = [0.0] * (n + 1)
-    det_drift_sums = [0.0] * (n + 1)
-    tails = [0.0] * (n + 1)
-    det_tail_sums = [0.0] * (n + 1)
+    blocks = np.tile(np.eye(2), (n + 1, 1, 1))
+    block_log_scales = np.zeros(n + 1)
+    sums = np.zeros((4, n + 1))  # drift, det drift, tail, det tail
+    norm, conorm, inv_norm = np.zeros((3, n + 1))
+    log_norm = np.array(coc.log_norm)
+    log_coecc = np.array(coc.log_conorm) - log_norm
+    log_absdet = np.array(coc.log_absdet)
     worst = 0.0
-    for k in range(1, n + 1):
+
+    @np.errstate(all="ignore")  # overflow to inf, as on Python floats
+    def order(k: int) -> None:
+        nonlocal worst
         worst = max(worst, _ctilde_sq_term(coc, k))
         ct = math.sqrt(worst)
-        j = k - 1
+        columns = _measured(coc, k)
+        norm[k] = norm_k = _exp(coc.log_norm[k])
+        conorm[k] = _exp(coc.log_conorm[k])
+        inv_norm[k] = 1.0 / norm_k
         if k > 1:
-            step = ScaledMatrix.from_matrix(coc.steps[j])
-            drift_term = _drift_term(coc, j)
-            tail_term = _tail_term(coc, j)
-        for i in range(1, k + 1):
-            if i < k:
-                blocks[i] = step @ blocks[i]
-                drift_sums[i] += drift_term
-                det_drift_sums[i] += _det_drift_term(coc, i, j)
-                tails[i] += tail_term
-                det_tail_sums[i] += _det_tail_term(coc, i, j)
-            _apriori_rows(
-                rep, coc, measured(i, k), ct,
-                drift_sums[i], det_drift_sums[i], tails[i], det_tail_sums[i],
-                norm_conorm_det(blocks[i]).log_norm,
+            j = k - 1
+            before = slice(1, k)
+            step = coc.scaled_steps[j]
+            bodies, scales, peak = normalize_stack(
+                np.matmul(step.body, blocks[before]), step.log_scale + block_log_scales[before]
             )
+            if not peak.all():
+                raise ZeroMatrix(f"a block ending at step {j} is the zero matrix")
+            blocks[before], block_log_scales[before] = bodies, scales
+            det_ratio = log_absdet[j] - log_absdet[before]
+            sums[0, before] += _drift_term(coc, j)
+            sums[1, before] += linalg2.each(
+                math.exp, det_ratio + coc.step_log_norm[j] - coc.log_norm[j] - coc.log_norm[j + 1]
+            )
+            sums[2, before] += _tail_term(coc, j)
+            sums[3, before] += linalg2.each(
+                math.exp, det_ratio - 2.0 * coc.log_norm[j] - _one_step_log_coecc(coc, j)
+            )
+        upto = slice(1, k + 1)
+        smax = linalg2.svd2_closed_array(*blocks[upto].reshape(-1, 4).T).smax
+        block_log_norm = linalg2.each(math.log, smax) + block_log_scales[upto]
+        quotient = linalg2.each(
+            math.exp, log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
+        )
+        sides = _apriori_sides(
+            columns[1:], ct, norm[upto], conorm[upto], inv_norm[upto], sums[:, upto], quotient
+        )
+        rep.add_pairs(_APRIORI_CHECKS, columns.indices, *sides)
+
+    def pair(i: int, k: int) -> None:
+        verify_apriori_convergence(coc, i, k, report=rep)
+
+    _sweep(n, order, pair)
     return rep
 
 
@@ -418,24 +520,39 @@ def verify_consecutive_rotation(
     return rep
 
 
-def _envelope_rows_one(rep, ledger, aux, index, drift, push, push_det, push_noise, det_noise):
-    i = index[0]
-    r1 = ledger.Gamma * ledger.Gamma_tilde * ledger.c / ledger.lam
-    rep.add("frame_drift_envelope_I", index, drift, aux.Q1 * r1**i, abs_tol=ROUNDING_UNIT)
-    r2 = ledger.Gamma * r1
-    rep.add("pushforward_envelope_I", index, push, aux.Q1 * r2**i, abs_tol=push_noise)
-    r3 = ledger.Gamma * ledger.Gamma_tilde / (ledger.lam * ledger.lam)
-    rep.add("det_normalized_envelope_I", index, push_det, aux.Q2 * r3**i, abs_tol=det_noise)
+def _envelope_rates(
+    ledger: ConstantsLedger, aux: AuxiliaryConstants
+) -> List[Tuple[str, float, float]]:
+    """(check, Q, r) of each envelope row of a pair, in row order: the
+    drift, pushforward and determinant-normalized rows of type I, then of
+    type II, as the flavor has them.  The right side at index i is Q r^i."""
+    rates = []
+    if ledger.flavor.has_type_one:
+        r1 = ledger.Gamma * ledger.Gamma_tilde * ledger.c / ledger.lam
+        rates += [
+            ("frame_drift_envelope_I", aux.Q1, r1),
+            ("pushforward_envelope_I", aux.Q1, ledger.Gamma * r1),
+            ("det_normalized_envelope_I", aux.Q2,
+             ledger.Gamma * ledger.Gamma_tilde / (ledger.lam * ledger.lam)),
+        ]
+    if ledger.flavor.has_type_two:
+        r1 = ledger.c / ledger.c_tilde
+        rates += [
+            ("frame_drift_envelope_II", aux.Qt1, r1),
+            ("pushforward_envelope_II", aux.Qt1, ledger.Gamma * r1),
+            ("det_normalized_envelope_II", aux.Qt2,
+             ledger.Gamma / (ledger.lam * ledger.lam * ledger.c_tilde)),
+        ]
+    return rates
 
 
-def _envelope_rows_two(rep, ledger, aux, index, drift, push, push_det, push_noise, det_noise):
-    i = index[0]
-    r1 = ledger.c / ledger.c_tilde
-    rep.add("frame_drift_envelope_II", index, drift, aux.Qt1 * r1**i, abs_tol=ROUNDING_UNIT)
-    r2 = ledger.Gamma * r1
-    rep.add("pushforward_envelope_II", index, push, aux.Qt1 * r2**i, abs_tol=push_noise)
-    r3 = ledger.Gamma / (ledger.lam * ledger.lam * ledger.c_tilde)
-    rep.add("det_normalized_envelope_II", index, push_det, aux.Qt2 * r3**i, abs_tol=det_noise)
+def _envelope_rows(rep: BoundReport, rates, index: Tuple[int, int], measured) -> None:
+    """The envelope rows of one pair, given its ``_pair_measurements``."""
+    drift, push, push_over_det, push_noise, det_noise = measured
+    lhs = itertools.cycle((drift, push, push_over_det))
+    abs_tol = itertools.cycle((ROUNDING_UNIT, push_noise, det_noise))
+    for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
+        rep.add(check, index, lhs_value, q * r ** index[0], abs_tol=tol_value)
 
 
 def verify_explicit_convergence(
@@ -447,6 +564,11 @@ def verify_explicit_convergence(
     """Certificate-powered geometric envelopes over every (i, k) pair.
 
     Raises CertificateRequired unless the per-index certificate passes.
+    Rows come k outer, i inner, and equal those of ``_envelope_rows`` pair
+    by pair.  Each order k is one pass over i = 1..k that reads the order's
+    measured columns, shared with ``verify_apriori_all``, and the right
+    sides Q r^i, each formed once.  As there, an order whose pass raises and
+    every order after it are built pair by pair.
     """
     cert = check_quasi_hyperbolic(orbit, ledger)
     if not cert.verdict:
@@ -455,15 +577,25 @@ def verify_explicit_convergence(
     if aux is None:
         aux = auxiliary_constants(ledger)
     coc = orbit.cocycle
-    measured = _measured_pairs(coc)
+    rates = _envelope_rates(ledger, aux)
+    checks = tuple(check for check, _, _ in rates)
+    types = len(rates) // 3
+    envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
     rep = BoundReport("explicit_convergence", tol)
-    for k in range(1, coc.k + 1):
-        for i in range(1, k + 1):
-            pair = measured(i, k)
-            if ledger.flavor.has_type_one:
-                _envelope_rows_one(rep, ledger, aux, *pair)
-            if ledger.flavor.has_type_two:
-                _envelope_rows_two(rep, ledger, aux, *pair)
+
+    @np.errstate(all="ignore")
+    def order(k: int) -> None:
+        columns = _measured(coc, k)
+        envelopes[:, k] = [q * r**k for _, q, r in rates]
+        rep.add_pairs(
+            checks, columns.indices, columns[1:4] * types, envelopes[:, 1 : k + 1],
+            ((ROUNDING_UNIT,) + columns[4:]) * types,
+        )
+
+    def pair(i: int, k: int) -> None:
+        _envelope_rows(rep, rates, (i, k), _pair_measurements(coc, frame_sequence(coc, k), i, k))
+
+    _sweep(coc.k, order, pair)
     return rep
 
 
@@ -734,7 +866,7 @@ def _contracted_images(coc: MatrixCocycle, e: np.ndarray, k: int) -> List[Tuple[
     w, w_log = np.array([-u1[1], u1[0]]), 0.0
     images = [(w, w_log)]
     for j in range(k - 1, -1, -1):
-        step = ScaledMatrix.from_matrix(coc.steps[j])
+        step = coc.scaled_steps[j]
         (a, b), (c, d) = step.body.tolist()
         adj_w = np.array([d * w[0] - b * w[1], a * w[1] - c * w[0]])  # det(body) body^-1 w
         n = math.hypot(float(adj_w[0]), float(adj_w[1]))
@@ -802,7 +934,7 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
         log_ff.append(
             (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
         )
-        step = ScaledMatrix.from_matrix(coc.steps[i])
+        step = coc.scaled_steps[i]
         de_vec, de_log = _push_tangent(step, de_vec, de_log, d2e, w_log + e_log)
         df_vec, df_log = _push_tangent(step, df_vec, df_log, d2f, w_log + f_log)
 

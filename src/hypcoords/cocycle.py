@@ -140,17 +140,19 @@ class MatrixCocycle:
 
     Index convention: ``prefix(i)`` represents the product of steps
     0..i-1 (the i-step derivative at the base point); ``prefix(0)`` is the
-    identity.  Per-order norm data is precomputed in log form.
+    identity.  Each step is normalized once (``scaled_steps``); per-order
+    norm data is precomputed in log form.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
         if len(steps) == 0:
             raise ValueError("cocycle needs at least one step matrix")
         self.steps: List[np.ndarray] = [np.array(s, dtype=float) for s in steps]
+        self.scaled_steps = [ScaledMatrix.from_matrix(s) for s in self.steps]
         self.k = len(self.steps)
         prefixes = [ScaledMatrix.identity()]
-        for s in self.steps:
-            prefixes.append(ScaledMatrix.from_matrix(s) @ prefixes[-1])
+        for s in self.scaled_steps:
+            prefixes.append(s @ prefixes[-1])
         self._prefix = prefixes
 
         self.step_log_absdet = [_log_abs_det(s) for s in self.steps]
@@ -181,8 +183,8 @@ class MatrixCocycle:
             self.log_norm.append(log_norm)
             self.log_conorm.append(self.log_absdet[i] - log_norm)
 
-        # frames and per-pair measurements, filled by bounds on first use
-        self._pair_table = None
+        # frames and per-order measurements, filled by bounds on first use
+        self._measured = None
 
     def prefix(self, i: int) -> ScaledMatrix:
         if not 0 <= i <= self.k:
@@ -196,8 +198,8 @@ class MatrixCocycle:
         if i == 0:
             return self._prefix[j]
         out = ScaledMatrix.identity()
-        for m in self.steps[i:j]:
-            out = ScaledMatrix.from_matrix(m) @ out
+        for m in self.scaled_steps[i:j]:
+            out = m @ out
         return out
 
     def log_coecc(self, i: int) -> float:

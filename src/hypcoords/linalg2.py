@@ -47,8 +47,13 @@ def svd2_closed(a: float, b: float, c: float, d: float) -> Svd2:
     return Svd2(q + r, abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
 
 
-def _each(fn, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, u.tolist(), v.tolist()), float, len(u))
+def each(fn, *arrays: np.ndarray) -> np.ndarray:
+    """fn over the elements of equal-length 1-d arrays, called on Python floats.
+
+    For the ``math`` functions whose numpy counterparts differ in the last
+    bit on some inputs (hypot, atan2, log, exp).
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
 def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> Svd2:
@@ -62,11 +67,11 @@ def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
     f = 0.5 * (a - d)
     g = 0.5 * (c + b)
     h = 0.5 * (c - b)
-    q = _each(math.hypot, e, h)
-    r = _each(math.hypot, f, g)
+    q = each(math.hypot, e, h)
+    r = each(math.hypot, f, g)
     s2 = q - r
-    a1 = _each(math.atan2, g, f)
-    a2 = _each(math.atan2, h, e)
+    a1 = each(math.atan2, g, f)
+    a2 = each(math.atan2, h, e)
     sign = (s2 > 0.0).astype(float) - (s2 < 0.0)
     return Svd2(q + r, np.abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
 

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import bounds
-from hypcoords.certificate import Flavor, fit_constants
-from hypcoords.cocycle import MatrixCocycle, compute_orbit
+from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
+from hypcoords.cocycle import MatrixCocycle, OrbitSegment, compute_orbit
 from hypcoords.errors import (
+    BoundOverflow,
     CertificateRequired,
     DegenerateCoeccentricity,
     DegenerateStep,
     HypcoordsError,
+    Infeasible,
     NoHyperbolicCoordinates,
+    ZeroDeterminant,
 )
 from hypcoords.hypframe import frame_sequence, hyperbolic_coordinates
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
@@ -140,24 +143,73 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _first_failing_pair(coc):
+    for k in range(1, coc.k + 1):
+        for i in range(1, k + 1):
+            try:
+                bounds.verify_apriori_convergence(coc, i, k)
+            except HypcoordsError:
+                return i, k
+    return None
+
+
+# 0.1 * 0.6 == 0.3 * 0.2 in doubles, so det is 0, while the closed-form SVD
+# leaves a co-norm of 5.6e-17 and the one-step co-eccentricity nonzero
+_FLOAT_SINGULAR = np.array([[0.1, 0.3], [0.2, 0.6]])
+# DPhi^2 of norm exp(-350): the determinant drift term at (2, 2) is 1e304,
+# and the determinant tail term, larger by the step's 1e10 distortion, overflows
+_TINY = math.exp(-350.0) / 2.0
+
+
+# (steps, error, first failing pair) of inputs on which both paths raise
+_RAISING = [
+    # step 1 is singular: its one-step co-eccentricity vanishes
+    (
+        [np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 0.5])],
+        DegenerateStep,
+        (1, 2),
+    ),
+    # conformal products: the frame check, with the same threshold as
+    # ctilde's DegenerateCoeccentricity, fires first on both paths
+    ([_rotation(0.3), _rotation(0.7)], NoHyperbolicCoordinates, (1, 1)),
+    # a singular step after regular ones: det DPhi^3 is zero
+    (
+        [np.diag([2.0, 0.5]), np.diag([3.0, 0.4]), _FLOAT_SINGULAR, np.diag([2.0, 0.5])],
+        ZeroDeterminant,
+        (3, 3),
+    ),
+    # |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2 = exp(919.6) in _det_drift_term
+    (
+        [np.diag([2.0, 0.5]), np.diag([1e-200, 1e-201]), np.diag([1e150, 1e149])],
+        BoundOverflow,
+        (2, 3),
+    ),
+    # exp(723.0) in _det_tail_term, after a finite _det_drift_term
+    (
+        [np.diag([2.0, 0.5]), np.diag([_TINY, _TINY / 10.0]), np.diag([1e10, 1.0])],
+        BoundOverflow,
+        (2, 3),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "steps, expected",
-    [
-        # step 1 is singular: its one-step co-eccentricity vanishes
-        (
-            [np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 0.5])],
-            DegenerateStep,
-        ),
-        # conformal products: the frame check, with the same threshold as
-        # ctilde's DegenerateCoeccentricity, fires first on both paths
-        ([_rotation(0.3), _rotation(0.7)], NoHyperbolicCoordinates),
-    ],
+    "steps, expected, pair",
+    [pytest.param(*case, id=f"steps{n}-{case[1].__name__}") for n, case in enumerate(_RAISING)],
 )
-def test_apriori_sweep_raises_like_per_pair(steps, expected):
+def test_apriori_sweep_raises_like_per_pair(steps, expected, pair):
     coc = MatrixCocycle(steps)
+    assert _first_failing_pair(coc) == pair
     outcome = _sweep_outcome(coc)
     assert outcome[0] is expected
     assert outcome == _per_pair_outcome(coc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_apriori_sweep_equals_per_pair_on_random_cocycles(seed):
+    coc = random_cocycle(np.random.default_rng(seed), max_len=12)
+    assert _sweep_outcome(coc) == _per_pair_outcome(coc)
 
 
 def test_consecutive_rotation_henon_and_random(henon_orbit20):
@@ -195,6 +247,47 @@ def test_explicit_convergence_requires_certificate(henon_orbit20):
     corrupted = ledger.with_c(ledger.c / 100.0)  # below the true decay rate
     with pytest.raises(CertificateRequired):
         bounds.verify_explicit_convergence(henon_orbit20, corrupted)
+
+
+def _explicit_per_pair(orbit, ledger):
+    """verify_explicit_convergence's rows, pair by pair from scratch."""
+    coc = orbit.cocycle
+    rates = bounds._envelope_rates(ledger, auxiliary_constants(ledger))
+    rep = bounds.BoundReport("explicit_convergence", bounds.DEFAULT_REL_TOL)
+    for k in range(1, coc.k + 1):
+        frames = frame_sequence(coc, k)
+        for i in range(1, k + 1):
+            bounds._envelope_rows(rep, rates, (i, k), bounds._pair_measurements(coc, frames, i, k))
+    return _exact_rows(rep)
+
+
+def _fitted_random_orbits(flavor, count):
+    """Random cocycles, as orbit segments with zero second partials, that
+    admit a ``flavor`` ledger, with the ledger."""
+    rng = np.random.default_rng(31)
+    spec = linear(m11=2.0, m22=0.5)
+    found = []
+    while len(found) < count:
+        coc = random_cocycle(rng)
+        orbit = OrbitSegment(spec, np.zeros((coc.k + 1, 2)), [(np.zeros((2, 2)),) * 2] * coc.k, coc)
+        try:
+            found.append((orbit, fit_constants(orbit, flavor, 1.05)))
+        except Infeasible:
+            pass
+    return found
+
+
+@pytest.mark.parametrize("flavor", [Flavor.SINGULAR_I, Flavor.SINGULAR_II, Flavor.SINGULAR_BOTH])
+def test_explicit_sweep_equals_per_pair(flavor, henon, diag_orbit):
+    # a fresh Henon orbit, so that this sweep measures the pairs itself
+    fixtures = [compute_orbit(henon, HENON_FIXTURE, 20), diag_orbit]
+    cases = [(orbit, fit_constants(orbit, flavor, 1.05)) for orbit in fixtures]
+    cases += _fitted_random_orbits(flavor, 5)
+    for orbit, ledger in cases:
+        rows = _exact_rows(bounds.verify_explicit_convergence(orbit, ledger))
+        per_pair = 6 if flavor is Flavor.SINGULAR_BOTH else 3
+        assert len(rows) == per_pair * orbit.k * (orbit.k + 1) // 2
+        assert rows == _explicit_per_pair(orbit, ledger)
 
 
 def test_geometric_tail_dominates_finite_sums(henon_orbit20):
@@ -689,3 +782,13 @@ def test_library_calls_end_in_typed_error_or_nan_free_result(steps):
     for verify in (bounds.verify_apriori_all, bounds.verify_consecutive_rotation):
         report = outcome(lambda: verify(coc))
         assert report is None or _nan_free_report(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fuzz_steps(), min_size=1, max_size=6))
+def test_apriori_sweep_equals_per_pair_on_fuzzed_steps(steps):
+    try:
+        coc = MatrixCocycle(steps)
+    except HypcoordsError:
+        return
+    assert _sweep_outcome(coc) == _per_pair_outcome(coc)

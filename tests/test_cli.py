@@ -663,12 +663,14 @@ def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(bounds, "_pair_measurements", counted("pairs", bounds._pair_measurements))
-    monkeypatch.setattr(bounds, "frame_sequence", counted("frames", bounds.frame_sequence))
+    for name in ("_order_measurements", "_pair_measurements", "hyperbolic_coordinates",
+                 "frame_sequence"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
-    # both sweeps read every pair 1 <= i <= k <= 20, from one table
-    assert calls == {"pairs": 20 * 21 // 2, "frames": 1}
+    # each order k <= 20 and its frame are measured once, for both sweeps;
+    # nothing goes pair by pair
+    assert calls == {"_order_measurements": 20, "hyperbolic_coordinates": 20}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair
