@@ -295,8 +295,14 @@ def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
 
 def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     """``_pair_measurements`` of every pair (i, k) in one array pass over i,
-    bit for bit.  Raises if one of the pairs would, though not always with
-    the same error."""
+    bit for bit.
+
+    Raises what the first of those pairs to fail raises.  The terms of
+    index i < k that can fail (the allowances, a zero determinant) were
+    taken at order i; the terms of index k come in the per-pair order.  The
+    pushes |DPhi^i e_k| of i < k stay below |DPhi^i|, whose exponential was
+    taken at order i, up to an ulp at the edge of the double range.
+    """
     m = coc._measured
     m.e[k] = hyperbolic_coordinates(coc, k).e
     if coc.log_absdet[k] == float("-inf"):
@@ -305,8 +311,12 @@ def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     m.det_noise[k] = ROUNDING_UNIT * _exp(coc.log_norm[k] - coc.log_absdet[k])
     upto = slice(1, k + 1)
     e_k = m.e[k]
-    minus, plus = e_k - m.e[upto], e_k + m.e[upto]
-    drift = np.minimum(np.sqrt(np.vecdot(minus, minus)), np.sqrt(np.vecdot(plus, plus)))
+    # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
+    # each row; a*a + b*b and einsum round differently
+    drift = np.minimum(*(
+        np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        for d in (e_k - m.e[upto], e_k + m.e[upto])
+    ))
     w = np.matmul(m.prefix_bodies[upto], e_k[:, None])
     push_norms = linalg2.each(math.hypot, w[:, 0, 0], w[:, 1, 0])
     # a zero image has log norm -inf, as in ScaledMatrix.apply
@@ -315,25 +325,11 @@ def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     return _OrderColumns(
         m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
         drift.tolist(),
-        list(map(math.exp, log_push.tolist())),
-        list(map(math.exp, (log_push - m.log_absdet[upto]).tolist())),
+        list(map(_exp, log_push.tolist())),
+        list(map(_exp, (log_push - m.log_absdet[upto]).tolist())),
         m.push_noise[upto],
         m.det_noise[upto],
     )
-
-
-def _sweep(n: int, batched_order, per_pair) -> None:
-    """``batched_order(k)`` for k = 1..n.  From the first order whose array
-    pass raises, ``per_pair(i, k)`` builds every remaining pair instead, so
-    the sweep raises what the per-pair functions raise, at their pair."""
-    for k in range(1, n + 1):
-        try:
-            batched_order(k)
-        except (HypcoordsError, ArithmeticError):
-            for k_rest in range(k, n + 1):
-                for i in range(1, k_rest + 1):
-                    per_pair(i, k_rest)
-            return
 
 
 _APRIORI_CHECKS = (
@@ -477,10 +473,16 @@ def verify_apriori_all(
         )
         rep.add_pairs(_APRIORI_CHECKS, columns.indices, *sides)
 
-    def pair(i: int, k: int) -> None:
-        verify_apriori_convergence(coc, i, k, report=rep)
-
-    _sweep(n, order, pair)
+    for k in range(1, n + 1):
+        try:
+            order(k)
+        except (HypcoordsError, ArithmeticError):
+            # the pass takes ctilde before the frames and the sums' terms by
+            # raw math.exp, so the error would not always be the reference's
+            for k_rest in range(k, n + 1):
+                for i in range(1, k_rest + 1):
+                    verify_apriori_convergence(coc, i, k_rest, report=rep)
+            break
     return rep
 
 
@@ -546,15 +548,6 @@ def _envelope_rates(
     return rates
 
 
-def _envelope_rows(rep: BoundReport, rates, index: Tuple[int, int], measured) -> None:
-    """The envelope rows of one pair, given its ``_pair_measurements``."""
-    drift, push, push_over_det, push_noise, det_noise = measured
-    lhs = itertools.cycle((drift, push, push_over_det))
-    abs_tol = itertools.cycle((ROUNDING_UNIT, push_noise, det_noise))
-    for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
-        rep.add(check, index, lhs_value, q * r ** index[0], abs_tol=tol_value)
-
-
 def verify_explicit_convergence(
     orbit: OrbitSegment,
     ledger: ConstantsLedger,
@@ -564,11 +557,13 @@ def verify_explicit_convergence(
     """Certificate-powered geometric envelopes over every (i, k) pair.
 
     Raises CertificateRequired unless the per-index certificate passes.
-    Rows come k outer, i inner, and equal those of ``_envelope_rows`` pair
-    by pair.  Each order k is one pass over i = 1..k that reads the order's
-    measured columns, shared with ``verify_apriori_all``, and the right
-    sides Q r^i, each formed once.  As there, an order whose pass raises and
-    every order after it are built pair by pair.
+    Rows come k outer, i inner: at pair (i, k), for each row of
+    ``_envelope_rates``, the measured left side of ``_pair_measurements``
+    against Q r^i.  Each order k is one pass over i = 1..k that reads the
+    order's measured columns, shared with ``verify_apriori_all``, and the
+    right sides Q r^i, each formed once.  An order that raises raises what
+    the first pair to fail raises when its rows are built pair by pair:
+    Q r^k comes after the measurements of order k, as at pair (k, k).
     """
     cert = check_quasi_hyperbolic(orbit, ledger)
     if not cert.verdict:
@@ -582,20 +577,14 @@ def verify_explicit_convergence(
     types = len(rates) // 3
     envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
     rep = BoundReport("explicit_convergence", tol)
-
-    @np.errstate(all="ignore")
-    def order(k: int) -> None:
-        columns = _measured(coc, k)
-        envelopes[:, k] = [q * r**k for _, q, r in rates]
-        rep.add_pairs(
-            checks, columns.indices, columns[1:4] * types, envelopes[:, 1 : k + 1],
-            ((ROUNDING_UNIT,) + columns[4:]) * types,
-        )
-
-    def pair(i: int, k: int) -> None:
-        _envelope_rows(rep, rates, (i, k), _pair_measurements(coc, frame_sequence(coc, k), i, k))
-
-    _sweep(coc.k, order, pair)
+    with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+        for k in range(1, coc.k + 1):
+            columns = _measured(coc, k)
+            envelopes[:, k] = [q * r**k for _, q, r in rates]
+            rep.add_pairs(
+                checks, columns.indices, columns[1:4] * types, envelopes[:, 1 : k + 1],
+                ((ROUNDING_UNIT,) + columns[4:]) * types,
+            )
     return rep
 
 

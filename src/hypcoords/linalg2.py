@@ -12,7 +12,7 @@ construction.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,13 +47,17 @@ def svd2_closed(a: float, b: float, c: float, d: float) -> Svd2:
     return Svd2(q + r, abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
 
 
-def each(fn, *arrays: np.ndarray) -> np.ndarray:
-    """fn over the elements of equal-length 1-d arrays, called on Python floats.
+def each(fn, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """fn over the elements of a 1-d array, or of two of equal length, called
+    on Python floats.
 
     For the ``math`` functions whose numpy counterparts differ in the last
-    bit on some inputs (hypot, atan2, log, exp).
+    bit on some inputs (hypot, atan2, log, exp).  Two fixed arguments rather
+    than ``*arrays``, which costs about a microsecond more per call.
     """
-    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+    if v is None:
+        return np.fromiter(map(fn, u.tolist()), float, len(u))
+    return np.fromiter(map(fn, u.tolist(), v.tolist()), float, len(u))
 
 
 def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> Svd2:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,15 @@ def test_explicit_convergence_requires_certificate(henon_orbit20):
         bounds.verify_explicit_convergence(henon_orbit20, corrupted)
 
 
+def _envelope_rows(rep, rates, index, measured):
+    """The envelope rows of one pair, given its ``_pair_measurements``."""
+    drift, push, push_over_det, push_noise, det_noise = measured
+    lhs = itertools.cycle((drift, push, push_over_det))
+    abs_tol = itertools.cycle((bounds.ROUNDING_UNIT, push_noise, det_noise))
+    for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
+        rep.add(check, index, lhs_value, q * r ** index[0], abs_tol=tol_value)
+
+
 def _explicit_per_pair(orbit, ledger):
     """verify_explicit_convergence's rows, pair by pair from scratch."""
     coc = orbit.cocycle
@@ -257,7 +267,7 @@ def _explicit_per_pair(orbit, ledger):
     for k in range(1, coc.k + 1):
         frames = frame_sequence(coc, k)
         for i in range(1, k + 1):
-            bounds._envelope_rows(rep, rates, (i, k), bounds._pair_measurements(coc, frames, i, k))
+            _envelope_rows(rep, rates, (i, k), bounds._pair_measurements(coc, frames, i, k))
     return _exact_rows(rep)
 
 
@@ -792,3 +802,35 @@ def test_apriori_sweep_equals_per_pair_on_fuzzed_steps(steps):
     except HypcoordsError:
         return
     assert _sweep_outcome(coc) == _per_pair_outcome(coc)
+
+
+def _measurement_outcome(measure):
+    try:
+        return [tuple(map(repr, values)) for values in measure()]
+    except (HypcoordsError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fuzz_steps(), min_size=1, max_size=6))
+def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
+    # verify_explicit_convergence reads these columns and has no per-pair
+    # path, so the batched measurements must raise as the per-pair ones do
+    try:
+        coc = MatrixCocycle(steps)
+    except HypcoordsError:
+        return
+
+    def batched():
+        for k in range(1, coc.k + 1):
+            c = bounds._measured(coc, k)
+            yield from zip(c.indices, c.drift, c.push, c.push_over_det,
+                           c.push_noise.tolist(), c.det_noise.tolist())
+
+    def per_pair():
+        for k in range(1, coc.k + 1):
+            frames = frame_sequence(coc, k)
+            for i in range(1, k + 1):
+                yield ((i, k), *bounds._pair_measurements(coc, frames, i, k))
+
+    assert _measurement_outcome(batched) == _measurement_outcome(per_pair)
