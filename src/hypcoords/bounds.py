@@ -117,9 +117,6 @@ class BoundReport:
     def verdict(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def failures(self) -> List[BoundRow]:
-        return [r for r in self.rows if not r.passed]
-
     def first_failure(self) -> Optional[BoundRow]:
         for r in self.rows:
             if not r.passed:
@@ -463,7 +460,7 @@ def verify_apriori_all(
                 math.exp, det_ratio - 2.0 * coc.log_norm[j] - _one_step_log_coecc(coc, j)
             )
         upto = slice(1, k + 1)
-        smax = linalg2.svd2_closed_array(*blocks[upto].reshape(-1, 4).T).smax
+        smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
         block_log_norm = linalg2.each(math.log, smax) + block_log_scales[upto]
         quotient = linalg2.each(
             math.exp, log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]

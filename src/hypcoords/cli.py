@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -72,24 +73,8 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _json_number(x) -> str:
-    """A float or int spelled as ``json.dump`` spells it."""
-    if isinstance(x, float):
-        if -math.inf < x < math.inf:
-            return float.__repr__(x)
-        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
-    return int.__repr__(x)
-
-
-# One bound-report row: its CSV line, and its JSON object after the opening
-# brace, laid out as json.dump(..., indent=2, sort_keys=True) lays it out
-# inside "checks".
-_CSV_ROW = "%s,%s,%s,%s,%s,%s\n"
-_JSON_ROW = (
-    '\n        "index": [%s],\n        "lhs": %s,\n        "margin": %s,'
-    '\n        "passed": %s,\n        "rhs": %s\n      }'
-)
-_JSON_INDEX_SEP = ",\n          "
+# One bound-report CSV line: the row, then its status
+_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s\n"
 
 
 def _spelled_once(spell, by_id: bool = False):
@@ -117,57 +102,81 @@ def _spelled_once(spell, by_id: bool = False):
     return spelled
 
 
-def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> None:
-    """Stream ``report`` to ``stem``.csv and ``stem``.json, one row at a time.
+class _CheckSummary:
+    """One check's rows, tallied as the CSV is written."""
 
-    The bytes equal those of ``_write_csv`` on the rows (numbers through
-    ``fmt``) and of ``_write_json`` on the report nested by check; the JSON
-    document is never built in memory.  Rows repeat their numbers (a drift
-    is the left side of several checks) and share index tuples, so each file
-    spells each of them once, from a memo kept only while that file is written.
+    __slots__ = ("rows", "failures", "within_rounding", "least", "least_index")
+
+    def __init__(self) -> None:
+        self.rows = self.within_rounding = 0
+        self.failures: List[bounds.BoundRow] = []
+        self.least, self.least_index = math.inf, None  # least finite margin / |rhs|
+
+    def payload(self) -> dict:
+        least = {"index": self.least_index, "value": self.least} if self.least < math.inf else None
+        return {"rows": self.rows, "failed": len(self.failures), "failures": [r._asdict() for r in self.failures],
+                "pass_within_rounding": self.within_rounding, "least_relative_margin": least}
+
+
+def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, _CheckSummary]:
+    """Write ``report`` to ``stem``.csv, row by row, and a summary of each
+    check to ``stem``.json; return the summaries.
+
+    Each CSV row ends with a status: ``fail`` if it did not pass,
+    ``pass_within_rounding`` if it passed only through its absolute
+    allowance (lhs > rhs * (1 + tol)), else ``pass``.  Rows repeat their
+    numbers (a drift is the left side of several checks) and share index
+    tuples, so the CSV spells each of them once, from a memo kept only
+    while the file is written.
     """
     number = _spelled_once(fmt)
     index_text = _spelled_once(lambda index: ":".join(map(str, index)), by_id=True)
-    groups: Dict[str, List[bounds.BoundRow]] = {}
+    limit = 1.0 + report.tol
+    summaries: Dict[str, _CheckSummary] = {}
     with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("check,index,lhs,rhs,margin,passed\n")
+        fh.write("check,index,lhs,rhs,margin,passed,status\n")
         for row in report.rows:
             check, index, lhs, rhs, margin, passed = row
+            summary = summaries.get(check)
+            if summary is None:
+                summary = summaries[check] = _CheckSummary()
+            summary.rows += 1
+            if not passed:
+                status = "fail"
+                summary.failures.append(row)
+            elif lhs > rhs * limit:
+                status = "pass_within_rounding"
+                summary.within_rounding += 1
+            else:
+                status = "pass"
+            if rhs:
+                relative = margin / abs(rhs)
+                if -math.inf < relative < summary.least:
+                    summary.least, summary.least_index = relative, index
             fh.write(_CSV_ROW % (
                 check, index_text(index), number(lhs), number(rhs), number(margin),
-                "1" if passed else "0",
+                "1" if passed else "0", status,
             ))
-            groups.setdefault(check, []).append(row)
-    number = _spelled_once(_json_number)
-    index_text = _spelled_once(
-        lambda index: f"\n          {_JSON_INDEX_SEP.join(map(str, index))}\n        " if index else "",
-        by_id=True,
+    checks = {check: summary.payload() for check, summary in summaries.items()}
+    _write_json(
+        os.path.join(out_dir, stem + ".json"),
+        {"name": report.name, "tol": report.tol, "verdict": report.verdict,
+         "context": report.context, "checks": checks},
     )
-    # sort_keys puts "checks" first, so the rest of the document follows it
-    tail = json.dumps(
-        {"context": report.context, "name": report.name, "tol": report.tol, "verdict": report.verdict},
-        indent=2,
-        sort_keys=True,
-    )
-    with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{\n  "checks": {')
-        sep = "\n    "
-        for check in sorted(groups):
-            fh.write(f"{sep}{json.dumps(check)}: [")
-            lead = "\n      {"
-            for _, index, lhs, rhs, margin, passed in groups[check]:
-                fh.write(lead + _JSON_ROW % (
-                    index_text(index),
-                    number(lhs),
-                    number(margin),
-                    "true" if passed else "false",
-                    number(rhs),
-                ))
-                lead = ",\n      {"
-            fh.write("\n    ]")
-            sep = ",\n    "
-        fh.write("\n  }," if groups else "},")
-        fh.write(tail[1:] + "\n")
+    return summaries
+
+
+def _summary_line(name: str, summaries: Dict[str, _CheckSummary]) -> str:
+    """A written bound report in one line: row counts and the worst margin."""
+    tallies = summaries.values()
+    text = (f"{name}: {sum(s.rows for s in tallies)} rows checked, "
+            f"{sum(len(s.failures) for s in tallies)} failed, "
+            f"{sum(s.within_rounding for s in tallies)} pass_within_rounding, ")
+    worst = min(((s.least, check, s.least_index) for check, s in summaries.items() if s.least < math.inf),
+                default=None)
+    if worst is None:
+        return text + "no finite relative margin"
+    return text + "worst relative margin %.3g (%s at %s)" % worst
 
 
 def write_certificate_report(
@@ -393,22 +402,34 @@ def cmd_aux_constants(args) -> int:
 
 
 def cmd_verify_convergence(args) -> int:
+    stage_times: List[str] = []
+
+    def timed(stage, fn, *fn_args):
+        start = time.perf_counter()
+        result = fn(*fn_args)
+        stage_times.append(f"timing {stage} {time.perf_counter() - start:.6f} s")
+        return result
+
     cfg = _load_config(args.config)
-    spec, orbit = _orbit_from_args(args, cfg)
+    spec, orbit = timed("orbit", _orbit_from_args, args, cfg)
     source = _ledger_source(args, cfg)
     out = _out_dir(args, cfg)
-    apriori = bounds.verify_apriori_all(orbit)
-    write_bound_report(apriori, out, "apriori_convergence")
-    ledger = source(orbit)
-    explicit = bounds.verify_explicit_convergence(orbit, ledger)
-    write_bound_report(explicit, out, "explicit_convergence")
-    for rep in (apriori, explicit):
-        if not rep.verdict:
-            row = rep.first_failure()
-            print(f"{rep.name}: {row.check} fails at {row.index}", file=sys.stderr)
-            return 1
-    print(f"convergence bounds pass over all pairs up to k={orbit.k}")
-    return 0
+    apriori = timed("apriori_sweep", bounds.verify_apriori_all, orbit)
+    summaries = [timed("apriori_write", write_bound_report, apriori, out, "apriori_convergence")]
+    ledger = timed("ledger", source, orbit)
+    explicit = timed("envelope_sweep", bounds.verify_explicit_convergence, orbit, ledger)
+    summaries.append(timed("envelope_write", write_bound_report, explicit, out, "explicit_convergence"))
+    if args.timings:
+        print("\n".join(stage_times), file=sys.stderr)
+    failing = [rep for rep in (apriori, explicit) if not rep.verdict]
+    if failing:
+        row = failing[0].first_failure()
+        print(f"{failing[0].name}: {row.check} fails at {row.index}", file=sys.stderr)
+    else:
+        print(f"convergence bounds pass over all pairs up to k={orbit.k}")
+    for rep, checks in zip((apriori, explicit), summaries):
+        print(_summary_line(rep.name, checks))
+    return 1 if failing else 0
 
 
 def cmd_verify_variation(args) -> int:
@@ -417,13 +438,13 @@ def cmd_verify_variation(args) -> int:
     ledger = _ledger_source(args, cfg)(orbit)
     out = _out_dir(args, cfg)
     report = bounds.verify_slow_variation(orbit, ledger)
-    write_bound_report(report, out, "slow_variation")
-    if not report.verdict:
-        row = report.first_failure()
-        print(f"slow variation: {row.check} fails", file=sys.stderr)
-        return 1
-    print(f"slow-variation chain passes at k={orbit.k}")
-    return 0
+    checks = write_bound_report(report, out, "slow_variation")
+    if report.verdict:
+        print(f"slow-variation chain passes at k={orbit.k}")
+    else:
+        print(f"slow variation: {report.first_failure().check} fails", file=sys.stderr)
+    print(_summary_line(report.name, checks))
+    return 0 if report.verdict else 1
 
 
 def cmd_foliate(args) -> int:
@@ -630,6 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", help="nonsingular, I, II or both")
     p.add_argument("--eta", type=float)
     p.add_argument("--ledger")
+    p.add_argument("--timings", action="store_true", help="write per-stage wall times to stderr")
     p.set_defaults(func=cmd_verify_convergence)
 
     # no abbreviations: "--h", the finite-difference step of earlier versions,

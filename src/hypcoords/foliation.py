@@ -159,7 +159,7 @@ def _field_directions(
             log_det = log_det + step_log_det
             tiny = m < _TINY
             if tiny.any():
-                zero_step |= tiny & (linalg2.svd2_closed_array(*jac.reshape(-1, 4).T).smax == 0.0)
+                zero_step |= tiny & (linalg2.spectral_norm_array(*jac.reshape(-1, 4).T) == 0.0)
             body, log_scale, _ = normalize_stack(np.matmul(step_body, body), step_scale + log_scale)
             x, y = spec.eval(x, y)
         svd = linalg2.svd2_closed_array(*body.reshape(-1, 4).T)

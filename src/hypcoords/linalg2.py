@@ -80,6 +80,12 @@ def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
     return Svd2(q + r, np.abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
 
 
+def spectral_norm_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``svd2_closed_array(a, b, c, d).smax`` without the angle columns: q + r."""
+    q = each(math.hypot, 0.5 * (a + d), 0.5 * (c - b))
+    return q + each(math.hypot, 0.5 * (a - d), 0.5 * (c + b))
+
+
 def svd2_matrix(m: np.ndarray) -> Svd2:
     return svd2_closed(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
 

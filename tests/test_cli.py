@@ -81,7 +81,8 @@ def test_verify_convergence_command(tmp_path):
                 "--out-dir", tmp_path])
     assert code == 0
     for stem in ("apriori_convergence", "explicit_convergence"):
-        assert (tmp_path / f"{stem}.csv").exists()
+        header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0]
+        assert header == "check,index,lhs,rhs,margin,passed,status"
         payload = json.loads((tmp_path / f"{stem}.json").read_text())
         assert payload["verdict"] is True
 
@@ -90,7 +91,11 @@ def test_verify_variation_command(tmp_path, capsys):
     code = run(["verify-variation", *HENON_ARGS, "--k", "6", "--flavor", "II",
                 "--out-dir", tmp_path])
     assert code == 0
-    assert capsys.readouterr().out == "slow-variation chain passes at k=6\n"
+    assert capsys.readouterr().out == (
+        "slow-variation chain passes at k=6\n"
+        "slow_variation: 11 rows checked, 0 failed, 0 pass_within_rounding, "
+        "worst relative margin 0 (second_derivative_factor_lower at (6,))\n"
+    )
     payload = json.loads((tmp_path / "slow_variation.json").read_text())
     assert payload["verdict"] is True
     assert "frame_derivative_master_bound" in payload["checks"]
@@ -564,20 +569,50 @@ def test_certify_step_determinant_beyond_double_range_is_named(tmp_path, capsys)
     assert log_b == pytest.approx(315.0 * math.log(10.0) + math.log(1.05), rel=1e-12)
 
 
+def _reference_status(row, tol):
+    if not row.passed:
+        return "fail"
+    # lhs > rhs * (1 + tol) is what the allowance alone can carry; NaN never is
+    return "pass_within_rounding" if row.lhs > row.rhs * (1.0 + tol) else "pass"
+
+
+def _reference_summary(rows, tol):
+    """The per-check summary of ``rows``, recomputed from the whole list."""
+    checks = {}
+    for check in {r.check for r in rows}:
+        mine = [r for r in rows if r.check == check]
+        failures = [r for r in mine if not r.passed]
+        # the first row of least finite margin / |rhs|; rhs = 0 gives none
+        relative = [(r.margin / abs(r.rhs), n) for n, r in enumerate(mine) if r.rhs != 0]
+        finite = [(value, n) for value, n in relative if math.isfinite(value)]
+        least = min(finite, default=None)
+        checks[check] = {
+            "rows": len(mine),
+            "failed": len(failures),
+            "failures": [
+                {"check": r.check, "index": list(r.index), "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
+                 "passed": r.passed}
+                for r in failures
+            ],
+            "pass_within_rounding": sum(_reference_status(r, tol) == "pass_within_rounding" for r in mine),
+            "least_relative_margin": (
+                None if least is None else {"index": list(mine[least[1]].index), "value": least[0]}
+            ),
+        }
+    return checks
+
+
 def _reference_bound_report(report, out_dir, stem):
-    """The bound-report writer as it was before streaming: fmt rows and json.dump."""
+    """The bound-report writer without a memo or a running tally: fmt rows,
+    a status per row, and json.dump of a summary recomputed from the rows."""
     with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("check,index,lhs,rhs,margin,passed\n")
+        fh.write("check,index,lhs,rhs,margin,passed,status\n")
         for r in report.rows:
-            row = [r.check, ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed]
+            row = [r.check, ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed,
+                   _reference_status(r, report.tol)]
             fh.write(",".join(fmt(v) for v in row) + "\n")
-    nested = {}
-    for r in report.rows:
-        nested.setdefault(r.check, []).append(
-            {"index": list(r.index), "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "passed": r.passed}
-        )
     payload = {"name": report.name, "tol": report.tol, "verdict": report.verdict,
-               "context": report.context, "checks": nested}
+               "context": report.context, "checks": _reference_summary(report.rows, report.tol)}
     with open(os.path.join(out_dir, stem + ".json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -682,5 +717,106 @@ def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):
     for stem in ("apriori_convergence", "explicit_convergence"):
         text = (tmp_path / f"{stem}.json").read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-    report = bounds.verify_apriori_all(henon_orbit20)
+    ledger = certificate.fit_constants(henon_orbit20, certificate.Flavor.parse("II"), 1.05)
+    for report in (bounds.verify_apriori_all(henon_orbit20),
+                   bounds.verify_explicit_convergence(henon_orbit20, ledger)):
+        assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+        assert _status_counts(report) == _tracer_allowance_rows(report)
+
+
+def test_bound_report_summary_lists_failing_rows(henon_orbit20):
+    # a negative tolerance fails every row whose lhs exceeds half its rhs
+    # (plus allowance), on values and indices of a real sweep
+    report = bounds.verify_apriori_all(henon_orbit20, tol=-0.5)
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+    with tempfile.TemporaryDirectory() as out:
+        summaries = write_bound_report(report, out, "report")
+        payload = json.loads(pathlib.Path(out, "report.json").read_text())
+        statuses = collections.Counter(
+            line.rsplit(",", 1)[1] for line in pathlib.Path(out, "report.csv").read_text().splitlines()[1:]
+        )
+    checks = payload["checks"]
+    assert checks == json.loads(json.dumps({name: s.payload() for name, s in summaries.items()}))
+    assert payload["verdict"] is False
+    failed = [r for r in report.rows if not r.passed]
+    assert 0 < len(failed) < len(report.rows)
+    assert statuses["fail"] == len(failed) == sum(c["failed"] for c in checks.values())
+    listed = [(check, tuple(f["index"]), f["lhs"]) for check, c in checks.items() for f in c["failures"]]
+    assert sorted(listed) == sorted((r.check, r.index, r.lhs) for r in failed)
+    assert statuses["pass_within_rounding"] == sum(c["pass_within_rounding"] for c in checks.values())
+
+
+def _tracer_allowance_rows(report):
+    """Rows that pass only through the absolute allowance, counted as the
+    benchmark's tracer counts ``bounds.allowance_rows``."""
+    limit = 1.0 + report.tol
+    return sum(1 for r in report.rows if r.passed and r.lhs > r.rhs * limit)
+
+
+def _status_counts(report):
+    """The written report's pass_within_rounding count, checked to agree
+    between the CSV status column and the JSON summary."""
+    with tempfile.TemporaryDirectory() as out:
+        write_bound_report(report, out, "report")
+        text = pathlib.Path(out, "report.csv").read_text(encoding="utf-8")
+        payload = json.loads(pathlib.Path(out, "report.json").read_text(encoding="utf-8"))
+    # check names may hold line breaks of their own, so count line ends
+    in_csv = text.count(",pass_within_rounding\n")
+    in_json = sum(c["pass_within_rounding"] for c in payload["checks"].values())
+    assert in_csv == in_json
+    assert sum(c["rows"] for c in payload["checks"].values()) == len(report.rows)
+    return in_json
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bound_reports(), shared_value_reports()))
+def test_pass_within_rounding_counts_as_the_tracer_does(report):
+    assert _status_counts(report) == _tracer_allowance_rows(report)
+
+
+def _summary_lines_of(out_dir, stems):
+    """The CLI summary lines that the written JSON summaries imply."""
+    lines = []
+    for stem in stems:
+        checks = json.loads((out_dir / f"{stem}.json").read_text())["checks"]
+        least = min(((c["least_relative_margin"]["value"], name, tuple(c["least_relative_margin"]["index"]))
+                     for name, c in checks.items() if c["least_relative_margin"]), default=None)
+        lines.append(
+            f"{stem}: {sum(c['rows'] for c in checks.values())} rows checked, "
+            f"{sum(c['failed'] for c in checks.values())} failed, "
+            f"{sum(c['pass_within_rounding'] for c in checks.values())} pass_within_rounding, "
+            f"worst relative margin {least[0]:.3g} ({least[1]} at {least[2]})"
+        )
+    return lines
+
+
+def test_verify_convergence_summary_lines_and_timings(tmp_path, capsys):
+    argv = ["verify-convergence", *HENON_ARGS, "--k", "12", "--flavor", "II"]
+    assert run([*argv, "--out-dir", tmp_path / "plain"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    stems = ("apriori_convergence", "explicit_convergence")
+    assert plain.out.splitlines() == [
+        "convergence bounds pass over all pairs up to k=12", *_summary_lines_of(tmp_path / "plain", stems)
+    ]
+    assert run([*argv, "--timings", "--out-dir", tmp_path / "timed"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    stages = [re.fullmatch(r"timing (\w+) (\d+\.\d{6}) s", line).group(1) for line in timed.err.splitlines()]
+    assert stages == ["orbit", "apriori_sweep", "apriori_write", "ledger", "envelope_sweep", "envelope_write"]
+    names = [stem + ext for stem in stems for ext in (".csv", ".json")]
+    assert filecmp.cmpfiles(tmp_path / "plain", tmp_path / "timed", names, shallow=False)[0] == names
+
+
+def test_verify_convergence_failure_keeps_exit_code_and_reports_counts(tmp_path, capsys, monkeypatch):
+    sweep = bounds.verify_apriori_all
+    monkeypatch.setattr(bounds, "verify_apriori_all", lambda orbit: sweep(orbit, tol=-0.5))
+    assert run(["verify-convergence", *HENON_ARGS, "--k", "6", "--flavor", "II",
+                "--out-dir", tmp_path]) == 1
+    captured = capsys.readouterr()
+    first = sweep(compute_orbit(make_map("henon", a=1.4, b=0.3), np.array(
+        [float(HENON_FIXTURE[0]), float(HENON_FIXTURE[1])]), 6), tol=-0.5).first_failure()
+    assert captured.err == f"apriori_convergence: {first.check} fails at {first.index}\n"
+    summary = _summary_lines_of(tmp_path, ("apriori_convergence", "explicit_convergence"))
+    assert captured.out.splitlines() == summary
+    assert " 0 failed" not in summary[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import hypframe
+from hypcoords import hypframe, linalg2
 from hypcoords.cocycle import MatrixCocycle, ScaledMatrix, compute_orbit
 from hypcoords.errors import ConformalDegenerate, NoHyperbolicCoordinates
 from hypcoords.hypframe import (
@@ -59,6 +59,16 @@ def test_svd2_matches_numpy_on_random_matrices():
         assert math.isclose(
             np.linalg.norm(m @ s.f), math.exp(s.log_sigma_max), rel_tol=1e-12
         )
+
+
+def test_spectral_norm_array_is_the_closed_form_smax_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 1e-300, 1e300):
+        entries = rng.uniform(-3, 3, size=(4, 200)) * scale
+        entries[:, :4] = [[0.0, 1.0, 0.0, -0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 2.0, 5e-324], [0.0, 1.0, 0.0, 0.0]]
+        norms = linalg2.spectral_norm_array(*entries)
+        assert norms.tobytes() == linalg2.svd2_closed_array(*entries).smax.tobytes()
+        assert norms.tobytes() == np.array([linalg2.svd2_closed(*m).smax for m in entries.T.tolist()]).tobytes()
 
 
 def test_frame_sign_convention_and_orthogonality():
