@@ -48,6 +48,7 @@ from .errors import (
     DegenerateCoeccentricity,
     DegenerateStep,
     HypcoordsError,
+    InvalidInput,
     ZeroDeterminant,
     ZeroMatrix,
 )
@@ -696,24 +697,15 @@ def d2_contraction_identity(
 # ---------------------------------------------------------------------------
 
 
-def _power_norms(mats: np.ndarray, iters: int = 50, starts: int = 2, seed: int = 0) -> np.ndarray:
-    """Operator 2-norms of a stack of matrices by batched power iteration."""
-    rng = np.random.default_rng(seed)
-    s, n = mats.shape[0], mats.shape[2]
-    gram = np.einsum("sji,sjk->sik", mats, mats)
-    best = np.zeros(s)
-    for start in range(starts):
-        v = np.ones((s, n)) if start == 0 else rng.standard_normal((s, n))
-        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-        for _ in range(iters):
-            v = np.einsum("sik,sk->si", gram, v)
-            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-        best = np.maximum(best, np.linalg.norm(np.einsum("sik,sk->si", mats, v), axis=1))
-    return best
+def _power_norms(mats: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of an (s, m, n) stack of matrices: the largest
+    singular value of each, exact to rounding.
 
-
-def _power_norm(m: np.ndarray, iters: int = 50, starts: int = 2, seed: int = 0) -> float:
-    return float(_power_norms(np.asarray(m, dtype=float)[None], iters, starts, seed)[0])
+    The name is left from the power iteration this replaced, because the
+    benchmark's tracer (``perfbench/tracing.py``) wraps and counts the
+    function by it.
+    """
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
 
 
 def _sampled_matrix_norm(m: np.ndarray, rng: np.random.Generator, samples: int) -> float:
@@ -722,6 +714,28 @@ def _sampled_matrix_norm(m: np.ndarray, rng: np.random.Generator, samples: int) 
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts = np.vstack([pts, np.eye(n)])
     return float(np.linalg.norm(pts @ m.T, axis=1).max())
+
+
+def _bracket_input(x, name: str, dim_axis: Optional[int]) -> Tuple[np.ndarray, int]:
+    """``x`` as floats divided by 2^e, and e, where 2^e brings the largest
+    |entry| into [1/2, 1) (e = 0 for a zero ``x``), as ``cocycle._normalize``
+    scales its bodies.  A non-finite entry, or a dimension along ``dim_axis``
+    above 4, is InvalidInput."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidInput(f"{name} has a non-finite entry")
+    if dim_axis is not None and x.shape[dim_axis] > 4:
+        raise InvalidInput("dimension capped at 4")
+    _, e = math.frexp(float(np.abs(x).max()))
+    return np.ldexp(x, -e), e
+
+
+def _scaled_back(x: float, e: int) -> float:
+    """x * 2^e; a value beyond the double range is a BoundOverflow."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise BoundOverflow(f"bracket value {x!r} * 2^{e} exceeds the double range") from None
 
 
 def bilinear_column_bounds(
@@ -735,39 +749,47 @@ def bilinear_column_bounds(
     """Column-norm and bilinear-norm bracket checks, dimension n <= 4.
 
     For a matrix A with columns a_k:   max_k |a_k| <= |A| <= sqrt(n) max_k |a_k|,
-    with |A| taken as the power-iteration value, cross-checked against a
+    with |A| the largest singular value, cross-checked against a
     sampled-sphere value.  For a bilinear map B (an (n, n, n) tensor) the
     analogues with basis vectors in one slot are checked; the full norm of
     B is a sampled estimate whose candidate set contains every basis-slice
     maximizer, so the lower comparisons cannot falsely fail.
+
+    Each input is first divided by the power of two that brings its largest
+    |entry| into [1/2, 1), so no norm over- or underflows; both sides of
+    every row are scaled back, and a side beyond the double range is a
+    BoundOverflow.  A non-finite entry, or n > 4, is InvalidInput.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     rep = BoundReport("bilinear_column_bounds", tol)
+    if matrix is not None:
+        a, e_a = _bracket_input(matrix, "matrix", 1)
+    if bilinear is not None:
+        t, e_t = _bracket_input(bilinear, "bilinear", 0)
+    if v is not None:
+        vv, e_v = _bracket_input(v, "v", None)
+
+    def add(check: str, lhs: float, rhs: float, e: int) -> None:
+        rep.add(check, (0,), _scaled_back(lhs, e), _scaled_back(rhs, e))
 
     if matrix is not None:
-        a = np.asarray(matrix, dtype=float)
         n = a.shape[1]
-        if n > 4:
-            raise ValueError("dimension capped at 4")
         col_max = float(np.linalg.norm(a, axis=0).max())
-        norm_power = _power_norm(a)
+        norm = float(_power_norms(a[None])[0])
         norm_sampled = _sampled_matrix_norm(a, rng, samples)
-        rep.context["matrix_norm_power"] = norm_power
-        rep.context["matrix_norm_sampled"] = norm_sampled
-        rep.add("matrix_norm_cross_check", (0,), abs(norm_power - norm_sampled), 0.02 * max(norm_power, 1e-300))
-        rep.add("column_lower", (0,), col_max, norm_power)
-        rep.add("column_upper", (0,), norm_power, math.sqrt(n) * col_max)
+        rep.context["matrix_norm"] = _scaled_back(norm, e_a)
+        rep.context["matrix_norm_sampled"] = _scaled_back(norm_sampled, e_a)
+        add("matrix_norm_cross_check", abs(norm - norm_sampled), 0.02 * max(norm, 1e-300), e_a)
+        add("column_lower", col_max, norm, e_a)
+        add("column_upper", norm, math.sqrt(n) * col_max, e_a)
 
     if bilinear is not None:
-        t = np.asarray(bilinear, dtype=float)
         n = t.shape[0]
-        if n > 4:
-            raise ValueError("dimension capped at 4")
         basis = np.eye(n)
 
         # candidate first arguments: both bases plus a seeded sphere sample;
-        # the second slot is maximized exactly (power iteration), so the
-        # estimate dominates every basis-slice value by construction
+        # the second slot is maximized exactly (largest singular value), so
+        # the estimate dominates every basis-slice value by construction
         cand = rng.standard_normal((samples, n))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         cand = np.vstack([basis, cand])
@@ -776,23 +798,17 @@ def bilinear_column_bounds(
         second_mats = np.einsum("pij,kj->kpi", t, basis)
         second_slot = _power_norms(second_mats)
         full_norm = float(max(slot_norms.max(), second_slot.max()))
-        rep.context["bilinear_norm_sampled"] = full_norm
+        rep.context["bilinear_norm_sampled"] = _scaled_back(full_norm, e_t)
 
-        rep.add("bilinear_slice_lower", (0,), float(second_slot.max()), full_norm)
-        rep.add(
-            "bilinear_slice_upper",
-            (0,),
-            full_norm,
-            math.sqrt(n) * float(second_slot.max()),
-        )
+        add("bilinear_slice_lower", float(second_slot.max()), full_norm, e_t)
+        add("bilinear_slice_upper", full_norm, math.sqrt(n) * float(second_slot.max()), e_t)
 
         if v is not None:
-            vv = np.asarray(v, dtype=float)
             mv = np.einsum("i,pij->pj", vv, t)
-            norm_v = _power_norm(mv)
+            norm_v = float(_power_norms(mv[None])[0])
             per_basis = [float(np.linalg.norm(mv @ basis[k])) for k in range(n)]
-            rep.add("bilinear_v_lower", (0,), max(per_basis), norm_v)
-            rep.add("bilinear_v_upper", (0,), norm_v, math.sqrt(n) * max(per_basis))
+            add("bilinear_v_lower", max(per_basis), norm_v, e_v + e_t)
+            add("bilinear_v_upper", norm_v, math.sqrt(n) * max(per_basis), e_v + e_t)
 
     return rep
 

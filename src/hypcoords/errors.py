@@ -67,6 +67,10 @@ class BoundOverflow(HypcoordsError):
     """A term of a bound exceeds the double range, so its row cannot be evaluated."""
 
 
+class InvalidInput(HypcoordsError, ValueError):
+    """An argument a check cannot take: a non-finite entry or an unsupported dimension."""
+
+
 class CertificateRequired(HypcoordsError):
     """The requested bound only holds under a passing certificate."""
 

@@ -15,6 +15,7 @@ from hypcoords.errors import (
     DegenerateStep,
     HypcoordsError,
     Infeasible,
+    InvalidInput,
     NoHyperbolicCoordinates,
     ZeroDeterminant,
 )
@@ -400,6 +401,68 @@ def test_bilinear_bounds_small_sweep():
             rng=rng,
         )
         assert rep.verdict, rep.first_failure()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+def test_power_norms_match_mpmath_singular_values(scale):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1313)
+    for n in range(2, 5):
+        stack = scale * rng.standard_normal((25, n, n))
+        norms = bounds._power_norms(stack)
+        with mp.workdps(40):
+            for m, norm in zip(stack, norms):
+                exact = max(mp.svd_r(mp.matrix(m.tolist()), compute_uv=False))
+                assert abs(mp.mpf(float(norm)) / exact - 1) <= 8 * np.finfo(float).eps, (n, m)
+
+
+def _bracket_inputs(rng, n):
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n, n)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_bracket_rows_scale_with_powers_of_two(power):
+    # a power of two scales every norm exactly, so rows at 2^p x are 2^p times
+    # the rows at x; squaring entries of 2^600 x (or of 2^-600 x) would leave
+    # the double range
+    cases = [(np.array([[1.0, 1.0], [0.0, 0.0]]), None, None)]
+    rng = np.random.default_rng(600)
+    cases += [_bracket_inputs(rng, 2 + trial % 3) for trial in range(12)]
+    for trial, (matrix, bilinear, v) in enumerate(cases):
+        at_one = bounds.bilinear_column_bounds(
+            matrix=matrix, bilinear=bilinear, v=v, rng=np.random.default_rng(trial), samples=300)
+        scaled = bounds.bilinear_column_bounds(
+            matrix=np.ldexp(matrix, power), bilinear=None if bilinear is None else np.ldexp(bilinear, power),
+            v=v, rng=np.random.default_rng(trial), samples=300)
+        assert at_one.verdict and scaled.verdict, (trial, scaled.first_failure())
+        assert [r.check for r in scaled.rows] == [r.check for r in at_one.rows]
+        for row, base in zip(scaled.rows, at_one.rows):
+            for value, unscaled in zip(row[2:5], base[2:5]):
+                assert value == math.ldexp(unscaled, power), (trial, row, base)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["matrix", "bilinear", "v"])
+def test_bracket_non_finite_input_is_a_typed_error(slot, bad):
+    inputs = dict(zip(("matrix", "bilinear", "v"), _bracket_inputs(np.random.default_rng(5), 3)))
+    inputs[slot].flat[1] = bad
+    with pytest.raises(InvalidInput, match="non-finite"):
+        bounds.bilinear_column_bounds(**inputs)
+
+
+@pytest.mark.parametrize("slot", ["matrix", "bilinear"])
+def test_bracket_dimension_above_four_is_a_typed_error(slot):
+    inputs = dict(zip(("matrix", "bilinear", "v"), _bracket_inputs(np.random.default_rng(5), 5)))
+    with pytest.raises(InvalidInput, match="dimension") as caught:
+        bounds.bilinear_column_bounds(**{slot: inputs[slot]})
+    # callers that caught the ValueError of a bad dimension still do
+    assert isinstance(caught.value, ValueError) and isinstance(caught.value, HypcoordsError)
+
+
+def test_bracket_value_beyond_double_range_is_bound_overflow():
+    # |B(v, .)| is about 1e600, though each input is far inside the range
+    with pytest.raises(BoundOverflow):
+        bounds.bilinear_column_bounds(bilinear=np.full((2, 2, 2), 1e300), v=np.full(2, 1e300))
 
 
 # ---------------------------------------------------------------------------

@@ -569,11 +569,17 @@ def test_certify_step_determinant_beyond_double_range_is_named(tmp_path, capsys)
     assert log_b == pytest.approx(315.0 * math.log(10.0) + math.log(1.05), rel=1e-12)
 
 
+def _python_number(x):
+    """The Python number a numpy scalar holds, whose arithmetic does not warn."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _reference_status(row, tol):
     if not row.passed:
         return "fail"
     # lhs > rhs * (1 + tol) is what the allowance alone can carry; NaN never is
-    return "pass_within_rounding" if row.lhs > row.rhs * (1.0 + tol) else "pass"
+    lhs, rhs, tol = map(_python_number, (row.lhs, row.rhs, tol))
+    return "pass_within_rounding" if lhs > rhs * (1.0 + tol) else "pass"
 
 
 def _reference_summary(rows, tol):
@@ -583,7 +589,8 @@ def _reference_summary(rows, tol):
         mine = [r for r in rows if r.check == check]
         failures = [r for r in mine if not r.passed]
         # the first row of least finite margin / |rhs|; rhs = 0 gives none
-        relative = [(r.margin / abs(r.rhs), n) for n, r in enumerate(mine) if r.rhs != 0]
+        relative = [(_python_number(r.margin) / abs(_python_number(r.rhs)), n)
+                    for n, r in enumerate(mine) if r.rhs != 0]
         finite = [(value, n) for value, n in relative if math.isfinite(value)]
         least = min(finite, default=None)
         checks[check] = {
@@ -650,6 +657,7 @@ def bound_reports(draw):
     return report
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(bound_reports())
 @example(bounds.BoundReport("empty", 1e-9))
@@ -683,6 +691,7 @@ def shared_value_reports(draw):
     return report
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(shared_value_reports())
 def test_bound_report_writer_keeps_equal_values_apart(report):
