@@ -766,8 +766,8 @@ def bilinear_column_bounds(
         a, e_a = _bracket_input(matrix, "matrix", 1)
     if bilinear is not None:
         t, e_t = _bracket_input(bilinear, "bilinear", 0)
-    if v is not None:
-        vv, e_v = _bracket_input(v, "v", None)
+        if v is not None:  # v is read only with a bilinear map
+            vv, e_v = _bracket_input(v, "v", None)
 
     def add(check: str, lhs: float, rhs: float, e: int) -> None:
         rep.add(check, (0,), _scaled_back(lhs, e), _scaled_back(rhs, e))

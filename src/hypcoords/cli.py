@@ -102,13 +102,6 @@ def _spelled_once(spell, by_id: bool = False):
     return spelled
 
 
-def _number(x):
-    """x, or the Python number that a numpy scalar holds: numpy warns when
-    its scalar arithmetic overflows, Python does not (and float() would round
-    an int beyond 2**53)."""
-    return x.item() if isinstance(x, np.generic) else x
-
-
 class _CheckSummary:
     """One check's rows, tallied as the CSV is written."""
 
@@ -138,18 +131,15 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
     """
     number = _spelled_once(fmt)
     index_text = _spelled_once(lambda index: ":".join(map(str, index)), by_id=True)
-    limit = 1.0 + _number(report.tol)
     summaries: Dict[str, _CheckSummary] = {}
-    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
+    # numpy-scalar rows may overflow in lhs > rhs * (1 + tol) or margin / |rhs|;
+    # inf and NaN are valid results there, so the warnings are silenced
+    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh, \
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        limit = 1.0 + report.tol
         fh.write("check,index,lhs,rhs,margin,passed,status\n")
         for row in report.rows:
             check, index, lhs, rhs, margin, passed = row
-            # the status and the relative margin from Python numbers; the
-            # CSV text from the row's own objects
-            if type(lhs) is type(rhs) is type(margin) is float:
-                x, y, m = lhs, rhs, margin
-            else:
-                x, y, m = map(_number, (lhs, rhs, margin))
             summary = summaries.get(check)
             if summary is None:
                 summary = summaries[check] = _CheckSummary()
@@ -157,13 +147,13 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
             if not passed:
                 status = "fail"
                 summary.failures.append(row)
-            elif x > y * limit:
+            elif lhs > rhs * limit:
                 status = "pass_within_rounding"
                 summary.within_rounding += 1
             else:
                 status = "pass"
-            if y:
-                relative = m / abs(y)
+            if rhs:
+                relative = margin / abs(rhs)
                 if -math.inf < relative < summary.least:
                     summary.least, summary.least_index = relative, index
             fh.write(_CSV_ROW % (

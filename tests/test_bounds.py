@@ -450,6 +450,13 @@ def test_bracket_non_finite_input_is_a_typed_error(slot, bad):
         bounds.bilinear_column_bounds(**inputs)
 
 
+def test_bracket_v_without_bilinear_is_ignored():
+    # v is read only with a bilinear map, so without one it is not checked
+    rep = bounds.bilinear_column_bounds(matrix=np.eye(2), v=np.array([math.nan, 0.0]))
+    assert rep.verdict
+    assert [r.check for r in rep.rows] == ["matrix_norm_cross_check", "column_lower", "column_upper"]
+
+
 @pytest.mark.parametrize("slot", ["matrix", "bilinear"])
 def test_bracket_dimension_above_four_is_a_typed_error(slot):
     inputs = dict(zip(("matrix", "bilinear", "v"), _bracket_inputs(np.random.default_rng(5), 5)))
