@@ -546,6 +546,18 @@ def _envelope_rates(
     return rates
 
 
+def _certified_aux(
+    orbit: OrbitSegment, ledger: ConstantsLedger, aux: Optional[AuxiliaryConstants]
+) -> AuxiliaryConstants:
+    """``aux``, or the ledger's auxiliary constants when it is None, once the
+    per-index certificate passes; CertificateRequired names its first failure."""
+    cert = check_quasi_hyperbolic(orbit, ledger)
+    if not cert.verdict:
+        i, name = cert.first_failure
+        raise CertificateRequired(f"{name} fails at i={i}")
+    return aux if aux is not None else auxiliary_constants(ledger)
+
+
 def verify_explicit_convergence(
     orbit: OrbitSegment,
     ledger: ConstantsLedger,
@@ -563,12 +575,7 @@ def verify_explicit_convergence(
     the first pair to fail raises when its rows are built pair by pair:
     Q r^k comes after the measurements of order k, as at pair (k, k).
     """
-    cert = check_quasi_hyperbolic(orbit, ledger)
-    if not cert.verdict:
-        i, name = cert.first_failure
-        raise CertificateRequired(f"{name} fails at i={i}")
-    if aux is None:
-        aux = auxiliary_constants(ledger)
+    aux = _certified_aux(orbit, ledger, aux)
     coc = orbit.cocycle
     rates = _envelope_rates(ledger, aux)
     checks = tuple(check for check, _, _ in rates)
@@ -587,86 +594,8 @@ def verify_explicit_convergence(
 
 
 # ---------------------------------------------------------------------------
-# Second-derivative norms
+# Second-derivative identity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class D2Brackets:
-    """Bracketing of the second-derivative norm by per-axis matrix norms."""
-
-    axis_norms: Tuple[float, float]
-    lower: float
-    upper: float
-    sampled: float
-    v_axis_norms: Optional[Tuple[float, float]]
-    v_lower: Optional[float]
-    v_upper: Optional[float]
-    v_sampled: Optional[float]
-    angle_grid: int
-
-
-def _hessians(spec: MapSpec, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Hessians of the two components, assembled from the partial matrices."""
-    dx, dy = spec.second_partials_at(p)
-    h1 = np.array([dx[0], dy[0]])
-    h2 = np.array([dx[1], dy[1]])
-    return h1, h2
-
-
-def second_derivative_norm(
-    spec: MapSpec, p: np.ndarray, v: Optional[np.ndarray] = None, angle_grid: int = 720
-) -> D2Brackets:
-    """Bracket the bilinear second-derivative norm at p.
-
-    Lower bracket: max over axes of the spectral norm of d_axis(DPhi);
-    upper: sqrt(2) times that.  The sampled value scans unit-vector pairs
-    on an angle_grid x angle_grid grid, independent of the closed-form SVD,
-    and must land inside the bracket (up to grid resolution).
-    """
-    dx, dy = spec.second_partials_at(p)
-    axis_norms = (linalg2.spectral_norm(dx), linalg2.spectral_norm(dy))
-    lower = max(axis_norms)
-    upper = SQRT2 * lower
-
-    h1, h2 = _hessians(spec, p)
-    phis = np.arange(angle_grid) * (math.pi / angle_grid)
-    units = np.column_stack([np.sin(phis), np.cos(phis)])  # (n, 2)
-    b1 = units @ h1 @ units.T
-    b2 = units @ h2 @ units.T
-    norms_sq = b1 * b1 + b2 * b2
-    sampled = math.sqrt(float(norms_sq.max()))
-
-    v_axis = v_lower = v_upper = v_sampled = None
-    if v is not None:
-        v = np.asarray(v, dtype=float)
-        v_axis = (
-            float(np.linalg.norm(dx @ v)),
-            float(np.linalg.norm(dy @ v)),
-        )
-        v_lower = max(v_axis)
-        v_upper = SQRT2 * v_lower
-        bv1 = units @ h1 @ v
-        bv2 = units @ h2 @ v
-        v_sampled = math.sqrt(float((bv1 * bv1 + bv2 * bv2).max()))
-
-    return D2Brackets(
-        axis_norms=axis_norms,
-        lower=lower,
-        upper=upper,
-        sampled=sampled,
-        v_axis_norms=v_axis,
-        v_lower=v_lower,
-        v_upper=v_upper,
-        v_sampled=v_sampled,
-        angle_grid=angle_grid,
-    )
-
-
-def d2_operator_matrix(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix of w -> D2Phi_p(v, w): columns are (d_axis DPhi) v."""
-    dx, dy = spec.second_partials_at(p)
-    return np.column_stack([dx @ v, dy @ v])
 
 
 def d2_contraction_identity(
@@ -678,8 +607,9 @@ def d2_contraction_identity(
     right from the partial matrices; equality encodes symmetry of the
     supplied mixed partials.
     """
-    h1, h2 = _hessians(spec, p)
     dx, dy = spec.second_partials_at(p)
+    h1 = np.array([dx[0], dy[0]])  # Hessians of the two components
+    h2 = np.array([dx[1], dy[1]])
     rep = BoundReport("d2_contraction_identity", 0.0)
     scale = max(float(np.abs(dx).max()), float(np.abs(dy).max()), 1.0)
     for axis, (unit, dmat) in enumerate(
@@ -716,16 +646,23 @@ def _sampled_matrix_norm(m: np.ndarray, rng: np.random.Generator, samples: int) 
     return float(np.linalg.norm(pts @ m.T, axis=1).max())
 
 
-def _bracket_input(x, name: str, dim_axis: Optional[int]) -> Tuple[np.ndarray, int]:
+def _bracket_input(x, name: str, ndim: int, n: Optional[int] = None) -> Tuple[np.ndarray, int]:
     """``x`` as floats divided by 2^e, and e, where 2^e brings the largest
     |entry| into [1/2, 1) (e = 0 for a zero ``x``), as ``cocycle._normalize``
-    scales its bodies.  A non-finite entry, or a dimension along ``dim_axis``
-    above 4, is InvalidInput."""
+    scales its bodies.
+
+    ``x`` must have ``ndim`` axes and an entry, and every axis but a
+    matrix's first must have one length: ``n`` when given, at most 4.  Any
+    other shape, or a non-finite entry, is InvalidInput."""
     x = np.asarray(x, dtype=float)
+    square = x.shape[1:] if ndim == 2 else x.shape  # a matrix may have any number of rows
+    if x.ndim != ndim or x.size == 0 or len(set(square)) != 1 or n not in (None, x.shape[0]):
+        want = {1: f"({n},) to match bilinear", 2: "(m, n), non-empty", 3: "(n, n, n), non-empty"}
+        raise InvalidInput(f"{name} has shape {x.shape}; expected {want[ndim]}")
     if not np.isfinite(x).all():
         raise InvalidInput(f"{name} has a non-finite entry")
-    if dim_axis is not None and x.shape[dim_axis] > 4:
-        raise InvalidInput("dimension capped at 4")
+    if x.shape[-1] > 4:
+        raise InvalidInput(f"{name}: dimension capped at 4")
     _, e = math.frexp(float(np.abs(x).max()))
     return np.ldexp(x, -e), e
 
@@ -750,24 +687,32 @@ def bilinear_column_bounds(
 
     For a matrix A with columns a_k:   max_k |a_k| <= |A| <= sqrt(n) max_k |a_k|,
     with |A| the largest singular value, cross-checked against a
-    sampled-sphere value.  For a bilinear map B (an (n, n, n) tensor) the
-    analogues with basis vectors in one slot are checked; the full norm of
-    B is a sampled estimate whose candidate set contains every basis-slice
-    maximizer, so the lower comparisons cannot falsely fail.
+    sampled-sphere value.
+
+    A bilinear map B is an (n, n, n) tensor, ``bilinear[p, i, j]`` being
+    component p of B(e_i, e_j).  A planar map's second derivative at a point
+    p is the Hessian tensor ``np.stack(spec.second_partials_at(p), axis=1)``,
+    whose entry [p, i, j] is d_i d_j Phi_p.  The slices B(., e_k) bracket
+    |B| = max |B(u, w)| over unit u, w as the columns bracket |A|, and the
+    columns B(v, e_k) bracket |B(v, .)|.  Slice norms and |B(v, .)| are
+    exact largest singular values; |B| is a sampled lower estimate, the
+    largest |B(u, .)| over both bases and a seeded sphere sample of u, so
+    it dominates every slice and the lower rows cannot falsely fail.
 
     Each input is first divided by the power of two that brings its largest
     |entry| into [1/2, 1), so no norm over- or underflows; both sides of
     every row are scaled back, and a side beyond the double range is a
-    BoundOverflow.  A non-finite entry, or n > 4, is InvalidInput.
+    BoundOverflow.  A malformed shape (``v`` must match ``bilinear``), a
+    non-finite entry, or n > 4, is InvalidInput.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     rep = BoundReport("bilinear_column_bounds", tol)
     if matrix is not None:
-        a, e_a = _bracket_input(matrix, "matrix", 1)
+        a, e_a = _bracket_input(matrix, "matrix", 2)
     if bilinear is not None:
-        t, e_t = _bracket_input(bilinear, "bilinear", 0)
+        t, e_t = _bracket_input(bilinear, "bilinear", 3)
         if v is not None:  # v is read only with a bilinear map
-            vv, e_v = _bracket_input(v, "v", None)
+            vv, e_v = _bracket_input(v, "v", 1, t.shape[0])
 
     def add(check: str, lhs: float, rhs: float, e: int) -> None:
         rep.add(check, (0,), _scaled_back(lhs, e), _scaled_back(rhs, e))
@@ -977,24 +922,15 @@ def verify_slow_variation(
 
     Raises CertificateRequired unless the per-index certificate passes.
     """
-    cert = check_quasi_hyperbolic(orbit, ledger)
-    if not cert.verdict:
-        i, name = cert.first_failure
-        raise CertificateRequired(f"{name} fails at i={i}")
-    if aux is None:
-        aux = auxiliary_constants(ledger)
-    spec = orbit.spec
-    xi0 = orbit.points[0]
+    aux = _certified_aux(orbit, ledger, aux)
     k = orbit.k
 
     frame1 = hyperbolic_coordinates(orbit.cocycle, 1)
-    d2e1 = d2_operator_matrix(spec, xi0, frame1.e)
-    d2e1_norm = linalg2.spectral_norm(d2e1)
     dx, dy = orbit.step_second_partials[0]
-    axis_e1 = (
-        float(np.linalg.norm(dx @ frame1.e)),
-        float(np.linalg.norm(dy @ frame1.e)),
-    )
+    # w -> D2Phi(e1, w) has the columns (d_axis DPhi) e1
+    d2_x, d2_y = dx @ frame1.e, dy @ frame1.e
+    d2e1_norm = linalg2.spectral_norm(np.column_stack([d2_x, d2_y]))
+    axis_e1 = (float(np.linalg.norm(d2_x)), float(np.linalg.norm(d2_y)))
 
     by_axis = {axis: slow_variation_terms(orbit, k, axis) for axis in _AXES}
     # d_axis f = <e, d_axis f> e, so |D f| is the norm of the two inner products

@@ -1,8 +1,11 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and the
+``brackets`` ops still give their recorded outcomes.
 
 ``perfbench/tracing.py`` wraps package functions by name and refuses to
-install when one is missing, so a rename or an inlined function would
-otherwise surface only when the benchmark runs.
+install when one is missing, and the benchmark's gate compares each op's
+outcome with ``perfbench/reference.json``; without these tests a rename, an
+inlined function or a changed bracket verdict would surface only when the
+benchmark runs.
 """
 
 import importlib
@@ -43,3 +46,18 @@ def test_tracer_counts_map_callbacks_of_orbit_and_field_kernel(monkeypatch):
         _, stops = foliation._field_directions(spec, np.array([[0.1, 0.1], [0.2, -0.1]]), 3, "stable", None)
         assert not stops.any()
         assert tracer.leaf["planar_maps.callback"][0] > orbit_calls
+
+
+def test_bracket_pool_keeps_recorded_outcomes(monkeypatch):
+    # every 10th ``brackets`` pool entry, and entry 125 whose recorded
+    # verdict is False, run through the benchmark's own op: a change to the
+    # bracket checks that moves an outcome fails here before the benchmark's
+    # gate refuses it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    recorded = workloads.load_reference(os.path.join(PERFBENCH, "reference.json"))["full/brackets"]
+    assert recorded[125] == {"verdict": False, "rows": 7}
+    for entry in [*range(0, len(recorded), 10), 125]:
+        op = workloads.make_op("brackets", entry, "full", out_dir="")
+        assert op.outcome(op.prepare()()) == recorded[entry], entry

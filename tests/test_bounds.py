@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import bounds
+from hypcoords import bounds, linalg2
 from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
 from hypcoords.cocycle import MatrixCocycle, OrbitSegment, compute_orbit
 from hypcoords.errors import (
@@ -247,7 +247,7 @@ def test_explicit_convergence_henon(henon_orbit20):
 def test_explicit_convergence_requires_certificate(henon_orbit20):
     ledger = fit_constants(henon_orbit20, Flavor.SINGULAR_II, 1.05)
     corrupted = ledger.with_c(ledger.c / 100.0)  # below the true decay rate
-    with pytest.raises(CertificateRequired):
+    with pytest.raises(CertificateRequired, match=r"^coecc_decay fails at i=1$"):
         bounds.verify_explicit_convergence(henon_orbit20, corrupted)
 
 
@@ -322,19 +322,35 @@ def test_geometric_tail_dominates_finite_sums(henon_orbit20):
 # ---------------------------------------------------------------------------
 
 
+def _hessian_tensor(spec, p):
+    """A planar map's second derivative at p as a bilinear tensor:
+    entry [q, i, j] is d_i d_j Phi_q."""
+    return np.stack(spec.second_partials_at(p), axis=1)
+
+
+def _rows_by_check(rep):
+    return {r.check: r for r in rep.rows}
+
+
 def test_second_derivative_norm_linear_zero():
-    b = bounds.second_derivative_norm(linear(1.0, 2.0, 0.5, -1.0), np.zeros(2))
-    assert b.lower == 0.0 and b.upper == 0.0 and b.sampled == 0.0
+    rep = bounds.bilinear_column_bounds(bilinear=_hessian_tensor(linear(1.0, 2.0, 0.5, -1.0), np.zeros(2)))
+    assert rep.verdict
+    assert rep.context["bilinear_norm_sampled"] == 0.0
+    assert all(r.lhs == 0.0 and r.rhs == 0.0 for r in rep.rows)
 
 
 def test_second_derivative_norm_henon():
     h = henon(a=1.4, b=0.3)
-    b = bounds.second_derivative_norm(h, np.array([0.3, -0.1]), v=np.array([1.0, 0.0]))
-    assert math.isclose(b.lower, 2.8, rel_tol=1e-14)
-    assert math.isclose(b.upper, 2.8 * SQRT2, rel_tol=1e-14)
-    assert abs(b.sampled - 2.8) <= 1e-3
-    assert math.isclose(b.v_lower, 2.8, rel_tol=1e-14)
-    assert abs(b.v_sampled - 2.8) <= 1e-3
+    rep = bounds.bilinear_column_bounds(
+        bilinear=_hessian_tensor(h, np.array([0.3, -0.1])), v=np.array([1.0, 0.0])
+    )
+    assert rep.verdict
+    by = _rows_by_check(rep)
+    assert math.isclose(by["bilinear_slice_lower"].lhs, 2.8, rel_tol=1e-14)
+    assert math.isclose(by["bilinear_slice_upper"].rhs, 2.8 * SQRT2, rel_tol=1e-14)
+    assert abs(rep.context["bilinear_norm_sampled"] - 2.8) <= 1e-3
+    assert math.isclose(by["bilinear_v_lower"].lhs, 2.8, rel_tol=1e-14)
+    assert abs(by["bilinear_v_lower"].rhs - 2.8) <= 1e-3
 
 
 def test_second_derivative_brackets_contain_sampled_norm():
@@ -342,17 +358,27 @@ def test_second_derivative_brackets_contain_sampled_norm():
     for _ in range(500):
         spec = make_cubic_map(rng)
         p = rng.uniform(-1, 1, size=2)
-        b = bounds.second_derivative_norm(spec, p)
-        if b.lower == 0.0:
-            assert b.sampled <= 1e-12
+        partials = spec.second_partials_at(p)
+        lower = max(map(linalg2.spectral_norm, partials))  # closed-form slice norms
+        v = None
+        if lower != 0.0:
+            v = rng.uniform(-1, 1, size=2)
+            v /= np.linalg.norm(v)
+        rep = bounds.bilinear_column_bounds(bilinear=_hessian_tensor(spec, p), v=v)
+        by = _rows_by_check(rep)
+        sampled = rep.context["bilinear_norm_sampled"]
+        # the slices D2Phi(., e_k) are the partial matrices d_k DPhi
+        assert math.isclose(by["bilinear_slice_lower"].lhs, lower, rel_tol=1e-14)
+        if v is None:
+            assert sampled <= 1e-12
             continue
-        assert b.sampled >= b.lower * (1.0 - 1e-4)
-        assert b.sampled <= b.upper * (1.0 + 1e-12)
-        v = rng.uniform(-1, 1, size=2)
-        v /= np.linalg.norm(v)
-        bv = bounds.second_derivative_norm(spec, p, v=v)
-        assert bv.v_sampled >= bv.v_lower * (1.0 - 1e-4)
-        assert bv.v_sampled <= bv.v_upper * (1.0 + 1e-12)
+        assert rep.verdict, rep.first_failure()
+        assert sampled >= lower * (1.0 - 1e-4)
+        assert sampled <= by["bilinear_slice_upper"].rhs * (1.0 + 1e-12)
+        v_lower, v_norm = by["bilinear_v_lower"].lhs, by["bilinear_v_lower"].rhs
+        assert math.isclose(v_lower, max(np.linalg.norm(m @ v) for m in partials), rel_tol=1e-14)
+        assert v_norm >= v_lower * (1.0 - 1e-4)
+        assert v_norm <= by["bilinear_v_upper"].rhs * (1.0 + 1e-12)
 
 
 def test_d2_contraction_identity_examples():
@@ -447,6 +473,24 @@ def test_bracket_non_finite_input_is_a_typed_error(slot, bad):
     inputs = dict(zip(("matrix", "bilinear", "v"), _bracket_inputs(np.random.default_rng(5), 3)))
     inputs[slot].flat[1] = bad
     with pytest.raises(InvalidInput, match="non-finite"):
+        bounds.bilinear_column_bounds(**inputs)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        {"matrix": np.ones(3)},
+        {"matrix": np.ones((2, 2, 2))},
+        {"matrix": np.ones((0, 2))},
+        {"bilinear": np.ones((2, 2))},
+        {"bilinear": np.ones((2, 3, 3))},
+        {"bilinear": np.ones((3, 3, 3)), "v": np.ones(2)},
+    ],
+    ids=["matrix-1d", "matrix-3d", "matrix-empty", "bilinear-2d", "bilinear-2x3x3", "v-length"],
+)
+def test_bracket_malformed_shape_is_a_typed_error(inputs):
+    slot = list(inputs)[-1]
+    with pytest.raises(InvalidInput, match=f"^{slot} has shape"):
         bounds.bilinear_column_bounds(**inputs)
 
 
@@ -752,7 +796,7 @@ def test_verify_slow_variation_linear():
 def test_verify_slow_variation_requires_certificate(henon):
     orbit = compute_orbit(henon, HENON_FIXTURE, 8)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
-    with pytest.raises(CertificateRequired):
+    with pytest.raises(CertificateRequired, match=r"^coecc_decay fails at i=1$"):
         bounds.verify_slow_variation(orbit, ledger.with_c(ledger.c / 100.0))
 
 
