@@ -484,42 +484,6 @@ def verify_apriori_all(
     return rep
 
 
-def verify_consecutive_rotation(
-    source: Union[OrbitSegment, MatrixCocycle], tol: float = DEFAULT_REL_TOL
-) -> BoundReport:
-    """Per-step frame rotation: the sine-squared bound and drift <= sqrt(2)|sin|."""
-    coc = cocycle_of(source)
-    frames = frame_sequence(coc)
-    rep = BoundReport("consecutive_rotation", tol)
-    for j in range(1, coc.k):
-        nxt = frames[j]
-        e_j = frames[j - 1].e
-        cos = float(np.dot(e_j, nxt.e))
-        sin = float(np.dot(e_j, nxt.f))
-        if cos < 0.0:  # align so the rotation angle is at most a quarter turn
-            cos, sin = -cos, -sin
-        cc_next = nxt.coecc
-        bound = (
-            1.0
-            / (1.0 - cc_next * cc_next)
-            * _exp(
-                2.0
-                * (
-                    coc.log_coecc(j)
-                    + coc.log_norm[j]
-                    + coc.step_log_norm[j]
-                    - coc.log_norm[j + 1]
-                )
-            )
-        )
-        # angles below the double-precision angular floor measure as noise,
-        # hence the squared rounding allowance
-        rep.add("rotation_sine_squared", (j,), sin * sin, bound, abs_tol=ROUNDING_UNIT**2)
-        drift = math.hypot(1.0 - cos, sin)
-        rep.add("drift_vs_sine", (j,), drift, SQRT2 * abs(sin), abs_tol=ROUNDING_UNIT)
-    return rep
-
-
 def _envelope_rates(
     ledger: ConstantsLedger, aux: AuxiliaryConstants
 ) -> List[Tuple[str, float, float]]:

@@ -239,9 +239,6 @@ class CertificateReport:
     verdict: bool
     first_failure: Optional[Tuple[int, str]]
 
-    def failures(self) -> List[CertificateRow]:
-        return [r for r in self.rows if not r.passed]
-
 
 def _d2_upper_norm(second_partials: Tuple[np.ndarray, np.ndarray]) -> float:
     """Conservative norm for the second derivative: sqrt(2) * max axis norm.

@@ -48,12 +48,6 @@ class ScaledMatrix:
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         return _normalize(self.body @ other.body, self.log_scale + other.log_scale)
 
-    def gram(self) -> "ScaledMatrix":
-        """M^T M in scaled form (symmetrized to kill rounding skew)."""
-        g = self.body.T @ self.body
-        g = 0.5 * (g + g.T)
-        return _normalize(g, 2.0 * self.log_scale)
-
     def apply(self, v: np.ndarray) -> Tuple[np.ndarray, float]:
         """Image of v as (unit direction, log norm)."""
         w = self.body @ v
@@ -156,13 +150,13 @@ class MatrixCocycle:
         self._prefix = prefixes
 
         self.step_log_absdet = [_log_abs_det(s) for s in self.steps]
-        self.step_svd = [linalg2.svd2_matrix(s) for s in self.steps]
-        for j, s in enumerate(self.step_svd):
+        step_svd = [linalg2.svd2_matrix(s) for s in self.steps]
+        for j, s in enumerate(step_svd):
             if s.smax == 0.0:
                 raise ZeroMatrix(f"step {j} is the zero matrix")
-        self.step_log_norm = [math.log(s.smax) for s in self.step_svd]
+        self.step_log_norm = [math.log(s.smax) for s in step_svd]
         self.step_log_conorm = [
-            math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in self.step_svd
+            math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in step_svd
         ]
 
         # log |det DPhi^i| by multiplicativity of the determinant

@@ -99,14 +99,6 @@ class NoFrameAtStart(HypcoordsError):
     """Curve integration cannot start: no frame at the seed point."""
 
 
-class NoFrameAtVertex(HypcoordsError):
-    """A curve vertex has no usable frame-field direction."""
-
-    def __init__(self, vertex, message):
-        self.vertex = vertex
-        super().__init__(message)
-
-
 class ConfigError(HypcoordsError):
     """Bad key or value in a run configuration."""
 

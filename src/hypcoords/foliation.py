@@ -29,9 +29,7 @@ from .cocycle import compute_orbit, guard_limit, normalize_stack
 from .errors import (
     HypcoordsError,
     NoFrameAtStart,
-    NoFrameAtVertex,
     OrbitEscaped,
-    OutsideDomain,
     SingularEncounter,
 )
 from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates, pushforward_frames
@@ -47,6 +45,9 @@ _SINGULAR, _DOMAIN, _DEGENERATE, _STALLED = 1, 2, 3, 4
 
 # A step matrix whose max |entry| reaches this has a nonzero closed-form SVD
 _TINY = 2.0**-1021
+
+# SVG polyline width, in the units of the viewbox
+_STROKE_WIDTH = 0.004
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
         frame = hyperbolic_coordinates(orbit, k)
     except SingularEncounter as exc:
         raise _FieldStop("singular") from exc
-    except (OrbitEscaped, OutsideDomain) as exc:
+    except OrbitEscaped as exc:
         raise _FieldStop("domain") from exc
     except HypcoordsError as exc:
         raise _FieldStop("degenerate") from exc
@@ -326,13 +327,6 @@ def foliation_grid(
     return FoliationGrid(curves=curves, failed_seeds=failed)
 
 
-def iterate_point(spec: MapSpec, p: np.ndarray, i: int) -> np.ndarray:
-    q = np.asarray(p, dtype=float)
-    for _ in range(i):
-        q = spec.evaluate(q)
-    return q
-
-
 def pushforward_seed_angle(
     spec: MapSpec, seed: np.ndarray, k: int, i: int, guard: Optional[float] = None
 ) -> float:
@@ -340,40 +334,6 @@ def pushforward_seed_angle(
     orbit = compute_orbit(spec, np.asarray(seed, dtype=float), k, guard)
     pushed = pushforward_frames(orbit, k, i)
     return linalg2.angle_between(pushed.e_dir, pushed.f_dir)
-
-
-def pushforward_tangent_deviation(
-    spec: MapSpec,
-    curve: FoliationCurve,
-    i: int,
-    stride: int = 1,
-    guard: Optional[float] = None,
-) -> List[Tuple[int, float]]:
-    """Angular deviation of the image polyline from the pushed frame field.
-
-    For each (strided) interior vertex, compares the tangent of the image
-    polyline with the i-step image of the curve's field direction at the
-    original vertex.  Returns (vertex index, deviation in radians); a vertex
-    without a usable frame raises NoFrameAtVertex.
-    """
-    image = np.array([iterate_point(spec, p, i) for p in curve.points])
-    out: List[Tuple[int, float]] = []
-    for v in range(1, len(curve.points) - 1, stride):
-        tangent = image[v + 1] - image[v - 1]
-        try:
-            pushed = _field_direction(spec, curve.points[v], curve.k, curve.field, guard)
-        except _FieldStop as exc:
-            raise NoFrameAtVertex(
-                v, f"no usable frame at curve vertex {v} {curve.points[v]}: {exc.reason}"
-            ) from exc
-        if i > 0:
-            orbit = compute_orbit(spec, curve.points[v], i, guard)
-            pushed = orbit.cocycle.prefix(i).apply(pushed)[0]
-        out.append((v, linalg2.line_angle_distance(
-            math.atan2(float(tangent[1]), float(tangent[0])),
-            math.atan2(float(pushed[1]), float(pushed[0])),
-        )))
-    return out
 
 
 def curve_to_csv_rows(curve_id: int, curve: FoliationCurve) -> List[Tuple[int, float, float, float]]:
@@ -384,9 +344,7 @@ def curve_to_csv_rows(curve_id: int, curve: FoliationCurve) -> List[Tuple[int, f
 
 
 def curves_to_svg(
-    curves: List[FoliationCurve],
-    viewbox: Tuple[float, float, float, float],
-    stroke_width: float = 0.004,
+    curves: List[FoliationCurve], viewbox: Tuple[float, float, float, float]
 ) -> str:
     """Minimal SVG: one polyline per curve, fixed viewbox, no styling engine."""
     xmin, xmax, ymin, ymax = viewbox
@@ -398,7 +356,7 @@ def curves_to_svg(
         pts = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in curve.points)
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="black" '
-            f'stroke-width="{stroke_width:g}"/>'
+            f'stroke-width="{_STROKE_WIDTH:g}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -228,21 +228,6 @@ def pushforward_frames(
 
 
 @dataclass(frozen=True)
-class GramOperator:
-    """The symmetric operator (k-step derivative)^T (k-step derivative), scaled."""
-
-    k: int
-    op: ScaledMatrix
-
-
-def gram_operator(source: Union[OrbitSegment, MatrixCocycle], k: int) -> GramOperator:
-    coc = cocycle_of(source)
-    if not 1 <= k <= coc.k:
-        raise ValueError(f"order {k} outside 1..{coc.k}")
-    return GramOperator(k=k, op=coc.prefix(k).gram())
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Brute-force extremal directions of theta -> |M (sin theta, cos theta)|."""
 

@@ -118,13 +118,8 @@ def line_angle_distance(t1: float, t2: float) -> float:
     return min(d, math.pi - d)
 
 
-def sincos_direction(theta: float) -> np.ndarray:
-    """Unit-circle parametrization used for critical angles: theta -> (sin, cos)."""
-    return np.array([math.sin(theta), math.cos(theta)])
-
-
 def direction_to_sincos_angle(v: np.ndarray) -> float:
-    """Inverse of sincos_direction up to sign, normalized to [0, pi)."""
+    """Angle theta with v = +-(sin theta, cos theta), normalized to [0, pi)."""
     theta = math.atan2(float(v[0]), float(v[1]))
     if theta < 0.0:
         theta += math.pi

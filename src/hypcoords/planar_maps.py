@@ -11,10 +11,9 @@ the entrywise x-derivative of the Jacobian and ``[1]`` the y-derivative:
     d_s(DPhi) = [[Phi1_sx, Phi1_sy],
                  [Phi2_sx, Phi2_sy]]      for s in {x, y}.
 
-Finite differences validate the callbacks (``fd_validate``); nothing here
-is differentiated symbolically.  The point callbacks take Python floats or
-equal-length arrays alike, so the orbit code and the batched foliation
-kernel call the same definition of each map.
+Nothing here is differentiated symbolically.  The point callbacks take
+Python floats or equal-length arrays alike, so the orbit code and the
+batched foliation kernel call the same definition of each map.
 """
 
 from __future__ import annotations
@@ -260,55 +259,3 @@ def make_map(name: str, **params: float) -> MapSpec:
     except KeyError:
         raise KeyError(f"unknown map {name!r}; builtins: {sorted(BUILTIN_MAPS)}") from None
     return factory(**params)
-
-
-@dataclass(frozen=True)
-class FdReport:
-    """Relative finite-difference errors of the analytic derivative callbacks."""
-
-    jacobian_error: float
-    second_error: float
-    h: float
-
-
-def _fd_jacobian(spec: MapSpec, x: float, y: float, h: float) -> Matrix:
-    cols = []
-    for dx, dy in ((h, 0.0), (0.0, h)):
-        fp = spec.eval(x + dx, y + dy)
-        fm = spec.eval(x - dx, y - dy)
-        step = (x + dx) - (x - dx) if dx else (y + dy) - (y - dy)
-        cols.append([(fp[0] - fm[0]) / step, (fp[1] - fm[1]) / step])
-    return np.array(cols).T
-
-
-def _fd_second(spec: MapSpec, x: float, y: float, h: float) -> Tuple[Matrix, Matrix]:
-    out = []
-    for dx, dy in ((h, 0.0), (0.0, h)):
-        jp = jacobian_matrix(spec.jacobian(x + dx, y + dy))
-        jm = jacobian_matrix(spec.jacobian(x - dx, y - dy))
-        step = (x + dx) - (x - dx) if dx else (y + dy) - (y - dy)
-        out.append((jp - jm) / step)
-    return out[0], out[1]
-
-
-def _rel_err(analytic: Matrix, approx: Matrix) -> float:
-    scale = max(float(np.abs(analytic).max()), 1.0)
-    return float(np.abs(analytic - approx).max()) / scale
-
-
-def fd_validate(spec: MapSpec, p: Point, h: float = 1e-6) -> FdReport:
-    """Cross-check analytic derivatives against central finite differences.
-
-    Requires the whole stencil to stay clear of the singular set
-    (distance > 10 h at the base point).
-    """
-    x, y = float(p[0]), float(p[1])
-    if spec.singular_set_distance(x, y) <= 10.0 * h:
-        raise OnSingularSet(
-            f"{spec.name}: ({x}, {y}) within 10h={10 * h:g} of the singular set"
-        )
-    jac_err = _rel_err(jacobian_matrix(spec.jacobian(x, y)), _fd_jacobian(spec, x, y, h))
-    ax, ay = spec.second_partials(x, y)
-    fx, fy = _fd_second(spec, x, y, h)
-    sec_err = max(_rel_err(ax, fx), _rel_err(ay, fy))
-    return FdReport(jacobian_error=jac_err, second_error=sec_err, h=h)

@@ -71,7 +71,7 @@ def test_identity_orbit_fails_at_first_index():
     assert not report.verdict
     assert report.first_failure[0] == 1
     # the co-eccentricity of the identity never drops below 1
-    failed_at_one = {r.name for r in report.failures() if r.i == 1}
+    failed_at_one = {r.name for r in report.rows if not r.passed and r.i == 1}
     assert "coecc_decay" in failed_at_one
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypcoords.errors import OnSingularSet, OutsideDomain
 from hypcoords.linalg2 import det2
 from hypcoords.planar_maps import (
     BUILTIN_MAPS,
-    fd_validate,
     henon,
+    jacobian_matrix,
     linear,
     lorenz2d,
     make_map,
@@ -18,6 +19,57 @@ from hypcoords.planar_maps import (
 )
 
 from conftest import STANDARD_K
+
+
+@dataclass(frozen=True)
+class FdReport:
+    """Relative finite-difference errors of the analytic derivative callbacks."""
+
+    jacobian_error: float
+    second_error: float
+
+
+def _fd_jacobian(spec, x, y, h):
+    cols = []
+    for dx, dy in ((h, 0.0), (0.0, h)):
+        fp = spec.eval(x + dx, y + dy)
+        fm = spec.eval(x - dx, y - dy)
+        step = (x + dx) - (x - dx) if dx else (y + dy) - (y - dy)
+        cols.append([(fp[0] - fm[0]) / step, (fp[1] - fm[1]) / step])
+    return np.array(cols).T
+
+
+def _fd_second(spec, x, y, h):
+    out = []
+    for dx, dy in ((h, 0.0), (0.0, h)):
+        jp = jacobian_matrix(spec.jacobian(x + dx, y + dy))
+        jm = jacobian_matrix(spec.jacobian(x - dx, y - dy))
+        step = (x + dx) - (x - dx) if dx else (y + dy) - (y - dy)
+        out.append((jp - jm) / step)
+    return out[0], out[1]
+
+
+def _rel_err(analytic, approx):
+    scale = max(float(np.abs(analytic).max()), 1.0)
+    return float(np.abs(analytic - approx).max()) / scale
+
+
+def fd_validate(spec, p, h=1e-6):
+    """Cross-check analytic derivatives against central finite differences.
+
+    The oracle for every derivative callback.  Requires the whole stencil
+    to stay clear of the singular set (distance > 10 h at the base point).
+    """
+    x, y = float(p[0]), float(p[1])
+    if spec.singular_set_distance(x, y) <= 10.0 * h:
+        raise OnSingularSet(
+            f"{spec.name}: ({x}, {y}) within 10h={10 * h:g} of the singular set"
+        )
+    jac_err = _rel_err(jacobian_matrix(spec.jacobian(x, y)), _fd_jacobian(spec, x, y, h))
+    ax, ay = spec.second_partials(x, y)
+    fx, fy = _fd_second(spec, x, y, h)
+    sec_err = max(_rel_err(ax, fx), _rel_err(ay, fy))
+    return FdReport(jacobian_error=jac_err, second_error=sec_err)
 
 
 def test_henon_eval_examples():
