@@ -19,9 +19,9 @@ lhs <= rhs * (1 + tol).
 
 from __future__ import annotations
 
-import itertools
+import array
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -82,47 +82,80 @@ class BoundRow(NamedTuple):
     passed: bool
 
 
-@dataclass
 class BoundReport:
-    name: str
-    tol: float
-    rows: List[BoundRow] = field(default_factory=list)
-    context: Dict[str, float] = field(default_factory=dict)
+    """Rows ``lhs <= rhs * (1 + tol) + abs_tol``, each a check at an index,
+    kept as columns: per row, lhs and rhs as float64 (an int side beyond 2^53
+    becomes its float), the pass flag, and the positions of its check name
+    and index tuple in lists of the callers' objects.  ``rows`` builds
+    BoundRow tuples on demand."""
+
+    def __init__(self, name: str, tol: float):
+        self.name = name
+        self.tol = tol
+        self.context: Dict[str, float] = {}
+        self._checks: List[str] = []
+        self._indices: List[Tuple[int, ...]] = []
+        self._check, self._index = array.array("i"), array.array("i")
+        self._lhs, self._rhs = array.array("d"), array.array("d")
+        self._passed = bytearray()
+
+    def _code(self, check: str) -> int:
+        if check not in self._checks:
+            self._checks.append(check)
+        return self._checks.index(check)
 
     def add(self, check: str, index: Tuple[int, ...], lhs: float, rhs: float, abs_tol: float = 0.0):
-        passed = lhs <= rhs * (1.0 + self.tol) + abs_tol
-        self.rows.append(BoundRow(check, index, lhs, rhs, rhs - lhs, passed))
+        lhs, rhs = float(lhs), float(rhs)
+        self._check.append(self._code(check))
+        self._index.append(len(self._indices))
+        self._indices.append(index)
+        self._lhs.append(lhs)
+        self._rhs.append(rhs)
+        self._passed.append(lhs <= rhs * (1.0 + float(self.tol)) + float(abs_tol))
 
     def add_pairs(self, checks, indices, lhs, rhs, abs_tol) -> None:
         """``add`` for several index tuples at once: for each in turn, one row
-        per check.  ``lhs`` holds a list of floats per check, whose objects go
-        into the rows; ``rhs`` holds an array and ``abs_tol`` an array or a
-        scalar per check.  Each row equals what ``add`` makes of its values."""
-        lhs_a = np.array(lhs)
-        rhs_a = np.array(rhs)
-        tol_a = np.empty_like(rhs_a)
-        for row, value in zip(tol_a, abs_tol):
+        per check.  ``lhs`` and ``rhs`` hold an array over ``indices`` per
+        check, ``abs_tol`` an array or a scalar per check.  Each row equals
+        what ``add`` makes of its values, without a warning for inf or NaN."""
+        lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)  # check x index
+        allowance = np.empty_like(rhs)
+        for row, value in zip(allowance, abs_tol):
             row[:] = value
-        passed = lhs_a <= rhs_a * (1.0 + self.tol) + tol_a
-        # tuple.__new__ is what BoundRow() calls, without a Python frame per row
-        self.rows.extend(map(tuple.__new__, itertools.repeat(BoundRow), zip(
-            checks * len(indices),
-            itertools.chain.from_iterable(zip(*[indices] * len(checks))),
-            itertools.chain.from_iterable(zip(*lhs)),
-            rhs_a.T.ravel().tolist(),
-            (rhs_a - lhs_a).T.ravel().tolist(),
-            passed.T.ravel().tolist(),
-        )))
+        with np.errstate(all="ignore"):
+            passed = lhs <= rhs * (1.0 + float(self.tol)) + allowance
+        codes = np.array([self._code(check) for check in checks], dtype=np.intc)
+        positions = np.arange(len(self._indices), len(self._indices) + len(indices), dtype=np.intc)
+        self._indices.extend(indices)
+        self._check.frombytes(np.tile(codes, len(indices)).tobytes())
+        self._index.frombytes(positions.repeat(len(checks)).tobytes())
+        self._lhs.frombytes(lhs.T.tobytes())
+        self._rhs.frombytes(rhs.T.tobytes())
+        self._passed += passed.T.tobytes()
+
+    def columns(self) -> tuple:
+        """The check names and the index tuples, each followed by every row's
+        position among them, then lhs, rhs and passed; numpy copies but the lists."""
+        return (self._checks, np.array(self._check), self._indices, np.array(self._index),
+                np.array(self._lhs), np.array(self._rhs), np.array(self._passed, dtype=bool))
+
+    def _row(self, n: int) -> BoundRow:
+        lhs, rhs = self._lhs[n], self._rhs[n]
+        check, index = self._checks[self._check[n]], self._indices[self._index[n]]
+        return BoundRow(check, index, lhs, rhs, rhs - lhs, self._passed[n] == 1)
+
+    @property
+    def rows(self) -> Tuple[BoundRow, ...]:
+        """Every row as a BoundRow, built on each call."""
+        return tuple(map(self._row, range(len(self._lhs))))
 
     @property
     def verdict(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return 0 not in self._passed
 
     def first_failure(self) -> Optional[BoundRow]:
-        for r in self.rows:
-            if not r.passed:
-                return r
-        return None
+        n = self._passed.find(0)
+        return None if n < 0 else self._row(n)
 
 
 # Per-index terms of ctilde and of the four a-priori sums.  The per-pair
@@ -247,13 +280,12 @@ def _pair_measurements(
 
 class _OrderColumns(NamedTuple):
     """The index tuples of the pairs (1, k) .. (k, k), then their
-    ``_pair_measurements`` over i: the measured left sides as lists, whose
-    float objects the rows of both sweeps hold, and the allowances as arrays."""
+    ``_pair_measurements`` as arrays over i."""
 
     indices: List[Tuple[int, int]]
-    drift: List[float]
-    push: List[float]
-    push_over_det: List[float]
+    drift: np.ndarray
+    push: np.ndarray
+    push_over_det: np.ndarray
     push_noise: np.ndarray
     det_noise: np.ndarray
 
@@ -272,9 +304,7 @@ class _Measured:
         self.log_absdet = np.array(coc.log_absdet)
         self.push_noise = np.zeros(n + 1)
         self.det_noise = np.zeros(n + 1)
-        # pair (i, k) sits at k (k - 1) / 2 + i - 1.  The tuples are built
-        # together: those that Python's tuple free list keeps after the
-        # reports are freed then pin one block, not the rows' memory.
+        # pair (i, k) sits at k (k - 1) / 2 + i - 1
         self.indices = [(i, k) for k in range(1, n + 1) for i in range(1, k + 1)]
         self.columns: List[_OrderColumns] = []
 
@@ -322,9 +352,9 @@ def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     log_push += m.prefix_log_scales[upto]
     return _OrderColumns(
         m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
-        drift.tolist(),
-        list(map(_exp, log_push.tolist())),
-        list(map(_exp, (log_push - m.log_absdet[upto]).tolist())),
+        drift,
+        linalg2.each(_exp, log_push),
+        linalg2.each(_exp, log_push - m.log_absdet[upto]),
         m.push_noise[upto],
         m.det_noise[upto],
     )

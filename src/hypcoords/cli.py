@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,110 +74,86 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-# One bound-report CSV line: the row, then its status
-_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s\n"
+# The last field of a bound-report CSV line, the pass flag and status, by status code
+_FLAG_STATUS = np.array(["0,fail\n", "1,pass_within_rounding\n", "1,pass\n"], dtype=object)
+_ROWS_PER_WRITE = 1024
 
 
-def _spelled_once(spell, by_id: bool = False):
-    """``spell`` with a memo, so that a value repeated across rows is spelled once.
-
-    Numbers are looked up only when they are nonzero floats: 0.0 and -0.0,
-    or 1 and 1.0, compare equal but are spelled differently.  With ``by_id``
-    every value is looked up by identity, which suits index tuples that the
-    rows keep alive and share ((1,) == (1.0,) would merge by value).
-    """
-    memo: Dict[object, str] = {}
-
-    def spelled(x) -> str:
-        if by_id:
-            key = id(x)
-        elif type(x) is float and x:
-            key = x
-        else:
-            return spell(x)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = spell(x)
-        return text
-
-    return spelled
+def _spelled(columns: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per float64 column, the texts (``fmt`` and a comma) of its distinct
+    values as an object array, and the position of each value's text.  Each
+    distinct bit pattern among all columns is spelled once, so 0.0 and -0.0
+    stay apart; patterns are found per column first, to keep the sorts small."""
+    found = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
+    distinct, merged = np.unique(np.concatenate([bits for bits, _ in found]), return_inverse=True)
+    values = distinct.view(np.float64).tolist()
+    texts = np.array(("%.17g,\n" * len(values) % tuple(values)).split("\n")[:-1], dtype=object)
+    starts = np.cumsum([0] + [len(bits) for bits, _ in found])
+    return [(texts[merged[start:start + len(bits)]], where) for start, (bits, where) in zip(starts, found)]
 
 
-class _CheckSummary:
-    """One check's rows, tallied as the CSV is written."""
-
-    __slots__ = ("rows", "failures", "within_rounding", "least", "least_index")
-
-    def __init__(self) -> None:
-        self.rows = self.within_rounding = 0
-        self.failures: List[bounds.BoundRow] = []
-        self.least, self.least_index = math.inf, None  # least finite margin / |rhs|
-
-    def payload(self) -> dict:
-        least = {"index": self.least_index, "value": self.least} if self.least < math.inf else None
-        return {"rows": self.rows, "failed": len(self.failures), "failures": [r._asdict() for r in self.failures],
-                "pass_within_rounding": self.within_rounding, "least_relative_margin": least}
-
-
-def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, _CheckSummary]:
-    """Write ``report`` to ``stem``.csv, row by row, and a summary of each
-    check to ``stem``.json; return the summaries.
+def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, dict]:
+    """Write ``report`` to ``stem``.csv and a summary of each check to
+    ``stem``.json; return the summaries by check.
 
     Each CSV row ends with a status: ``fail`` if it did not pass,
     ``pass_within_rounding`` if it passed only through its absolute
-    allowance (lhs > rhs * (1 + tol)), else ``pass``.  Rows repeat their
-    numbers (a drift is the left side of several checks) and share index
-    tuples, so the CSV spells each of them once, from a memo kept only
-    while the file is written.
+    allowance (lhs > rhs * (1 + tol)), else ``pass``.  A check's summary
+    counts its rows, failures and allowance-only passes, lists its failing
+    rows, and names its first row of least finite margin / |rhs| (none where
+    rhs = 0).  All of it is computed on the report's columns; the CSV spells
+    each distinct float and each index tuple once, and is written in blocks.
     """
-    number = _spelled_once(fmt)
-    index_text = _spelled_once(lambda index: ":".join(map(str, index)), by_id=True)
-    summaries: Dict[str, _CheckSummary] = {}
-    # numpy-scalar rows may overflow in lhs > rhs * (1 + tol) or margin / |rhs|;
-    # inf and NaN are valid results there, so the warnings are silenced
-    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh, \
-            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        limit = 1.0 + report.tol
+    checks, check, indices, index, lhs, rhs, passed = report.columns()
+    with np.errstate(all="ignore"):  # inf and NaN are valid sides
+        margin = rhs - lhs
+        status = np.where(passed, np.where(lhs > rhs * (1.0 + report.tol), 1, 2), 0).astype(np.int8)
+    # each field carries the separator after it, so a block of rows is one join
+    check_text = np.array([name + "," for name in checks], dtype=object)
+    index_text = np.array([":".join(map(str, i)) + "," for i in indices], dtype=object)
+    numbers = _spelled((lhs, rhs, margin))
+    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("check,index,lhs,rhs,margin,passed,status\n")
-        for row in report.rows:
-            check, index, lhs, rhs, margin, passed = row
-            summary = summaries.get(check)
-            if summary is None:
-                summary = summaries[check] = _CheckSummary()
-            summary.rows += 1
-            if not passed:
-                status = "fail"
-                summary.failures.append(row)
-            elif lhs > rhs * limit:
-                status = "pass_within_rounding"
-                summary.within_rounding += 1
-            else:
-                status = "pass"
-            if rhs:
-                relative = margin / abs(rhs)
-                if -math.inf < relative < summary.least:
-                    summary.least, summary.least_index = relative, index
-            fh.write(_CSV_ROW % (
-                check, index_text(index), number(lhs), number(rhs), number(margin),
-                "1" if passed else "0", status,
-            ))
-    checks = {check: summary.payload() for check, summary in summaries.items()}
+        for start in range(0, len(lhs), _ROWS_PER_WRITE):
+            block = slice(start, start + _ROWS_PER_WRITE)
+            fh.write("".join(itertools.chain.from_iterable(zip(
+                check_text[check[block]].tolist(), index_text[index[block]].tolist(),
+                *(texts[at[block]].tolist() for texts, at in numbers), _FLAG_STATUS[status[block]].tolist(),
+            ))))
+    with np.errstate(all="ignore"):
+        relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
+    summaries = {}
+    for code, name in enumerate(checks):
+        mine = check == code
+        failed = np.flatnonzero(mine & (status == 0))
+        candidates = np.flatnonzero(mine & np.isfinite(relative))
+        least = None
+        if candidates.size:
+            n = candidates[np.flatnonzero(relative[candidates] == relative[candidates].min())[0]]
+            least = {"index": indices[index[n]], "value": relative[n].item()}
+        failures = [{"check": name, "index": indices[i], "lhs": a, "rhs": b, "margin": m, "passed": False}
+                    for i, a, b, m in zip(*(column[failed].tolist() for column in (index, lhs, rhs, margin)))]
+        summaries[name] = {
+            "rows": int(np.count_nonzero(mine)), "failed": len(failures), "failures": failures,
+            "pass_within_rounding": int(np.count_nonzero(mine & (status == 1))),
+            "least_relative_margin": least,
+        }
     _write_json(
         os.path.join(out_dir, stem + ".json"),
         {"name": report.name, "tol": report.tol, "verdict": report.verdict,
-         "context": report.context, "checks": checks},
+         "context": report.context, "checks": summaries},
     )
     return summaries
 
 
-def _summary_line(name: str, summaries: Dict[str, _CheckSummary]) -> str:
+def _summary_line(name: str, checks: Dict[str, dict]) -> str:
     """A written bound report in one line: row counts and the worst margin."""
-    tallies = summaries.values()
-    text = (f"{name}: {sum(s.rows for s in tallies)} rows checked, "
-            f"{sum(len(s.failures) for s in tallies)} failed, "
-            f"{sum(s.within_rounding for s in tallies)} pass_within_rounding, ")
-    worst = min(((s.least, check, s.least_index) for check, s in summaries.items() if s.least < math.inf),
-                default=None)
+    tallies = checks.values()
+    text = (f"{name}: {sum(c['rows'] for c in tallies)} rows checked, "
+            f"{sum(c['failed'] for c in tallies)} failed, "
+            f"{sum(c['pass_within_rounding'] for c in tallies)} pass_within_rounding, ")
+    worst = min(((c["least_relative_margin"]["value"], check, c["least_relative_margin"]["index"])
+                 for check, c in checks.items() if c["least_relative_margin"]), default=None)
     if worst is None:
         return text + "no finite relative margin"
     return text + "worst relative margin %.3g (%s at %s)" % worst
@@ -414,16 +391,18 @@ def cmd_verify_convergence(args) -> int:
         return result
 
     cfg = _load_config(args.config)
-    spec, orbit = timed("orbit", _orbit_from_args, args, cfg)
-    source = _ledger_source(args, cfg)
-    out = _out_dir(args, cfg)
-    apriori = timed("apriori_sweep", bounds.verify_apriori_all, orbit)
-    summaries = [timed("apriori_write", write_bound_report, apriori, out, "apriori_convergence")]
-    ledger = timed("ledger", source, orbit)
-    explicit = timed("envelope_sweep", bounds.verify_explicit_convergence, orbit, ledger)
-    summaries.append(timed("envelope_write", write_bound_report, explicit, out, "explicit_convergence"))
-    if args.timings:
-        print("\n".join(stage_times), file=sys.stderr)
+    try:
+        spec, orbit = timed("orbit", _orbit_from_args, args, cfg)
+        source = _ledger_source(args, cfg)
+        out = _out_dir(args, cfg)
+        apriori = timed("apriori_sweep", bounds.verify_apriori_all, orbit)
+        summaries = [timed("apriori_write", write_bound_report, apriori, out, "apriori_convergence")]
+        ledger = timed("ledger", source, orbit)
+        explicit = timed("envelope_sweep", bounds.verify_explicit_convergence, orbit, ledger)
+        summaries.append(timed("envelope_write", write_bound_report, explicit, out, "explicit_convergence"))
+    finally:  # a stage that raises still leaves the times of those before it
+        if args.timings and stage_times:
+            print("\n".join(stage_times), file=sys.stderr)
     failing = [rep for rep in (apriori, explicit) if not rep.verdict]
     if failing:
         row = failing[0].first_failure()

@@ -56,10 +56,6 @@ class ScaledMatrix:
             return np.zeros(2), float("-inf")
         return w / n, math.log(n) + self.log_scale
 
-    def dense(self) -> np.ndarray:
-        """Unscaled matrix; only safe when exp(log_scale) fits a double."""
-        return math.exp(self.log_scale) * self.body
-
 
 def _normalize(body: np.ndarray, log_scale: float) -> ScaledMatrix:
     m = float(np.abs(body).max())

@@ -86,14 +86,6 @@ class MapSpec:
             raise OnSingularSet(f"{self.name}: point ({x}, {y}) on the singular set")
         return x, y
 
-    def evaluate(self, p: Point) -> Point:
-        x, y = self._guard(p)
-        return np.array(self.eval(x, y))
-
-    def jacobian_at(self, p: Point) -> Matrix:
-        x, y = self._guard(p)
-        return jacobian_matrix(self.jacobian(x, y))
-
     def second_partials_at(self, p: Point) -> Tuple[Matrix, Matrix]:
         x, y = self._guard(p)
         return self.second_partials(x, y)

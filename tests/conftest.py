@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypcoords import compute_orbit, make_map
-from hypcoords.planar_maps import MapSpec
+from hypcoords.planar_maps import MapSpec, jacobian_matrix
 
 # Regression fixture on the Henon attractor: 635 iterations from (0.1, 0.1)
 # with the repo-default parameters a = 1.4, b = 0.3.  Chosen (by a one-off
@@ -52,6 +52,23 @@ def diag_map():
 @pytest.fixture(scope="session")
 def diag_orbit(diag_map):
     return compute_orbit(diag_map, np.array([1.0, 1.0]), 20)
+
+
+def dense(m):
+    """The matrix a ScaledMatrix stands for; only safe when exp(log_scale) fits a double."""
+    return math.exp(m.log_scale) * m.body
+
+
+def evaluate(spec, p):
+    """Phi(p), with the domain and singular-set checks of MapSpec.second_partials_at."""
+    x, y = spec._guard(p)
+    return np.array(spec.eval(x, y))
+
+
+def jacobian_at(spec, p):
+    """DPhi(p) as a 2x2 matrix, with the checks of ``evaluate``."""
+    x, y = spec._guard(p)
+    return jacobian_matrix(spec.jacobian(x, y))
 
 
 def random_step_matrix(rng: np.random.Generator, coecc_max: float = 0.9, conorm_min: float = 0.05):

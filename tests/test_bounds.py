@@ -22,7 +22,7 @@ from hypcoords.errors import (
 from hypcoords.hypframe import frame_sequence, hyperbolic_coordinates
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
-from conftest import HENON_FIXTURE, LORENZ_FIXTURE, make_cubic_map, random_cocycle
+from conftest import HENON_FIXTURE, LORENZ_FIXTURE, jacobian_at, make_cubic_map, random_cocycle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -632,7 +632,7 @@ def test_frame_derivative_fd_henon_vs_angle_gradient(henon):
     hh = 1e-5
 
     def theta_f(p):
-        j = henon.jacobian_at(p)
+        j = jacobian_at(henon, p)
         return angle_theta(j[0, 0], j[1, 0], j[0, 1], j[1, 1]).theta_expand
 
     tx = (theta_f(HENON_FIXTURE + [hh, 0]) - theta_f(HENON_FIXTURE - [hh, 0])) / (2 * hh)
@@ -905,7 +905,7 @@ def fuzz_steps(draw):
         u, v = entries[0], entries[1]
         return np.outer(u, v) + draw(st.floats(-1e-12, 1e-12)) * np.eye(2)
     if kind == "rotation":
-        return rotation(draw(st.floats(0.0, 2.0 * math.pi))).jacobian_at(np.zeros(2))
+        return jacobian_at(rotation(draw(st.floats(0.0, 2.0 * math.pi))), np.zeros(2))
     if kind == "nilpotent":
         return np.array([[0.0, 1.0], [0.0, 0.0]]) * entries[0, 0]
     return entries
@@ -972,8 +972,7 @@ def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
     def batched():
         for k in range(1, coc.k + 1):
             c = bounds._measured(coc, k)
-            yield from zip(c.indices, c.drift, c.push, c.push_over_det,
-                           c.push_noise.tolist(), c.det_noise.tolist())
+            yield from zip(c.indices, *(column.tolist() for column in c[1:]))
 
     def per_pair():
         for k in range(1, coc.k + 1):

@@ -23,6 +23,7 @@ from conftest import (
     ISLAND_START,
     STANDARD_FIXTURE,
     STANDARD_K,
+    evaluate,
 )
 
 
@@ -105,7 +106,7 @@ def test_standard_map_island_vs_chaotic_segment():
     island = make_map("standard", K=ISLAND_K)
     q = ISLAND_START.copy()
     for _ in range(50):
-        q = island.evaluate(q)
+        q = evaluate(island, q)
     orbit = compute_orbit(island, q, 12)
     with pytest.raises(Infeasible):
         fit_constants(orbit, Flavor.SINGULAR_II, 1.05)

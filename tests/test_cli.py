@@ -639,16 +639,20 @@ CHECK_NAMES = st.one_of(
 )
 
 
+# An allowance of +inf passes a row and one of -inf fails it (unless its
+# sides are NaN or infinite), so a drawn allowance sets most pass flags
+ALLOWANCES = st.sampled_from([math.inf, -math.inf, 0.0])
+
+
 @st.composite
 def bound_reports(draw):
     names = draw(st.lists(CHECK_NAMES, min_size=1, max_size=4, unique=True))
-    row = st.builds(
-        bounds.BoundRow, st.sampled_from(names),
-        st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple),
-        REPORT_NUMBERS, REPORT_NUMBERS, REPORT_NUMBERS, st.booleans(),
-    )
     report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS))
-    report.rows.extend(draw(st.lists(row, max_size=12)))
+    for _ in range(draw(st.integers(0, 12))):
+        report.add(
+            draw(st.sampled_from(names)), draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple)),
+            draw(REPORT_NUMBERS), draw(REPORT_NUMBERS), abs_tol=draw(ALLOWANCES),
+        )
     report.context.update(draw(st.dictionaries(CHECK_NAMES, REPORT_NUMBERS, min_size=1, max_size=3)))
     return report
 
@@ -662,9 +666,11 @@ def test_bound_report_writer_matches_json_dump(report):
 
 
 # Values that compare equal but are spelled differently (0.0 and -0.0; 1,
-# 1.0 and np.float64(1.0); 2**53 + 1 and float(2**53) in CSV), next to NaN,
+# 1.0 and np.float64(1.0); 2**53 + 1 and float(2**53) in JSON), next to NaN,
 # infinities and subnormals, so that a writer that formats each distinct
-# number once would show a merge of two of them
+# number once would show a merge of two of them.  Sides are stored as
+# float64, so the ints among them reach the files only through the tolerance
+# and the context.
 SHARED_NUMBERS = [
     0.0, -0.0, 1, 1.0, np.float64(1.0), np.float64(-0.0), 2**53 + 1, float(2**53), 2**53,
     math.nan, float("nan"), -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -677,12 +683,10 @@ def shared_value_reports(draw):
     number = st.sampled_from(SHARED_NUMBERS)
     # (1,) and (1.0,) are equal tuples with different spellings
     indices = [(0,), (1,), (1.0,), (1, 2), (2, 1), (0, 0, 0)]
-    row = st.builds(
-        bounds.BoundRow, st.sampled_from(["a", "b", "c"]), st.sampled_from(indices),
-        number, number, number, st.booleans(),
-    )
     report = bounds.BoundReport("shared", draw(number))
-    report.rows.extend(draw(st.lists(row, min_size=1, max_size=40)))
+    for _ in range(draw(st.integers(1, 40))):
+        report.add(draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(indices)),
+                   draw(number), draw(number), abs_tol=draw(ALLOWANCES))
     report.context.update(draw(st.dictionaries(st.sampled_from("xyz"), number, min_size=1)))
     return report
 
@@ -692,6 +696,48 @@ def shared_value_reports(draw):
 @given(shared_value_reports())
 def test_bound_report_writer_keeps_equal_values_apart(report):
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+# Signed zeros and NaNs of three bit patterns among a few other values, so
+# that blocks of rows repeat them
+BLOCK_NUMBERS = [
+    0.0, -0.0, math.nan, -math.nan, np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0].item(),
+    1.0, -1.0, 0.1, math.inf, -math.inf, 5e-324,
+]
+
+
+@st.composite
+def block_reports(draw):
+    """Reports built by add_pairs blocks, with single adds between them."""
+    number = st.sampled_from(BLOCK_NUMBERS)
+    report = bounds.BoundReport("blocks", draw(st.sampled_from([0.0, 1e-9, -0.5])))
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            report.add(draw(st.sampled_from("abc")), (draw(st.integers(0, 3)),), draw(number), draw(number),
+                       abs_tol=draw(ALLOWANCES))
+            continue
+        checks = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
+        indices = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8))
+        side = st.lists(number, min_size=len(indices), max_size=len(indices)).map(np.array)
+        report.add_pairs(checks, indices, [draw(side) for _ in checks], [draw(side) for _ in checks],
+                         [draw(st.one_of(ALLOWANCES, side)) for _ in checks])
+    return report
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(block_reports())
+def test_bound_report_writer_spells_blocks_as_rows(report):
+    assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a BoundRow was built")
+
+    monkeypatch.setattr(bounds, "BoundRow", refuse)
+    assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "both",
+                "--out-dir", tmp_path]) == 0
 
 
 def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
@@ -741,7 +787,11 @@ def test_bound_report_summary_lists_failing_rows(henon_orbit20):
             line.rsplit(",", 1)[1] for line in pathlib.Path(out, "report.csv").read_text().splitlines()[1:]
         )
     checks = payload["checks"]
-    assert checks == json.loads(json.dumps({name: s.payload() for name, s in summaries.items()}))
+    assert checks == json.loads(json.dumps(summaries))
+    for c in summaries.values():
+        assert type(c["rows"]) is type(c["pass_within_rounding"]) is int
+        for f in c["failures"]:
+            assert f["passed"] is False and all(type(i) is int for i in f["index"])
     assert payload["verdict"] is False
     failed = [r for r in report.rows if not r.passed]
     assert 0 < len(failed) < len(report.rows)
@@ -814,6 +864,22 @@ def test_verify_convergence_summary_lines_and_timings(tmp_path, capsys):
     assert stages == ["orbit", "apriori_sweep", "apriori_write", "ledger", "envelope_sweep", "envelope_write"]
     names = [stem + ext for stem in stems for ext in (".csv", ".json")]
     assert filecmp.cmpfiles(tmp_path / "plain", tmp_path / "timed", names, shallow=False)[0] == names
+
+
+def test_verify_convergence_timings_of_stages_before_a_failed_one(tmp_path, capsys):
+    # a start whose flavor-II ledger fit is infeasible, after the a-priori
+    # report is written
+    argv = ["verify-convergence", "--map", "henon", "--a", "1.4", "--b", "0.3", "--x0", "1.0762235314518263",
+            "--y0", "0.09231363694596369", "--k", "80", "--flavor", "II"]
+    assert run([*argv, "--out-dir", tmp_path / "plain"]) == 1
+    plain = capsys.readouterr()
+    assert plain.out == "" and plain.err == "c < lambda^2*c_tilde^2/(Gamma^2*Gamma_tilde)\n"
+    assert run([*argv, "--timings", "--out-dir", tmp_path / "timed"]) == 1
+    timed = capsys.readouterr()
+    *timings, error = timed.err.splitlines(keepends=True)
+    stages = [re.fullmatch(r"timing (\w+) (\d+\.\d{6}) s\n", line).group(1) for line in timings]
+    assert stages == ["orbit", "apriori_sweep", "apriori_write"]
+    assert (timed.out, error) == (plain.out, plain.err)
 
 
 def test_verify_convergence_failure_keeps_exit_code_and_reports_counts(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from hypcoords.errors import (
 )
 from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, make_map, rotation
 
-from conftest import random_step_matrix
+from conftest import dense, evaluate, jacobian_at, random_step_matrix
 
 
 def test_scaled_matrix_representation_invariant():
@@ -51,7 +51,7 @@ def test_scaled_product_matches_direct_product():
         a = rng.uniform(-2, 2, size=(2, 2))
         b = rng.uniform(-2, 2, size=(2, 2))
         direct = a @ b
-        scaled = (ScaledMatrix.from_matrix(a) @ ScaledMatrix.from_matrix(b)).dense()
+        scaled = dense(ScaledMatrix.from_matrix(a) @ ScaledMatrix.from_matrix(b))
         denom = max(np.abs(direct).max(), 1e-300)
         assert np.abs(scaled - direct).max() / denom <= 1e-12
 
@@ -59,7 +59,7 @@ def test_scaled_product_matches_direct_product():
 def test_diagonal_prefix_powers():
     lin = linear(2.0, 0.0, 0.0, 0.5)
     orbit = compute_orbit(lin, np.array([1.0, 1.0]), 3)
-    assert np.allclose(orbit.cocycle.prefix(3).dense(), [[8.0, 0.0], [0.0, 0.125]], rtol=1e-14)
+    assert np.allclose(dense(orbit.cocycle.prefix(3)), [[8.0, 0.0], [0.0, 0.125]], rtol=1e-14)
 
 
 def test_henon_two_step_product_and_fd_cross_check():
@@ -67,13 +67,13 @@ def test_henon_two_step_product_and_fd_cross_check():
     orbit = compute_orbit(h, np.array([0.0, 0.0]), 2)
     assert np.allclose(orbit.points[1], [1.0, 0.0])
     assert np.allclose(orbit.points[2], [-0.4, 0.3])
-    m2 = orbit.cocycle.prefix(2).dense()
+    m2 = dense(orbit.cocycle.prefix(2))
     assert np.allclose(m2, [[0.3, -2.8], [0.0, 0.3]], atol=1e-14)
     # independent check: finite differences of the twice-iterated map
     eps = 1e-6
 
     def phi2(p):
-        return h.evaluate(h.evaluate(p))
+        return evaluate(h, evaluate(h, p))
 
     fd = np.column_stack(
         [
@@ -164,13 +164,13 @@ def test_cocycle_block_identity_and_full():
     assert ident.log_scale == 0.0
     assert np.array_equal(ident.body, np.eye(2))
     full = orbit.cocycle.block(0, 8)
-    assert np.allclose(full.dense(), orbit.cocycle.prefix(8).dense(), rtol=1e-13)
+    assert np.allclose(dense(full), dense(orbit.cocycle.prefix(8)), rtol=1e-13)
 
 
 def test_cocycle_block_matches_direct_product():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 8)
-    block = orbit.cocycle.block(2, 5).dense()
+    block = dense(orbit.cocycle.block(2, 5))
     direct = orbit.cocycle.steps[4] @ orbit.cocycle.steps[3] @ orbit.cocycle.steps[2]
     assert np.abs(block - direct).max() / np.abs(direct).max() <= 1e-12
     with pytest.raises(IndexOutOfRange):
@@ -184,7 +184,7 @@ def test_norm_conorm_det_examples():
     assert abs(nd.log_absdet) <= 1e-14
     assert nd.det_sign == 1.0
 
-    rot = rotation(0.9).jacobian_at(np.zeros(2))
+    rot = jacobian_at(rotation(0.9), np.zeros(2))
     nd = norm_conorm_det(ScaledMatrix.from_matrix(rot))
     assert abs(nd.log_norm) <= 1e-12 and abs(nd.log_conorm) <= 1e-12
     assert nd.det_sign == 1.0
@@ -257,7 +257,7 @@ def test_scaled_matches_naive_products_up_to_k20():
     naive = np.eye(2)
     for i, j in enumerate(orbit.cocycle.steps, start=1):
         naive = j @ naive
-        scaled = orbit.cocycle.prefix(i).dense()
+        scaled = dense(orbit.cocycle.prefix(i))
         assert np.abs(scaled - naive).max() / np.abs(naive).max() <= 1e-10
 
 
@@ -266,8 +266,8 @@ def test_random_cocycle_prefix_recursion():
     steps = [random_step_matrix(rng) for _ in range(12)]
     coc = MatrixCocycle(steps)
     for i in range(12):
-        lhs = (ScaledMatrix.from_matrix(steps[i]) @ coc.prefix(i)).dense()
-        rhs = coc.prefix(i + 1).dense()
+        lhs = dense(ScaledMatrix.from_matrix(steps[i]) @ coc.prefix(i))
+        rhs = dense(coc.prefix(i + 1))
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() <= 1e-12
 
 

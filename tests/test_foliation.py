@@ -19,6 +19,8 @@ from hypcoords.hypframe import angle_theta
 from hypcoords.linalg2 import line_angle_distance
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
+from conftest import evaluate, jacobian_at
+
 
 def test_linear_stable_curve_is_vertical():
     lin = linear(2.0, 0.0, 0.0, 0.5)
@@ -42,7 +44,7 @@ def test_henon_curve_tangent_matches_angle_field(henon):
     # per-vertex tangents against the critical-angle field
     for v in range(1, len(curve.points) - 1, 25):
         tangent = curve.points[v + 1] - curve.points[v - 1]
-        j = henon.jacobian_at(curve.points[v])
+        j = jacobian_at(henon, curve.points[v])
         theta = angle_theta(j[0, 0], j[1, 0], j[0, 1], j[1, 1]).theta_contract
         field = (math.sin(theta), math.cos(theta))
         dev = line_angle_distance(
@@ -112,7 +114,7 @@ def pushforward_tangent_deviation(spec, curve, i, stride=1):
     """
     image = curve.points
     for _ in range(i):
-        image = np.array([spec.evaluate(q) for q in image])
+        image = np.array([evaluate(spec, q) for q in image])
     out = []
     for v in range(1, len(curve.points) - 1, stride):
         tangent = image[v + 1] - image[v - 1]

@@ -22,7 +22,7 @@ from hypcoords.hypframe import (
 from hypcoords.linalg2 import line_angle_distance
 from hypcoords.planar_maps import henon, linear, rotation
 
-from conftest import random_step_matrix
+from conftest import dense, jacobian_at, random_step_matrix
 
 
 def scaled(m):
@@ -103,7 +103,7 @@ def test_identity_orbit_has_no_frame():
 
 def test_rotation_has_no_frame():
     with pytest.raises(NoHyperbolicCoordinates):
-        frame_from_scaled(scaled(rotation(0.77).jacobian_at(np.zeros(2))))
+        frame_from_scaled(scaled(jacobian_at(rotation(0.77), np.zeros(2))))
 
 
 def test_henon_k2_coecc_vs_grid_oracle():
@@ -215,17 +215,17 @@ def test_pushforward_not_orthogonal_between(henon):
 
 def test_gram_operator_examples():
     diag = compute_orbit(linear(2.0, 0.0, 0.0, 0.5), np.zeros(2), 1)
-    m = diag.cocycle.prefix(1).dense()
+    m = dense(diag.cocycle.prefix(1))
     assert np.allclose(m.T @ m, np.diag([4.0, 0.25]), rtol=1e-14)
 
     rot = compute_orbit(rotation(1.1), np.zeros(2), 1)
-    m = rot.cocycle.prefix(1).dense()
+    m = dense(rot.cocycle.prefix(1))
     assert np.allclose(m.T @ m, np.eye(2), atol=1e-15)
 
 
 def test_gram_operator_henon_symmetry_and_eigenrelations(henon):
     orbit = compute_orbit(henon, np.array([0.0, 0.0]), 2)
-    m = orbit.cocycle.prefix(2).dense()
+    m = dense(orbit.cocycle.prefix(2))
     gram = m.T @ m
     assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
     # eigen relations with the frame, residual relative to the operator norm
@@ -251,7 +251,7 @@ def test_oracle_diagonal():
 
 
 def test_oracle_rotation_flat():
-    res = oracle_extremal_directions(rotation(0.4).jacobian_at(np.zeros(2)), 10**4)
+    res = oracle_extremal_directions(jacobian_at(rotation(0.4), np.zeros(2)), 10**4)
     assert res.flat
     assert abs(res.norm_max - 1.0) <= 1e-12
 
@@ -299,10 +299,10 @@ def oracle_matrices(draw):
     if kind == "random":
         m = np.array(draw(st.lists(_UNIT, min_size=4, max_size=4))).reshape(2, 2)
     elif kind == "rotation":
-        m = rotation(draw(_ANGLE)).jacobian_at(np.zeros(2))
+        m = jacobian_at(rotation(draw(_ANGLE)), np.zeros(2))
     elif kind == "near_conformal":
         stretch = np.diag([1.0, 1.0 + draw(st.floats(1e-15, 1e-3))])
-        turn_in, turn_out = (rotation(draw(_ANGLE)).jacobian_at(np.zeros(2)) for _ in range(2))
+        turn_in, turn_out = (jacobian_at(rotation(draw(_ANGLE)), np.zeros(2)) for _ in range(2))
         m = turn_out @ stretch @ turn_in
     elif kind == "rank_one":
         m = np.outer(draw(st.lists(_UNIT, min_size=2, max_size=2)),

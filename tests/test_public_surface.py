@@ -12,11 +12,16 @@ A use is an identifier in code: a name, or an attribute such as
 ``bounds.coeccentricity``.  A docstring or an ``import`` line is not a use,
 and modules are not told apart, so two definitions of one name are reached
 together.  The benchmark names its tracer targets in strings, so the words
-of its string constants count as uses as well.  Methods are not reported;
-a reached class reaches every name its methods use.
+of its string constants count as uses as well.
+
+Methods count as definitions of their own: a method is reached when its
+name is used in reached code, and a dunder method, which Python calls by
+itself, when its class is.  A method that only code outside the package
+calls is listed in ``CALLED_FROM_OUTSIDE`` with that caller.
 """
 
 import ast
+import copy
 import pathlib
 import re
 
@@ -49,34 +54,62 @@ def names_used(tree, strings=False):
     return used
 
 
-def unreached(modules, roots):
-    """``file:line name`` of each module-level definition not reached from ``roots``.
+def _method(stmt):
+    """Whether ``stmt`` in a class body is a method that code calls by name:
+    a function other than a dunder, which Python calls on its own."""
+    return isinstance(stmt, ast.FunctionDef) and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+
+
+def _definitions(stmt):
+    """(name, qualified name, node) of a module-level definition and, for a
+    class, of each of its methods.  A class's node keeps its other
+    statements only, so reaching a class does not reach its methods."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(stmt.name, stmt.name, stmt)]
+    methods = [item for item in stmt.body if _method(item)]
+    own = copy.copy(stmt)
+    own.body = [item for item in stmt.body if not _method(item)]
+    return [(stmt.name, stmt.name, own)] + [(m.name, f"{stmt.name}.{m.name}", m) for m in methods]
+
+
+def unreached(modules, roots, exempt=()):
+    """``file:line name`` of each module-level definition and method not
+    reached from ``roots``, other than those named in ``exempt``.
 
     ``modules`` maps a label to source text; the statements at module level
     of every module other than definitions, imports and docstrings are roots
-    too.
+    too.  A method is reached when its name is, and a dunder method with its
+    class.
     """
     defs = {}
     reached = set(roots)
     for label, text in modules.items():
         for stmt in ast.parse(text).body:
             if isinstance(stmt, _DEFS):
-                defs.setdefault(stmt.name, []).append((label, stmt))
+                for name, qualname, node in _definitions(stmt):
+                    defs.setdefault(name, []).append((label, qualname, node))
             elif not (isinstance(stmt, _IMPORTS) or _docstring(stmt)):
                 reached |= names_used(stmt)
     todo = list(reached)
     while todo:
-        for _, stmt in defs.get(todo.pop(), ()):
-            new = names_used(stmt) - reached
+        for _, _, node in defs.get(todo.pop(), ()):
+            new = names_used(node) - reached
             reached |= new
             todo.extend(new)
     missed = sorted(
-        (label, stmt.lineno, name)
+        (label, node.lineno, qualname)
         for name, found in defs.items()
         if name not in reached
-        for label, stmt in found
+        for label, qualname, node in found
+        if qualname not in exempt
     )
-    return [f"{label}:{line} {name}" for label, line, name in missed]
+    return [f"{label}:{line} {qualname}" for label, line, qualname in missed]
+
+
+# Methods that code outside the package calls by name, with the caller
+CALLED_FROM_OUTSIDE = {
+    "_ArgumentParser.error": "argparse.ArgumentParser calls self.error on a malformed command line",
+}
 
 
 def _exports(text):
@@ -122,6 +155,41 @@ TABLE = {"key": tabled}
     ]
 
 
+def test_scanner_reports_methods_that_no_reached_code_calls():
+    source = '''class Reached:
+    size = measure()
+
+    def __init__(self):
+        self.used()
+
+    def used(self):
+        return helper()
+
+    def unused(self):
+        return only_unused_calls()
+
+    def hook(self):
+        pass
+
+
+def measure():
+    pass
+
+
+def helper():
+    pass
+
+
+def only_unused_calls():
+    pass
+'''
+    roots = names_used(ast.parse("Reached()"))
+    assert unreached({"m.py": source}, roots, exempt={"Reached.hook"}) == [
+        "m.py:10 Reached.unused",
+        "m.py:25 only_unused_calls",
+    ]
+
+
 def test_every_src_definition_is_reached_from_a_command_criterion_or_benchmark():
     modules = {
         str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
@@ -131,5 +199,5 @@ def test_every_src_definition_is_reached_from_a_command_criterion_or_benchmark()
     roots |= names_used(ast.parse((REPO / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
     for path in sorted((REPO / "perfbench").glob("*.py")):
         roots |= names_used(ast.parse(path.read_text(encoding="utf-8")), strings=True)
-    missed = unreached(modules, roots)
+    missed = unreached(modules, roots, exempt=CALLED_FROM_OUTSIDE)
     assert not missed, "reached only from tests:\n" + "\n".join(missed)
