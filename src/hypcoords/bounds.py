@@ -127,7 +127,7 @@ class BoundReport:
         codes = np.array([self._code(check) for check in checks], dtype=np.intc)
         positions = np.arange(len(self._indices), len(self._indices) + len(indices), dtype=np.intc)
         self._indices.extend(indices)
-        self._check.frombytes(np.tile(codes, len(indices)).tobytes())
+        self._check.frombytes(codes.tobytes() * len(indices))
         self._index.frombytes(positions.repeat(len(checks)).tobytes())
         self._lhs.frombytes(lhs.T.tobytes())
         self._rhs.frombytes(rhs.T.tobytes())
@@ -168,12 +168,29 @@ class BoundReport:
 # percent of inputs.
 
 
+_LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows on finite x above it
+
+
+def _overflow(x: float) -> BoundOverflow:
+    return BoundOverflow(f"bound term exp({x:.6g}) exceeds the double range")
+
+
 def _exp(x: float) -> float:
     """math.exp of a bound term; a term beyond the double range is a BoundOverflow."""
     try:
         return math.exp(x)
     except OverflowError:
-        raise BoundOverflow(f"bound term exp({x:.6g}) exceeds the double range") from None
+        raise _overflow(x) from None
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp, with inf beyond the double range."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
+def _log(x: float) -> float:
+    """math.log, with log 0 = -inf."""
+    return math.log(x) if x != 0.0 else -math.inf
 
 
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
@@ -184,38 +201,29 @@ def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
     return 2.0 / (1.0 - cc * cc)
 
 
-def _one_step_log_coecc(coc: MatrixCocycle, j: int) -> float:
-    lc1 = coc.step_log_coecc(j)
-    if math.isinf(lc1):
-        raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
-    return lc1
-
-
-def _drift_term(coc: MatrixCocycle, j: int) -> float:
-    return _exp(
-        coc.log_coecc(j) + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1]
+def _log_terms(coc: MatrixCocycle, j: int, log_absdet_i):
+    """Logs of the j-th terms of the drift, det drift, tail and det tail sums of
+    a pair (i, k), given log |det DPhi^i| as a float or an array over i; +inf
+    tails for a zero one-step co-eccentricity."""
+    log_coecc, step_log_coecc = coc.log_coecc(j), coc.step_log_coecc(j)
+    det_ratio = coc.log_absdet[j] - log_absdet_i
+    return (
+        log_coecc + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1],
+        det_ratio + coc.step_log_norm[j] - coc.log_norm[j] - coc.log_norm[j + 1],
+        log_coecc - step_log_coecc,
+        det_ratio - 2.0 * coc.log_norm[j] - step_log_coecc,
     )
 
 
-def _det_drift_term(coc: MatrixCocycle, i: int, j: int) -> float:
-    return _exp(
-        (coc.log_absdet[j] - coc.log_absdet[i])
-        + coc.step_log_norm[j]
-        - coc.log_norm[j]
-        - coc.log_norm[j + 1]
-    )
-
-
-def _tail_term(coc: MatrixCocycle, j: int) -> float:
-    return _exp(coc.log_coecc(j) - _one_step_log_coecc(coc, j))
-
-
-def _det_tail_term(coc: MatrixCocycle, i: int, j: int) -> float:
-    return _exp(
-        (coc.log_absdet[j] - coc.log_absdet[i])
-        - 2.0 * coc.log_norm[j]
-        - _one_step_log_coecc(coc, j)
-    )
+def _sum(coc: MatrixCocycle, i: int, k: int, term: int) -> float:
+    """Sum over j = i..k-1 of the exponential of ``_log_terms``' ``term``; at a
+    step of zero one-step co-eccentricity a tail term (2 or 3) is a DegenerateStep."""
+    total = 0.0
+    for j in range(i, k):
+        if term >= 2 and math.isinf(coc.step_log_coecc(j)):
+            raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
+        total += _exp(_log_terms(coc, j, coc.log_absdet[i])[term])
+    return total
 
 
 def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
@@ -232,34 +240,7 @@ def tail_T(source: Union[OrbitSegment, MatrixCocycle], i: int, k: int) -> float:
     coc = cocycle_of(source)
     if not 1 <= i <= k <= coc.k:
         raise ValueError(f"need 1 <= i <= k <= {coc.k}")
-    total = 0.0
-    for j in range(i, k):
-        total += _tail_term(coc, j)
-    return total
-
-
-def _drift_sum(coc: MatrixCocycle, i: int, k: int) -> float:
-    """Sum over j of coecc_j |DPhi^j| |step_j| / |DPhi^(j+1)|."""
-    total = 0.0
-    for j in range(i, k):
-        total += _drift_term(coc, j)
-    return total
-
-
-def _det_drift_sum(coc: MatrixCocycle, i: int, k: int) -> float:
-    """Sum over j of |det block(i,j)| |step_j| / (|DPhi^j| |DPhi^(j+1)|)."""
-    total = 0.0
-    for j in range(i, k):
-        total += _det_drift_term(coc, i, j)
-    return total
-
-
-def _det_tail_sum(coc: MatrixCocycle, i: int, k: int) -> float:
-    """Sum over j of |det block(i,j)| / (|DPhi^j|^2 onestep_coecc_j)."""
-    total = 0.0
-    for j in range(i, k):
-        total += _det_tail_term(coc, i, j)
-    return total
+    return _sum(coc, i, k, 2)
 
 
 def _pair_measurements(
@@ -279,8 +260,8 @@ def _pair_measurements(
 
 
 class _OrderColumns(NamedTuple):
-    """The index tuples of the pairs (1, k) .. (k, k), then their
-    ``_pair_measurements`` as arrays over i."""
+    """The index tuples of the pairs (1, k) .. (k, k), their ``_pair_measurements``
+    as arrays over i, the logs of push and push_over_det, and whether all are in range."""
 
     indices: List[Tuple[int, int]]
     drift: np.ndarray
@@ -288,6 +269,8 @@ class _OrderColumns(NamedTuple):
     push_over_det: np.ndarray
     push_noise: np.ndarray
     det_noise: np.ndarray
+    log_pushes: np.ndarray
+    in_range: bool
 
 
 class _Measured:
@@ -312,7 +295,7 @@ class _Measured:
 def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
     """The columns of order k, measured once per cocycle.  Orders are measured
     in turn, so each finds the frames and allowances of the orders below it;
-    an order that raises is measured again when next asked for."""
+    an order whose frame is undefined raises whenever it is asked for."""
     if coc._measured is None:
         coc._measured = _Measured(coc)
     measured = coc._measured
@@ -323,20 +306,13 @@ def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
 
 def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     """``_pair_measurements`` of every pair (i, k) in one array pass over i,
-    bit for bit.
-
-    Raises what the first of those pairs to fail raises.  The terms of
-    index i < k that can fail (the allowances, a zero determinant) were
-    taken at order i; the terms of index k come in the per-pair order.  The
-    pushes |DPhi^i e_k| of i < k stay below |DPhi^i|, whose exponential was
-    taken at order i, up to an ulp at the edge of the double range.
-    """
+    bit for bit where that function returns.  Only an undefined frame of
+    order k raises, as it does first there; a term beyond the double range
+    is inf, and ``_first_error`` names what the per-pair function raises."""
     m = coc._measured
     m.e[k] = hyperbolic_coordinates(coc, k).e
-    if coc.log_absdet[k] == float("-inf"):
-        raise ZeroDeterminant(f"det DPhi^{k} is zero: determinant-normalized rows undefined")
-    m.push_noise[k] = ROUNDING_UNIT * _exp(coc.log_norm[k])
-    m.det_noise[k] = ROUNDING_UNIT * _exp(coc.log_norm[k] - coc.log_absdet[k])
+    log_noise = (coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
+    m.push_noise[k], m.det_noise[k] = (ROUNDING_UNIT * _exp_or_inf(x) for x in log_noise)
     upto = slice(1, k + 1)
     e_k = m.e[k]
     # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
@@ -348,16 +324,52 @@ def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     w = np.matmul(m.prefix_bodies[upto], e_k[:, None])
     push_norms = linalg2.each(math.hypot, w[:, 0, 0], w[:, 1, 0])
     # a zero image has log norm -inf, as in ScaledMatrix.apply
-    log_push = linalg2.each(lambda x: math.log(x) if x != 0.0 else -math.inf, push_norms)
+    log_push = linalg2.each(math.log if push_norms.all() else _log, push_norms)
     log_push += m.prefix_log_scales[upto]
+    log_pushes = np.concatenate((log_push, log_push - m.log_absdet[upto]))
+    in_range = not (max(log_noise) > _LOG_MAX or (log_pushes > _LOG_MAX).any())
     return _OrderColumns(
         m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
         drift,
-        linalg2.each(_exp, log_push),
-        linalg2.each(_exp, log_push - m.log_absdet[upto]),
+        *linalg2.each(math.exp if in_range else _exp_or_inf, log_pushes).reshape(2, k),
         m.push_noise[upto],
         m.det_noise[upto],
+        log_pushes,
+        in_range,
     )
+
+
+def _first_error(coc: MatrixCocycle, columns: _OrderColumns, sums=None) -> HypcoordsError:
+    """What the per-pair function raises at the first pair (i, k) of an order
+    to fail, in row order, meeting each pair's terms as it does: the measured
+    ones, then ``verify_apriori_all``'s ``sums`` (the terms of j = k - 1, the
+    max |entry| of each block, the log quotients); index i < k passed at order i."""
+    k = len(columns.indices)
+
+    def overflows(*logs):
+        return (_overflow(x) for x in logs if x > _LOG_MAX)
+
+    def errors(i):
+        if i == k:
+            if coc.log_absdet[k] == -math.inf:
+                yield ZeroDeterminant(
+                    f"det DPhi^{k} is zero: determinant-normalized rows undefined"
+                )
+            yield from overflows(coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
+        yield from overflows(columns.log_pushes[i - 1], columns.log_pushes[k + i - 1])
+        if sums is None:
+            return
+        (drift, det_drift, tail, det_tail), peak, log_quotient = sums
+        if i < k:
+            yield from overflows(drift, det_drift[i - 1])
+            if math.isinf(coc.step_log_coecc(k - 1)):
+                yield DegenerateStep(f"one-step co-eccentricity at {k - 1} is zero")
+            yield from overflows(tail, det_tail[i - 1])
+            if peak[i - 1] == 0.0:
+                yield ZeroMatrix("norms undefined for the zero matrix")  # as norm_conorm_det
+        yield from overflows(log_quotient[i - 1])
+
+    return next(e for i in range(1, k + 1) for e in errors(i))
 
 
 _APRIORI_CHECKS = (
@@ -380,13 +392,14 @@ def _apriori_sides(measured, ct, norm, conorm, inv_norm, sums, quotient):
     drift, push, push_over_det, push_noise, det_noise = measured
     drift_sum, det_drift_sum, tail, det_tail_sum = sums
     lhs = (drift, push, push_over_det) * 2 + (drift,)
+    ct_norm = ct * norm
     rhs = (
         ct * drift_sum,
-        conorm + ct * norm * drift_sum,
-        inv_norm + ct * norm * det_drift_sum,
+        conorm + ct_norm * drift_sum,
+        inv_norm + ct_norm * det_drift_sum,
         tail * ct,
         conorm + norm * tail * ct,
-        inv_norm + ct * norm * det_tail_sum,
+        inv_norm + ct_norm * det_tail_sum,
         ct * quotient,
     )
     abs_tol = (ROUNDING_UNIT, push_noise, det_noise) * 2 + (ROUNDING_UNIT,)
@@ -414,10 +427,7 @@ def verify_apriori_convergence(
     rep = report if report is not None else BoundReport("apriori_convergence", tol)
     measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
     ct = ctilde(coc, k)
-    sums = (
-        _drift_sum(coc, i, k), _det_drift_sum(coc, i, k),
-        tail_T(coc, i, k), _det_tail_sum(coc, i, k),
-    )
+    sums = (_sum(coc, i, k, 0), _sum(coc, i, k, 1), tail_T(coc, i, k), _sum(coc, i, k, 3))
     block_log_norm = norm_conorm_det(coc.block(i, k)).log_norm
     norm_i = _exp(coc.log_norm[i])
     conorm_i = _exp(coc.log_conorm[i])
@@ -435,19 +445,16 @@ def verify_apriori_all(
     """Drift bounds over every pair 1 <= i <= k <= length, in one O(k^2) sweep.
 
     Rows come k outer, i inner, and equal those of
-    ``verify_apriori_convergence`` bit for bit.  Each order k is one array
-    pass over i = 1..k: one matmul carries the stack of blocks block(i, k - 1)
-    forward by step k - 1, the four sums take their j = k - 1 terms by
-    elementwise ``+=``, and the measured left sides are the order's columns,
-    which ``verify_explicit_convergence`` reads too.  Every array operation
-    rounds as its scalar counterpart in the per-pair function; logs, hypots
-    and exponentials are taken per element with ``math``.  ctilde is a
-    running max over orders, and norm, co-norm and 1/norm of order i are
-    formed once.  An order whose pass meets a term that would raise (a
-    near-conformal order, a zero determinant or block, a degenerate step, a
-    term beyond the double range) and every order after it are built pair by
-    pair through ``verify_apriori_convergence``, which raises its own error
-    at its own pair.
+    ``verify_apriori_convergence`` bit for bit; so do its errors.  Each
+    order k is one array pass over i = 1..k: one matmul carries the blocks
+    block(i, k - 1) forward by step k - 1, the four sums add their j = k - 1
+    terms (``_log_terms``) elementwise, and the measured left sides are the
+    order's columns, shared with ``verify_explicit_convergence``.  Array
+    operations round as their scalar counterparts (``math`` per element for
+    logs, hypots and exponentials).  After the frame of order k, one test of
+    the order's log terms catches any beyond the double range or a zero
+    one-step co-eccentricity, block or determinant; only then does
+    ``_first_error`` go pair by pair.
     """
     coc = cocycle_of(source)
     rep = BoundReport("apriori_convergence", tol)
@@ -460,57 +467,44 @@ def verify_apriori_all(
     log_norm = np.array(coc.log_norm)
     log_coecc = np.array(coc.log_conorm) - log_norm
     log_absdet = np.array(coc.log_absdet)
+    empty_sum_terms = (-math.inf, np.zeros(0), -math.inf, np.zeros(0))  # order 1 has no j
     worst = 0.0
 
-    @np.errstate(all="ignore")  # overflow to inf, as on Python floats
-    def order(k: int) -> None:
-        nonlocal worst
-        worst = max(worst, _ctilde_sq_term(coc, k))
-        ct = math.sqrt(worst)
-        columns = _measured(coc, k)
-        norm[k] = norm_k = _exp(coc.log_norm[k])
-        conorm[k] = _exp(coc.log_conorm[k])
-        inv_norm[k] = 1.0 / norm_k
-        if k > 1:
-            j = k - 1
-            before = slice(1, k)
-            step = coc.scaled_steps[j]
+    with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+        for k in range(1, n + 1):
+            columns = _measured(coc, k)
+            worst = max(worst, _ctilde_sq_term(coc, k))
+            ct = math.sqrt(worst)
+            before, upto = slice(1, k), slice(1, k + 1)
+            step = coc.scaled_steps[k - 1]
             bodies, scales, peak = normalize_stack(
                 np.matmul(step.body, blocks[before]), step.log_scale + block_log_scales[before]
             )
-            if not peak.all():
-                raise ZeroMatrix(f"a block ending at step {j} is the zero matrix")
             blocks[before], block_log_scales[before] = bodies, scales
-            det_ratio = log_absdet[j] - log_absdet[before]
-            sums[0, before] += _drift_term(coc, j)
-            sums[1, before] += linalg2.each(
-                math.exp, det_ratio + coc.step_log_norm[j] - coc.log_norm[j] - coc.log_norm[j + 1]
+            terms = _log_terms(coc, k - 1, log_absdet[before]) if k > 1 else empty_sum_terms
+            drift, det_drift, tail, det_tail = terms
+            smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
+            nonzero = peak.all()
+            block_log_norm = linalg2.each(math.log if nonzero else _log, smax)
+            block_log_norm += block_log_scales[upto]
+            log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
+            logs = np.concatenate((det_drift, det_tail, log_quotient))
+            if (not (columns.in_range and nonzero) or drift > _LOG_MAX or tail > _LOG_MAX
+                    or (logs > _LOG_MAX).any()):
+                raise _first_error(coc, columns, (terms, peak, log_quotient))
+            exps = linalg2.each(math.exp, logs)
+            norm[k] = norm_k = _exp(coc.log_norm[k])
+            conorm[k] = _exp(coc.log_conorm[k])
+            inv_norm[k] = 1.0 / norm_k
+            sums[0, before] += math.exp(drift)
+            sums[1, before] += exps[: k - 1]
+            sums[2, before] += math.exp(tail)
+            sums[3, before] += exps[k - 1 : 2 * k - 2]
+            sides = _apriori_sides(
+                columns[1:6], ct, norm[upto], conorm[upto], inv_norm[upto], sums[:, upto],
+                exps[2 * k - 2 :],
             )
-            sums[2, before] += _tail_term(coc, j)
-            sums[3, before] += linalg2.each(
-                math.exp, det_ratio - 2.0 * coc.log_norm[j] - _one_step_log_coecc(coc, j)
-            )
-        upto = slice(1, k + 1)
-        smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
-        block_log_norm = linalg2.each(math.log, smax) + block_log_scales[upto]
-        quotient = linalg2.each(
-            math.exp, log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
-        )
-        sides = _apriori_sides(
-            columns[1:], ct, norm[upto], conorm[upto], inv_norm[upto], sums[:, upto], quotient
-        )
-        rep.add_pairs(_APRIORI_CHECKS, columns.indices, *sides)
-
-    for k in range(1, n + 1):
-        try:
-            order(k)
-        except (HypcoordsError, ArithmeticError):
-            # the pass takes ctilde before the frames and the sums' terms by
-            # raw math.exp, so the error would not always be the reference's
-            for k_rest in range(k, n + 1):
-                for i in range(1, k_rest + 1):
-                    verify_apriori_convergence(coc, i, k_rest, report=rep)
-            break
+            rep.add_pairs(_APRIORI_CHECKS, columns.indices, *sides)
     return rep
 
 
@@ -565,9 +559,10 @@ def verify_explicit_convergence(
     ``_envelope_rates``, the measured left side of ``_pair_measurements``
     against Q r^i.  Each order k is one pass over i = 1..k that reads the
     order's measured columns, shared with ``verify_apriori_all``, and the
-    right sides Q r^i, each formed once.  An order that raises raises what
-    the first pair to fail raises when its rows are built pair by pair:
-    Q r^k comes after the measurements of order k, as at pair (k, k).
+    right sides Q r^i, each formed once.  An order raises what the first
+    pair to fail would raise if its rows were built pair by pair: an
+    undefined frame of order k, else what ``_first_error`` names from the
+    measured terms.  Q r^k comes after them, as at pair (k, k).
     """
     aux = _certified_aux(orbit, ledger, aux)
     coc = orbit.cocycle
@@ -579,10 +574,12 @@ def verify_explicit_convergence(
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, coc.k + 1):
             columns = _measured(coc, k)
+            if not columns.in_range:
+                raise _first_error(coc, columns)
             envelopes[:, k] = [q * r**k for _, q, r in rates]
             rep.add_pairs(
                 checks, columns.indices, columns[1:4] * types, envelopes[:, 1 : k + 1],
-                ((ROUNDING_UNIT,) + columns[4:]) * types,
+                ((ROUNDING_UNIT,) + columns[4:6]) * types,
             )
     return rep
 

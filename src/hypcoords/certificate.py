@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -205,21 +205,18 @@ class ConstantsLedger:
             raise InvalidLedger(v)
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "Gamma": self.Gamma,
-            "Gamma_tilde": self.Gamma_tilde,
-            "lambda": self.lam,
-            "b": self.b,
-            "c": self.c,
-            "c_tilde": self.c_tilde,
-            "B": self.B,
-            "B_tilde": self.B_tilde,
-            "C": self.C,
-            "D": self.D,
-        }
+        """The constants by ledger key, in field order."""
+        return {key: getattr(self, name) for name, key in _LEDGER_KEYS.items()}
 
     def with_c(self, c: float) -> "ConstantsLedger":
         return replace(self, c=c)
+
+
+# the ledger key of each constant: its field name, but lambda for lam
+_LEDGER_KEYS = {
+    f.name: "lambda" if f.name == "lam" else f.name
+    for f in fields(ConstantsLedger) if f.name != "flavor"
+}
 
 
 @dataclass(frozen=True)
@@ -590,18 +587,22 @@ def write_ledger(path: str, ledger: ConstantsLedger) -> None:
 
 
 def read_ledger(path: str) -> ConstantsLedger:
-    fields: Dict[str, str] = {}
+    """The ledger ``write_ledger`` wrote; a key it does not write, or one of
+    its keys missing, is a ConfigError naming the key."""
+    entries: Dict[str, str] = {}
     for line in read_config_lines(path):
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if "flavor" not in fields:
+        entries[key.strip()] = value.strip()
+    if "flavor" not in entries:
         raise ConfigError(f"{path}: no flavor line")
-    flavor = parse_value("flavor", fields.pop("flavor"), Flavor.parse)
-    rename = {"lambda": "lam"}
-    kwargs = {rename.get(k, k): parse_value(k, v, float) for k, v in fields.items()}
-    try:
-        return ConstantsLedger(flavor=flavor, **kwargs)
-    except TypeError as exc:  # unknown or missing constant names
-        raise ConfigError(f"{path}: {exc}") from exc
+    flavor = parse_value("flavor", entries.pop("flavor"), Flavor.parse)
+    unknown = sorted(set(entries) - set(_LEDGER_KEYS.values()))
+    missing = [key for key in _LEDGER_KEYS.values() if key not in entries]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{path}: {problem} keys {keys}")
+    return ConstantsLedger(flavor=flavor, **{
+        name: parse_value(key, entries[key], float) for name, key in _LEDGER_KEYS.items()
+    })

@@ -544,15 +544,13 @@ def _values_list(key: str, text: str) -> List[float]:
 
 def cmd_scan_constants(args) -> int:
     cfg = _load_config(args.config)
-    cells = certificate.feasibility_region_scan(
-        _flavor(args, cfg),
-        _values_list("lambda_values", args.lambda_values),
-        _values_list("gamma_values", args.gamma_values),
-        _values_list("c_values", args.c_values),
-        _values_list("b_values", args.b_values),
-        _values_list("gamma_tilde_values", args.gamma_tilde_values),
-        _values_list("c_tilde_values", args.c_tilde_values),
-    )
+    keys = ("lambda_values", "gamma_values", "c_values", "b_values", "gamma_tilde_values",
+            "c_tilde_values")
+    grids = [_values_list(key, getattr(args, key)) for key in keys]
+    for key, values in zip(keys, grids):
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"--{key.replace('_', '-')} entries must be finite")
+    cells = certificate.feasibility_region_scan(_flavor(args, cfg), *grids)
     out = _out_dir(args, cfg)
     _write_csv(
         os.path.join(out, "scan.csv"),

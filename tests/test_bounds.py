@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,48 +164,84 @@ _FLOAT_SINGULAR = np.array([[0.1, 0.3], [0.2, 0.6]])
 _TINY = math.exp(-350.0) / 2.0
 
 
-# (steps, error, first failing pair) of inputs on which both paths raise
+# (steps, error, its message, first failing pair) of inputs on which both paths raise
 _RAISING = [
     # step 1 is singular: its one-step co-eccentricity vanishes
     (
         [np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 0.5])],
         DegenerateStep,
+        "one-step co-eccentricity at 1 is zero",
         (1, 2),
     ),
     # conformal products: the frame check, with the same threshold as
     # ctilde's DegenerateCoeccentricity, fires first on both paths
-    ([_rotation(0.3), _rotation(0.7)], NoHyperbolicCoordinates, (1, 1)),
+    (
+        [_rotation(0.3), _rotation(0.7)],
+        NoHyperbolicCoordinates,
+        "co-eccentricity 1.0 >= 1 - 1e-12: frame undefined",
+        (1, 1),
+    ),
     # a singular step after regular ones: det DPhi^3 is zero
     (
         [np.diag([2.0, 0.5]), np.diag([3.0, 0.4]), _FLOAT_SINGULAR, np.diag([2.0, 0.5])],
         ZeroDeterminant,
+        "det DPhi^3 is zero: determinant-normalized rows undefined",
         (3, 3),
     ),
-    # |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2 = exp(919.6) in _det_drift_term
+    # the determinant drift term |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2
     (
         [np.diag([2.0, 0.5]), np.diag([1e-200, 1e-201]), np.diag([1e150, 1e149])],
         BoundOverflow,
+        "bound term exp(919.648) exceeds the double range",
         (2, 3),
     ),
-    # exp(723.0) in _det_tail_term, after a finite _det_drift_term
+    # the determinant tail term, after a finite determinant drift term
     (
         [np.diag([2.0, 0.5]), np.diag([_TINY, _TINY / 10.0]), np.diag([1e10, 1.0])],
         BoundOverflow,
+        "bound term exp(723.026) exceeds the double range",
         (2, 3),
+    ),
+    # |DPhi^2| = 4e-600 underflows, so 1 / |DPhi^2| would divide by zero at
+    # (2, 2); the determinant drift term of (1, 2), 1 / |DPhi^2|, comes first
+    (
+        [np.diag([1e-300, 2e-300])] * 3,
+        BoundOverflow,
+        "bound term exp(1380.16) exceeds the double range",
+        (1, 2),
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "steps, expected, pair",
+    "steps, expected, message, pair",
     [pytest.param(*case, id=f"steps{n}-{case[1].__name__}") for n, case in enumerate(_RAISING)],
 )
-def test_apriori_sweep_raises_like_per_pair(steps, expected, pair):
+def test_apriori_sweep_raises_like_per_pair(steps, expected, message, pair):
     coc = MatrixCocycle(steps)
     assert _first_failing_pair(coc) == pair
     outcome = _sweep_outcome(coc)
-    assert outcome[0] is expected
+    assert outcome == (expected, message)
     assert outcome == _per_pair_outcome(coc)
+
+
+def _barred(*args, **kwargs):
+    raise AssertionError("verify_apriori_all called the per-pair path")
+
+
+def _sweep_outcome_alone(coc):
+    """``_sweep_outcome`` with the per-pair function and its measurements barred."""
+    with mock.patch.object(bounds, "verify_apriori_convergence", _barred), \
+            mock.patch.object(bounds, "_pair_measurements", _barred):
+        return _sweep_outcome(coc)
+
+
+@pytest.mark.parametrize(
+    "steps", [pytest.param(case[0], id=f"steps{n}") for n, case in enumerate(_RAISING)]
+)
+def test_apriori_sweep_raises_without_the_per_pair_function(steps):
+    coc = MatrixCocycle(steps)
+    assert _sweep_outcome_alone(coc) == _per_pair_outcome(coc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -952,6 +989,16 @@ def test_apriori_sweep_equals_per_pair_on_fuzzed_steps(steps):
     assert _sweep_outcome(coc) == _per_pair_outcome(coc)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fuzz_steps(), min_size=1, max_size=4))
+def test_apriori_sweep_on_fuzzed_steps_without_the_per_pair_function(steps):
+    try:
+        coc = MatrixCocycle(steps)
+    except HypcoordsError:
+        return
+    assert _sweep_outcome_alone(coc) == _per_pair_outcome(coc)
+
+
 def _measurement_outcome(measure):
     try:
         return [tuple(map(repr, values)) for values in measure()]
@@ -963,7 +1010,8 @@ def _measurement_outcome(measure):
 @given(st.lists(fuzz_steps(), min_size=1, max_size=6))
 def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
     # verify_explicit_convergence reads these columns and has no per-pair
-    # path, so the batched measurements must raise as the per-pair ones do
+    # path, so the batched measurements and their checks must raise as the
+    # per-pair ones do
     try:
         coc = MatrixCocycle(steps)
     except HypcoordsError:
@@ -971,8 +1019,11 @@ def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
 
     def batched():
         for k in range(1, coc.k + 1):
-            c = bounds._measured(coc, k)
-            yield from zip(c.indices, *(column.tolist() for column in c[1:]))
+            with np.errstate(all="ignore"):  # as the sweeps measure
+                c = bounds._measured(coc, k)
+            if not c.in_range:
+                raise bounds._first_error(coc, c)
+            yield from zip(c.indices, *(column.tolist() for column in c[1:6]))
 
     def per_pair():
         for k in range(1, coc.k + 1):

@@ -224,6 +224,24 @@ def test_scan_constants_command(tmp_path):
             assert cell[6] == "0"
 
 
+def test_scan_constants_keeps_zero_and_negative_values_as_infeasible_cells(tmp_path):
+    assert run(["scan-constants", "--lambda-values", "0,-1.5", "--out-dir", tmp_path]) == 0
+    cells = [line.split(",") for line in (tmp_path / "scan.csv").read_text().splitlines()[1:]]
+    assert [(cell[0], cell[6]) for cell in cells] == [("0", "0"), ("-1.5", "0")]
+
+
+@pytest.mark.parametrize(
+    "flag, values",
+    [("--lambda-values", "nan,1.5"), ("--gamma-values", "1.5,inf"), ("--c-values", "-inf"),
+     ("--b-values", "1,nan"), ("--gamma-tilde-values", "inf"), ("--c-tilde-values", "1,-inf")],
+)
+def test_scan_constants_rejects_non_finite_values(tmp_path, capsys, flag, values):
+    out = tmp_path / "out"
+    assert run(["scan-constants", f"{flag}={values}", "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {flag} entries must be finite"
+    assert not out.exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -392,7 +410,10 @@ def test_unparsable_config_values_are_usage_errors(tmp_path, capsys, command, te
     "edit, key",
     [(lambda text: text.replace("flavor = II\n", ""), "no flavor line"),
      (lambda text: re.sub(r"^Gamma = .*$", "Gamma = x", text, flags=re.M), "Gamma: "),
-     (lambda text: text.replace("flavor = II", "flavor = zz"), "flavor: ")],
+     (lambda text: text.replace("flavor = II", "flavor = zz"), "flavor: "),
+     (lambda text: re.sub(r"^lambda = .*\n", "", text, flags=re.M), "missing keys ['lambda']"),
+     (lambda text: text + "foo = 1.0\n", "unknown keys ['foo']"),
+     (lambda text: text.replace("lambda = ", "lam = "), "unknown keys ['lam']")],
 )
 def test_malformed_ledger_is_usage_error(tmp_path, capsys, edit, key):
     fitted = tmp_path / "fitted"
