@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import filecmp
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypcoords import bounds, certificate, compute_orbit, make_map
 from hypcoords.cli import fmt, main, write_bound_report
 
-from conftest import HENON_FIXTURE
+from conftest import HENON_FIXTURE, LORENZ_FIXTURE, STANDARD_FIXTURE, STANDARD_K
 
 HENON_ARGS = [
     "--map", "henon", "--a", "1.4", "--b", "0.3",
@@ -915,3 +916,157 @@ def test_verify_convergence_failure_keeps_exit_code_and_reports_counts(tmp_path,
     summary = _summary_lines_of(tmp_path, ("apriori_convergence", "explicit_convergence"))
     assert captured.out.splitlines() == summary
     assert " 0 failed" not in summary[0]
+
+
+def _start(point):
+    return ["--x0", repr(float(point[0])), "--y0", repr(float(point[1]))]
+
+
+_PARITY_HENON = ["--map", "henon", "--a", "1.4", "--b", "0.3", *_start(HENON_FIXTURE)]
+_PARITY_STANDARD = ["--map", "standard", "--K", repr(STANDARD_K), *_start(STANDARD_FIXTURE)]
+_PARITY_LORENZ = ["--map", "lorenz2d", *_start(LORENZ_FIXTURE)]
+_PARITY_BATTERY = {
+    "converge-henon-II": ["verify-convergence", *_PARITY_HENON, "--k", "20", "--flavor", "II"],
+    "converge-henon-I": ["verify-convergence", *_PARITY_HENON, "--k", "20", "--flavor", "I"],
+    "converge-lorenz-I": ["verify-convergence", *_PARITY_LORENZ, "--k", "20", "--flavor", "I"],
+    "frames-henon": ["frames", *_PARITY_HENON, "--k", "20"],
+    "orbit-henon": ["orbit", *_PARITY_HENON, "--k", "20"],
+    "frames-standard": ["frames", *_PARITY_STANDARD, "--k", "12"],
+    "orbit-standard": ["orbit", *_PARITY_STANDARD, "--k", "12"],
+    "frames-lorenz": ["frames", *_PARITY_LORENZ, "--k", "20"],
+    "orbit-lorenz": ["orbit", *_PARITY_LORENZ, "--k", "20"],
+    "frames-zero-step": ["frames", "--map", "linear", "--matrix", "0,0,0,0", *_start((1.0, 1.0)),
+                         "--k", "3"],
+    "variation": ["verify-variation", *_PARITY_HENON, "--k", "8", "--flavor", "II"],
+    "foliate": ["foliate", "--map", "henon", "--a", "1.4", "--b", "0.3", "--k", "4",
+                "--rect=-0.5,0.5,-0.3,0.3", "--spacing", "0.25", "--field", "stable",
+                "--length", "0.05", "--step", "0.005"],
+    "certify": ["certify", *_PARITY_HENON, "--k", "12", "--flavor", "II"],
+    "aux-constants": ["aux-constants", *_PARITY_HENON, "--k", "12", "--flavor", "II"],
+}
+
+
+def _battery_digests(tmp_path, monkeypatch, capsys):
+    """Per command: the exit code and the SHA-256 of stdout, stderr and every
+    file written, run from ``tmp_path`` with a relative output directory."""
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv in _PARITY_BATTERY.items():
+        code = run([*argv, "--out-dir", name])
+        captured = capsys.readouterr()
+        entry = {"exit": code, "stdout": captured.out, "stderr": captured.err}
+        written = sorted(pathlib.Path(name).iterdir()) if os.path.isdir(name) else []
+        entry.update((p.name, p.read_bytes()) for p in written)
+        digests[name] = {
+            key: value if key == "exit" else hashlib.sha256(
+                value.encode() if isinstance(value, str) else value).hexdigest()
+            for key, value in entry.items()
+        }
+    return digests
+
+
+# Recorded with Python 3.11.7 and numpy 2.4.6.  A change that declares new
+# report bytes (ROADMAP items 2, 3, 5 and 10) updates these digests in the
+# same change; any other change keeps every byte, stream and exit code.
+_PARITY_DIGESTS = {
+    "converge-henon-II": {
+        "exit": 0,
+        "stdout": "4877f2e9d0a653e9d06cae37316e8cddf9b102b8dbabdbca7d0d8952f72809b5",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "apriori_convergence.csv": "e2e22a92ec21cede8ee265870412e6b5eda91314b69111c38e766da5be948593",
+        "apriori_convergence.json": "8edb64e7ca29c2094c1dff35387ab1bdc92adeaf71b2412200cba2be2072ac3f",
+        "explicit_convergence.csv": "72daf0aaacb09f514c125c6181f2ce9e3c0d1f1b15612fc6905fefeea70a9d2e",
+        "explicit_convergence.json": "a4d9839c20f7beccf3acd8645bf732bcd96bde5c6709ca82ca48c7cf7c6873bd",
+    },
+    "converge-henon-I": {
+        "exit": 0,
+        "stdout": "1c6b44fec0ac344dcec27ca3bdf7f083c52ee33ff26214603728379c5f2f89d8",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "apriori_convergence.csv": "e2e22a92ec21cede8ee265870412e6b5eda91314b69111c38e766da5be948593",
+        "apriori_convergence.json": "8edb64e7ca29c2094c1dff35387ab1bdc92adeaf71b2412200cba2be2072ac3f",
+        "explicit_convergence.csv": "2562cfd7c3d50285d9d8ef9e9d603313857a3d423010392cfe7ebfc05bf4eb49",
+        "explicit_convergence.json": "12bbde20aff533a086a04adefe65308494ceec8fdfabc5053a58ee724043db4a",
+    },
+    "converge-lorenz-I": {
+        "exit": 0,
+        "stdout": "fa3e04b4388e4fcde0777e2e3e5414f41bca86c5366a720621b231c7ca8413dc",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "apriori_convergence.csv": "456126084839efe26a9fd5027e5dc4d96a859c12402c22b479007347fc2fe58d",
+        "apriori_convergence.json": "06ecef6d5782f0a6d97e82b10e1fec9dce4b1b92010d146df5009a6c3e0829db",
+        "explicit_convergence.csv": "eac4fb3112cb27dcd944a983157fe52c7f951a040af93db4b365d90b2ef1c11d",
+        "explicit_convergence.json": "fadb678b266c178b74db9d83108fc5ea659b587053b8a805fb29fe03bc59ece0",
+    },
+    "frames-henon": {
+        "exit": 0,
+        "stdout": "3cdc071699b4ab556d1cc8e6e7ff4582396870164be432e55eea71225d4bc967",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "frames.csv": "87b65f98c7d92a6bc585c14b6721ff6df443bc054786a2e72c576150f1fe9afe",
+    },
+    "orbit-henon": {
+        "exit": 0,
+        "stdout": "c2d4233bdbef66e8730cbe0c31cb3354946992a39d3a79826f0f6ef840add2e4",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "orbit.csv": "772e1b9b77d8400df9e30bb18afb470137b6c6bbd0fead608a09c97fe96889eb",
+    },
+    "frames-standard": {
+        "exit": 0,
+        "stdout": "35c279cb570df73a1b25256a0b284782980d55a6d8a0e70c722dc603a766b562",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "frames.csv": "620f04f90a80c81ddbe47d2049b918719659f2a45057b224e1b33e101ca88d78",
+    },
+    "orbit-standard": {
+        "exit": 0,
+        "stdout": "408aa00b2ea583746360ee99e51105d2db68ecd6880325c08bec166821d9bdc1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "orbit.csv": "434ed331f4646cf57aa2cca75ce483fb6aed47823418bc17dc038eb3512ebacd",
+    },
+    "frames-lorenz": {
+        "exit": 0,
+        "stdout": "c9e7a0d8819b4681efc914c36b39284343de99bb32d8327f502a81446a7ab09f",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "frames.csv": "aaba880932f62b130aa15102c5ca820f8183f514f09ba253495a39c9e8f09fef",
+    },
+    "orbit-lorenz": {
+        "exit": 0,
+        "stdout": "fdd37a1fa888ff95618bf4488558124c90dc1e0e6ffc2f49aaa097dd3edbe9e9",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "orbit.csv": "b3257221aa81b405e89afed7c576306ee7b2935243f1736cae582168dc0b699f",
+    },
+    "frames-zero-step": {
+        "exit": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "b20588e8511681b20b5ccb2d66cdafaafde9a865343676ab3e586d4c320b8d93",
+    },
+    "variation": {
+        "exit": 0,
+        "stdout": "ee77954dff4658f3c37ce82565934e47f792d095a206974ddfb55f1c918cd8ca",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "slow_variation.csv": "d7b956af3402a91de37ea700e50bb186733166622ed7d1be25351ce3fa770835",
+        "slow_variation.json": "3dec34c26d0eb2446834c3f461200d27f5e4874b3c58d6038c7b814421db47f6",
+    },
+    "foliate": {
+        "exit": 0,
+        "stdout": "2c7422f16f21f19b3c7074ed54ee93f659243a288b21207971e80c9946a9248f",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "curves.csv": "473ac4024008dac57ea50e136dceb70c695b761e02c615c1a50fc55ef0d65a7a",
+        "curves.svg": "eb803462d6bc75a4afe303344363edff3130df3232868bed4b186691870c2647",
+    },
+    "certify": {
+        "exit": 0,
+        "stdout": "a941c40c2eaf821f0b8478941666d2d71a955ea7ecc354afc1962ad6a37692fe",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "certificate.csv": "72edcae003bd1e5c544e1c38a7c2310b6f8655e36de3aa3cda36f551dbb87988",
+        "certificate.json": "2adfa184474b8b9e5f09ba2446cf435e25c130ed54fb7b0db6490912169d40fb",
+        "ledger.txt": "69b59fb2debe15f53a277af286da22fc2ef8ddfeabfcd8bd3ba4cc09e003eba1",
+    },
+    "aux-constants": {
+        "exit": 0,
+        "stdout": "c8cd68e9f13cc42c63778da0147b1229a12f284977f955e54583b20741998172",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aux_constants.json": "f61293bc73866339edff1f863eaa7db7e41c2e9ed4187f31b095d0a431887a6c",
+    },
+}
+
+
+def test_cli_battery_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    assert _battery_digests(tmp_path, monkeypatch, capsys) == _PARITY_DIGESTS
