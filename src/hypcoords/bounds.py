@@ -36,7 +36,6 @@ from .certificate import (
 from .cocycle import (
     MatrixCocycle,
     OrbitSegment,
-    ScaledMatrix,
     cocycle_of,
     compute_orbit,  # noqa: F401  perfbench's tracer test rebinds bounds.compute_orbit
     norm_conorm_det,
@@ -56,6 +55,7 @@ from .hypframe import (
     EPS_COECC,
     HyperbolicFrame,
     aligned_distance,
+    frame_coecc,
     frame_sequence,
     hyperbolic_coordinates,
 )
@@ -94,15 +94,18 @@ class BoundReport:
         self.tol = tol
         self.context: Dict[str, float] = {}
         self._checks: List[str] = []
+        self._codes: Dict[str, int] = {}  # position of each check in _checks
         self._indices: List[Tuple[int, ...]] = []
         self._check, self._index = array.array("i"), array.array("i")
         self._lhs, self._rhs = array.array("d"), array.array("d")
         self._passed = bytearray()
 
     def _code(self, check: str) -> int:
-        if check not in self._checks:
+        code = self._codes.get(check)
+        if code is None:
+            code = self._codes[check] = len(self._checks)
             self._checks.append(check)
-        return self._checks.index(check)
+        return code
 
     def add(self, check: str, index: Tuple[int, ...], lhs: float, rhs: float, abs_tol: float = 0.0):
         lhs, rhs = float(lhs), float(rhs)
@@ -120,11 +123,11 @@ class BoundReport:
         what ``add`` makes of its values, without a warning for inf or NaN."""
         lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)  # check x index
         allowance = np.empty_like(rhs)
-        for row, value in zip(allowance, abs_tol):
+        for row, value in zip(allowance, abs_tol):  # faster than np.broadcast_arrays
             row[:] = value
         with np.errstate(all="ignore"):
             passed = lhs <= rhs * (1.0 + float(self.tol)) + allowance
-        codes = np.array([self._code(check) for check in checks], dtype=np.intc)
+        codes = array.array("i", map(self._code, checks))
         positions = np.arange(len(self._indices), len(self._indices) + len(indices), dtype=np.intc)
         self._indices.extend(indices)
         self._check.frombytes(codes.tobytes() * len(indices))
@@ -186,11 +189,6 @@ def _exp(x: float) -> float:
 def _exp_or_inf(x: float) -> float:
     """math.exp, with inf beyond the double range."""
     return math.inf if x > _LOG_MAX else math.exp(x)
-
-
-def _log(x: float) -> float:
-    """math.log, with log 0 = -inf."""
-    return math.log(x) if x != 0.0 else -math.inf
 
 
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
@@ -275,18 +273,13 @@ class _OrderColumns(NamedTuple):
 
 class _Measured:
     """What both sweeps of one cocycle measure, kept on it (``MatrixCocycle._measured``):
-    the frame directions, the prefix products as one stack, the per-i rounding
-    allowances, the index tuples of every pair and the columns of each order
-    measured so far.  Row i of an array belongs to order or index i."""
+    the frame directions, the per-i rounding allowances, the index tuples of
+    every pair and the columns of each order measured so far.  Row i of an
+    array belongs to order or index i."""
 
-    def __init__(self, coc: MatrixCocycle):
-        n = coc.k
+    def __init__(self, n: int):
         self.e = np.zeros((n + 1, 2))
-        self.prefix_bodies = np.array([coc.prefix(i).body for i in range(n + 1)])
-        self.prefix_log_scales = np.array([coc.prefix(i).log_scale for i in range(n + 1)])
-        self.log_absdet = np.array(coc.log_absdet)
-        self.push_noise = np.zeros(n + 1)
-        self.det_noise = np.zeros(n + 1)
+        self.push_noise, self.det_noise = np.zeros((2, n + 1))
         # pair (i, k) sits at k (k - 1) / 2 + i - 1
         self.indices = [(i, k) for k in range(1, n + 1) for i in range(1, k + 1)]
         self.columns: List[_OrderColumns] = []
@@ -297,7 +290,7 @@ def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
     in turn, so each finds the frames and allowances of the orders below it;
     an order whose frame is undefined raises whenever it is asked for."""
     if coc._measured is None:
-        coc._measured = _Measured(coc)
+        coc._measured = _Measured(coc.k)
     measured = coc._measured
     while len(measured.columns) < k:
         measured.columns.append(_order_measurements(coc, len(measured.columns) + 1))
@@ -310,23 +303,19 @@ def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
     order k raises, as it does first there; a term beyond the double range
     is inf, and ``_first_error`` names what the per-pair function raises."""
     m = coc._measured
-    m.e[k] = hyperbolic_coordinates(coc, k).e
+    e_k = m.e[k] = hyperbolic_coordinates(coc, k).e
     log_noise = (coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
     m.push_noise[k], m.det_noise[k] = (ROUNDING_UNIT * _exp_or_inf(x) for x in log_noise)
     upto = slice(1, k + 1)
-    e_k = m.e[k]
     # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
     # each row; a*a + b*b and einsum round differently
     drift = np.minimum(*(
         np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
         for d in (e_k - m.e[upto], e_k + m.e[upto])
     ))
-    w = np.matmul(m.prefix_bodies[upto], e_k[:, None])
-    push_norms = linalg2.each(math.hypot, w[:, 0, 0], w[:, 1, 0])
-    # a zero image has log norm -inf, as in ScaledMatrix.apply
-    log_push = linalg2.each(math.log if push_norms.all() else _log, push_norms)
-    log_push += m.prefix_log_scales[upto]
-    log_pushes = np.concatenate((log_push, log_push - m.log_absdet[upto]))
+    log_push = coc.images(e_k, k)[1][upto]
+    with np.errstate(invalid="ignore"):  # a zero push at a zero determinant: -inf - -inf
+        log_pushes = np.concatenate((log_push, log_push - coc.log_absdet[upto]))
     in_range = not (max(log_noise) > _LOG_MAX or (log_pushes > _LOG_MAX).any())
     return _OrderColumns(
         m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
@@ -476,16 +465,16 @@ def verify_apriori_all(
             worst = max(worst, _ctilde_sq_term(coc, k))
             ct = math.sqrt(worst)
             before, upto = slice(1, k), slice(1, k + 1)
-            step = coc.scaled_steps[k - 1]
             bodies, scales, peak = normalize_stack(
-                np.matmul(step.body, blocks[before]), step.log_scale + block_log_scales[before]
+                np.matmul(coc.step_bodies[k - 1], blocks[before]),
+                coc.step_log_scales[k - 1] + block_log_scales[before],
             )
             blocks[before], block_log_scales[before] = bodies, scales
             terms = _log_terms(coc, k - 1, log_absdet[before]) if k > 1 else empty_sum_terms
             drift, det_drift, tail, det_tail = terms
             smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
             nonzero = peak.all()
-            block_log_norm = linalg2.each(math.log if nonzero else _log, smax)
+            block_log_norm = linalg2.log_each(smax)
             block_log_norm += block_log_scales[upto]
             log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
             logs = np.concatenate((det_drift, det_tail, log_quotient))
@@ -780,19 +769,21 @@ class SlowVariationTerms:
 
 
 def _push_tangent(
-    step: ScaledMatrix, v: np.ndarray, v_log: float, source: np.ndarray, source_log: float
+    coc: MatrixCocycle, j: int, v: np.ndarray, v_log: float, source: np.ndarray, source_log: float
 ) -> Tuple[np.ndarray, float]:
-    """step (exp(v_log) v) + exp(source_log) source as (vector, log scale), the
+    """Step j (exp(v_log) v) + exp(source_log) source as (vector, log scale), the
     vector scaled by a power of two to max |entry| in [1/2, 1) unless zero."""
-    image_log = v_log + step.log_scale
+    image_log = v_log + float(coc.step_log_scales[j])
     lead = max(image_log, source_log)
-    out = (step.body @ v) * math.exp(image_log - lead) + source * math.exp(source_log - lead)
+    image = coc.step_bodies[j] @ v
+    out = image * math.exp(image_log - lead) + source * math.exp(source_log - lead)
     _, e = math.frexp(float(np.abs(out).max()))
     return np.ldexp(out, -e), lead + e * math.log(2.0)
 
 
-def _contracted_images(coc: MatrixCocycle, e: np.ndarray, k: int) -> List[Tuple[np.ndarray, float]]:
-    """DPhi^i e for i = 0..k, as (unit direction, log norm), e the order-k contracted direction.
+def _contracted_images(coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int) -> list:
+    """DPhi^i e for i = 0..k, as (unit direction, log norm), e the order-k
+    contracted direction and u1 the direction of DPhi^k f.
 
     A forward product holds DPhi^i e only to eps |DPhi^i| in absolute terms,
     which swamps it once the co-eccentricity drops below eps.  The inverse
@@ -800,17 +791,16 @@ def _contracted_images(coc: MatrixCocycle, e: np.ndarray, k: int) -> List[Tuple[
     DPhi^k e is normal to the image of f, and the pulled-back vector at
     i = 0, parallel to e, fixes the scale and sign of all the others.
     """
-    u1, _ = coc.prefix(k).apply(linalg2.rotate_quarter_cw(e))
     w, w_log = np.array([-u1[1], u1[0]]), 0.0
     images = [(w, w_log)]
+    log_scales = coc.step_log_scales.tolist()
     for j in range(k - 1, -1, -1):
-        step = coc.scaled_steps[j]
-        (a, b), (c, d) = step.body.tolist()
+        (a, b), (c, d) = coc.step_bodies[j].tolist()
         adj_w = np.array([d * w[0] - b * w[1], a * w[1] - c * w[0]])  # det(body) body^-1 w
         n = math.hypot(float(adj_w[0]), float(adj_w[1]))
         det = a * d - b * c
         w = adj_w / (n if det > 0.0 else -n)
-        w_log += math.log(n) - math.log(abs(det)) - step.log_scale
+        w_log += math.log(n) - math.log(abs(det)) - log_scales[j]
         images.append((w, w_log))
     images.reverse()
     sign = 1.0 if float(images[0][0] @ e) > 0.0 else -1.0
@@ -838,12 +828,13 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     """
     if axis not in _AXES:
         raise ValueError("axis must be 'x' or 'y'")
-    a = _AXES[axis]
-    axis_vec = np.array([1.0, 0.0]) if a == 0 else np.array([0.0, 1.0])
+    axis_vec = np.eye(2)[_AXES[axis]]
     coc = orbit.cocycle
     if any(d == float("-inf") for d in coc.step_log_absdet[:k]):
         raise ZeroDeterminant("slow-variation terms need nonzero step determinants")
-    frame = frame_sequence(coc, k)[k - 1]
+    for i in range(1, min(k, coc.k + 1)):  # the frames below order k must exist too
+        frame_coecc(coc.log_norm[i], coc.log_conorm[i])
+    frame = hyperbolic_coordinates(coc, k)
     cc = frame.coecc
     A_k = SQRT2 / (1.0 - cc * cc)
     B_k = SQRT2 * cc * cc / (1.0 - cc * cc)
@@ -852,15 +843,16 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     log_ff: List[float] = []
     de_vec, de_log = np.zeros(2), 0.0  # dM_i e = exp(de_log) de_vec
     df_vec, df_log = np.zeros(2), 0.0  # dM_i f
-    e_images = _contracted_images(coc, frame.e, k)
+    w_dirs, w_logs = coc.images(axis_vec, k - 1)  # the carried axis vector
+    f_dirs, f_logs = coc.images(frame.f, k)
+    e_images = _contracted_images(coc, frame.e, f_dirs[k], k)
     for i in range(k):
         dx, dy = orbit.step_second_partials[i]
-        w_dir, w_log = coc.prefix(i).apply(axis_vec)
+        w_dir, w_log = w_dirs[i], w_logs[i]
         dmat = w_dir[0] * dx + w_dir[1] * dy  # D2Phi at the orbit point, carried direction in one slot
         e_dir, e_log = e_images[i]
-        e1_dir, e1_log = e_images[i + 1]
-        f_dir, f_log = coc.prefix(i).apply(frame.f)
-        f1_dir, f1_log = coc.prefix(i + 1).apply(frame.f)
+        e1_log = e_images[i + 1][1]
+        f_dir, f_log, f1_log = f_dirs[i], f_logs[i], f_logs[i + 1]
         det_log = coc.log_absdet[i + 1]
         d2e = dmat @ e_dir
         d2f = dmat @ f_dir
@@ -872,11 +864,10 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
         log_ff.append(
             (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
         )
-        step = coc.scaled_steps[i]
-        de_vec, de_log = _push_tangent(step, de_vec, de_log, d2e, w_log + e_log)
-        df_vec, df_log = _push_tangent(step, df_vec, df_log, d2f, w_log + f_log)
+        de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
+        df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)
 
-    u1, u2 = f1_dir, e_images[k][0]  # directions of DPhi^k f and DPhi^k e
+    u1, u2 = f_dirs[k], e_images[k][0]  # directions of DPhi^k f and DPhi^k e
     lead = max(de_log, df_log)
     num = float(u1 @ de_vec) * math.exp(de_log - lead) + cc * float(
         u2 @ df_vec

@@ -2,7 +2,7 @@
 
 Norms of k-step derivative products grow or decay exponentially, so raw
 matrix products overflow doubles long before the desk-scale horizons here
-become interesting.  Every product is therefore stored as a ``ScaledMatrix``:
+become interesting.  Every product is therefore stored scaled (``ScaledMatrix``):
 a body with max-entry magnitude in [1/2, 2] plus a natural-log scale.  The
 renormalization factor is always a power of two, so the body entries stay
 bit-exact relative to the unscaled product.
@@ -10,7 +10,6 @@ bit-exact relative to the unscaled product.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,14 +38,10 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ScaledMatrix":
-        return _normalize(np.array(m, dtype=float), 0.0)
-
-    @staticmethod
-    def identity() -> "ScaledMatrix":
-        return ScaledMatrix(np.eye(2), 0.0)
+        return ScaledMatrix(*_normalize(np.array(m, dtype=float), 0.0))
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return _normalize(self.body @ other.body, self.log_scale + other.log_scale)
+        return ScaledMatrix(*_normalize(self.body @ other.body, self.log_scale + other.log_scale))
 
     def apply(self, v: np.ndarray) -> Tuple[np.ndarray, float]:
         """Image of v as (unit direction, log norm)."""
@@ -57,27 +52,10 @@ class ScaledMatrix:
         return w / n, math.log(n) + self.log_scale
 
 
-def _normalize(body: np.ndarray, log_scale: float) -> ScaledMatrix:
-    m = float(np.abs(body).max())
-    if m == 0.0:
-        return ScaledMatrix(np.zeros((2, 2)), 0.0)
-    _, e = math.frexp(m)  # m = f * 2^e with f in [0.5, 1)
-    if e != 0:
-        body = np.ldexp(body, -e)
-        log_scale += e * _LN2
-    return ScaledMatrix(body, log_scale)
-
-
-def _log_abs_det(step: np.ndarray) -> float:
-    """log |det step| from the raw determinant, or from the scaled body when
-    the raw one is not a normal float (overflow, underflow, cancellation)."""
-    a, b, c, d = step.ravel().tolist()
-    det = abs(a * d - b * c)  # Python floats: an overflow is inf, not a warning
-    if math.isfinite(det) and det >= sys.float_info.min:
-        return math.log(det)
-    m = ScaledMatrix.from_matrix(step)
-    body_det = abs(linalg2.det2(m.body))
-    return math.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
+def _normalize(body: np.ndarray, log_scale: float) -> Tuple[np.ndarray, float]:
+    """(body / 2^e, log_scale + e log 2), with e from max |entry| = f 2^e, f in [1/2, 1)."""
+    _, e = math.frexp(float(np.abs(body).max()))
+    return np.ldexp(body, -e), log_scale + e * _LN2
 
 
 def normalize_stack(bodies: np.ndarray, log_scales) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,52 +104,66 @@ def norm_conorm_det(m: ScaledMatrix) -> NormData:
 
 
 class MatrixCocycle:
-    """Products of a finite sequence of 2x2 step matrices.
+    """Products of a finite sequence of 2x2 step matrices, measured once.
 
-    Index convention: ``prefix(i)`` represents the product of steps
-    0..i-1 (the i-step derivative at the base point); ``prefix(0)`` is the
-    identity.  Each step is normalized once (``scaled_steps``); per-order
-    norm data is precomputed in log form.
+    ``prefix(i)`` is the product of steps 0..i-1 (the i-step derivative at
+    the base point), ``prefix(0)`` the identity.  Steps and products are
+    stacks of scaled bodies (``step_bodies``, ``prefix_bodies``), from which
+    array passes take the log norm, co-norm and |det| of every step and
+    order, and the most contracted direction of every order; ``images``
+    pushes a vector.  Each value equals its scalar closed form bit for bit.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
         if len(steps) == 0:
             raise ValueError("cocycle needs at least one step matrix")
-        self.steps: List[np.ndarray] = [np.array(s, dtype=float) for s in steps]
-        self.scaled_steps = [ScaledMatrix.from_matrix(s) for s in self.steps]
-        self.k = len(self.steps)
-        prefixes = [ScaledMatrix.identity()]
-        for s in self.scaled_steps:
-            prefixes.append(s @ prefixes[-1])
-        self._prefix = prefixes
-
-        self.step_log_absdet = [_log_abs_det(s) for s in self.steps]
-        step_svd = [linalg2.svd2_matrix(s) for s in self.steps]
-        for j, s in enumerate(step_svd):
-            if s.smax == 0.0:
-                raise ZeroMatrix(f"step {j} is the zero matrix")
-        self.step_log_norm = [math.log(s.smax) for s in step_svd]
-        self.step_log_conorm = [
-            math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in step_svd
-        ]
-
-        # log |det DPhi^i| by multiplicativity of the determinant
-        self.log_absdet = list(itertools.accumulate(self.step_log_absdet, initial=0.0))
-
-        # Per-order norms.  The larger singular value is well conditioned,
-        # but extracting the smaller one from the assembled product cancels
-        # catastrophically once the co-eccentricity drops below the working
-        # precision, so the co-norm is taken as |det| / norm with the
-        # determinant accumulated stepwise (exact multiplicativity).
-        self.log_norm = [0.0]
-        self.log_conorm = [0.0]
-        for i in range(1, self.k + 1):
-            s = linalg2.svd2_matrix(self._prefix[i].body)
-            if s.smax == 0.0:
-                raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
-            log_norm = math.log(s.smax) + self._prefix[i].log_scale
-            self.log_norm.append(log_norm)
-            self.log_conorm.append(self.log_absdet[i] - log_norm)
+        raw = np.array(steps, dtype=float)
+        self.steps: List[np.ndarray] = list(raw)
+        self.k = k = len(raw)
+        self.step_bodies, self.step_log_scales, _ = normalize_stack(raw, np.zeros(k))
+        self.prefix_bodies = bodies = np.empty((k + 1, 2, 2))
+        self.prefix_log_scales = scales = np.zeros(k + 1)
+        body = bodies[0] = np.eye(2)
+        # overflow, 0 * inf and inf - inf as on Python floats
+        with np.errstate(all="ignore"):
+            for j, step_scale in enumerate(self.step_log_scales.tolist()):
+                body, scales[j + 1] = _normalize(self.step_bodies[j] @ body, scales[j] + step_scale)
+                bodies[j + 1] = body
+            # the steps, then the products of every order, in one SVD pass
+            svd = linalg2.svd2_closed_array(*np.concatenate((raw, bodies)).reshape(-1, 4).T)
+            zero = np.flatnonzero(svd.smax == 0.0)
+            if zero.size:  # steps first; row k + i is order i
+                j = zero[0]
+                what = f"step {j}" if j < k else f"product of steps 0..{j - k - 1}"
+                raise ZeroMatrix(what + " is the zero matrix")
+            log_smax = linalg2.each(math.log, svd.smax)
+            # log |det| of a step from the raw determinant, or from the scaled body
+            # when the raw one is not a normal float (overflow, underflow, cancellation)
+            det, body_det = (np.abs(_det_stack(m)) for m in (raw, self.step_bodies))
+            body_log_det = linalg2.log_each(body_det) + 2.0 * self.step_log_scales
+            body_log_det[~(body_det > 0.0)] = -math.inf  # NaN included
+            normal = (det >= sys.float_info.min) & (det < math.inf)
+            step_log_absdet = np.where(normal, linalg2.log_each(det), body_log_det)
+            # Per-order norms.  The larger singular value is well conditioned,
+            # but extracting the smaller one from the assembled product cancels
+            # catastrophically once the co-eccentricity drops below the working
+            # precision, so the co-norm is taken as |det| / norm with the
+            # determinant accumulated stepwise (exact multiplicativity).
+            log_norm = log_smax[k:] + scales
+            log_absdet = np.cumsum(np.concatenate(([0.0], step_log_absdet)))
+            log_conorm = log_absdet - log_norm
+            step_log_conorm = linalg2.log_each(svd.smin[:k])
+            step_log_conorm[~(svd.smin[:k] > 0.0)] = -math.inf  # NaN included
+        # lists of Python floats, as messages and reports print them
+        self.step_log_norm, self.step_log_conorm, self.step_log_absdet = (
+            x.tolist() for x in (log_smax[:k], step_log_conorm, step_log_absdet))
+        self.log_norm, self.log_conorm, self.log_absdet = (
+            x.tolist() for x in (log_norm, log_conorm, log_absdet))
+        # the most contracted input direction of every order, Svd2.v_min
+        theta_v = svd.theta_v[k:]
+        self.contracted = np.stack(
+            (-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1
+        )
 
         # frames and per-order measurements, filled by bounds on first use
         self._measured = None
@@ -179,17 +171,27 @@ class MatrixCocycle:
     def prefix(self, i: int) -> ScaledMatrix:
         if not 0 <= i <= self.k:
             raise IndexOutOfRange(f"prefix index {i} outside 0..{self.k}")
-        return self._prefix[i]
+        return ScaledMatrix(self.prefix_bodies[i], float(self.prefix_log_scales[i]))
+
+    def images(self, v: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``prefix(i).apply(v)`` for i = 0..k, bit for bit, from one stacked
+        matmul: the unit directions as a (k + 1, 2) array and the log norms.
+        A zero image has a zero direction and log norm -inf."""
+        w = np.matmul(self.prefix_bodies[: k + 1], np.asarray(v, dtype=float)[:, None])[:, :, 0]
+        norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
+        nonzero = (norms != 0.0)[:, None]
+        directions = np.divide(w, norms[:, None], out=np.zeros_like(w), where=nonzero)
+        return directions, linalg2.log_each(norms) + self.prefix_log_scales[: k + 1]
 
     def block(self, i: int, j: int) -> ScaledMatrix:
         """Product of steps i..j-1 (the (j-i)-step derivative at point i)."""
         if not 0 <= i <= j <= self.k:
             raise IndexOutOfRange(f"block ({i}, {j}) outside 0 <= i <= j <= {self.k}")
         if i == 0:
-            return self._prefix[j]
-        out = ScaledMatrix.identity()
-        for m in self.scaled_steps[i:j]:
-            out = m @ out
+            return self.prefix(j)
+        out = ScaledMatrix(np.eye(2), 0.0)
+        for body, scale in zip(self.step_bodies[i:j], self.step_log_scales[i:j].tolist()):
+            out = ScaledMatrix(body, scale) @ out
         return out
 
     def log_coecc(self, i: int) -> float:
@@ -199,6 +201,11 @@ class MatrixCocycle:
     def step_log_coecc(self, j: int) -> float:
         """log one-step co-eccentricity at orbit point j (0-based step index)."""
         return self.step_log_conorm[j] - self.step_log_norm[j]
+
+
+def _det_stack(m: np.ndarray) -> np.ndarray:
+    """Determinants of an (n, 2, 2) stack."""
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
 
 
 @dataclass(frozen=True)

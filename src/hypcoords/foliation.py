@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import compute_orbit, guard_limit, normalize_stack
+from .cocycle import _det_stack, compute_orbit, guard_limit, normalize_stack
 from .errors import (
     HypcoordsError,
     NoFrameAtStart,
@@ -90,10 +90,6 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
     return frame.e if field == STABLE else frame.f
 
 
-def _det_stack(m: np.ndarray) -> np.ndarray:
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-
-
 def _field_directions(
     spec: MapSpec, points: np.ndarray, k: int, field: str, guard: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -149,7 +145,7 @@ def _field_directions(
             jac = np.empty((len(x), 2, 2))
             jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = j11, j12, j21, j22
             step_body, step_scale, m = normalize_stack(jac, 0.0)
-            # cocycle._log_abs_det: the raw determinant unless it is not a
+            # as MatrixCocycle's step log |det|: the raw determinant unless it is not a
             # normal float, then the scaled body's
             raw_det = np.abs(_det_stack(jac))
             step_log_det = np.log(raw_det)

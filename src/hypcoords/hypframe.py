@@ -76,16 +76,20 @@ def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     )
 
 
-def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
-    """Frame of order k from the contracted direction and the log singular values.
-
-    A singular product has log_min = -inf and co-eccentricity exp(-inf) = 0.
-    """
+def frame_coecc(log_max: float, log_min: float) -> float:
+    """exp(log_min - log_max), 0 for a singular product; NoHyperbolicCoordinates
+    unless it is below 1 - EPS_COECC, as a frame needs."""
     coecc = math.exp(log_min - log_max)
     if coecc >= 1.0 - EPS_COECC:
         raise NoHyperbolicCoordinates(
             f"co-eccentricity {coecc} >= 1 - {EPS_COECC:g}: frame undefined"
         )
+    return coecc
+
+
+def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
+    """Frame of order k from the contracted direction and the log singular values."""
+    coecc = frame_coecc(log_max, log_min)
     e = canonical_sign(e_dir)
     f = linalg2.rotate_quarter_cw(e)
     return HyperbolicFrame(
@@ -110,18 +114,14 @@ def frame_from_scaled(m: ScaledMatrix, k: int = 0) -> HyperbolicFrame:
 def hyperbolic_coordinates(
     source: Union[OrbitSegment, MatrixCocycle], k: int
 ) -> HyperbolicFrame:
-    """Frame of order k along the orbit (1 <= k <= orbit length).
-
-    Directions come from the closed-form SVD of the scaled product; the
-    contracted singular value uses the determinant-accumulated co-norm,
-    which stays accurate long after direct extraction from the assembled
-    product has cancelled away.
-    """
+    """Frame of order k along the orbit (1 <= k <= orbit length), read off
+    the cocycle: the contracted direction of the closed-form SVD of the
+    product, and the determinant-accumulated co-norm, which stays accurate
+    long after direct extraction from the assembled product has cancelled."""
     coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
         raise ValueError(f"order {k} outside 1..{coc.k}")
-    e_dir = linalg2.svd2_matrix(coc.prefix(k).body).v_min
-    return _frame(k, e_dir, coc.log_norm[k], coc.log_conorm[k])
+    return _frame(k, coc.contracted[k].copy(), coc.log_norm[k], coc.log_conorm[k])
 
 
 def frame_sequence(

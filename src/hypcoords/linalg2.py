@@ -60,6 +60,11 @@ def each(fn, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
     return np.fromiter(map(fn, u.tolist(), v.tolist()), float, len(u))
 
 
+def log_each(u: np.ndarray) -> np.ndarray:
+    """``math.log`` over the elements of a 1-d array, with log 0 = -inf."""
+    return each(math.log if u.all() else lambda x: math.log(x) if x else -math.inf, u)
+
+
 def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> Svd2:
     """``svd2_closed`` over 1-d arrays of entries: an Svd2 whose fields are arrays.
 

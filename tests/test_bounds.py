@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import bounds, linalg2
 from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
-from hypcoords.cocycle import MatrixCocycle, OrbitSegment, cocycle_of, compute_orbit
+from hypcoords.cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of, compute_orbit
 from hypcoords.errors import (
     BoundOverflow,
     CertificateRequired,
@@ -599,6 +601,54 @@ def test_slow_variation_terms_linear_zero():
     assert all(v == 0.0 for v in terms.EE)
     assert all(v == 0.0 for v in terms.FF)
     assert terms.A_k >= SQRT2
+
+
+def test_slow_variation_needs_every_frame_below_order_k():
+    # order 1 is a rotation, without a frame; order 2 has one
+    steps = [np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([2.0, 0.5])]
+    coc = MatrixCocycle(steps)
+    assert hyperbolic_coordinates(coc, 2).coecc == pytest.approx(0.25)
+    zero = np.zeros((2, 2))
+    orbit = OrbitSegment(linear(), np.zeros((3, 2)), [(zero, zero)] * 2, coc)
+    with pytest.raises(NoHyperbolicCoordinates) as info:
+        bounds.slow_variation_terms(orbit, 2, "x")
+    assert str(info.value) == "co-eccentricity 1.0 >= 1 - 1e-12: frame undefined"
+
+
+def test_frames_measurements_and_slow_variation_read_the_cocycle(henon, monkeypatch):
+    # the cocycle measures once: frames run no SVD, and the a-priori
+    # measurements and the slow-variation terms push no vector through a
+    # ScaledMatrix of their own
+    orbit = compute_orbit(henon, HENON_FIXTURE, 8)
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("svd2_closed", "svd2_matrix", "svd2_closed_array"):
+        counted(linalg2, name)
+    counted(ScaledMatrix, "apply")
+    frames = [hyperbolic_coordinates(orbit, k) for k in range(1, 9)]
+    columns = bounds._measured(orbit.cocycle, 8)
+    terms = [bounds.slow_variation_terms(orbit, 8, axis) for axis in "xy"]
+    assert calls == {}
+    assert len(frames) == 8 and len(columns.indices) == 8 and len(terms) == 2
+
+
+def test_measurements_called_directly_warn_nothing():
+    # a zero push at a zero determinant: log push - log |det| is -inf - -inf
+    coc = MatrixCocycle([np.diag([1.0, 0.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = bounds._measured(coc, 1)
+    assert columns.log_pushes.tolist()[0] == -math.inf and math.isnan(columns.log_pushes[1])
+    assert not columns.in_range
 
 
 def test_slow_variation_terms_henon_regression(henon_orbit8):

@@ -1,9 +1,13 @@
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hypcoords import linalg2
 from hypcoords.cocycle import (
     MatrixCocycle,
     ScaledMatrix,
@@ -18,7 +22,8 @@ from hypcoords.errors import (
 )
 from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, make_map, rotation
 
-from conftest import dense, evaluate, jacobian_at, random_step_matrix
+from conftest import dense, evaluate, jacobian_at, random_cocycle, random_step_matrix
+from test_bounds import fuzz_steps
 
 
 def test_scaled_matrix_representation_invariant():
@@ -303,3 +308,138 @@ def test_step_log_absdet_of_steps_whose_raw_determinant_overflows():
     assert coc.step_log_absdet[0] == pytest.approx(315.0 * math.log(10.0), rel=1e-12)
     assert coc.step_log_absdet[1] == math.log(0.125)
     assert coc.log_absdet == [0.0, coc.step_log_absdet[0], coc.step_log_absdet[0] + math.log(0.125)]
+
+
+# ---------------------------------------------------------------------------
+# The cocycle's array passes against the scalar closed forms
+# ---------------------------------------------------------------------------
+
+
+def _scalar_log_abs_det(step):
+    """log |det step| from the raw determinant, or from the scaled body when
+    the raw one is not a normal float."""
+    a, b, c, d = step.ravel().tolist()
+    det = abs(a * d - b * c)
+    if math.isfinite(det) and det >= sys.float_info.min:
+        return math.log(det)
+    m = ScaledMatrix.from_matrix(step)
+    body_det = abs(linalg2.det2(m.body))
+    return math.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
+
+
+def _scalar_cocycle(steps, v):
+    """What MatrixCocycle stores, and the images of v, one element at a time
+    with the scalar closed forms (``ScaledMatrix`` products, ``svd2_matrix``,
+    ``ScaledMatrix.apply``), as reprs; or the ZeroMatrix a zero step or
+    product raises, steps first."""
+    steps = [np.array(s, dtype=float) for s in steps]
+    scaled = [ScaledMatrix.from_matrix(s) for s in steps]
+    prefixes = [ScaledMatrix(np.eye(2), 0.0)]
+    for s in scaled:
+        prefixes.append(s @ prefixes[-1])
+    step_svd = [linalg2.svd2_matrix(s) for s in steps]
+    for j, s in enumerate(step_svd):
+        if s.smax == 0.0:
+            raise ZeroMatrix(f"step {j} is the zero matrix")
+    step_log_absdet = [_scalar_log_abs_det(s) for s in steps]
+    log_absdet = list(itertools.accumulate(step_log_absdet, initial=0.0))
+    log_norm, contracted = [0.0], [linalg2.svd2_matrix(np.eye(2)).v_min]
+    for i in range(1, len(steps) + 1):
+        s = linalg2.svd2_matrix(prefixes[i].body)
+        if s.smax == 0.0:
+            raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
+        log_norm.append(math.log(s.smax) + prefixes[i].log_scale)
+        contracted.append(s.v_min)
+    images = [p.apply(v) for p in prefixes]
+    return _reprs(
+        step_log_norm=[math.log(s.smax) for s in step_svd],
+        step_log_conorm=[math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in step_svd],
+        step_log_absdet=step_log_absdet,
+        step_bodies=[s.body for s in scaled],
+        step_log_scales=[s.log_scale for s in scaled],
+        prefix_bodies=[p.body for p in prefixes],
+        prefix_log_scales=[p.log_scale for p in prefixes],
+        prefix_apply=images,
+        log_norm=log_norm,
+        log_conorm=[d - n for d, n in zip(log_absdet, log_norm)],
+        log_absdet=log_absdet,
+        contracted=contracted,
+        image_directions=[w for w, _ in images],
+        image_log_norms=[w_log for _, w_log in images],
+    )
+
+
+def _reprs(**fields):
+    """Each field as the reprs of its floats in order: equal reprs are equal bits
+    up to the payload of a NaN."""
+    def flat(x):
+        if isinstance(x, (list, tuple)):
+            return [y for item in x for y in flat(item)]
+        return [repr(y) for y in np.ravel(x).tolist()]
+
+    return {name: flat(value) for name, value in fields.items()}
+
+
+def _stored(steps, v):
+    coc = MatrixCocycle(steps)
+    k = coc.k
+    directions, log_norms = coc.images(v, k)
+    lists = ("step_log_norm", "step_log_conorm", "step_log_absdet", "log_norm", "log_conorm",
+             "log_absdet")
+    assert all(type(x) is float for name in lists for x in getattr(coc, name))
+    return _reprs(
+        **{name: getattr(coc, name) for name in lists},
+        step_bodies=coc.step_bodies,
+        step_log_scales=coc.step_log_scales,
+        prefix_bodies=[coc.prefix(i).body for i in range(k + 1)],
+        prefix_log_scales=[coc.prefix(i).log_scale for i in range(k + 1)],
+        prefix_apply=[coc.prefix(i).apply(v) for i in range(k + 1)],
+        contracted=coc.contracted,
+        image_directions=directions,
+        image_log_norms=log_norms,
+    )
+
+
+def _outcome(compute, steps, v):
+    try:
+        with np.errstate(all="ignore"):  # ScaledMatrix products of non-finite steps warn
+            return compute(steps, v)
+    except ZeroMatrix as exc:
+        return str(exc)
+
+
+_VECTORS = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fuzz_steps(), min_size=1, max_size=6), _VECTORS)
+@example([np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])], np.array([1.0, 0.0]))
+@example([np.array([[0.0, 1.0], [0.0, 0.0]])] * 2, np.array([1.0, 0.0]))
+@example([np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))], np.array([0.6, 0.8]))
+@example([np.diag([1.0, 0.0])], np.array([0.0, 1.0]))  # a zero image
+@example([np.diag([1e300, 1e-300]), np.diag([1e300, 1e300])], np.array([1.0, 0.0]))
+@example([np.array([[1.5e308, -1.5e308], [1.5e308, 1.5e308]])], np.array([1.0, 0.5]))
+@example([np.array([[math.inf, 1.0], [0.0, 1.0]]), np.eye(2)], np.array([1.0, 1.0]))
+@example([np.array([[math.nan, 1.0], [0.0, 1.0]])], np.array([0.0, 1.0]))
+def test_stored_cocycle_equals_scalar_closed_forms_on_fuzzed_steps(steps, v):
+    assert _outcome(_stored, steps, v) == _outcome(_scalar_cocycle, steps, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), _VECTORS)
+def test_stored_cocycle_equals_scalar_closed_forms_on_random_cocycles(seed, v):
+    steps = random_cocycle(np.random.default_rng(seed), max_len=24).steps
+    assert _stored(steps, v) == _scalar_cocycle(steps, v)
+
+
+def test_zero_step_and_zero_product_messages():
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    cases = [
+        ([np.eye(2), np.zeros((2, 2))], "step 1 is the zero matrix"),
+        ([nilpotent, nilpotent, np.zeros((2, 2))], "step 2 is the zero matrix"),
+        ([np.eye(2), nilpotent, nilpotent], "product of steps 0..2 is the zero matrix"),
+    ]
+    for steps, message in cases:
+        with pytest.raises(ZeroMatrix) as info:
+            MatrixCocycle(steps)
+        assert str(info.value) == message
