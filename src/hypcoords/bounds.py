@@ -55,6 +55,7 @@ from .hypframe import (
     EPS_COECC,
     HyperbolicFrame,
     aligned_distance,
+    canonical_sign,
     frame_coecc,
     frame_sequence,
     hyperbolic_coordinates,
@@ -186,9 +187,12 @@ def _exp(x: float) -> float:
         raise _overflow(x) from None
 
 
-def _exp_or_inf(x: float) -> float:
-    """math.exp, with inf beyond the double range."""
-    return math.inf if x > _LOG_MAX else math.exp(x)
+def _exp_or_inf(x: np.ndarray) -> np.ndarray:
+    """math.exp over the elements of an array, with inf beyond the double range."""
+    out = np.full(x.shape, math.inf)
+    finite = ~(x > _LOG_MAX)  # NaN included
+    out[finite] = linalg2.each(math.exp, x[finite])
+    return out
 
 
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
@@ -257,83 +261,58 @@ def _pair_measurements(
     return drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
 
 
-class _OrderColumns(NamedTuple):
-    """The index tuples of the pairs (1, k) .. (k, k), their ``_pair_measurements``
-    as arrays over i, the logs of push and push_over_det, and whether all are in range."""
+class _PairColumns(NamedTuple):
+    """``_pair_measurements`` of every pair (i, k), k outer and i inner, as
+    rows over the pairs; ``_order_pairs(k)`` is where order k sits."""
 
     indices: List[Tuple[int, int]]
-    drift: np.ndarray
-    push: np.ndarray
-    push_over_det: np.ndarray
-    push_noise: np.ndarray
-    det_noise: np.ndarray
-    log_pushes: np.ndarray
-    in_range: bool
+    i: np.ndarray
+    measured: np.ndarray  # drift, push, push_over_det, push_noise, det_noise
+    log_pushes: np.ndarray  # the logs of push and push_over_det
+    in_range: np.ndarray  # at k: whether every term of order k is in the double range
 
 
-class _Measured:
-    """What both sweeps of one cocycle measure, kept on it (``MatrixCocycle._measured``):
-    the frame directions, the per-i rounding allowances, the index tuples of
-    every pair and the columns of each order measured so far.  Row i of an
-    array belongs to order or index i."""
-
-    def __init__(self, n: int):
-        self.e = np.zeros((n + 1, 2))
-        self.push_noise, self.det_noise = np.zeros((2, n + 1))
-        # pair (i, k) sits at k (k - 1) / 2 + i - 1
-        self.indices = [(i, k) for k in range(1, n + 1) for i in range(1, k + 1)]
-        self.columns: List[_OrderColumns] = []
+def _order_pairs(k: int) -> slice:
+    """The pairs (1, k) .. (k, k) among ``_pair_columns``."""
+    return slice(k * (k - 1) // 2, k * (k + 1) // 2)
 
 
-def _measured(coc: MatrixCocycle, k: int) -> _OrderColumns:
-    """The columns of order k, measured once per cocycle.  Orders are measured
-    in turn, so each finds the frames and allowances of the orders below it;
-    an order whose frame is undefined raises whenever it is asked for."""
-    if coc._measured is None:
-        coc._measured = _Measured(coc.k)
-    measured = coc._measured
-    while len(measured.columns) < k:
-        measured.columns.append(_order_measurements(coc, len(measured.columns) + 1))
-    return measured.columns[k - 1]
+def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
+    """``_pair_measurements`` of every pair in one array pass, bit for bit
+    where that function returns, with each order's contracted direction in
+    the frame's sign whether or not the frame exists.  Raises nothing: a
+    term beyond the double range is inf, and a sweep checks the frame and
+    ``in_range`` of an order before it reads the order's pairs;
+    ``_first_error`` names what the per-pair function raises."""
+    orders = np.arange(1, coc.k + 1)
+    k = np.repeat(orders, orders)
+    i = np.arange(len(k)) - k * (k - 1) // 2 + 1
+    e = canonical_sign(coc.contracted)
+    log_norm, log_absdet = np.array(coc.log_norm), np.array(coc.log_absdet)
+    with np.errstate(all="ignore"):  # inf and NaN as on Python floats
+        # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
+        # each row; a*a + b*b and einsum round differently
+        drift = np.minimum(*(
+            np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+            for d in (e[k] - e[i], e[k] + e[i])
+        ))
+        log_push = coc.images(e[k], i)[1]
+        log_pushes = np.stack((log_push, log_push - log_absdet[i]))
+        log_noise = np.stack((log_norm, log_norm - log_absdet))  # column i: the allowances at i
+    beyond = (log_pushes > _LOG_MAX).any(axis=0)
+    in_range = ~(log_noise > _LOG_MAX).any(axis=0)
+    in_range[1:] &= ~np.logical_or.reduceat(beyond, orders * (orders - 1) // 2)
+    noise = ROUNDING_UNIT * _exp_or_inf(log_noise)
+    measured = np.vstack(([drift], _exp_or_inf(log_pushes), noise[:, i]))
+    return _PairColumns(list(zip(i.tolist(), k.tolist())), i, measured, log_pushes, in_range)
 
 
-def _order_measurements(coc: MatrixCocycle, k: int) -> _OrderColumns:
-    """``_pair_measurements`` of every pair (i, k) in one array pass over i,
-    bit for bit where that function returns.  Only an undefined frame of
-    order k raises, as it does first there; a term beyond the double range
-    is inf, and ``_first_error`` names what the per-pair function raises."""
-    m = coc._measured
-    e_k = m.e[k] = hyperbolic_coordinates(coc, k).e
-    log_noise = (coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
-    m.push_noise[k], m.det_noise[k] = (ROUNDING_UNIT * _exp_or_inf(x) for x in log_noise)
-    upto = slice(1, k + 1)
-    # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
-    # each row; a*a + b*b and einsum round differently
-    drift = np.minimum(*(
-        np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-        for d in (e_k - m.e[upto], e_k + m.e[upto])
-    ))
-    log_push = coc.images(e_k, k)[1][upto]
-    with np.errstate(invalid="ignore"):  # a zero push at a zero determinant: -inf - -inf
-        log_pushes = np.concatenate((log_push, log_push - coc.log_absdet[upto]))
-    in_range = not (max(log_noise) > _LOG_MAX or (log_pushes > _LOG_MAX).any())
-    return _OrderColumns(
-        m.indices[k * (k - 1) // 2 : k * (k + 1) // 2],
-        drift,
-        *linalg2.each(math.exp if in_range else _exp_or_inf, log_pushes).reshape(2, k),
-        m.push_noise[upto],
-        m.det_noise[upto],
-        log_pushes,
-        in_range,
-    )
-
-
-def _first_error(coc: MatrixCocycle, columns: _OrderColumns, sums=None) -> HypcoordsError:
-    """What the per-pair function raises at the first pair (i, k) of an order
+def _first_error(coc: MatrixCocycle, columns: _PairColumns, k: int, sums=None) -> HypcoordsError:
+    """What the per-pair function raises at the first pair (i, k) of order k
     to fail, in row order, meeting each pair's terms as it does: the measured
     ones, then ``verify_apriori_all``'s ``sums`` (the terms of j = k - 1, the
     max |entry| of each block, the log quotients); index i < k passed at order i."""
-    k = len(columns.indices)
+    log_push, log_push_over_det = columns.log_pushes[:, _order_pairs(k)]
 
     def overflows(*logs):
         return (_overflow(x) for x in logs if x > _LOG_MAX)
@@ -345,7 +324,7 @@ def _first_error(coc: MatrixCocycle, columns: _OrderColumns, sums=None) -> Hypco
                     f"det DPhi^{k} is zero: determinant-normalized rows undefined"
                 )
             yield from overflows(coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
-        yield from overflows(columns.log_pushes[i - 1], columns.log_pushes[k + i - 1])
+        yield from overflows(log_push[i - 1], log_push_over_det[i - 1])
         if sums is None:
             return
         (drift, det_drift, tail, det_tail), peak, log_quotient = sums
@@ -438,11 +417,11 @@ def verify_apriori_all(
     order k is one array pass over i = 1..k: one matmul carries the blocks
     block(i, k - 1) forward by step k - 1, the four sums add their j = k - 1
     terms (``_log_terms``) elementwise, and the measured left sides are the
-    order's columns, shared with ``verify_explicit_convergence``.  Array
-    operations round as their scalar counterparts (``math`` per element for
-    logs, hypots and exponentials).  After the frame of order k, one test of
-    the order's log terms catches any beyond the double range or a zero
-    one-step co-eccentricity, block or determinant; only then does
+    order's slice of ``_pair_columns``, measured once before the sweep.
+    Array operations round as their scalar counterparts (``math`` per
+    element for logs, hypots and exponentials).  After the frame of order k,
+    one test of the order's log terms catches any beyond the double range or
+    a zero one-step co-eccentricity, block or determinant; only then does
     ``_first_error`` go pair by pair.
     """
     coc = cocycle_of(source)
@@ -458,10 +437,11 @@ def verify_apriori_all(
     log_absdet = np.array(coc.log_absdet)
     empty_sum_terms = (-math.inf, np.zeros(0), -math.inf, np.zeros(0))  # order 1 has no j
     worst = 0.0
+    columns = _pair_columns(coc)
 
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, n + 1):
-            columns = _measured(coc, k)
+            frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # the frame of order k exists
             worst = max(worst, _ctilde_sq_term(coc, k))
             ct = math.sqrt(worst)
             before, upto = slice(1, k), slice(1, k + 1)
@@ -478,9 +458,9 @@ def verify_apriori_all(
             block_log_norm += block_log_scales[upto]
             log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
             logs = np.concatenate((det_drift, det_tail, log_quotient))
-            if (not (columns.in_range and nonzero) or drift > _LOG_MAX or tail > _LOG_MAX
+            if (not (columns.in_range[k] and nonzero) or drift > _LOG_MAX or tail > _LOG_MAX
                     or (logs > _LOG_MAX).any()):
-                raise _first_error(coc, columns, (terms, peak, log_quotient))
+                raise _first_error(coc, columns, k, (terms, peak, log_quotient))
             exps = linalg2.each(math.exp, logs)
             norm[k] = norm_k = _exp(coc.log_norm[k])
             conorm[k] = _exp(coc.log_conorm[k])
@@ -489,11 +469,12 @@ def verify_apriori_all(
             sums[1, before] += exps[: k - 1]
             sums[2, before] += math.exp(tail)
             sums[3, before] += exps[k - 1 : 2 * k - 2]
+            pairs = _order_pairs(k)
             sides = _apriori_sides(
-                columns[1:6], ct, norm[upto], conorm[upto], inv_norm[upto], sums[:, upto],
-                exps[2 * k - 2 :],
+                columns.measured[:, pairs], ct, norm[upto], conorm[upto], inv_norm[upto],
+                sums[:, upto], exps[2 * k - 2 :],
             )
-            rep.add_pairs(_APRIORI_CHECKS, columns.indices, *sides)
+            rep.add_pairs(_APRIORI_CHECKS, columns.indices[pairs], *sides)
     return rep
 
 
@@ -546,30 +527,29 @@ def verify_explicit_convergence(
     Raises CertificateRequired unless the per-index certificate passes.
     Rows come k outer, i inner: at pair (i, k), for each row of
     ``_envelope_rates``, the measured left side of ``_pair_measurements``
-    against Q r^i.  Each order k is one pass over i = 1..k that reads the
-    order's measured columns, shared with ``verify_apriori_all``, and the
-    right sides Q r^i, each formed once.  An order raises what the first
-    pair to fail would raise if its rows were built pair by pair: an
-    undefined frame of order k, else what ``_first_error`` names from the
-    measured terms.  Q r^k comes after them, as at pair (k, k).
+    against Q r^i.  The pairs are measured in one pass (``_pair_columns``)
+    and their rows added at once.  Before that, each order k in turn raises
+    what its first pair to fail would raise if the rows were built pair by
+    pair: an undefined frame of order k, else what ``_first_error`` names
+    from the measured terms; Q r^k is formed after them, as at pair (k, k).
     """
     aux = _certified_aux(orbit, ledger, aux)
     coc = orbit.cocycle
     rates = _envelope_rates(ledger, aux)
-    checks = tuple(check for check, _, _ in rates)
-    types = len(rates) // 3
     envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
+    columns = _pair_columns(coc)
+    for k in range(1, coc.k + 1):
+        frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # the frame of order k exists
+        if not columns.in_range[k]:
+            raise _first_error(coc, columns, k)
+        envelopes[:, k] = [q * r**k for _, q, r in rates]
+    drift, push, push_over_det, push_noise, det_noise = columns.measured
+    types = len(rates) // 3
     rep = BoundReport("explicit_convergence", tol)
-    with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
-        for k in range(1, coc.k + 1):
-            columns = _measured(coc, k)
-            if not columns.in_range:
-                raise _first_error(coc, columns)
-            envelopes[:, k] = [q * r**k for _, q, r in rates]
-            rep.add_pairs(
-                checks, columns.indices, columns[1:4] * types, envelopes[:, 1 : k + 1],
-                ((ROUNDING_UNIT,) + columns[4:6]) * types,
-            )
+    rep.add_pairs(
+        [check for check, _, _ in rates], columns.indices, (drift, push, push_over_det) * types,
+        envelopes[:, columns.i], (ROUNDING_UNIT, push_noise, det_noise) * types,
+    )
     return rep
 
 
@@ -843,8 +823,8 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     log_ff: List[float] = []
     de_vec, de_log = np.zeros(2), 0.0  # dM_i e = exp(de_log) de_vec
     df_vec, df_log = np.zeros(2), 0.0  # dM_i f
-    w_dirs, w_logs = coc.images(axis_vec, k - 1)  # the carried axis vector
-    f_dirs, f_logs = coc.images(frame.f, k)
+    w_dirs, w_logs = coc.images(axis_vec, range(k))  # the carried axis vector
+    f_dirs, f_logs = coc.images(frame.f, range(k + 1))
     e_images = _contracted_images(coc, frame.e, f_dirs[k], k)
     for i in range(k):
         dx, dy = orbit.step_second_partials[i]

@@ -38,7 +38,7 @@ from .errors import (
     Infeasible,
     InvalidLedger,
     parse_value,
-    read_config_lines,
+    read_config,
 )
 
 LOG_STRICT_MARGIN = 1e-12  # log-units margin distinguishing < from <=
@@ -587,14 +587,10 @@ def write_ledger(path: str, ledger: ConstantsLedger) -> None:
 
 
 def read_ledger(path: str) -> ConstantsLedger:
-    """The ledger ``write_ledger`` wrote; a key it does not write, or one of
-    its keys missing, is a ConfigError naming the key."""
-    entries: Dict[str, str] = {}
-    for line in read_config_lines(path):
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+    """The ledger ``write_ledger`` wrote; a line other than ``key = value``,
+    a key it does not write, or one of its keys missing, is a ConfigError
+    naming the line or the key."""
+    entries = read_config(path)
     if "flavor" not in entries:
         raise ConfigError(f"{path}: no flavor line")
     flavor = parse_value("flavor", entries.pop("flavor"), Flavor.parse)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
-from .errors import HypcoordsError, ConfigError, parse_value, read_config_lines
+from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
 _CONFIG_KEYS = {
@@ -186,14 +186,7 @@ def write_certificate_report(
 def _load_config(path: Optional[str]) -> Dict[str, str]:
     if not path:
         return {}
-    cfg: Dict[str, str] = {}
-    for lineno, line in enumerate(read_config_lines(path), 1):
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        cfg[key.strip()] = value.strip()
+    cfg = read_config(path)
     allowed = set(_CONFIG_KEYS)
     if "map" in cfg and cfg["map"] in BUILTIN_MAPS:
         allowed |= set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
@@ -565,15 +558,18 @@ def cmd_scan_constants(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, orbit_args: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, map_args: bool = True, orbit_args: bool = True) -> None:
+    """The flags of every subcommand, then those of the map it builds and
+    of the orbit it starts, where it does."""
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (env HYPCOORDS_OUT)")
-    p.add_argument("--map", help="builtin map name")
-    p.add_argument("--param", action="append", help="map parameter key=value (repeatable)")
-    p.add_argument("--a", type=float, help="Henon a")
-    p.add_argument("--b", type=float, help="Henon b")
-    p.add_argument("--K", type=float, help="standard-map kick strength")
-    p.add_argument("--matrix", help="linear map entries m11,m12,m21,m22")
+    if map_args:
+        p.add_argument("--map", help="builtin map name")
+        p.add_argument("--param", action="append", help="map parameter key=value (repeatable)")
+        p.add_argument("--a", type=float, help="Henon a")
+        p.add_argument("--b", type=float, help="Henon b")
+        p.add_argument("--K", type=float, help="standard-map kick strength")
+        p.add_argument("--matrix", help="linear map entries m11,m12,m21,m22")
     if orbit_args:
         p.add_argument("--x0", type=float, help="orbit start x")
         p.add_argument("--y0", type=float, help="orbit start y")
@@ -662,14 +658,17 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="closed-form SVD vs critical-angle formula vs brute-force grid sweep",
     )
-    _add_common(p, orbit_args=False)
+    _add_common(p, map_args=False, orbit_args=False)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--grid-n", dest="grid_n", type=int)
     p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("scan-constants", help="structural feasibility over a constants grid")
-    _add_common(p, orbit_args=False)
+    # no abbreviations: "--b", a map flag elsewhere, would abbreviate --b-values
+    p = sub.add_parser(
+        "scan-constants", help="structural feasibility over a constants grid", allow_abbrev=False
+    )
+    _add_common(p, map_args=False, orbit_args=False)
     p.add_argument("--flavor")
     p.add_argument("--lambda-values", dest="lambda_values", default="1.5")
     p.add_argument("--gamma-values", dest="gamma_values", default="1.5")

@@ -111,7 +111,9 @@ class MatrixCocycle:
     stacks of scaled bodies (``step_bodies``, ``prefix_bodies``), from which
     array passes take the log norm, co-norm and |det| of every step and
     order, and the most contracted direction of every order; ``images``
-    pushes a vector.  Each value equals its scalar closed form bit for bit.
+    pushes vectors through the products.  Each value equals its scalar
+    closed form bit for bit, but for the co-norm of a step whose closed-form
+    smin cancels to 0: there it is |det| / norm.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
@@ -152,8 +154,12 @@ class MatrixCocycle:
             log_norm = log_smax[k:] + scales
             log_absdet = np.cumsum(np.concatenate(([0.0], step_log_absdet)))
             log_conorm = log_absdet - log_norm
+            # q - r cancels to 0 below a step co-eccentricity of about 1e-16;
+            # there the co-norm is |det| / norm, as for the orders
             step_log_conorm = linalg2.log_each(svd.smin[:k])
-            step_log_conorm[~(svd.smin[:k] > 0.0)] = -math.inf  # NaN included
+            cancelled = ~(svd.smin[:k] > 0.0)  # NaN included
+            step_log_conorm[cancelled] = np.where(
+                np.isfinite(step_log_absdet), step_log_absdet - log_smax[:k], -math.inf)[cancelled]
         # lists of Python floats, as messages and reports print them
         self.step_log_norm, self.step_log_conorm, self.step_log_absdet = (
             x.tolist() for x in (log_smax[:k], step_log_conorm, step_log_absdet))
@@ -165,23 +171,21 @@ class MatrixCocycle:
             (-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1
         )
 
-        # frames and per-order measurements, filled by bounds on first use
-        self._measured = None
-
     def prefix(self, i: int) -> ScaledMatrix:
         if not 0 <= i <= self.k:
             raise IndexOutOfRange(f"prefix index {i} outside 0..{self.k}")
         return ScaledMatrix(self.prefix_bodies[i], float(self.prefix_log_scales[i]))
 
-    def images(self, v: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``prefix(i).apply(v)`` for i = 0..k, bit for bit, from one stacked
-        matmul: the unit directions as a (k + 1, 2) array and the log norms.
-        A zero image has a zero direction and log norm -inf."""
-        w = np.matmul(self.prefix_bodies[: k + 1], np.asarray(v, dtype=float)[:, None])[:, :, 0]
+    def images(self, v: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
+        """``prefix(i).apply`` for each i of ``orders``, bit for bit, from one
+        stacked matmul: of ``v``, or of row j of an (n, 2) ``v`` at the j-th
+        order.  Returns the unit directions as an (n, 2) array and the log
+        norms; a zero image has a zero direction and log norm -inf."""
+        w = np.matmul(self.prefix_bodies[orders], np.asarray(v, dtype=float)[..., None])[..., 0]
         norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]
         directions = np.divide(w, norms[:, None], out=np.zeros_like(w), where=nonzero)
-        return directions, linalg2.log_each(norms) + self.prefix_log_scales[: k + 1]
+        return directions, linalg2.log_each(norms) + self.prefix_log_scales[orders]
 
     def block(self, i: int, j: int) -> ScaledMatrix:
         """Product of steps i..j-1 (the (j-i)-step derivative at point i)."""
@@ -234,7 +238,8 @@ def compute_orbit(
 
     Raises SingularEncounter(i) if any orbit point comes within ``guard`` of
     the singular set, OrbitEscaped(i) if one is not finite, leaves the
-    domain or has non-finite first or second partials; either means the
+    domain or has non-finite first or second partials (a callback that
+    raises OverflowError counts as a non-finite value); either means the
     orbit is unusable at this order.  ``guard`` defaults to 1e-8 for maps
     with a singular set and 0 for smooth ones.
     """
@@ -257,13 +262,20 @@ def compute_orbit(
                 raise SingularEncounter(i)
             if i == k:
                 break
-            jacobian = jacobian_matrix(spec.jacobian(x, y))
-            second = spec.second_partials(x, y)
-            if not (np.isfinite(jacobian).all() and np.isfinite(second).all()):
+            try:  # a callback on Python floats raises where numpy would give inf
+                jacobian = jacobian_matrix(spec.jacobian(x, y))
+                second = spec.second_partials(x, y)
+                finite = np.isfinite(jacobian).all() and np.isfinite(second).all()
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives")
             jacobians.append(jacobian)
             seconds.append(second)
-            p = np.array(spec.eval(x, y))
+            try:
+                p = np.array(spec.eval(x, y))
+            except OverflowError:
+                raise OrbitEscaped(i + 1) from None
             pts[i + 1] = p
 
     return OrbitSegment(

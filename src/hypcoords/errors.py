@@ -2,7 +2,7 @@
 configuration files and conversion of their text to values, which report a
 missing file or bad text as a ConfigError."""
 
-from typing import Callable, List, TypeVar
+from typing import Callable, Dict, TypeVar
 
 T = TypeVar("T")
 
@@ -103,13 +103,24 @@ class ConfigError(HypcoordsError):
     """Bad key or value in a run configuration."""
 
 
-def read_config_lines(path: str) -> List[str]:
-    """The stripped lines of a configuration file; an unreadable file is a ConfigError naming it."""
+def read_config(path: str) -> Dict[str, str]:
+    """The ``key = value`` lines of a configuration file as stripped text,
+    blank and ``#`` lines skipped.  An unreadable file, or another line, is
+    a ConfigError naming the file (and the line)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh]
+            lines = [line.strip() for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    entries: Dict[str, str] = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        entries[key.strip()] = value.strip()
+    return entries
 
 
 def parse_value(key: str, text: str, cast: Callable[[str], T]) -> T:

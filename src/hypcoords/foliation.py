@@ -32,7 +32,7 @@ from .errors import (
     OrbitEscaped,
     SingularEncounter,
 )
-from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates, pushforward_frames
+from .hypframe import LOW_CONFIDENCE_COECC, canonical_sign, hyperbolic_coordinates, pushforward_frames
 from .planar_maps import MapSpec
 
 STABLE = "stable"
@@ -167,10 +167,8 @@ def _field_directions(
         degenerate = zero_step | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
     stops[live[degenerate]] = _DEGENERATE
     ok = ~degenerate
-    e_x, e_y = -np.sin(svd.theta_v[ok]), np.cos(svd.theta_v[ok])
-    sign = np.where((e_y < 0.0) | ((e_y == 0.0) & (e_x < 0.0)), -1.0, 1.0)
-    e_x, e_y = sign * e_x, sign * e_y
-    directions[live[ok]] = np.stack((e_x, e_y) if field == STABLE else (e_y, -e_x), axis=1)
+    e = canonical_sign(np.stack((-np.sin(svd.theta_v[ok]), np.cos(svd.theta_v[ok])), axis=1))
+    directions[live[ok]] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 
 

@@ -62,10 +62,10 @@ class HyperbolicFrame:
 
 
 def canonical_sign(e: np.ndarray) -> np.ndarray:
-    """Resolve the +-e ambiguity: e_y > 0, or e_y == 0 and e_x > 0."""
-    if e[1] < 0.0 or (e[1] == 0.0 and e[0] < 0.0):
-        return -e
-    return e
+    """Resolve the +-e ambiguity of one vector, or of each row of an (n, 2)
+    array: e_y > 0, or e_y == 0 and e_x > 0."""
+    x, y = e[..., 0], e[..., 1]
+    return np.where(((y < 0.0) | ((y == 0.0) & (x < 0.0)))[..., None], -e, e)
 
 
 def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -121,7 +121,7 @@ def hyperbolic_coordinates(
     coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
         raise ValueError(f"order {k} outside 1..{coc.k}")
-    return _frame(k, coc.contracted[k].copy(), coc.log_norm[k], coc.log_conorm[k])
+    return _frame(k, coc.contracted[k], coc.log_norm[k], coc.log_conorm[k])
 
 
 def frame_sequence(

@@ -104,8 +104,8 @@ def det2(m: np.ndarray) -> float:
 
 
 def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:
-    """Rotate v by -pi/2."""
-    return np.array([v[1], -v[0]])
+    """Rotate one vector, or each row of an (n, 2) array, by -pi/2."""
+    return np.stack((v[..., 1], -v[..., 0]), axis=-1)
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

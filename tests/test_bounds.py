@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -22,7 +23,7 @@ from hypcoords.errors import (
     NoHyperbolicCoordinates,
     ZeroDeterminant,
 )
-from hypcoords.hypframe import frame_sequence, hyperbolic_coordinates
+from hypcoords.hypframe import frame_coecc, frame_sequence, hyperbolic_coordinates
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
 from conftest import HENON_FIXTURE, LORENZ_FIXTURE, jacobian_at, make_cubic_map, random_cocycle
@@ -635,10 +636,21 @@ def test_frames_measurements_and_slow_variation_read_the_cocycle(henon, monkeypa
         counted(linalg2, name)
     counted(ScaledMatrix, "apply")
     frames = [hyperbolic_coordinates(orbit, k) for k in range(1, 9)]
-    columns = bounds._measured(orbit.cocycle, 8)
+    columns = bounds._pair_columns(orbit.cocycle)
     terms = [bounds.slow_variation_terms(orbit, 8, axis) for axis in "xy"]
     assert calls == {}
-    assert len(frames) == 8 and len(columns.indices) == 8 and len(terms) == 2
+    assert len(frames) == 8 and len(columns.indices) == 36 and len(terms) == 2
+
+
+def test_bounds_keep_no_state_on_the_cocycle(henon):
+    orbit = compute_orbit(henon, HENON_FIXTURE, 8)
+    coc = orbit.cocycle
+    before = {name: (id(value), pickle.dumps(value)) for name, value in vars(coc).items()}
+    ledger = fit_constants(orbit, Flavor.SINGULAR_BOTH, 1.05)
+    assert bounds.verify_apriori_all(orbit).verdict
+    assert bounds.verify_explicit_convergence(orbit, ledger).verdict
+    assert bounds.verify_slow_variation(orbit, ledger).verdict
+    assert {name: (id(value), pickle.dumps(value)) for name, value in vars(coc).items()} == before
 
 
 def test_measurements_called_directly_warn_nothing():
@@ -646,9 +658,9 @@ def test_measurements_called_directly_warn_nothing():
     coc = MatrixCocycle([np.diag([1.0, 0.0])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        columns = bounds._measured(coc, 1)
-    assert columns.log_pushes.tolist()[0] == -math.inf and math.isnan(columns.log_pushes[1])
-    assert not columns.in_range
+        columns = bounds._pair_columns(coc)
+    assert columns.log_pushes[0, 0] == -math.inf and math.isnan(columns.log_pushes[1, 0])
+    assert not columns.in_range[1]
 
 
 def test_slow_variation_terms_henon_regression(henon_orbit8):
@@ -1068,12 +1080,13 @@ def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
         return
 
     def batched():
+        c = bounds._pair_columns(coc)
         for k in range(1, coc.k + 1):
-            with np.errstate(all="ignore"):  # as the sweeps measure
-                c = bounds._measured(coc, k)
-            if not c.in_range:
-                raise bounds._first_error(coc, c)
-            yield from zip(c.indices, *(column.tolist() for column in c[1:6]))
+            frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # as the sweeps check each order
+            if not c.in_range[k]:
+                raise bounds._first_error(coc, c, k)
+            pairs = bounds._order_pairs(k)
+            yield from zip(c.indices[pairs], *c.measured[:, pairs].tolist())
 
     def per_pair():
         for k in range(1, coc.k + 1):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import bounds, certificate, compute_orbit, make_map
+from hypcoords import MatrixCocycle, bounds, certificate, compute_orbit, make_map
 from hypcoords.cli import fmt, main, write_bound_report
 
 from conftest import HENON_FIXTURE, LORENZ_FIXTURE, STANDARD_FIXTURE, STANDARD_K
@@ -427,6 +427,49 @@ def test_malformed_ledger_is_usage_error(tmp_path, capsys, edit, key):
     assert key in _one_line_error(capsys)
 
 
+def test_config_and_ledger_lines_without_equals_name_their_line(tmp_path, capsys):
+    fitted = tmp_path / "fitted"
+    assert run(["certify", *HENON_ARGS, "--k", "8", "--out-dir", fitted]) == 0
+    lines = (fitted / "ledger.txt").read_text().splitlines(keepends=True)
+    n = next(j for j, line in enumerate(lines) if line.startswith("lambda = "))
+    lines[n] = lines[n].replace("=", "", 1)
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text("".join(lines))
+    config = tmp_path / "run.cfg"
+    config.write_text("# a comment\n\nmap = henon\nk 3\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["certify", *HENON_ARGS, "--k", "8", "--ledger", ledger, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {ledger}:{n + 1}: expected 'key = value'"
+    assert run(["orbit", "--config", config, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {config}:4: expected 'key = value'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--map", "nonsense"], ["--param", "a=1"], ["--a", "1"],
+                                  ["--b", "1"], ["--K", "1"], ["--matrix", "1,0,0,1"]])
+@pytest.mark.parametrize("command", [["oracle-check", "--trials", "5", "--grid-n", "1000"],
+                                     ["scan-constants"]])
+def test_map_flags_are_usage_errors_where_no_map_is_built(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert run([*command, *flag, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: unrecognized arguments: {' '.join(flag)}"
+    assert not out.exists()
+
+
+def test_step_below_closed_form_resolution_verifies_and_certifies(tmp_path, capsys):
+    # the closed-form co-norm of diag(1e9, 1e-9) cancels to 0; |det| / norm is 1e-9
+    args = ["--map", "linear", "--matrix", "1e9,0,0,1e-9", "--x0", "0", "--y0", "0.2",
+            "--k", "5", "--flavor", "II"]
+    assert run(["verify-convergence", *args, "--out-dir", tmp_path / "v"]) == 0
+    assert run(["certify", *args, "--out-dir", tmp_path / "c"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 4
+    assert lines[0] == "convergence bounds pass over all pairs up to k=5"
+    assert lines[3] == "certificate passes for k <= 5 (flavor II)"
+
+
 @pytest.mark.parametrize(
     "argv, key",
     [(["verify-variation", *HENON_ARGS, "--k", "4", "--eta", "inf"], "eta"),
@@ -765,20 +808,23 @@ def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
 def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
     calls = collections.Counter()
 
-    def counted(name, fn):
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_order_measurements", "_pair_measurements", "hyperbolic_coordinates",
+    for name in ("_pair_columns", "_pair_measurements", "hyperbolic_coordinates",
                  "frame_sequence"):
-        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        counted(bounds, name)
+    counted(MatrixCocycle, "images")
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
-    # each order k <= 20 and its frame are measured once, for both sweeps;
-    # nothing goes pair by pair
-    assert calls == {"_order_measurements": 20, "hyperbolic_coordinates": 20}
+    # each sweep measures its pairs once, with one push of a vector per pair;
+    # nothing goes order by order or pair by pair
+    assert calls == {"_pair_columns": 2, "images": 2}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair

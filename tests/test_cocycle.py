@@ -22,7 +22,14 @@ from hypcoords.errors import (
 )
 from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, make_map, rotation
 
-from conftest import dense, evaluate, jacobian_at, random_cocycle, random_step_matrix
+from conftest import (
+    dense,
+    evaluate,
+    jacobian_at,
+    make_cubic_map,
+    random_cocycle,
+    random_step_matrix,
+)
 from test_bounds import fuzz_steps
 
 
@@ -167,6 +174,21 @@ def test_non_finite_orbit_point_escapes_before_any_callback(start, index):
     assert err.value.index == index
 
 
+def test_map_callback_overflow_escapes_the_orbit():
+    # the cubic's Python float powers raise OverflowError inside its jacobian
+    with pytest.raises(OrbitEscaped) as err:
+        compute_orbit(make_cubic_map(np.random.default_rng(4)), np.array([0.2535, 0.0381]), 32)
+    assert (err.value.index, str(err.value)) == (14, "orbit point 14 has non-finite derivatives")
+
+    def overflowing(x, y):
+        raise OverflowError("math range error")
+
+    h = henon()
+    with pytest.raises(OrbitEscaped) as err:
+        compute_orbit(dataclasses.replace(h, eval=overflowing), np.array([0.1, 0.1]), 3)
+    assert (err.value.index, str(err.value)) == (1, "orbit point 1 left the domain")
+
+
 def test_cocycle_block_identity_and_full():
     h = henon()
     orbit = compute_orbit(h, np.array([0.1, 0.1]), 8)
@@ -259,6 +281,16 @@ def test_norm_supermultiplicativity():
     for i in range(20):
         lhs = coc.log_norm[i] + coc.step_log_conorm[i]
         assert lhs <= coc.log_norm[i + 1] + 1e-10
+
+
+@pytest.mark.parametrize("scale, expected", [(1e9, -20.72), (1e20, -46.05), (1e60, -138.16)])
+def test_step_conorm_below_closed_form_resolution_is_det_over_norm(scale, expected):
+    # q - r of the closed-form SVD cancels to 0 for these steps
+    coc = MatrixCocycle([np.diag([scale, 1.0 / scale])])
+    assert linalg2.svd2_matrix(coc.steps[0]).smin == 0.0
+    assert coc.step_log_conorm[0] == coc.step_log_absdet[0] - coc.step_log_norm[0]
+    assert round(coc.step_log_conorm[0], 2) == expected
+    assert MatrixCocycle([np.diag([scale, 0.0])]).step_log_conorm == [-math.inf]
 
 
 def test_scaled_matches_naive_products_up_to_k20():
@@ -368,7 +400,11 @@ def _scalar_cocycle(steps, v):
     images = [p.apply(v) for p in prefixes]
     return _reprs(
         step_log_norm=[math.log(s.smax) for s in step_svd],
-        step_log_conorm=[math.log(s.smin) if s.smin > 0.0 else float("-inf") for s in step_svd],
+        # a cancelled closed-form co-norm is |det| / norm, as for the orders
+        step_log_conorm=[
+            math.log(s.smin) if s.smin > 0.0 else d - math.log(s.smax) if math.isfinite(d) else -math.inf
+            for s, d in zip(step_svd, step_log_absdet)
+        ],
         step_log_absdet=step_log_absdet,
         step_bodies=[s.body for s in scaled],
         step_log_scales=[s.log_scale for s in scaled],
@@ -398,7 +434,7 @@ def _reprs(**fields):
 def _stored(steps, v):
     coc = MatrixCocycle(steps)
     k = coc.k
-    directions, log_norms = coc.images(v, k)
+    directions, log_norms = coc.images(v, range(k + 1))
     lists = ("step_log_norm", "step_log_conorm", "step_log_absdet", "log_norm", "log_conorm",
              "log_absdet")
     assert all(type(x) is float for name in lists for x in getattr(coc, name))
@@ -445,3 +481,15 @@ def test_stored_cocycle_equals_scalar_closed_forms_on_fuzzed_steps(steps, v):
 def test_stored_cocycle_equals_scalar_closed_forms_on_random_cocycles(seed, v):
     steps = random_cocycle(np.random.default_rng(seed), max_len=24).steps
     assert _stored(steps, v) == _scalar_cocycle(steps, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_images_push_one_vector_per_order_as_apply(seed, data):
+    coc = random_cocycle(np.random.default_rng(seed), max_len=12)
+    orders = data.draw(st.lists(st.integers(0, coc.k), min_size=1, max_size=20))
+    vectors = np.array(data.draw(st.lists(_VECTORS, min_size=len(orders), max_size=len(orders))))
+    directions, log_norms = coc.images(vectors, orders)
+    applied = [coc.prefix(i).apply(w) for i, w in zip(orders, vectors)]
+    assert _reprs(directions=directions, log_norms=log_norms) == _reprs(
+        directions=[w for w, _ in applied], log_norms=[w_log for _, w_log in applied])

@@ -400,3 +400,14 @@ def test_singular_cocycle_frame_has_sentinel_sigma_min():
     assert frame.coecc == 0.0
     assert frame.log_sigma_min == float("-inf")
     assert np.allclose(frame.e, [0.0, 1.0])
+
+
+def test_frame_sign_and_quarter_turn_of_rows_equal_those_of_each_vector():
+    rng = np.random.default_rng(3)
+    edges = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-0.0, 0.0], [0.5, -0.0], [-0.5, -0.0]]
+    rows = np.vstack((rng.standard_normal((40, 2)), edges))
+    for fn in (hypframe.canonical_sign, linalg2.rotate_quarter_cw):
+        assert list(map(repr, fn(rows).ravel().tolist())) == [
+            repr(x) for row in rows for x in fn(row).tolist()]
+    signed = hypframe.canonical_sign(rows[rows.any(axis=1)])  # the zero vector has no sign
+    assert ((signed[:, 1] > 0.0) | ((signed[:, 1] == 0.0) & (signed[:, 0] > 0.0))).all()

@@ -201,3 +201,55 @@ def test_every_src_definition_is_reached_from_a_command_criterion_or_benchmark()
         roots |= names_used(ast.parse(path.read_text(encoding="utf-8")), strings=True)
     missed = unreached(modules, roots, exempt=CALLED_FROM_OUTSIDE)
     assert not missed, "reached only from tests:\n" + "\n".join(missed)
+
+
+def unused_imports(modules):
+    """``file:line name`` of each name that an import at module level binds
+    and no code of its module uses, other than a name in ``__all__`` or on a
+    line marked ``# noqa: F401``.  A use is a name in code, annotations
+    included; ``import a.b`` binds ``a``."""
+    missed = []
+    for label, text in modules.items():
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exports(text)
+        for stmt in tree.body:
+            if not isinstance(stmt, _IMPORTS) or getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    missed.append(f"{label}:{alias.lineno} {name}")
+    return missed
+
+
+def test_import_scan_reports_names_no_code_uses():
+    source = '''"""Names unused_in_docstring."""
+from __future__ import annotations
+
+import os.path
+import numpy as np
+from .a import used, unused_in_docstring
+from .b import exempt  # noqa: F401
+from .c import (
+    annotation_only,
+    never,
+)
+
+
+def f(x: annotation_only):
+    return np.array(used(x)), os.sep
+
+
+TABLE = {"never": 1}
+'''
+    assert unused_imports({"m.py": source}) == ["m.py:6 unused_in_docstring", "m.py:10 never"]
+
+
+def test_every_src_import_is_used():
+    modules = {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    missed = unused_imports(modules)
+    assert not missed, "imported and never used:\n" + "\n".join(missed)
