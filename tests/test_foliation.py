@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -279,6 +280,48 @@ def test_grid_curves_match_single_curve_integration(case):
         assert np.abs(single.points - curve.points).max() <= 1e-12
         assert np.array_equal(single.arclengths, curve.arclengths)
         assert np.array_equal(single.seed_direction, curve.seed_direction)
+
+
+# GRID_CASES and one shifted rectangle of the foliate-k8 benchmark pool (its
+# entries 4 to 7): the lattice over -1,1,-0.4,0.4 at spacing 0.2, shifted by
+# 0.2 times the fractional parts of the golden ratio and the plastic number,
+# rounded to 6 decimals.  Three of its seeds have no usable frame.
+_SHIFT = (0.123607, 0.150976)
+PINNED_GRID_CASES = GRID_CASES + [
+    (henon(1.4, 0.3), (-1.0 + _SHIFT[0], 1.0 + _SHIFT[0], -0.4 + _SHIFT[1], 0.4 + _SHIFT[1]),
+     8, 0.2, "unstable", 0.2, 2e-3, None),
+]
+
+# Recorded with Python 3.11.7 and numpy 2.4.6.  A change to the field kernel
+# or the integrator keeps these bytes unless it declares new curves.
+_GRID_DIGESTS = [
+    "4b43f857ae8779c7ce2c48eddde3f95074f16c1d076cae2c2bfa6030f721344e",
+    "f831944f94828114898c0298e0bfc2e565480a06edebc8e828788d88af3dda2d",
+    "3bdb4a4763be2b5971f3d9cee48df1242127c942b1757646f42aad298ea365ba",
+    "92690d2c7678b89c940ca5575e38cf83ca58e314182a9918841d1b4e2efabda2",
+    "b6065212e88b89c3a007929a51306d7136571c01ea20634294407a615ab3a2b3",
+]
+
+
+def _grid_digest(grid):
+    """SHA-256 over every curve's points, arclengths, seed direction and
+    termination, then every failed seed and its message."""
+    h = hashlib.sha256()
+    for c in grid.curves:
+        h.update(repr(c.points.shape).encode())
+        for a in (c.points, c.arclengths, c.seed_direction):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        h.update(c.termination.encode())
+    for seed, message in grid.failed_seeds:
+        h.update(np.ascontiguousarray(seed, dtype=float).tobytes())
+        h.update(message.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", list(zip(PINNED_GRID_CASES, _GRID_DIGESTS)),
+                         ids=[f"{c[0].name}-k{c[2]}-{i}" for i, c in enumerate(PINNED_GRID_CASES)])
+def test_grid_bytes_are_pinned(case, digest):
+    assert _grid_digest(foliation_grid(*case)) == digest
 
 
 def test_lockstep_curves_end_on_their_own():
