@@ -27,6 +27,8 @@ from .cocycle import ScaledMatrix, compute_orbit
 from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
+# Keys a --config file may hold; each one only on a subcommand with the flag
+# of that name (dest), and map parameters where the subcommand builds a map.
 _CONFIG_KEYS = {
     "map",
     "matrix",
@@ -183,12 +185,15 @@ def write_certificate_report(
     )
 
 
-def _load_config(path: Optional[str]) -> Dict[str, str]:
+def _load_config(args) -> Dict[str, str]:
+    """The ``--config`` file of a subcommand: keys of its own flags only and,
+    where it builds a map, the parameters of the map the file names."""
+    path = args.config
     if not path:
         return {}
     cfg = read_config(path)
-    allowed = set(_CONFIG_KEYS)
-    if "map" in cfg and cfg["map"] in BUILTIN_MAPS:
+    allowed = _CONFIG_KEYS & set(vars(args))
+    if "map" in allowed and cfg.get("map") in BUILTIN_MAPS:
         allowed |= set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
     unknown = sorted(set(cfg) - allowed)
     if unknown:
@@ -268,7 +273,7 @@ def _out_dir(args, cfg) -> str:
 
 
 def cmd_orbit(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec, orbit = _orbit_from_args(args, cfg)
     out = _out_dir(args, cfg)
     rows = []
@@ -293,7 +298,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_frames(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec, orbit = _orbit_from_args(args, cfg)
     out = _out_dir(args, cfg)
     rows = []
@@ -343,7 +348,7 @@ def _flavor(args, cfg) -> certificate.Flavor:
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec, orbit = _orbit_from_args(args, cfg)
     ledger = _ledger_source(args, cfg)(orbit)
     out = _out_dir(args, cfg)
@@ -359,7 +364,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_aux_constants(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     source = _ledger_source(args, cfg)
     orbit = None if args.ledger else _orbit_from_args(args, cfg)[1]
     ledger = source(orbit)
@@ -383,7 +388,7 @@ def cmd_verify_convergence(args) -> int:
         stage_times.append(f"timing {stage} {time.perf_counter() - start:.6f} s")
         return result
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     try:
         spec, orbit = timed("orbit", _orbit_from_args, args, cfg)
         source = _ledger_source(args, cfg)
@@ -408,7 +413,7 @@ def cmd_verify_convergence(args) -> int:
 
 
 def cmd_verify_variation(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec, orbit = _orbit_from_args(args, cfg)
     ledger = _ledger_source(args, cfg)(orbit)
     out = _out_dir(args, cfg)
@@ -423,7 +428,7 @@ def cmd_verify_variation(args) -> int:
 
 
 def cmd_foliate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec = _build_map(args, cfg)
     rect = _values_list("rect", _resolve(args, cfg, "rect", str, "-1,1,-1,1"))
     if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
@@ -476,7 +481,7 @@ def _random_test_matrix(rng: np.random.Generator):
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     seed = _resolve(args, cfg, "seed", int, 0)
     trials = _resolve(args, cfg, "trials", int, 1000)
     grid_n = _resolve(args, cfg, "grid_n", int, 1_000_000)
@@ -536,7 +541,7 @@ def _values_list(key: str, text: str) -> List[float]:
 
 
 def cmd_scan_constants(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     keys = ("lambda_values", "gamma_values", "c_values", "b_values", "gamma_tilde_values",
             "c_tilde_values")
     grids = [_values_list(key, getattr(args, key)) for key in keys]

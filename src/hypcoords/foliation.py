@@ -9,8 +9,12 @@ already travelling (sign continuation, not the global convention, to avoid
 spurious reversals across the convention's flip locus).
 
 All curves of a call advance in lockstep: each integrator stage samples the
-field at every curve still running in one numpy pass (``_field_directions``),
-the array form of the scalar ``_field_direction``.  The scalar path gives the
+field at every curve still running with ``_field_directions``, the array
+form of the scalar ``_field_direction``.  It works in two passes: the orbit
+pass iterates all points together, order by order, and drops those that
+leave the domain or come near the singular set; the derivative pass then
+takes the Jacobians at every step of every surviving orbit in one stacked
+call and multiplies the steps order by order.  The scalar path gives the
 exact direction at each seed and stays the reference the kernel is tested
 against.
 """
@@ -93,7 +97,7 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
 def _field_directions(
     spec: MapSpec, points: np.ndarray, k: int, field: str, guard: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``_field_direction`` at the n points of an (n, 2) array, in one numpy pass.
+    """``_field_direction`` at the n points of an (n, 2) array, in two numpy passes.
 
     Returns ``(directions, stops)``.  Where ``stops[j]`` is 0,
     ``directions[j]`` is the order-k field direction at point j (canonical
@@ -102,13 +106,17 @@ def _field_directions(
     "singular", "domain" or "degenerate".
 
     The steps follow ``compute_orbit``, ``MatrixCocycle`` and
-    ``hyperbolic_coordinates``: at each orbit point the domain check (a
-    non-finite point fails it), then the singular guard; the product of
-    renormalized steps with the same power-of-two scaling; log|det|
-    accumulated step by step; a zero product or a co-eccentricity above
-    ``LOW_CONFIDENCE_COECC`` is degenerate.  A stopped point leaves the
-    pass, so the map callbacks see only points the scalar path would
-    evaluate.
+    ``hyperbolic_coordinates``.  The orbit pass runs order by order: the
+    domain check (a non-finite point fails it), then the singular guard on
+    the points in the domain, then ``eval`` on the points that passed both;
+    a stopped point leaves the pass, and the coordinates of each order are
+    kept.  The derivative pass takes the k steps of every orbit that
+    reached order k at once: one ``jacobian`` call, the step normalization
+    and log|det| over the whole stack, log|det| summed in order of the
+    steps; then the product of the renormalized steps, order by order, with
+    the same power-of-two scaling.  A zero product or a co-eccentricity
+    above ``LOW_CONFIDENCE_COECC`` is degenerate.  So the map callbacks see
+    only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
     n = len(points)
@@ -116,18 +124,12 @@ def _field_directions(
     directions = np.full((n, 2), np.nan)
     live = np.arange(n)
     x, y = points[:, 0], points[:, 1]
-    body = np.broadcast_to(np.eye(2), (n, 2, 2))
-    log_scale = np.zeros(n)
-    log_det = np.zeros(n)
-    zero_step = np.zeros(n, dtype=bool)  # a step that svd2_closed sees as zero
+    xs, ys = np.empty((k, n)), np.empty((k, n))  # orbit point i of seed j at [i, j]
 
     def drop(bad: np.ndarray, code: int) -> None:
-        nonlocal live, x, y, body, log_scale, log_det, zero_step
+        nonlocal live, x, y
         stops[live[bad]] = code
-        ok = ~bad
-        live, x, y, body, log_scale, log_det, zero_step = (
-            a[ok] for a in (live, x, y, body, log_scale, log_det, zero_step)
-        )
+        live, x, y = live[~bad], x[~bad], y[~bad]
 
     # Overflow to inf, log(0) and NaN are tested for explicitly, as the
     # scalar path tests them on Python floats.
@@ -141,24 +143,32 @@ def _field_directions(
                 drop(np.broadcast_to(near, x.shape), _SINGULAR)
             if i == k:
                 break
-            j11, j12, j21, j22 = spec.jacobian(x, y)
-            jac = np.empty((len(x), 2, 2))
-            jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = j11, j12, j21, j22
-            step_body, step_scale, m = normalize_stack(jac, 0.0)
-            # as MatrixCocycle's step log |det|: the raw determinant unless it is not a
-            # normal float, then the scaled body's
-            raw_det = np.abs(_det_stack(jac))
-            step_log_det = np.log(raw_det)
-            redo = ~((raw_det >= sys.float_info.min) & (raw_det < math.inf))  # NaN included
-            if redo.any():
-                body_det = np.abs(_det_stack(step_body[redo]))
-                step_log_det[redo] = np.log(body_det) + 2.0 * step_scale[redo]
-            log_det = log_det + step_log_det
-            tiny = m < _TINY
-            if tiny.any():
-                zero_step |= tiny & (linalg2.spectral_norm_array(*jac.reshape(-1, 4).T) == 0.0)
-            body, log_scale, _ = normalize_stack(np.matmul(step_body, body), step_scale + log_scale)
+            xs[i, live], ys[i, live] = x, y
             x, y = spec.eval(x, y)
+        # every step of every surviving orbit at once, row i * m + j for order i of seed j
+        m = len(live)
+        jac = np.empty((k * m, 2, 2))
+        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = spec.jacobian(
+            xs[:, live].ravel(), ys[:, live].ravel()
+        )
+        step_body, step_scale, mag = normalize_stack(jac, 0.0)
+        # as MatrixCocycle's step log |det|: the raw determinant unless it is not a
+        # normal float, then the scaled body's
+        raw_det = np.abs(_det_stack(jac))
+        step_log_det = np.log(raw_det)
+        redo = ~((raw_det >= sys.float_info.min) & (raw_det < math.inf))  # NaN included
+        if redo.any():
+            body_det = np.abs(_det_stack(step_body[redo]))
+            step_log_det[redo] = np.log(body_det) + 2.0 * step_scale[redo]
+        log_det = np.cumsum(step_log_det.reshape(k, m), axis=0)[-1]
+        zero_step = mag < _TINY  # a step that svd2_closed sees as zero
+        if zero_step.any():
+            zero_step &= linalg2.spectral_norm_array(*jac.reshape(-1, 4).T) == 0.0
+        zero_step = zero_step.reshape(k, m).any(axis=0)
+        step_body, step_scale = step_body.reshape(k, m, 2, 2), step_scale.reshape(k, m)
+        body, log_scale = np.broadcast_to(np.eye(2), (m, 2, 2)), np.zeros(m)
+        for i in range(k):
+            body, log_scale, _ = normalize_stack(np.matmul(step_body[i], body), step_scale[i] + log_scale)
         svd = linalg2.svd2_closed_array(*body.reshape(-1, 4).T)
         log_norm = np.log(svd.smax) + log_scale
         # A zero product stays zero, so the last one stands for every order;

@@ -457,6 +457,23 @@ def test_map_flags_are_usage_errors_where_no_map_is_built(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, own", [
+    (["oracle-check", "--trials", "2", "--grid-n", "100"], "seed = 3\ntrials = 2\n"),
+    (["scan-constants"], "flavor = II\n"),
+], ids=["oracle-check", "scan-constants"])
+def test_config_keys_of_other_commands_are_usage_errors(tmp_path, capsys, command, own):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(own + "map = nonsense\nmatrix = 1,2\nx0 = 5\n")
+    out = tmp_path / "out"
+    assert run([*command, "--config", cfg, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {cfg}: unknown keys ['map', 'matrix', 'x0']"
+    assert not out.exists()
+    # the keys of the command's own flags are read
+    cfg.write_text(own)
+    assert run([*command, "--config", cfg, "--out-dir", out]) == 0
+    assert list(out.iterdir())
+
+
 def test_step_below_closed_form_resolution_verifies_and_certifies(tmp_path, capsys):
     # the closed-form co-norm of diag(1e9, 1e-9) cancels to 0; |det| / norm is 1e-9
     args = ["--map", "linear", "--matrix", "1e9,0,0,1e-9", "--x0", "0", "--y0", "0.2",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import compute_orbit, foliation
+from hypcoords.cocycle import guard_limit
 from hypcoords.errors import NoFrameAtStart
 from hypcoords.foliation import (
     curve_to_csv_rows,
@@ -249,6 +251,54 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
             np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
         else:
             assert np.isnan(v).all()
+
+
+_POINT_CALLBACKS = ("domain_check", "singular_set_distance", "jacobian", "eval")
+
+
+def _recording(spec):
+    """``spec`` with each point callback wrapped to record the (n, 2) points it receives."""
+    seen = {name: [] for name in _POINT_CALLBACKS}
+
+    def wrap(name):
+        callback = getattr(spec, name)
+
+        def recorded(x, y):
+            seen[name].append(np.column_stack(np.broadcast_arrays(np.ravel(x), np.ravel(y))))
+            return callback(x, y)
+
+        return recorded
+
+    return dataclasses.replace(spec, **{name: wrap(name) for name in _POINT_CALLBACKS}), seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(range(len(KERNEL_SPECS))),
+    st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([None, 0.0, 1e-3]),
+)
+@example(3, [(1e-9, 0.2), (5.0, 0.0), (math.nan, 0.0), (0.3, 0.2)], 3, None)
+@example(1, [(1e308, 1e308), (0.3, 0.7)], 3, 0.0)
+def test_field_kernel_callbacks_see_only_points_that_passed_the_checks(which, pts, k, guard):
+    spec = KERNEL_SPECS[which]
+    recorded, seen = _recording(spec)
+    foliation._field_directions(recorded, np.array(pts, dtype=float), k, "stable", guard)
+    limit = guard_limit(spec, guard)
+
+    def in_domain(q):
+        return np.broadcast_to(spec.domain_check(q[:, 0], q[:, 1]), len(q))
+
+    def off_singular(q):
+        return ~np.less(spec.singular_set_distance(q[:, 0], q[:, 1]), limit)
+
+    with np.errstate(all="ignore"):
+        for q in seen["singular_set_distance"]:
+            assert in_domain(q).all(), q
+        for name in ("jacobian", "eval"):
+            for q in seen[name]:
+                assert (in_domain(q) & off_singular(q)).all(), (name, q)
 
 
 def test_field_directions_stop_reasons_on_lorenz2d():
