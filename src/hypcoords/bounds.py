@@ -608,8 +608,8 @@ def _sampled_matrix_norm(m: np.ndarray, rng: np.random.Generator, samples: int) 
 
 def _bracket_input(x, name: str, ndim: int, n: Optional[int] = None) -> Tuple[np.ndarray, int]:
     """``x`` as floats divided by 2^e, and e, where 2^e brings the largest
-    |entry| into [1/2, 1) (e = 0 for a zero ``x``), as ``cocycle._normalize``
-    scales its bodies.
+    |entry| into [1/2, 1) (e = 0 for a zero ``x``), as
+    ``cocycle.normalize_stack`` scales its bodies.
 
     ``x`` must have ``ndim`` axes and an entry, and every axis but a
     matrix's first must have one length: ``n`` when given, at most 4.  Any

@@ -27,6 +27,8 @@ from .errors import (
 from .planar_maps import MapSpec, jacobian_matrix
 
 _LN2 = math.log(2.0)
+# A 2x2 matrix whose max |entry| reaches this has a nonzero closed-form SVD
+_TINY = 2.0**-1021
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,12 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ScaledMatrix":
-        return ScaledMatrix(*_normalize(np.array(m, dtype=float), 0.0))
+        body, log_scale, _ = normalize_stack(np.array(m, dtype=float), 0.0)
+        return ScaledMatrix(body, float(log_scale))
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        return ScaledMatrix(*_normalize(self.body @ other.body, self.log_scale + other.log_scale))
+        body, log_scale, _ = normalize_stack(self.body @ other.body, self.log_scale + other.log_scale)
+        return ScaledMatrix(body, float(log_scale))
 
     def apply(self, v: np.ndarray) -> Tuple[np.ndarray, float]:
         """Image of v as (unit direction, log norm)."""
@@ -52,21 +56,47 @@ class ScaledMatrix:
         return w / n, math.log(n) + self.log_scale
 
 
-def _normalize(body: np.ndarray, log_scale: float) -> Tuple[np.ndarray, float]:
-    """(body / 2^e, log_scale + e log 2), with e from max |entry| = f 2^e, f in [1/2, 1)."""
-    _, e = math.frexp(float(np.abs(body).max()))
-    return np.ldexp(body, -e), log_scale + e * _LN2
-
-
 def normalize_stack(bodies: np.ndarray, log_scales) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_normalize`` over an (n, 2, 2) stack, with the same powers of two.
+    """(body / 2^e, log_scale + e log 2) per body of a (..., 2, 2) stack, max |entry| = f 2^e, f in [1/2, 1).
 
     Returns the scaled bodies, their log scales and the max |entry| of each
     input body.  A zero body stays zero and keeps its log scale.
     """
-    m = np.abs(bodies).max(axis=(1, 2))
+    m = np.maximum.reduce(np.abs(bodies), axis=(-2, -1))
     _, e = np.frexp(m)
-    return np.ldexp(bodies, -e[:, None, None]), log_scales + e * _LN2, m
+    return np.ldexp(bodies, -e[..., None, None]), log_scales + e * _LN2, m
+
+
+def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The k steps of one orbit, (k, 2, 2), or of m orbits, (k, m, 2, 2) with
+    step j of orbit i at [j, i], scaled, and their renormalized products.
+
+    Returns ``(step_bodies, step_log_scales, step_log_absdet, zero_steps,
+    prefix_bodies, prefix_log_scales)``.  A step's log |det| comes from the
+    raw determinant unless that is not a normal float (overflow, underflow,
+    cancellation), then from the scaled body; a zero step is one whose
+    closed-form SVD is zero; order i = 0..k of the products is steps 0..i-1.
+    """
+    # overflow, 0 * inf and inf - inf as on Python floats
+    with np.errstate(all="ignore"):
+        step_bodies, step_log_scales, peak = normalize_stack(steps, 0.0)
+        det = np.abs(_det_stack(steps))
+        step_log_absdet = linalg2.log_each(det.ravel()).reshape(det.shape)
+        redo = ~((det >= sys.float_info.min) & (det < math.inf))  # NaN included
+        if redo.any():
+            body_det = np.abs(_det_stack(step_bodies[redo]))
+            body_log_det = linalg2.log_each(body_det) + 2.0 * step_log_scales[redo]
+            step_log_absdet[redo] = np.where(body_det > 0.0, body_log_det, -math.inf)  # NaN included
+        zero_steps = peak < _TINY
+        if zero_steps.any():
+            zero_steps[zero_steps] = linalg2.spectral_norm_array(*steps[zero_steps].reshape(-1, 4).T) == 0.0
+        prefix_bodies = np.empty((len(steps) + 1, *steps.shape[1:]))
+        prefix_log_scales = np.zeros(prefix_bodies.shape[:-2])
+        prefix_bodies[0] = np.eye(2)
+        for j, step_body in enumerate(step_bodies):
+            prefix_bodies[j + 1], prefix_log_scales[j + 1], _ = normalize_stack(
+                np.matmul(step_body, prefix_bodies[j]), prefix_log_scales[j] + step_log_scales[j])
+    return step_bodies, step_log_scales, step_log_absdet, zero_steps, prefix_bodies, prefix_log_scales
 
 
 def guard_limit(spec: MapSpec, guard: Optional[float]) -> float:
@@ -122,36 +152,23 @@ class MatrixCocycle:
         raw = np.array(steps, dtype=float)
         self.steps: List[np.ndarray] = list(raw)
         self.k = k = len(raw)
-        self.step_bodies, self.step_log_scales, _ = normalize_stack(raw, np.zeros(k))
-        self.prefix_bodies = bodies = np.empty((k + 1, 2, 2))
-        self.prefix_log_scales = scales = np.zeros(k + 1)
-        body = bodies[0] = np.eye(2)
-        # overflow, 0 * inf and inf - inf as on Python floats
-        with np.errstate(all="ignore"):
-            for j, step_scale in enumerate(self.step_log_scales.tolist()):
-                body, scales[j + 1] = _normalize(self.step_bodies[j] @ body, scales[j] + step_scale)
-                bodies[j + 1] = body
+        (self.step_bodies, self.step_log_scales, step_log_absdet, zero_steps,
+         self.prefix_bodies, self.prefix_log_scales) = measure_steps(raw)
+        with np.errstate(all="ignore"):  # overflow and inf - inf as on Python floats
             # the steps, then the products of every order, in one SVD pass
-            svd = linalg2.svd2_closed_array(*np.concatenate((raw, bodies)).reshape(-1, 4).T)
-            zero = np.flatnonzero(svd.smax == 0.0)
-            if zero.size:  # steps first; row k + i is order i
+            svd = linalg2.svd2_closed_array(*np.concatenate((raw, self.prefix_bodies)).reshape(-1, 4).T)
+            zero = np.flatnonzero(np.concatenate((zero_steps, svd.smax[k:] == 0.0)))
+            if zero.size:  # steps first; entry k + i is order i
                 j = zero[0]
                 what = f"step {j}" if j < k else f"product of steps 0..{j - k - 1}"
                 raise ZeroMatrix(what + " is the zero matrix")
             log_smax = linalg2.each(math.log, svd.smax)
-            # log |det| of a step from the raw determinant, or from the scaled body
-            # when the raw one is not a normal float (overflow, underflow, cancellation)
-            det, body_det = (np.abs(_det_stack(m)) for m in (raw, self.step_bodies))
-            body_log_det = linalg2.log_each(body_det) + 2.0 * self.step_log_scales
-            body_log_det[~(body_det > 0.0)] = -math.inf  # NaN included
-            normal = (det >= sys.float_info.min) & (det < math.inf)
-            step_log_absdet = np.where(normal, linalg2.log_each(det), body_log_det)
             # Per-order norms.  The larger singular value is well conditioned,
             # but extracting the smaller one from the assembled product cancels
             # catastrophically once the co-eccentricity drops below the working
             # precision, so the co-norm is taken as |det| / norm with the
             # determinant accumulated stepwise (exact multiplicativity).
-            log_norm = log_smax[k:] + scales
+            log_norm = log_smax[k:] + self.prefix_log_scales
             log_absdet = np.cumsum(np.concatenate(([0.0], step_log_absdet)))
             log_conorm = log_absdet - log_norm
             # q - r cancels to 0 below a step co-eccentricity of about 1e-16;
@@ -208,8 +225,8 @@ class MatrixCocycle:
 
 
 def _det_stack(m: np.ndarray) -> np.ndarray:
-    """Determinants of an (n, 2, 2) stack."""
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    """Determinants of a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,22 @@ form of the scalar ``_field_direction``.  It works in two passes: the orbit
 pass iterates all points together, order by order, and drops those that
 leave the domain or come near the singular set; the derivative pass then
 takes the Jacobians at every step of every surviving orbit in one stacked
-call and multiplies the steps order by order.  The scalar path gives the
-exact direction at each seed and stays the reference the kernel is tested
-against.
+call and measures them with ``cocycle.measure_steps``, the measurement
+``MatrixCocycle`` makes of one orbit, with the same ``math`` functions.  The
+scalar path gives the exact direction at each seed and stays the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import linalg2
-from .cocycle import _det_stack, compute_orbit, guard_limit, normalize_stack
+from .cocycle import compute_orbit, guard_limit, measure_steps
 from .errors import (
     HypcoordsError,
     NoFrameAtStart,
@@ -46,9 +46,6 @@ UNSTABLE = "unstable"
 # and, from ``_field_directions``, a usable direction.
 TERMINATIONS = ("length", "singular", "domain", "degenerate", "stalled")
 _SINGULAR, _DOMAIN, _DEGENERATE, _STALLED = 1, 2, 3, 4
-
-# A step matrix whose max |entry| reaches this has a nonzero closed-form SVD
-_TINY = 2.0**-1021
 
 # SVG polyline width, in the units of the viewbox
 _STROKE_WIDTH = 0.004
@@ -73,25 +70,23 @@ class FoliationCurve:
         return self.points[-1]
 
 
-class _FieldStop(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
-def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) -> np.ndarray:
+def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) -> Tuple[np.ndarray, int]:
+    """``_field_directions`` at one point, through ``compute_orbit`` and
+    ``hyperbolic_coordinates``: ``(direction, 0)``, or a NaN direction and
+    the code of the reason it stops."""
     try:
-        orbit = compute_orbit(spec, p, k, guard)
-        frame = hyperbolic_coordinates(orbit, k)
-    except SingularEncounter as exc:
-        raise _FieldStop("singular") from exc
-    except OrbitEscaped as exc:
-        raise _FieldStop("domain") from exc
-    except HypcoordsError as exc:
-        raise _FieldStop("degenerate") from exc
-    if frame.coecc > LOW_CONFIDENCE_COECC:
-        raise _FieldStop("degenerate")
-    return frame.e if field == STABLE else frame.f
+        frame = hyperbolic_coordinates(compute_orbit(spec, p, k, guard), k)
+    except SingularEncounter:
+        stop = _SINGULAR
+    except OrbitEscaped:
+        stop = _DOMAIN
+    except HypcoordsError:
+        stop = _DEGENERATE
+    else:
+        if frame.coecc <= LOW_CONFIDENCE_COECC:
+            return (frame.e if field == STABLE else frame.f), 0
+        stop = _DEGENERATE
+    return np.full(2, np.nan), stop
 
 
 def _field_directions(
@@ -111,12 +106,12 @@ def _field_directions(
     the points in the domain, then ``eval`` on the points that passed both;
     a stopped point leaves the pass, and the coordinates of each order are
     kept.  The derivative pass takes the k steps of every orbit that
-    reached order k at once: one ``jacobian`` call, the step normalization
-    and log|det| over the whole stack, log|det| summed in order of the
-    steps; then the product of the renormalized steps, order by order, with
-    the same power-of-two scaling.  A zero product or a co-eccentricity
-    above ``LOW_CONFIDENCE_COECC`` is degenerate.  So the map callbacks see
-    only points the scalar path would evaluate.
+    reached order k at once: one ``jacobian`` call and one
+    ``cocycle.measure_steps``, as ``MatrixCocycle`` measures one orbit;
+    then the co-eccentricity and direction of the order-k product as
+    ``hyperbolic_coordinates`` takes them.  A zero step or product or a
+    co-eccentricity above ``LOW_CONFIDENCE_COECC`` is degenerate.  So the
+    map callbacks see only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
     n = len(points)
@@ -145,39 +140,25 @@ def _field_directions(
                 break
             xs[i, live], ys[i, live] = x, y
             x, y = spec.eval(x, y)
-        # every step of every surviving orbit at once, row i * m + j for order i of seed j
+        # every step of every surviving orbit at once, step i of seed j at [i, j]
         m = len(live)
         jac = np.empty((k * m, 2, 2))
         jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = spec.jacobian(
             xs[:, live].ravel(), ys[:, live].ravel()
         )
-        step_body, step_scale, mag = normalize_stack(jac, 0.0)
-        # as MatrixCocycle's step log |det|: the raw determinant unless it is not a
-        # normal float, then the scaled body's
-        raw_det = np.abs(_det_stack(jac))
-        step_log_det = np.log(raw_det)
-        redo = ~((raw_det >= sys.float_info.min) & (raw_det < math.inf))  # NaN included
-        if redo.any():
-            body_det = np.abs(_det_stack(step_body[redo]))
-            step_log_det[redo] = np.log(body_det) + 2.0 * step_scale[redo]
-        log_det = np.cumsum(step_log_det.reshape(k, m), axis=0)[-1]
-        zero_step = mag < _TINY  # a step that svd2_closed sees as zero
-        if zero_step.any():
-            zero_step &= linalg2.spectral_norm_array(*jac.reshape(-1, 4).T) == 0.0
-        zero_step = zero_step.reshape(k, m).any(axis=0)
-        step_body, step_scale = step_body.reshape(k, m, 2, 2), step_scale.reshape(k, m)
-        body, log_scale = np.broadcast_to(np.eye(2), (m, 2, 2)), np.zeros(m)
-        for i in range(k):
-            body, log_scale, _ = normalize_stack(np.matmul(step_body[i], body), step_scale[i] + log_scale)
-        svd = linalg2.svd2_closed_array(*body.reshape(-1, 4).T)
-        log_norm = np.log(svd.smax) + log_scale
+        _, _, step_log_absdet, zero_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
+        svd = linalg2.svd2_closed_array(*bodies[k].reshape(-1, 4).T)
+        log_norm = linalg2.log_each(svd.smax) + log_scales[k]
+        # as hyperbolic_coordinates takes it, but capped at 1, where math.exp could overflow
+        log_coecc = np.cumsum(step_log_absdet, axis=0)[-1] - log_norm - log_norm
+        coecc = linalg2.each(math.exp, np.minimum(log_coecc, 0.0))
         # A zero product stays zero, so the last one stands for every order;
         # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
-        coecc = np.exp(log_det - log_norm - log_norm)
-        degenerate = zero_step | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
+        degenerate = zero_steps.any(axis=0) | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
     stops[live[degenerate]] = _DEGENERATE
     ok = ~degenerate
-    e = canonical_sign(np.stack((-np.sin(svd.theta_v[ok]), np.cos(svd.theta_v[ok])), axis=1))
+    theta_v = svd.theta_v[ok]
+    e = canonical_sign(np.stack((-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1))
     directions[live[ok]] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 
@@ -190,10 +171,10 @@ def _check_curve_arguments(field: str, step: float, total_arclength: float) -> N
 
 
 def _seed_direction(spec: MapSpec, seed: np.ndarray, k: int, field: str, guard) -> np.ndarray:
-    try:
-        return _field_direction(spec, seed, k, field, guard)
-    except _FieldStop as exc:
-        raise NoFrameAtStart(f"no usable frame at {seed}: {exc.reason}") from exc
+    direction, stop = _field_direction(spec, seed, k, field, guard)
+    if stop:
+        raise NoFrameAtStart(f"no usable frame at {seed}: {TERMINATIONS[stop]}")
+    return direction
 
 
 def _integrate(

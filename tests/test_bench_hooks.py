@@ -48,6 +48,23 @@ def test_tracer_counts_map_callbacks_of_orbit_and_field_kernel(monkeypatch):
         assert tracer.leaf["planar_maps.callback"][0] > orbit_calls
 
 
+def test_foliate_op_computes_one_orbit_per_scalar_field_sample(monkeypatch, tmp_path):
+    # the benchmark's ``foliation.field_samples`` counts ``_field_direction``
+    # calls and times them as one frame-field sample; each must still build
+    # its orbit with ``compute_orbit``, so a change that sends the seeds
+    # through the batched kernel fails here, not only in perfbench's tests
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+
+    with tracing.Tracer() as tracer:
+        op = workloads.make_op("foliate-k8", 0, "tiny", str(tmp_path / "out"))
+        op.outcome(op.prepare()())
+    calls = tracer.by_name()
+    assert calls["cocycle.compute_orbit"][0] == calls["foliation._field_direction"][0] > 0
+
+
 def test_bracket_pool_keeps_recorded_outcomes(monkeypatch):
     # every 10th ``brackets`` pool entry, and entry 125 whose recorded
     # verdict is False, run through the benchmark's own op: a change to the

@@ -12,6 +12,7 @@ from hypcoords.cocycle import (
     MatrixCocycle,
     ScaledMatrix,
     compute_orbit,
+    measure_steps,
     norm_conorm_det,
 )
 from hypcoords.errors import (
@@ -493,3 +494,46 @@ def test_images_push_one_vector_per_order_as_apply(seed, data):
     applied = [coc.prefix(i).apply(w) for i, w in zip(orders, vectors)]
     assert _reprs(directions=directions, log_norms=log_norms) == _reprs(
         directions=[w for w, _ in applied], log_norms=[w_log for _, w_log in applied])
+
+
+_MEASURED = ("step_bodies", "step_log_scales", "step_log_absdet", "zero_steps", "prefix_bodies",
+             "prefix_log_scales")
+
+
+def _assert_batch_measures_each_orbit(orbits):
+    """``measure_steps`` of the (k, m, 2, 2) stack of m orbits equals, slice by
+    slice, the call on each orbit alone and what MatrixCocycle stores, bit for
+    bit; a zero step is one whose closed-form SVD is zero."""
+    batch = measure_steps(np.stack(orbits, axis=1))
+    for i, steps in enumerate(orbits):
+        alone = dict(zip(_MEASURED, measure_steps(steps)))
+        assert _reprs(**dict(zip(_MEASURED, (x[:, i] for x in batch)))) == _reprs(**alone), i
+        zero = [linalg2.svd2_matrix(s).smax == 0.0 for s in steps]
+        assert alone["zero_steps"].tolist() == zero
+        try:
+            with np.errstate(all="ignore"):
+                coc = MatrixCocycle(steps)
+        except ZeroMatrix as exc:
+            assert str(exc).startswith(f"step {zero.index(True)} " if any(zero) else "product of steps")
+            continue
+        stored = {name: getattr(coc, name) for name in _MEASURED if name != "zero_steps"}
+        del alone["zero_steps"]
+        assert _reprs(**stored) == _reprs(**alone), i
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.lists(fuzz_steps(), min_size=k, max_size=k), min_size=1, max_size=4)))
+@example([[np.diag([1e160, 1e155]), np.eye(2)], [np.diag([5e-324, 0.0]), np.eye(2)],
+          [np.diag([1e-310, 2e-310]), np.eye(2)], [np.array([[0.0, 1.0], [0.0, 0.0]])] * 2])
+def test_batched_step_measurement_equals_each_orbit_on_fuzzed_steps(orbits):
+    _assert_batch_measures_each_orbit([np.array(steps) for steps in orbits])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_batched_step_measurement_equals_each_orbit_on_random_cocycles(seed, m):
+    rng = np.random.default_rng(seed)
+    orbits = [np.array(random_cocycle(rng, max_len=12).steps) for _ in range(m)]
+    k = min(len(steps) for steps in orbits)
+    _assert_batch_measures_each_orbit([steps[:k] for steps in orbits])

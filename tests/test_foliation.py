@@ -121,7 +121,7 @@ def pushforward_tangent_deviation(spec, curve, i, stride=1):
     out = []
     for v in range(1, len(curve.points) - 1, stride):
         tangent = image[v + 1] - image[v - 1]
-        pushed = foliation._field_direction(spec, curve.points[v], curve.k, curve.field, None)
+        pushed, _ = foliation._field_direction(spec, curve.points[v], curve.k, curve.field, None)
         if i > 0:
             pushed = compute_orbit(spec, curve.points[v], i).cocycle.prefix(i).apply(pushed)[0]
         out.append(line_angle_distance(
@@ -222,10 +222,8 @@ COORDS = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-200 or v ==
 
 
 def _scalar_field(spec, p, k, field, guard):
-    try:
-        return foliation._field_direction(spec, p, k, field, guard), "ok"
-    except foliation._FieldStop as exc:
-        return None, exc.reason
+    direction, stop = foliation._field_direction(spec, p, k, field, guard)
+    return direction, foliation.TERMINATIONS[stop] if stop else "ok"
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,10 +245,13 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
     for p, v, code in zip(points, directions, stops):
         expected, reason = _scalar_field(spec, p, k, field, guard)
         assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
-        if expected is not None:
+        if spec.name == "lorenz2d":
+            # numpy's ``**`` on an array and on a scalar differ in the last bit
+            # on some inputs, so the two orbits may part by an ulp: 190 of 5,711
+            # points drawn from these strategies were not bit-equal
             np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
         else:
-            assert np.isnan(v).all()
+            assert v.tobytes() == expected.tobytes(), (p, v, expected)
 
 
 _POINT_CALLBACKS = ("domain_check", "singular_set_distance", "jacobian", "eval")
