@@ -91,11 +91,16 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
         if zero_steps.any():
             zero_steps[zero_steps] = linalg2.spectral_norm_array(*steps[zero_steps].reshape(-1, 4).T) == 0.0
         prefix_bodies = np.empty((len(steps) + 1, *steps.shape[1:]))
-        prefix_log_scales = np.zeros(prefix_bodies.shape[:-2])
-        prefix_bodies[0] = np.eye(2)
-        for j, step_body in enumerate(step_bodies):
-            prefix_bodies[j + 1], prefix_log_scales[j + 1], _ = normalize_stack(
-                np.matmul(step_body, prefix_bodies[j]), prefix_log_scales[j] + step_log_scales[j])
+        body = prefix_bodies[0] = np.eye(2)
+        exps = np.empty((len(steps), *steps.shape[1:-2], 1, 1), dtype=np.intc)
+        for step_body, e, product in zip(step_bodies, exps, prefix_bodies[1:]):
+            body = np.matmul(step_body, body, out=product)
+            np.frexp(np.maximum.reduce(np.abs(body), axis=(-2, -1), keepdims=True), out=(None, e))
+            np.ldexp(body, -e, out=body)
+        # log scale j + 1 = (log scale j + step j's) + e_j log 2, added left to right
+        scale_terms = np.zeros((2 * len(steps) + 1, *steps.shape[1:-2]))
+        scale_terms[1::2], scale_terms[2::2] = step_log_scales, exps[..., 0, 0] * _LN2
+        prefix_log_scales = np.add.accumulate(scale_terms, axis=0)[::2]
     return step_bodies, step_log_scales, step_log_absdet, zero_steps, prefix_bodies, prefix_log_scales
 
 
@@ -208,12 +213,8 @@ class MatrixCocycle:
         """Product of steps i..j-1 (the (j-i)-step derivative at point i)."""
         if not 0 <= i <= j <= self.k:
             raise IndexOutOfRange(f"block ({i}, {j}) outside 0 <= i <= j <= {self.k}")
-        if i == 0:
-            return self.prefix(j)
-        out = ScaledMatrix(np.eye(2), 0.0)
-        for body, scale in zip(self.step_bodies[i:j], self.step_log_scales[i:j].tolist()):
-            out = ScaledMatrix(body, scale) @ out
-        return out
+        *_, bodies, log_scales = measure_steps(np.array(self.steps[i:j]).reshape(-1, 2, 2))
+        return ScaledMatrix(bodies[-1], float(log_scales[-1]))
 
     def log_coecc(self, i: int) -> float:
         """log co-eccentricity of the i-step product, i >= 1."""

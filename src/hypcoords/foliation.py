@@ -73,7 +73,7 @@ class FoliationCurve:
 def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) -> Tuple[np.ndarray, int]:
     """``_field_directions`` at one point, through ``compute_orbit`` and
     ``hyperbolic_coordinates``: ``(direction, 0)``, or a NaN direction and
-    the code of the reason it stops."""
+    the code of the reason it stops; as in the kernel, the caught error is dropped."""
     try:
         frame = hyperbolic_coordinates(compute_orbit(spec, p, k, guard), k)
     except SingularEncounter:
@@ -131,10 +131,10 @@ def _field_directions(
     with np.errstate(all="ignore"):
         for i in range(k + 1):
             bad = np.logical_not(spec.domain_check(x, y))
-            if bad.any():
+            if np.count_nonzero(bad):  # also for a scalar; faster than .any() on small arrays
                 drop(np.broadcast_to(bad, x.shape), _DOMAIN)
             near = np.less(spec.singular_set_distance(x, y), limit)
-            if near.any():
+            if np.count_nonzero(near):
                 drop(np.broadcast_to(near, x.shape), _SINGULAR)
             if i == k:
                 break

@@ -121,7 +121,8 @@ def pushforward_tangent_deviation(spec, curve, i, stride=1):
     out = []
     for v in range(1, len(curve.points) - 1, stride):
         tangent = image[v + 1] - image[v - 1]
-        pushed, _ = foliation._field_direction(spec, curve.points[v], curve.k, curve.field, None)
+        pushed, stop = foliation._field_direction(spec, curve.points[v], curve.k, curve.field, None)
+        assert stop == 0, (curve.points[v], foliation.TERMINATIONS[stop])
         if i > 0:
             pushed = compute_orbit(spec, curve.points[v], i).cocycle.prefix(i).apply(pushed)[0]
         out.append(line_angle_distance(
