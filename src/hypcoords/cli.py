@@ -11,6 +11,7 @@ every verdict passed, 1 names the first failing inequality on stderr,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -50,9 +51,12 @@ _CONFIG_KEYS = {
 }
 
 
-# Most seeds in a foliate lattice, and most steps per curve.  Far larger
-# counts do not fit in memory, and an infinite one overflows the count.
-MAX_FOLIATE_COUNT = 10**6
+# Highest orbit order k, and most seeds in a foliate lattice and steps per
+# curve.  Far larger counts do not fit in memory, and an infinite one
+# overflows the count.
+MAX_COUNT = 10**6
+# Most angles in an oracle-check grid sweep: about 4 GB at 40 B per angle.
+MAX_GRID_N = 10**8
 
 
 def fmt(x) -> str:
@@ -251,12 +255,18 @@ def _orbit_from_args(args, cfg):
     guard = _resolve(args, cfg, "guard", float)
     if x0 is None or y0 is None or k is None:
         raise ConfigError("x0, y0 and k are required")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    _check_k(k)
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise ConfigError(f"x0 and y0 must be finite, got ({x0!r}, {y0!r})")
     _check_guard(guard)
     return spec, compute_orbit(spec, np.array([x0, y0]), k, guard)
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if k > MAX_COUNT:
+        raise ConfigError(f"k must be <= {MAX_COUNT}, got {k}")
 
 
 def _check_guard(guard: Optional[float]) -> None:
@@ -434,8 +444,7 @@ def cmd_foliate(args) -> int:
     if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
         raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
     k = _resolve(args, cfg, "k", int, 1)
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    _check_k(k)
     spacing = _resolve(args, cfg, "spacing", float, 0.25)
     field = _resolve(args, cfg, "field", str, foliation.STABLE)
     length = _resolve(args, cfg, "length", float, 0.5)
@@ -449,11 +458,11 @@ def cmd_foliate(args) -> int:
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if step > length:
         raise ConfigError(f"step {step!r} exceeds length {length!r}")
-    if not length / step <= MAX_FOLIATE_COUNT:
-        raise ConfigError(f"length/step gives more than {MAX_FOLIATE_COUNT} steps per curve")
+    if not length / step <= MAX_COUNT:
+        raise ConfigError(f"length/step gives more than {MAX_COUNT} steps per curve")
     nx, ny = (max(0.0, (hi - lo) / spacing) for lo, hi in (rect[:2], rect[2:]))
-    if not max(nx, ny, nx * ny) <= MAX_FOLIATE_COUNT:
-        raise ConfigError(f"spacing {spacing!r} gives more than {MAX_FOLIATE_COUNT} seeds in --rect")
+    if not max(nx, ny, nx * ny) <= MAX_COUNT:
+        raise ConfigError(f"spacing {spacing!r} gives more than {MAX_COUNT} seeds in --rect")
     grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
     if not grid.curves and not grid.failed_seeds:
         raise ConfigError(f"--rect holds no seed at spacing {spacing!r}")
@@ -491,6 +500,8 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if grid_n < 4:
         raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ConfigError(f"grid_n must be <= {MAX_GRID_N}, got {grid_n}")
     out = _out_dir(args, cfg)
     rng = np.random.default_rng(seed)
     angle_tol = math.pi / grid_n
@@ -686,9 +697,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

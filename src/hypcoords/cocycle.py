@@ -83,12 +83,12 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
         det = np.abs(_det_stack(steps))
         step_log_absdet = linalg2.log_each(det.ravel()).reshape(det.shape)
         redo = ~((det >= sys.float_info.min) & (det < math.inf))  # NaN included
-        if redo.any():
+        if np.count_nonzero(redo):
             body_det = np.abs(_det_stack(step_bodies[redo]))
             body_log_det = linalg2.log_each(body_det) + 2.0 * step_log_scales[redo]
             step_log_absdet[redo] = np.where(body_det > 0.0, body_log_det, -math.inf)  # NaN included
         zero_steps = peak < _TINY
-        if zero_steps.any():
+        if np.count_nonzero(zero_steps):
             zero_steps[zero_steps] = linalg2.spectral_norm_array(*steps[zero_steps].reshape(-1, 4).T) == 0.0
         prefix_bodies = np.empty((len(steps) + 1, *steps.shape[1:]))
         body = prefix_bodies[0] = np.eye(2)

@@ -11,13 +11,14 @@ spurious reversals across the convention's flip locus).
 All curves of a call advance in lockstep: each integrator stage samples the
 field at every curve still running with ``_field_directions``, the array
 form of the scalar ``_field_direction``.  It works in two passes: the orbit
-pass iterates all points together, order by order, and drops those that
-leave the domain or come near the singular set; the derivative pass then
-takes the Jacobians at every step of every surviving orbit in one stacked
-call and measures them with ``cocycle.measure_steps``, the measurement
-``MatrixCocycle`` makes of one orbit, with the same ``math`` functions.  The
-scalar path gives the exact direction at each seed and stays the reference
-the kernel is tested against.
+pass iterates all points together, order by order, keeps the coordinates
+of each order in a list, and drops those that leave the domain or come
+near the singular set (a guard that runs only where the map has a distance
+callback of its own); the derivative pass then takes the Jacobians at every
+step of every surviving orbit in one stacked call and measures them with
+``cocycle.measure_steps``, the measurement ``MatrixCocycle`` makes of one
+orbit, with the same ``math`` functions.  The scalar path gives the exact
+direction at each seed and stays the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     SingularEncounter,
 )
 from .hypframe import LOW_CONFIDENCE_COECC, canonical_sign, hyperbolic_coordinates, pushforward_frames
-from .planar_maps import MapSpec
+from .planar_maps import MapSpec, _nowhere_singular
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -103,10 +104,12 @@ def _field_directions(
     The steps follow ``compute_orbit``, ``MatrixCocycle`` and
     ``hyperbolic_coordinates``.  The orbit pass runs order by order: the
     domain check (a non-finite point fails it), then the singular guard on
-    the points in the domain, then ``eval`` on the points that passed both;
-    a stopped point leaves the pass, and the coordinates of each order are
-    kept.  The derivative pass takes the k steps of every orbit that
-    reached order k at once: one ``jacobian`` call and one
+    the points in the domain, then ``eval`` on the points that passed both.
+    The coordinates of each order are kept in a list, one array per order;
+    a stopped point leaves the pass and every stored order.  The guard runs
+    only where ``singular_set_distance`` is not the default, which is inf
+    everywhere and stops no point.  The derivative pass takes the k steps of
+    every orbit that reached order k at once: one ``jacobian`` call and one
     ``cocycle.measure_steps``, as ``MatrixCocycle`` measures one orbit;
     then the co-eccentricity and direction of the order-k product as
     ``hyperbolic_coordinates`` takes them.  A zero step or product or a
@@ -114,17 +117,21 @@ def _field_directions(
     map callbacks see only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
+    guarded = spec.singular_set_distance is not _nowhere_singular
     n = len(points)
     stops = np.zeros(n, dtype=np.int8)
     directions = np.full((n, 2), np.nan)
     live = np.arange(n)
     x, y = points[:, 0], points[:, 1]
-    xs, ys = np.empty((k, n)), np.empty((k, n))  # orbit point i of seed j at [i, j]
+    xs, ys = [], []  # orbit point i of the live seeds at [i]
 
     def drop(bad: np.ndarray, code: int) -> None:
         nonlocal live, x, y
         stops[live[bad]] = code
-        live, x, y = live[~bad], x[~bad], y[~bad]
+        keep = ~bad
+        live, x, y = live[keep], x[keep], y[keep]
+        xs[:] = [u[keep] for u in xs]
+        ys[:] = [u[keep] for u in ys]
 
     # Overflow to inf, log(0) and NaN are tested for explicitly, as the
     # scalar path tests them on Python floats.
@@ -133,18 +140,22 @@ def _field_directions(
             bad = np.logical_not(spec.domain_check(x, y))
             if np.count_nonzero(bad):  # also for a scalar; faster than .any() on small arrays
                 drop(np.broadcast_to(bad, x.shape), _DOMAIN)
-            near = np.less(spec.singular_set_distance(x, y), limit)
-            if np.count_nonzero(near):
-                drop(np.broadcast_to(near, x.shape), _SINGULAR)
+            if guarded:
+                near = np.less(spec.singular_set_distance(x, y), limit)
+                if np.count_nonzero(near):
+                    drop(np.broadcast_to(near, x.shape), _SINGULAR)
             if i == k:
                 break
-            xs[i, live], ys[i, live] = x, y
+            xs.append(x)
+            ys.append(y)
             x, y = spec.eval(x, y)
+            if np.ndim(x) + np.ndim(y) < 2:  # a scalar image, which MapSpec allows
+                x, y = np.broadcast_to(x, live.shape), np.broadcast_to(y, live.shape)
         # every step of every surviving orbit at once, step i of seed j at [i, j]
         m = len(live)
         jac = np.empty((k * m, 2, 2))
         jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = spec.jacobian(
-            xs[:, live].ravel(), ys[:, live].ravel()
+            np.concatenate(xs), np.concatenate(ys)
         )
         _, _, step_log_absdet, zero_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
         svd = linalg2.svd2_closed_array(*bodies[k].reshape(-1, 4).T)
@@ -155,11 +166,16 @@ def _field_directions(
         # A zero product stays zero, so the last one stands for every order;
         # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
         degenerate = zero_steps.any(axis=0) | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
-    stops[live[degenerate]] = _DEGENERATE
-    ok = ~degenerate
-    theta_v = svd.theta_v[ok]
-    e = canonical_sign(np.stack((-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1))
-    directions[live[ok]] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
+    theta_v = svd.theta_v
+    if np.count_nonzero(degenerate):
+        stops[live[degenerate]] = _DEGENERATE
+        ok = ~degenerate
+        live, theta_v = live[ok], theta_v[ok]
+    e = np.empty((len(live), 2))
+    e[:, 0] = -linalg2.each(math.sin, theta_v)
+    e[:, 1] = linalg2.each(math.cos, theta_v)
+    e = canonical_sign(e)
+    directions[live] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 
 
@@ -206,7 +222,7 @@ def _integrate(
 
     def sample(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         v, stop = _field_directions(spec, q, k, field, guard)
-        v *= np.where((v * prev).sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        v *= np.where(np.add.reduce(v * prev, axis=1) < 0.0, -1.0, 1.0)[:, None]
         return v, stop
 
     for s in range(n_steps):

@@ -105,7 +105,10 @@ def det2(m: np.ndarray) -> float:
 
 def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:
     """Rotate one vector, or each row of an (n, 2) array, by -pi/2."""
-    return np.stack((v[..., 1], -v[..., 0]), axis=-1)
+    w = np.empty_like(v)
+    w[..., 0] = v[..., 1]
+    w[..., 1] = -v[..., 0]
+    return w
 
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import MatrixCocycle, bounds, certificate, compute_orbit, make_map
+from hypcoords import MatrixCocycle, bounds, certificate, cli, compute_orbit, make_map
 from hypcoords.cli import fmt, main, write_bound_report
 
 from conftest import HENON_FIXTURE, LORENZ_FIXTURE, STANDARD_FIXTURE, STANDARD_K
@@ -617,6 +617,31 @@ def test_usage_errors_leave_no_output_directory(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+_ORDER_COMMANDS = [
+    ["orbit", *HENON_ARGS], ["frames", *HENON_ARGS], ["certify", *HENON_ARGS],
+    ["aux-constants", *HENON_ARGS], ["verify-convergence", *HENON_ARGS],
+    ["verify-variation", *HENON_ARGS], ["foliate", *FOLIATE_ARGS],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key, cap",
+    [*(([*command, "--k", str(cli.MAX_COUNT + 1)], "k", cli.MAX_COUNT) for command in _ORDER_COMMANDS),
+     (["oracle-check", "--trials", "1", "--grid-n", str(cli.MAX_GRID_N + 1)], "grid_n", cli.MAX_GRID_N)],
+)
+def test_sizes_above_the_caps_are_usage_errors(tmp_path, capsys, monkeypatch, argv, key, cap):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sized work started")
+
+    for owner, name in ((cli, "compute_orbit"), (cli.foliation, "foliation_grid"),
+                        (cli.hypframe, "oracle_extremal_directions")):
+        monkeypatch.setattr(owner, name, unreachable)
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {key} must be <= {cap}, got {cap + 1}"
+    assert not out.exists()
+
+
 def test_non_finite_orbit_is_a_typed_error(tmp_path, capsys):
     argv = ["orbit", "--map", "standard", "--K", "6", "--x0", "1e308", "--y0", "1e308", "--k", "3"]
     assert run([*argv, "--out-dir", tmp_path]) == 1
@@ -1133,3 +1158,31 @@ _PARITY_DIGESTS = {
 
 def test_cli_battery_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert _battery_digests(tmp_path, monkeypatch, capsys) == _PARITY_DIGESTS
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    calls = [["oracle-check", "--trials", "3", "--grid-n", "100", "--out-dir", tmp_path / "a"],
+             ["orbit", "--no-such-flag"],
+             ["scan-constants", "--out-dir", tmp_path / "b"]]
+    fresh = []
+    for argv in calls:  # each on a parser of its own
+        cli._parser.cache_clear()
+        fresh.append((run(argv), capsys.readouterr().out))
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        shared = []
+        for argv in calls:
+            shared.append((run(argv), capsys.readouterr().out))
+    finally:
+        cli._parser.cache_clear()
+    assert [code for code, _ in shared] == [0, 2, 0]
+    assert shared == fresh
+    assert len(built) == 1

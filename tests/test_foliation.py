@@ -20,7 +20,7 @@ from hypcoords.foliation import (
 )
 from hypcoords.hypframe import angle_theta
 from hypcoords.linalg2 import line_angle_distance
-from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
+from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, rotation, standard
 
 from conftest import evaluate, jacobian_at
 
@@ -200,6 +200,21 @@ def test_henon_curve_families_export_across_orders(henon, tmp_path):
 
 # -- the batched field kernel against the scalar reference ------------------
 
+_ZERO = np.zeros((2, 2))
+# (x, y) -> (2 x, y + 1/2), singular on the line y = 2 without declaring it:
+# its guard limit is 1e-300, so only an orbit point exactly on the line stops
+_SHIFT = MapSpec(
+    name="shift",
+    parameters={},
+    eval=lambda x, y: (2.0 * x, y + 0.5),
+    jacobian=lambda x, y: (2.0, 0.0, 0.0, 1.0),
+    second_partials=lambda x, y: (_ZERO.copy(), _ZERO.copy()),
+    singular_set_distance=lambda x, y: abs(y - 2.0),
+)
+_LORENZ = lorenz2d().parameters
+# the first image lands (up to rounding) on lorenz2d's singular line x = 0
+_LORENZ_HIT = (1.0 / _LORENZ["a1"]) ** (1.0 / _LORENZ["alpha"])
+
 KERNEL_SPECS = [
     henon(),
     standard(6.0),
@@ -212,6 +227,7 @@ KERNEL_SPECS = [
     linear(5e-324, 0.0, 0.0, 0.0),  # nonzero, but svd2_closed sees a zero matrix
     linear(1e160, 0.0, 0.0, 1e155),  # the raw step determinant overflows
     linear(1e-170, 0.0, 0.0, 1e-170),  # conformal; the raw step determinant underflows to 0
+    _SHIFT,
 ]
 SPECIAL_COORDS = [0.0, -0.0, 1e-9, -1e-9, 1e-3, 4.5, -5.0, 1e7, 1e308, -1e308,
                   math.inf, -math.inf, math.nan]
@@ -239,6 +255,12 @@ def _scalar_field(spec, p, k, field, guard):
 @example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None)
 @example(9, [(0.25, 0.25), (0.75, 0.25)], 1, "stable", None)
 @example(10, [(0.25, 0.25), (0.75, 0.25)], 2, "unstable", None)
+# points that stop mid-orbit next to points that run on: Henon from (3, 0)
+# leaves |x| < 1e6 at order 4, lorenz2d reaches the guard at order 1, the
+# shift map lands exactly on y = 2 at order 2
+@example(0, [(3.0, 0.0), (0.1, 0.1), (0.2, -0.1)], 6, "stable", None)
+@example(3, [(0.3, 0.2), (_LORENZ_HIT, 0.0), (-0.4, 0.1)], 3, "unstable", None)
+@example(11, [(0.0, 1.0), (0.0, 1.25)], 3, "stable", None)
 def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard):
     spec = KERNEL_SPECS[which]
     points = np.array(pts, dtype=float)
@@ -253,6 +275,38 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
             np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
         else:
             assert v.tobytes() == expected.tobytes(), (p, v, expected)
+
+
+# MapSpec lets a point callback answer arrays with a scalar
+SCALAR_ANSWER_SPECS = [
+    # True is right only on finite points: the test draws finite ones, which
+    # stay finite for k <= 6
+    dataclasses.replace(standard(6.0), domain_check=lambda x, y: True),
+    # one image for every point; both paths take the same callbacks, so the
+    # Jacobian need not belong to it
+    dataclasses.replace(linear(2.0, 0.3, 0.0, 0.5), eval=lambda x, y: (0.5, 0.25)),
+    # the same image outside the domain: every point stops at order 1
+    dataclasses.replace(linear(2.0, 0.3, 0.0, 0.5), eval=lambda x, y: (math.nan, 0.25)),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(range(len(SCALAR_ANSWER_SPECS))),
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.sampled_from([foliation.STABLE, foliation.UNSTABLE]),
+)
+def test_field_directions_take_scalar_callback_answers(which, pts, k, field):
+    spec = SCALAR_ANSWER_SPECS[which]
+    points = np.array(pts, dtype=float)
+    directions, stops = foliation._field_directions(spec, points, k, field, None)
+    for p, v, code in zip(points, directions, stops):
+        expected, reason = _scalar_field(spec, p, k, field, None)
+        assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
+        if which == 0:  # the scalar True drops nothing
+            assert code != foliation._DOMAIN, p
+        assert v.tobytes() == expected.tobytes(), (p, v, expected)
 
 
 _POINT_CALLBACKS = ("domain_check", "singular_set_distance", "jacobian", "eval")
