@@ -44,7 +44,6 @@ from .cocycle import (
 from .errors import (
     BoundOverflow,
     CertificateRequired,
-    DegenerateCoeccentricity,
     DegenerateStep,
     HypcoordsError,
     InvalidInput,
@@ -52,7 +51,6 @@ from .errors import (
     ZeroMatrix,
 )
 from .hypframe import (
-    EPS_COECC,
     HyperbolicFrame,
     aligned_distance,
     canonical_sign,
@@ -196,10 +194,9 @@ def _exp_or_inf(x: np.ndarray) -> np.ndarray:
 
 
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
-    """2 / (1 - coecc_i^2) for order i >= 1."""
-    cc = _exp(coc.log_coecc(i))
-    if cc >= 1.0 - EPS_COECC:
-        raise DegenerateCoeccentricity(f"co-eccentricity at order {i} is {cc}")
+    """2 / (1 - coecc_i^2) for order i >= 1; NoHyperbolicCoordinates where
+    the frame of order i does not exist."""
+    cc = frame_coecc(coc.log_norm[i], coc.log_conorm[i])
     return 2.0 / (1.0 - cc * cc)
 
 
@@ -441,8 +438,7 @@ def verify_apriori_all(
 
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, n + 1):
-            frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # the frame of order k exists
-            worst = max(worst, _ctilde_sq_term(coc, k))
+            worst = max(worst, _ctilde_sq_term(coc, k))  # the frame of order k exists
             ct = math.sqrt(worst)
             before, upto = slice(1, k), slice(1, k + 1)
             bodies, scales, peak = normalize_stack(

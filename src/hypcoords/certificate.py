@@ -22,6 +22,7 @@ guarantee that every auxiliary constant's denominator is positive.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -188,19 +189,7 @@ class ConstantsLedger:
     D: float
 
     def __post_init__(self):
-        v = structural_violations(
-            self.flavor,
-            self.Gamma,
-            self.Gamma_tilde,
-            self.lam,
-            self.b,
-            self.c,
-            self.c_tilde,
-            self.B,
-            self.B_tilde,
-            self.C,
-            self.D,
-        )
+        v = structural_violations(**{f.name: getattr(self, f.name) for f in fields(self)})
         if v:
             raise InvalidLedger(v)
 
@@ -370,23 +359,22 @@ def fit_constants(
     else:
         log_Bt = 0.0
 
-    candidate = dict(
-        flavor=flavor,
-        Gamma=_fitted("Gamma", log_gamma),
-        Gamma_tilde=_fitted("Gamma_tilde", log_gamma_tilde),
-        lam=_fitted("lambda", log_lam),
-        b=_fitted("b", log_b),
-        c=_fitted("c", log_c),
-        c_tilde=_fitted("c_tilde", log_ct),
-        B=_fitted("B", log_B),
-        B_tilde=_fitted("B_tilde", log_Bt),
-        C=_fitted("C", log_C),
-        D=_fitted("D", log_d),
-    )
-    violations = structural_violations(**candidate)
-    if violations:
-        raise Infeasible(violations[0])
-    ledger = ConstantsLedger(**candidate)
+    try:
+        ledger = ConstantsLedger(
+            flavor=flavor,
+            Gamma=_fitted("Gamma", log_gamma),
+            Gamma_tilde=_fitted("Gamma_tilde", log_gamma_tilde),
+            lam=_fitted("lambda", log_lam),
+            b=_fitted("b", log_b),
+            c=_fitted("c", log_c),
+            c_tilde=_fitted("c_tilde", log_ct),
+            B=_fitted("B", log_B),
+            B_tilde=_fitted("B_tilde", log_Bt),
+            C=_fitted("C", log_C),
+            D=_fitted("D", log_d),
+        )
+    except InvalidLedger as exc:
+        raise Infeasible(exc.violations[0]) from None
 
     report = check_quasi_hyperbolic(orbit, ledger)
     if not report.verdict:
@@ -420,20 +408,8 @@ class AuxiliaryConstants:
     branches: Tuple[str, ...]
 
     def as_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "Q0": self.Q0,
-            "K1": self.K1,
-            "Q1": self.Q1,
-            "Q2": self.Q2,
-            "Q3": self.Q3,
-            "Q4": self.Q4,
-            "Qt1": self.Qt1,
-            "Qt2": self.Qt2,
-            "Qt3": self.Qt3,
-            "Qt4": self.Qt4,
-            "Q": self.Q,
-            "K2": self.K2,
-        }
+        """The constants by name, in field order (``branches`` left out)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "branches"}
 
 
 def _positive(value, name: str):
@@ -556,25 +532,10 @@ def feasibility_region_scan(
 ) -> List[ScanCell]:
     """Structural-inequality verdict for every cell of the given grid."""
     cells: List[ScanCell] = []
-    for lam in lam_values:
-        for Gamma in Gamma_values:
-            for c in c_values:
-                for b in b_values:
-                    for Gt in Gamma_tilde_values:
-                        for ct in c_tilde_values:
-                            v = structural_violations(flavor, Gamma, Gt, lam, b, c, ct)
-                            cells.append(
-                                ScanCell(
-                                    lam=lam,
-                                    Gamma=Gamma,
-                                    c=c,
-                                    b=b,
-                                    Gamma_tilde=Gt,
-                                    c_tilde=ct,
-                                    feasible=not v,
-                                    violated=v[0] if v else "",
-                                )
-                            )
+    grid = (lam_values, Gamma_values, c_values, b_values, Gamma_tilde_values, c_tilde_values)
+    for lam, Gamma, c, b, Gt, ct in itertools.product(*grid):
+        v = structural_violations(flavor, Gamma, Gt, lam, b, c, ct)
+        cells.append(ScanCell(lam, Gamma, c, b, Gt, ct, feasible=not v, violated=v[0] if v else ""))
     return cells
 
 

@@ -28,26 +28,12 @@ from .cocycle import ScaledMatrix, compute_orbit
 from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
-# Keys a --config file may hold; each one only on a subcommand with the flag
-# of that name (dest), and map parameters where the subcommand builds a map.
+# The keys a --config file may set: the dest of a flag, and that flag's type.
 _CONFIG_KEYS = {
-    "map",
-    "matrix",
-    "x0",
-    "y0",
-    "k",
-    "flavor",
-    "eta",
-    "seed",
-    "guard",
-    "out_dir",
-    "trials",
-    "grid_n",
-    "rect",
-    "spacing",
-    "field",
-    "length",
-    "step",
+    "map": str, "matrix": str, "x0": float, "y0": float, "k": int, "flavor": str,
+    "eta": float, "seed": int, "guard": float, "out_dir": str, "trials": int,
+    "grid_n": int, "rect": str, "spacing": float, "field": str, "length": float,
+    "step": float,
 }
 
 
@@ -189,70 +175,36 @@ def write_certificate_report(
     )
 
 
-def _load_config(args) -> Dict[str, str]:
-    """The ``--config`` file of a subcommand: keys of its own flags only and,
-    where it builds a map, the parameters of the map the file names."""
-    path = args.config
-    if not path:
-        return {}
-    cfg = read_config(path)
-    allowed = _CONFIG_KEYS & set(vars(args))
-    if "map" in allowed and cfg.get("map") in BUILTIN_MAPS:
-        allowed |= set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    return cfg
-
-
-def _resolve(args, cfg: Dict[str, str], key: str, cast, default=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return parse_value(key, cfg[key], cast)
-    return default
-
-
-def _build_map(args, cfg: Dict[str, str]) -> MapSpec:
-    name = _resolve(args, cfg, "map", str)
-    if not name:
+def _build_map(args) -> MapSpec:
+    if not args.map:
         raise ConfigError("no map selected (use --map or a config file)")
     params: Dict[str, float] = {}
-    for item in getattr(args, "param", None) or []:
+    for item in args.param or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         params[key.strip()] = parse_value(key.strip(), value, float)
-    matrix = _resolve(args, cfg, "matrix", str)
-    if matrix is not None:
-        vals = _values_list("matrix", matrix)
+    if args.matrix is not None:
+        vals = _values_list("matrix", args.matrix)
         if len(vals) != 4:
             raise ConfigError("--matrix expects four comma-separated entries")
         params.update(m11=vals[0], m12=vals[1], m21=vals[2], m22=vals[3])
     for short in ("a", "b", "K"):
-        val = getattr(args, short, None)
+        val = getattr(args, short)
         if val is not None:
             params[short] = val
-    # config files may carry map parameters directly (a = 1.4 etc.)
-    for key, value in cfg.items():
-        if key not in _CONFIG_KEYS:
-            params.setdefault(key, parse_value(key, value, float))
     non_finite = sorted(key for key, value in params.items() if not math.isfinite(value))
     if non_finite:
         raise ConfigError(f"map parameters must be finite: {', '.join(non_finite)}")
     try:
-        return make_map(name, **params)
+        return make_map(args.map, **params)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _orbit_from_args(args, cfg):
-    spec = _build_map(args, cfg)
-    x0 = _resolve(args, cfg, "x0", float)
-    y0 = _resolve(args, cfg, "y0", float)
-    k = _resolve(args, cfg, "k", int)
-    guard = _resolve(args, cfg, "guard", float)
+def _orbit_from_args(args):
+    spec = _build_map(args)
+    x0, y0, k, guard = args.x0, args.y0, args.k, args.guard
     if x0 is None or y0 is None or k is None:
         raise ConfigError("x0, y0 and k are required")
     _check_k(k)
@@ -274,18 +226,15 @@ def _check_guard(guard: Optional[float]) -> None:
         raise ConfigError(f"guard must be finite and >= 0, got {guard!r}")
 
 
-def _out_dir(args, cfg) -> str:
-    out = _resolve(args, cfg, "out_dir", str)
-    if out is None:
-        out = os.environ.get("HYPCOORDS_OUT", ".")
+def _out_dir(args) -> str:
+    out = os.environ.get("HYPCOORDS_OUT", ".") if args.out_dir is None else args.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_orbit(args) -> int:
-    cfg = _load_config(args)
-    spec, orbit = _orbit_from_args(args, cfg)
-    out = _out_dir(args, cfg)
+    spec, orbit = _orbit_from_args(args)
+    out = _out_dir(args)
     rows = []
     coc = orbit.cocycle
     for i in range(orbit.k + 1):
@@ -308,9 +257,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_frames(args) -> int:
-    cfg = _load_config(args)
-    spec, orbit = _orbit_from_args(args, cfg)
-    out = _out_dir(args, cfg)
+    spec, orbit = _orbit_from_args(args)
+    out = _out_dir(args)
     rows = []
     for frame in hypframe.frame_sequence(orbit):
         rows.append(
@@ -336,32 +284,28 @@ def cmd_frames(args) -> int:
     return 0
 
 
-def _ledger_source(args, cfg):
+def _ledger_source(args):
     """Read ``--ledger``, or check the fit flags, before anything is written.
 
     Returns a function from the orbit to its ledger: the one read, or a fit.
     """
-    ledger_path = getattr(args, "ledger", None)
-    if ledger_path:
-        ledger = certificate.read_ledger(ledger_path)
+    if args.ledger:
+        ledger = certificate.read_ledger(args.ledger)
         return lambda orbit: ledger
-    flavor = _flavor(args, cfg)
-    eta = _resolve(args, cfg, "eta", float, 1.05)
+    flavor, eta = _flavor(args), args.eta
     if not (math.isfinite(eta) and eta > 1.0):
         raise ConfigError(f"eta must be finite and > 1, got {eta!r}")
     return lambda orbit: certificate.fit_constants(orbit, flavor, eta)
 
 
-def _flavor(args, cfg) -> certificate.Flavor:
-    text = _resolve(args, cfg, "flavor", str, "II")
-    return parse_value("flavor", text, certificate.Flavor.parse)
+def _flavor(args) -> certificate.Flavor:
+    return parse_value("flavor", args.flavor, certificate.Flavor.parse)
 
 
 def cmd_certify(args) -> int:
-    cfg = _load_config(args)
-    spec, orbit = _orbit_from_args(args, cfg)
-    ledger = _ledger_source(args, cfg)(orbit)
-    out = _out_dir(args, cfg)
+    spec, orbit = _orbit_from_args(args)
+    ledger = _ledger_source(args)(orbit)
+    out = _out_dir(args)
     report = certificate.check_quasi_hyperbolic(orbit, ledger)
     certificate.write_ledger(os.path.join(out, "ledger.txt"), ledger)
     write_certificate_report(report, out, "certificate")
@@ -374,13 +318,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_aux_constants(args) -> int:
-    cfg = _load_config(args)
-    source = _ledger_source(args, cfg)
-    orbit = None if args.ledger else _orbit_from_args(args, cfg)[1]
+    source = _ledger_source(args)
+    orbit = None if args.ledger else _orbit_from_args(args)[1]
     ledger = source(orbit)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     aux = certificate.auxiliary_constants(ledger)
-    payload = {k: v for k, v in aux.as_dict().items()}
+    payload = aux.as_dict()
     payload["branches"] = list(aux.branches)
     _write_json(os.path.join(out, "aux_constants.json"), payload)
     for name, value in aux.as_dict().items():
@@ -398,11 +341,15 @@ def cmd_verify_convergence(args) -> int:
         stage_times.append(f"timing {stage} {time.perf_counter() - start:.6f} s")
         return result
 
-    cfg = _load_config(args)
+    if args.k is not None:  # both sweeps measure all K(K+1)/2 pairs of orders up front
+        _check_k(args.k)
+        most = (math.isqrt(8 * MAX_COUNT + 1) - 1) // 2  # the largest K with K(K+1)/2 <= MAX_COUNT
+        if args.k > most:
+            raise ConfigError(f"k must be <= {most}, got {args.k}")
     try:
-        spec, orbit = timed("orbit", _orbit_from_args, args, cfg)
-        source = _ledger_source(args, cfg)
-        out = _out_dir(args, cfg)
+        spec, orbit = timed("orbit", _orbit_from_args, args)
+        source = _ledger_source(args)
+        out = _out_dir(args)
         apriori = timed("apriori_sweep", bounds.verify_apriori_all, orbit)
         summaries = [timed("apriori_write", write_bound_report, apriori, out, "apriori_convergence")]
         ledger = timed("ledger", source, orbit)
@@ -423,10 +370,9 @@ def cmd_verify_convergence(args) -> int:
 
 
 def cmd_verify_variation(args) -> int:
-    cfg = _load_config(args)
-    spec, orbit = _orbit_from_args(args, cfg)
-    ledger = _ledger_source(args, cfg)(orbit)
-    out = _out_dir(args, cfg)
+    spec, orbit = _orbit_from_args(args)
+    ledger = _ledger_source(args)(orbit)
+    out = _out_dir(args)
     report = bounds.verify_slow_variation(orbit, ledger)
     checks = write_bound_report(report, out, "slow_variation")
     if report.verdict:
@@ -438,18 +384,13 @@ def cmd_verify_variation(args) -> int:
 
 
 def cmd_foliate(args) -> int:
-    cfg = _load_config(args)
-    spec = _build_map(args, cfg)
-    rect = _values_list("rect", _resolve(args, cfg, "rect", str, "-1,1,-1,1"))
+    spec = _build_map(args)
+    rect = _values_list("rect", args.rect)
     if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
         raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
-    k = _resolve(args, cfg, "k", int, 1)
+    k, spacing, field, length, step, guard = (
+        args.k, args.spacing, args.field, args.length, args.step, args.guard)
     _check_k(k)
-    spacing = _resolve(args, cfg, "spacing", float, 0.25)
-    field = _resolve(args, cfg, "field", str, foliation.STABLE)
-    length = _resolve(args, cfg, "length", float, 0.5)
-    step = _resolve(args, cfg, "step", float, 1e-3)
-    guard = _resolve(args, cfg, "guard", float)
     _check_guard(guard)
     if field not in (foliation.STABLE, foliation.UNSTABLE):
         raise ConfigError(f"field must be stable or unstable, got {field!r}")
@@ -466,7 +407,7 @@ def cmd_foliate(args) -> int:
     grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
     if not grid.curves and not grid.failed_seeds:
         raise ConfigError(f"--rect holds no seed at spacing {spacing!r}")
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     rows = []
     for cid, curve in enumerate(grid.curves):
         rows.extend(foliation.curve_to_csv_rows(cid, curve))
@@ -490,10 +431,7 @@ def _random_test_matrix(rng: np.random.Generator):
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = _load_config(args)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    trials = _resolve(args, cfg, "trials", int, 1000)
-    grid_n = _resolve(args, cfg, "grid_n", int, 1_000_000)
+    seed, trials, grid_n = args.seed, args.trials, args.grid_n
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if trials < 1:
@@ -502,7 +440,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
     if grid_n > MAX_GRID_N:
         raise ConfigError(f"grid_n must be <= {MAX_GRID_N}, got {grid_n}")
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     rng = np.random.default_rng(seed)
     angle_tol = math.pi / grid_n
     # nearest grid angle sits within pi/(2 n) of the extremum; the induced
@@ -552,15 +490,14 @@ def _values_list(key: str, text: str) -> List[float]:
 
 
 def cmd_scan_constants(args) -> int:
-    cfg = _load_config(args)
     keys = ("lambda_values", "gamma_values", "c_values", "b_values", "gamma_tilde_values",
             "c_tilde_values")
     grids = [_values_list(key, getattr(args, key)) for key in keys]
     for key, values in zip(keys, grids):
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"--{key.replace('_', '-')} entries must be finite")
-    cells = certificate.feasibility_region_scan(_flavor(args, cfg), *grids)
-    out = _out_dir(args, cfg)
+    cells = certificate.feasibility_region_scan(_flavor(args), *grids)
+    out = _out_dir(args)
     _write_csv(
         os.path.join(out, "scan.csv"),
         ["lambda", "Gamma", "c", "b", "Gamma_tilde", "c_tilde", "feasible", "violated"],
@@ -593,6 +530,13 @@ def _add_common(p: argparse.ArgumentParser, map_args: bool = True, orbit_args: b
         p.add_argument("--guard", type=float, help="singular-set guard distance")
 
 
+def _add_ledger(p: argparse.ArgumentParser) -> None:
+    """The flags of a subcommand that reads or fits a constants ledger."""
+    p.add_argument("--flavor", default="II", help="nonsingular, I, II or both")
+    p.add_argument("--eta", type=float, default=1.05, help="multiplicative fit slack > 1")
+    p.add_argument("--ledger", help="read this ledger file instead of fitting one")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as a ConfigError: one stderr line, exit 2."""
 
@@ -623,16 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="fit a constants ledger and run the per-index certificate check"
     )
     _add_common(p)
-    p.add_argument("--flavor", help="nonsingular, I, II or both")
-    p.add_argument("--eta", type=float, help="multiplicative fit slack > 1")
-    p.add_argument("--ledger", help="check an existing ledger file instead of fitting")
+    _add_ledger(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("aux-constants", help="derived constants of a ledger")
     _add_common(p)
-    p.add_argument("--flavor", help="nonsingular, I, II or both")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--ledger", help="ledger file to read")
+    _add_ledger(p)
     p.set_defaults(func=cmd_aux_constants)
 
     p = sub.add_parser(
@@ -640,9 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="frame-drift bounds: assumption-free sums and certificate envelopes",
     )
     _add_common(p)
-    p.add_argument("--flavor", help="nonsingular, I, II or both")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--ledger")
+    _add_ledger(p)
     p.add_argument("--timings", action="store_true", help="write per-stage wall times to stderr")
     p.set_defaults(func=cmd_verify_convergence)
 
@@ -654,19 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     _add_common(p)
-    p.add_argument("--flavor", help="nonsingular, I, II or both")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--ledger")
+    _add_ledger(p)
     p.set_defaults(func=cmd_verify_variation)
 
     p = sub.add_parser("foliate", help="integral curves of the frame fields over a rectangle")
     _add_common(p, orbit_args=False)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rect", help="xmin,xmax,ymin,ymax")
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--field", choices=[foliation.STABLE, foliation.UNSTABLE])
-    p.add_argument("--length", type=float)
-    p.add_argument("--step", type=float)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--rect", default="-1,1,-1,1", help="xmin,xmax,ymin,ymax")
+    p.add_argument("--spacing", type=float, default=0.25)
+    p.add_argument("--field", choices=[foliation.STABLE, foliation.UNSTABLE], default=foliation.STABLE)
+    p.add_argument("--length", type=float, default=0.5)
+    p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--guard", type=float)
     p.set_defaults(func=cmd_foliate)
 
@@ -675,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-form SVD vs critical-angle formula vs brute-force grid sweep",
     )
     _add_common(p, map_args=False, orbit_args=False)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--grid-n", dest="grid_n", type=int, default=1_000_000)
     p.set_defaults(func=cmd_oracle_check)
 
     # no abbreviations: "--b", a map flag elsewhere, would abbreviate --b-values
@@ -685,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scan-constants", help="structural feasibility over a constants grid", allow_abbrev=False
     )
     _add_common(p, map_args=False, orbit_args=False)
-    p.add_argument("--flavor")
+    p.add_argument("--flavor", default="II", help="nonsingular, I, II or both")
     p.add_argument("--lambda-values", dest="lambda_values", default="1.5")
     p.add_argument("--gamma-values", dest="gamma_values", default="1.5")
     p.add_argument("--c-values", dest="c_values", default="0.1")
@@ -703,9 +639,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _with_config(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``argv`` parsed again, with the values of the ``--config`` file as the
+    subcommand's defaults: a flag beats the file, and the file a flag's own
+    default.  The file may hold the keys of the subcommand's own flags and,
+    where it builds a map, the parameters of the map the file names, which
+    go ahead of the ``--param`` flags."""
+    cfg = read_config(args.config)
+    own = {key: cast for key, cast in _CONFIG_KEYS.items() if hasattr(args, key)}
+    map_params = set()
+    if "map" in own and cfg.get("map") in BUILTIN_MAPS:
+        map_params = set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
+    unknown = sorted(set(cfg) - set(own) - map_params)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {unknown}")
+    defaults = {key: parse_value(key, text, own[key]) for key, text in cfg.items() if key in own}
+    params = [f"{key}={text}" for key, text in cfg.items() if key not in own]
+    if params:
+        defaults["param"] = params
+    parser = build_parser()  # the cached parser keeps the flags' own defaults
+    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.config:
+            args = _with_config(args, argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -51,10 +51,6 @@ class ConformalDegenerate(HypcoordsError):
     """Every direction is critical: the angle equation degenerates."""
 
 
-class DegenerateCoeccentricity(HypcoordsError):
-    """Some order's co-eccentricity is too close to 1 for the requested bound."""
-
-
 class DegenerateStep(HypcoordsError):
     """A one-step co-eccentricity vanishes (singular step Jacobian)."""
 

@@ -15,7 +15,6 @@ from hypcoords.cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle
 from hypcoords.errors import (
     BoundOverflow,
     CertificateRequired,
-    DegenerateCoeccentricity,
     DegenerateStep,
     HypcoordsError,
     Infeasible,
@@ -47,7 +46,7 @@ def test_ctilde_limit_for_tiny_coecc():
 
 def test_ctilde_degenerate():
     coc = MatrixCocycle([np.eye(2)])
-    with pytest.raises(DegenerateCoeccentricity):
+    with pytest.raises(NoHyperbolicCoordinates):
         bounds.ctilde(coc, 1)
 
 
@@ -176,8 +175,8 @@ _RAISING = [
         "one-step co-eccentricity at 1 is zero",
         (1, 2),
     ),
-    # conformal products: the frame check, with the same threshold as
-    # ctilde's DegenerateCoeccentricity, fires first on both paths
+    # conformal products: the frame check, which ctilde shares, fires first
+    # on both paths
     (
         [_rotation(0.3), _rotation(0.7)],
         NoHyperbolicCoordinates,

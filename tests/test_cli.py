@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import filecmp
@@ -243,7 +244,7 @@ def test_scan_constants_rejects_non_finite_values(tmp_path, capsys, flag, values
     assert not out.exists()
 
 
-def test_config_file_and_flag_override(tmp_path):
+def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "map = henon\na = 1.4\nb = 0.3\nx0 = 0.0\ny0 = 0.0\nk = 4\n"
@@ -257,6 +258,42 @@ def test_config_file_and_flag_override(tmp_path):
     assert run(["orbit", "--config", cfg, "--k", "2"]) == 0
     lines = (tmp_path / "orbit.csv").read_text().splitlines()
     assert len(lines) == 4
+
+    capsys.readouterr()
+
+    # a key whose flag has a default: the file beats the default, a flag the file
+    def foliate(*argv):
+        assert run(["foliate", "--map", "henon", "--length", "0.02", "--step", "0.002", *argv,
+                    "--out-dir", tmp_path / "foliate"]) == 0
+        return capsys.readouterr().out
+
+    cfg.write_text("spacing = 0.5\n")
+    assert foliate() == "wrote 64 curves (0 seeds without frames)\n"
+    assert foliate("--config", cfg) == "wrote 16 curves (0 seeds without frames)\n"
+    assert foliate("--config", cfg, "--spacing", "1") == "wrote 4 curves (0 seeds without frames)\n"
+
+    def oracle_trials(*argv):
+        out = tmp_path / "oracle"
+        assert run(["oracle-check", "--grid-n", "100", *argv, "--out-dir", out]) == 0
+        return json.loads((out / "oracle_check.json").read_text())["trials"]
+
+    cfg.write_text("trials = 3\n")
+    assert oracle_trials() == 1000
+    assert oracle_trials("--config", cfg) == 3
+    assert oracle_trials("--config", cfg, "--trials", "2") == 2
+
+    def ledger(*argv):
+        out = tmp_path / "certify"
+        assert run(["certify", *HENON_ARGS, "--k", "8", *argv, "--out-dir", out]) == 0
+        return (out / "ledger.txt").read_text()
+
+    cfg.write_text("flavor = nonsingular\neta = 1.2\n")
+    defaults = ledger()  # flavor II, eta 1.05
+    assert defaults.startswith("flavor = II\n")
+    assert ledger("--config", cfg) == ledger("--flavor", "nonsingular", "--eta", "1.2") != defaults
+    assert ledger("--config", cfg, "--eta", "1.05") == ledger("--flavor", "nonsingular")
+    assert ledger("--config", cfg, "--flavor", "II") == ledger("--eta", "1.2") != defaults
+    assert ledger("--config", cfg, "--flavor", "II", "--eta", "1.05") == defaults
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -396,13 +433,15 @@ def test_unparsable_values_are_usage_errors(tmp_path, capsys, argv, key):
     [("orbit", "map = henon\nx0 = abc\ny0 = 0\nk = 3\n", "x0"),
      ("orbit", "map = henon\nx0 = 0\ny0 = 0\nk = three\n", "k"),
      ("orbit", "map = henon\na = x\nx0 = 0\ny0 = 0\nk = 3\n", "a"),
-     ("foliate", "map = henon\nfield = sideways\n", "field")],
+     ("foliate", "map = henon\nfield = sideways\n", "field"),
+     # the file is read as a whole: a bad value is refused even where a flag overrides it
+     ("orbit --k 3", "map = henon\nx0 = 0\ny0 = 0\nk = three\n", "k: ")],
 )
 def test_unparsable_config_values_are_usage_errors(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
-    assert run([command, "--config", cfg, "--out-dir", out]) == 2
+    assert run([*command.split(), "--config", cfg, "--out-dir", out]) == 2
     assert _one_line_error(capsys).startswith(f"usage error: {key}")
     assert not out.exists() or list(out.iterdir()) == []
 
@@ -627,7 +666,9 @@ _ORDER_COMMANDS = [
 @pytest.mark.parametrize(
     "argv, key, cap",
     [*(([*command, "--k", str(cli.MAX_COUNT + 1)], "k", cli.MAX_COUNT) for command in _ORDER_COMMANDS),
-     (["oracle-check", "--trials", "1", "--grid-n", str(cli.MAX_GRID_N + 1)], "grid_n", cli.MAX_GRID_N)],
+     (["oracle-check", "--trials", "1", "--grid-n", str(cli.MAX_GRID_N + 1)], "grid_n", cli.MAX_GRID_N),
+     # verify-convergence measures all K(K+1)/2 pairs at once: 1413 * 1414 / 2 <= MAX_COUNT
+     (["verify-convergence", *HENON_ARGS, "--k", "1414"], "k", 1413)],
 )
 def test_sizes_above_the_caps_are_usage_errors(tmp_path, capsys, monkeypatch, argv, key, cap):
     def unreachable(*args, **kwargs):
@@ -1161,9 +1202,14 @@ def test_cli_battery_bytes_are_pinned(tmp_path, monkeypatch, capsys):
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 3\n")
     calls = [["oracle-check", "--trials", "3", "--grid-n", "100", "--out-dir", tmp_path / "a"],
              ["orbit", "--no-such-flag"],
-             ["scan-constants", "--out-dir", tmp_path / "b"]]
+             ["scan-constants", "--out-dir", tmp_path / "b"],
+             # a --config run, then the same command with the flag's default
+             ["oracle-check", "--config", cfg, "--grid-n", "100", "--out-dir", tmp_path / "c"],
+             ["oracle-check", "--grid-n", "100", "--out-dir", tmp_path / "d"]]
     fresh = []
     for argv in calls:  # each on a parser of its own
         cli._parser.cache_clear()
@@ -1183,6 +1229,23 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
             shared.append((run(argv), capsys.readouterr().out))
     finally:
         cli._parser.cache_clear()
-    assert [code for code, _ in shared] == [0, 2, 0]
+    assert [code for code, _ in shared] == [0, 2, 0, 0, 0]
     assert shared == fresh
-    assert len(built) == 1
+    assert [out.split(",")[0] for _, out in shared[3:]] == ["oracle check: 3 trials", "oracle check: 1000 trials"]
+    assert len(built) == 2  # the cached parser, and a fresh one that takes the file's defaults
+
+
+def test_config_keys_are_the_flags_that_take_a_value():
+    """Each --config key is the dest of a flag that takes a value, of that
+    flag's type on every subcommand; every other such flag is named here."""
+    parser = cli.build_parser()
+    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types = collections.defaultdict(set)
+    for command in commands.values():
+        for action in command._actions:
+            if action.option_strings and action.nargs != 0:
+                types[action.dest].add(action.type or str)
+    values_lists = {f"{name}_values" for name in ("lambda", "gamma", "c", "b", "gamma_tilde", "c_tilde")}
+    assert set(types) - set(cli._CONFIG_KEYS) == {"config", "param", "a", "b", "K", "ledger", *values_lists}
+    assert {key: types[key] for key in cli._CONFIG_KEYS} == {
+        key: {cast} for key, cast in cli._CONFIG_KEYS.items()}
