@@ -502,17 +502,54 @@ def test_bilinear_bounds_small_sweep():
         assert rep.verdict, rep.first_failure()
 
 
+def _norm_stacks(rng):
+    """Gaussian stacks, n = 2..4, then stacks where a largest singular value
+    is easy to get wrong: rank 1 plus 1e-12 noise, orthogonal (all singular
+    values equal), zero, and rectangular."""
+    for n in range(2, 5):
+        yield rng.standard_normal((25, n, n))
+    for n in range(2, 5):
+        rank_one = rng.standard_normal((8, n, 1)) @ rng.standard_normal((8, 1, n))
+        yield rank_one + 1e-12 * rng.standard_normal((8, n, n))
+        yield np.linalg.qr(rng.standard_normal((8, n, n)))[0]
+        yield np.zeros((1, n, n))
+    yield rng.standard_normal((8, 3, 2))
+    yield rng.standard_normal((8, 1, 4))
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
 def test_power_norms_match_mpmath_singular_values(scale):
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1313)
+    stacks = [scale * stack for stack in _norm_stacks(rng)]
+    # one stack of tiny and huge matrices: a scale shared by the stack would
+    # square the tiny ones to zero
     for n in range(2, 5):
-        stack = scale * rng.standard_normal((25, n, n))
+        stacks.append(np.concatenate([stacks[n - 2][:4], 1e-200 * rng.standard_normal((4, n, n)),
+                                      1e150 * rng.standard_normal((4, n, n))]))
+    for stack in stacks:
         norms = bounds._power_norms(stack)
         with mp.workdps(40):
-            for m, norm in zip(stack, norms):
+            for i, (m, norm) in enumerate(zip(stack, norms)):
+                # a norm does not depend on the rest of its stack
+                assert norm == bounds._power_norms(stack[i:i + 1])[0], m
                 exact = max(mp.svd_r(mp.matrix(m.tolist()), compute_uv=False))
-                assert abs(mp.mpf(float(norm)) / exact - 1) <= 8 * np.finfo(float).eps, (n, m)
+                if exact == 0:
+                    assert norm == 0.0
+                else:
+                    assert abs(mp.mpf(float(norm)) / exact - 1) <= 8 * np.finfo(float).eps, m
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 4), (6, 4)], ids=["3x2", "1x4", "6x4"])
+def test_column_bounds_on_rectangular_matrices(shape):
+    # a matrix may have any number of rows; its Gram matrix is n x n
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(10):
+        matrix = rng.standard_normal(shape)
+        rep = bounds.bilinear_column_bounds(matrix=matrix, rng=rng)
+        assert rep.verdict, rep.first_failure()
+        exact = np.linalg.svd(matrix, compute_uv=False)[0]
+        assert abs(rep.context["matrix_norm"] / exact - 1) <= 8 * np.finfo(float).eps
 
 
 def _bracket_inputs(rng, n):
@@ -572,6 +609,16 @@ def test_bracket_v_without_bilinear_is_ignored():
     rep = bounds.bilinear_column_bounds(matrix=np.eye(2), v=np.array([math.nan, 0.0]))
     assert rep.verdict
     assert [r.check for r in rep.rows] == ["matrix_norm_cross_check", "column_lower", "column_upper"]
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"samples": -1}, {"samples": 2.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9}],
+    ids=["samples-negative", "samples-float", "tol-nan", "tol-inf", "tol-negative"],
+)
+def test_bracket_bad_setting_is_a_typed_error(setting):
+    with pytest.raises(InvalidInput, match=f"^{next(iter(setting))} must be"):
+        bounds.bilinear_column_bounds(matrix=np.eye(2), **setting)
 
 
 @pytest.mark.parametrize("slot", ["matrix", "bilinear"])
