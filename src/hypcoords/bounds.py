@@ -584,26 +584,87 @@ def d2_contraction_identity(
 # ---------------------------------------------------------------------------
 
 
+def _scaled_grams(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The n x n Gram matrices M^T M of an (s, m, n) stack, each matrix M
+    first divided by the power of two 2^e that brings its largest |entry|
+    into [1/2, 1), and the exponents e (0 for a zero matrix).  So scaled, no
+    Gram matrix overflows, and the top eigenvalue of a nonzero one is 1/4 or
+    more and cannot underflow."""
+    # the maxima run down the rows of the entries' transpose: numpy reduces
+    # a long axis much faster than many axes of 4 to 16 entries
+    _, e = np.frexp(np.abs(mats.reshape(len(mats), -1).T, order="C").max(axis=0))
+    m = np.ldexp(mats, -e[:, None, None])
+    return np.swapaxes(m, 1, 2) @ m, e
+
+
+def _gram_norms(grams: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """2^e sqrt(top eigenvalue) of each scaled Gram matrix (symmetric
+    eigensolver, which reads the lower triangle)."""
+    top = np.linalg.eigvalsh(grams)[:, -1]
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+
+
 def _power_norms(mats: np.ndarray) -> np.ndarray:
     """Operator 2-norms of an (s, m, n) stack of matrices, n <= 4: the
     largest singular value of each.
 
-    Each matrix is divided by the power of two that brings its largest
-    |entry| into [1/2, 1), so its n x n Gram matrix M^T M cannot overflow
-    and its top eigenvalue, 1/4 or more unless M = 0, cannot underflow.
-    sigma_max is the square root of that eigenvalue (symmetric
-    eigensolver), scaled back.  The scaling is per matrix, so a norm does
-    not depend on the rest of the stack.  Against 40-digit mpmath singular
-    values the result is within 8 eps (tests/test_bounds.py).
+    sigma_max is the square root of the top eigenvalue of the matrix's
+    Gram matrix, scaled by its own power of two (``_scaled_grams``), scaled
+    back.  The scaling is per matrix, so a norm does not depend on the rest
+    of the stack.  Against 40-digit mpmath singular values the result is
+    within 8 eps (tests/test_bounds.py).
 
     The name is left from the power iteration this replaced, because the
     benchmark's tracer (``perfbench/tracing.py``) wraps and counts the
     function by it.
     """
-    _, e = np.frexp(np.abs(mats).max(axis=(1, 2)))
-    m = np.ldexp(mats, -e[:, None, None])
-    top = np.linalg.eigvalsh(np.swapaxes(m, 1, 2) @ m)[:, -1]
-    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), e)
+    return _gram_norms(*_scaled_grams(mats))
+
+
+def _largest_norm(mats: np.ndarray) -> float:
+    """The largest operator 2-norm of an (s, m, n) stack, n <= 4:
+    ``_power_norms(mats).max()`` bit for bit, with the eigensolver run only
+    on the matrices that a certified upper bound cannot exclude.
+
+    For a symmetric n x n G with t = tr G, f = |G|_F^2 and
+    q = f - t^2/n = sum (lambda_i - t/n)^2, the top eigenvalue is at most
+    t/n + sqrt((n - 1) q / n) (Wolkowicz and Styan, Bounds for eigenvalues
+    using traces, 1980).  The bound reads the scaled Gram matrices of
+    ``_scaled_grams``, the ones the eigensolver sees (diagonal and lower
+    triangle), and allows for three errors, with u = eps/2 and the
+    diagonal >= 0:
+
+    * rounding of t (n - 1 additions) and of f (at most 10 squares,
+      summed), within 3 u t and 11 u f; t^2/n <= f, so the computed t^2/n
+      is within 9 u f;
+    * cancellation in q, whose computed value is thus off by up to 21 u f
+      in absolute terms.  A G near c^2 I has q near 0 and cannot absorb
+      that relatively, so the bound adds 16 eps f (32 u f) to max(q, 0);
+    * the few roundings of the bound itself and the eigensolver's backward
+      error, a small multiple of eps |G|_2 for n <= 4: the bound is
+      multiplied by 1 + 2^-40 (4096 eps).
+
+    The matrix with the highest bound, 2^e sqrt(bound), is eigensolved
+    first.  Any other matrix whose bound is strictly below that norm is
+    skipped: its computed norm, 2^e sqrt(top) with monotone rounding, would
+    be below it too, so the maximum cannot move.  The test is negated, so
+    a NaN bound keeps its matrix.
+    """
+    grams, e = _scaled_grams(mats)
+    n = grams.shape[-1]
+    entries = np.ascontiguousarray(grams.reshape(len(grams), -1).T)  # one row per entry, as above
+    diag = entries[:: n + 1]
+    lower = entries[np.flatnonzero(np.tri(n, k=-1))]
+    tr = diag.sum(axis=0)
+    frob_sq = (diag * diag).sum(axis=0) + 2.0 * (lower * lower).sum(axis=0)
+    spread = np.maximum(frob_sq - tr * tr / n, 0.0) + 16.0 * np.finfo(float).eps * frob_sq
+    top_bound = (tr / n + np.sqrt(spread * ((n - 1) / n))) * (1.0 + 2.0**-40)
+    norm_bound = np.ldexp(np.sqrt(top_bound), e)
+    ref = int(np.argmax(norm_bound))
+    ref_norm = _gram_norms(grams[ref:ref + 1], e[ref:ref + 1])[0]
+    keep = ~(norm_bound < ref_norm)
+    keep[ref] = False
+    return float(max(ref_norm, _gram_norms(grams[keep], e[keep]).max(initial=0.0)))
 
 
 def _sampled_matrix_norm(m: np.ndarray, rng: np.random.Generator, samples: int) -> float:
@@ -667,18 +728,23 @@ def bilinear_column_bounds(
     eigenvalue of its Gram matrix (``_power_norms``), within 8 eps of the
     exact value; |B| is a sampled lower estimate, the largest |B(u, .)|
     over both bases and a seeded sphere sample of ``samples`` points u, so
-    it dominates every slice and the lower rows cannot falsely fail.
+    it dominates every slice and the lower rows cannot falsely fail.  That
+    maximum is taken over the whole sample, but only the slot matrices
+    B(u, .) whose trace-and-Frobenius bound on the top Gram eigenvalue
+    reaches the best norm found are eigensolved (``_largest_norm``, which
+    states the bound and its rounding allowance); the estimate equals the
+    maximum of every slot norm bit for bit.
 
     Each input is first divided by the power of two that brings its largest
     |entry| into [1/2, 1), so no norm over- or underflows; both sides of
     every row are scaled back, and a side beyond the double range is a
     BoundOverflow.  A malformed shape (``v`` must match ``bilinear``), a
     non-finite entry, n > 4, ``samples`` other than an int >= 0, or ``tol``
-    other than a finite number >= 0, is InvalidInput.
+    other than a finite number >= 0 (a bool is neither), is InvalidInput.
     """
-    if not isinstance(samples, numbers.Integral) or samples < 0:
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
         raise InvalidInput(f"samples must be an int >= 0, got {samples!r}")
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
         raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     rep = BoundReport("bilinear_column_bounds", tol)
@@ -714,10 +780,9 @@ def bilinear_column_bounds(
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         cand = np.vstack([basis, cand])
         slot_mats = (cand @ t.transpose(1, 0, 2).reshape(n, n * n)).reshape(-1, n, n)
-        slot_norms = _power_norms(slot_mats)
         second_mats = np.einsum("pij,kj->kpi", t, basis)
         second_slot = _power_norms(second_mats)
-        full_norm = float(max(slot_norms.max(), second_slot.max()))
+        full_norm = max(_largest_norm(slot_mats), float(second_slot.max()))
         rep.context["bilinear_norm_sampled"] = _scaled_back(full_norm, e_t)
 
         add("bilinear_slice_lower", float(second_slot.max()), full_norm, e_t)

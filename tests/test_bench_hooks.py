@@ -1,5 +1,6 @@
 """The benchmark's tracer still finds every function it wraps, and the
-``brackets`` ops still give their recorded outcomes.
+``brackets`` ops still give their recorded outcomes and, with the pruned
+slot-norm maximum, the same values as without it.
 
 ``perfbench/tracing.py`` wraps package functions by name and refuses to
 install when one is missing, and the benchmark's gate compares each op's
@@ -78,3 +79,27 @@ def test_bracket_pool_keeps_recorded_outcomes(monkeypatch):
     for entry in [*range(0, len(recorded), 10), 125]:
         op = workloads.make_op("brackets", entry, "full", out_dir="")
         assert op.outcome(op.prepare()()) == recorded[entry], entry
+
+
+def test_bracket_pool_pruned_norm_equals_every_slot_norm(monkeypatch):
+    # every 10th ``brackets`` pool entry: the bilinear estimate, which
+    # eigensolves only the slot matrices its bound cannot exclude, equals the
+    # unpruned max(_power_norms(slot_mats).max(), second_slot.max()) bit for bit
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    from hypcoords import bounds
+
+    def sides(report):
+        rows = [(r.check, r.lhs.hex(), r.rhs.hex(), r.passed)
+                for r in report.rows if r.check.startswith("bilinear_slice_")]
+        return report.context["bilinear_norm_sampled"].hex(), rows
+
+    pruned = bounds._largest_norm
+    for entry in range(0, workloads.POOL_SIZE["brackets"], 10):
+        op = workloads.make_op("brackets", entry, "full", out_dir="")
+        monkeypatch.setattr(bounds, "_largest_norm", pruned)
+        got = sides(op.prepare()())
+        monkeypatch.setattr(bounds, "_largest_norm", lambda mats: float(bounds._power_norms(mats).max()))
+        expected = sides(op.prepare()())
+        assert len(got[1]) == 2 and got == expected, entry

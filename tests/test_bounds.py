@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypcoords import bounds, linalg2
 from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
@@ -540,6 +541,53 @@ def test_power_norms_match_mpmath_singular_values(scale):
                     assert abs(mp.mpf(float(norm)) / exact - 1) <= 8 * np.finfo(float).eps, m
 
 
+def _prune_stacks(rng):
+    """Stacks on which the bounds that let ``_largest_norm`` skip a matrix
+    are tight or degenerate."""
+    for n in range(1, 5):
+        for noise in (1e-14, 1e-12, 1e-10, 1e-9, 1e-8):
+            # G near c^2 I: the trace/Frobenius spread is lost to rounding
+            q = np.linalg.qr(rng.standard_normal((40, n, n)))[0]
+            yield 3.0 * q + noise * rng.standard_normal((40, n, n))
+            yield q * rng.uniform(1.0, 1.0 + 1e-9, (40, 1, 1)) + noise * rng.standard_normal((40, n, n))
+        m = rng.standard_normal((n, n))
+        yield np.repeat(m[None], 6, axis=0)  # exact ties
+        yield m * rng.choice([-1.0, 1.0], (6, 1, 1))
+        yield np.zeros((5, n, n))
+        lone = np.zeros((7, n, n))
+        lone[rng.integers(7)] = rng.standard_normal((n, n))
+        yield lone
+        yield np.concatenate([1e-200 * rng.standard_normal((30, n, n)),
+                              1e150 * rng.standard_normal((3, n, n)),
+                              1e-200 * rng.standard_normal((30, n, n))])
+        for s in (1, 2, 3):  # a stack of one to three matrices
+            yield rng.standard_normal((s, n, n))
+    yield rng.standard_normal((1501, 1, 1))
+
+
+def test_largest_norm_equals_the_max_of_every_norm():
+    rng = np.random.default_rng(2525)
+    stacks = [scale * stack for scale in (1e-200, 1.0, 1e150) for stack in _norm_stacks(rng)]
+    for stack in [*stacks, *_prune_stacks(rng)]:
+        expected = bounds._power_norms(stack).max()
+        assert bounds._largest_norm(stack).hex() == float(expected).hex(), stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(n), st.just(n)),
+                   elements=st.floats(-4.0, 4.0, width=64)),
+        st.lists(st.integers(-1, 1) | st.integers(-600, 600), min_size=30, max_size=30),
+    ))
+)
+def test_largest_norm_equals_the_max_of_every_norm_on_random_stacks(case):
+    stack, powers = case
+    stack = np.ldexp(stack, np.array(powers[:len(stack)])[:, None, None])
+    expected = bounds._power_norms(stack).max()
+    assert bounds._largest_norm(stack).hex() == float(expected).hex()
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (1, 4), (6, 4)], ids=["3x2", "1x4", "6x4"])
 def test_column_bounds_on_rectangular_matrices(shape):
     # a matrix may have any number of rows; its Gram matrix is n x n
@@ -613,8 +661,10 @@ def test_bracket_v_without_bilinear_is_ignored():
 
 @pytest.mark.parametrize(
     "setting",
-    [{"samples": -1}, {"samples": 2.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9}],
-    ids=["samples-negative", "samples-float", "tol-nan", "tol-inf", "tol-negative"],
+    [{"samples": -1}, {"samples": 2.5}, {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9},
+     {"samples": True}, {"tol": True}],
+    ids=["samples-negative", "samples-float", "tol-nan", "tol-inf", "tol-negative",
+         "samples-bool", "tol-bool"],
 )
 def test_bracket_bad_setting_is_a_typed_error(setting):
     with pytest.raises(InvalidInput, match=f"^{next(iter(setting))} must be"):
