@@ -22,7 +22,6 @@ from __future__ import annotations
 import array
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -802,30 +801,17 @@ def bilinear_column_bounds(
 # Slow variation
 # ---------------------------------------------------------------------------
 
-_AXES = {"x": 0, "y": 1}
 
+class SlowVariationTerms(NamedTuple):
+    """One axis's per-step terms controlling the frame field's spatial
+    derivative, their sums and the derivative itself: e_dot_df is
+    <e, d_axis f> of the order-k frame."""
 
-@dataclass(frozen=True)
-class SlowVariationTerms:
-    """The per-step terms controlling the frame field's spatial derivative,
-    and the derivative itself: e_dot_df is <e, d_axis f> of the order-k frame."""
-
-    k: int
-    axis: str
-    A_k: float
-    B_k: float
     EE: List[float]
     FF: List[float]
-    rhs_apriori: float
+    sum_EE_tail: float
+    sum_FF: float
     e_dot_df: float
-
-    @property
-    def sum_EE_tail(self) -> float:
-        return float(sum(self.EE[1:]))
-
-    @property
-    def sum_FF(self) -> float:
-        return float(sum(self.FF))
 
 
 def _push_tangent(
@@ -841,8 +827,11 @@ def _push_tangent(
     return np.ldexp(out, -e), lead + e * math.log(2.0)
 
 
-def _contracted_images(coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int) -> list:
-    """DPhi^i e for i = 0..k, as (unit direction, log norm), e the order-k
+def _contracted_images(
+    coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """DPhi^i e for i = 0..k as the unit directions, an (k + 1, 2) array, and
+    the log norms, as ``MatrixCocycle.images`` returns them; e is the order-k
     contracted direction and u1 the direction of DPhi^k f.
 
     A forward product holds DPhi^i e only to eps |DPhi^i| in absolute terms,
@@ -851,8 +840,9 @@ def _contracted_images(coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int
     DPhi^k e is normal to the image of f, and the pulled-back vector at
     i = 0, parallel to e, fixes the scale and sign of all the others.
     """
+    directions, log_norms = np.empty((k + 1, 2)), np.empty(k + 1)
     w, w_log = np.array([-u1[1], u1[0]]), 0.0
-    images = [(w, w_log)]
+    directions[k], log_norms[k] = w, w_log
     log_scales = coc.step_log_scales.tolist()
     for j in range(k - 1, -1, -1):
         (a, b), (c, d) = coc.step_bodies[j].tolist()
@@ -861,14 +851,16 @@ def _contracted_images(coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int
         det = a * d - b * c
         w = adj_w / (n if det > 0.0 else -n)
         w_log += math.log(n) - math.log(abs(det)) - log_scales[j]
-        images.append((w, w_log))
-    images.reverse()
-    sign = 1.0 if float(images[0][0] @ e) > 0.0 else -1.0
-    return [(sign * w, w_log - images[0][1]) for w, w_log in images]
+        directions[j], log_norms[j] = w, w_log
+    sign = 1.0 if float(directions[0] @ e) > 0.0 else -1.0
+    return sign * directions, log_norms - log_norms[0]
 
 
-def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariationTerms:
-    """A_k, B_k, the second-derivative transfer terms and <e, d_axis f> at order k.
+def slow_variation_terms(
+    orbit: OrbitSegment, k: int
+) -> Tuple[HyperbolicFrame, Dict[str, SlowVariationTerms]]:
+    """The order-k frame and, for the axes "x" and "y", the second-derivative
+    transfer terms and <e, d_axis f>.
 
     The i-th term differentiates the i-th step Jacobian along the axis
     perturbation *carried to the orbit point* by the cocycle (the product
@@ -885,10 +877,10 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
     singular vectors then gives
     <e, d f> = (u1.dM e / s1 + coecc u2.dM f / s1) / (1 - coecc^2),
     where u1, u2 are the directions of M f, M e and s1 = |M|.
+
+    The frame and the images of e and f are built once and serve both axes.
+    The sums add their terms left to right, as the a-priori sums do.
     """
-    if axis not in _AXES:
-        raise ValueError("axis must be 'x' or 'y'")
-    axis_vec = np.eye(2)[_AXES[axis]]
     coc = orbit.cocycle
     if any(d == float("-inf") for d in coc.step_log_absdet[:k]):
         raise ZeroDeterminant("slow-variation terms need nonzero step determinants")
@@ -896,57 +888,51 @@ def slow_variation_terms(orbit: OrbitSegment, k: int, axis: str) -> SlowVariatio
         frame_coecc(coc.log_norm[i], coc.log_conorm[i])
     frame = hyperbolic_coordinates(coc, k)
     cc = frame.coecc
-    A_k = SQRT2 / (1.0 - cc * cc)
-    B_k = SQRT2 * cc * cc / (1.0 - cc * cc)
-
-    log_ee: List[float] = []
-    log_ff: List[float] = []
-    de_vec, de_log = np.zeros(2), 0.0  # dM_i e = exp(de_log) de_vec
-    df_vec, df_log = np.zeros(2), 0.0  # dM_i f
-    w_dirs, w_logs = coc.images(axis_vec, range(k))  # the carried axis vector
     f_dirs, f_logs = coc.images(frame.f, range(k + 1))
-    e_images = _contracted_images(coc, frame.e, f_dirs[k], k)
-    for i in range(k):
-        dx, dy = orbit.step_second_partials[i]
-        w_dir, w_log = w_dirs[i], w_logs[i]
-        dmat = w_dir[0] * dx + w_dir[1] * dy  # D2Phi at the orbit point, carried direction in one slot
-        e_dir, e_log = e_images[i]
-        e1_log = e_images[i + 1][1]
-        f_dir, f_log, f1_log = f_dirs[i], f_logs[i], f_logs[i + 1]
-        det_log = coc.log_absdet[i + 1]
-        d2e = dmat @ e_dir
-        d2f = dmat @ f_dir
-        de = float(np.linalg.norm(d2e))
-        dfv = float(np.linalg.norm(d2f))
-        log_ee.append(
-            (math.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
-        )
-        log_ff.append(
-            (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
-        )
-        de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
-        df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)
+    e_dirs, e_logs = _contracted_images(coc, frame.e, f_dirs[k], k)
+    u1, u2 = f_dirs[k], e_dirs[k]  # directions of DPhi^k f and DPhi^k e
 
-    u1, u2 = f_dirs[k], e_images[k][0]  # directions of DPhi^k f and DPhi^k e
-    lead = max(de_log, df_log)
-    num = float(u1 @ de_vec) * math.exp(de_log - lead) + cc * float(
-        u2 @ df_vec
-    ) * math.exp(df_log - lead)
-    e_dot_df = num * _exp(lead - coc.log_norm[k]) / (1.0 - cc * cc)
+    by_axis = {}
+    for axis, axis_vec in zip("xy", np.eye(2)):
+        log_ee, log_ff = [], []
+        de_vec, de_log = np.zeros(2), 0.0  # dM_i e = exp(de_log) de_vec
+        df_vec, df_log = np.zeros(2), 0.0  # dM_i f
+        w_dirs, w_logs = coc.images(axis_vec, range(k))  # the carried axis vector
+        for i in range(k):
+            dx, dy = orbit.step_second_partials[i]
+            w_dir, w_log = w_dirs[i], w_logs[i]
+            dmat = w_dir[0] * dx + w_dir[1] * dy  # D2Phi(x_i), carried direction in one slot
+            e_dir, e_log, e1_log = e_dirs[i], e_logs[i], e_logs[i + 1]
+            f_dir, f_log, f1_log = f_dirs[i], f_logs[i], f_logs[i + 1]
+            det_log = coc.log_absdet[i + 1]
+            d2e = dmat @ e_dir
+            d2f = dmat @ f_dir
+            de = float(np.linalg.norm(d2e))
+            dfv = float(np.linalg.norm(d2f))
+            log_ee.append(
+                (math.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
+            )
+            log_ff.append(
+                (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
+            )
+            de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
+            df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)
 
-    ee = [_exp(v) for v in log_ee]
-    ff = [_exp(v) for v in log_ff]
-    rhs = A_k * ee[0] + A_k * sum(ee[1:]) + B_k * sum(ff)
-    return SlowVariationTerms(
-        k=k,
-        axis=axis,
-        A_k=A_k,
-        B_k=B_k,
-        EE=ee,
-        FF=ff,
-        rhs_apriori=rhs,
-        e_dot_df=e_dot_df,
-    )
+        lead = max(de_log, df_log)
+        num = float(u1 @ de_vec) * math.exp(de_log - lead) + cc * float(
+            u2 @ df_vec
+        ) * math.exp(df_log - lead)
+        e_dot_df = num * _exp(lead - coc.log_norm[k]) / (1.0 - cc * cc)
+
+        ee = [_exp(v) for v in log_ee]
+        ff = [_exp(v) for v in log_ff]
+        sum_ee_tail = sum_ff = 0.0
+        for v in ee[1:]:
+            sum_ee_tail += v
+        for v in ff:
+            sum_ff += v
+        by_axis[axis] = SlowVariationTerms(ee, ff, sum_ee_tail, sum_ff, e_dot_df)
+    return frame, by_axis
 
 
 def verify_slow_variation(
@@ -974,7 +960,7 @@ def verify_slow_variation(
     d2e1_norm = linalg2.spectral_norm(np.column_stack([d2_x, d2_y]))
     axis_e1 = (float(np.linalg.norm(d2_x)), float(np.linalg.norm(d2_y)))
 
-    by_axis = {axis: slow_variation_terms(orbit, k, axis) for axis in _AXES}
+    frame_k, by_axis = slow_variation_terms(orbit, k)
     # d_axis f = <e, d_axis f> e, so |D f| is the norm of the two inner products
     df_norm = math.hypot(by_axis["x"].e_dot_df, by_axis["y"].e_dot_df)
 
@@ -994,7 +980,6 @@ def verify_slow_variation(
     rep.add("second_derivative_factor_upper", (k,), d2e1_norm, SQRT2 * max(axis_e1))
     rep.add("second_derivative_factor_lower", (k,), max(axis_e1), d2e1_norm)
 
-    frame_k = hyperbolic_coordinates(orbit.cocycle, k)
     ratio_sq = frame_k.coecc * frame_k.coecc
     for axis, terms in by_axis.items():
         lhs_inner = SQRT2 * abs(terms.e_dot_df)

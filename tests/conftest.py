@@ -2,9 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hypcoords import compute_orbit, make_map
 from hypcoords.planar_maps import MapSpec, jacobian_matrix
+
+# Tier-1 checks the same inputs on every run: the "fixed" profile derives each
+# test's examples from its name and keeps no database of earlier failures.
+# ``pytest --hypothesis-profile=explore`` draws fresh examples instead; an
+# input that fails there becomes an ``@example`` of its test.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.register_profile("explore")
+
+
+def pytest_configure(config):
+    # hypothesis loads a profile named on the command line in its own
+    # pytest_configure, which may run before this one
+    settings.load_profile(config.getoption("hypothesis_profile", None) or "fixed")
+
 
 # Regression fixture on the Henon attractor: 635 iterations from (0.1, 0.1)
 # with the repo-default parameters a = 1.4, b = 0.3.  Chosen (by a one-off

@@ -1067,6 +1067,9 @@ _PARITY_BATTERY = {
     "frames-zero-step": ["frames", "--map", "linear", "--matrix", "0,0,0,0", *_start((1.0, 1.0)),
                          "--k", "3"],
     "variation": ["verify-variation", *_PARITY_HENON, "--k", "8", "--flavor", "II"],
+    "variation-henon-k80-I": ["verify-variation", *_PARITY_HENON, "--k", "80", "--flavor", "I"],
+    "variation-henon-k80-II": ["verify-variation", *_PARITY_HENON, "--k", "80", "--flavor", "II"],
+    "variation-lorenz-I": ["verify-variation", *_PARITY_LORENZ, "--k", "20", "--flavor", "I"],
     "foliate": ["foliate", "--map", "henon", "--a", "1.4", "--b", "0.3", "--k", "4",
                 "--rect=-0.5,0.5,-0.3,0.3", "--spacing", "0.25", "--field", "stable",
                 "--length", "0.05", "--step", "0.005"],
@@ -1172,6 +1175,27 @@ _PARITY_DIGESTS = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "slow_variation.csv": "d7b956af3402a91de37ea700e50bb186733166622ed7d1be25351ce3fa770835",
         "slow_variation.json": "3dec34c26d0eb2446834c3f461200d27f5e4874b3c58d6038c7b814421db47f6",
+    },
+    "variation-henon-k80-I": {
+        "exit": 0,
+        "stdout": "4e0bb582594e774fbef4587200ea9b33520ca7a27ec902b1073461c3254c5f53",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "slow_variation.csv": "c46085c6d8a74d8173c1ffa44a367463c178a3927f7fc26177e4874364ab767f",
+        "slow_variation.json": "e062d751b76aad15a82567239af6c12ec345ad596864a7e88832fb9deb7637ef",
+    },
+    "variation-henon-k80-II": {
+        "exit": 0,
+        "stdout": "4e0bb582594e774fbef4587200ea9b33520ca7a27ec902b1073461c3254c5f53",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "slow_variation.csv": "b598dc33860c9a8d70097ddb3d33dac4421b601a71e689127e4f39199dbbc2b2",
+        "slow_variation.json": "759482d26b6232b78f7a70d8e447d581c061b3e1b66a3956c86e08fbe31dc297",
+    },
+    "variation-lorenz-I": {
+        "exit": 0,
+        "stdout": "3bf73022a7b8a27aa29d1918517b8b7f99450627d98eab7666157f0a6ed145ae",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "slow_variation.csv": "3cc00b2e6a1df0e0a7aeac42310846e7825763eb9c93ba0a1aeb09704c015b68",
+        "slow_variation.json": "4f6fa0384753e58853405e5e3cdc93a2085b1c9e1878a84eb3631340946cade1",
     },
     "foliate": {
         "exit": 0,

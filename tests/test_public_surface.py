@@ -253,3 +253,47 @@ def test_every_src_import_is_used():
     }
     missed = unused_imports(modules)
     assert not missed, "imported and never used:\n" + "\n".join(missed)
+
+
+# The builtin sum() compensates its rounding from Python 3.12 on, so a float
+# sum taken with it would make report bytes depend on the Python version.
+# These modules add floats left to right with ``+=``; cli's sums are integer
+# tallies, exact either way.
+FLOAT_SUM_MODULES = ("bounds", "certificate", "cocycle", "hypframe", "foliation", "linalg2")
+
+
+def builtin_sum_calls(modules):
+    """``file:line sum`` of each call of ``sum`` by its bare name."""
+    return [
+        f"{label}:{node.lineno} sum"
+        for label, text in modules.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+def test_sum_scan_reports_builtin_calls_only():
+    source = '''import numpy as np
+
+
+def f(xs, arr):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total + np.sum(arr) + arr.sum(axis=0) + sum(
+        xs
+    )
+
+
+TABLE = {"sum": sum}
+'''
+    assert builtin_sum_calls({"m.py": source}) == ["m.py:8 sum"]
+
+
+def test_float_sums_add_left_to_right():
+    modules = {
+        f"src/hypcoords/{name}.py": (SRC / f"{name}.py").read_text(encoding="utf-8")
+        for name in FLOAT_SUM_MODULES
+    }
+    calls = builtin_sum_calls(modules)
+    assert not calls, "builtin sum() on floats:\n" + "\n".join(calls)
