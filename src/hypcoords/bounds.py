@@ -14,7 +14,9 @@ Three layers, mirroring how the estimates stack up:
 All left-hand sides are measured quantities (frame distances are taken up
 to the sign ambiguity); right-hand sides are assembled in log form and
 exponentiated only for the final comparison, with pass defined as
-lhs <= rhs * (1 + tol).
+lhs <= rhs * (1 + DEFAULT_REL_TOL) plus a rounding allowance of ROUNDING_UNIT
+times the row's norm scale.  These two are the only tolerances: no
+verifier takes a tolerance or constants from its caller.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     CertificateRequired,
     DegenerateStep,
     HypcoordsError,
+    IndexOutOfRange,
     InvalidInput,
     ZeroDeterminant,
     ZeroMatrix,
@@ -61,7 +64,7 @@ from .hypframe import (
 from .planar_maps import MapSpec
 
 SQRT2 = math.sqrt(2.0)
-DEFAULT_REL_TOL = 1e-9
+DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
 
 # Measured left sides that push a vector through the cocycle carry rounding
 # of order eps * |DPhi^i| in absolute terms; once the contracted component
@@ -225,9 +228,15 @@ def _sum(coc: MatrixCocycle, i: int, k: int, term: int) -> float:
     return total
 
 
+def _check_pair(coc: MatrixCocycle, i: int, k: int) -> None:
+    if not 1 <= i <= k <= coc.k:
+        raise IndexOutOfRange(f"pair ({i}, {k}) outside 1 <= i <= k <= {coc.k}")
+
+
 def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     """max over 1 <= i <= k of sqrt(2 / (1 - coecc_i^2))."""
     coc = cocycle_of(source)
+    _check_pair(coc, 1, k)
     worst = 0.0
     for i in range(1, k + 1):
         worst = max(worst, _ctilde_sq_term(coc, i))
@@ -237,8 +246,7 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
 def tail_T(source: Union[OrbitSegment, MatrixCocycle], i: int, k: int) -> float:
     """Sum over j = i..k-1 of coecc_j / onestep_coecc_j (empty sum is 0)."""
     coc = cocycle_of(source)
-    if not 1 <= i <= k <= coc.k:
-        raise ValueError(f"need 1 <= i <= k <= {coc.k}")
+    _check_pair(coc, i, k)
     return _sum(coc, i, k, 2)
 
 
@@ -252,7 +260,7 @@ def _pair_measurements(
     if coc.log_absdet[i] == float("-inf"):
         raise ZeroDeterminant(f"det DPhi^{i} is zero: determinant-normalized rows undefined")
     drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
-    _, log_push = coc.prefix(i).apply(frames[k - 1].e)
+    log_push = float(coc.images(frames[k - 1].e, [i])[1][0])
     push_noise = ROUNDING_UNIT * _exp(coc.log_norm[i])
     det_noise = ROUNDING_UNIT * _exp(coc.log_norm[i] - coc.log_absdet[i])
     return drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
@@ -375,8 +383,6 @@ def verify_apriori_convergence(
     source: Union[OrbitSegment, MatrixCocycle],
     i: int,
     k: int,
-    report: Optional[BoundReport] = None,
-    tol: float = DEFAULT_REL_TOL,
 ) -> BoundReport:
     """The assumption-free drift bounds at one (i, k) pair.
 
@@ -387,9 +393,8 @@ def verify_apriori_convergence(
     is tested against.
     """
     coc = cocycle_of(source)
-    if not 1 <= i <= k <= coc.k:
-        raise ValueError(f"need 1 <= i <= k <= {coc.k}")
-    rep = report if report is not None else BoundReport("apriori_convergence", tol)
+    _check_pair(coc, i, k)
+    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
     ct = ctilde(coc, k)
     sums = (_sum(coc, i, k, 0), _sum(coc, i, k, 1), tail_T(coc, i, k), _sum(coc, i, k, 3))
@@ -404,9 +409,7 @@ def verify_apriori_convergence(
     return rep
 
 
-def verify_apriori_all(
-    source: Union[OrbitSegment, MatrixCocycle], tol: float = DEFAULT_REL_TOL
-) -> BoundReport:
+def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundReport:
     """Drift bounds over every pair 1 <= i <= k <= length, in one O(k^2) sweep.
 
     Rows come k outer, i inner, and equal those of
@@ -422,7 +425,7 @@ def verify_apriori_all(
     ``_first_error`` go pair by pair.
     """
     coc = cocycle_of(source)
-    rep = BoundReport("apriori_convergence", tol)
+    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     n = coc.k
     # slot i holds the state of pair (i, k) once the sweep has reached k
     blocks = np.tile(np.eye(2), (n + 1, 1, 1))
@@ -500,24 +503,17 @@ def _envelope_rates(
     return rates
 
 
-def _certified_aux(
-    orbit: OrbitSegment, ledger: ConstantsLedger, aux: Optional[AuxiliaryConstants]
-) -> AuxiliaryConstants:
-    """``aux``, or the ledger's auxiliary constants when it is None, once the
-    per-index certificate passes; CertificateRequired names its first failure."""
+def _certified_aux(orbit: OrbitSegment, ledger: ConstantsLedger) -> AuxiliaryConstants:
+    """The auxiliary constants of ``ledger``, once the per-index certificate
+    of that ledger passes; CertificateRequired names its first failure."""
     cert = check_quasi_hyperbolic(orbit, ledger)
     if not cert.verdict:
         i, name = cert.first_failure
         raise CertificateRequired(f"{name} fails at i={i}")
-    return aux if aux is not None else auxiliary_constants(ledger)
+    return auxiliary_constants(ledger)
 
 
-def verify_explicit_convergence(
-    orbit: OrbitSegment,
-    ledger: ConstantsLedger,
-    aux: Optional[AuxiliaryConstants] = None,
-    tol: float = DEFAULT_REL_TOL,
-) -> BoundReport:
+def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) -> BoundReport:
     """Certificate-powered geometric envelopes over every (i, k) pair.
 
     Raises CertificateRequired unless the per-index certificate passes.
@@ -529,7 +525,7 @@ def verify_explicit_convergence(
     pair: an undefined frame of order k, else what ``_first_error`` names
     from the measured terms; Q r^k is formed after them, as at pair (k, k).
     """
-    aux = _certified_aux(orbit, ledger, aux)
+    aux = _certified_aux(orbit, ledger)
     coc = orbit.cocycle
     rates = _envelope_rates(ledger, aux)
     envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
@@ -541,7 +537,7 @@ def verify_explicit_convergence(
         envelopes[:, k] = [q * r**k for _, q, r in rates]
     drift, push, push_over_det, push_noise, det_noise = columns.measured
     types = len(rates) // 3
-    rep = BoundReport("explicit_convergence", tol)
+    rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
     rep.add_pairs(
         [check for check, _, _ in rates], columns.indices, (drift, push, push_over_det) * types,
         envelopes[:, columns.i], (ROUNDING_UNIT, push_noise, det_noise) * types,
@@ -554,10 +550,14 @@ def verify_explicit_convergence(
 # ---------------------------------------------------------------------------
 
 
-def d2_contraction_identity(
-    spec: MapSpec, p: np.ndarray, v: np.ndarray, tol: float = 1e-10
-) -> BoundReport:
-    """Entrywise check that D2Phi(v, axis_k) equals (d_axis_k DPhi) v.
+# Entrywise error ``d2_contraction_identity`` allows, per unit of the
+# largest |second partial| (at least 1)
+_D2_IDENTITY_SCALE = 1e-10
+
+
+def d2_contraction_identity(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> BoundReport:
+    """Entrywise check that D2Phi(v, axis_k) equals (d_axis_k DPhi) v, to
+    ``_D2_IDENTITY_SCALE`` times the scale of the second partials.
 
     The left side is assembled from the Hessian coordinate expansion, the
     right from the partial matrices; equality encodes symmetry of the
@@ -574,7 +574,7 @@ def d2_contraction_identity(
         lhs_vec = np.array([v @ h1 @ unit, v @ h2 @ unit])
         rhs_vec = dmat @ np.asarray(v, dtype=float)
         err = float(np.abs(lhs_vec - rhs_vec).max())
-        rep.add(f"coordinate_identity_axis{axis}", (axis,), err, tol * scale)
+        rep.add(f"coordinate_identity_axis{axis}", (axis,), err, _D2_IDENTITY_SCALE * scale)
     return rep
 
 
@@ -709,7 +709,6 @@ def bilinear_column_bounds(
     v: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
     samples: int = 4000,
-    tol: float = 1e-9,
 ) -> BoundReport:
     """Column-norm and bilinear-norm bracket checks, dimension n <= 4.
 
@@ -738,15 +737,13 @@ def bilinear_column_bounds(
     |entry| into [1/2, 1), so no norm over- or underflows; both sides of
     every row are scaled back, and a side beyond the double range is a
     BoundOverflow.  A malformed shape (``v`` must match ``bilinear``), a
-    non-finite entry, n > 4, ``samples`` other than an int >= 0, or ``tol``
-    other than a finite number >= 0 (a bool is neither), is InvalidInput.
+    non-finite entry, n > 4, or ``samples`` other than an int >= 0 (a bool
+    is not), is InvalidInput.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
         raise InvalidInput(f"samples must be an int >= 0, got {samples!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-        raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    rep = BoundReport("bilinear_column_bounds", tol)
+    rep = BoundReport("bilinear_column_bounds", DEFAULT_REL_TOL)
     if matrix is not None:
         a, e_a = _bracket_input(matrix, "matrix", 2)
     if bilinear is not None:
@@ -935,12 +932,7 @@ def slow_variation_terms(
     return frame, by_axis
 
 
-def verify_slow_variation(
-    orbit: OrbitSegment,
-    ledger: ConstantsLedger,
-    aux: Optional[AuxiliaryConstants] = None,
-    tol: float = DEFAULT_REL_TOL,
-) -> BoundReport:
+def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> BoundReport:
     """The slow-variation chain at order k = orbit.k.
 
     (a) the exact frame derivative |D f| against K1 |D2Phi(e1, .)| + K2 c;
@@ -950,7 +942,7 @@ def verify_slow_variation(
 
     Raises CertificateRequired unless the per-index certificate passes.
     """
-    aux = _certified_aux(orbit, ledger, aux)
+    aux = _certified_aux(orbit, ledger)
     k = orbit.k
 
     frame1 = hyperbolic_coordinates(orbit.cocycle, 1)
@@ -964,7 +956,7 @@ def verify_slow_variation(
     # d_axis f = <e, d_axis f> e, so |D f| is the norm of the two inner products
     df_norm = math.hypot(by_axis["x"].e_dot_df, by_axis["y"].e_dot_df)
 
-    rep = BoundReport("slow_variation", tol)
+    rep = BoundReport("slow_variation", DEFAULT_REL_TOL)
     rep.context.update(
         d2_e1_norm=d2e1_norm,
         d2_e1_axis_x=axis_e1[0],

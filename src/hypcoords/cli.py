@@ -37,9 +37,9 @@ _CONFIG_KEYS = {
 }
 
 
-# Highest orbit order k, and most seeds in a foliate lattice and steps per
-# curve.  Far larger counts do not fit in memory, and an infinite one
-# overflows the count.
+# Highest orbit order k, and most seeds in a foliate lattice, steps per
+# curve and oracle-check trials.  Far larger counts do not fit in memory or
+# run for hours, and an infinite one overflows the count.
 MAX_COUNT = 10**6
 # Most angles in an oracle-check grid sweep: about 4 GB at 40 B per angle.
 MAX_GRID_N = 10**8
@@ -436,6 +436,8 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_COUNT:
+        raise ConfigError(f"trials must be <= {MAX_COUNT}, got {trials}")
     if grid_n < 4:
         raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
     if grid_n > MAX_GRID_N:

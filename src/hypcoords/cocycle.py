@@ -47,14 +47,6 @@ class ScaledMatrix:
         body, log_scale, _ = normalize_stack(self.body @ other.body, self.log_scale + other.log_scale)
         return ScaledMatrix(body, float(log_scale))
 
-    def apply(self, v: np.ndarray) -> Tuple[np.ndarray, float]:
-        """Image of v as (unit direction, log norm)."""
-        w = self.body @ v
-        n = math.hypot(float(w[0]), float(w[1]))
-        if n == 0.0:
-            return np.zeros(2), float("-inf")
-        return w / n, math.log(n) + self.log_scale
-
 
 def normalize_stack(bodies: np.ndarray, log_scales) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(body / 2^e, log_scale + e log 2) per body of a (..., 2, 2) stack, max |entry| = f 2^e, f in [1/2, 1).
@@ -199,10 +191,12 @@ class MatrixCocycle:
         return ScaledMatrix(self.prefix_bodies[i], float(self.prefix_log_scales[i]))
 
     def images(self, v: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
-        """``prefix(i).apply`` for each i of ``orders``, bit for bit, from one
+        """The image under ``prefix(i)`` for each i of ``orders``, from one
         stacked matmul: of ``v``, or of row j of an (n, 2) ``v`` at the j-th
         order.  Returns the unit directions as an (n, 2) array and the log
-        norms; a zero image has a zero direction and log norm -inf."""
+        norms, each the body's image w over math.hypot(w) and log hypot(w)
+        plus the log scale; a zero image has a zero direction and log norm
+        -inf.  This is the one push of a vector through the products."""
         w = np.matmul(self.prefix_bodies[orders], np.asarray(v, dtype=float)[..., None])[..., 0]
         norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]

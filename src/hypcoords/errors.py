@@ -22,9 +22,9 @@ class OnSingularSet(HypcoordsError):
 class SingularEncounter(HypcoordsError):
     """Orbit hit the singular-set guard at some step."""
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"orbit point {index} violates the singular guard")
+        super().__init__(f"orbit point {index} violates the singular guard")
 
 
 class OrbitEscaped(HypcoordsError):
@@ -36,7 +36,7 @@ class OrbitEscaped(HypcoordsError):
 
 
 class IndexOutOfRange(HypcoordsError):
-    """Cocycle block indices outside 0 <= i <= j <= k."""
+    """An order, pair or block index outside the cocycle's 0..k."""
 
 
 class ZeroMatrix(HypcoordsError):

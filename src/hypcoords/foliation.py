@@ -328,11 +328,9 @@ def foliation_grid(
     return FoliationGrid(curves=curves, failed_seeds=failed)
 
 
-def pushforward_seed_angle(
-    spec: MapSpec, seed: np.ndarray, k: int, i: int, guard: Optional[float] = None
-) -> float:
+def pushforward_seed_angle(spec: MapSpec, seed: np.ndarray, k: int, i: int) -> float:
     """Angle between the i-step images of e and f at a seed (pi/2 at i = k)."""
-    orbit = compute_orbit(spec, np.asarray(seed, dtype=float), k, guard)
+    orbit = compute_orbit(spec, np.asarray(seed, dtype=float), k)
     pushed = pushforward_frames(orbit, k, i)
     return linalg2.angle_between(pushed.e_dir, pushed.f_dir)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import linalg2
 from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of
-from .errors import ConformalDegenerate, NoHyperbolicCoordinates
+from .errors import ConformalDegenerate, IndexOutOfRange, NoHyperbolicCoordinates
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
 LOW_CONFIDENCE_COECC = 0.999  # angle ill-conditioned beyond this
@@ -104,11 +104,12 @@ def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> Hyperbo
     )
 
 
-def frame_from_scaled(m: ScaledMatrix, k: int = 0) -> HyperbolicFrame:
-    """Frame of one scaled matrix, from its closed-form SVD (no iterative eigensolver)."""
+def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
+    """Frame of one scaled matrix, as order 0, from its closed-form SVD (no
+    iterative eigensolver)."""
     s = linalg2.svd2_matrix(m.body)
     log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
-    return _frame(k, s.v_min, math.log(s.smax) + m.log_scale, log_min)
+    return _frame(0, s.v_min, math.log(s.smax) + m.log_scale, log_min)
 
 
 def hyperbolic_coordinates(
@@ -120,7 +121,7 @@ def hyperbolic_coordinates(
     long after direct extraction from the assembled product has cancelled."""
     coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
-        raise ValueError(f"order {k} outside 1..{coc.k}")
+        raise IndexOutOfRange(f"order {k} outside 1..{coc.k}")
     return _frame(k, coc.contracted[k], coc.log_norm[k], coc.log_conorm[k])
 
 
@@ -158,7 +159,7 @@ def coeccentricity(source: Union[OrbitSegment, MatrixCocycle], k: int) -> CoeccV
     """
     coc = cocycle_of(source)
     if not 1 <= k <= coc.k:
-        raise ValueError(f"order {k} outside 1..{coc.k}")
+        raise IndexOutOfRange(f"order {k} outside 1..{coc.k}")
     m = coc.prefix(k)
     s = linalg2.svd2_matrix(m.body)
     det_body = abs(linalg2.det2(m.body))
@@ -219,12 +220,11 @@ def pushforward_frames(
     """e and f of order k pushed forward i steps (orthogonal only at i == k)."""
     coc = cocycle_of(source)
     if not 0 <= i <= k:
-        raise ValueError(f"pushforward step {i} outside 0..{k}")
+        raise IndexOutOfRange(f"pushforward step {i} outside 0..{k}")
     frame = hyperbolic_coordinates(coc, k)
-    block = coc.prefix(i)
-    e_dir, e_log = block.apply(frame.e)
-    f_dir, f_log = block.apply(frame.f)
-    return PushedFrame(k=k, i=i, e_dir=e_dir, e_log_norm=e_log, f_dir=f_dir, f_log_norm=f_log)
+    (e_dir, f_dir), (e_log, f_log) = coc.images(np.stack((frame.e, frame.f)), [i, i])
+    return PushedFrame(k=k, i=i, e_dir=e_dir, e_log_norm=float(e_log), f_dir=f_dir,
+                       f_log_norm=float(f_log))
 
 
 @dataclass(frozen=True)

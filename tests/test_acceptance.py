@@ -163,7 +163,7 @@ def test_criterion_6_norm_brackets():
         spec = make_cubic_map(rng)
         p = rng.uniform(-1, 1, size=2)
         v = rng.uniform(-1, 1, size=2)
-        rep = bounds.d2_contraction_identity(spec, p, v, tol=1e-10)
+        rep = bounds.d2_contraction_identity(spec, p, v)
         if not rep.verdict:
             violations.append(("identity", trial))
     finish("6 (column/bilinear norm brackets)", t0, 60.0, violations)
@@ -174,10 +174,9 @@ def test_criterion_7_slow_variation(henon):
     violations = []
     orbit8 = compute_orbit(henon, HENON_FIXTURE, 8)
     ledger = fit_constants(orbit8, Flavor.SINGULAR_II, 1.05)
-    aux = auxiliary_constants(ledger)
     for k in range(1, 9):
         orbit = compute_orbit(henon, HENON_FIXTURE, k)
-        rep = bounds.verify_slow_variation(orbit, ledger, aux=aux)
+        rep = bounds.verify_slow_variation(orbit, ledger)
         if not rep.verdict:
             violations.append((k, rep.first_failure()))
     finish("7 (slow-variation chain)", t0, 120.0, violations)

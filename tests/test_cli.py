@@ -668,7 +668,8 @@ _ORDER_COMMANDS = [
     [*(([*command, "--k", str(cli.MAX_COUNT + 1)], "k", cli.MAX_COUNT) for command in _ORDER_COMMANDS),
      (["oracle-check", "--trials", "1", "--grid-n", str(cli.MAX_GRID_N + 1)], "grid_n", cli.MAX_GRID_N),
      # verify-convergence measures all K(K+1)/2 pairs at once: 1413 * 1414 / 2 <= MAX_COUNT
-     (["verify-convergence", *HENON_ARGS, "--k", "1414"], "k", 1413)],
+     (["verify-convergence", *HENON_ARGS, "--k", "1414"], "k", 1413),
+     (["oracle-check", "--trials", str(cli.MAX_COUNT + 1), "--grid-n", "100"], "trials", cli.MAX_COUNT)],
 )
 def test_sizes_above_the_caps_are_usage_errors(tmp_path, capsys, monkeypatch, argv, key, cap):
     def unreachable(*args, **kwargs):
@@ -926,10 +927,11 @@ def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):
         assert _status_counts(report) == _tracer_allowance_rows(report)
 
 
-def test_bound_report_summary_lists_failing_rows(henon_orbit20):
+def test_bound_report_summary_lists_failing_rows(henon_orbit20, monkeypatch):
     # a negative tolerance fails every row whose lhs exceeds half its rhs
     # (plus allowance), on values and indices of a real sweep
-    report = bounds.verify_apriori_all(henon_orbit20, tol=-0.5)
+    monkeypatch.setattr(bounds, "DEFAULT_REL_TOL", -0.5)
+    report = bounds.verify_apriori_all(henon_orbit20)
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
     with tempfile.TemporaryDirectory() as out:
         summaries = write_bound_report(report, out, "report")
@@ -1034,13 +1036,12 @@ def test_verify_convergence_timings_of_stages_before_a_failed_one(tmp_path, caps
 
 
 def test_verify_convergence_failure_keeps_exit_code_and_reports_counts(tmp_path, capsys, monkeypatch):
-    sweep = bounds.verify_apriori_all
-    monkeypatch.setattr(bounds, "verify_apriori_all", lambda orbit: sweep(orbit, tol=-0.5))
+    monkeypatch.setattr(bounds, "DEFAULT_REL_TOL", -0.5)
     assert run(["verify-convergence", *HENON_ARGS, "--k", "6", "--flavor", "II",
                 "--out-dir", tmp_path]) == 1
     captured = capsys.readouterr()
-    first = sweep(compute_orbit(make_map("henon", a=1.4, b=0.3), np.array(
-        [float(HENON_FIXTURE[0]), float(HENON_FIXTURE[1])]), 6), tol=-0.5).first_failure()
+    first = bounds.verify_apriori_all(compute_orbit(make_map("henon", a=1.4, b=0.3), np.array(
+        [float(HENON_FIXTURE[0]), float(HENON_FIXTURE[1])]), 6)).first_failure()
     assert captured.err == f"apriori_convergence: {first.check} fails at {first.index}\n"
     summary = _summary_lines_of(tmp_path, ("apriori_convergence", "explicit_convergence"))
     assert captured.out.splitlines() == summary

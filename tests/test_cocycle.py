@@ -374,10 +374,20 @@ def _scalar_scaled(body, log_scale):
     return ScaledMatrix(np.ldexp(body, -e), log_scale + e * math.log(2.0))
 
 
+def _scalar_apply(m, v):
+    """The image of v under a ScaledMatrix as (unit direction, log norm), one
+    vector at a time: the reference for ``MatrixCocycle.images``."""
+    w = m.body @ v
+    n = math.hypot(float(w[0]), float(w[1]))
+    if n == 0.0:
+        return np.zeros(2), float("-inf")
+    return w / n, math.log(n) + m.log_scale
+
+
 def _scalar_cocycle(steps, v):
     """What MatrixCocycle stores, and the images of v, one element at a time
     with the scalar closed forms (2x2 products scaled one at a time,
-    ``svd2_matrix``, ``ScaledMatrix.apply``), as reprs; or the ZeroMatrix a
+    ``svd2_matrix``, ``_scalar_apply``), as reprs; or the ZeroMatrix a
     zero step or product raises, steps first."""
     steps = [np.array(s, dtype=float) for s in steps]
     scaled = [_scalar_scaled(s, 0.0) for s in steps]
@@ -398,7 +408,7 @@ def _scalar_cocycle(steps, v):
             raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
         log_norm.append(math.log(s.smax) + prefixes[i].log_scale)
         contracted.append(s.v_min)
-    images = [p.apply(v) for p in prefixes]
+    images = [_scalar_apply(p, v) for p in prefixes]
     return _reprs(
         step_log_norm=[math.log(s.smax) for s in step_svd],
         # a cancelled closed-form co-norm is |det| / norm, as for the orders
@@ -411,7 +421,6 @@ def _scalar_cocycle(steps, v):
         step_log_scales=[s.log_scale for s in scaled],
         prefix_bodies=[p.body for p in prefixes],
         prefix_log_scales=[p.log_scale for p in prefixes],
-        prefix_apply=images,
         log_norm=log_norm,
         log_conorm=[d - n for d, n in zip(log_absdet, log_norm)],
         log_absdet=log_absdet,
@@ -445,7 +454,6 @@ def _stored(steps, v):
         step_log_scales=coc.step_log_scales,
         prefix_bodies=[coc.prefix(i).body for i in range(k + 1)],
         prefix_log_scales=[coc.prefix(i).log_scale for i in range(k + 1)],
-        prefix_apply=[coc.prefix(i).apply(v) for i in range(k + 1)],
         contracted=coc.contracted,
         image_directions=directions,
         image_log_norms=log_norms,
@@ -491,7 +499,7 @@ def test_images_push_one_vector_per_order_as_apply(seed, data):
     orders = data.draw(st.lists(st.integers(0, coc.k), min_size=1, max_size=20))
     vectors = np.array(data.draw(st.lists(_VECTORS, min_size=len(orders), max_size=len(orders))))
     directions, log_norms = coc.images(vectors, orders)
-    applied = [coc.prefix(i).apply(w) for i, w in zip(orders, vectors)]
+    applied = [_scalar_apply(coc.prefix(i), w) for i, w in zip(orders, vectors)]
     assert _reprs(directions=directions, log_norms=log_norms) == _reprs(
         directions=[w for w, _ in applied], log_norms=[w_log for _, w_log in applied])
 

@@ -124,7 +124,7 @@ def pushforward_tangent_deviation(spec, curve, i, stride=1):
         pushed, stop = foliation._field_direction(spec, curve.points[v], curve.k, curve.field, None)
         assert stop == 0, (curve.points[v], foliation.TERMINATIONS[stop])
         if i > 0:
-            pushed = compute_orbit(spec, curve.points[v], i).cocycle.prefix(i).apply(pushed)[0]
+            pushed = compute_orbit(spec, curve.points[v], i).cocycle.images(pushed, [i])[0][0]
         out.append(line_angle_distance(
             math.atan2(tangent[1], tangent[0]), math.atan2(pushed[1], pushed[0])
         ))

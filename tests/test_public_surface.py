@@ -297,3 +297,127 @@ def test_float_sums_add_left_to_right():
     }
     calls = builtin_sum_calls(modules)
     assert not calls, "builtin sum() on floats:\n" + "\n".join(calls)
+
+
+# An optional parameter that no call in the repository sets is a setting
+# that every run leaves at its default: the default belongs in the body.
+
+
+def _callee(call):
+    """The name a call uses: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def passed_settings(texts):
+    """For each callee name, the keywords its calls pass and the most
+    positional arguments one of them passes before any ``*``."""
+    keywords, positions = {}, {}
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            name = _callee(node) if isinstance(node, ast.Call) else None
+            if name:
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+                count = next((n for n, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+                positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def _optional_parameters(tree):
+    """(name a call uses, line, parameter, position) of each parameter with a
+    default, positional or keyword-only (position None), of every function
+    and method in ``tree``.  ``__init__`` is called by its class's name, and
+    a method's ``self`` or ``cls`` takes no position."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        shift = int(id(node) in owner and bool(positional) and positional[0].arg in ("self", "cls"))
+        name = owner[id(node)] if node.name == "__init__" and id(node) in owner else node.name
+        for pos in range(len(positional) - len(args.defaults), len(positional)):
+            yield name, node.lineno, positional[pos].arg, pos - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, node.lineno, arg.arg, None
+
+
+def unset_settings(modules, callers, exempt=()):
+    """``file:line function(parameter)`` of each optional parameter of a
+    function in ``modules`` that no call in ``callers`` passes, other than
+    those of a function named in ``exempt``.
+
+    Both map a label to source text.  As in ``unreached``, modules are not
+    told apart: a call of ``f(...)`` or ``x.f(...)`` passes its arguments
+    to every function named ``f``, by keyword or by position.  Values
+    passed through ``*`` or ``**`` are not seen.
+    """
+    keywords, positions = passed_settings(callers.values())
+    missed = []
+    for label, text in modules.items():
+        for name, line, param, pos in _optional_parameters(ast.parse(text)):
+            passed = param in keywords.get(name, ()) or (pos is not None and pos < positions.get(name, 0))
+            if not (passed or name in exempt):
+                missed.append((label, line, f"{name}({param})"))
+    return [f"{label}:{line} {what}" for label, line, what in sorted(missed)]
+
+
+# Functions whose optional parameters only ``**`` passes, with that caller
+SET_THROUGH_KEYWORD_DICT = {
+    **dict.fromkeys(
+        ("henon", "standard", "lorenz2d", "linear"),
+        "make_map(name, **params) passes the map parameters of the CLI's --param, --a, --b, --K "
+        "and --matrix",
+    ),
+    "structural_violations": "ConstantsLedger.__post_init__ passes the prefactors B, B_tilde, C "
+    "and D with every other field as **",
+}
+
+
+def test_setting_scan_reports_parameters_no_call_passes():
+    source = '''class Box:
+    def __init__(self, size, label=None):
+        pass
+
+    def fill(self, item, count=1, *, strict=False):
+        pass
+
+
+def tune(x, scale=1.0, shift=0.0, *, mode="a"):
+    pass
+
+
+def spread(x, width=1.0):
+    pass
+
+
+def exempted(x, factor=2.0):
+    pass
+
+
+Box(1).fill("a", 2)
+tune(1.0, 2.0, mode="b")
+spread(*[1.0, 2.0])
+spread(**{"x": 1.0, "width": 3.0})
+'''
+    assert unset_settings({"m.py": source}, {"m.py": source}, exempt={"exempted"}) == [
+        "m.py:2 Box(label)",
+        "m.py:5 fill(strict)",
+        "m.py:9 tune(shift)",
+        "m.py:13 spread(width)",
+    ]
+
+
+def test_every_optional_src_parameter_is_set_by_some_call():
+    modules = {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    callers = {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    }
+    missed = unset_settings(modules, callers, exempt=SET_THROUGH_KEYWORD_DICT)
+    assert not missed, "optional parameters that no call sets:\n" + "\n".join(missed)
