@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,13 +28,12 @@ from .cocycle import ScaledMatrix, compute_orbit
 from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 
-# The keys a --config file may set: the dest of a flag, and that flag's type.
-_CONFIG_KEYS = {
-    "map": str, "matrix": str, "x0": float, "y0": float, "k": int, "flavor": str,
-    "eta": float, "seed": int, "guard": float, "out_dir": str, "trials": int,
-    "grid_n": int, "rect": str, "spacing": float, "field": str, "length": float,
-    "step": float,
-}
+# The keys a --config file may set: each the dest of a flag, whose type
+# converts the file's text as it converts the flag's.
+_CONFIG_KEYS = (
+    "map", "matrix", "x0", "y0", "k", "flavor", "eta", "seed", "guard", "out_dir", "trials",
+    "grid_n", "rect", "spacing", "field", "length", "step",
+)
 
 
 # Highest orbit order k, and most seeds in a foliate lattice, steps per
@@ -178,17 +177,9 @@ def write_certificate_report(
 def _build_map(args) -> MapSpec:
     if not args.map:
         raise ConfigError("no map selected (use --map or a config file)")
-    params: Dict[str, float] = {}
-    for item in args.param or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--param expects key=value, got {item!r}")
-        params[key.strip()] = parse_value(key.strip(), value, float)
+    params: Dict[str, float] = dict(args.param or [])
     if args.matrix is not None:
-        vals = _values_list("matrix", args.matrix)
-        if len(vals) != 4:
-            raise ConfigError("--matrix expects four comma-separated entries")
-        params.update(m11=vals[0], m12=vals[1], m21=vals[2], m22=vals[3])
+        params.update(zip(("m11", "m12", "m21", "m22"), args.matrix))
     for short in ("a", "b", "K"):
         val = getattr(args, short)
         if val is not None:
@@ -204,26 +195,9 @@ def _build_map(args) -> MapSpec:
 
 def _orbit_from_args(args):
     spec = _build_map(args)
-    x0, y0, k, guard = args.x0, args.y0, args.k, args.guard
-    if x0 is None or y0 is None or k is None:
+    if args.x0 is None or args.y0 is None or args.k is None:
         raise ConfigError("x0, y0 and k are required")
-    _check_k(k)
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise ConfigError(f"x0 and y0 must be finite, got ({x0!r}, {y0!r})")
-    _check_guard(guard)
-    return spec, compute_orbit(spec, np.array([x0, y0]), k, guard)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if k > MAX_COUNT:
-        raise ConfigError(f"k must be <= {MAX_COUNT}, got {k}")
-
-
-def _check_guard(guard: Optional[float]) -> None:
-    if guard is not None and not (math.isfinite(guard) and guard >= 0.0):
-        raise ConfigError(f"guard must be finite and >= 0, got {guard!r}")
+    return spec, compute_orbit(spec, np.array([args.x0, args.y0]), args.k, args.guard)
 
 
 def _out_dir(args) -> str:
@@ -259,22 +233,9 @@ def cmd_orbit(args) -> int:
 def cmd_frames(args) -> int:
     spec, orbit = _orbit_from_args(args)
     out = _out_dir(args)
-    rows = []
-    for frame in hypframe.frame_sequence(orbit):
-        rows.append(
-            [
-                frame.k,
-                frame.e[0],
-                frame.e[1],
-                frame.f[0],
-                frame.f[1],
-                frame.log_sigma_max,
-                frame.log_sigma_min,
-                frame.coecc,
-                frame.theta,
-                frame.low_confidence,
-            ]
-        )
+    rows = [[frame.k, frame.e[0], frame.e[1], frame.f[0], frame.f[1], frame.log_sigma_max,
+             frame.log_sigma_min, frame.coecc, frame.theta, frame.low_confidence]
+            for frame in hypframe.frame_sequence(orbit)]
     _write_csv(
         os.path.join(out, "frames.csv"),
         ["k", "e_x", "e_y", "f_x", "f_y", "log_sigma_max", "log_sigma_min", "coecc", "theta", "confidence_flag"],
@@ -285,21 +246,12 @@ def cmd_frames(args) -> int:
 
 
 def _ledger_source(args):
-    """Read ``--ledger``, or check the fit flags, before anything is written.
-
-    Returns a function from the orbit to its ledger: the one read, or a fit.
-    """
+    """Read ``--ledger`` before anything is written; return a function from
+    the orbit to its ledger: the one read, or a fit."""
     if args.ledger:
         ledger = certificate.read_ledger(args.ledger)
         return lambda orbit: ledger
-    flavor, eta = _flavor(args), args.eta
-    if not (math.isfinite(eta) and eta > 1.0):
-        raise ConfigError(f"eta must be finite and > 1, got {eta!r}")
-    return lambda orbit: certificate.fit_constants(orbit, flavor, eta)
-
-
-def _flavor(args) -> certificate.Flavor:
-    return parse_value("flavor", args.flavor, certificate.Flavor.parse)
+    return lambda orbit: certificate.fit_constants(orbit, args.flavor, args.eta)
 
 
 def cmd_certify(args) -> int:
@@ -341,11 +293,6 @@ def cmd_verify_convergence(args) -> int:
         stage_times.append(f"timing {stage} {time.perf_counter() - start:.6f} s")
         return result
 
-    if args.k is not None:  # both sweeps measure all K(K+1)/2 pairs of orders up front
-        _check_k(args.k)
-        most = (math.isqrt(8 * MAX_COUNT + 1) - 1) // 2  # the largest K with K(K+1)/2 <= MAX_COUNT
-        if args.k > most:
-            raise ConfigError(f"k must be <= {most}, got {args.k}")
     try:
         spec, orbit = timed("orbit", _orbit_from_args, args)
         source = _ledger_source(args)
@@ -385,18 +332,7 @@ def cmd_verify_variation(args) -> int:
 
 def cmd_foliate(args) -> int:
     spec = _build_map(args)
-    rect = _values_list("rect", args.rect)
-    if len(rect) != 4 or not all(math.isfinite(v) for v in rect):
-        raise ConfigError("--rect expects four finite numbers xmin,xmax,ymin,ymax")
-    k, spacing, field, length, step, guard = (
-        args.k, args.spacing, args.field, args.length, args.step, args.guard)
-    _check_k(k)
-    _check_guard(guard)
-    if field not in (foliation.STABLE, foliation.UNSTABLE):
-        raise ConfigError(f"field must be stable or unstable, got {field!r}")
-    for name, value in (("spacing", spacing), ("length", length), ("step", step)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    rect, spacing, length, step = args.rect, args.spacing, args.length, args.step
     if step > length:
         raise ConfigError(f"step {step!r} exceeds length {length!r}")
     if not length / step <= MAX_COUNT:
@@ -404,7 +340,7 @@ def cmd_foliate(args) -> int:
     nx, ny = (max(0.0, (hi - lo) / spacing) for lo, hi in (rect[:2], rect[2:]))
     if not max(nx, ny, nx * ny) <= MAX_COUNT:
         raise ConfigError(f"spacing {spacing!r} gives more than {MAX_COUNT} seeds in --rect")
-    grid = foliation.foliation_grid(spec, tuple(rect), k, spacing, field, length, step, guard)
+    grid = foliation.foliation_grid(spec, tuple(rect), args.k, spacing, args.field, length, step, args.guard)
     if not grid.curves and not grid.failed_seeds:
         raise ConfigError(f"--rect holds no seed at spacing {spacing!r}")
     out = _out_dir(args)
@@ -432,16 +368,6 @@ def _random_test_matrix(rng: np.random.Generator):
 
 def cmd_oracle_check(args) -> int:
     seed, trials, grid_n = args.seed, args.trials, args.grid_n
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_COUNT:
-        raise ConfigError(f"trials must be <= {MAX_COUNT}, got {trials}")
-    if grid_n < 4:
-        raise ConfigError(f"grid_n must be >= 4, got {grid_n}")
-    if grid_n > MAX_GRID_N:
-        raise ConfigError(f"grid_n must be <= {MAX_GRID_N}, got {grid_n}")
     out = _out_dir(args)
     rng = np.random.default_rng(seed)
     angle_tol = math.pi / grid_n
@@ -487,18 +413,9 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _values_list(key: str, text: str) -> List[float]:
-    return [parse_value(key, v, float) for v in str(text).split(",")]
-
-
 def cmd_scan_constants(args) -> int:
-    keys = ("lambda_values", "gamma_values", "c_values", "b_values", "gamma_tilde_values",
-            "c_tilde_values")
-    grids = [_values_list(key, getattr(args, key)) for key in keys]
-    for key, values in zip(keys, grids):
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"--{key.replace('_', '-')} entries must be finite")
-    cells = certificate.feasibility_region_scan(_flavor(args), *grids)
+    grids = [getattr(args, f"{name}_values") for name in _SCAN_GRIDS]
+    cells = certificate.feasibility_region_scan(args.flavor, *grids)
     out = _out_dir(args)
     _write_csv(
         os.path.join(out, "scan.csv"),
@@ -513,29 +430,82 @@ def cmd_scan_constants(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, map_args: bool = True, orbit_args: bool = True) -> None:
-    """The flags of every subcommand, then those of the map it builds and
-    of the orbit it starts, where it does."""
+def _flag(key: str, cast: Callable, *rules: Tuple[Callable, str]) -> Callable:
+    """The ``type`` of the flag whose dest is ``key``, which also converts
+    its ``--config`` value: ``cast`` (a ConfigError "key: reason" where that
+    fails), then each rule, a test and the message of a value that fails it."""
+
+    def convert(text: str):
+        value = parse_value(key, text, cast)
+        for test, message in rules:
+            if not test(value):
+                raise ConfigError(message.format(value))
+        return value
+
+    return convert
+
+
+def _count(key: str, low: int, high: float) -> Callable:
+    return _flag(key, int, (lambda n: n >= low, f"{key} must be >= {low}, got {{!r}}"),
+                 (lambda n: n <= high, f"{key} must be <= {high}, got {{!r}}"))
+
+
+def _positive(key: str) -> Callable:
+    rule = key + " must be positive and finite, got {!r}"
+    return _flag(key, float, (lambda v: math.isfinite(v) and v > 0.0, rule))
+
+
+def _floats(text: str) -> List[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _param(text: str) -> Tuple[str, float]:
+    """The type of ``--param`` and of a map parameter in a ``--config`` file."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ConfigError(f"--param expects key=value, got {text!r}")
+    return key.strip(), parse_value(key.strip(), value, float)
+
+
+_ORDER = ((lambda k: k >= 1, "k must be >= 1"),
+          (lambda k: k <= MAX_COUNT, f"k must be <= {MAX_COUNT}, got {{!r}}"))
+_GUARD = _flag("guard", float, (lambda g: math.isfinite(g) and g >= 0.0,
+                                "guard must be finite and >= 0, got {!r}"))
+_FLAVOR = _flag("flavor", certificate.Flavor.parse)
+# The grids of scan-constants, by the name in their flag and dest, with their defaults
+_SCAN_GRIDS = {"lambda": "1.5", "gamma": "1.5", "c": "0.1", "b": "1.0", "gamma_tilde": "1.0", "c_tilde": "1.0"}
+
+
+def _add_common(p: argparse.ArgumentParser, map_args: bool = True,
+                order: Optional[Callable] = _flag("k", int, *_ORDER)) -> None:
+    """The flags of every subcommand, then those of the map it builds, where
+    it does, and with ``order`` the type of ``--k``, of the orbit it starts."""
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (env HYPCOORDS_OUT)")
     if map_args:
         p.add_argument("--map", help="builtin map name")
-        p.add_argument("--param", action="append", help="map parameter key=value (repeatable)")
-        p.add_argument("--a", type=float, help="Henon a")
-        p.add_argument("--b", type=float, help="Henon b")
-        p.add_argument("--K", type=float, help="standard-map kick strength")
-        p.add_argument("--matrix", help="linear map entries m11,m12,m21,m22")
-    if orbit_args:
-        p.add_argument("--x0", type=float, help="orbit start x")
-        p.add_argument("--y0", type=float, help="orbit start y")
-        p.add_argument("--k", type=int, help="orbit order")
-        p.add_argument("--guard", type=float, help="singular-set guard distance")
+        p.add_argument("--param", action="append", type=_param, help="map parameter key=value (repeatable)")
+        p.add_argument("--a", type=_flag("a", float), help="Henon a")
+        p.add_argument("--b", type=_flag("b", float), help="Henon b")
+        p.add_argument("--K", type=_flag("K", float), help="standard-map kick strength")
+        p.add_argument("--matrix", type=_flag("matrix", _floats, (
+            lambda m: len(m) == 4, "--matrix expects four comma-separated entries")),
+            help="linear map entries m11,m12,m21,m22")
+    if order:
+        for start in ("x0", "y0"):
+            rule = start + " must be finite, got {!r}"
+            p.add_argument(f"--{start}", type=_flag(start, float, (math.isfinite, rule)),
+                           help=f"orbit start {start[0]}")
+        p.add_argument("--k", type=order, help="orbit order")
+        p.add_argument("--guard", type=_GUARD, help="singular-set guard distance")
 
 
 def _add_ledger(p: argparse.ArgumentParser) -> None:
     """The flags of a subcommand that reads or fits a constants ledger."""
-    p.add_argument("--flavor", default="II", help="nonsingular, I, II or both")
-    p.add_argument("--eta", type=float, default=1.05, help="multiplicative fit slack > 1")
+    p.add_argument("--flavor", type=_FLAVOR, default="II", help="nonsingular, I, II or both")
+    p.add_argument("--eta", type=_flag("eta", float, (lambda e: math.isfinite(e) and e > 1.0,
+                                                      "eta must be finite and > 1, got {!r}")),
+                   default=1.05, help="multiplicative fit slack > 1")
     p.add_argument("--ledger", help="read this ledger file instead of fitting one")
 
 
@@ -581,7 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-convergence",
         help="frame-drift bounds: assumption-free sums and certificate envelopes",
     )
-    _add_common(p)
+    # both sweeps hold all K(K+1)/2 pairs of orders at once: the largest K with K(K+1)/2 <= MAX_COUNT
+    most = (math.isqrt(8 * MAX_COUNT + 1) - 1) // 2
+    _add_common(p, order=_flag("k", int, *_ORDER, (lambda k: k <= most, f"k must be <= {most}, got {{!r}}")))
     _add_ledger(p)
     p.add_argument("--timings", action="store_true", help="write per-stage wall times to stderr")
     p.set_defaults(func=cmd_verify_convergence)
@@ -598,38 +570,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_variation)
 
     p = sub.add_parser("foliate", help="integral curves of the frame fields over a rectangle")
-    _add_common(p, orbit_args=False)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--rect", default="-1,1,-1,1", help="xmin,xmax,ymin,ymax")
-    p.add_argument("--spacing", type=float, default=0.25)
-    p.add_argument("--field", choices=[foliation.STABLE, foliation.UNSTABLE], default=foliation.STABLE)
-    p.add_argument("--length", type=float, default=0.5)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--guard", type=float)
+    _add_common(p, order=None)
+    p.add_argument("--k", type=_flag("k", int, *_ORDER), default=1)
+    p.add_argument("--rect", default="-1,1,-1,1", help="xmin,xmax,ymin,ymax", type=_flag("rect", _floats, (
+        lambda r: len(r) == 4 and all(map(math.isfinite, r)),
+        "--rect expects four finite numbers xmin,xmax,ymin,ymax")))
+    p.add_argument("--spacing", type=_positive("spacing"), default=0.25)
+    fields = (foliation.STABLE, foliation.UNSTABLE)
+    p.add_argument("--field", metavar="{%s}" % ",".join(fields), default=foliation.STABLE, type=_flag(
+        "field", str, (fields.__contains__, "field must be stable or unstable, got {!r}")))
+    p.add_argument("--length", type=_positive("length"), default=0.5)
+    p.add_argument("--step", type=_positive("step"), default=1e-3)
+    p.add_argument("--guard", type=_GUARD)
     p.set_defaults(func=cmd_foliate)
 
     p = sub.add_parser(
         "oracle-check",
         help="closed-form SVD vs critical-angle formula vs brute-force grid sweep",
     )
-    _add_common(p, map_args=False, orbit_args=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=1_000_000)
+    _add_common(p, map_args=False, order=None)
+    p.add_argument("--seed", type=_count("seed", 0, math.inf), default=0)
+    p.add_argument("--trials", type=_count("trials", 1, MAX_COUNT), default=1000)
+    p.add_argument("--grid-n", dest="grid_n", type=_count("grid_n", 4, MAX_GRID_N), default=1_000_000)
     p.set_defaults(func=cmd_oracle_check)
 
     # no abbreviations: "--b", a map flag elsewhere, would abbreviate --b-values
     p = sub.add_parser(
         "scan-constants", help="structural feasibility over a constants grid", allow_abbrev=False
     )
-    _add_common(p, map_args=False, orbit_args=False)
-    p.add_argument("--flavor", default="II", help="nonsingular, I, II or both")
-    p.add_argument("--lambda-values", dest="lambda_values", default="1.5")
-    p.add_argument("--gamma-values", dest="gamma_values", default="1.5")
-    p.add_argument("--c-values", dest="c_values", default="0.1")
-    p.add_argument("--b-values", dest="b_values", default="1.0")
-    p.add_argument("--gamma-tilde-values", dest="gamma_tilde_values", default="1.0")
-    p.add_argument("--c-tilde-values", dest="c_tilde_values", default="1.0")
+    _add_common(p, map_args=False, order=None)
+    p.add_argument("--flavor", type=_FLAVOR, default="II", help="nonsingular, I, II or both")
+    for name, default in _SCAN_GRIDS.items():
+        flag = f"--{name.replace('_', '-')}-values"
+        p.add_argument(flag, dest=f"{name}_values", default=default, type=_flag(f"{name}_values", _floats, (
+            lambda v: all(map(math.isfinite, v)), flag + " entries must be finite")))
     p.set_defaults(func=cmd_scan_constants)
 
     return parser
@@ -641,35 +615,56 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _with_config(args: argparse.Namespace, argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """``argv`` parsed again, with the values of the ``--config`` file as the
-    subcommand's defaults: a flag beats the file, and the file a flag's own
-    default.  The file may hold the keys of the subcommand's own flags and,
-    where it builds a map, the parameters of the map the file names, which
-    go ahead of the ``--param`` flags."""
-    cfg = read_config(args.config)
-    own = {key: cast for key, cast in _CONFIG_KEYS.items() if hasattr(args, key)}
+def _subcommands(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands
+
+
+@functools.lru_cache(maxsize=None)
+def _config_finder() -> argparse.ArgumentParser:
+    """A parser that reads only the subcommand and its ``--config`` path,
+    abbreviated as far as the subcommand allows, and leaves the rest."""
+    finder = _ArgumentParser(add_help=False)
+    sub = finder.add_subparsers(dest="command", required=True)
+    for name, command in _subcommands(_parser()).items():
+        sub.add_parser(name, add_help=False, allow_abbrev=command.allow_abbrev).add_argument("--config")
+    return finder
+
+
+def _parser_for(argv: Optional[Sequence[str]]) -> argparse.ArgumentParser:
+    """The cached parser, or for a ``--config`` run a fresh one whose
+    subcommand defaults are the file's values, each converted by its flag's
+    type before the command line is read: a flag beats the file, but the
+    file's bad values are reported first.  The file may hold the keys of the
+    subcommand's flags and the parameters of the map it names (ahead of any
+    ``--param``)."""
+    try:
+        found, _ = _config_finder().parse_known_args(argv)
+    except ConfigError:  # the full parse reports it, or a -h before it prints the help
+        return _parser()
+    if not found.config:
+        return _parser()
+    cfg = read_config(found.config)
+    parser = build_parser()  # the cached parser keeps the flags' own defaults
+    command = _subcommands(parser)[found.command]
+    flags = {a.dest: a for a in command._actions if a.dest in _CONFIG_KEYS}
     map_params = set()
-    if "map" in own and cfg.get("map") in BUILTIN_MAPS:
+    if "map" in flags and cfg.get("map") in BUILTIN_MAPS:
         map_params = set(inspect.signature(BUILTIN_MAPS[cfg["map"]]).parameters)
-    unknown = sorted(set(cfg) - set(own) - map_params)
+    unknown = sorted(set(cfg) - set(flags) - map_params)
     if unknown:
-        raise ConfigError(f"{args.config}: unknown keys {unknown}")
-    defaults = {key: parse_value(key, text, own[key]) for key, text in cfg.items() if key in own}
-    params = [f"{key}={text}" for key, text in cfg.items() if key not in own]
+        raise ConfigError(f"{found.config}: unknown keys {unknown}")
+    defaults = {key: (flags[key].type or str)(text) for key, text in cfg.items() if key in flags}
+    params = [_param(f"{key}={text}") for key, text in cfg.items() if key not in flags]
     if params:
         defaults["param"] = params
-    parser = build_parser()  # the cached parser keeps the flags' own defaults
-    commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    commands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    command.set_defaults(**defaults)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        if args.config:
-            args = _with_config(args, argv)
+        args = _parser_for(argv).parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

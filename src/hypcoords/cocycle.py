@@ -72,11 +72,11 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
     # overflow, 0 * inf and inf - inf as on Python floats
     with np.errstate(all="ignore"):
         step_bodies, step_log_scales, peak = normalize_stack(steps, 0.0)
-        det = np.abs(_det_stack(steps))
+        det = np.abs(linalg2.det2(steps))
         step_log_absdet = linalg2.log_each(det.ravel()).reshape(det.shape)
         redo = ~((det >= sys.float_info.min) & (det < math.inf))  # NaN included
         if np.count_nonzero(redo):
-            body_det = np.abs(_det_stack(step_bodies[redo]))
+            body_det = np.abs(linalg2.det2(step_bodies[redo]))
             body_log_det = linalg2.log_each(body_det) + 2.0 * step_log_scales[redo]
             step_log_absdet[redo] = np.where(body_det > 0.0, body_log_det, -math.inf)  # NaN included
         zero_steps = peak < _TINY
@@ -217,11 +217,6 @@ class MatrixCocycle:
     def step_log_coecc(self, j: int) -> float:
         """log one-step co-eccentricity at orbit point j (0-based step index)."""
         return self.step_log_conorm[j] - self.step_log_norm[j]
-
-
-def _det_stack(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., 2, 2) stack."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)

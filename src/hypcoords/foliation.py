@@ -33,6 +33,7 @@ from . import linalg2
 from .cocycle import compute_orbit, guard_limit, measure_steps
 from .errors import (
     HypcoordsError,
+    InvalidInput,
     NoFrameAtStart,
     OrbitEscaped,
     SingularEncounter,
@@ -181,9 +182,12 @@ def _field_directions(
 
 def _check_curve_arguments(field: str, step: float, total_arclength: float) -> None:
     if field not in (STABLE, UNSTABLE):
-        raise ValueError(f"field must be {STABLE!r} or {UNSTABLE!r}")
+        raise InvalidInput(f"field must be {STABLE!r} or {UNSTABLE!r}")
+    for name, value in (("step", step), ("total_arclength", total_arclength)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
     if step > total_arclength:
-        raise ValueError("step must not exceed total_arclength")
+        raise InvalidInput("step must not exceed total_arclength")
 
 
 def _seed_direction(spec: MapSpec, seed: np.ndarray, k: int, field: str, guard) -> np.ndarray:
@@ -307,6 +311,8 @@ def foliation_grid(
     integrated together, in lockstep.
     """
     _check_curve_arguments(field, step, total_arclength)
+    if not (math.isfinite(seed_spacing) and seed_spacing > 0.0):
+        raise InvalidInput(f"seed_spacing must be positive and finite, got {seed_spacing!r}")
     xmin, xmax, ymin, ymax = rectangle
     xs = np.arange(xmin + 0.5 * seed_spacing, xmax, seed_spacing)
     ys = np.arange(ymin + 0.5 * seed_spacing, ymax, seed_spacing)

@@ -99,8 +99,10 @@ def spectral_norm(m: np.ndarray) -> float:
     return svd2_matrix(m).smax
 
 
-def det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def det2(m: np.ndarray):
+    """Determinant of one 2x2 matrix, a float, or of each of a (..., 2, 2) stack, an array."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return det if det.ndim else float(det)
 
 
 def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:

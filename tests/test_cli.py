@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import MatrixCocycle, bounds, certificate, cli, compute_orbit, make_map
 from hypcoords.cli import fmt, main, write_bound_report
+from hypcoords.errors import ConfigError
 
 from conftest import HENON_FIXTURE, LORENZ_FIXTURE, STANDARD_FIXTURE, STANDARD_K
 
@@ -294,6 +295,66 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert ledger("--config", cfg, "--eta", "1.05") == ledger("--flavor", "nonsingular")
     assert ledger("--config", cfg, "--flavor", "II") == ledger("--eta", "1.2") != defaults
     assert ledger("--config", cfg, "--flavor", "II", "--eta", "1.05") == defaults
+
+
+@pytest.mark.parametrize(
+    "text, flags, error",
+    [("x0 = abc\n", ["--k", "abc"], "x0: could not convert string to float: 'abc'"),
+     ("x0 = abc\n", ["--k", "0"], "x0: could not convert string to float: 'abc'"),
+     ("k = 0\n", ["--x0", "abc"], "k must be >= 1"),
+     ("k = 0\n", ["--x0", "nan"], "k must be >= 1"),
+     ("guard = -1\n", ["--guard", "x"], "guard must be finite and >= 0, got -1.0")],
+    ids=["unparsable-flag", "out-of-range-flag", "range-file-unparsable-flag", "range-file-range-flag",
+         "same-key"],
+)
+@pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "config-last"])
+def test_config_file_errors_come_before_command_line_errors(tmp_path, capsys, text, flags, error,
+                                                            config_first):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("map = henon\nx0 = 0\ny0 = 0\nk = 3\n" + text)
+    out = tmp_path / "out"
+    argv = ["--config", cfg, *flags] if config_first else [*flags, "--config", cfg]
+    assert run(["orbit", *argv, "--out-dir", out]) == 2
+    assert _one_line_error(capsys) == f"usage error: {error}"
+    assert not out.exists()
+
+
+# Texts that some flag's type refuses, and the map whose parameter a map flag sets in a file
+_REFUSED_TEXTS = ("abc", "nan", "-inf", "-1", "0", "3", "1,2", "1e309")
+_MAP_OF_PARAMETER = {"a": "henon", "b": "henon", "K": "standard"}
+
+
+def test_every_flag_refuses_text_alike_from_the_command_line_and_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    refusing = set()
+    for command, parser in cli._subcommands(cli.build_parser()).items():
+        for action in parser._actions:
+            if not action.option_strings or action.type is None:
+                continue
+            flag, dest = action.option_strings[0], action.dest
+            for text in _REFUSED_TEXTS:
+                try:
+                    action.type(text)
+                    continue
+                except ConfigError as exc:
+                    line = f"usage error: {exc}"
+                refusing.add((command, flag))
+                assert line.startswith(f"usage error: {dest}") or flag in line, line
+                assert run([command, f"{flag}={text}", "--out-dir", out]) == 2
+                assert _one_line_error(capsys) == line
+                if dest in cli._CONFIG_KEYS or dest in _MAP_OF_PARAMETER:
+                    map_line = f"map = {_MAP_OF_PARAMETER[dest]}\n" if dest in _MAP_OF_PARAMETER else ""
+                    cfg.write_text(f"{map_line}{dest} = {text}\n")
+                    assert run([command, "--config", cfg, "--out-dir", out]) == 2
+                    assert _one_line_error(capsys) == line
+    assert not out.exists()
+    flags = [(command, action) for command, parser in cli._subcommands(cli.build_parser()).items()
+             for action in parser._actions if action.option_strings and action.nargs != 0]
+    # every flag that takes a value converts it, but those of a path or a map name;
+    # and each refuses some of these texts
+    assert {action.dest for _, action in flags if action.type is None} == {"config", "out_dir", "map", "ledger"}
+    assert refusing == {(command, action.option_strings[0]) for command, action in flags if action.type}
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -1261,16 +1322,13 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
 
 
 def test_config_keys_are_the_flags_that_take_a_value():
-    """Each --config key is the dest of a flag that takes a value, of that
-    flag's type on every subcommand; every other such flag is named here."""
+    """Each --config key is the dest of a flag that takes a value; every
+    other such flag is named here."""
     parser = cli.build_parser()
     commands, = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    types = collections.defaultdict(set)
-    for command in commands.values():
-        for action in command._actions:
-            if action.option_strings and action.nargs != 0:
-                types[action.dest].add(action.type or str)
+    dests = {action.dest for command in commands.values() for action in command._actions
+             if action.option_strings and action.nargs != 0}
     values_lists = {f"{name}_values" for name in ("lambda", "gamma", "c", "b", "gamma_tilde", "c_tilde")}
-    assert set(types) - set(cli._CONFIG_KEYS) == {"config", "param", "a", "b", "K", "ledger", *values_lists}
-    assert {key: types[key] for key in cli._CONFIG_KEYS} == {
-        key: {cast} for key, cast in cli._CONFIG_KEYS.items()}
+    assert len(cli._CONFIG_KEYS) == len(set(cli._CONFIG_KEYS)) == 17
+    assert dests - set(cli._CONFIG_KEYS) == {"config", "param", "a", "b", "K", "ledger", *values_lists}
+    assert set(cli._CONFIG_KEYS) <= dests

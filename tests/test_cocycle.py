@@ -348,6 +348,20 @@ def test_step_log_absdet_of_steps_whose_raw_determinant_overflows():
     assert coc.log_absdet == [0.0, coc.step_log_absdet[0], coc.step_log_absdet[0] + math.log(0.125)]
 
 
+def test_det2_of_a_stack_is_the_det2_of_each_matrix():
+    rng = np.random.default_rng(7)
+    stack = np.ldexp(rng.standard_normal((6, 50, 2, 2)), rng.integers(-600, 600, (6, 50, 1, 1)))
+    stack[0, :4] = [np.zeros((2, 2)), np.eye(2), [[1e300, 1e300], [-1e300, 1e300]], [[math.inf, 1], [1, 1]]]
+    with np.errstate(all="ignore"):
+        dets = linalg2.det2(stack)
+        assert dets.shape == (6, 50)
+        for index in np.ndindex(6, 50):
+            a, b, c, d = stack[index].ravel().tolist()
+            det = linalg2.det2(stack[index])
+            assert type(det) is float
+            assert det.hex() == dets[index].item().hex() == (a * d - b * c).hex()
+
+
 # ---------------------------------------------------------------------------
 # The cocycle's array passes against the scalar closed forms
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import compute_orbit, foliation
 from hypcoords.cocycle import guard_limit
-from hypcoords.errors import NoFrameAtStart
+from hypcoords.errors import HypcoordsError, InvalidInput, NoFrameAtStart
 from hypcoords.foliation import (
     curve_to_csv_rows,
     curves_to_svg,
@@ -36,6 +36,28 @@ def test_linear_stable_curve_is_vertical():
 def test_rotation_start_raises():
     with pytest.raises(NoFrameAtStart):
         integrate_curve(rotation(0.5), np.array([0.0, 0.0]), 1, "stable", 1.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda h: integrate_curve(h, (0.1, 0.1), 1, "stable", 0.1, -0.01), "step must be positive"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 1, "stable", 0.1, 0.0), "step must be positive"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 1, "stable", 0.1, math.nan), "step must be positive"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 1, "stable", math.inf, 0.01), "total_arclength must be positive"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 1, "stable", -1.0, -2.0), "step must be positive"),
+     (lambda h: foliation_grid(h, (-1, 1, -1, 1), 1, 0.0), "seed_spacing must be positive"),
+     (lambda h: foliation_grid(h, (-1, 1, -1, 1), 1, math.nan), "seed_spacing must be positive"),
+     (lambda h: foliation_grid(h, (-1, 1, -1, 1), 1, 0.5, step=0.0), "step must be positive"),
+     (lambda h: foliation_grid(h, (-1, 1, -1, 1), 1, 0.5, total_arclength=-0.5), "total_arclength must be positive")],
+    ids=["negative-step", "zero-step", "nan-step", "infinite-length", "negative-both", "zero-spacing",
+         "nan-spacing", "grid-zero-step", "grid-negative-length"],
+)
+def test_curve_lengths_must_be_positive_and_finite(call, message):
+    # before these checks: a 2-point curve with arclengths [0, -0.01], a
+    # ZeroDivisionError, or "cannot convert float NaN to integer"
+    with pytest.raises(InvalidInput, match=message) as raised:
+        call(henon())
+    assert isinstance(raised.value, HypcoordsError) and isinstance(raised.value, ValueError)
 
 
 def test_henon_curve_tangent_matches_angle_field(henon):
