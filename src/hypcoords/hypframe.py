@@ -22,7 +22,7 @@ directly; the contracting angle sits a quarter turn away.
 
 The grid oracle (``oracle_extremal_directions``) checks these closed forms
 without the SVD: it maximizes and minimizes |M (sin t, cos t)|^2 over a
-uniform angle grid.  It skips grid blocks whose interval enclosure,
+uniform angle grid.  It skips grid blocks whose mean-value enclosure,
 widened by a floating-point error bound, shows that they cannot hold an
 extremum, so it returns exactly what the full sweep returns.
 """
@@ -30,14 +30,21 @@ extremum, so it returns exactly what the full sweep returns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from . import linalg2
 from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of
-from .errors import ConformalDegenerate, IndexOutOfRange, NoHyperbolicCoordinates
+from .errors import (
+    BoundOverflow,
+    ConformalDegenerate,
+    IndexOutOfRange,
+    InvalidInput,
+    NoHyperbolicCoordinates,
+)
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
 LOW_CONFIDENCE_COECC = 0.999  # angle ill-conditioned beyond this
@@ -241,20 +248,73 @@ class OracleResult:
 
 _grid_cache: dict = {}
 
-# Grid points per block of the oracle's block ranges.
+# Grid points per block of the oracle's block bounds.
 _ORACLE_BLOCK = 256
-# Relative rounding allowance of the block bounds, in units of 2^-53 times
-# |g11| + |g12| + |g22|: f and each bound carry at most three roundings of
-# that size, and the two comparisons one more each.
+# Each block is bounded about its centre point, its point 128 (or its last
+# point, if it has fewer): no point of it is more than this many steps away.
+_ORACLE_REACH = 128.0
+# Grid points per pass of the first differences, which reuse one buffer.
+_ORACLE_CHUNK = 64 * _ORACLE_BLOCK
+# Allowance of the block bounds in units of sigma * (|g11| + |g12| + |g22|),
+# plus an absolute term for products that underflow (derivation in
+# ``oracle_extremal_directions``).
 _ORACLE_ROUNDING = 16.0 * 2.0 ** -53
-# Absolute allowance for products that underflow (at most 2^-1075 each).
 _ORACLE_UNDERFLOW = 2.0 ** -1070
-# Gram sums above this could overflow in f or its bounds: every block is kept.
+# sigma * Gram sums above this could overflow in the bounds: every block is kept.
 _ORACLE_GRAM_LIMIT = 2.0 ** 1020
 
 
+class _BlockBounds(NamedTuple):
+    """Per-block data of the oracle's mean-value bounds over nb blocks.
+
+    centre_slope: (3, 2 nb); row k holds grid column k (sin^2, 2 sin cos,
+    cos^2) at the centre of each block, then the midpoint of the range of
+    its first differences in each block times _ORACLE_REACH.  reach: per
+    column, the largest half-width of those ranges over the blocks, widened
+    for rounding, times _ORACLE_REACH.  sigma: the largest |centre value|
+    plus the largest |slope term| plus the largest reach, which bounds
+    every |grid value|.
+    """
+
+    centre_slope: np.ndarray
+    reach: Tuple[float, float, float]
+    sigma: float
+
+
+def _block_bounds(columns) -> _BlockBounds:
+    """Centre values and first-difference ranges of each grid column per block."""
+    grid_n = len(columns[0])
+    starts = np.arange(0, grid_n, _ORACLE_BLOCK)
+    nb, per_pass = len(starts), _ORACLE_CHUNK // _ORACLE_BLOCK
+    diff = np.empty(min(grid_n, _ORACLE_CHUNK))
+    dlo, dhi = np.empty(nb), np.empty(nb)
+    centre_slope = np.empty((3, 2, nb))
+    reach = []
+    for x, (centre, slope) in zip(columns, centre_slope):
+        for j in range(0, nb, per_pass):
+            first = int(starts[j])
+            d = diff[: min(_ORACLE_CHUNK, grid_n - first)]
+            inner = min(len(d), grid_n - 1 - first)  # differences within the grid
+            np.subtract(x[first + 1 : first + 1 + inner], x[first : first + inner], out=d[:inner])
+            d[inner:] = d[inner - 1] if inner else 0.0  # a last block of one point needs none
+            block = starts[j : j + per_pass] - first
+            dlo[j : j + per_pass] = np.minimum.reduceat(d, block)
+            dhi[j : j + per_pass] = np.maximum.reduceat(d, block)
+        centre[:] = x[np.minimum(starts + (_ORACLE_BLOCK // 2 - 1), grid_n - 1)]
+        np.add(dlo, dhi, out=slope)
+        slope *= 0.5 * _ORACLE_REACH
+        widest = float(np.max(dhi - dlo))
+        largest = max(-float(np.min(dlo)), float(np.max(dhi)))
+        reach.append((0.5 * widest + 8.0 * 2.0 ** -53 * largest) * _ORACLE_REACH)
+    centre_max, slope_max = (
+        max(-float(np.min(v)), float(np.max(v))) for v in centre_slope.swapaxes(0, 1)
+    )
+    sigma = centre_max + slope_max + max(reach)
+    return _BlockBounds(centre_slope.reshape(3, -1), tuple(reach), sigma)
+
+
 def _grid_basis(grid_n: int):
-    """sin^2, 2 sin cos and cos^2 on the grid, and their (min, max) per block."""
+    """sin^2, 2 sin cos and cos^2 on the grid, and their per-block bound data."""
     cached = _grid_cache.get(grid_n)
     if cached is None:
         # in place where an operand is dead: each fresh 8 MB array costs page faults
@@ -265,41 +325,51 @@ def _grid_basis(grid_n: int):
         sc2 = 2.0 * s
         sc2 *= c
         columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
-        starts = np.arange(0, grid_n, _ORACLE_BLOCK)
-        ranges = tuple(
-            (np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)) for w in columns
-        )
-        cached = (columns, ranges)
+        cached = (columns, _block_bounds(columns))
         _grid_cache.clear()  # keep at most one resolution resident
         _grid_cache[grid_n] = cached
     return cached
 
 
-def _kept_runs(g11: float, g12: float, g22: float, ranges) -> List[Tuple[int, int]]:
+def _block_enclosures(
+    g11: float, g12: float, g22: float, blocks: _BlockBounds
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(lo, hi, tol): every swept value of f in block b lies in
+    [lo[b] - tol, hi[b] + tol], where sigma G is at most _ORACLE_GRAM_LIMIT."""
+    nb = blocks.centre_slope.shape[1] // 2
+    values = np.array([g11, g12, g22]) @ blocks.centre_slope
+    centre, slope = values[:nb], values[nb:]
+    r11, r12, r22 = blocks.reach
+    bound = np.abs(slope)
+    bound += abs(g11) * r11 + abs(g12) * r12 + abs(g22) * r22
+    tol = _ORACLE_ROUNDING * blocks.sigma * (abs(g11) + abs(g12) + abs(g22)) + _ORACLE_UNDERFLOW
+    return centre - bound, centre + bound, tol
+
+
+def _kept_runs(g11: float, g12: float, g22: float, blocks: _BlockBounds) -> List[Tuple[int, int]]:
     """Runs [first, last) of consecutive blocks that may hold the max or the min of f."""
-    (s2lo, s2hi), (sc2lo, sc2hi), (c2lo, c2hi) = ranges
-    gram_sum = abs(g11) + abs(g12) + abs(g22)
-    if not gram_sum <= _ORACLE_GRAM_LIMIT:  # NaN, infinite or near overflow
-        return [(0, len(s2lo))]
-    # g11 and g22 are sums of squares, so only the sign of g12 picks an end
-    sc_lo, sc_hi = (sc2lo, sc2hi) if g12 >= 0.0 else (sc2hi, sc2lo)
-    lo = g11 * s2lo + g12 * sc_lo + g22 * c2lo
-    hi = g11 * s2hi + g12 * sc_hi + g22 * c2hi
-    tol = _ORACLE_ROUNDING * gram_sum + _ORACLE_UNDERFLOW
+    nb = blocks.centre_slope.shape[1] // 2
+    if not (abs(g11) + abs(g12) + abs(g22)) * blocks.sigma <= _ORACLE_GRAM_LIMIT:
+        return [(0, nb)]  # NaN, infinite or near overflow
+    lo, hi, tol = _block_enclosures(g11, g12, g22, blocks)
     # negated prune tests, so that a NaN bound keeps its block
-    keep = ~(hi + tol < np.max(lo) - tol) | ~(lo - tol > np.min(hi) + tol)
-    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+    keep = ~(hi + tol < lo.max() - tol) | ~(lo - tol > hi.min() + tol)
+    edges = (np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist()
+    if keep[0]:
+        edges.insert(0, 0)
+    if keep[-1]:
+        edges.append(nb)
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 def _sweep_extremes(
     g11: float, g12: float, g22: float, grid_n: int
 ) -> Tuple[int, int, float, float]:
     """(imax, imin, f[imax], f[imin]) of the squared image norm f on the grid."""
-    (s2, sc2, c2), ranges = _grid_basis(grid_n)
+    (s2, sc2, c2), blocks = _grid_basis(grid_n)
     run_max: List[Tuple[int, float]] = []
     run_min: List[Tuple[int, float]] = []
-    for first, last in _kept_runs(g11, g12, g22, ranges):
+    for first, last in _kept_runs(g11, g12, g22, blocks):
         lo, hi = first * _ORACLE_BLOCK, min(last * _ORACLE_BLOCK, grid_n)
         f = g11 * s2[lo:hi]
         f += g12 * sc2[lo:hi]
@@ -312,6 +382,23 @@ def _sweep_extremes(
     return imax, imin, fmax, fmin
 
 
+def _scaled_root(f: float, log_scale: float) -> float:
+    """sqrt(max(f, 0)) * exp(log_scale); a finite f whose scaled root exceeds
+    the double range is a BoundOverflow."""
+    root = math.sqrt(max(f, 0.0))
+    if log_scale == 0.0 or root == 0.0:
+        return root
+    try:
+        scaled = root * math.exp(log_scale)
+    except OverflowError:
+        scaled = math.inf
+    if math.isinf(scaled) and math.isfinite(root):
+        raise BoundOverflow(
+            f"oracle norm sqrt({f:.6g}) * exp({log_scale:.6g}) exceeds the double range"
+        )
+    return scaled
+
+
 def oracle_extremal_directions(
     m: Union[ScaledMatrix, np.ndarray], grid_n: int
 ) -> OracleResult:
@@ -320,27 +407,58 @@ def oracle_extremal_directions(
     Entirely independent of the closed-form SVD: the squared image norm
     f = g11 sin^2 + g12 (2 sin cos) + g22 cos^2 of the Gram entries is
     evaluated on grid points, and the returned angles are within pi/grid_n
-    of the true extremal angles.
+    of the true extremal angles.  A grid_n that is not an int, is a bool or
+    is below 4 is InvalidInput; a norm of a ScaledMatrix beyond the double
+    range is a BoundOverflow.
 
-    Blocks of the grid that cannot hold an extremum are skipped; the
-    result is that of the full sweep, index for index.  Interval
-    arithmetic over the cached per-block ranges of the three grid columns
-    encloses the exact value of f on the stored grid values of a block in
-    [lo, hi] (Moore's enclosure).  Computed f and computed bounds each sit
-    within three roundings, at most 3 * 2^-53 (|g11| + |g12| + |g22|) plus
-    underflow, of those exact values, and the allowance tol covers both
-    plus the rounding of the comparisons.  A block is skipped for the
-    maximum only if hi + tol < max(lo) - tol, and then every value in it
-    is strictly below a value attained in the block with the largest lo;
-    the minimum is the mirror image.  So the first occurrence of each
-    extremum, ties included, lies in a kept block.  Kept blocks are
-    evaluated with the same three statements as the full sweep, and the
-    per-run extremes are combined by argmax/argmin in index order.  Gram
-    sums that are NaN, infinite or near overflow keep every block, which
-    is the full sweep.
+    Blocks of the grid that cannot hold an extremum are skipped; the result
+    is that of the full sweep, index for index.
+
+    Block bounds.  Write X for one of the stored grid columns (sin^2,
+    2 sin cos, cos^2), g_X for its Gram entry, G = |g11| + |g12| + |g22|,
+    u = 2^-53 and eta = 2^-1075, the largest error of a product that
+    underflows.  Every point i of a block lies within T = 128 steps of the
+    block's centre point c.  The computed first differences
+    D_l = fl(X[l+1] - X[l]) of a block lie in [dlo, dhi]; the exact ones
+    lie within u |D_l| of them (none underflows: nonzero grid values and
+    their differences are far above 2^-1022).  With a = fl(dlo + dhi) / 2,
+    every exact difference lies within (dhi - dlo) / 2 + 2u max(|dlo|,
+    |dhi|) of a; h_X, the largest of these over the blocks, is stored
+    rounded up (half the widest computed range plus 8u times the largest
+    |D| covers the roundings).  X_i - X_c is a sum of |i - c| exact
+    differences, so the exact value of f on the stored grid values of the
+    block lies within T (|sum g_X a_X| + sum |g_X| h_X) of
+    F = sum g_X X_c, the mean-value form.  Near an extremum
+    sum g_X a_X ~ f' ~ 0, so the enclosure is second order in the block
+    width: a few blocks survive, not some 80 around each extremum as with
+    per-column interval ranges.  lo and hi are F minus and plus that bound.
+
+    Allowance.  Let sigma be the largest |X_c| plus the largest T |a_X| plus
+    the largest T h_X over the grid (stored with the block data; about
+    1 + pi for grids of 256 points or more), so every |X_i| <= sigma.
+    Three-term dot products are within 3u(1 + 3u) times the sum of their
+    absolute terms, plus 3 eta, of their exact values in any summation
+    order, FMA or not.  The matrix product that forms F and
+    T sum g_X a_X and the sum of |g_X| T h_X thus err by at most
+    3u sigma G + 9 eta together (to first order in u); the sum forming the
+    bound and the sum forming lo or hi add two roundings, so each computed
+    lo and hi is within 5u sigma G + 9 eta of its exact value.  Each swept
+    f (three roundings) is within 3u sigma G + 3 eta of the exact value.
+    The two comparison sides hi + tol and max(lo) - tol round by at most
+    2u sigma G between them.  A block skipped for the maximum, hi + tol < max(lo) - tol, then
+    holds only values strictly below one attained in the block with the
+    largest lo as soon as 2 tol >= 2 (5 + 3) u sigma G + 2u sigma G
+    + 24 eta, that is tol >= 9u sigma G + 12 eta.  tol = 16u sigma G
+    + 2^-1070 covers this and the roundings of tol, G and sigma.  The
+    minimum is the mirror image.  So the first occurrence of each extremum,
+    ties included, lies in a kept block.  Kept blocks are evaluated with
+    the same three statements as the full sweep, and the per-run extremes
+    are combined by argmax/argmin in index order.  When sigma G is NaN,
+    infinite or above 2^1020 every block is kept, which is the full sweep;
+    below it nothing in the bounds overflows.
     """
-    if grid_n < 4:
-        raise ValueError("grid_n must be >= 4")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral) or grid_n < 4:
+        raise InvalidInput(f"grid_n must be an int >= 4, got {grid_n!r}")
     if isinstance(m, ScaledMatrix):
         body, log_scale = m.body, m.log_scale
     else:
@@ -349,12 +467,11 @@ def oracle_extremal_directions(
     c, d = float(body[1, 0]), float(body[1, 1])
     imax, imin, fmax, fmin = _sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
     step = math.pi / grid_n
-    scale = math.exp(log_scale)
     return OracleResult(
         theta_max=imax * step,
         theta_min=imin * step,
-        norm_max=math.sqrt(max(fmax, 0.0)) * scale,
-        norm_min=math.sqrt(max(fmin, 0.0)) * scale,
+        norm_max=_scaled_root(fmax, log_scale),
+        norm_min=_scaled_root(fmin, log_scale),
         flat=(fmax - fmin) <= 1e-12 * max(fmax, 1e-300),
         grid_n=grid_n,
     )

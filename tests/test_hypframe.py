@@ -7,7 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import hypframe, linalg2
 from hypcoords.cocycle import MatrixCocycle, ScaledMatrix, compute_orbit
-from hypcoords.errors import ConformalDegenerate, NoHyperbolicCoordinates
+from hypcoords.errors import (
+    BoundOverflow,
+    ConformalDegenerate,
+    InvalidInput,
+    NoHyperbolicCoordinates,
+)
 from hypcoords.hypframe import (
     aligned_distance,
     angle_theta,
@@ -348,11 +353,98 @@ def test_oracle_pruned_sweep_equals_full_sweep(grid_n, m):
     assert same_float(res.norm_min, math.sqrt(max(expected[3], 0.0)))
 
 
+def _battery_matrix(rng, grid_n):
+    """A seeded matrix of one of four kinds, at a scale from 1e-161 to 1e160.
+
+    The block-edge kind maps the grid direction (sin t, cos t) to the major
+    or minor axis, with t within a grid step of a block boundary or halfway
+    between two grid points there, so that the extremum or a near tie sits
+    on the edge of two blocks.
+    """
+    kind = rng.integers(4)
+    if kind == 0:
+        m = rng.uniform(-1.0, 1.0, (2, 2))
+    elif kind == 1:
+        stretch = np.diag([1.0, 1.0 + 10.0 ** rng.uniform(-15.0, -3.0)])
+        turn_in, turn_out = (jacobian_at(rotation(rng.uniform(0.0, 2.0 * math.pi)), np.zeros(2))
+                             for _ in range(2))
+        m = turn_out @ stretch @ turn_in
+    elif kind == 2:
+        m = np.outer(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2))
+    else:
+        edge = hypframe._ORACLE_BLOCK * rng.integers(grid_n // hypframe._ORACLE_BLOCK + 1)
+        t = (edge + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) * math.pi / grid_n
+        axes = np.diag(rng.permutation([2.0, rng.uniform(0.0, 1.9)]))
+        m = axes @ np.array([[math.sin(t), math.cos(t)], [math.cos(t), -math.sin(t)]])
+    return m * 10.0 ** rng.choice([-161, -160, -155, -150, 0, 150, 155, 160])
+
+
+# (grids, matrices per grid): every grid up to four blocks, grids on the edges
+# of the difference passes (_ORACLE_CHUNK points), a medium and the full grid
+_BATTERY = {
+    "4-1024": (range(4, 1025), 3),
+    "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60),
+    "20001": ((20001,), 1500),
+    "1e6": ((10**6,), 12),
+}
+
+
+@pytest.mark.parametrize("grids, count", _BATTERY.values(), ids=_BATTERY.keys())
+def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count):
+    rng = np.random.default_rng(31)
+    with np.errstate(all="ignore"):
+        for grid_n in grids:
+            for _ in range(count):
+                m = _battery_matrix(rng, grid_n)
+                a, b, c, d = (float(v) for v in m.ravel())
+                got = hypframe._sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
+                expected = full_sweep(m, grid_n)
+                assert got[:2] == expected[:2], (grid_n, m.tolist())
+                assert same_float(got[2], expected[2]) and same_float(got[3], expected[3])
+
+
+@pytest.mark.parametrize("grid_n", [300, 1000, 20001, 10**6])
+def test_oracle_block_bounds_enclose_every_swept_value(grid_n):
+    # the mean-value enclosure itself, on monotone blocks as well as around
+    # the extrema; the argmax above needs only part of it
+    rng = np.random.default_rng(32)
+    (s2, sc2, c2), blocks = hypframe._grid_basis(grid_n)
+    starts = np.arange(0, grid_n, hypframe._ORACLE_BLOCK)
+    with np.errstate(all="ignore"):
+        for _ in range(40 if grid_n < 10**6 else 6):
+            a, b, c, d = (float(v) for v in _battery_matrix(rng, grid_n).ravel())
+            g11, g12, g22 = a * a + c * c, a * b + c * d, b * b + d * d
+            if not (abs(g11) + abs(g12) + abs(g22)) * blocks.sigma <= hypframe._ORACLE_GRAM_LIMIT:
+                continue
+            f = g11 * s2
+            f += g12 * sc2
+            f += g22 * c2
+            lo, hi, tol = hypframe._block_enclosures(g11, g12, g22, blocks)
+            assert np.all(np.maximum.reduceat(f, starts) <= hi + tol)
+            assert np.all(np.minimum.reduceat(f, starts) >= lo - tol)
+
+
 def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
-    _, ranges = hypframe._grid_basis(10**6)
-    runs = hypframe._kept_runs(10.0, 1.0, 0.5, ranges)
-    kept = sum(last - first for first, last in runs)
-    assert 0 < kept <= len(ranges[0][0]) // 10
+    _, blocks = hypframe._grid_basis(10**6)
+    runs = hypframe._kept_runs(10.0, 1.0, 0.5, blocks)
+    assert 0 < sum(last - first for first, last in runs) <= 16
+
+
+@pytest.mark.parametrize("grid_n", [10.5, 3, True, 4.0, "1000", None])
+def test_oracle_grid_n_must_be_an_int_of_at_least_4(grid_n):
+    with pytest.raises(InvalidInput, match="grid_n"):
+        oracle_extremal_directions(np.eye(2), grid_n)
+
+
+def test_oracle_norm_beyond_the_double_range_is_bound_overflow():
+    with pytest.raises(BoundOverflow):
+        oracle_extremal_directions(ScaledMatrix(np.diag([1.0, 0.5]), 800.0), 1000)
+    with pytest.raises(BoundOverflow):
+        oracle_extremal_directions(ScaledMatrix(np.diag([2.0, 0.5]), 709.5), 1000)
+    res = oracle_extremal_directions(ScaledMatrix(np.diag([1.0, 0.5]), 700.0), 1000)
+    assert math.isclose(res.norm_max, math.exp(700.0), rel_tol=1e-12)
+    assert math.isclose(res.norm_min, 0.5 * math.exp(700.0), rel_tol=1e-12)
+    assert oracle_extremal_directions(ScaledMatrix(np.zeros((2, 2)), 800.0), 1000).norm_max == 0.0
 
 
 def test_diagonal_form_identity():
