@@ -174,6 +174,7 @@ class BoundReport:
 
 
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows on finite x above it
+_LN2 = math.log(2.0)
 
 
 def _overflow(x: float) -> BoundOverflow:
@@ -811,19 +812,6 @@ class SlowVariationTerms(NamedTuple):
     e_dot_df: float
 
 
-def _push_tangent(
-    coc: MatrixCocycle, j: int, v: np.ndarray, v_log: float, source: np.ndarray, source_log: float
-) -> Tuple[np.ndarray, float]:
-    """Step j (exp(v_log) v) + exp(source_log) source as (vector, log scale), the
-    vector scaled by a power of two to max |entry| in [1/2, 1) unless zero."""
-    image_log = v_log + float(coc.step_log_scales[j])
-    lead = max(image_log, source_log)
-    image = coc.step_bodies[j] @ v
-    out = image * math.exp(image_log - lead) + source * math.exp(source_log - lead)
-    _, e = math.frexp(float(np.abs(out).max()))
-    return np.ldexp(out, -e), lead + e * math.log(2.0)
-
-
 def _contracted_images(
     coc: MatrixCocycle, e: np.ndarray, u1: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -876,7 +864,10 @@ def slow_variation_terms(
     where u1, u2 are the directions of M f, M e and s1 = |M|.
 
     The frame and the images of e and f are built once and serve both axes.
-    The sums add their terms left to right, as the a-priori sums do.
+    The terms are (axis, vector, step) arrays, and one loop over the steps
+    pushes the four carries dM_i v (axis x or y, v = e or f) together.  Logs
+    and exponentials are ``math`` per element, norms the stacked dot of
+    ``_pair_columns``, and log terms and sums add left to right.
     """
     coc = orbit.cocycle
     if any(d == float("-inf") for d in coc.step_log_absdet[:k]):
@@ -888,39 +879,42 @@ def slow_variation_terms(
     f_dirs, f_logs = coc.images(frame.f, range(k + 1))
     e_dirs, e_logs = _contracted_images(coc, frame.e, f_dirs[k], k)
     u1, u2 = f_dirs[k], e_dirs[k]  # directions of DPhi^k f and DPhi^k e
+    dirs, logs = np.stack((e_dirs, f_dirs)), np.stack((e_logs, f_logs))  # vector, order
+
+    # the carried axis vectors, axis x then y, at orders 0..k-1
+    w_dirs, w_logs = coc.images(np.repeat(np.eye(2), k, axis=0), np.tile(np.arange(k), 2))
+    w_dirs, w_logs = w_dirs.reshape(2, 1, k, 2), w_logs.reshape(2, 1, k)  # axis, vector, step
+    with np.errstate(all="ignore"):  # inf and NaN as on Python floats
+        dx, dy = np.moveaxis(np.array(orbit.step_second_partials[:k]), 1, 0)
+        # D2Phi(x_i), carried direction in one slot, and its images of e_i and f_i
+        dmat = w_dirs[..., 0, None, None] * dx + w_dirs[..., 1, None, None] * dy
+        d2 = np.matmul(dmat, dirs[:, :k, :, None])[..., 0]  # axis, vector, step, entry
+        d2_norm = np.sqrt(np.matmul(d2[..., None, :], d2[..., None])[..., 0, 0])
+        log_d2 = linalg2.log_each(np.where(d2_norm > 0.0, d2_norm, 0.0).ravel()).reshape(d2_norm.shape)
+        # added left to right, as the per-step scalar terms: grouping otherwise moves last bits
+        log_terms = log_d2 + w_logs + logs[:, :k] + logs[:, 1:] - np.array(coc.log_absdet[1:k + 1])
+        source_logs = w_logs + logs[:, :k]  # of the source term of each carry
+        # dM_(i+1) v = J_i dM_i v + D2Phi(x_i)[M_i axis] M_i v = exp(carry_log) carry
+        carry, carry_log = np.zeros((2, 2, 2)), np.zeros((2, 2))
+        for i in range(k):
+            image_log = carry_log + coc.step_log_scales[i]
+            source_log = source_logs[..., i]
+            lead = np.maximum(image_log, source_log)
+            image = np.matmul(coc.step_bodies[i], carry[..., None])[..., 0]
+            weights = linalg2.each(math.exp, (np.stack((image_log, source_log)) - lead).ravel())
+            image_weight, source_weight = weights.reshape(2, 2, 2, 1)
+            out = image * image_weight + d2[..., i, :] * source_weight
+            _, e = np.frexp(np.maximum.reduce(np.abs(out), axis=-1))
+            carry, carry_log = np.ldexp(out, -e[..., None]), lead + e * _LN2
 
     by_axis = {}
-    for axis, axis_vec in zip("xy", np.eye(2)):
-        log_ee, log_ff = [], []
-        de_vec, de_log = np.zeros(2), 0.0  # dM_i e = exp(de_log) de_vec
-        df_vec, df_log = np.zeros(2), 0.0  # dM_i f
-        w_dirs, w_logs = coc.images(axis_vec, range(k))  # the carried axis vector
-        for i in range(k):
-            dx, dy = orbit.step_second_partials[i]
-            w_dir, w_log = w_dirs[i], w_logs[i]
-            dmat = w_dir[0] * dx + w_dir[1] * dy  # D2Phi(x_i), carried direction in one slot
-            e_dir, e_log, e1_log = e_dirs[i], e_logs[i], e_logs[i + 1]
-            f_dir, f_log, f1_log = f_dirs[i], f_logs[i], f_logs[i + 1]
-            det_log = coc.log_absdet[i + 1]
-            d2e = dmat @ e_dir
-            d2f = dmat @ f_dir
-            de = float(np.linalg.norm(d2e))
-            dfv = float(np.linalg.norm(d2f))
-            log_ee.append(
-                (math.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
-            )
-            log_ff.append(
-                (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
-            )
-            de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
-            df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)
-
+    for axis, (de_vec, df_vec), (de_log, df_log), (log_ee, log_ff) in zip(
+        "xy", carry, carry_log.tolist(), log_terms.tolist()
+    ):
         lead = max(de_log, df_log)
-        num = float(u1 @ de_vec) * math.exp(de_log - lead) + cc * float(
-            u2 @ df_vec
-        ) * math.exp(df_log - lead)
+        num = (float(u1 @ de_vec) * math.exp(de_log - lead)
+               + cc * float(u2 @ df_vec) * math.exp(df_log - lead))
         e_dot_df = num * _exp(lead - coc.log_norm[k]) / (1.0 - cc * cc)
-
         ee = [_exp(v) for v in log_ee]
         ff = [_exp(v) for v in log_ff]
         sum_ee_tail = sum_ff = 0.0
@@ -957,54 +951,24 @@ def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> Bound
     df_norm = math.hypot(by_axis["x"].e_dot_df, by_axis["y"].e_dot_df)
 
     rep = BoundReport("slow_variation", DEFAULT_REL_TOL)
-    rep.context.update(
-        d2_e1_norm=d2e1_norm,
-        d2_e1_axis_x=axis_e1[0],
-        d2_e1_axis_y=axis_e1[1],
-    )
-
-    rep.add(
-        "frame_derivative_master_bound",
-        (k,),
-        df_norm,
-        aux.K1 * d2e1_norm + aux.K2 * ledger.c,
-    )
+    rep.context.update(d2_e1_norm=d2e1_norm, d2_e1_axis_x=axis_e1[0], d2_e1_axis_y=axis_e1[1])
+    rep.add("frame_derivative_master_bound", (k,), df_norm, aux.K1 * d2e1_norm + aux.K2 * ledger.c)
     rep.add("second_derivative_factor_upper", (k,), d2e1_norm, SQRT2 * max(axis_e1))
     rep.add("second_derivative_factor_lower", (k,), max(axis_e1), d2e1_norm)
 
     ratio_sq = frame_k.coecc * frame_k.coecc
+    # (type, first-term rate, middle-terms rate) of each term-bound type the flavor has
+    rates = []
+    if ledger.flavor.has_type_one:
+        rates.append(("I", aux.Q3 * ledger.c, aux.Q4 * ledger.c))
+    if ledger.flavor.has_type_two:
+        rates.append(("II", aux.Qt3 * ledger.c / ledger.c_tilde, aux.Qt4 * ledger.c / ledger.c_tilde))
     for axis, terms in by_axis.items():
         lhs_inner = SQRT2 * abs(terms.e_dot_df)
-        rhs_inner = aux.K1 * (
-            terms.EE[0] + terms.sum_EE_tail + ratio_sq * terms.sum_FF
-        )
+        rhs_inner = aux.K1 * (terms.EE[0] + terms.sum_EE_tail + ratio_sq * terms.sum_FF)
         rep.add(f"aposteriori_inner_product_{axis}", (k,), lhs_inner, rhs_inner)
-
-        if ledger.flavor.has_type_one:
-            rep.add(
-                f"first_term_bound_I_{axis}",
-                (k,),
-                terms.EE[0],
-                d2e1_norm + aux.Q3 * ledger.c,
-            )
-            rep.add(f"middle_terms_bound_I_{axis}", (k,), terms.sum_EE_tail, aux.Q4 * ledger.c)
-        if ledger.flavor.has_type_two:
-            rep.add(
-                f"first_term_bound_II_{axis}",
-                (k,),
-                terms.EE[0],
-                d2e1_norm + aux.Qt3 * ledger.c / ledger.c_tilde,
-            )
-            rep.add(
-                f"middle_terms_bound_II_{axis}",
-                (k,),
-                terms.sum_EE_tail,
-                aux.Qt4 * ledger.c / ledger.c_tilde,
-            )
-        rep.add(
-            f"expanded_terms_bound_{axis}",
-            (k,),
-            ratio_sq * terms.sum_FF,
-            aux.Q * ledger.c,
-        )
+        for kind, first, middle in rates:
+            rep.add(f"first_term_bound_{kind}_{axis}", (k,), terms.EE[0], d2e1_norm + first)
+            rep.add(f"middle_terms_bound_{kind}_{axis}", (k,), terms.sum_EE_tail, middle)
+        rep.add(f"expanded_terms_bound_{axis}", (k,), ratio_sq * terms.sum_FF, aux.Q * ledger.c)
     return rep

@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DomainViolation,
     Infeasible,
+    InvalidInput,
     InvalidLedger,
     parse_value,
     read_config,
@@ -66,7 +67,7 @@ class Flavor(enum.Enum):
             "both": Flavor.SINGULAR_BOTH,
         }
         if key not in aliases:
-            raise ValueError(f"unknown flavor {text!r}; use nonsingular, I, II or both")
+            raise InvalidInput(f"unknown flavor {text!r}; use nonsingular, I, II or both")
         return aliases[key]
 
     @property
@@ -291,10 +292,11 @@ def fit_constants(
     margin ``slack``, so the per-index check passes by construction;
     prefactors are then the tightest values the data allows (minimal B and
     D, maximal B_tilde and C).  Raises Infeasible naming the violated
-    structural inequality otherwise.
+    structural inequality otherwise.  A ``slack`` that is not a finite
+    number above 1 is InvalidInput.
     """
-    if slack <= 1.0:
-        raise ValueError("slack must be > 1")
+    if not 1.0 < slack < math.inf:
+        raise InvalidInput(f"slack must be finite and > 1, got {slack!r}")
     coc = orbit.cocycle
     k = coc.k
     log_eta = math.log(slack)

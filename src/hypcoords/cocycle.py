@@ -11,6 +11,7 @@ bit-exact relative to the unscaled product.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -20,6 +21,7 @@ import numpy as np
 from . import linalg2
 from .errors import (
     IndexOutOfRange,
+    InvalidInput,
     OrbitEscaped,
     SingularEncounter,
     ZeroMatrix,
@@ -140,13 +142,19 @@ class MatrixCocycle:
     order, and the most contracted direction of every order; ``images``
     pushes vectors through the products.  Each value equals its scalar
     closed form bit for bit, but for the co-norm of a step whose closed-form
-    smin cancels to 0: there it is |det| / norm.
+    smin cancels to 0: there it is |det| / norm.  No step, a step that is
+    not a 2x2 matrix or a non-finite entry is InvalidInput.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
-        if len(steps) == 0:
-            raise ValueError("cocycle needs at least one step matrix")
-        raw = np.array(steps, dtype=float)
+        try:
+            raw = np.array(steps, dtype=float)
+        except ValueError:  # steps of unequal shapes
+            raw = np.empty(0)
+        if raw.ndim != 3 or raw.shape[1:] != (2, 2) or not len(raw):
+            raise InvalidInput("cocycle needs one or more 2x2 step matrices")
+        if not np.isfinite(raw).all():
+            raise InvalidInput("cocycle steps have a non-finite entry")
         self.steps: List[np.ndarray] = list(raw)
         self.k = k = len(raw)
         (self.step_bodies, self.step_log_scales, step_log_absdet, zero_steps,
@@ -248,14 +256,20 @@ def compute_orbit(
     domain or has non-finite first or second partials (a callback that
     raises OverflowError counts as a non-finite value); either means the
     orbit is unusable at this order.  ``guard`` defaults to 1e-8 for maps
-    with a singular set and 0 for smooth ones.
+    with a singular set and 0 for smooth ones; on a map that declares no
+    singular set the guard does not run.  A start that is not two
+    coordinates, or a ``k`` that is not an int >= 1 (a bool is not), is
+    InvalidInput.
     """
-    if k < 1:
-        raise ValueError("orbit order k must be >= 1")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise InvalidInput(f"orbit order k must be an int >= 1, got {k!r}")
+    start = np.asarray(xi0, dtype=float)
+    if start.shape != (2,):
+        raise InvalidInput(f"orbit start has shape {start.shape}; expected (2,)")
     limit = guard_limit(spec, guard)
 
     pts = np.empty((k + 1, 2))
-    pts[0] = np.asarray(xi0, dtype=float)
+    pts[0] = start
     jacobians = []
     seconds = []
     p = pts[0]
@@ -265,7 +279,7 @@ def compute_orbit(
             x, y = float(p[0]), float(p[1])
             if not (math.isfinite(x) and math.isfinite(y) and spec.domain_check(x, y)):
                 raise OrbitEscaped(i)
-            if spec.singular_set_distance(x, y) < limit:
+            if spec.has_singular_set and spec.singular_set_distance(x, y) < limit:
                 raise SingularEncounter(i)
             if i == k:
                 break

@@ -13,8 +13,8 @@ field at every curve still running with ``_field_directions``, the array
 form of the scalar ``_field_direction``.  It works in two passes: the orbit
 pass iterates all points together, order by order, keeps the coordinates
 of each order in a list, and drops those that leave the domain or come
-near the singular set (a guard that runs only where the map has a distance
-callback of its own); the derivative pass then takes the Jacobians at every
+near the singular set (a guard that runs only on a map that declares a
+singular set); the derivative pass then takes the Jacobians at every
 step of every surviving orbit in one stacked call and measures them with
 ``cocycle.measure_steps``, the measurement ``MatrixCocycle`` makes of one
 orbit, with the same ``math`` functions.  The scalar path gives the exact
@@ -39,7 +39,7 @@ from .errors import (
     SingularEncounter,
 )
 from .hypframe import LOW_CONFIDENCE_COECC, canonical_sign, hyperbolic_coordinates, pushforward_frames
-from .planar_maps import MapSpec, _nowhere_singular
+from .planar_maps import MapSpec
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -107,9 +107,9 @@ def _field_directions(
     domain check (a non-finite point fails it), then the singular guard on
     the points in the domain, then ``eval`` on the points that passed both.
     The coordinates of each order are kept in a list, one array per order;
-    a stopped point leaves the pass and every stored order.  The guard runs
-    only where ``singular_set_distance`` is not the default, which is inf
-    everywhere and stops no point.  The derivative pass takes the k steps of
+    a stopped point leaves the pass and every stored order.  As in
+    ``compute_orbit``, the guard runs only where ``spec.has_singular_set``
+    declares a singular set.  The derivative pass takes the k steps of
     every orbit that reached order k at once: one ``jacobian`` call and one
     ``cocycle.measure_steps``, as ``MatrixCocycle`` measures one orbit;
     then the co-eccentricity and direction of the order-k product as
@@ -118,7 +118,6 @@ def _field_directions(
     map callbacks see only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
-    guarded = spec.singular_set_distance is not _nowhere_singular
     n = len(points)
     stops = np.zeros(n, dtype=np.int8)
     directions = np.full((n, 2), np.nan)
@@ -141,7 +140,7 @@ def _field_directions(
             bad = np.logical_not(spec.domain_check(x, y))
             if np.count_nonzero(bad):  # also for a scalar; faster than .any() on small arrays
                 drop(np.broadcast_to(bad, x.shape), _DOMAIN)
-            if guarded:
+            if spec.has_singular_set:
                 near = np.less(spec.singular_set_distance(x, y), limit)
                 if np.count_nonzero(near):
                     drop(np.broadcast_to(near, x.shape), _SINGULAR)

@@ -44,6 +44,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidInput,
     NoHyperbolicCoordinates,
+    ZeroMatrix,
 )
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
@@ -113,8 +114,10 @@ def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> Hyperbo
 
 def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
     """Frame of one scaled matrix, as order 0, from its closed-form SVD (no
-    iterative eigensolver)."""
+    iterative eigensolver); ZeroMatrix where the SVD reads a zero matrix."""
     s = linalg2.svd2_matrix(m.body)
+    if s.smax == 0.0:
+        raise ZeroMatrix("norms undefined for the zero matrix")
     log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
     return _frame(0, s.v_min, math.log(s.smax) + m.log_scale, log_min)
 
@@ -408,8 +411,9 @@ def oracle_extremal_directions(
     f = g11 sin^2 + g12 (2 sin cos) + g22 cos^2 of the Gram entries is
     evaluated on grid points, and the returned angles are within pi/grid_n
     of the true extremal angles.  A grid_n that is not an int, is a bool or
-    is below 4 is InvalidInput; a norm of a ScaledMatrix beyond the double
-    range is a BoundOverflow.
+    is below 4 is InvalidInput, and so is a matrix that is not 2x2 or has a
+    non-finite entry; a norm of a ScaledMatrix beyond the double range is a
+    BoundOverflow.
 
     Blocks of the grid that cannot hold an extremum are skipped; the result
     is that of the full sweep, index for index.
@@ -463,8 +467,12 @@ def oracle_extremal_directions(
         body, log_scale = m.body, m.log_scale
     else:
         body, log_scale = np.asarray(m, dtype=float), 0.0
+    if body.shape != (2, 2):
+        raise InvalidInput(f"matrix has shape {body.shape}; expected (2, 2)")
     a, b = float(body[0, 0]), float(body[0, 1])
     c, d = float(body[1, 0]), float(body[1, 1])
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise InvalidInput("matrix has a non-finite entry")
     imax, imin, fmax, fmin = _sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
     step = math.pi / grid_n
     return OracleResult(

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .errors import OnSingularSet, OutsideDomain
+from .errors import InvalidInput, OnSingularSet, OutsideDomain
 
 Point = np.ndarray
 Matrix = np.ndarray
@@ -74,15 +74,17 @@ class MapSpec:
     second_partials: Callable[[float, float], Tuple[Matrix, Matrix]]
     singular_set_distance: Callable[[float, float], float] = _nowhere_singular
     domain_check: Callable[[float, float], bool] = _finite
-    # True when the map declares a singular set: sets compute_orbit's default
-    # guard and whether fit_constants fits the tilde constants
+    # True when the map declares a singular set: only then do compute_orbit,
+    # the foliation kernel and second_partials_at call singular_set_distance;
+    # it also sets compute_orbit's default guard and whether fit_constants
+    # fits the tilde constants
     has_singular_set: bool = False
 
     def _guard(self, p: Point) -> Tuple[float, float]:
         x, y = float(p[0]), float(p[1])
         if not self.domain_check(x, y):
             raise OutsideDomain(f"{self.name}: point ({x}, {y}) outside domain")
-        if self.singular_set_distance(x, y) == 0.0:
+        if self.has_singular_set and self.singular_set_distance(x, y) == 0.0:
             raise OnSingularSet(f"{self.name}: point ({x}, {y}) on the singular set")
         return x, y
 
@@ -184,7 +186,7 @@ def lorenz2d(
     Lorenz flow; the coefficients are configuration.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("lorenz2d requires 0 < alpha < 1")
+        raise InvalidInput("lorenz2d requires 0 < alpha < 1")
 
     def f(x, y):
         s = np.copysign(1.0, x)

@@ -801,6 +801,117 @@ def test_slow_variation_terms_henon_regression(henon_orbit8):
     assert math.isclose(terms_y.sum_EE_tail, 0.15156980104949713, rel_tol=1e-9)
 
 
+def _push_tangent(coc, j, v, v_log, source, source_log):
+    """Step j (exp(v_log) v) + exp(source_log) source as (vector, log scale), the
+    vector scaled by a power of two to max |entry| in [1/2, 1) unless zero."""
+    image_log = v_log + float(coc.step_log_scales[j])
+    lead = max(image_log, source_log)
+    image = coc.step_bodies[j] @ v
+    out = image * math.exp(image_log - lead) + source * math.exp(source_log - lead)
+    _, e = math.frexp(float(np.abs(out).max()))
+    return np.ldexp(out, -e), lead + e * math.log(2.0)
+
+
+def slow_variation_terms_per_axis(orbit, k):
+    """``bounds.slow_variation_terms`` one axis, one vector and one step at a
+    time: the reference the stacked pass must equal bit for bit."""
+    coc = orbit.cocycle
+    if any(d == float("-inf") for d in coc.step_log_absdet[:k]):
+        raise ZeroDeterminant("slow-variation terms need nonzero step determinants")
+    for i in range(1, min(k, coc.k + 1)):
+        frame_coecc(coc.log_norm[i], coc.log_conorm[i])
+    frame = hyperbolic_coordinates(coc, k)
+    cc = frame.coecc
+    f_dirs, f_logs = coc.images(frame.f, range(k + 1))
+    e_dirs, e_logs = bounds._contracted_images(coc, frame.e, f_dirs[k], k)
+    u1, u2 = f_dirs[k], e_dirs[k]
+    by_axis = {}
+    for axis, axis_vec in zip("xy", np.eye(2)):
+        log_ee, log_ff = [], []
+        de_vec, de_log = np.zeros(2), 0.0
+        df_vec, df_log = np.zeros(2), 0.0
+        w_dirs, w_logs = coc.images(axis_vec, range(k))
+        for i in range(k):
+            dx, dy = orbit.step_second_partials[i]
+            w_dir, w_log = w_dirs[i], w_logs[i]
+            dmat = w_dir[0] * dx + w_dir[1] * dy
+            e_dir, e_log, e1_log = e_dirs[i], e_logs[i], e_logs[i + 1]
+            f_dir, f_log, f1_log = f_dirs[i], f_logs[i], f_logs[i + 1]
+            det_log = coc.log_absdet[i + 1]
+            d2e = dmat @ e_dir
+            d2f = dmat @ f_dir
+            de = float(np.linalg.norm(d2e))
+            dfv = float(np.linalg.norm(d2f))
+            log_ee.append(
+                (math.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
+            )
+            log_ff.append(
+                (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
+            )
+            de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
+            df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)
+        lead = max(de_log, df_log)
+        num = float(u1 @ de_vec) * math.exp(de_log - lead) + cc * float(
+            u2 @ df_vec
+        ) * math.exp(df_log - lead)
+        e_dot_df = num * bounds._exp(lead - coc.log_norm[k]) / (1.0 - cc * cc)
+        ee = [bounds._exp(v) for v in log_ee]
+        ff = [bounds._exp(v) for v in log_ff]
+        sum_ee_tail = sum_ff = 0.0
+        for v in ee[1:]:
+            sum_ee_tail += v
+        for v in ff:
+            sum_ff += v
+        by_axis[axis] = bounds.SlowVariationTerms(ee, ff, sum_ee_tail, sum_ff, e_dot_df)
+    return frame, by_axis
+
+
+def _slow_variation_outcome(terms_of, orbit, k):
+    """The frame and every axis's terms as hex, or the error's type and message."""
+    try:
+        frame, by_axis = terms_of(orbit, k)
+    except HypcoordsError as exc:
+        return type(exc).__name__, str(exc)
+    terms = [(axis, [v.hex() for v in t.EE], [v.hex() for v in t.FF], t.sum_EE_tail.hex(),
+              t.sum_FF.hex(), t.e_dot_df.hex()) for axis, t in by_axis.items()]
+    return frame.e.tobytes(), frame.coecc.hex(), terms
+
+
+def _slow_variation_battery():
+    """(orbit, k): the Henon fixture, 40 starts on its attractor, random
+    lorenz2d and standard orbits, and orbits whose terms raise."""
+    h = henon()
+    cases = [(compute_orbit(h, HENON_FIXTURE, 288), k) for k in [*range(1, 13), 80, 287, 288]]
+    start = HENON_FIXTURE
+    for _ in range(40):
+        for _ in range(7):
+            start = np.array(h.eval(*start))
+        cases.append((compute_orbit(h, start, 80), 80))
+    rng = np.random.default_rng(2032)
+    for spec, count, high in ((lorenz2d(), 50, 60), (standard(6.0), 30, 30)):
+        while count:
+            k = int(rng.integers(1, high + 1))
+            try:
+                orbit = compute_orbit(spec, rng.uniform(-1.0, 1.0, 2), k)
+            except HypcoordsError:
+                continue
+            cases.append((orbit, k))
+            count -= 1
+    for spec in (rotation(0.7), linear(2.0, 0.0, 0.0, 0.0), linear(2.0, 0.0, 0.0, 0.5)):
+        cases.append((compute_orbit(spec, np.array([0.3, 0.2]), 4), 4))
+    return cases
+
+
+def test_stacked_slow_variation_terms_equal_the_per_axis_loop():
+    outcomes = collections.Counter()
+    for orbit, k in _slow_variation_battery():
+        got = _slow_variation_outcome(bounds.slow_variation_terms, orbit, k)
+        assert got == _slow_variation_outcome(slow_variation_terms_per_axis, orbit, k), (orbit.spec.name, k)
+        outcomes[got[0] if isinstance(got[0], str) else "terms"] += 1
+    # every kind of outcome is met: terms, and each error the terms can raise
+    assert set(outcomes) == {"terms", "BoundOverflow", "NoHyperbolicCoordinates", "ZeroDeterminant"}
+
+
 # ---------------------------------------------------------------------------
 # The exact frame derivative against central differences and mpmath
 # ---------------------------------------------------------------------------

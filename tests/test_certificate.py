@@ -15,7 +15,7 @@ from hypcoords.certificate import (
     write_ledger,
 )
 from hypcoords.cocycle import compute_orbit
-from hypcoords.errors import DomainViolation, Infeasible, InvalidLedger
+from hypcoords.errors import DomainViolation, Infeasible, InvalidInput, InvalidLedger
 from hypcoords.planar_maps import linear, make_map, rotation
 
 from conftest import (
@@ -25,6 +25,19 @@ from conftest import (
     STANDARD_K,
     evaluate,
 )
+
+
+@pytest.mark.parametrize("slack", [1.0, 0.5, -2.0, math.nan, math.inf])
+def test_fit_slack_must_be_finite_and_above_one(slack):
+    orbit = compute_orbit(make_map("standard", K=STANDARD_K), STANDARD_FIXTURE, 4)
+    with pytest.raises(InvalidInput, match=rf"^slack must be finite and > 1, got {slack!r}$"):
+        fit_constants(orbit, Flavor.SINGULAR_II, slack)
+
+
+def test_unknown_flavor_is_invalid_input():
+    with pytest.raises(InvalidInput, match=r"^unknown flavor 'III'; use nonsingular, I, II or both$"):
+        Flavor.parse("III")
+    assert Flavor.parse(" Both ") is Flavor.SINGULAR_BOTH
 
 
 def nonsingular_ledger(**overrides):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypcoords.cocycle import (
 )
 from hypcoords.errors import (
     IndexOutOfRange,
+    InvalidInput,
     OrbitEscaped,
     SingularEncounter,
     ZeroMatrix,
@@ -136,8 +138,50 @@ def test_declared_singular_set_sets_default_guard():
     with pytest.raises(SingularEncounter) as err:
         compute_orbit(_shift_map(True), start, 3)
     assert err.value.index == 2
-    # undeclared: the default guard is 0, so only an exact hit would stop the orbit
+    # undeclared: the guard does not run, so not even an exact hit stops the orbit
     assert compute_orbit(_shift_map(False), start, 3).k == 3
+
+
+def test_singular_set_distance_runs_only_on_a_map_that_declares_a_singular_set():
+    def never(x, y):
+        raise AssertionError("singular_set_distance called")
+
+    spec = dataclasses.replace(_shift_map(False), singular_set_distance=never)
+    start = np.array([0.0, 1.0])  # orbit point 2 lies exactly on y = 2
+    assert compute_orbit(spec, start, 3).k == 3
+    assert compute_orbit(spec, start, 3, guard=0.5).k == 3
+    assert len(spec.second_partials_at(np.array([0.0, 2.0]))) == 2
+    with pytest.raises(SingularEncounter) as err:
+        compute_orbit(_shift_map(True), start, 3, guard=0.0)
+    assert err.value.index == 2
+
+
+@pytest.mark.parametrize("start, shape", [([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"),
+                                          ([[0.1, 0.2]], "(1, 2)"), (0.1, "()")])
+def test_orbit_start_must_be_two_coordinates(start, shape):
+    with pytest.raises(InvalidInput, match=rf"^orbit start has shape {re.escape(shape)}; expected \(2,\)$"):
+        compute_orbit(henon(), np.array(start), 3)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, True, "3", None])
+def test_orbit_order_must_be_an_int_from_one(k):
+    with pytest.raises(InvalidInput, match=rf"^orbit order k must be an int >= 1, got {re.escape(repr(k))}$"):
+        compute_orbit(henon(), np.array([0.1, 0.1]), k)
+    assert compute_orbit(henon(), np.array([0.1, 0.1]), np.int64(2)).k == 2
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([], "cocycle needs one or more 2x2 step matrices"),
+    (np.eye(2), "cocycle needs one or more 2x2 step matrices"),
+    ([np.eye(3)], "cocycle needs one or more 2x2 step matrices"),
+    ([np.eye(2), np.eye(3)], "cocycle needs one or more 2x2 step matrices"),
+    ([np.ones(4)], "cocycle needs one or more 2x2 step matrices"),
+    ([np.eye(2), np.array([[math.nan, 1.0], [0.0, 1.0]])], "cocycle steps have a non-finite entry"),
+    ([np.array([[1.0, -math.inf], [0.0, 1.0]])], "cocycle steps have a non-finite entry"),
+])
+def test_cocycle_steps_must_be_finite_2x2_matrices(steps, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        MatrixCocycle(steps)
 
 
 @pytest.mark.parametrize(
@@ -401,9 +445,11 @@ def _scalar_apply(m, v):
 def _scalar_cocycle(steps, v):
     """What MatrixCocycle stores, and the images of v, one element at a time
     with the scalar closed forms (2x2 products scaled one at a time,
-    ``svd2_matrix``, ``_scalar_apply``), as reprs; or the ZeroMatrix a
-    zero step or product raises, steps first."""
+    ``svd2_matrix``, ``_scalar_apply``), as reprs; or the InvalidInput of a
+    non-finite step, or the ZeroMatrix a zero step or product raises, steps first."""
     steps = [np.array(s, dtype=float) for s in steps]
+    if not all(np.isfinite(s).all() for s in steps):
+        raise InvalidInput("cocycle steps have a non-finite entry")
     scaled = [_scalar_scaled(s, 0.0) for s in steps]
     prefixes = [ScaledMatrix(np.eye(2), 0.0)]
     for s in scaled:
@@ -478,7 +524,7 @@ def _outcome(compute, steps, v):
     try:
         with np.errstate(all="ignore"):  # ScaledMatrix products of non-finite steps warn
             return compute(steps, v)
-    except ZeroMatrix as exc:
+    except (InvalidInput, ZeroMatrix) as exc:
         return str(exc)
 
 

@@ -223,8 +223,8 @@ def test_henon_curve_families_export_across_orders(henon, tmp_path):
 # -- the batched field kernel against the scalar reference ------------------
 
 _ZERO = np.zeros((2, 2))
-# (x, y) -> (2 x, y + 1/2), singular on the line y = 2 without declaring it:
-# its guard limit is 1e-300, so only an orbit point exactly on the line stops
+# (x, y) -> (2 x, y + 1/2), singular on the line y = 2, which it declares:
+# with the default guard an orbit point within 1e-8 of the line stops
 _SHIFT = MapSpec(
     name="shift",
     parameters={},
@@ -232,6 +232,7 @@ _SHIFT = MapSpec(
     jacobian=lambda x, y: (2.0, 0.0, 0.0, 1.0),
     second_partials=lambda x, y: (_ZERO.copy(), _ZERO.copy()),
     singular_set_distance=lambda x, y: abs(y - 2.0),
+    has_singular_set=True,
 )
 _LORENZ = lorenz2d().parameters
 # the first image lands (up to rounding) on lorenz2d's singular line x = 0

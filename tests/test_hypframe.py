@@ -12,6 +12,7 @@ from hypcoords.errors import (
     ConformalDegenerate,
     InvalidInput,
     NoHyperbolicCoordinates,
+    ZeroMatrix,
 )
 from hypcoords.hypframe import (
     aligned_distance,
@@ -338,14 +339,21 @@ def test_oracle_pruned_sweep_equals_full_sweep(grid_n, m):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         expected = full_sweep(m, grid_n)
+    finite = np.isfinite(m).all()
     with warnings.catch_warnings():
         # the pruned sweep warns only where the full sweep does
         warnings.simplefilter("ignore" if caught else "error")
-        res = oracle_extremal_directions(m, grid_n)
+        if finite:
+            res = oracle_extremal_directions(m, grid_n)
+        else:  # the oracle refuses the matrix; its sweep still equals the full one
+            with pytest.raises(InvalidInput, match=r"^matrix has a non-finite entry$"):
+                oracle_extremal_directions(m, grid_n)
         a, b, c, d = (float(v) for v in np.asarray(m, dtype=float).ravel())
         got = hypframe._sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
     assert got[:2] == expected[:2]
     assert same_float(got[2], expected[2]) and same_float(got[3], expected[3])
+    if not finite:
+        return
     step = math.pi / grid_n
     assert res.theta_max == float(np.arange(grid_n)[expected[0]] * step)
     assert res.theta_min == float(np.arange(grid_n)[expected[1]] * step)
@@ -434,6 +442,28 @@ def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
 def test_oracle_grid_n_must_be_an_int_of_at_least_4(grid_n):
     with pytest.raises(InvalidInput, match="grid_n"):
         oracle_extremal_directions(np.eye(2), grid_n)
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.eye(3), r"matrix has shape \(3, 3\); expected \(2, 2\)"),
+    (np.ones(2), r"matrix has shape \(2,\); expected \(2, 2\)"),
+    (ScaledMatrix(np.ones((1, 2)), 0.0), r"matrix has shape \(1, 2\); expected \(2, 2\)"),
+    (np.array([[1.0, math.nan], [0.0, 1.0]]), "matrix has a non-finite entry"),
+    (np.array([[1.0, 0.0], [-math.inf, 1.0]]), "matrix has a non-finite entry"),
+    (ScaledMatrix(np.array([[1.0, 0.0], [0.0, math.nan]]), 0.0), "matrix has a non-finite entry"),
+])
+def test_oracle_matrix_must_be_a_finite_2x2(m, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            oracle_extremal_directions(m, 1000)
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.diag([5e-324, 0.0])])
+def test_frame_of_a_zero_matrix_is_zero_matrix(m):
+    # 5e-324 / 2 underflows to 0 in the closed form, which then reads a zero matrix
+    with pytest.raises(ZeroMatrix, match="^norms undefined for the zero matrix$"):
+        frame_from_scaled(ScaledMatrix(m, 0.0))
 
 
 def test_oracle_norm_beyond_the_double_range_is_bound_overflow():

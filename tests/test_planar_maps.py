@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypcoords import compute_orbit
-from hypcoords.errors import OnSingularSet, OutsideDomain
+from hypcoords.errors import InvalidInput, OnSingularSet, OutsideDomain
 from hypcoords.linalg2 import det2
 from hypcoords.planar_maps import (
     BUILTIN_MAPS,
@@ -172,6 +172,12 @@ def test_fd_validate_all_builtins_random_points():
             rep = fd_validate(spec, p, h=1e-6)
             assert rep.jacobian_error <= 1e-6, (name, p)
             assert rep.second_error <= 1e-5, (name, p)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_lorenz2d_alpha_outside_the_unit_interval_is_invalid_input(alpha):
+    with pytest.raises(InvalidInput, match=r"^lorenz2d requires 0 < alpha < 1$"):
+        lorenz2d(alpha=alpha)
 
 
 def test_eval_guards():

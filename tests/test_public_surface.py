@@ -421,3 +421,118 @@ def test_every_optional_src_parameter_is_set_by_some_call():
     }
     missed = unset_settings(modules, callers, exempt=SET_THROUGH_KEYWORD_DICT)
     assert not missed, "optional parameters that no call sets:\n" + "\n".join(missed)
+
+
+# Every error the package raises is a HypcoordsError, which the CLI turns into
+# its documented exit code.  These are the exceptions src/ raises outside that
+# tree, each with the caller that catches it.
+RAISED_OUTSIDE_THE_TREE = {
+    ("make_map", "KeyError"): "cli._build_map turns it into a ConfigError",
+    ("_positive", "OverflowError"): "auxiliary_constants catches it and forms the constants again "
+    "from exact rationals",
+}
+
+
+def error_classes(modules, base="HypcoordsError"):
+    """``base`` and the names of the classes in ``modules`` that derive from it."""
+    bases = {
+        node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+        for text in modules.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {base}
+    while True:
+        more = {name for name, parents in bases.items() if parents & found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _raises(node, function="<module>"):
+    """(innermost enclosing function, node) of each ``raise`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        yield from _raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
+def untyped_raises(modules, exempt=()):
+    """``file:line function raises name`` of each ``raise`` in ``modules``
+    whose exception is neither a HypcoordsError class of ``modules`` nor the
+    call of a function annotated to return one, other than the (function,
+    name) pairs in ``exempt``.  A bare ``raise`` re-raises what its handler
+    caught and is not reported."""
+    errors = error_classes(modules)
+    helpers = {
+        node.name
+        for text in modules.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and isinstance(node.returns, ast.Name)
+        and node.returns.id in errors
+    }
+    missed = []
+    for label, text in modules.items():
+        for function, node in _raises(ast.parse(text)):
+            if node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "?")
+            if not (name in errors or name in helpers or (function, name) in exempt):
+                missed.append(f"{label}:{node.lineno} {function} raises {name}")
+    return missed
+
+
+def test_raise_scan_reports_exceptions_outside_the_error_tree():
+    source = '''class HypcoordsError(Exception):
+    pass
+
+
+class Oops(HypcoordsError):
+    pass
+
+
+class Worse(Oops):
+    pass
+
+
+def made() -> Oops:
+    return Worse("x")
+
+
+def f(x):
+    if x:
+        raise Worse("a")
+    try:
+        g()
+    except KeyError:
+        raise
+    raise made() from None
+
+
+def g():
+    def inner():
+        raise ValueError("b")
+    raise errors.Oops("c") if inner() else KeyError("d")
+
+
+def allowed():
+    raise OverflowError("e")
+
+
+raise RuntimeError
+'''
+    assert untyped_raises({"m.py": source}, exempt={("allowed", "OverflowError")}) == [
+        "m.py:29 inner raises ValueError",
+        "m.py:30 g raises ?",
+        "m.py:37 <module> raises RuntimeError",
+    ]
+
+
+def test_every_src_raise_is_a_package_error():
+    modules = {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.glob("*.py"))
+    }
+    missed = untyped_raises(modules, exempt=RAISED_OUTSIDE_THE_TREE)
+    assert not missed, "raised outside the HypcoordsError tree:\n" + "\n".join(missed)
