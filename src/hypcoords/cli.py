@@ -77,8 +77,10 @@ def _spelled(columns: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray
     stay apart; patterns are found per column first, to keep the sorts small."""
     found = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
     distinct, merged = np.unique(np.concatenate([bits for bits, _ in found]), return_inverse=True)
-    values = distinct.view(np.float64).tolist()
-    texts = np.array(("%.17g,\n" * len(values) % tuple(values)).split("\n")[:-1], dtype=object)
+    texts = np.empty(len(distinct), dtype=object)
+    for start in range(0, len(distinct), 4096):  # in blocks, which bound the peak memory
+        values = tuple(distinct[start:start + 4096].view(np.float64).tolist())
+        texts[start:start + len(values)] = ("%.17g,\n" * len(values) % values).split("\n")[:-1]
     starts = np.cumsum([0] + [len(bits) for bits, _ in found])
     return [(texts[merged[start:start + len(bits)]], where) for start, (bits, where) in zip(starts, found)]
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidInput,
     OrbitEscaped,
     SingularEncounter,
+    ZeroDeterminant,
     ZeroMatrix,
 )
 from .planar_maps import MapSpec, jacobian_matrix
@@ -42,7 +43,10 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ScaledMatrix":
-        body, log_scale, _ = normalize_stack(np.array(m, dtype=float), 0.0)
+        """``m`` scaled; a non-finite entry is InvalidInput."""
+        body, log_scale, peak = normalize_stack(np.array(m, dtype=float), 0.0)
+        if not math.isfinite(peak):  # the max |entry|, NaN or inf with any such entry
+            raise InvalidInput("matrix has a non-finite entry")
         return ScaledMatrix(body, float(log_scale))
 
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
@@ -98,6 +102,18 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
     return step_bodies, step_log_scales, step_log_absdet, zero_steps, prefix_bodies, prefix_log_scales
 
 
+def check_order(orders, lo: int, hi: int, name: str) -> np.ndarray:
+    """An int or a 1-d sequence of ints as an index array: InvalidInput for
+    anything else (a bool is not an int), IndexOutOfRange outside lo..hi."""
+    idx = np.atleast_1d(orders)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InvalidInput(f"{name} must be an int, got {orders!r}")
+    outside = idx[(idx < lo) | (idx > hi)]
+    if outside.size:
+        raise IndexOutOfRange(f"{name} {outside[0]} outside {lo}..{hi}")
+    return idx.astype(np.intp, copy=False)
+
+
 def guard_limit(spec: MapSpec, guard: Optional[float]) -> float:
     """Singular-set distance below which ``compute_orbit`` stops an orbit."""
     if guard is None:
@@ -140,10 +156,11 @@ class MatrixCocycle:
     stacks of scaled bodies (``step_bodies``, ``prefix_bodies``), from which
     array passes take the log norm, co-norm and |det| of every step and
     order, and the most contracted direction of every order; ``images``
-    pushes vectors through the products.  Each value equals its scalar
-    closed form bit for bit, but for the co-norm of a step whose closed-form
-    smin cancels to 0: there it is |det| / norm.  No step, a step that is
-    not a 2x2 matrix or a non-finite entry is InvalidInput.
+    pushes vectors through the products, ``contracted_images`` pulls the
+    contracted directions back.  Each value equals its scalar closed form
+    bit for bit, but for the co-norm of a step whose closed-form smin
+    cancels to 0: there it is |det| / norm.  No step, a step that is not a
+    2x2 matrix or a non-finite entry is InvalidInput.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
@@ -192,10 +209,10 @@ class MatrixCocycle:
         self.contracted = np.stack(
             (-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1
         )
+        self._pulled_back: Optional[Tuple[np.ndarray, np.ndarray]] = None  # on first use
 
     def prefix(self, i: int) -> ScaledMatrix:
-        if not 0 <= i <= self.k:
-            raise IndexOutOfRange(f"prefix index {i} outside 0..{self.k}")
+        check_order(i, 0, self.k, "prefix index")
         return ScaledMatrix(self.prefix_bodies[i], float(self.prefix_log_scales[i]))
 
     def images(self, v: np.ndarray, orders) -> Tuple[np.ndarray, np.ndarray]:
@@ -204,12 +221,60 @@ class MatrixCocycle:
         order.  Returns the unit directions as an (n, 2) array and the log
         norms, each the body's image w over math.hypot(w) and log hypot(w)
         plus the log scale; a zero image has a zero direction and log norm
-        -inf.  This is the one push of a vector through the products."""
+        -inf.  It pushes f and the axis vectors; e goes by ``contracted_images``.
+        Orders are checked by ``check_order``."""
+        orders = check_order(orders, 0, self.k, "order")
         w = np.matmul(self.prefix_bodies[orders], np.asarray(v, dtype=float)[..., None])[..., 0]
         norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]
         directions = np.divide(w, norms[:, None], out=np.zeros_like(w), where=nonzero)
         return directions, linalg2.log_each(norms) + self.prefix_log_scales[orders]
+
+    def contracted_images(self, orders) -> Tuple[np.ndarray, np.ndarray]:
+        """DPhi^i e_k at i = 0..k for each order k of ``orders`` (as ``images``
+        takes them), e_k the ``contracted`` direction in the frame's sign:
+        unit directions (n, self.k + 1, 2) and log norms (n, self.k + 1), NaN
+        at i > k; a singular order is a ZeroDeterminant.  A forward product
+        holds DPhi^i e_k only to eps |DPhi^i| in absolute terms, so e_k is
+        pulled back from order k, where it is normal to DPhi^k f_k, through
+        the inverse steps, which expand it; ``_pull_back`` pulls every order
+        back at once, on first use."""
+        orders = check_order(orders, 0, self.k, "order")
+        if orders.size and self.log_absdet[orders.max()] == -math.inf:
+            first = self.log_absdet.index(-math.inf)
+            raise ZeroDeterminant(f"det DPhi^{first} is zero: determinant-normalized rows undefined")
+        if self._pulled_back is None:
+            self._pulled_back = self._pull_back()
+        return tuple(x[orders] for x in self._pulled_back)
+
+    def _pull_back(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``contracted_images`` of each nonsingular order, stepping back from
+        the last step: step j maps w of each order k > j to its adjugate image
+        over +-hypot, signed as det(body); the vector at i = 0, parallel to
+        e_k, fixes the scale and sign of the others."""
+        n = self.log_absdet.index(-math.inf) if -math.inf in self.log_absdet else self.k + 1
+        e = linalg2.canonical_sign(self.contracted[:n])
+        u = self.images(linalg2.rotate_quarter_cw(e), range(n))[0]  # DPhi^k f_k
+        w = np.vstack((-u[:, 1], u[:, 0], np.zeros(n)))  # x, y and log norm of each order
+        table = np.full((3, n, self.k + 1), math.nan)  # w of order k at i in [:, k, i]
+        table[:, range(n), range(n)] = w
+        bodies, log_scales = self.step_bodies.tolist(), self.step_log_scales.tolist()
+        dets = linalg2.det2(self.step_bodies[: n - 1])
+        log_dets = linalg2.log_each(np.abs(dets)).tolist()
+        with np.errstate(all="ignore"):  # a body det that underflows: inf and NaN as on Python floats
+            for j in range(n - 2, -1, -1):
+                (a, b), (c, d) = bodies[j]
+                x, y, log_norm = w[:, j + 1:]
+                p, q = d * x - b * y, a * y - c * x
+                norm = linalg2.each(math.hypot, p, q)
+                signed = norm if dets[j] > 0.0 else -norm
+                np.divide(p, signed, out=x)
+                np.divide(q, signed, out=y)
+                log_norm += (linalg2.log_each(norm) - log_dets[j]) - log_scales[j]
+                table[:, j + 1:, j] = w[:, j + 1:]
+            x, y, log_norms = table
+            sign = np.where(x[:, 0] * e[:, 0] + y[:, 0] * e[:, 1] > 0.0, 1.0, -1.0)[:, None]
+            return np.stack((x * sign, y * sign), axis=-1), log_norms - log_norms[:, :1]
 
     def block(self, i: int, j: int) -> ScaledMatrix:
         """Product of steps i..j-1 (the (j-i)-step derivative at point i)."""

@@ -38,7 +38,7 @@ from .errors import (
     OrbitEscaped,
     SingularEncounter,
 )
-from .hypframe import LOW_CONFIDENCE_COECC, canonical_sign, hyperbolic_coordinates, pushforward_frames
+from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates, pushforward_frames
 from .planar_maps import MapSpec
 
 STABLE = "stable"
@@ -174,7 +174,7 @@ def _field_directions(
     e = np.empty((len(live), 2))
     e[:, 0] = -linalg2.each(math.sin, theta_v)
     e[:, 1] = linalg2.each(math.cos, theta_v)
-    e = canonical_sign(e)
+    e = linalg2.canonical_sign(e)
     directions[live] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 

@@ -37,11 +37,10 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import linalg2
-from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of
+from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, check_order, cocycle_of
 from .errors import (
     BoundOverflow,
     ConformalDegenerate,
-    IndexOutOfRange,
     InvalidInput,
     NoHyperbolicCoordinates,
     ZeroMatrix,
@@ -69,13 +68,6 @@ class HyperbolicFrame:
     low_confidence: bool
 
 
-def canonical_sign(e: np.ndarray) -> np.ndarray:
-    """Resolve the +-e ambiguity of one vector, or of each row of an (n, 2)
-    array: e_y > 0, or e_y == 0 and e_x > 0."""
-    x, y = e[..., 0], e[..., 1]
-    return np.where(((y < 0.0) | ((y == 0.0) & (x < 0.0)))[..., None], -e, e)
-
-
 def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Distance between unit vectors defined up to sign."""
     return min(
@@ -98,7 +90,7 @@ def frame_coecc(log_max: float, log_min: float) -> float:
 def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
     """Frame of order k from the contracted direction and the log singular values."""
     coecc = frame_coecc(log_max, log_min)
-    e = canonical_sign(e_dir)
+    e = linalg2.canonical_sign(e_dir)
     f = linalg2.rotate_quarter_cw(e)
     return HyperbolicFrame(
         k=k,
@@ -114,7 +106,10 @@ def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> Hyperbo
 
 def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
     """Frame of one scaled matrix, as order 0, from its closed-form SVD (no
-    iterative eigensolver); ZeroMatrix where the SVD reads a zero matrix."""
+    iterative eigensolver); ZeroMatrix where the SVD reads a zero matrix,
+    InvalidInput for a non-finite entry or log scale."""
+    if not (np.isfinite(m.body).all() and math.isfinite(m.log_scale)):
+        raise InvalidInput("matrix has a non-finite entry")
     s = linalg2.svd2_matrix(m.body)
     if s.smax == 0.0:
         raise ZeroMatrix("norms undefined for the zero matrix")
@@ -130,8 +125,7 @@ def hyperbolic_coordinates(
     product, and the determinant-accumulated co-norm, which stays accurate
     long after direct extraction from the assembled product has cancelled."""
     coc = cocycle_of(source)
-    if not 1 <= k <= coc.k:
-        raise IndexOutOfRange(f"order {k} outside 1..{coc.k}")
+    check_order(k, 1, coc.k, "order")
     return _frame(k, coc.contracted[k], coc.log_norm[k], coc.log_conorm[k])
 
 
@@ -168,8 +162,7 @@ def coeccentricity(source: Union[OrbitSegment, MatrixCocycle], k: int) -> CoeccV
     as 0); the other two are flagged unavailable.
     """
     coc = cocycle_of(source)
-    if not 1 <= k <= coc.k:
-        raise IndexOutOfRange(f"order {k} outside 1..{coc.k}")
+    check_order(k, 1, coc.k, "order")
     m = coc.prefix(k)
     s = linalg2.svd2_matrix(m.body)
     det_body = abs(linalg2.det2(m.body))
@@ -227,13 +220,14 @@ class PushedFrame:
 def pushforward_frames(
     source: Union[OrbitSegment, MatrixCocycle], k: int, i: int
 ) -> PushedFrame:
-    """e and f of order k pushed forward i steps (orthogonal only at i == k)."""
+    """e and f of order k pushed forward i steps (orthogonal only at i == k);
+    e by the cocycle's pull-back, f by its forward push."""
     coc = cocycle_of(source)
-    if not 0 <= i <= k:
-        raise IndexOutOfRange(f"pushforward step {i} outside 0..{k}")
+    check_order(i, 0, k, "pushforward step")
     frame = hyperbolic_coordinates(coc, k)
-    (e_dir, f_dir), (e_log, f_log) = coc.images(np.stack((frame.e, frame.f)), [i, i])
-    return PushedFrame(k=k, i=i, e_dir=e_dir, e_log_norm=float(e_log), f_dir=f_dir,
+    e_dirs, e_logs = coc.contracted_images([k])
+    (f_dir,), (f_log,) = coc.images(frame.f, [i])
+    return PushedFrame(k=k, i=i, e_dir=e_dirs[0, i], e_log_norm=float(e_logs[0, i]), f_dir=f_dir,
                        f_log_norm=float(f_log))
 
 

@@ -105,6 +105,13 @@ def det2(m: np.ndarray):
     return det if det.ndim else float(det)
 
 
+def canonical_sign(e: np.ndarray) -> np.ndarray:
+    """Resolve the +-e ambiguity of one vector, or of each row of an (n, 2)
+    array, as frames sign e: e_y > 0, or e_y == 0 and e_x > 0."""
+    x, y = e[..., 0], e[..., 1]
+    return np.where(((y < 0.0) | ((y == 0.0) & (x < 0.0)))[..., None], -e, e)
+
+
 def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:
     """Rotate one vector, or each row of an (n, 2) array, by -pi/2."""
     w = np.empty_like(v)

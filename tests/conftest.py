@@ -27,6 +27,10 @@ def pytest_configure(config):
 # whole slow-variation chain passes for k <= 8.
 HENON_FIXTURE = np.array([0.7058109212783455, 0.019317772022865685])
 HENON_BURN_IN = 635
+# The fixture iterated 2,073 and 2,080 times: at k = 80 a forward push of the
+# contracted direction is off there by more than 100 in log.
+HENON_START_A = np.array([0.6985013692329781, -0.010485509461833464])
+HENON_START_B = np.array([-0.8104708147484793, 0.3310660637099755])
 
 # Standard-map fixture in the strongly chaotic regime (K = 6): one iterate
 # of (0.5, 0.3); flavor-II feasible at k = 12.

@@ -28,7 +28,15 @@ from hypcoords.errors import (
 from hypcoords.hypframe import frame_coecc, frame_sequence, hyperbolic_coordinates
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
-from conftest import HENON_FIXTURE, LORENZ_FIXTURE, jacobian_at, make_cubic_map, random_cocycle
+from conftest import (
+    HENON_FIXTURE,
+    HENON_START_A,
+    HENON_START_B,
+    LORENZ_FIXTURE,
+    jacobian_at,
+    make_cubic_map,
+    random_cocycle,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +72,12 @@ def test_tail_diagonal_geometric(diag_orbit):
         assert math.isclose(bounds.tail_T(diag_orbit, i, k), expected, rel_tol=1e-12)
 
 
+def test_tail_at_a_singular_step_is_a_degenerate_step():
+    coc = MatrixCocycle([np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]])])
+    with pytest.raises(DegenerateStep, match="^one-step co-eccentricity at 1 is zero$"):
+        bounds.tail_T(coc, 1, 2)
+
+
 def test_tail_henon_regression(henon_orbit20):
     # frozen from the first verified run; cross-checked by direct summation
     # in extended precision (agreement ~4e-16)
@@ -77,6 +91,7 @@ _ORDER_CALLS = {
     "ctilde": lambda orbit, k: bounds.ctilde(orbit, k),
     "tail_T": lambda orbit, k: bounds.tail_T(orbit, 1, k),
     "verify_apriori_convergence": lambda orbit, k: bounds.verify_apriori_convergence(orbit, 1, k),
+    "slow_variation_terms": lambda orbit, k: bounds.slow_variation_terms(orbit, k),
 }
 
 
@@ -86,6 +101,21 @@ def test_order_outside_the_orbit_is_index_out_of_range(henon, name, k):
     orbit = compute_orbit(henon, HENON_FIXTURE, 5)
     with pytest.raises(IndexOutOfRange, match="outside"):
         _ORDER_CALLS[name](orbit, k)
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+@pytest.mark.parametrize(
+    "name", [*_ORDER_CALLS, "pushforward step", "verify_apriori_convergence index"])
+def test_order_that_is_not_an_int_is_invalid_input(henon, name, k):
+    # the rule compute_orbit applies to its k: an int, and not a bool
+    calls = {
+        **_ORDER_CALLS,
+        "pushforward step": lambda orbit, i: hypframe.pushforward_frames(orbit, 2, i),
+        "verify_apriori_convergence index": lambda orbit, i: bounds.verify_apriori_convergence(orbit, i, 3),
+    }
+    orbit = compute_orbit(henon, HENON_FIXTURE, 5)
+    with pytest.raises(InvalidInput, match=f"must be an int, got {k!r}$"):
+        calls[name](orbit, k)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +219,12 @@ _TINY = math.exp(-350.0) / 2.0
 
 # (steps, error, its message, first failing pair) of inputs on which both paths raise
 _RAISING = [
-    # step 1 is singular: its one-step co-eccentricity vanishes
+    # step 1 is singular: DPhi^2 is, and e_2 has no pull-back, before its
+    # zero one-step co-eccentricity is met
     (
         [np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]]), np.diag([2.0, 0.5])],
-        DegenerateStep,
-        "one-step co-eccentricity at 1 is zero",
+        ZeroDeterminant,
+        "det DPhi^2 is zero: determinant-normalized rows undefined",
         (1, 2),
     ),
     # conformal products: the frame check, which ctilde shares, fires first
@@ -204,12 +235,13 @@ _RAISING = [
         "co-eccentricity 1.0 >= 1 - 1e-12: frame undefined",
         (1, 1),
     ),
-    # a singular step after regular ones: det DPhi^3 is zero
+    # a singular step after regular ones: det DPhi^3 is zero, so the first
+    # pair of order 3 has no pull-back of e_3
     (
         [np.diag([2.0, 0.5]), np.diag([3.0, 0.4]), _FLOAT_SINGULAR, np.diag([2.0, 0.5])],
         ZeroDeterminant,
         "det DPhi^3 is zero: determinant-normalized rows undefined",
-        (3, 3),
+        (1, 3),
     ),
     # the determinant drift term |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2
     (
@@ -772,6 +804,7 @@ def test_frames_measurements_and_slow_variation_read_the_cocycle(henon, monkeypa
 def test_bounds_keep_no_state_on_the_cocycle(henon):
     orbit = compute_orbit(henon, HENON_FIXTURE, 8)
     coc = orbit.cocycle
+    coc.contracted_images([8])  # the cocycle's own pull-back, which it measures on first use
     before = {name: (id(value), pickle.dumps(value)) for name, value in vars(coc).items()}
     ledger = fit_constants(orbit, Flavor.SINGULAR_BOTH, 1.05)
     assert bounds.verify_apriori_all(orbit).verdict
@@ -781,12 +814,15 @@ def test_bounds_keep_no_state_on_the_cocycle(henon):
 
 
 def test_measurements_called_directly_warn_nothing():
-    # a zero push at a zero determinant: log push - log |det| is -inf - -inf
+    # a singular DPhi^1 leaves the push of e_1 undefined: NaN, then NaN - -inf
     coc = MatrixCocycle([np.diag([1.0, 0.0])])
+    # a scaled step body whose determinant underflows, though the step's does not
+    underflow = MatrixCocycle([np.diag([2.0**600, 2.0**-600]), np.diag([2.0, 0.5])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         columns = bounds._pair_columns(coc)
-    assert columns.log_pushes[0, 0] == -math.inf and math.isnan(columns.log_pushes[1, 0])
+        underflow.contracted_images([1, 2])
+    assert np.isnan(columns.log_pushes[:, 0]).all()
     assert not columns.in_range[1]
 
 
@@ -812,6 +848,97 @@ def _push_tangent(coc, j, v, v_log, source, source_log):
     return np.ldexp(out, -e), lead + e * math.log(2.0)
 
 
+def contracted_images_per_order(coc, e, u1, k):
+    """DPhi^i e for i = 0..k as the unit directions, an (k + 1, 2) array, and
+    the log norms, pulled back from order k one vector at a time; e is the
+    order-k contracted direction and u1 the direction of DPhi^k f.  The
+    reference ``MatrixCocycle.contracted_images`` must equal bit for bit."""
+    directions, log_norms = np.empty((k + 1, 2)), np.empty(k + 1)
+    w, w_log = np.array([-u1[1], u1[0]]), 0.0
+    directions[k], log_norms[k] = w, w_log
+    log_scales = coc.step_log_scales.tolist()
+    for j in range(k - 1, -1, -1):
+        (a, b), (c, d) = coc.step_bodies[j].tolist()
+        adj_w = np.array([d * w[0] - b * w[1], a * w[1] - c * w[0]])  # det(body) body^-1 w
+        n = math.hypot(float(adj_w[0]), float(adj_w[1]))
+        det = a * d - b * c
+        w = adj_w / (n if det > 0.0 else -n)
+        w_log += math.log(n) - math.log(abs(det)) - log_scales[j]
+        directions[j], log_norms[j] = w, w_log
+    sign = 1.0 if float(directions[0] @ e) > 0.0 else -1.0
+    return sign * directions, log_norms - log_norms[0]
+
+
+def _contracted_reference(coc, k):
+    """``contracted_images_per_order`` of order k as the cocycle seeds it:
+    the frame's e and the direction of DPhi^k f, whether or not the frame exists."""
+    e = linalg2.canonical_sign(coc.contracted[k])
+    u1 = coc.images(linalg2.rotate_quarter_cw(e), [k])[0][0]
+    return contracted_images_per_order(coc, e, u1, k)
+
+
+def _hex(directions, log_norms):
+    return [v.hex() for v in directions.ravel().tolist() + log_norms.tolist()]
+
+
+def test_stacked_pull_back_equals_the_per_order_reference():
+    h = henon()
+    cases = [compute_orbit(h, HENON_FIXTURE, k).cocycle for k in (80, 287)]
+    cases.append(compute_orbit(lorenz2d(), LORENZ_FIXTURE, 60).cocycle)
+    rng = np.random.default_rng(33)
+    cases += [random_cocycle(rng, 40) for _ in range(50)]
+    for coc in cases:
+        directions, log_norms = coc.contracted_images(range(coc.k + 1))
+        for k in range(coc.k + 1):
+            assert _hex(directions[k, : k + 1], log_norms[k, : k + 1]) == _hex(
+                *_contracted_reference(coc, k)), (coc.k, k)
+            assert np.isnan(directions[k, k + 1:]).all() and np.isnan(log_norms[k, k + 1:]).all()
+
+
+def _exact_contracted_logs(coc):
+    """log |P_i e_k| for 1 <= i <= k <= coc.k, keyed (i, k), in 400-digit
+    mpmath: the float steps converted exactly, P_k their product and e_k the
+    unit eigenvector of P_k^T P_k for its smaller eigenvalue."""
+    mp = pytest.importorskip("mpmath")
+    logs = {}
+    with mp.workdps(400):
+        products = [mp.eye(2)]
+        for step in coc.steps:
+            products.append(mp.matrix(step.tolist()) * products[-1])
+        for k in range(1, coc.k + 1):
+            gram = products[k].T * products[k]
+            a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
+            small = (a + d) / 2 - mp.sqrt(((a - d) / 2) ** 2 + b * b)
+            e = max((mp.matrix([b, small - a]), mp.matrix([small - d, b])), key=mp.norm)
+            e /= mp.norm(e)
+            logs.update(((i, k), float(mp.log(mp.norm(products[i] * e)))) for i in range(1, k + 1))
+    return logs
+
+
+@pytest.mark.parametrize("start", [HENON_FIXTURE, HENON_START_A, HENON_START_B], ids=["fixture", "A", "B"])
+def test_pull_back_matches_mpmath_at_every_pair(henon, start):
+    coc = compute_orbit(henon, start, 80).cocycle
+    exact = _exact_contracted_logs(coc)
+    log_norms = coc.contracted_images(range(81))[1]
+    assert max(abs(log_norms[k, i] - v) for (i, k), v in exact.items()) <= 1e-12
+    if start is HENON_START_A:
+        # |DPhi^15 e_77| is 3.7e-12; a forward push of the float frame's e reads 8.5e-11
+        assert math.isclose(math.exp(log_norms[77, 15]), 3.7e-12, rel_tol=0.01)
+        forward = coc.images(hyperbolic_coordinates(coc, 77).e, [15])[1][0]
+        assert math.isclose(math.exp(forward), 8.5e-11, rel_tol=0.01)
+
+
+@pytest.mark.parametrize("start", [HENON_START_A, HENON_START_B], ids=["A", "B"])
+def test_push_and_det_rows_pass_without_their_allowance(henon, start):
+    orbit = compute_orbit(henon, start, 80)
+    ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
+    for rep in (bounds.verify_apriori_all(orbit), bounds.verify_explicit_convergence(orbit, ledger)):
+        checks, code, _, _, lhs, rhs, _ = rep.columns()
+        push_or_det = np.array([c.startswith(("pushforward", "det_normalized")) for c in checks])[code]
+        assert push_or_det.sum() in (4 * 3240, 2 * 3240)  # four rows a pair, two an envelope pair
+        assert (lhs <= rhs * (1.0 + rep.tol))[push_or_det].all()
+
+
 def slow_variation_terms_per_axis(orbit, k):
     """``bounds.slow_variation_terms`` one axis, one vector and one step at a
     time: the reference the stacked pass must equal bit for bit."""
@@ -823,7 +950,7 @@ def slow_variation_terms_per_axis(orbit, k):
     frame = hyperbolic_coordinates(coc, k)
     cc = frame.coecc
     f_dirs, f_logs = coc.images(frame.f, range(k + 1))
-    e_dirs, e_logs = bounds._contracted_images(coc, frame.e, f_dirs[k], k)
+    e_dirs, e_logs = contracted_images_per_order(coc, frame.e, f_dirs[k], k)
     u1, u2 = f_dirs[k], e_dirs[k]
     by_axis = {}
     for axis, axis_vec in zip("xy", np.eye(2)):
@@ -1161,7 +1288,7 @@ def test_verify_slow_variation_builds_the_shared_terms_once(henon, k, monkeypatc
     orbit = compute_orbit(henon, HENON_FIXTURE, k)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
     calls = collections.Counter()
-    frame, contracted = hypframe._frame, bounds._contracted_images
+    frame, contracted = hypframe._frame, MatrixCocycle.contracted_images
 
     def counted_frame(order, *args):
         calls["frame", order] += 1
@@ -1172,7 +1299,7 @@ def test_verify_slow_variation_builds_the_shared_terms_once(henon, k, monkeypatc
         return contracted(*args)
 
     monkeypatch.setattr(hypframe, "_frame", counted_frame)
-    monkeypatch.setattr(bounds, "_contracted_images", counted_contracted)
+    monkeypatch.setattr(MatrixCocycle, "contracted_images", counted_contracted)
     assert bounds.verify_slow_variation(orbit, ledger).verdict
     assert calls == {("frame", 1): 1, ("frame", k): 1, "contracted": 1}
 

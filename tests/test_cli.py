@@ -964,12 +964,14 @@ def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
     for name in ("_pair_columns", "_pair_measurements", "hyperbolic_coordinates",
                  "frame_sequence"):
         counted(bounds, name)
-    counted(MatrixCocycle, "images")
+    for name in ("images", "contracted_images", "_pull_back"):
+        counted(MatrixCocycle, name)
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
-    # each sweep measures its pairs once, with one push of a vector per pair;
-    # nothing goes order by order or pair by pair
-    assert calls == {"_pair_columns": 2, "images": 2}
+    # each sweep measures its pairs once and reads the cocycle's pull-back of
+    # e, which the run computes once, with one push of f to seed it; nothing
+    # goes order by order or pair by pair
+    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 1}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair
@@ -1165,30 +1167,30 @@ def _battery_digests(tmp_path, monkeypatch, capsys):
 _PARITY_DIGESTS = {
     "converge-henon-II": {
         "exit": 0,
-        "stdout": "4877f2e9d0a653e9d06cae37316e8cddf9b102b8dbabdbca7d0d8952f72809b5",
+        "stdout": "da99cf35c0222a6b87da2781ddd46a019c065e9b3f6c7b7fe3adc5bd9c27419a",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "e2e22a92ec21cede8ee265870412e6b5eda91314b69111c38e766da5be948593",
-        "apriori_convergence.json": "8edb64e7ca29c2094c1dff35387ab1bdc92adeaf71b2412200cba2be2072ac3f",
-        "explicit_convergence.csv": "72daf0aaacb09f514c125c6181f2ce9e3c0d1f1b15612fc6905fefeea70a9d2e",
+        "apriori_convergence.csv": "1e73ca5e3dad40291deecb65b70a668d394a4390e9ead5fecaf219f80991674c",
+        "apriori_convergence.json": "0559f88740ea551b55f02eea3706498cb5ebddca4be09537181e75bdaec185e1",
+        "explicit_convergence.csv": "2d985c1411a8c3f0b3b2930358aa49f6d14f92a00f0ed83c36b0f237fd94ac9c",
         "explicit_convergence.json": "a4d9839c20f7beccf3acd8645bf732bcd96bde5c6709ca82ca48c7cf7c6873bd",
     },
     "converge-henon-I": {
         "exit": 0,
-        "stdout": "1c6b44fec0ac344dcec27ca3bdf7f083c52ee33ff26214603728379c5f2f89d8",
+        "stdout": "96dfba3124471a65306513d23adec977d99ada0c454aadebe30404aa7af0f227",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "e2e22a92ec21cede8ee265870412e6b5eda91314b69111c38e766da5be948593",
-        "apriori_convergence.json": "8edb64e7ca29c2094c1dff35387ab1bdc92adeaf71b2412200cba2be2072ac3f",
-        "explicit_convergence.csv": "2562cfd7c3d50285d9d8ef9e9d603313857a3d423010392cfe7ebfc05bf4eb49",
+        "apriori_convergence.csv": "1e73ca5e3dad40291deecb65b70a668d394a4390e9ead5fecaf219f80991674c",
+        "apriori_convergence.json": "0559f88740ea551b55f02eea3706498cb5ebddca4be09537181e75bdaec185e1",
+        "explicit_convergence.csv": "055f4482e3607032cad04ddb028111afae9a0f650864c8d40488971540676658",
         "explicit_convergence.json": "12bbde20aff533a086a04adefe65308494ceec8fdfabc5053a58ee724043db4a",
     },
     "converge-lorenz-I": {
         "exit": 0,
-        "stdout": "fa3e04b4388e4fcde0777e2e3e5414f41bca86c5366a720621b231c7ca8413dc",
+        "stdout": "8be3c7693629ce35b20e310f9f156690c6637ff2f1c7d2dd9dbb9ee5c2299289",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "456126084839efe26a9fd5027e5dc4d96a859c12402c22b479007347fc2fe58d",
-        "apriori_convergence.json": "06ecef6d5782f0a6d97e82b10e1fec9dce4b1b92010d146df5009a6c3e0829db",
-        "explicit_convergence.csv": "eac4fb3112cb27dcd944a983157fe52c7f951a040af93db4b365d90b2ef1c11d",
-        "explicit_convergence.json": "fadb678b266c178b74db9d83108fc5ea659b587053b8a805fb29fe03bc59ece0",
+        "apriori_convergence.csv": "7ca15407c9bd3d4bead30f4c1edc2e79a7fa7db8a5bf50490c388d00e863d900",
+        "apriori_convergence.json": "be9a7e8a7f989f42c087444a967a6fac2136b8de5011890419e5112952af41bc",
+        "explicit_convergence.csv": "77d10defed53c8413031917f582599431d9e90ce986c1d1567aa93cab03472b0",
+        "explicit_convergence.json": "0d792b15e0c38c1542d6d48cad2b45f53e7ebe03b9eda514231d8cbaf54f72a4",
     },
     "frames-henon": {
         "exit": 0,

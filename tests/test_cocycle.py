@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import linalg2
+from hypcoords import hypframe, linalg2
 from hypcoords.cocycle import (
     MatrixCocycle,
     ScaledMatrix,
@@ -21,6 +21,7 @@ from hypcoords.errors import (
     InvalidInput,
     OrbitEscaped,
     SingularEncounter,
+    ZeroDeterminant,
     ZeroMatrix,
 )
 from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, make_map, rotation
@@ -605,3 +606,34 @@ def test_batched_step_measurement_equals_each_orbit_on_random_cocycles(seed, m):
     orbits = [np.array(random_cocycle(rng, max_len=12).steps) for _ in range(m)]
     k = min(len(steps) for steps in orbits)
     _assert_batch_measures_each_orbit([steps[:k] for steps in orbits])
+
+
+_ORDERS_OF = {
+    "images": lambda coc, orders: coc.images(np.array([1.0, 0.0]), orders),
+    "contracted_images": lambda coc, orders: coc.contracted_images(orders),
+}
+
+
+@pytest.mark.parametrize("method", list(_ORDERS_OF))
+def test_orders_are_checked_before_they_index_the_products(method):
+    coc = MatrixCocycle([np.diag([2.0, 0.5])] * 3)
+    directions, log_norms = _ORDERS_OF[method](coc, np.arange(4))
+    assert len(directions) == len(log_norms) == 4
+    for orders, bad in (([-1], -1), ([4], 4), ([0, 2, 5], 5)):
+        with pytest.raises(IndexOutOfRange, match=f"^order {bad} outside 0..3$"):
+            _ORDERS_OF[method](coc, orders)
+    for orders in ([1.5], [True], np.array([1.0]), 2.0, [[1]]):
+        with pytest.raises(InvalidInput, match="^order must be an int, got "):
+            _ORDERS_OF[method](coc, orders)
+
+
+def test_no_pull_back_through_a_singular_step():
+    singular = np.array([[1.0, 0.0], [0.0, 0.0]])
+    coc = MatrixCocycle([np.diag([2.0, 0.5]), singular, np.diag([2.0, 0.5]), singular])
+    directions, log_norms = coc.contracted_images([0, 1])
+    assert np.isfinite(directions[1, :2]).all() and math.isclose(log_norms[1, 1], math.log(0.5))
+    for orders in ([2], [1, 4], [3]):
+        with pytest.raises(ZeroDeterminant, match=r"^det DPhi\^2 is zero: determinant-normalized"):
+            coc.contracted_images(orders)
+    with pytest.raises(ZeroDeterminant, match=r"^det DPhi\^2 is zero"):
+        hypframe.pushforward_frames(coc, 2, 0)

@@ -112,6 +112,16 @@ def test_rotation_has_no_frame():
         frame_from_scaled(scaled(jacobian_at(rotation(0.77), np.zeros(2))))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_has_no_frame(bad):
+    m = np.array([[1.0, bad], [0.5, 2.0]])
+    with pytest.raises(InvalidInput, match="^matrix has a non-finite entry$"):
+        ScaledMatrix.from_matrix(m)
+    for scaled_m in (ScaledMatrix(m, 0.0), ScaledMatrix(np.eye(2), bad)):
+        with pytest.raises(InvalidInput, match="^matrix has a non-finite entry$"):
+            frame_from_scaled(scaled_m)
+
+
 def test_henon_k2_coecc_vs_grid_oracle():
     h = henon(a=1.4, b=0.3)
     orbit = compute_orbit(h, np.array([0.0, 0.0]), 2)
@@ -528,8 +538,8 @@ def test_frame_sign_and_quarter_turn_of_rows_equal_those_of_each_vector():
     rng = np.random.default_rng(3)
     edges = [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [-0.0, 0.0], [0.5, -0.0], [-0.5, -0.0]]
     rows = np.vstack((rng.standard_normal((40, 2)), edges))
-    for fn in (hypframe.canonical_sign, linalg2.rotate_quarter_cw):
+    for fn in (linalg2.canonical_sign, linalg2.rotate_quarter_cw):
         assert list(map(repr, fn(rows).ravel().tolist())) == [
             repr(x) for row in rows for x in fn(row).tolist()]
-    signed = hypframe.canonical_sign(rows[rows.any(axis=1)])  # the zero vector has no sign
+    signed = linalg2.canonical_sign(rows[rows.any(axis=1)])  # the zero vector has no sign
     assert ((signed[:, 1] > 0.0) | ((signed[:, 1] == 0.0) & (signed[:, 0] > 0.0))).all()
