@@ -21,7 +21,6 @@ verifier takes a tolerance or constants from its caller.
 
 from __future__ import annotations
 
-import array
 import math
 import numbers
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -61,6 +60,7 @@ from .hypframe import (
     hyperbolic_coordinates,
 )
 from .planar_maps import MapSpec
+from .report import BoundReport
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
@@ -72,94 +72,6 @@ DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
 # precision, and keep ROUNDING_UNIT times their norm scale only for right
 # sides whose drift term underflows to 0 (Henon fixture, K >= 368).
 ROUNDING_UNIT = 64.0 * 2.220446049250313e-16
-
-
-class BoundRow(NamedTuple):
-    check: str
-    index: Tuple[int, ...]
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-
-class BoundReport:
-    """Rows ``lhs <= rhs * (1 + tol) + abs_tol``, each a check at an index,
-    kept as columns: per row, lhs and rhs as float64 (an int side beyond 2^53
-    becomes its float), the pass flag, and the positions of its check name
-    and index tuple in lists of the callers' objects.  ``rows`` builds
-    BoundRow tuples on demand."""
-
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.context: Dict[str, float] = {}
-        self._checks: List[str] = []
-        self._codes: Dict[str, int] = {}  # position of each check in _checks
-        self._indices: List[Tuple[int, ...]] = []
-        self._check, self._index = array.array("i"), array.array("i")
-        self._lhs, self._rhs = array.array("d"), array.array("d")
-        self._passed = bytearray()
-
-    def _code(self, check: str) -> int:
-        code = self._codes.get(check)
-        if code is None:
-            code = self._codes[check] = len(self._checks)
-            self._checks.append(check)
-        return code
-
-    def add(self, check: str, index: Tuple[int, ...], lhs: float, rhs: float, abs_tol: float = 0.0):
-        lhs, rhs = float(lhs), float(rhs)
-        self._check.append(self._code(check))
-        self._index.append(len(self._indices))
-        self._indices.append(index)
-        self._lhs.append(lhs)
-        self._rhs.append(rhs)
-        self._passed.append(lhs <= rhs * (1.0 + float(self.tol)) + float(abs_tol))
-
-    def add_pairs(self, checks, indices, lhs, rhs, abs_tol) -> None:
-        """``add`` for several index tuples at once: for each in turn, one row
-        per check.  ``lhs`` and ``rhs`` hold an array over ``indices`` per
-        check, ``abs_tol`` an array or a scalar per check.  Each row equals
-        what ``add`` makes of its values, without a warning for inf or NaN."""
-        lhs, rhs = np.array(lhs, dtype=float), np.array(rhs, dtype=float)  # check x index
-        allowance = np.empty_like(rhs)
-        for row, value in zip(allowance, abs_tol):  # faster than np.broadcast_arrays
-            row[:] = value
-        with np.errstate(all="ignore"):
-            passed = lhs <= rhs * (1.0 + float(self.tol)) + allowance
-        codes = array.array("i", map(self._code, checks))
-        positions = np.arange(len(self._indices), len(self._indices) + len(indices), dtype=np.intc)
-        self._indices.extend(indices)
-        self._check.frombytes(codes.tobytes() * len(indices))
-        self._index.frombytes(positions.repeat(len(checks)).tobytes())
-        self._lhs.frombytes(lhs.T.tobytes())
-        self._rhs.frombytes(rhs.T.tobytes())
-        self._passed += passed.T.tobytes()
-
-    def columns(self) -> tuple:
-        """The check names and the index tuples, each followed by every row's
-        position among them, then lhs, rhs and passed; numpy copies but the lists."""
-        return (self._checks, np.array(self._check), self._indices, np.array(self._index),
-                np.array(self._lhs), np.array(self._rhs), np.array(self._passed, dtype=bool))
-
-    def _row(self, n: int) -> BoundRow:
-        lhs, rhs = self._lhs[n], self._rhs[n]
-        check, index = self._checks[self._check[n]], self._indices[self._index[n]]
-        return BoundRow(check, index, lhs, rhs, rhs - lhs, self._passed[n] == 1)
-
-    @property
-    def rows(self) -> Tuple[BoundRow, ...]:
-        """Every row as a BoundRow, built on each call."""
-        return tuple(map(self._row, range(len(self._lhs))))
-
-    @property
-    def verdict(self) -> bool:
-        return 0 not in self._passed
-
-    def first_failure(self) -> Optional[BoundRow]:
-        n = self._passed.find(0)
-        return None if n < 0 else self._row(n)
 
 
 # Per-index terms of ctilde and of the four a-priori sums.  The per-pair
@@ -401,8 +313,7 @@ def verify_apriori_convergence(
     inv_norm_i = 1.0 / norm_i
     quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
     sides = _apriori_sides(measured, ct, norm_i, conorm_i, inv_norm_i, sums, quotient)
-    for check, lhs, rhs, abs_tol in zip(_APRIORI_CHECKS, *sides):
-        rep.add(check, (i, k), lhs, rhs, abs_tol=abs_tol)
+    rep.add(_APRIORI_CHECKS, [(i, k)], *sides)
     return rep
 
 
@@ -470,7 +381,7 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
                 columns.measured[:, pairs], ct, norm[upto], conorm[upto], inv_norm[upto],
                 sums[:, upto], exps[2 * k - 2 :],
             )
-            rep.add_pairs(_APRIORI_CHECKS, columns.indices[pairs], *sides)
+            rep.add(_APRIORI_CHECKS, columns.indices[pairs], *sides)
     return rep
 
 
@@ -505,8 +416,8 @@ def _certified_aux(orbit: OrbitSegment, ledger: ConstantsLedger) -> AuxiliaryCon
     of that ledger passes; CertificateRequired names its first failure."""
     cert = check_quasi_hyperbolic(orbit, ledger)
     if not cert.verdict:
-        i, name = cert.first_failure
-        raise CertificateRequired(f"{name} fails at i={i}")
+        row = cert.first_failure()
+        raise CertificateRequired(f"{row.check} fails at i={row.index[0]}")
     return auxiliary_constants(ledger)
 
 
@@ -535,10 +446,8 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
     drift, push, push_over_det, push_noise, det_noise = columns.measured
     types = len(rates) // 3
     rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
-    rep.add_pairs(
-        [check for check, _, _ in rates], columns.indices, (drift, push, push_over_det) * types,
-        envelopes[:, columns.i], (ROUNDING_UNIT, push_noise, det_noise) * types,
-    )
+    rep.add([check for check, _, _ in rates], columns.indices, (drift, push, push_over_det) * types,
+            envelopes[:, columns.i], (ROUNDING_UNIT, push_noise, det_noise) * types)
     return rep
 
 
@@ -565,13 +474,11 @@ def d2_contraction_identity(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> Boun
     h2 = np.array([dx[1], dy[1]])
     rep = BoundReport("d2_contraction_identity", 0.0)
     scale = max(float(np.abs(dx).max()), float(np.abs(dy).max()), 1.0)
-    for axis, (unit, dmat) in enumerate(
-        ((np.array([1.0, 0.0]), dx), (np.array([0.0, 1.0]), dy))
-    ):
+    for axis, (unit, dmat) in enumerate(zip(np.eye(2), (dx, dy))):
         lhs_vec = np.array([v @ h1 @ unit, v @ h2 @ unit])
         rhs_vec = dmat @ np.asarray(v, dtype=float)
         err = float(np.abs(lhs_vec - rhs_vec).max())
-        rep.add(f"coordinate_identity_axis{axis}", (axis,), err, _D2_IDENTITY_SCALE * scale)
+        rep.add([f"coordinate_identity_axis{axis}"], [(axis,)], [err], [_D2_IDENTITY_SCALE * scale])
     return rep
 
 
@@ -748,8 +655,10 @@ def bilinear_column_bounds(
         if v is not None:  # v is read only with a bilinear map
             vv, e_v = _bracket_input(v, "v", 1, t.shape[0])
 
+    rows = []  # (check, lhs, rhs) of each row, all at index (0,)
+
     def add(check: str, lhs: float, rhs: float, e: int) -> None:
-        rep.add(check, (0,), _scaled_back(lhs, e), _scaled_back(rhs, e))
+        rows.append((check, _scaled_back(lhs, e), _scaled_back(rhs, e)))
 
     if matrix is not None:
         n = a.shape[1]
@@ -788,6 +697,8 @@ def bilinear_column_bounds(
             add("bilinear_v_lower", max(per_basis), norm_v, e_v + e_t)
             add("bilinear_v_upper", norm_v, math.sqrt(n) * max(per_basis), e_v + e_t)
 
+    checks, lhs, rhs = zip(*rows) if rows else ((),) * 3
+    rep.add(checks, [(0,)], lhs, rhs)
     return rep
 
 
@@ -920,9 +831,11 @@ def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> Bound
 
     rep = BoundReport("slow_variation", DEFAULT_REL_TOL)
     rep.context.update(d2_e1_norm=d2e1_norm, d2_e1_axis_x=axis_e1[0], d2_e1_axis_y=axis_e1[1])
-    rep.add("frame_derivative_master_bound", (k,), df_norm, aux.K1 * d2e1_norm + aux.K2 * ledger.c)
-    rep.add("second_derivative_factor_upper", (k,), d2e1_norm, SQRT2 * max(axis_e1))
-    rep.add("second_derivative_factor_lower", (k,), max(axis_e1), d2e1_norm)
+    rows = [  # (check, lhs, rhs), all at index (k,)
+        ("frame_derivative_master_bound", df_norm, aux.K1 * d2e1_norm + aux.K2 * ledger.c),
+        ("second_derivative_factor_upper", d2e1_norm, SQRT2 * max(axis_e1)),
+        ("second_derivative_factor_lower", max(axis_e1), d2e1_norm),
+    ]
 
     ratio_sq = frame_k.coecc * frame_k.coecc
     # (type, first-term rate, middle-terms rate) of each term-bound type the flavor has
@@ -934,9 +847,11 @@ def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> Bound
     for axis, terms in by_axis.items():
         lhs_inner = SQRT2 * abs(terms.e_dot_df)
         rhs_inner = aux.K1 * (terms.EE[0] + terms.sum_EE_tail + ratio_sq * terms.sum_FF)
-        rep.add(f"aposteriori_inner_product_{axis}", (k,), lhs_inner, rhs_inner)
+        rows.append((f"aposteriori_inner_product_{axis}", lhs_inner, rhs_inner))
         for kind, first, middle in rates:
-            rep.add(f"first_term_bound_{kind}_{axis}", (k,), terms.EE[0], d2e1_norm + first)
-            rep.add(f"middle_terms_bound_{kind}_{axis}", (k,), terms.sum_EE_tail, middle)
-        rep.add(f"expanded_terms_bound_{axis}", (k,), ratio_sq * terms.sum_FF, aux.Q * ledger.c)
+            rows.append((f"first_term_bound_{kind}_{axis}", terms.EE[0], d2e1_norm + first))
+            rows.append((f"middle_terms_bound_{kind}_{axis}", terms.sum_EE_tail, middle))
+        rows.append((f"expanded_terms_bound_{axis}", ratio_sq * terms.sum_FF, aux.Q * ledger.c))
+    checks, lhs, rhs = zip(*rows)
+    rep.add(checks, [(k,)], lhs, rhs)
     return rep

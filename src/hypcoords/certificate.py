@@ -42,6 +42,7 @@ from .errors import (
     parse_value,
     read_config,
 )
+from .report import BoundReport
 
 LOG_STRICT_MARGIN = 1e-12  # log-units margin distinguishing < from <=
 
@@ -209,24 +210,6 @@ _LEDGER_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class CertificateRow:
-    i: int
-    name: str
-    log_lhs: float
-    log_rhs: float
-    margin: float  # log_rhs - log_lhs; >(=) 0 required depending on strictness
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    flavor: Flavor
-    rows: List[CertificateRow]
-    verdict: bool
-    first_failure: Optional[Tuple[int, str]]
-
-
 def _step_log_d2_norms(orbit: OrbitSegment) -> List[float]:
     """Log of a conservative norm of the second derivative at every step,
     sqrt(2) * max axis norm (-inf where it is 0), in one array pass.
@@ -239,40 +222,36 @@ def _step_log_d2_norms(orbit: OrbitSegment) -> List[float]:
     return linalg2.log_each(math.sqrt(2.0) * axis_norms.max(axis=1)).tolist()
 
 
-def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> CertificateReport:
-    """Per-index certificate check along the orbit, entirely in log domain."""
+def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> BoundReport:
+    """Per-index certificate check along the orbit, entirely in log domain.
+
+    The rows compare log values with tol 0, for each i = 1..k in turn one
+    per check; a strict inequality gets the allowance -LOG_STRICT_MARGIN,
+    a non-strict one +LOG_STRICT_MARGIN.
+    """
     coc = orbit.cocycle
     lg = {name: math.log(val) for name, val in ledger.as_dict().items()}
-    log_d2 = _step_log_d2_norms(orbit)
-    rows: List[CertificateRow] = []
-
-    def add(i: int, name: str, log_lhs: float, log_rhs: float, strict: bool):
-        margin = log_rhs - log_lhs
-        passed = margin > LOG_STRICT_MARGIN if strict else margin >= -LOG_STRICT_MARGIN
-        rows.append(CertificateRow(i, name, log_lhs, log_rhs, margin, passed))
-
-    for i in range(1, coc.k + 1):
-        add(i, "norm_lower", lg["C"] + i * lg["lambda"], coc.log_norm[i], strict=True)
-        add(i, "norm_upper", coc.log_norm[i], lg["D"] + i * lg["Gamma"], strict=True)
-        add(i, "coecc_decay", coc.log_coecc(i), lg["B"] + i * lg["c"], strict=False)
-        add(i, "coecc_below_one", lg["B"] + i * lg["c"], 0.0, strict=True)
-        step_cap = lg["D"] + lg["Gamma"] + (i - 1) * lg["Gamma_tilde"]
-        add(i, "step_norm", coc.step_log_norm[i - 1], step_cap, strict=True)
-        add(i, "step_second_norm", log_d2[i - 1], step_cap, strict=True)
-        add(i, "step_det", coc.step_log_absdet[i - 1], lg["b"], strict=False)
-        if ledger.flavor.has_type_two:
-            # one-step co-eccentricity floor; exponent is i-1 exactly
-            add(
-                i,
-                "onestep_coecc",
-                lg["B_tilde"] + (i - 1) * lg["c_tilde"],
-                coc.step_log_coecc(i - 1),
-                strict=False,
-            )
-
-    verdict = all(r.passed for r in rows)
-    first = next(((r.i, r.name) for r in rows if not r.passed), None)
-    return CertificateReport(flavor=ledger.flavor, rows=rows, verdict=verdict, first_failure=first)
+    i = np.arange(1, coc.k + 1)
+    log_norm = np.array(coc.log_norm[1:])
+    coecc_cap = lg["B"] + i * lg["c"]
+    step_cap = lg["D"] + lg["Gamma"] + (i - 1) * lg["Gamma_tilde"]
+    rows = [  # (check, log lhs, log rhs, strict)
+        ("norm_lower", lg["C"] + i * lg["lambda"], log_norm, True),
+        ("norm_upper", log_norm, lg["D"] + i * lg["Gamma"], True),
+        ("coecc_decay", np.array(coc.log_conorm[1:]) - log_norm, coecc_cap, False),
+        ("coecc_below_one", coecc_cap, 0.0, True),
+        ("step_norm", coc.step_log_norm, step_cap, True),
+        ("step_second_norm", _step_log_d2_norms(orbit), step_cap, True),
+        ("step_det", coc.step_log_absdet, lg["b"], False),
+    ]
+    if ledger.flavor.has_type_two:  # the one-step co-eccentricity floor; exponent i-1 exactly
+        step_log_coecc = np.array(coc.step_log_conorm) - coc.step_log_norm
+        rows.append(("onestep_coecc", lg["B_tilde"] + (i - 1) * lg["c_tilde"], step_log_coecc, False))
+    checks, lhs, rhs, strict = zip(*rows)
+    report = BoundReport("certificate", 0.0)
+    report.add(checks, [(n,) for n in i.tolist()], lhs, rhs,
+               [-LOG_STRICT_MARGIN if s else LOG_STRICT_MARGIN for s in strict])
+    return report
 
 
 def _fitted(name: str, log_value: float) -> float:
@@ -377,8 +356,8 @@ def fit_constants(
 
     report = check_quasi_hyperbolic(orbit, ledger)
     if not report.verdict:
-        i, name = report.first_failure
-        raise Infeasible(f"{name} fails at i={i}")
+        row = report.first_failure()
+        raise Infeasible(f"{row.check} fails at i={row.index[0]}")
     return ledger
 
 

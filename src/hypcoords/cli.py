@@ -89,18 +89,18 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
     """Write ``report`` to ``stem``.csv and a summary of each check to
     ``stem``.json; return the summaries by check.
 
-    Each CSV row ends with a status: ``fail`` if it did not pass,
-    ``pass_within_rounding`` if it passed only through its absolute
-    allowance (lhs > rhs * (1 + tol)), else ``pass``.  A check's summary
-    counts its rows, failures and allowance-only passes, lists its failing
-    rows, and names its first row of least finite margin / |rhs| (none where
-    rhs = 0).  All of it is computed on the report's columns; the CSV spells
-    each distinct float and each index tuple once, and is written in blocks.
+    Each CSV row ends with the status ``add`` gave it: ``fail``,
+    ``pass_within_rounding`` (passed only through its absolute allowance)
+    or ``pass``.  A check's summary counts its rows, failures and
+    allowance-only passes, lists its failing rows, and names its first row
+    of least finite margin / |rhs| (none where rhs = 0).  All of it is
+    computed on the report's columns; the CSV spells each distinct float
+    and each index tuple once, and is written in blocks.
     """
-    checks, check, indices, index, lhs, rhs, passed = report.columns()
+    checks, check, indices, index, lhs, rhs, status = report.columns()
     with np.errstate(all="ignore"):  # inf and NaN are valid sides
         margin = rhs - lhs
-        status = np.where(passed, np.where(lhs > rhs * (1.0 + report.tol), 1, 2), 0).astype(np.int8)
+        relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
     # each field carries the separator after it, so a block of rows is one join
     check_text = np.array([name + "," for name in checks], dtype=object)
     index_text = np.array([":".join(map(str, i)) + "," for i in indices], dtype=object)
@@ -113,8 +113,6 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
                 check_text[check[block]].tolist(), index_text[index[block]].tolist(),
                 *(texts[at[block]].tolist() for texts, at in numbers), _FLAG_STATUS[status[block]].tolist(),
             ))))
-    with np.errstate(all="ignore"):
-        relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
     summaries = {}
     for code, name in enumerate(checks):
         mine = check == code
@@ -152,28 +150,19 @@ def _summary_line(name: str, checks: Dict[str, dict]) -> str:
     return text + "worst relative margin %.3g (%s at %s)" % worst
 
 
-def write_certificate_report(
-    report: certificate.CertificateReport, out_dir: str, stem: str
-) -> None:
-    _write_csv(
-        os.path.join(out_dir, stem + ".csv"),
-        ["i", "check", "log_lhs", "log_rhs", "margin", "passed"],
-        [[r.i, r.name, r.log_lhs, r.log_rhs, r.margin, r.passed] for r in report.rows],
-    )
+def write_certificate_report(report: bounds.BoundReport, flavor: certificate.Flavor,
+                             out_dir: str, stem: str) -> None:
+    """The certificate rows of ``report``, log values at index (i,), as
+    ``stem``.csv and, grouped by check, ``stem``.json."""
+    header = ["i", "check", "log_lhs", "log_rhs", "margin", "passed"]
+    rows = [(r.index[0], r.check, r.lhs, r.rhs, r.margin, r.passed) for r in report.rows]
+    _write_csv(os.path.join(out_dir, stem + ".csv"), header, rows)
     nested: Dict[str, List[dict]] = {}
-    for r in report.rows:
-        nested.setdefault(r.name, []).append(
-            {"i": r.i, "log_lhs": r.log_lhs, "log_rhs": r.log_rhs, "margin": r.margin, "passed": r.passed}
-        )
-    _write_json(
-        os.path.join(out_dir, stem + ".json"),
-        {
-            "flavor": report.flavor.value,
-            "verdict": report.verdict,
-            "first_failure": list(report.first_failure) if report.first_failure else None,
-            "checks": nested,
-        },
-    )
+    for i, check, *values in rows:
+        nested.setdefault(check, []).append(dict(zip(header[:1] + header[2:], (i, *values))))
+    first = next(([i, check] for i, check, *_, passed in rows if not passed), None)
+    _write_json(os.path.join(out_dir, stem + ".json"),
+                {"flavor": flavor.value, "verdict": report.verdict, "first_failure": first, "checks": nested})
 
 
 def _build_map(args) -> MapSpec:
@@ -262,10 +251,10 @@ def cmd_certify(args) -> int:
     out = _out_dir(args)
     report = certificate.check_quasi_hyperbolic(orbit, ledger)
     certificate.write_ledger(os.path.join(out, "ledger.txt"), ledger)
-    write_certificate_report(report, out, "certificate")
+    write_certificate_report(report, ledger.flavor, out, "certificate")
     if not report.verdict:
-        i, name = report.first_failure
-        print(f"certificate check {name} fails at i={i}", file=sys.stderr)
+        row = report.first_failure()
+        print(f"certificate check {row.check} fails at i={row.index[0]}", file=sys.stderr)
         return 1
     print(f"certificate passes for k <= {orbit.k} (flavor {ledger.flavor.value})")
     return 0

@@ -32,6 +32,7 @@ from .planar_maps import MapSpec, jacobian_matrix
 _LN2 = math.log(2.0)
 # A 2x2 matrix whose max |entry| reaches this has a nonzero closed-form SVD
 _TINY = 2.0**-1021
+_EYE = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,12 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
     step j of orbit i at [j, i], scaled, and their renormalized products.
 
     Returns ``(step_bodies, step_log_scales, step_log_absdet, zero_steps,
-    prefix_bodies, prefix_log_scales)``.  A step's log |det| comes from the
-    raw determinant unless that is not a normal float (overflow, underflow,
-    cancellation), then from the scaled body; a zero step is one whose
-    closed-form SVD is zero; order i = 0..k of the products is steps 0..i-1.
+    lost_steps, prefix_bodies, prefix_log_scales)``.  A step's log |det|
+    comes from the raw determinant unless that is not a normal float
+    (overflow, underflow, cancellation), then from the scaled body; a zero
+    step is one whose closed-form SVD is zero; a lost step has a nonzero
+    entry below 2^-1022 once scaled, which has lost bits or become 0; order
+    i = 0..k of the products is steps 0..i-1.
     """
     # overflow, 0 * inf and inf - inf as on Python floats
     with np.errstate(all="ignore"):
@@ -88,18 +91,24 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
         zero_steps = peak < _TINY
         if np.count_nonzero(zero_steps):
             zero_steps[zero_steps] = linalg2.spectral_norm_array(*steps[zero_steps].reshape(-1, 4).T) == 0.0
+        lost_steps = np.zeros(peak.shape, dtype=bool)
+        below = np.abs(step_bodies) < sys.float_info.min  # as is every zero entry: more are lost ones
+        if np.count_nonzero(below) + np.count_nonzero(steps) > steps.size:
+            lost_steps = (below & (steps != 0.0)).any(axis=(-2, -1))
         prefix_bodies = np.empty((len(steps) + 1, *steps.shape[1:]))
-        body = prefix_bodies[0] = np.eye(2)
+        body = prefix_bodies[0] = _EYE
         exps = np.empty((len(steps), *steps.shape[1:-2], 1, 1), dtype=np.intc)
+        abs_body = np.empty(steps.shape[1:])
         for step_body, e, product in zip(step_bodies, exps, prefix_bodies[1:]):
             body = np.matmul(step_body, body, out=product)
-            np.frexp(np.maximum.reduce(np.abs(body), axis=(-2, -1), keepdims=True), out=(None, e))
+            np.frexp(np.maximum.reduce(np.abs(body, out=abs_body), axis=(-2, -1), keepdims=True), out=(None, e))
             np.ldexp(body, -e, out=body)
         # log scale j + 1 = (log scale j + step j's) + e_j log 2, added left to right
         scale_terms = np.zeros((2 * len(steps) + 1, *steps.shape[1:-2]))
         scale_terms[1::2], scale_terms[2::2] = step_log_scales, exps[..., 0, 0] * _LN2
         prefix_log_scales = np.add.accumulate(scale_terms, axis=0)[::2]
-    return step_bodies, step_log_scales, step_log_absdet, zero_steps, prefix_bodies, prefix_log_scales
+    return (step_bodies, step_log_scales, step_log_absdet, zero_steps, lost_steps,
+            prefix_bodies, prefix_log_scales)
 
 
 def check_order(orders, lo: int, hi: int, name: str) -> np.ndarray:
@@ -115,10 +124,19 @@ def check_order(orders, lo: int, hi: int, name: str) -> np.ndarray:
 
 
 def guard_limit(spec: MapSpec, guard: Optional[float]) -> float:
-    """Singular-set distance below which ``compute_orbit`` stops an orbit."""
+    """Singular-set distance below which ``compute_orbit`` stops an orbit; a
+    ``guard`` other than None or a finite number >= 0 is InvalidInput."""
     if guard is None:
         guard = 1e-8 if spec.has_singular_set else 0.0
+    elif not (math.isfinite(guard) and guard >= 0.0):
+        raise InvalidInput(f"guard must be finite and >= 0, got {guard!r}")
     return max(guard, 1e-300)
+
+
+def check_orbit_order(k) -> None:
+    """InvalidInput unless the orbit order ``k`` is an int >= 1 (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise InvalidInput(f"orbit order k must be an int >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +177,8 @@ class MatrixCocycle:
     pushes vectors through the products, ``contracted_images`` pulls the
     contracted directions back.  Each value equals its scalar closed form
     bit for bit, but for the co-norm of a step whose closed-form smin
-    cancels to 0: there it is |det| / norm.  No step, a step that is not a
-    2x2 matrix or a non-finite entry is InvalidInput.
+    cancels to 0: there it is |det| / norm.  No step, a step that is not
+    2x2, a non-finite entry or a lost step (``measure_steps``) is InvalidInput.
     """
 
     def __init__(self, steps: Sequence[np.ndarray]):
@@ -174,8 +192,10 @@ class MatrixCocycle:
             raise InvalidInput("cocycle steps have a non-finite entry")
         self.steps: List[np.ndarray] = list(raw)
         self.k = k = len(raw)
-        (self.step_bodies, self.step_log_scales, step_log_absdet, zero_steps,
+        (self.step_bodies, self.step_log_scales, step_log_absdet, zero_steps, lost_steps,
          self.prefix_bodies, self.prefix_log_scales) = measure_steps(raw)
+        if lost_steps.any():
+            raise InvalidInput(f"step {lost_steps.argmax()} has a nonzero entry below 2^-1022 once scaled")
         with np.errstate(all="ignore"):  # overflow and inf - inf as on Python floats
             # the steps, then the products of every order, in one SVD pass
             svd = linalg2.svd2_closed_array(*np.concatenate((raw, self.prefix_bodies)).reshape(-1, 4).T)
@@ -326,8 +346,7 @@ def compute_orbit(
     coordinates, or a ``k`` that is not an int >= 1 (a bool is not), is
     InvalidInput.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise InvalidInput(f"orbit order k must be an int >= 1, got {k!r}")
+    check_orbit_order(k)
     start = np.asarray(xi0, dtype=float)
     if start.shape != (2,):
         raise InvalidInput(f"orbit start has shape {start.shape}; expected (2,)")

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import compute_orbit, guard_limit, measure_steps
+from .cocycle import check_orbit_order, compute_orbit, guard_limit, measure_steps
 from .errors import (
     HypcoordsError,
     InvalidInput,
@@ -113,9 +113,9 @@ def _field_directions(
     every orbit that reached order k at once: one ``jacobian`` call and one
     ``cocycle.measure_steps``, as ``MatrixCocycle`` measures one orbit;
     then the co-eccentricity and direction of the order-k product as
-    ``hyperbolic_coordinates`` takes them.  A zero step or product or a
-    co-eccentricity above ``LOW_CONFIDENCE_COECC`` is degenerate.  So the
-    map callbacks see only points the scalar path would evaluate.
+    ``hyperbolic_coordinates`` takes them.  A zero or lost step, a zero
+    product or a co-eccentricity above ``LOW_CONFIDENCE_COECC`` is degenerate.
+    So the map callbacks see only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
     n = len(points)
@@ -157,7 +157,7 @@ def _field_directions(
         jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = spec.jacobian(
             np.concatenate(xs), np.concatenate(ys)
         )
-        _, _, step_log_absdet, zero_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
+        *_, step_log_absdet, zero_steps, lost_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
         svd = linalg2.svd2_closed_array(*bodies[k].reshape(-1, 4).T)
         log_norm = linalg2.log_each(svd.smax) + log_scales[k]
         # as hyperbolic_coordinates takes it, but capped at 1, where math.exp could overflow
@@ -165,7 +165,7 @@ def _field_directions(
         coecc = linalg2.each(math.exp, np.minimum(log_coecc, 0.0))
         # A zero product stays zero, so the last one stands for every order;
         # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
-        degenerate = zero_steps.any(axis=0) | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
+        degenerate = (zero_steps | lost_steps).any(axis=0) | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
     theta_v = svd.theta_v
     if np.count_nonzero(degenerate):
         stops[live[degenerate]] = _DEGENERATE
@@ -179,7 +179,10 @@ def _field_directions(
     return directions, stops
 
 
-def _check_curve_arguments(field: str, step: float, total_arclength: float) -> None:
+def _check_curve_arguments(spec: MapSpec, k: int, field: str, step: float, total_arclength: float, guard):
+    """InvalidInput for a bad argument that ``integrate_curve`` and ``foliation_grid`` share."""
+    check_orbit_order(k)
+    guard_limit(spec, guard)
     if field not in (STABLE, UNSTABLE):
         raise InvalidInput(f"field must be {STABLE!r} or {UNSTABLE!r}")
     for name, value in (("step", step), ("total_arclength", total_arclength)):
@@ -282,8 +285,10 @@ def integrate_curve(
     degeneracy, singular-set proximity, domain exit, or a step too small to
     move the point.
     """
-    _check_curve_arguments(field, step, total_arclength)
+    _check_curve_arguments(spec, k, field, step, total_arclength, guard)
     start = np.asarray(start, dtype=float)
+    if start.shape != (2,):
+        raise InvalidInput(f"curve start has shape {start.shape}; expected (2,)")
     direction = _seed_direction(spec, start, k, field, guard)
     return _integrate(spec, start[None], direction[None], k, field, total_arclength, step, guard)[0]
 
@@ -309,9 +314,11 @@ def foliation_grid(
     Per-seed frame failures are recorded, not fatal.  All curves are
     integrated together, in lockstep.
     """
-    _check_curve_arguments(field, step, total_arclength)
+    _check_curve_arguments(spec, k, field, step, total_arclength, guard)
     if not (math.isfinite(seed_spacing) and seed_spacing > 0.0):
         raise InvalidInput(f"seed_spacing must be positive and finite, got {seed_spacing!r}")
+    if len(rectangle) != 4 or not all(map(math.isfinite, rectangle)):
+        raise InvalidInput(f"rectangle must be four finite numbers xmin, xmax, ymin, ymax, got {rectangle!r}")
     xmin, xmax, ymin, ymax = rectangle
     xs = np.arange(xmin + 0.5 * seed_spacing, xmax, seed_spacing)
     ys = np.arange(ymin + 0.5 * seed_spacing, ymax, seed_spacing)

@@ -132,9 +132,10 @@ def hyperbolic_coordinates(
 def frame_sequence(
     source: Union[OrbitSegment, MatrixCocycle], kmax: Optional[int] = None
 ) -> List[HyperbolicFrame]:
-    """Frames of every order 1..kmax (defaults to the full length)."""
+    """Frames of every order 1..kmax, kmax in 0..k by ``check_order`` (default k)."""
     coc = cocycle_of(source)
     kmax = coc.k if kmax is None else kmax
+    check_order(kmax, 0, coc.k, "kmax")
     return [hyperbolic_coordinates(coc, i) for i in range(1, kmax + 1)]
 
 

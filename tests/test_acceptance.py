@@ -102,7 +102,7 @@ def test_criterion_4_certificate_and_convergence(henon_orbit20, diag_orbit):
     ledger = fit_constants(henon_orbit20, Flavor.SINGULAR_II, 1.05)
     cert = bounds.check_quasi_hyperbolic(henon_orbit20, ledger)
     if not cert.verdict:
-        violations.append(("henon certificate", cert.first_failure))
+        violations.append(("henon certificate", cert.first_failure()))
     rep = bounds.verify_explicit_convergence(henon_orbit20, ledger)
     bad = [r for r in rep.rows if r.margin < 0.0]
     if bad:

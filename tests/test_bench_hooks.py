@@ -103,3 +103,31 @@ def test_bracket_pool_pruned_norm_equals_every_slot_norm(monkeypatch):
         monkeypatch.setattr(bounds, "_largest_norm", lambda mats: float(bounds._power_norms(mats).max()))
         expected = sides(op.prepare()())
         assert len(got[1]) == 2 and got == expected, entry
+
+
+def test_tracer_counts_rows_as_the_report_status_says(monkeypatch, tmp_path):
+    # perfbench/tracing.py counts ``bounds.allowance_rows`` with its own copy
+    # of the row rule and ``certificate.check_rows`` from the rows; both must
+    # agree with the status that ``BoundReport.add`` stored
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    from hypcoords import bounds, certificate, compute_orbit, make_map
+
+    # at the full size: the tiny op's rows all pass outright
+    with tracing.Tracer() as tracer:
+        op = workloads.make_op("converge-k80", 0, "full", str(tmp_path / "out"))
+        assert op.outcome(op.prepare()())["exit"] == 0
+        allowance_rows = tracer.counts["bounds.allowance_rows"]
+        henon = make_map("henon", a=workloads.HENON_A, b=workloads.HENON_B)
+        k = workloads.PARAMS["converge-k80"]["full"]["k"]
+        orbit = compute_orbit(henon, np.array(workloads.attractor_start(0)), k)
+        ledger = certificate.fit_constants(orbit, certificate.Flavor.SINGULAR_II, 1.05)
+        before = tracer.counts["certificate.check_rows"]
+        cert = certificate.check_quasi_hyperbolic(orbit, ledger)
+        check_rows = tracer.counts["certificate.check_rows"] - before
+    statuses = [bounds.verify_apriori_all(orbit).columns()[-1],
+                bounds.verify_explicit_convergence(orbit, ledger).columns()[-1]]
+    assert allowance_rows == sum(int((status == 1).sum()) for status in statuses) > 0
+    assert check_rows == len(cert.columns()[-1]) > 0

@@ -334,9 +334,9 @@ def verify_consecutive_rotation(source):
         )
         # angles below the double-precision angular floor measure as noise,
         # hence the squared rounding allowance
-        rep.add("rotation_sine_squared", (j,), sin * sin, bound, abs_tol=bounds.ROUNDING_UNIT**2)
         drift = math.hypot(1.0 - cos, sin)
-        rep.add("drift_vs_sine", (j,), drift, SQRT2 * abs(sin), abs_tol=bounds.ROUNDING_UNIT)
+        rep.add(("rotation_sine_squared", "drift_vs_sine"), [(j,)], (sin * sin, drift),
+                (bound, SQRT2 * abs(sin)), (bounds.ROUNDING_UNIT**2, bounds.ROUNDING_UNIT))
     return rep
 
 
@@ -383,7 +383,7 @@ def _envelope_rows(rep, rates, index, measured):
     lhs = itertools.cycle((drift, push, push_over_det))
     abs_tol = itertools.cycle((bounds.ROUNDING_UNIT, push_noise, det_noise))
     for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
-        rep.add(check, index, lhs_value, q * r ** index[0], abs_tol=tol_value)
+        rep.add([check], [index], [lhs_value], [q * r ** index[0]], [tol_value])
 
 
 def _explicit_per_pair(orbit, ledger):
@@ -816,14 +816,28 @@ def test_bounds_keep_no_state_on_the_cocycle(henon):
 def test_measurements_called_directly_warn_nothing():
     # a singular DPhi^1 leaves the push of e_1 undefined: NaN, then NaN - -inf
     coc = MatrixCocycle([np.diag([1.0, 0.0])])
-    # a scaled step body whose determinant underflows, though the step's does not
-    underflow = MatrixCocycle([np.diag([2.0**600, 2.0**-600]), np.diag([2.0, 0.5])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         columns = bounds._pair_columns(coc)
-        underflow.contracted_images([1, 2])
     assert np.isnan(columns.log_pushes[:, 0]).all()
     assert not columns.in_range[1]
+
+
+def test_step_whose_scaled_body_loses_an_entry_is_refused():
+    # diag(2^600, 2^-600) scaled by 2^-601 has the body [[0.5, 0], [0, 0]]:
+    # its pull-back read |DPhi^1 e_1| as 0 where it is 2^-600
+    message = r"^step 0 has a nonzero entry below 2\^-1022 once scaled$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=message):
+            MatrixCocycle([np.diag([2.0**600, 2.0**-600]), np.diag([2.0, 0.5])])
+        # an entry that stays nonzero but becomes subnormal, in the second step
+        with pytest.raises(InvalidInput, match=message.replace("0", "1", 1)):
+            MatrixCocycle([np.eye(2), np.array([[2.0**100, 2.0**-930], [0.0, 1.0]])])
+        with pytest.raises(InvalidInput, match=message):
+            MatrixCocycle([np.diag([2.0**511, 2.0**-511])])
+    # the widest power-of-two diagonal whose entries all stay normal once scaled
+    assert MatrixCocycle([np.diag([2.0**511, 2.0**-510])]).step_log_absdet == [math.log(2.0)]
 
 
 def test_slow_variation_terms_henon_regression(henon_orbit8):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypcoords.certificate import (
+    LOG_STRICT_MARGIN,
     ConstantsLedger,
     Flavor,
     auxiliary_constants,
@@ -13,12 +14,14 @@ from hypcoords.certificate import (
     read_ledger,
     structural_violations,
     write_ledger,
+    _step_log_d2_norms,
 )
 from hypcoords.cocycle import compute_orbit
 from hypcoords.errors import DomainViolation, Infeasible, InvalidInput, InvalidLedger
-from hypcoords.planar_maps import linear, make_map, rotation
+from hypcoords.planar_maps import linear, lorenz2d, make_map, rotation
 
 from conftest import (
+    HENON_FIXTURE,
     ISLAND_K,
     ISLAND_START,
     STANDARD_FIXTURE,
@@ -69,11 +72,11 @@ def bypass_ledger(**fields):
 def test_hand_checked_diagonal_certificate(diag_orbit):
     report = check_quasi_hyperbolic(diag_orbit, nonsingular_ledger())
     assert report.verdict
-    assert report.first_failure is None
+    assert report.first_failure() is None
     # 2^i sits strictly inside (1.9^i, 2.1^i) and 4^-i <= 0.3^i
     by_name = {}
     for row in report.rows:
-        by_name.setdefault(row.name, []).append(row)
+        by_name.setdefault(row.check, []).append(row)
     assert all(r.margin > 0 for r in by_name["norm_lower"])
     assert all(r.margin > 0 for r in by_name["norm_upper"])
     assert all(r.margin >= 0 for r in by_name["coecc_decay"])
@@ -83,9 +86,9 @@ def test_identity_orbit_fails_at_first_index():
     orbit = compute_orbit(linear(), np.array([0.2, 0.2]), 5)
     report = check_quasi_hyperbolic(orbit, nonsingular_ledger())
     assert not report.verdict
-    assert report.first_failure[0] == 1
+    assert report.first_failure().index == (1,)
     # the co-eccentricity of the identity never drops below 1
-    failed_at_one = {r.name for r in report.rows if not r.passed and r.i == 1}
+    failed_at_one = {r.check for r in report.rows if not r.passed and r.index == (1,)}
     assert "coecc_decay" in failed_at_one
 
 
@@ -273,13 +276,7 @@ def test_nonsingular_equals_reduced_type_two(diag_orbit):
     rep_ii = check_quasi_hyperbolic(diag_orbit, ConstantsLedger(flavor=Flavor.SINGULAR_II, **base))
     assert len(rep_ns.rows) == len(rep_ii.rows)
     for a, b_ in zip(rep_ns.rows, rep_ii.rows):
-        assert (a.i, a.name, a.log_lhs, a.log_rhs, a.passed) == (
-            b_.i,
-            b_.name,
-            b_.log_lhs,
-            b_.log_rhs,
-            b_.passed,
-        )
+        assert (a.index, a.check, a.lhs, a.rhs, a.passed) == (b_.index, b_.check, b_.lhs, b_.rhs, b_.passed)
 
 
 def test_reciprocal_root_tie_is_consistent():
@@ -390,5 +387,69 @@ def test_lorenz2d_one_step_floor_below_one():
     )
     report = check_quasi_hyperbolic(orbit, ledger)
     assert report.verdict
-    onestep = [r for r in report.rows if r.name == "onestep_coecc"]
+    onestep = [r for r in report.rows if r.check == "onestep_coecc"]
     assert len(onestep) == 8 and all(r.passed for r in onestep)
+
+
+def _per_row_certificate(orbit, ledger):
+    """The certificate rows as one object per row, each with its own strict
+    or non-strict margin rule: the reference the ``BoundReport`` rows of
+    ``check_quasi_hyperbolic`` must equal bit for bit, as
+    (index, check, lhs, rhs, margin, passed) with floats in hex."""
+    coc = orbit.cocycle
+    lg = {name: math.log(val) for name, val in ledger.as_dict().items()}
+    log_d2 = _step_log_d2_norms(orbit)
+    rows = []
+
+    def add(i, name, log_lhs, log_rhs, strict):
+        margin = log_rhs - log_lhs
+        passed = margin > LOG_STRICT_MARGIN if strict else margin >= -LOG_STRICT_MARGIN
+        rows.append(((i,), name, log_lhs.hex(), log_rhs.hex(), margin.hex(), passed))
+
+    for i in range(1, coc.k + 1):
+        add(i, "norm_lower", lg["C"] + i * lg["lambda"], coc.log_norm[i], strict=True)
+        add(i, "norm_upper", coc.log_norm[i], lg["D"] + i * lg["Gamma"], strict=True)
+        add(i, "coecc_decay", coc.log_coecc(i), lg["B"] + i * lg["c"], strict=False)
+        add(i, "coecc_below_one", lg["B"] + i * lg["c"], 0.0, strict=True)
+        step_cap = lg["D"] + lg["Gamma"] + (i - 1) * lg["Gamma_tilde"]
+        add(i, "step_norm", coc.step_log_norm[i - 1], step_cap, strict=True)
+        add(i, "step_second_norm", log_d2[i - 1], step_cap, strict=True)
+        add(i, "step_det", coc.step_log_absdet[i - 1], lg["b"], strict=False)
+        if ledger.flavor.has_type_two:
+            add(i, "onestep_coecc", lg["B_tilde"] + (i - 1) * lg["c_tilde"], coc.step_log_coecc(i - 1),
+                strict=False)
+    return rows
+
+
+def _certificate_cases():
+    """(orbit, ledger) pairs for every flavor: the Henon fixture at k = 80,
+    lorenz2d, and 50 random Henon attractor orbits, each with the ledger fitted
+    to it where the fit is feasible and the one fitted to a short fixture orbit
+    (which fails on many of them) otherwise."""
+    henon = make_map("henon", a=1.4, b=0.3)
+    orbits = [compute_orbit(henon, HENON_FIXTURE, 80), compute_orbit(lorenz2d(), LORENZ_FIXTURE, 8)]
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        start = HENON_FIXTURE
+        for _ in range(int(rng.integers(1, 400))):
+            start = evaluate(henon, start)
+        orbits.append(compute_orbit(henon, start, int(rng.integers(1, 60))))
+    short = compute_orbit(henon, HENON_FIXTURE, 10)
+    for flavor in Flavor:
+        fallback = fit_constants(short, flavor, 1.05)
+        for orbit in orbits:
+            try:
+                yield orbit, fit_constants(orbit, flavor, 1.05)
+            except Infeasible:
+                yield orbit, fallback
+
+
+def test_certificate_rows_equal_the_per_row_rule_bit_for_bit():
+    verdicts = set()
+    for orbit, ledger in _certificate_cases():
+        report = check_quasi_hyperbolic(orbit, ledger)
+        rows = [(r.index, r.check, r.lhs.hex(), r.rhs.hex(), r.margin.hex(), r.passed) for r in report.rows]
+        assert rows == _per_row_certificate(orbit, ledger)
+        assert report.verdict == all(r[-1] for r in rows)
+        verdicts.add(report.verdict)
+    assert verdicts == {True, False}

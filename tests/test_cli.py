@@ -860,8 +860,8 @@ def bound_reports(draw):
     report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS))
     for _ in range(draw(st.integers(0, 12))):
         report.add(
-            draw(st.sampled_from(names)), draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple)),
-            draw(REPORT_NUMBERS), draw(REPORT_NUMBERS), abs_tol=draw(ALLOWANCES),
+            [draw(st.sampled_from(names))], [draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple))],
+            [draw(REPORT_NUMBERS)], [draw(REPORT_NUMBERS)], draw(ALLOWANCES),
         )
     report.context.update(draw(st.dictionaries(CHECK_NAMES, REPORT_NUMBERS, min_size=1, max_size=3)))
     return report
@@ -895,8 +895,8 @@ def shared_value_reports(draw):
     indices = [(0,), (1,), (1.0,), (1, 2), (2, 1), (0, 0, 0)]
     report = bounds.BoundReport("shared", draw(number))
     for _ in range(draw(st.integers(1, 40))):
-        report.add(draw(st.sampled_from(["a", "b", "c"])), draw(st.sampled_from(indices)),
-                   draw(number), draw(number), abs_tol=draw(ALLOWANCES))
+        report.add([draw(st.sampled_from(["a", "b", "c"]))], [draw(st.sampled_from(indices))],
+                   [draw(number)], [draw(number)], draw(ALLOWANCES))
     report.context.update(draw(st.dictionaries(st.sampled_from("xyz"), number, min_size=1)))
     return report
 
@@ -918,18 +918,18 @@ BLOCK_NUMBERS = [
 
 @st.composite
 def block_reports(draw):
-    """Reports built by add_pairs blocks, with single adds between them."""
+    """Reports built by adds of several index tuples, with one-row adds between them."""
     number = st.sampled_from(BLOCK_NUMBERS)
     report = bounds.BoundReport("blocks", draw(st.sampled_from([0.0, 1e-9, -0.5])))
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
-            report.add(draw(st.sampled_from("abc")), (draw(st.integers(0, 3)),), draw(number), draw(number),
-                       abs_tol=draw(ALLOWANCES))
+            report.add([draw(st.sampled_from("abc"))], [(draw(st.integers(0, 3)),)], [draw(number)],
+                       [draw(number)], draw(ALLOWANCES))
             continue
         checks = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
         indices = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8))
         side = st.lists(number, min_size=len(indices), max_size=len(indices)).map(np.array)
-        report.add_pairs(checks, indices, [draw(side) for _ in checks], [draw(side) for _ in checks],
+        report.add(checks, indices, [draw(side) for _ in checks], [draw(side) for _ in checks],
                          [draw(st.one_of(ALLOWANCES, side)) for _ in checks])
     return report
 
@@ -945,7 +945,7 @@ def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a BoundRow was built")
 
-    monkeypatch.setattr(bounds, "BoundRow", refuse)
+    monkeypatch.setattr("hypcoords.report.BoundRow", refuse)
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "both",
                 "--out-dir", tmp_path]) == 0
 

@@ -13,6 +13,7 @@ from hypcoords.cocycle import (
     MatrixCocycle,
     ScaledMatrix,
     compute_orbit,
+    guard_limit,
     measure_steps,
     norm_conorm_det,
 )
@@ -200,6 +201,20 @@ def test_builtin_default_guard(name, guard):
     if guard > 0.0:
         with pytest.raises(SingularEncounter):
             compute_orbit(at_distance(0.99 * guard), start, 1)
+
+
+@pytest.mark.parametrize("guard", [math.nan, -1.0, math.inf, -math.inf])
+def test_guard_is_none_or_finite_and_nonnegative(guard):
+    # a NaN guard never fired, and a negative one became 1e-300
+    message = f"^guard must be finite and >= 0, got {guard!r}$"
+    with pytest.raises(InvalidInput, match=message):
+        compute_orbit(lorenz2d(), np.array([1e-12, 0.1]), 3, guard=guard)
+    with pytest.raises(InvalidInput, match=message):
+        guard_limit(henon(), guard)
+    assert (guard_limit(lorenz2d(), None), guard_limit(henon(), None), guard_limit(henon(), 0.0)) == (
+        1e-8, 1e-300, 1e-300)
+    with pytest.raises(SingularEncounter):
+        compute_orbit(lorenz2d(), np.array([1e-12, 0.1]), 3)
 
 
 def test_orbit_escape():
@@ -447,11 +462,15 @@ def _scalar_cocycle(steps, v):
     """What MatrixCocycle stores, and the images of v, one element at a time
     with the scalar closed forms (2x2 products scaled one at a time,
     ``svd2_matrix``, ``_scalar_apply``), as reprs; or the InvalidInput of a
-    non-finite step, or the ZeroMatrix a zero step or product raises, steps first."""
+    non-finite step or of a step with an entry lost to its scaling, or the
+    ZeroMatrix a zero step or product raises, steps first."""
     steps = [np.array(s, dtype=float) for s in steps]
     if not all(np.isfinite(s).all() for s in steps):
         raise InvalidInput("cocycle steps have a non-finite entry")
     scaled = [_scalar_scaled(s, 0.0) for s in steps]
+    for j, (s, m) in enumerate(zip(steps, scaled)):
+        if any(x != 0.0 and abs(y) < 2.0**-1022 for x, y in zip(s.ravel(), m.body.ravel())):
+            raise InvalidInput(f"step {j} has a nonzero entry below 2^-1022 once scaled")
     prefixes = [ScaledMatrix(np.eye(2), 0.0)]
     for s in scaled:
         last = prefixes[-1]
@@ -565,28 +584,36 @@ def test_images_push_one_vector_per_order_as_apply(seed, data):
         directions=[w for w, _ in applied], log_norms=[w_log for _, w_log in applied])
 
 
-_MEASURED = ("step_bodies", "step_log_scales", "step_log_absdet", "zero_steps", "prefix_bodies",
-             "prefix_log_scales")
+_MEASURED = ("step_bodies", "step_log_scales", "step_log_absdet", "zero_steps", "lost_steps",
+             "prefix_bodies", "prefix_log_scales")
 
 
 def _assert_batch_measures_each_orbit(orbits):
     """``measure_steps`` of the (k, m, 2, 2) stack of m orbits equals, slice by
     slice, the call on each orbit alone and what MatrixCocycle stores, bit for
-    bit; a zero step is one whose closed-form SVD is zero."""
+    bit; a zero step is one whose closed-form SVD is zero, a lost step one
+    with a nonzero entry below 2^-1022 once scaled."""
     batch = measure_steps(np.stack(orbits, axis=1))
     for i, steps in enumerate(orbits):
         alone = dict(zip(_MEASURED, measure_steps(steps)))
         assert _reprs(**dict(zip(_MEASURED, (x[:, i] for x in batch)))) == _reprs(**alone), i
         zero = [linalg2.svd2_matrix(s).smax == 0.0 for s in steps]
         assert alone["zero_steps"].tolist() == zero
+        lost = [bool(((s != 0.0) & (np.abs(body) < 2.0**-1022)).any())
+                for s, body in zip(steps, alone["step_bodies"])]
+        assert alone["lost_steps"].tolist() == lost
         try:
             with np.errstate(all="ignore"):
                 coc = MatrixCocycle(steps)
+        except InvalidInput as exc:
+            assert str(exc) == f"step {lost.index(True)} has a nonzero entry below 2^-1022 once scaled"
+            continue
         except ZeroMatrix as exc:
+            assert not any(lost)
             assert str(exc).startswith(f"step {zero.index(True)} " if any(zero) else "product of steps")
             continue
-        stored = {name: getattr(coc, name) for name in _MEASURED if name != "zero_steps"}
-        del alone["zero_steps"]
+        stored = {name: getattr(coc, name) for name in _MEASURED if name not in ("zero_steps", "lost_steps")}
+        del alone["zero_steps"], alone["lost_steps"]
         assert _reprs(**stored) == _reprs(**alone), i
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import compute_orbit, foliation
 from hypcoords.cocycle import guard_limit
-from hypcoords.errors import HypcoordsError, InvalidInput, NoFrameAtStart
+from hypcoords.errors import HypcoordsError, IndexOutOfRange, InvalidInput, NoFrameAtStart
 from hypcoords.foliation import (
     curve_to_csv_rows,
     curves_to_svg,
@@ -18,7 +18,7 @@ from hypcoords.foliation import (
     integrate_curve,
     pushforward_seed_angle,
 )
-from hypcoords.hypframe import angle_theta
+from hypcoords.hypframe import angle_theta, frame_sequence
 from hypcoords.linalg2 import line_angle_distance
 from hypcoords.planar_maps import MapSpec, henon, linear, lorenz2d, rotation, standard
 
@@ -58,6 +58,42 @@ def test_curve_lengths_must_be_positive_and_finite(call, message):
     with pytest.raises(InvalidInput, match=message) as raised:
         call(henon())
     assert isinstance(raised.value, HypcoordsError) and isinstance(raised.value, ValueError)
+
+
+def _henon_frames(kmax):
+    return frame_sequence(compute_orbit(henon(), np.array([0.1, 0.1]), 3), kmax)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda h: integrate_curve(h, (0.1, 0.1, 0.1), 1), InvalidInput, r"^curve start has shape \(3,\); expected"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 0), InvalidInput, "^orbit order k must be an int >= 1, got 0$"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 2.5), InvalidInput, "^orbit order k must be an int >= 1, got 2.5$"),
+     (lambda h: integrate_curve(h, (0.1, 0.1), 1, guard=math.nan), InvalidInput,
+      "^guard must be finite and >= 0, got nan$"),
+     (lambda h: foliation_grid(h, (-1, 1, -1, 1), 0, 0.5), InvalidInput, "^orbit order k must be an int >= 1"),
+     (lambda h: foliation_grid(h, (-1, math.nan, -1, 1), 1, 0.5), InvalidInput, "^rectangle must be four finite"),
+     (lambda h: foliation_grid(h, (-1, 1, -1), 1, 0.5), InvalidInput, "^rectangle must be four finite"),
+     (lambda h: _henon_frames(2.5), InvalidInput, "^kmax must be an int, got 2.5$"),
+     (lambda h: _henon_frames(-1), IndexOutOfRange, r"^kmax -1 outside 0\.\.3$")],
+    ids=["start-shape", "k-zero", "k-float", "guard-nan", "grid-k-zero", "grid-nan-rect", "grid-short-rect",
+         "frames-float", "frames-negative"],
+)
+def test_curve_and_frame_arguments_are_checked_where_they_enter(call, error, message):
+    # before these checks: NoFrameAtStart("... degenerate"), every grid seed
+    # failed, numpy's ValueError, an unpack error, a TypeError or []
+    with pytest.raises(error, match=message):
+        call(henon())
+
+
+def test_lost_step_stops_kernel_and_scalar_path_as_degenerate():
+    # the step diag(2^600, 2^-600) loses its small entry once scaled
+    spec = linear(2.0**600, 0.0, 0.0, 2.0**-600)
+    points = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    degenerate = foliation.TERMINATIONS.index("degenerate")
+    directions, stops = foliation._field_directions(spec, points, 1, "stable", None)
+    assert np.isnan(directions).all() and stops.tolist() == [degenerate] * 2
+    assert [foliation._field_direction(spec, p, 1, "stable", None)[1] for p in points] == [degenerate] * 2
 
 
 def test_henon_curve_tangent_matches_angle_field(henon):

@@ -1,0 +1,100 @@
+"""``BoundReport.add`` is the one place that decides a row's status.
+
+Each row is lhs <= rhs * (1 + tol) + abs_tol, status 0 where that fails, 1
+where it passes only through abs_tol (lhs > rhs * (1 + tol)) and 2 where it
+passes outright.  These tests evaluate that rule row by row on Python floats
+and compare it with what ``add`` stored, on inf and NaN sides, with one
+allowance for every row or one per check, negative allowances included.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from hypcoords.bounds import BoundReport
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 2.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+NUMBERS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def python_status(lhs: float, rhs: float, tol: float, abs_tol: float) -> int:
+    limit = rhs * (1.0 + tol)
+    if not lhs <= limit + abs_tol:
+        return 0
+    return 1 if lhs > limit else 2
+
+
+@st.composite
+def blocks(draw):
+    """(tol, checks, indices, lhs, rhs, abs_tol) of one ``add``: per check a
+    value or an array over the indices; abs_tol also one value for all."""
+    tol = draw(st.sampled_from([0.0, 1e-9, -0.5, 2.0, math.inf, math.nan]))
+    checks = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4))
+    n = draw(st.integers(1, 4))
+    per_check = st.lists(
+        st.one_of(NUMBERS, st.lists(NUMBERS, min_size=n, max_size=n).map(np.array)),
+        min_size=len(checks), max_size=len(checks),
+    )
+    abs_tol = draw(st.one_of(NUMBERS, per_check))
+    return tol, checks, [(j, 7) for j in range(n)], draw(per_check), draw(per_check), abs_tol
+
+
+def _value(values, c: int, j: int) -> float:
+    value = values[c]
+    return float(value[j] if isinstance(value, np.ndarray) else value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks())
+@example((0.0, ["strict", "loose"], [(1,), (2,)], [np.array([-1e-12, -2e-12]), np.array([0.0, 1e-12])],
+          [0.0, 0.0], [-1e-12, 1e-12]))
+@example((1e-9, ["a"], [(0,)], [math.nan], [1.0], math.inf))
+@example((1e-9, ["a", "b"], [(0,)], [math.inf, 1.0], [math.inf, -math.inf], [0.0, math.inf]))
+def test_add_stores_the_row_rule_evaluated_row_by_row(block):
+    tol, checks, indices, lhs, rhs, abs_tol = block
+    report = BoundReport("rule", tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report.add(checks, indices, lhs, rhs, abs_tol)
+    expected = []
+    for j, index in enumerate(indices):
+        for c, check in enumerate(checks):
+            a, b = _value(lhs, c, j), _value(rhs, c, j)
+            allowance = _value(abs_tol, c, j) if isinstance(abs_tol, list) else float(abs_tol)
+            expected.append((check, index, a.hex(), b.hex(), python_status(a, b, tol, allowance)))
+    names, check, index_tuples, index, lhs_column, rhs_column, status = report.columns()
+    stored = [(names[c], index_tuples[i], a.hex(), b.hex(), s) for c, i, a, b, s in zip(
+        check.tolist(), index.tolist(), lhs_column.tolist(), rhs_column.tolist(), status.tolist())]
+    assert stored == expected
+    assert status.dtype == np.int8
+    rows = report.rows
+    assert [r.passed for r in rows] == [s > 0 for *_, s in expected]
+    assert report.verdict == all(s > 0 for *_, s in expected)
+    first = next((n for n, (*_, s) in enumerate(expected) if s == 0), None)
+    assert repr(report.first_failure()) == repr(None if first is None else rows[first])  # NaN sides
+
+
+def test_blocks_keep_the_order_added():
+    report = BoundReport("order", 0.0)
+    report.add(["x", "y"], [(1,), (2,)], [[0.0, 3.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, 1.0]])
+    report.add(["y"], [(5,)], [2.0], [1.0], 1.0)
+    assert [(r.check, r.index, r.passed) for r in report.rows] == [
+        ("x", (1,), True), ("y", (1,), True), ("x", (2,), False), ("y", (2,), True), ("y", (5,), True),
+    ]
+    assert report.columns()[-1].tolist() == [2, 2, 0, 2, 1]
+    assert report.first_failure().index == (2,) and not report.verdict
+    empty = BoundReport("empty", 0.0)
+    assert empty.verdict and empty.rows == () and empty.first_failure() is None
+    assert [len(column) for column in empty.columns()[1:]] == [0, 0, 0, 0, 0, 0]
+
+
+def test_a_side_without_one_value_per_check_is_refused():
+    report = BoundReport("short", 0.0)
+    for lhs, rhs, abs_tol in (([1.0], [1.0, 2.0], 0.0), ([1.0, 2.0], [1.0, 2.0], [0.0]),
+                              ([1.0, 2.0], [1.0, np.zeros(3)], 0.0)):
+        with pytest.raises(ValueError):
+            report.add(["a", "b"], [(0,), (1,)], lhs, rhs, abs_tol)
+    assert report.rows == ()
