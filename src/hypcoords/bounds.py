@@ -22,7 +22,6 @@ verifier takes a tolerance or constants from its caller.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -40,6 +39,7 @@ from .cocycle import (
     check_order,
     cocycle_of,
     compute_orbit,  # noqa: F401  perfbench's tracer test rebinds bounds.compute_orbit
+    is_int,
     norm_conorm_det,
     normalize_stack,
 )
@@ -644,7 +644,7 @@ def bilinear_column_bounds(
     non-finite entry, n > 4, or ``samples`` other than an int >= 0 (a bool
     is not), is InvalidInput.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
+    if not (is_int(samples) and samples >= 0):
         raise InvalidInput(f"samples must be an int >= 0, got {samples!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     rep = BoundReport("bilinear_column_bounds", DEFAULT_REL_TOL)

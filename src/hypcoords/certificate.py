@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import OrbitSegment
+from .cocycle import OrbitSegment, is_finite_real
 from .errors import (
     BoundOverflow,
     ConfigError,
@@ -265,92 +265,59 @@ def _fitted(name: str, log_value: float) -> float:
 def fit_constants(
     orbit: OrbitSegment, flavor: Flavor, slack: float = 1.05
 ) -> ConstantsLedger:
-    """Fit a minimal feasible ledger from orbit data.
+    """Fit a minimal feasible ledger from orbit data, in one array pass.
 
-    Rates come from geometric (per-step root) envelopes with multiplicative
-    margin ``slack``, so the per-index check passes by construction;
-    prefactors are then the tightest values the data allows (minimal B and
-    D, maximal B_tilde and C).  Raises Infeasible naming the violated
-    structural inequality otherwise.  A ``slack`` that is not a finite
-    number above 1 is InvalidInput.
+    Each constant is fitted once, as a log, from the per-index logs that
+    ``check_quasi_hyperbolic`` reads.  Rates come from geometric (per-step
+    root) envelopes with multiplicative margin ``slack``, so the check
+    passes by construction; prefactors are then the tightest values the
+    data allows (minimal B and D, maximal B_tilde and C).  Gamma_tilde and
+    c_tilde are fitted for the singular flavors of a map that declares a
+    singular set, and are 1 otherwise.  Raises Infeasible naming the first
+    constant (in field order) beyond the double range, the first violated
+    structural inequality, or the first row the closing check fails.  A
+    ``slack`` that is not a finite number above 1 is InvalidInput.
     """
-    if not 1.0 < slack < math.inf:
+    if not (is_finite_real(slack) and slack > 1.0):
         raise InvalidInput(f"slack must be finite and > 1, got {slack!r}")
     coc = orbit.cocycle
-    k = coc.k
     log_eta = math.log(slack)
-
-    rates_norm = [coc.log_norm[i] / i for i in range(1, k + 1)]
-    log_lam = min(rates_norm) - log_eta
-    log_gamma = max(max(rates_norm), math.log(1.0 + 1e-6)) + log_eta
-    rates_cc = [coc.log_coecc(i) / i for i in range(1, k + 1)]
-    if any(math.isinf(r) for r in rates_cc):
+    i = np.arange(1, coc.k + 1)
+    j = i - 1
+    log_norm = np.array(coc.log_norm[1:])
+    log_coecc = np.array(coc.log_conorm[1:]) - log_norm
+    if np.isinf(log_coecc).any():
         raise Infeasible("co-eccentricity vanishes at some order (singular product)")
-    log_c = max(rates_cc) + log_eta
-    if log_c >= 0.0:
+    rates = log_norm / i
+    logs = {  # by field name; the tilde constants are 1 unless fitted below
+        "lam": rates.min() - log_eta,
+        "Gamma": max(rates.max(), math.log(1.0 + 1e-6)) + log_eta,
+        "c": (log_coecc / i).max() + log_eta,
+        "b": max(coc.step_log_absdet) + log_eta,
+        "Gamma_tilde": 0.0, "c_tilde": 0.0, "B_tilde": 0.0,
+    }
+    if logs["c"] >= 0.0:
         raise Infeasible("c < 1 fails: co-eccentricity does not decay")
-
-    log_b = max(coc.step_log_absdet) + log_eta
-    if log_b == float("-inf"):
+    if logs["b"] == -math.inf:
         raise Infeasible("step determinant vanishes")
-
-    step_caps = [max(n, d2) for n, d2 in zip(coc.step_log_norm, _step_log_d2_norms(orbit))]
-
+    step_log_coecc = np.array(coc.step_log_conorm) - coc.step_log_norm
+    if flavor.has_type_two and np.isinf(step_log_coecc).any():
+        raise Infeasible("one-step co-eccentricity vanishes")
+    step_caps = np.fmax(coc.step_log_norm, _step_log_d2_norms(orbit))
     fit_tilde = flavor is not Flavor.NONSINGULAR and orbit.spec.has_singular_set
-
-    log_d = max(0.0, step_caps[0] + log_eta - log_gamma)
+    logs["D"] = max(0.0, step_caps[: 1 if fit_tilde else None].max() + log_eta - logs["Gamma"])
     if fit_tilde:
-        log_gamma_tilde = max(
-            [0.0]
-            + [
-                (step_caps[j] + log_eta - log_d - log_gamma) / j
-                for j in range(1, k)
-            ]
-        )
-    else:
-        log_gamma_tilde = 0.0
-        log_d = max(0.0, max(step_caps) + log_eta - log_gamma)
-
+        logs["Gamma_tilde"] = ((step_caps[1:] + log_eta - logs["D"] - logs["Gamma"]) / j[1:]).max(initial=0.0)
+        if flavor.has_type_two:
+            logs["c_tilde"] = min(0.0, (step_log_coecc[1:] / j[1:]).min(initial=math.inf) - log_eta)
+    logs["B"] = max(0.0, (log_coecc - i * logs["c"]).max())
+    logs["C"] = min(0.0, (log_norm - i * logs["lam"]).min() - log_eta)
     if flavor.has_type_two:
-        if fit_tilde:
-            step_cc = [coc.step_log_coecc(j) for j in range(k)]
-            if any(math.isinf(s) for s in step_cc):
-                raise Infeasible("one-step co-eccentricity vanishes")
-            log_ct = min(0.0, min(step_cc[j] / j for j in range(1, k)) - log_eta) if k > 1 else 0.0
-        else:
-            log_ct = 0.0
-    else:
-        log_ct = 0.0
-
-    # prefactors: minimal B and D, maximal C and B_tilde, at these rates
-    log_B = max(0.0, max(coc.log_coecc(i) - i * log_c for i in range(1, k + 1)))
-    log_C = min(
-        0.0, min(coc.log_norm[i] - i * log_lam for i in range(1, k + 1)) - log_eta
-    )
-    if flavor.has_type_two:
-        log_Bt = min(
-            [0.0]
-            + [coc.step_log_coecc(j) - j * log_ct for j in range(k)]
-        )
-        if math.isinf(log_Bt):
-            raise Infeasible("one-step co-eccentricity vanishes")
-    else:
-        log_Bt = 0.0
-
+        logs["B_tilde"] = (step_log_coecc - j * logs["c_tilde"]).min(initial=0.0)
     try:
-        ledger = ConstantsLedger(
-            flavor=flavor,
-            Gamma=_fitted("Gamma", log_gamma),
-            Gamma_tilde=_fitted("Gamma_tilde", log_gamma_tilde),
-            lam=_fitted("lambda", log_lam),
-            b=_fitted("b", log_b),
-            c=_fitted("c", log_c),
-            c_tilde=_fitted("c_tilde", log_ct),
-            B=_fitted("B", log_B),
-            B_tilde=_fitted("B_tilde", log_Bt),
-            C=_fitted("C", log_C),
-            D=_fitted("D", log_d),
-        )
+        ledger = ConstantsLedger(flavor=flavor, **{
+            name: _fitted(key, float(logs[name])) for name, key in _LEDGER_KEYS.items()
+        })
     except InvalidLedger as exc:
         raise Infeasible(exc.violations[0]) from None
 

@@ -111,9 +111,37 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
             prefix_bodies, prefix_log_scales)
 
 
-def check_order(orders, lo: int, hi: int, name: str) -> np.ndarray:
-    """An int or a 1-d sequence of ints as an index array: InvalidInput for
-    anything else (a bool is not an int), IndexOutOfRange outside lo..hi."""
+def is_int(value) -> bool:
+    """Whether ``value`` is an int; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def float_array(value, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``; anything else is InvalidInput."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be numbers, got {value!r}") from None
+    if array.shape != shape:
+        raise InvalidInput(f"{name} has shape {array.shape}; expected {shape}")
+    return array
+
+
+def check_order(order, lo: int, hi: int, name: str) -> None:
+    """InvalidInput unless ``order`` is an int, IndexOutOfRange outside lo..hi."""
+    if not is_int(order):
+        raise InvalidInput(f"{name} must be an int, got {order!r}")
+    if not lo <= order <= hi:
+        raise IndexOutOfRange(f"{name} {order} outside {lo}..{hi}")
+
+
+def check_orders(orders, lo: int, hi: int, name: str) -> np.ndarray:
+    """``check_order`` for an int or a 1-d sequence of ints: an index array."""
     idx = np.atleast_1d(orders)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise InvalidInput(f"{name} must be an int, got {orders!r}")
@@ -128,14 +156,14 @@ def guard_limit(spec: MapSpec, guard: Optional[float]) -> float:
     ``guard`` other than None or a finite number >= 0 is InvalidInput."""
     if guard is None:
         guard = 1e-8 if spec.has_singular_set else 0.0
-    elif not (math.isfinite(guard) and guard >= 0.0):
+    elif not (is_finite_real(guard) and guard >= 0.0):
         raise InvalidInput(f"guard must be finite and >= 0, got {guard!r}")
     return max(guard, 1e-300)
 
 
 def check_orbit_order(k) -> None:
-    """InvalidInput unless the orbit order ``k`` is an int >= 1 (a bool is not)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+    """InvalidInput unless the orbit order ``k`` is an int >= 1."""
+    if not (is_int(k) and k >= 1):
         raise InvalidInput(f"orbit order k must be an int >= 1, got {k!r}")
 
 
@@ -242,8 +270,8 @@ class MatrixCocycle:
         norms, each the body's image w over math.hypot(w) and log hypot(w)
         plus the log scale; a zero image has a zero direction and log norm
         -inf.  It pushes f and the axis vectors; e goes by ``contracted_images``.
-        Orders are checked by ``check_order``."""
-        orders = check_order(orders, 0, self.k, "order")
+        Orders are checked by ``check_orders``."""
+        orders = check_orders(orders, 0, self.k, "order")
         w = np.matmul(self.prefix_bodies[orders], np.asarray(v, dtype=float)[..., None])[..., 0]
         norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]
@@ -259,7 +287,7 @@ class MatrixCocycle:
         pulled back from order k, where it is normal to DPhi^k f_k, through
         the inverse steps, which expand it; ``_pull_back`` pulls every order
         back at once, on first use."""
-        orders = check_order(orders, 0, self.k, "order")
+        orders = check_orders(orders, 0, self.k, "order")
         if orders.size and self.log_absdet[orders.max()] == -math.inf:
             first = self.log_absdet.index(-math.inf)
             raise ZeroDeterminant(f"det DPhi^{first} is zero: determinant-normalized rows undefined")
@@ -298,6 +326,8 @@ class MatrixCocycle:
 
     def block(self, i: int, j: int) -> ScaledMatrix:
         """Product of steps i..j-1 (the (j-i)-step derivative at point i)."""
+        if not (is_int(i) and is_int(j)):
+            raise InvalidInput(f"block ({i!r}, {j!r}) must be two ints")
         if not 0 <= i <= j <= self.k:
             raise IndexOutOfRange(f"block ({i}, {j}) outside 0 <= i <= j <= {self.k}")
         *_, bodies, log_scales = measure_steps(np.array(self.steps[i:j]).reshape(-1, 2, 2))
@@ -347,9 +377,7 @@ def compute_orbit(
     InvalidInput.
     """
     check_orbit_order(k)
-    start = np.asarray(xi0, dtype=float)
-    if start.shape != (2,):
-        raise InvalidInput(f"orbit start has shape {start.shape}; expected (2,)")
+    start = float_array(xi0, "orbit start", (2,))
     limit = guard_limit(spec, guard)
 
     pts = np.empty((k + 1, 2))

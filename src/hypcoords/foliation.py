@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import check_orbit_order, compute_orbit, guard_limit, measure_steps
+from .cocycle import check_orbit_order, compute_orbit, float_array, guard_limit, is_finite_real, measure_steps
 from .errors import (
     HypcoordsError,
     InvalidInput,
@@ -186,7 +186,7 @@ def _check_curve_arguments(spec: MapSpec, k: int, field: str, step: float, total
     if field not in (STABLE, UNSTABLE):
         raise InvalidInput(f"field must be {STABLE!r} or {UNSTABLE!r}")
     for name, value in (("step", step), ("total_arclength", total_arclength)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (is_finite_real(value) and value > 0.0):
             raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
     if step > total_arclength:
         raise InvalidInput("step must not exceed total_arclength")
@@ -286,9 +286,7 @@ def integrate_curve(
     move the point.
     """
     _check_curve_arguments(spec, k, field, step, total_arclength, guard)
-    start = np.asarray(start, dtype=float)
-    if start.shape != (2,):
-        raise InvalidInput(f"curve start has shape {start.shape}; expected (2,)")
+    start = float_array(start, "curve start", (2,))
     direction = _seed_direction(spec, start, k, field, guard)
     return _integrate(spec, start[None], direction[None], k, field, total_arclength, step, guard)[0]
 
@@ -315,11 +313,12 @@ def foliation_grid(
     integrated together, in lockstep.
     """
     _check_curve_arguments(spec, k, field, step, total_arclength, guard)
-    if not (math.isfinite(seed_spacing) and seed_spacing > 0.0):
+    if not (is_finite_real(seed_spacing) and seed_spacing > 0.0):
         raise InvalidInput(f"seed_spacing must be positive and finite, got {seed_spacing!r}")
-    if len(rectangle) != 4 or not all(map(math.isfinite, rectangle)):
+    corners = list(rectangle) if np.iterable(rectangle) else []
+    if len(corners) != 4 or not all(map(is_finite_real, corners)):
         raise InvalidInput(f"rectangle must be four finite numbers xmin, xmax, ymin, ymax, got {rectangle!r}")
-    xmin, xmax, ymin, ymax = rectangle
+    xmin, xmax, ymin, ymax = corners
     xs = np.arange(xmin + 0.5 * seed_spacing, xmax, seed_spacing)
     ys = np.arange(ymin + 0.5 * seed_spacing, ymax, seed_spacing)
     seeds: List[np.ndarray] = []

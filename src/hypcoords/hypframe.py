@@ -29,22 +29,16 @@ extremum, so it returns exactly what the full sweep returns.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from . import linalg2
-from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, check_order, cocycle_of
-from .errors import (
-    BoundOverflow,
-    ConformalDegenerate,
-    InvalidInput,
-    NoHyperbolicCoordinates,
-    ZeroMatrix,
-)
+from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, check_order, cocycle_of, float_array, is_int
+from .errors import ConformalDegenerate, InvalidInput, NoHyperbolicCoordinates, ZeroMatrix
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
 LOW_CONFIDENCE_COECC = 0.999  # angle ill-conditioned beyond this
@@ -224,8 +218,8 @@ def pushforward_frames(
     """e and f of order k pushed forward i steps (orthogonal only at i == k);
     e by the cocycle's pull-back, f by its forward push."""
     coc = cocycle_of(source)
-    check_order(i, 0, k, "pushforward step")
     frame = hyperbolic_coordinates(coc, k)
+    check_order(i, 0, k, "pushforward step")
     e_dirs, e_logs = coc.contracted_images([k])
     (f_dir,), (f_log,) = coc.images(frame.f, [i])
     return PushedFrame(k=k, i=i, e_dir=e_dirs[0, i], e_log_norm=float(e_logs[0, i]), f_dir=f_dir,
@@ -243,8 +237,6 @@ class OracleResult:
     flat: bool
     grid_n: int
 
-
-_grid_cache: dict = {}
 
 # Grid points per block of the oracle's block bounds.
 _ORACLE_BLOCK = 256
@@ -311,22 +303,18 @@ def _block_bounds(columns) -> _BlockBounds:
     return _BlockBounds(centre_slope.reshape(3, -1), tuple(reach), sigma)
 
 
+@functools.lru_cache(maxsize=1)  # keep one resolution resident
 def _grid_basis(grid_n: int):
     """sin^2, 2 sin cos and cos^2 on the grid, and their per-block bound data."""
-    cached = _grid_cache.get(grid_n)
-    if cached is None:
-        # in place where an operand is dead: each fresh 8 MB array costs page faults
-        theta = np.arange(grid_n, dtype=float)
-        theta *= math.pi / grid_n
-        s = np.sin(theta)
-        c = np.cos(theta, out=theta)
-        sc2 = 2.0 * s
-        sc2 *= c
-        columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
-        cached = (columns, _block_bounds(columns))
-        _grid_cache.clear()  # keep at most one resolution resident
-        _grid_cache[grid_n] = cached
-    return cached
+    # in place where an operand is dead: each fresh 8 MB array costs page faults
+    theta = np.arange(grid_n, dtype=float)
+    theta *= math.pi / grid_n
+    s = np.sin(theta)
+    c = np.cos(theta, out=theta)
+    sc2 = 2.0 * s
+    sc2 *= c
+    columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
+    return columns, _block_bounds(columns)
 
 
 def _block_enclosures(
@@ -380,35 +368,15 @@ def _sweep_extremes(
     return imax, imin, fmax, fmin
 
 
-def _scaled_root(f: float, log_scale: float) -> float:
-    """sqrt(max(f, 0)) * exp(log_scale); a finite f whose scaled root exceeds
-    the double range is a BoundOverflow."""
-    root = math.sqrt(max(f, 0.0))
-    if log_scale == 0.0 or root == 0.0:
-        return root
-    try:
-        scaled = root * math.exp(log_scale)
-    except OverflowError:
-        scaled = math.inf
-    if math.isinf(scaled) and math.isfinite(root):
-        raise BoundOverflow(
-            f"oracle norm sqrt({f:.6g}) * exp({log_scale:.6g}) exceeds the double range"
-        )
-    return scaled
-
-
-def oracle_extremal_directions(
-    m: Union[ScaledMatrix, np.ndarray], grid_n: int
-) -> OracleResult:
+def oracle_extremal_directions(m: np.ndarray, grid_n: int) -> OracleResult:
     """Maximize/minimize the image norm over a uniform angle grid on [0, pi).
 
     Entirely independent of the closed-form SVD: the squared image norm
     f = g11 sin^2 + g12 (2 sin cos) + g22 cos^2 of the Gram entries is
     evaluated on grid points, and the returned angles are within pi/grid_n
     of the true extremal angles.  A grid_n that is not an int, is a bool or
-    is below 4 is InvalidInput, and so is a matrix that is not 2x2 or has a
-    non-finite entry; a norm of a ScaledMatrix beyond the double range is a
-    BoundOverflow.
+    is below 4 is InvalidInput, and so is an ``m`` that is not a 2x2 array
+    of finite numbers.
 
     Blocks of the grid that cannot hold an extremum are skipped; the result
     is that of the full sweep, index for index.
@@ -456,16 +424,9 @@ def oracle_extremal_directions(
     infinite or above 2^1020 every block is kept, which is the full sweep;
     below it nothing in the bounds overflows.
     """
-    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral) or grid_n < 4:
+    if not (is_int(grid_n) and grid_n >= 4):
         raise InvalidInput(f"grid_n must be an int >= 4, got {grid_n!r}")
-    if isinstance(m, ScaledMatrix):
-        body, log_scale = m.body, m.log_scale
-    else:
-        body, log_scale = np.asarray(m, dtype=float), 0.0
-    if body.shape != (2, 2):
-        raise InvalidInput(f"matrix has shape {body.shape}; expected (2, 2)")
-    a, b = float(body[0, 0]), float(body[0, 1])
-    c, d = float(body[1, 0]), float(body[1, 1])
+    (a, b), (c, d) = float_array(m, "matrix", (2, 2)).tolist()
     if not all(map(math.isfinite, (a, b, c, d))):
         raise InvalidInput("matrix has a non-finite entry")
     imax, imin, fmax, fmin = _sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
@@ -473,8 +434,8 @@ def oracle_extremal_directions(
     return OracleResult(
         theta_max=imax * step,
         theta_min=imin * step,
-        norm_max=_scaled_root(fmax, log_scale),
-        norm_min=_scaled_root(fmin, log_scale),
+        norm_max=math.sqrt(max(fmax, 0.0)),
+        norm_min=math.sqrt(max(fmin, 0.0)),
         flat=(fmax - fmin) <= 1e-12 * max(fmax, 1e-300),
         grid_n=grid_n,
     )

@@ -45,11 +45,8 @@ class BoundReport:
             abs_tol = [abs_tol] * len(checks)
         sides = np.empty((3, len(checks), len(indices)))
         for side, values in zip(sides, (lhs, rhs, abs_tol)):
-            try:  # per check a value with one index tuple, or arrays of one length
-                side[:] = np.array(values, dtype=float).reshape(side.shape)
-            except ValueError:  # values and arrays mixed; faster than np.broadcast_arrays
-                for row, value in zip(side, values, strict=True):
-                    row[:] = value
+            for c, value in zip(range(len(checks)), values, strict=True):
+                side[c] = value
         lhs, rhs, allowance = sides
         with np.errstate(all="ignore"):
             limit = rhs * (1.0 + float(self.tol))

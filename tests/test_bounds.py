@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hypcoords import bounds, hypframe, linalg2
+from hypcoords import bounds, foliation, hypframe, linalg2
 from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
 from hypcoords.cocycle import MatrixCocycle, OrbitSegment, cocycle_of, compute_orbit
 from hypcoords.errors import (
@@ -116,6 +116,51 @@ def test_order_that_is_not_an_int_is_invalid_input(henon, name, k):
     orbit = compute_orbit(henon, HENON_FIXTURE, 5)
     with pytest.raises(InvalidInput, match=f"must be an int, got {k!r}$"):
         calls[name](orbit, k)
+
+
+_CURVE = {"total_arclength": 0.01, "step": 0.005}
+# Each entry point with a value in one argument, on the Henon fixture at k = 5;
+# those of _ORDER_CALLS take it as the order
+_VALUE_CALLS = {
+    **_ORDER_CALLS,
+    "frame_sequence": lambda o, v: hypframe.frame_sequence(o, v),
+    "pushforward_frames step": lambda o, v: hypframe.pushforward_frames(o, 2, v),
+    "diagonal_form_residuals": lambda o, v: hypframe.diagonal_form_residuals(o, v),
+    "oracle matrix": lambda o, v: hypframe.oracle_extremal_directions(v, 100),
+    "prefix": lambda o, v: o.cocycle.prefix(v),
+    "block start": lambda o, v: o.cocycle.block(v, 3),
+    "block end": lambda o, v: o.cocycle.block(0, v),
+    "images": lambda o, v: o.cocycle.images(np.array([1.0, 0.0]), v),
+    "contracted_images": lambda o, v: o.cocycle.contracted_images(v),
+    "fit_constants slack": lambda o, v: fit_constants(o, Flavor.SINGULAR_II, v),
+    "compute_orbit start": lambda o, v: compute_orbit(o.spec, v, 3),
+    "compute_orbit guard": lambda o, v: compute_orbit(o.spec, HENON_FIXTURE, 3, guard=v),
+    "integrate_curve start": lambda o, v: foliation.integrate_curve(o.spec, v, 2, **_CURVE),
+    "integrate_curve step": lambda o, v: foliation.integrate_curve(o.spec, HENON_FIXTURE, 2, 0.01, v),
+    "integrate_curve total_arclength": lambda o, v: foliation.integrate_curve(
+        o.spec, HENON_FIXTURE, 2, total_arclength=v, step=0.005),
+    "integrate_curve guard": lambda o, v: foliation.integrate_curve(o.spec, HENON_FIXTURE, 2, guard=v, **_CURVE),
+    "foliation_grid rectangle": lambda o, v: foliation.foliation_grid(o.spec, v, 2, 0.5, **_CURVE),
+    "foliation_grid seed_spacing": lambda o, v: foliation.foliation_grid(o.spec, (0, 1, 0, 1), 2, v, **_CURVE),
+}
+_VALUES = {"str": "x", "bool": True, "list": [2], "None": None, "pair": (1, 2)}
+# the (entry point, value) pairs that are valid: the call returns
+_VALID_VALUES = {
+    ("frame_sequence", "None"), ("compute_orbit guard", "None"), ("integrate_curve guard", "None"),
+    ("images", "list"), ("images", "pair"), ("contracted_images", "list"), ("contracted_images", "pair"),
+    ("compute_orbit start", "pair"), ("integrate_curve start", "pair"),
+}
+
+
+@pytest.mark.parametrize("value", list(_VALUES))
+@pytest.mark.parametrize("entry", list(_VALUE_CALLS))
+def test_a_wrong_typed_argument_is_a_typed_error(henon, entry, value):
+    orbit = compute_orbit(henon, HENON_FIXTURE, 5)
+    if (entry, value) in _VALID_VALUES:
+        _VALUE_CALLS[entry](orbit, _VALUES[value])
+    else:
+        with pytest.raises(HypcoordsError):
+            _VALUE_CALLS[entry](orbit, _VALUES[value])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from hypcoords.certificate import (
     write_ledger,
     _step_log_d2_norms,
 )
-from hypcoords.cocycle import compute_orbit
-from hypcoords.errors import DomainViolation, Infeasible, InvalidInput, InvalidLedger
+from hypcoords.cocycle import MatrixCocycle, OrbitSegment, compute_orbit
+from hypcoords.errors import DomainViolation, HypcoordsError, Infeasible, InvalidInput, InvalidLedger
 from hypcoords.planar_maps import linear, lorenz2d, make_map, rotation
 
 from conftest import (
     HENON_FIXTURE,
+    HENON_START_A,
+    HENON_START_B,
     ISLAND_K,
     ISLAND_START,
     STANDARD_FIXTURE,
@@ -371,8 +375,6 @@ def test_lorenz2d_singular_certificate():
 def test_lorenz2d_one_step_floor_below_one():
     # widen the fitted type-(I) ledger into a dual-flavor one whose
     # one-step co-eccentricity floor genuinely decays (c_tilde < 1)
-    import dataclasses
-
     from hypcoords.planar_maps import lorenz2d
 
     orbit = compute_orbit(lorenz2d(), LORENZ_FIXTURE, 8)
@@ -453,3 +455,171 @@ def test_certificate_rows_equal_the_per_row_rule_bit_for_bit():
         assert report.verdict == all(r[-1] for r in rows)
         verdicts.add(report.verdict)
     assert verdicts == {True, False}
+
+
+def _reference_fitted(name, log_value):
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise Infeasible(f"{name} = exp({log_value!r}) exceeds the double range") from None
+
+
+def _reference_fit(orbit, flavor, slack):
+    """``fit_constants`` as a walk over the orders in Python, a list per
+    quantity and a branch per case: the reference the array pass must equal
+    bit for bit, ledger and Infeasible message alike."""
+    if not 1.0 < slack < math.inf:
+        raise InvalidInput(f"slack must be finite and > 1, got {slack!r}")
+    coc = orbit.cocycle
+    k = coc.k
+    log_eta = math.log(slack)
+
+    rates_norm = [coc.log_norm[i] / i for i in range(1, k + 1)]
+    log_lam = min(rates_norm) - log_eta
+    log_gamma = max(max(rates_norm), math.log(1.0 + 1e-6)) + log_eta
+    rates_cc = [coc.log_coecc(i) / i for i in range(1, k + 1)]
+    if any(math.isinf(r) for r in rates_cc):
+        raise Infeasible("co-eccentricity vanishes at some order (singular product)")
+    log_c = max(rates_cc) + log_eta
+    if log_c >= 0.0:
+        raise Infeasible("c < 1 fails: co-eccentricity does not decay")
+
+    log_b = max(coc.step_log_absdet) + log_eta
+    if log_b == float("-inf"):
+        raise Infeasible("step determinant vanishes")
+
+    step_caps = [max(n, d2) for n, d2 in zip(coc.step_log_norm, _step_log_d2_norms(orbit))]
+
+    fit_tilde = flavor is not Flavor.NONSINGULAR and orbit.spec.has_singular_set
+
+    log_d = max(0.0, step_caps[0] + log_eta - log_gamma)
+    if fit_tilde:
+        log_gamma_tilde = max(
+            [0.0] + [(step_caps[j] + log_eta - log_d - log_gamma) / j for j in range(1, k)]
+        )
+    else:
+        log_gamma_tilde = 0.0
+        log_d = max(0.0, max(step_caps) + log_eta - log_gamma)
+
+    if flavor.has_type_two:
+        if fit_tilde:
+            step_cc = [coc.step_log_coecc(j) for j in range(k)]
+            if any(math.isinf(s) for s in step_cc):
+                raise Infeasible("one-step co-eccentricity vanishes")
+            log_ct = min(0.0, min(step_cc[j] / j for j in range(1, k)) - log_eta) if k > 1 else 0.0
+        else:
+            log_ct = 0.0
+    else:
+        log_ct = 0.0
+
+    log_B = max(0.0, max(coc.log_coecc(i) - i * log_c for i in range(1, k + 1)))
+    log_C = min(0.0, min(coc.log_norm[i] - i * log_lam for i in range(1, k + 1)) - log_eta)
+    if flavor.has_type_two:
+        log_Bt = min([0.0] + [coc.step_log_coecc(j) - j * log_ct for j in range(k)])
+        if math.isinf(log_Bt):
+            raise Infeasible("one-step co-eccentricity vanishes")
+    else:
+        log_Bt = 0.0
+
+    try:
+        ledger = ConstantsLedger(
+            flavor=flavor,
+            Gamma=_reference_fitted("Gamma", log_gamma),
+            Gamma_tilde=_reference_fitted("Gamma_tilde", log_gamma_tilde),
+            lam=_reference_fitted("lambda", log_lam),
+            b=_reference_fitted("b", log_b),
+            c=_reference_fitted("c", log_c),
+            c_tilde=_reference_fitted("c_tilde", log_ct),
+            B=_reference_fitted("B", log_B),
+            B_tilde=_reference_fitted("B_tilde", log_Bt),
+            C=_reference_fitted("C", log_C),
+            D=_reference_fitted("D", log_d),
+        )
+    except InvalidLedger as exc:
+        raise Infeasible(exc.violations[0]) from None
+
+    report = check_quasi_hyperbolic(orbit, ledger)
+    if not report.verdict:
+        row = report.first_failure()
+        raise Infeasible(f"{row.check} fails at i={row.index[0]}")
+    return ledger
+
+
+def _fit_outcome(fit, orbit, flavor, slack):
+    """The ledger's constants in hex, or the Infeasible message."""
+    try:
+        return [value.hex() for value in fit(orbit, flavor, slack).as_dict().values()]
+    except Infeasible as exc:
+        return str(exc)
+
+
+def _attractor_orbits(spec, start, count, max_k, rng):
+    """``count`` orbits of random order up to ``max_k`` from random iterates of ``start``."""
+    orbits = []
+    while len(orbits) < count:
+        for _ in range(int(rng.integers(1, 100))):
+            start = evaluate(spec, start)
+        try:
+            orbits.append(compute_orbit(spec, start, int(rng.integers(1, max_k + 1))))
+        except HypcoordsError:  # an orbit through the singular guard of lorenz2d
+            pass
+    return orbits
+
+
+def test_fit_equals_the_per_order_reference_bit_for_bit():
+    henon = make_map("henon", a=1.4, b=0.3)
+    standard = make_map("standard", K=STANDARD_K)
+    rng = np.random.default_rng(35)
+    orbits = [
+        compute_orbit(henon, start, k)
+        for start in (HENON_FIXTURE, HENON_START_A, HENON_START_B) for k in (1, 2, 5, 20, 80)
+    ]
+    orbits += [compute_orbit(lorenz2d(), LORENZ_FIXTURE, k) for k in (1, 2, 8)]
+    orbits += [compute_orbit(standard, STANDARD_FIXTURE, k) for k in (1, 2, 5, 12, 40)]
+    orbits += _attractor_orbits(henon, HENON_FIXTURE, 20, 80, rng)
+    orbits += _attractor_orbits(lorenz2d(), LORENZ_FIXTURE, 30, 40, rng)
+    orbits += _attractor_orbits(standard, STANDARD_FIXTURE, 10, 40, rng)
+    # Gamma_tilde and c_tilde are fitted only on a map that declares a
+    # singular set; no lorenz2d orbit has a type-II ledger, these do
+    declared = dataclasses.replace(standard, has_singular_set=True)
+    orbits += _attractor_orbits(declared, STANDARD_FIXTURE, 20, 40, rng)
+    for diagonals in ([(2.7, 0.06), (1.2, 0.9)], [(3.7, 0.07), (1.7, 1.1)]):
+        steps = [np.diag(d) for d in diagonals]
+        seconds = [(0.5 * j * np.eye(2), np.zeros((2, 2))) for j in range(len(steps))]
+        orbits.append(OrbitSegment(declared, np.zeros((len(steps) + 1, 2)), seconds, MatrixCocycle(steps)))
+    fitted = set()
+    for orbit in orbits:
+        for flavor in Flavor:
+            for slack in (1.05, 1.5):
+                outcome = _fit_outcome(fit_constants, orbit, flavor, slack)
+                assert outcome == _fit_outcome(_reference_fit, orbit, flavor, slack)
+                fitted.add(isinstance(outcome, list))
+    assert fitted == {True, False}
+
+
+# Each raise of the fit that some orbit reaches, with a constant step matrix
+# (the linear map at the origin), its order and a slack that reach it in
+# every flavor.  Unreachable: "step determinant vanishes" and "one-step
+# co-eccentricity vanishes", since a singular step makes every later order
+# singular, and an overflow of any constant but Gamma and b (lambda <= Gamma;
+# c, c_tilde, B_tilde and C are at most 1 and B is 1 up to rounding; a finite
+# step cap is at most the largest double, which D and Gamma_tilde stay below).
+_FIT_RAISES = {
+    "co-eccentricity vanishes at some order (singular product)": ([[1.0, 0.0], [0.0, 0.0]], 3, 1.05),
+    "c < 1 fails: co-eccentricity does not decay": ([[0.0, -1.0], [1.0, 0.0]], 3, 1.05),
+    "Gamma = exp(709.8046145942709) exceeds the double range": ([[1.75e308, 0.0], [0.0, 1e200]], 1, 1.05),
+    "b = exp(1169.7620174051447) exceeds the double range": ([[1e308, 0.0], [0.0, 1e200]], 1, 1.05),
+    "b > 0": ([[1e-100, 0.0], [0.0, 1e-300]], 1, 1.05),  # a structural inequality
+    # the closing check: a slack whose log is below LOG_STRICT_MARGIN
+    "norm_lower fails at i=1": ([[2.0, 0.0], [0.0, 2.0 * (1.0 - 5e-13)]], 3, 1.0 + 5e-14),
+}
+
+
+@pytest.mark.parametrize("message", list(_FIT_RAISES))
+def test_every_reachable_fit_raise_equals_the_reference(message):
+    step, k, slack = _FIT_RAISES[message]
+    orbit = compute_orbit(linear(*np.ravel(step)), np.zeros(2), k)
+    for flavor in Flavor:
+        for fit in (fit_constants, _reference_fit):
+            with pytest.raises(Infeasible, match=f"^{re.escape(message)}$"):
+                fit(orbit, flavor, slack)
