@@ -14,8 +14,8 @@ Three layers, mirroring how the estimates stack up:
 All left-hand sides are measured quantities (frame distances are taken up
 to the sign ambiguity); right-hand sides are assembled in log form and
 exponentiated only for the final comparison, with pass defined as
-lhs <= rhs * (1 + DEFAULT_REL_TOL) plus a rounding allowance of ROUNDING_UNIT
-times the row's norm scale.  These two are the only tolerances: no
+lhs <= rhs * (1 + DEFAULT_REL_TOL), plus a rounding allowance of
+ROUNDING_UNIT on the drift rows.  These two are the only tolerances: no
 verifier takes a tolerance or constants from its caller.
 """
 
@@ -39,6 +39,7 @@ from .cocycle import (
     check_order,
     cocycle_of,
     compute_orbit,  # noqa: F401  perfbench's tracer test rebinds bounds.compute_orbit
+    float_array,
     is_int,
     norm_conorm_det,
     normalize_stack,
@@ -69,19 +70,18 @@ DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
 # bottoms out near eps, so the drift rows get an absolute allowance of
 # ROUNDING_UNIT -- orders of magnitude below any meaningful violation.  The
 # push and det rows read the cocycle's pull-back, correct to relative
-# precision, and keep ROUNDING_UNIT times their norm scale only for right
-# sides whose drift term underflows to 0 (Henon fixture, K >= 368).
+# precision, and get none.
 ROUNDING_UNIT = 64.0 * 2.220446049250313e-16
+_ABS_TOL = (ROUNDING_UNIT, 0.0, 0.0)  # of the drift, push and det rows
 
 
-# Per-index terms of ctilde and of the four a-priori sums.  The per-pair
-# functions add these terms left to right with plain ``+=`` (never ``sum()``,
-# which compensates from Python 3.12 on).  The sweeps add the same terms in
-# the same order with numpy's elementwise ``+=`` over i, which rounds each
-# addition as Python does, so their sums equal the per-pair sums bit for bit.
-# Logs and exponentials stay ``math`` calls per element (``linalg2.each``):
-# ``np.log`` and ``np.exp`` differ from them in the last bit on a few
-# percent of inputs.
+# Per-index terms of ctilde and the logs of the terms of the two a-priori
+# sums, drift and tail.  The per-pair functions add these logs left to right
+# with ``np.logaddexp`` on floats; the sweeps add the same logs in the same
+# order with ``np.logaddexp`` over i, which rounds each addition alike, so
+# their sums equal the per-pair sums bit for bit.  Logs and exponentials
+# stay ``math`` calls per element (``linalg2.each``): ``np.log`` and
+# ``np.exp`` differ from them in the last bit on a few percent of inputs.
 
 
 _LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows on finite x above it
@@ -115,28 +115,25 @@ def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
     return 2.0 / (1.0 - cc * cc)
 
 
-def _log_terms(coc: MatrixCocycle, j: int, log_absdet_i):
-    """Logs of the j-th terms of the drift, det drift, tail and det tail sums of
-    a pair (i, k), given log |det DPhi^i| as a float or an array over i; +inf
-    tails for a zero one-step co-eccentricity."""
-    log_coecc, step_log_coecc = coc.log_coecc(j), coc.step_log_coecc(j)
-    det_ratio = coc.log_absdet[j] - log_absdet_i
+def _log_terms(coc: MatrixCocycle, j: int) -> Tuple[float, float]:
+    """Logs of the j-th terms of the drift and tail sums of a pair (i, k),
+    which do not depend on i; a +inf tail for a zero one-step co-eccentricity."""
+    log_coecc = coc.log_coecc(j)
     return (
         log_coecc + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1],
-        det_ratio + coc.step_log_norm[j] - coc.log_norm[j] - coc.log_norm[j + 1],
-        log_coecc - step_log_coecc,
-        det_ratio - 2.0 * coc.log_norm[j] - step_log_coecc,
+        log_coecc - coc.step_log_coecc(j),
     )
 
 
-def _sum(coc: MatrixCocycle, i: int, k: int, term: int) -> float:
-    """Sum over j = i..k-1 of the exponential of ``_log_terms``' ``term``; at a
-    step of zero one-step co-eccentricity a tail term (2 or 3) is a DegenerateStep."""
-    total = 0.0
+def _log_sum(coc: MatrixCocycle, i: int, k: int, term: int) -> float:
+    """log of the sum over j = i..k-1 of the exponential of ``_log_terms``'
+    ``term`` (0 drift, 1 tail), -inf for an empty sum; at a step of zero
+    one-step co-eccentricity a tail is a DegenerateStep."""
+    total = -math.inf
     for j in range(i, k):
-        if term >= 2 and math.isinf(coc.step_log_coecc(j)):
+        if term == 1 and math.isinf(coc.step_log_coecc(j)):
             raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
-        total += _exp(_log_terms(coc, j, coc.log_absdet[i])[term])
+        total = float(np.logaddexp(total, _log_terms(coc, j)[term]))
     return total
 
 
@@ -155,25 +152,21 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     return math.sqrt(worst)
 
 
-def tail_T(source: Union[OrbitSegment, MatrixCocycle], i: int, k: int) -> float:
-    """Sum over j = i..k-1 of coecc_j / onestep_coecc_j (empty sum is 0)."""
-    coc = cocycle_of(source)
-    _check_pair(coc, i, k)
-    return _sum(coc, i, k, 2)
-
-
 def _pair_measurements(
     coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
-) -> Tuple[float, float, float, float, float]:
-    """The measured left sides of pair (i, k) -- the drift |e_k - e_i|,
-    |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i| -- then the rounding
-    allowances of the last two.  |DPhi^i e_k| is the cocycle's pull-back,
-    which a singular DPhi^k leaves undefined (ZeroDeterminant)."""
+) -> Tuple[float, float, float]:
+    """The measured left sides of pair (i, k): the drift |e_k - e_i|,
+    |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i|.  |DPhi^i e_k| is the
+    cocycle's pull-back, which a singular DPhi^k leaves undefined
+    (ZeroDeterminant); a side whose log or its negative is beyond the
+    double range is a BoundOverflow."""
     drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
     log_push = float(coc.contracted_images([k])[1][0, i])
-    push_noise = ROUNDING_UNIT * _exp(coc.log_norm[i])
-    det_noise = ROUNDING_UNIT * _exp(coc.log_norm[i] - coc.log_absdet[i])
-    return drift, _exp(log_push), _exp(log_push - coc.log_absdet[i]), push_noise, det_noise
+    logs = (log_push, log_push - coc.log_absdet[i])
+    for x in logs:
+        if abs(x) > _LOG_MAX:
+            raise _overflow(x)
+    return (drift, *map(math.exp, logs))
 
 
 class _PairColumns(NamedTuple):
@@ -182,9 +175,9 @@ class _PairColumns(NamedTuple):
 
     indices: List[Tuple[int, int]]
     i: np.ndarray
-    measured: np.ndarray  # drift, push, push_over_det, push_noise, det_noise
+    measured: np.ndarray  # drift, push, push_over_det
     log_pushes: np.ndarray  # the logs of push and push_over_det
-    in_range: np.ndarray  # at k: whether every term of order k is in the double range
+    in_range: np.ndarray  # at k: whether order k has a pull-back and all its logs are in range
 
 
 def _order_pairs(k: int) -> slice:
@@ -196,7 +189,7 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     """``_pair_measurements`` of every pair in one array pass, bit for bit
     where that function returns, with each order's contracted direction in
     the frame's sign whether or not the frame exists.  Raises nothing: a
-    term beyond the double range is inf, the pushes of an order whose
+    term beyond the double range is inf or 0, the pushes of an order whose
     product is singular are NaN, and a sweep checks the frame and
     ``in_range`` of an order before it reads the order's pairs;
     ``_first_error`` names what the per-pair function raises."""
@@ -204,7 +197,7 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     k = np.repeat(orders, orders)
     i = np.arange(len(k)) - k * (k - 1) // 2 + 1
     e = linalg2.canonical_sign(coc.contracted)
-    log_norm, log_absdet = np.array(coc.log_norm), np.array(coc.log_absdet)
+    log_absdet = np.array(coc.log_absdet)
     pulled = np.count_nonzero(log_absdet > -math.inf)  # orders 0.. with a pull-back
     with np.errstate(all="ignore"):  # inf and NaN as on Python floats
         # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
@@ -216,40 +209,30 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
         log_push, rows = np.full(len(k), math.nan), k < pulled
         log_push[rows] = coc.contracted_images(range(pulled))[1][k[rows], i[rows]]
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))
-        log_noise = np.stack((log_norm, log_norm - log_absdet))  # column i: the allowances at i
-    beyond = (log_pushes > _LOG_MAX).any(axis=0)
-    in_range = ~(log_noise > _LOG_MAX).any(axis=0)
-    in_range[1:] &= ~np.logical_or.reduceat(beyond, orders * (orders - 1) // 2)
-    noise = ROUNDING_UNIT * _exp_or_inf(log_noise)
-    measured = np.vstack(([drift], _exp_or_inf(log_pushes), noise[:, i]))
+    in_range = np.ones(coc.k + 1, dtype=bool)
+    in_range[1:] = np.logical_and.reduceat(rows & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
+                                           orders * (orders - 1) // 2)
+    measured = np.vstack(([drift], _exp_or_inf(log_pushes)))
     return _PairColumns(list(zip(i.tolist(), k.tolist())), i, measured, log_pushes, in_range)
 
 
-def _first_error(coc: MatrixCocycle, columns: _PairColumns, k: int, sums=None) -> HypcoordsError:
+def _first_error(coc: MatrixCocycle, columns: _PairColumns, k: int, rhs=None) -> HypcoordsError:
     """What the per-pair function raises at the first pair (i, k) of order k
     to fail, in row order, meeting each pair's terms as it does: the measured
-    ones, then ``verify_apriori_all``'s ``sums`` (the terms of j = k - 1, the
-    max |entry| of each block, the log quotients); index i < k passed at order i."""
-    log_push, log_push_over_det = columns.log_pushes[:, _order_pairs(k)]
-
-    def overflows(*logs):
-        return (_overflow(x) for x in logs if x > _LOG_MAX)
+    ones, then ``verify_apriori_all``'s ``rhs`` (the max |entry| of each
+    block and the logs of the right sides); index i < k passed at order i."""
+    log_pushes = columns.log_pushes[:, _order_pairs(k)]
 
     def errors(i):
         if i == 1 and coc.log_absdet[k] == -math.inf:  # the first order of a singular product
             yield ZeroDeterminant(f"det DPhi^{k} is zero: determinant-normalized rows undefined")
-        if i == k:
-            yield from overflows(coc.log_norm[k], coc.log_norm[k] - coc.log_absdet[k])
-        yield from overflows(log_push[i - 1], log_push_over_det[i - 1])
-        if sums is None:
+        yield from (_overflow(x) for x in log_pushes[:, i - 1] if abs(x) > _LOG_MAX)
+        if rhs is None:
             return
-        (drift, det_drift, tail, det_tail), peak, log_quotient = sums
-        if i < k:
-            yield from overflows(drift, det_drift[i - 1])
-            yield from overflows(tail, det_tail[i - 1])
-            if peak[i - 1] == 0.0:
-                yield ZeroMatrix("norms undefined for the zero matrix")  # as norm_conorm_det
-        yield from overflows(log_quotient[i - 1])
+        peak, logs = rhs
+        if i < k and peak[i - 1] == 0.0:
+            yield ZeroMatrix("norms undefined for the zero matrix")  # as norm_conorm_det
+        yield from (_overflow(x) for x in logs[:, i - 1] if x > _LOG_MAX)
 
     return next(e for i in range(1, k + 1) for e in errors(i))
 
@@ -263,29 +246,36 @@ _APRIORI_CHECKS = (
     "det_normalized_tail",
     "frame_drift_quotient",
 )
+_APRIORI_ABS_TOL = _ABS_TOL * 2 + _ABS_TOL[:1]
 
 
-def _apriori_sides(measured, ct, norm, conorm, inv_norm, sums, quotient):
-    """Left sides, right sides and allowances of the seven a-priori rows, in
-    row order, for one pair (floats) or for the pairs of one order (arrays
-    over i).  ``measured`` is ``_pair_measurements``, ``sums`` the drift,
-    determinant drift, tail and determinant tail sums over j = i..k-1 and
-    ``quotient`` the direct alternative before its factor ctilde."""
-    drift, push, push_over_det, push_noise, det_noise = measured
-    drift_sum, det_drift_sum, tail, det_tail_sum = sums
-    lhs = (drift, push, push_over_det) * 2 + (drift,)
-    ct_norm = ct * norm
-    rhs = (
-        ct * drift_sum,
-        conorm + ct_norm * drift_sum,
-        inv_norm + ct_norm * det_drift_sum,
-        tail * ct,
-        conorm + norm * tail * ct,
-        inv_norm + ct_norm * det_tail_sum,
-        ct * quotient,
+def _apriori_rhs_logs(log_ct, log_norm, log_conorm, log_absdet, log_drift, log_tail, log_quotient):
+    """Logs of the right sides of the seven a-priori rows, in row order, for
+    one pair (floats) or for the pairs of one order (arrays over i), from
+    log ctilde, the logs of |DPhi^i|, its co-norm and |det DPhi^i|, the log
+    drift and tail sums over j = i..k-1 and the log direct alternative
+    before its factor ctilde.  A push row's right side is the co-norm plus
+    ctilde |DPhi^i| times a sum, added as logs; the determinant-normalized
+    row below it is the same log less log |det DPhi^i|, as its left side is."""
+    scaled = log_ct + log_norm
+    push_drift = np.logaddexp(log_conorm, scaled + log_drift)
+    push_tail = np.logaddexp(log_conorm, scaled + log_tail)
+    return (
+        log_ct + log_drift,
+        push_drift,
+        push_drift - log_absdet,
+        log_ct + log_tail,
+        push_tail,
+        push_tail - log_absdet,
+        log_ct + log_quotient,
     )
-    abs_tol = (ROUNDING_UNIT, push_noise, det_noise) * 2 + (ROUNDING_UNIT,)
-    return lhs, rhs, abs_tol
+
+
+def _apriori_lhs(measured) -> tuple:
+    """The left sides of the seven a-priori rows, in row order, from
+    ``_pair_measurements`` of one pair or of the pairs of one order."""
+    drift, push, push_over_det = measured
+    return (drift, push, push_over_det) * 2 + (drift,)
 
 
 def verify_apriori_convergence(
@@ -305,15 +295,13 @@ def verify_apriori_convergence(
     _check_pair(coc, i, k)
     rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
-    ct = ctilde(coc, k)
-    sums = (_sum(coc, i, k, 0), _sum(coc, i, k, 1), tail_T(coc, i, k), _sum(coc, i, k, 3))
+    log_ct = math.log(ctilde(coc, k))
+    log_sums = (_log_sum(coc, i, k, 0), _log_sum(coc, i, k, 1))
     block_log_norm = norm_conorm_det(coc.block(i, k)).log_norm
-    norm_i = _exp(coc.log_norm[i])
-    conorm_i = _exp(coc.log_conorm[i])
-    inv_norm_i = 1.0 / norm_i
-    quotient = _exp(coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k])
-    sides = _apriori_sides(measured, ct, norm_i, conorm_i, inv_norm_i, sums, quotient)
-    rep.add(_APRIORI_CHECKS, [(i, k)], *sides)
+    log_quotient = coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k]
+    logs = _apriori_rhs_logs(log_ct, coc.log_norm[i], coc.log_conorm[i], coc.log_absdet[i],
+                             *log_sums, log_quotient)
+    rep.add(_APRIORI_CHECKS, [(i, k)], _apriori_lhs(measured), [_exp(x) for x in logs], _APRIORI_ABS_TOL)
     return rep
 
 
@@ -323,14 +311,14 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
     Rows come k outer, i inner, and equal those of
     ``verify_apriori_convergence`` bit for bit; so do its errors.  Each
     order k is one array pass over i = 1..k: one matmul carries the blocks
-    block(i, k - 1) forward by step k - 1, the four sums add their j = k - 1
-    terms (``_log_terms``) elementwise, and the measured left sides are the
-    order's slice of ``_pair_columns``, measured once before the sweep.
-    Array operations round as their scalar counterparts (``math`` per
-    element for logs, hypots and exponentials).  After the frame of order k,
-    one test of the order's log terms catches any beyond the double range or
-    a zero one-step co-eccentricity, block or determinant; only then does
-    ``_first_error`` go pair by pair.
+    block(i, k - 1) forward by step k - 1, the two log sums add their
+    j = k - 1 terms (``_log_terms``) elementwise, and the measured left
+    sides are the order's slice of ``_pair_columns``, measured once before
+    the sweep.  Array operations round as their scalar counterparts
+    (``math`` per element for logs, hypots and exponentials).  After the
+    frame of order k, one test of the order's measured terms, blocks and
+    right-side logs catches a singular product, a zero block or a term
+    beyond the double range; only then does ``_first_error`` go pair by pair.
     """
     coc = cocycle_of(source)
     rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
@@ -338,50 +326,35 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
     # slot i holds the state of pair (i, k) once the sweep has reached k
     blocks = np.tile(np.eye(2), (n + 1, 1, 1))
     block_log_scales = np.zeros(n + 1)
-    sums = np.zeros((4, n + 1))  # drift, det drift, tail, det tail
-    norm, conorm, inv_norm = np.zeros((3, n + 1))
-    log_norm = np.array(coc.log_norm)
-    log_coecc = np.array(coc.log_conorm) - log_norm
-    log_absdet = np.array(coc.log_absdet)
-    empty_sum_terms = (-math.inf, np.zeros(0), -math.inf, np.zeros(0))  # order 1 has no j
+    log_sums = np.full((2, n + 1), -math.inf)  # drift, tail
+    log_norm, log_conorm, log_absdet = map(np.array, (coc.log_norm, coc.log_conorm, coc.log_absdet))
+    log_coecc = log_conorm - log_norm
     worst = 0.0
     columns = _pair_columns(coc)
 
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, n + 1):
             worst = max(worst, _ctilde_sq_term(coc, k))  # the frame of order k exists
-            ct = math.sqrt(worst)
-            before, upto = slice(1, k), slice(1, k + 1)
+            log_ct = math.log(math.sqrt(worst))
+            before, upto, pairs = slice(1, k), slice(1, k + 1), _order_pairs(k)
             bodies, scales, peak = normalize_stack(
                 np.matmul(coc.step_bodies[k - 1], blocks[before]),
                 coc.step_log_scales[k - 1] + block_log_scales[before],
             )
             blocks[before], block_log_scales[before] = bodies, scales
-            terms = _log_terms(coc, k - 1, log_absdet[before]) if k > 1 else empty_sum_terms
-            drift, det_drift, tail, det_tail = terms
+            terms = np.array(_log_terms(coc, k - 1))[:, None]  # of j = k - 1, for the pairs i < k
+            log_sums[:, before] = np.logaddexp(log_sums[:, before], terms)
             smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
-            nonzero = peak.all()
             block_log_norm = linalg2.log_each(smax)
             block_log_norm += block_log_scales[upto]
             log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
-            logs = np.concatenate((det_drift, det_tail, log_quotient))
-            if (not (columns.in_range[k] and nonzero) or drift > _LOG_MAX or tail > _LOG_MAX
-                    or (logs > _LOG_MAX).any()):
-                raise _first_error(coc, columns, k, (terms, peak, log_quotient))
-            exps = linalg2.each(math.exp, logs)
-            norm[k] = norm_k = _exp(coc.log_norm[k])
-            conorm[k] = _exp(coc.log_conorm[k])
-            inv_norm[k] = 1.0 / norm_k
-            sums[0, before] += math.exp(drift)
-            sums[1, before] += exps[: k - 1]
-            sums[2, before] += math.exp(tail)
-            sums[3, before] += exps[k - 1 : 2 * k - 2]
-            pairs = _order_pairs(k)
-            sides = _apriori_sides(
-                columns.measured[:, pairs], ct, norm[upto], conorm[upto], inv_norm[upto],
-                sums[:, upto], exps[2 * k - 2 :],
-            )
-            rep.add(_APRIORI_CHECKS, columns.indices[pairs], *sides)
+            logs = np.array(_apriori_rhs_logs(log_ct, log_norm[upto], log_conorm[upto], log_absdet[upto],
+                                              *log_sums[:, upto], log_quotient))
+            if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
+                raise _first_error(coc, columns, k, (peak, logs))
+            rhs = linalg2.each(math.exp, logs.ravel()).reshape(logs.shape)
+            rep.add(_APRIORI_CHECKS, columns.indices[pairs], _apriori_lhs(columns.measured[:, pairs]),
+                    rhs, _APRIORI_ABS_TOL)
     return rep
 
 
@@ -443,11 +416,10 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
         if not columns.in_range[k]:
             raise _first_error(coc, columns, k)
         envelopes[:, k] = [q * r**k for _, q, r in rates]
-    drift, push, push_over_det, push_noise, det_noise = columns.measured
     types = len(rates) // 3
     rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
-    rep.add([check for check, _, _ in rates], columns.indices, (drift, push, push_over_det) * types,
-            envelopes[:, columns.i], (ROUNDING_UNIT, push_noise, det_noise) * types)
+    rep.add([check for check, _, _ in rates], columns.indices, tuple(columns.measured) * types,
+            envelopes[:, columns.i], _ABS_TOL * types)
     return rep
 
 
@@ -585,8 +557,9 @@ def _bracket_input(x, name: str, ndim: int, n: Optional[int] = None) -> Tuple[np
 
     ``x`` must have ``ndim`` axes and an entry, and every axis but a
     matrix's first must have one length: ``n`` when given, at most 4.  Any
-    other shape, or a non-finite entry, is InvalidInput."""
-    x = np.asarray(x, dtype=float)
+    other shape, an entry that is not a number or a non-finite one, is
+    InvalidInput."""
+    x = float_array(x, name)
     square = x.shape[1:] if ndim == 2 else x.shape  # a matrix may have any number of rows
     if x.ndim != ndim or x.size == 0 or len(set(square)) != 1 or n not in (None, x.shape[0]):
         want = {1: f"({n},) to match bilinear", 2: "(m, n), non-empty", 3: "(n, n, n), non-empty"}

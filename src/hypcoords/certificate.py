@@ -95,11 +95,11 @@ def structural_violations(
 ) -> List[str]:
     """Names of the structural inequalities a candidate ledger violates.
 
-    Comparisons at the ends of chained conditions are strict, interior
-    comparisons non-strict, matching how the conditions are consumed
-    (every auxiliary-constant denominator stays strictly positive).  Rates
-    outside ``_FLOAT_RATES`` are compared as exact rationals, so that no
-    product of them overflows or underflows.
+    Every constant must be finite.  Comparisons at the ends of chained
+    conditions are strict, interior comparisons non-strict, matching how the
+    conditions are consumed (every auxiliary-constant denominator stays
+    strictly positive).  Rates outside ``_FLOAT_RATES`` are compared as
+    exact rationals, so that no product of them overflows or underflows.
     """
     v: List[str] = []
     for name, val in (
@@ -112,6 +112,8 @@ def structural_violations(
     ):
         if not (val > 0.0 and math.isfinite(val)):
             v.append(f"{name} > 0")
+    v += [f"{name} < inf" for name, val in (("B", B), ("B_tilde", B_tilde), ("C", C), ("D", D))
+          if not math.isfinite(val)]
     if v:
         return v
     if not B >= 1.0:
@@ -218,8 +220,9 @@ def _step_log_d2_norms(orbit: OrbitSegment) -> List[float]:
     stricter, never laxer.
     """
     partials = np.array(orbit.step_second_partials, dtype=float)  # step, axis, 2, 2
-    axis_norms = linalg2.spectral_norm_array(*partials.reshape(-1, 4).T).reshape(-1, 2)
-    return linalg2.log_each(math.sqrt(2.0) * axis_norms.max(axis=1)).tolist()
+    with np.errstate(over="ignore"):  # a norm beyond the double range is inf, as on Python floats
+        axis_norms = linalg2.spectral_norm_array(*partials.reshape(-1, 4).T).reshape(-1, 2)
+        return linalg2.log_each(math.sqrt(2.0) * axis_norms.max(axis=1)).tolist()
 
 
 def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> BoundReport:

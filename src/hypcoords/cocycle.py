@@ -44,8 +44,8 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "ScaledMatrix":
-        """``m`` scaled; a non-finite entry is InvalidInput."""
-        body, log_scale, peak = normalize_stack(np.array(m, dtype=float), 0.0)
+        """``m`` scaled; anything but a 2x2 matrix of finite numbers is InvalidInput."""
+        body, log_scale, peak = normalize_stack(float_array(m, "matrix", (2, 2)), 0.0)
         if not math.isfinite(peak):  # the max |entry|, NaN or inf with any such entry
             raise InvalidInput("matrix has a non-finite entry")
         return ScaledMatrix(body, float(log_scale))
@@ -121,13 +121,14 @@ def is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def float_array(value, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-    """``value`` as a float array of ``shape``; anything else is InvalidInput."""
+def float_array(value, name: str, shape: Optional[Tuple[int, ...]] = None) -> np.ndarray:
+    """``value`` as a float array, of ``shape`` when one is given; anything
+    else is InvalidInput."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise InvalidInput(f"{name} must be numbers, got {value!r}") from None
-    if array.shape != shape:
+    if shape is not None and array.shape != shape:
         raise InvalidInput(f"{name} has shape {array.shape}; expected {shape}")
     return array
 
@@ -142,7 +143,10 @@ def check_order(order, lo: int, hi: int, name: str) -> None:
 
 def check_orders(orders, lo: int, hi: int, name: str) -> np.ndarray:
     """``check_order`` for an int or a 1-d sequence of ints: an index array."""
-    idx = np.atleast_1d(orders)
+    try:
+        idx = np.atleast_1d(orders)
+    except ValueError:  # a ragged sequence, refused below as not 1-d
+        idx = np.empty((0, 0))
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise InvalidInput(f"{name} must be an int, got {orders!r}")
     outside = idx[(idx < lo) | (idx > hi)]
@@ -270,9 +274,13 @@ class MatrixCocycle:
         norms, each the body's image w over math.hypot(w) and log hypot(w)
         plus the log scale; a zero image has a zero direction and log norm
         -inf.  It pushes f and the axis vectors; e goes by ``contracted_images``.
-        Orders are checked by ``check_orders``."""
+        Orders are checked by ``check_orders``; a ``v`` of any other shape, or
+        not of numbers, is InvalidInput."""
         orders = check_orders(orders, 0, self.k, "order")
-        w = np.matmul(self.prefix_bodies[orders], np.asarray(v, dtype=float)[..., None])[..., 0]
+        v = float_array(v, "vector")
+        if v.shape not in ((2,), (len(orders), 2)):
+            raise InvalidInput(f"vector has shape {v.shape}; expected (2,) or ({len(orders)}, 2)")
+        w = np.matmul(self.prefix_bodies[orders], v[..., None])[..., 0]
         norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]
         directions = np.divide(w, norms[:, None], out=np.zeros_like(w), where=nonzero)

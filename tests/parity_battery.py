@@ -1,10 +1,16 @@
 """Parity battery: the exit code, stdout, stderr and report digests of a
-fixed set of CLI runs, written as one JSON file.
+fixed set of CLI runs, written as one JSON file, with the verdict and the
+row, failure and ``pass_within_rounding`` counts of every bound report.
 
 Run it on two trees and compare the files; equal files mean every run gave
 the same exit code, streams and report bytes:
 
     PYTHONPATH=src python tests/parity_battery.py parity.json
+    python tests/parity_battery.py --compare parent.json change.json
+
+``--compare`` lists the runs whose exit code, stderr, report verdicts or
+counts differ apart from those whose bytes alone differ (stdout or a report
+file), and exits 1 if any run is in the first list or in one file only.
 
 The runs, each in-process through ``hypcoords.cli.main`` with a fresh
 output directory:
@@ -30,8 +36,6 @@ import json
 import os
 import sys
 import tempfile
-
-from hypcoords import cli
 
 HENON_A, HENON_B = 1.4, 0.3
 HENON_FIXTURE = (0.7058109212783455, 0.019317772022865685)
@@ -85,8 +89,25 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _tallies(report: dict) -> dict:
+    """The verdict of a report's JSON and its counts over every check: rows,
+    failed and pass_within_rounding, or of a certificate report (a list of
+    rows per check) rows and failed."""
+    tallies = {"verdict": report["verdict"]}
+    for summary in report["checks"].values():
+        if isinstance(summary, list):
+            summary = {"rows": len(summary), "failed": sum(not row["passed"] for row in summary)}
+        for key in ("rows", "failed", "pass_within_rounding"):
+            if key in summary:
+                tallies[key] = tallies.get(key, 0) + summary[key]
+    return tallies
+
+
 def run_battery() -> dict:
-    """Per run: the exit code and the digests of stdout, stderr and each report."""
+    """Per run: the exit code, the digests of stdout, stderr and each report,
+    and under "reports" the ``_tallies`` of each bound report."""
+    from hypcoords import cli  # here, so that --compare runs without the package
+
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
         for label, argv in battery().items():
@@ -95,17 +116,57 @@ def run_battery() -> dict:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([*argv, "--out-dir", out_dir])
             entry = {"exit": code, "stdout": _digest(out.getvalue().encode()),
-                     "stderr": _digest(err.getvalue().encode())}
+                     "stderr": _digest(err.getvalue().encode()), "reports": {}}
             for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
                 with open(os.path.join(out_dir, name), "rb") as fh:
-                    entry[name] = _digest(fh.read())
+                    data = fh.read()
+                entry[name] = _digest(data)
+                if name.endswith(".json"):
+                    report = json.loads(data)
+                    if "checks" in report and "verdict" in report:
+                        entry["reports"][name] = _tallies(report)
             results[label] = entry
     return results
 
 
+def compare(parent: dict, change: dict) -> int:
+    """Print the runs of two battery files whose outcome differs (exit code,
+    stderr, report verdicts or counts), then those whose bytes alone differ;
+    1 if any outcome differs or a run is in one file only."""
+    outcome, byte_only = [], []
+    for label in sorted(set(parent) & set(change)):
+        a, b = parent[label], change[label]
+        moved = [key for key in ("exit", "stderr") if a[key] != b[key]]
+        reports_a, reports_b = a.get("reports", {}), b.get("reports", {})
+        for name in sorted(set(reports_a) | set(reports_b)):
+            ra, rb = reports_a.get(name, {}), reports_b.get(name, {})
+            moved += [f"{name} {key} {ra.get(key)} -> {rb.get(key)}"
+                      for key in sorted(set(ra) | set(rb)) if ra.get(key) != rb.get(key)]
+        files = sorted(key for key in set(a) | set(b)
+                       if key not in ("exit", "stderr", "reports") and a.get(key) != b.get(key))
+        if moved:
+            outcome.append(f"  {label}: " + "; ".join(moved + files))
+        elif files:
+            byte_only.append(f"  {label}: " + ", ".join(files))
+    alone = sorted(set(parent) ^ set(change))
+    print(f"{len(set(parent) & set(change))} runs in both files, {len(alone)} in one only"
+          + "".join(f"\n  {label}" for label in alone))
+    for title, lines in (("exit code, stderr, verdicts or counts", outcome), ("bytes alone", byte_only)):
+        print(f"{len(lines)} runs differ in {title}")
+        for line in lines:
+            print(line)
+    return 1 if outcome or alone else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        files = []
+        for path in argv[1:]:
+            with open(path, encoding="utf-8") as fh:
+                files.append(json.load(fh))
+        return compare(*files)
     if len(argv) != 1:
-        print("usage: parity_battery.py OUTPUT.json", file=sys.stderr)
+        print("usage: parity_battery.py OUTPUT.json | --compare PARENT.json CHANGE.json", file=sys.stderr)
         return 2
     results = run_battery()
     with open(argv[0], "w", encoding="utf-8") as fh:

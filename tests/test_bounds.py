@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from hypcoords import bounds, foliation, hypframe, linalg2
 from hypcoords.certificate import Flavor, auxiliary_constants, fit_constants
-from hypcoords.cocycle import MatrixCocycle, OrbitSegment, cocycle_of, compute_orbit
+from hypcoords.cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle_of, compute_orbit
 from hypcoords.errors import (
     BoundOverflow,
     CertificateRequired,
@@ -61,27 +61,32 @@ def test_ctilde_degenerate():
         bounds.ctilde(coc, 1)
 
 
+def log_tail(source, i, k):
+    """The log tail sum over j = i..k-1 of coecc_j / onestep_coecc_j."""
+    return bounds._log_sum(cocycle_of(source), i, k, 1)
+
+
 def test_tail_empty_sum(diag_orbit):
-    assert bounds.tail_T(diag_orbit, 5, 5) == 0.0
+    assert log_tail(diag_orbit, 5, 5) == -math.inf
 
 
 def test_tail_diagonal_geometric(diag_orbit):
     # coecc_j = 4^-j and one-step coecc = 1/4, so terms are 4^(1-j)
     for i, k in ((1, 6), (2, 9), (3, 20)):
         expected = sum(4.0 ** (1 - j) for j in range(i, k))
-        assert math.isclose(bounds.tail_T(diag_orbit, i, k), expected, rel_tol=1e-12)
+        assert math.isclose(math.exp(log_tail(diag_orbit, i, k)), expected, rel_tol=1e-12)
 
 
 def test_tail_at_a_singular_step_is_a_degenerate_step():
     coc = MatrixCocycle([np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]])])
     with pytest.raises(DegenerateStep, match="^one-step co-eccentricity at 1 is zero$"):
-        bounds.tail_T(coc, 1, 2)
+        log_tail(coc, 1, 2)
 
 
 def test_tail_henon_regression(henon_orbit20):
     # frozen from the first verified run; cross-checked by direct summation
     # in extended precision (agreement ~4e-16)
-    assert math.isclose(bounds.tail_T(henon_orbit20, 2, 10), 0.5446182426249054, rel_tol=1e-12)
+    assert math.isclose(math.exp(log_tail(henon_orbit20, 2, 10)), 0.5446182426249054, rel_tol=1e-12)
 
 
 _ORDER_CALLS = {
@@ -89,7 +94,6 @@ _ORDER_CALLS = {
     "coeccentricity": lambda orbit, k: hypframe.coeccentricity(orbit, k),
     "pushforward_frames": lambda orbit, k: hypframe.pushforward_frames(orbit, k, 0),
     "ctilde": lambda orbit, k: bounds.ctilde(orbit, k),
-    "tail_T": lambda orbit, k: bounds.tail_T(orbit, 1, k),
     "verify_apriori_convergence": lambda orbit, k: bounds.verify_apriori_convergence(orbit, 1, k),
     "slow_variation_terms": lambda orbit, k: bounds.slow_variation_terms(orbit, k),
 }
@@ -131,6 +135,7 @@ _VALUE_CALLS = {
     "block start": lambda o, v: o.cocycle.block(v, 3),
     "block end": lambda o, v: o.cocycle.block(0, v),
     "images": lambda o, v: o.cocycle.images(np.array([1.0, 0.0]), v),
+    "images vector": lambda o, v: o.cocycle.images(v, [1]),
     "contracted_images": lambda o, v: o.cocycle.contracted_images(v),
     "fit_constants slack": lambda o, v: fit_constants(o, Flavor.SINGULAR_II, v),
     "compute_orbit start": lambda o, v: compute_orbit(o.spec, v, 3),
@@ -142,12 +147,17 @@ _VALUE_CALLS = {
     "integrate_curve guard": lambda o, v: foliation.integrate_curve(o.spec, HENON_FIXTURE, 2, guard=v, **_CURVE),
     "foliation_grid rectangle": lambda o, v: foliation.foliation_grid(o.spec, v, 2, 0.5, **_CURVE),
     "foliation_grid seed_spacing": lambda o, v: foliation.foliation_grid(o.spec, (0, 1, 0, 1), 2, v, **_CURVE),
+    "ScaledMatrix.from_matrix": lambda o, v: ScaledMatrix.from_matrix(v),
+    "bilinear_column_bounds matrix": lambda o, v: bounds.bilinear_column_bounds(matrix=v),
 }
-_VALUES = {"str": "x", "bool": True, "list": [2], "None": None, "pair": (1, 2)}
+_VALUES = {"str": "x", "bool": True, "list": [2], "None": None, "pair": (1, 2), "triple": (1, 2, 3),
+           "ragged": [[1], 2]}
 # the (entry point, value) pairs that are valid: the call returns
 _VALID_VALUES = {
     ("frame_sequence", "None"), ("compute_orbit guard", "None"), ("integrate_curve guard", "None"),
     ("images", "list"), ("images", "pair"), ("contracted_images", "list"), ("contracted_images", "pair"),
+    ("images", "triple"), ("contracted_images", "triple"), ("images vector", "pair"),
+    ("bilinear_column_bounds matrix", "None"),
     ("compute_orbit start", "pair"), ("integrate_curve start", "pair"),
 }
 
@@ -258,7 +268,8 @@ def _first_failing_pair(coc):
 # leaves a co-norm of 5.6e-17 and the one-step co-eccentricity nonzero
 _FLOAT_SINGULAR = np.array([[0.1, 0.3], [0.2, 0.6]])
 # DPhi^2 of norm exp(-350): the determinant drift term at (2, 2) is 1e304,
-# and the determinant tail term, larger by the step's 1e10 distortion, overflows
+# and the determinant tail term, larger by the step's 1e10 distortion, is beyond
+# the double range before it is multiplied by |DPhi^2| / |det DPhi^2|
 _TINY = math.exp(-350.0) / 2.0
 
 
@@ -288,29 +299,49 @@ _RAISING = [
         "det DPhi^3 is zero: determinant-normalized rows undefined",
         (1, 3),
     ),
-    # the determinant drift term |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2
+    # the push tail row: the tail term coecc_1 / onestep_coecc_1 = 1e110 is in
+    # range, ctilde |DPhi^1| times it, 1e310, is not
     (
-        [np.diag([2.0, 0.5]), np.diag([1e-200, 1e-201]), np.diag([1e150, 1e149])],
+        [np.diag([1e200, 1e10]), np.array([[0.0, 1.0], [1e300, 0.0]])],
         BoundOverflow,
-        "bound term exp(919.648) exceeds the double range",
-        (2, 3),
+        "bound term exp(714.148) exceeds the double range",
+        (1, 2),
     ),
-    # the determinant tail term, after a finite determinant drift term
+    # the determinant tail row: ctilde |DPhi^1| T = 1e-50 is in range, over
+    # |det DPhi^1| = 1e-450 it is not; the push tail row above it is
     (
-        [np.diag([2.0, 0.5]), np.diag([_TINY, _TINY / 10.0]), np.diag([1e10, 1.0])],
+        [np.diag([1e-200, 1e-250]), np.diag([1e-100, 1e-300])],
         BoundOverflow,
-        "bound term exp(723.026) exceeds the double range",
-        (2, 3),
+        "bound term exp(921.381) exceeds the double range",
+        (1, 2),
     ),
-    # |DPhi^2| = 4e-600 underflows, so 1 / |DPhi^2| would divide by zero at
-    # (2, 2); the determinant drift term of (1, 2), 1 / |DPhi^2|, comes first
+    # |DPhi^2 e_2| = 1e-600 underflows: a measured side whose reciprocal
+    # would overflow is out of range; every side of (1, 2) is in it
     (
         [np.diag([1e-300, 2e-300])] * 3,
         BoundOverflow,
-        "bound term exp(1380.16) exceeds the double range",
-        (1, 2),
+        "bound term exp(-1381.55) exceeds the double range",
+        (2, 2),
     ),
 ]
+
+# Steps with a determinant-normalized term beyond the double range on its own,
+# whose right side, a sum scaled by ctilde |DPhi^i| / |det DPhi^i|, is in it
+_SCALED_INTO_RANGE = [
+    # the determinant drift term |step_2| / (|DPhi^2| |DPhi^3|) = 1 / |DPhi^2|^2 = e^919.648
+    [np.diag([2.0, 0.5]), np.diag([1e-200, 1e-201]), np.diag([1e150, 1e149])],
+    # the determinant tail term, larger by the step's 1e10 distortion: e^723.026
+    [np.diag([2.0, 0.5]), np.diag([_TINY, _TINY / 10.0]), np.diag([1e10, 1.0])],
+]
+
+
+@pytest.mark.parametrize("steps", _SCALED_INTO_RANGE)
+def test_sums_in_log_form_give_a_verdict_where_a_term_alone_overflows(steps):
+    coc = MatrixCocycle(steps)
+    rep = bounds.verify_apriori_all(coc)
+    status = rep.columns()[-1]
+    assert len(status) == 7 * 6 and (status == 2).all()  # every row passes, none through the allowance
+    assert _exact_rows(rep) == _per_pair_outcome(coc)
 
 
 @pytest.mark.parametrize(
@@ -424,9 +455,8 @@ def test_explicit_convergence_requires_certificate(henon_orbit20):
 
 def _envelope_rows(rep, rates, index, measured):
     """The envelope rows of one pair, given its ``_pair_measurements``."""
-    drift, push, push_over_det, push_noise, det_noise = measured
-    lhs = itertools.cycle((drift, push, push_over_det))
-    abs_tol = itertools.cycle((bounds.ROUNDING_UNIT, push_noise, det_noise))
+    lhs = itertools.cycle(measured)  # drift, push, push_over_det
+    abs_tol = itertools.cycle((bounds.ROUNDING_UNIT, 0.0, 0.0))  # only drift rows have an allowance
     for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
         rep.add([check], [index], [lhs_value], [q * r ** index[0]], [tol_value])
 
@@ -987,15 +1017,52 @@ def test_pull_back_matches_mpmath_at_every_pair(henon, start):
         assert math.isclose(math.exp(forward), 8.5e-11, rel_tol=0.01)
 
 
-@pytest.mark.parametrize("start", [HENON_START_A, HENON_START_B], ids=["A", "B"])
-def test_push_and_det_rows_pass_without_their_allowance(henon, start):
-    orbit = compute_orbit(henon, start, 80)
+def test_log_sums_match_mpmath_at_every_pair(henon):
+    # the drift and tail sums, added as logs, against 50-digit sums of the
+    # same float terms
+    mp = pytest.importorskip("mpmath")
+    coc = compute_orbit(henon, HENON_FIXTURE, 80).cocycle
+    terms = [bounds._log_terms(coc, j) for j in range(coc.k)]
+    worst = 0.0
+    with mp.workdps(50):
+        for term in (0, 1):
+            for i in range(1, coc.k + 1):
+                exact = mp.mpf(0)
+                for k in range(i, coc.k + 1):
+                    if k > i:
+                        exact += mp.exp(terms[k - 1][term])
+                    log_sum = bounds._log_sum(coc, i, k, term)
+                    if k == i:
+                        assert log_sum == -math.inf
+                    else:
+                        worst = max(worst, float(abs(mp.exp(log_sum) / exact - 1)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "start, k", [(HENON_START_A, 80), (HENON_START_B, 80), (HENON_FIXTURE, 440)],
+    ids=["A", "B", "fixture-440"])
+def test_push_and_det_rows_pass_without_their_allowance(henon, start, k):
+    # at K >= 368 on the fixture a drift sum alone underflows (e^-748 at
+    # (367, 368)); the push and det right sides add it as a log
+    orbit = compute_orbit(henon, start, k)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
+    pairs = k * (k + 1) // 2
     for rep in (bounds.verify_apriori_all(orbit), bounds.verify_explicit_convergence(orbit, ledger)):
-        checks, code, _, _, lhs, rhs, _ = rep.columns()
+        checks, code, _, _, lhs, rhs, status = rep.columns()
         push_or_det = np.array([c.startswith(("pushforward", "det_normalized")) for c in checks])[code]
-        assert push_or_det.sum() in (4 * 3240, 2 * 3240)  # four rows a pair, two an envelope pair
+        assert push_or_det.sum() in (4 * pairs, 2 * pairs)  # four rows a pair, two an envelope pair
         assert (lhs <= rhs * (1.0 + rep.tol))[push_or_det].all()
+        assert not (status[push_or_det] == 1).any()
+
+
+def test_order_horizon_on_the_fixture(henon):
+    # the co-norm |DPhi^441 e_441| = e^-710.547 is below the double range, and
+    # its reciprocal, which scales the det row of (441, 441), above it
+    orbit = compute_orbit(henon, HENON_FIXTURE, 441)
+    assert bounds.verify_apriori_all(MatrixCocycle(orbit.cocycle.steps[:440])).verdict
+    with pytest.raises(BoundOverflow, match=r"^bound term exp\(-710\.547\) exceeds the double range$"):
+        bounds.verify_apriori_all(orbit)
 
 
 def slow_variation_terms_per_axis(orbit, k):

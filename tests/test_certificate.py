@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,28 @@ def test_ledger_io_round_trip(tmp_path, henon_orbit20):
     assert back == ledger
 
 
+def test_a_ledger_with_an_infinite_constant_is_invalid(tmp_path, henon_orbit20):
+    path = tmp_path / "ledger.txt"
+    write_ledger(str(path), fit_constants(henon_orbit20, Flavor.SINGULAR_II, 1.05))
+    path.write_text(re.sub(r"(?m)^D = .*$", "D = inf", path.read_text()))
+    with pytest.raises(InvalidLedger, match="^D < inf$"):
+        read_ledger(str(path))
+
+
+def test_a_second_derivative_beyond_the_double_range_is_infeasible():
+    # sqrt(2) times the second-partial norm 1.7e308 is inf, and so would be
+    # the fitted D: no ledger holds it, and the fit warns of nothing
+    big = np.array([[1.7e308, 0.0], [0.0, 0.0]])
+    steps = [np.diag([2.0, 0.5])] * 3
+    orbit = OrbitSegment(linear(m11=2.0, m22=0.5), np.zeros((4, 2)), [(big, np.zeros((2, 2)))] * 3,
+                         MatrixCocycle(steps))
+    for flavor in Flavor:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Infeasible, match="^D < inf$"):
+                fit_constants(orbit, flavor, 1.05)
+
+
 def test_invalid_ledger_rejected_at_construction():
     with pytest.raises(InvalidLedger):
         nonsingular_ledger(b=4.0)  # b < lambda^2 fails
@@ -603,7 +626,8 @@ def test_fit_equals_the_per_order_reference_bit_for_bit():
 # co-eccentricity vanishes", since a singular step makes every later order
 # singular, and an overflow of any constant but Gamma and b (lambda <= Gamma;
 # c, c_tilde, B_tilde and C are at most 1 and B is 1 up to rounding; a finite
-# step cap is at most the largest double, which D and Gamma_tilde stay below).
+# step cap is at most the largest double, which D and Gamma_tilde stay below;
+# an infinite one, from second partials, is "D < inf", tested above).
 _FIT_RAISES = {
     "co-eccentricity vanishes at some order (singular product)": ([[1.0, 0.0], [0.0, 0.0]], 3, 1.05),
     "c < 1 fails: co-eccentricity does not decay": ([[0.0, -1.0], [1.0, 0.0]], 3, 1.05),

@@ -20,6 +20,7 @@ from hypcoords import MatrixCocycle, bounds, certificate, cli, compute_orbit, ma
 from hypcoords.cli import fmt, main, write_bound_report
 from hypcoords.errors import ConfigError
 
+import parity_battery
 from conftest import HENON_FIXTURE, LORENZ_FIXTURE, STANDARD_FIXTURE, STANDARD_K
 
 HENON_ARGS = [
@@ -1162,15 +1163,16 @@ def _battery_digests(tmp_path, monkeypatch, capsys):
 
 
 # Recorded with Python 3.11.7 and numpy 2.4.6.  A change that declares new
-# report bytes (ROADMAP items 2, 3, 5 and 10) updates these digests in the
-# same change; any other change keeps every byte, stream and exit code.
+# report bytes (ROADMAP items 2, 3, 5 and 10, and the a-priori right sides
+# added as logs) updates these digests in the same change; any other change
+# keeps every byte, stream and exit code.
 _PARITY_DIGESTS = {
     "converge-henon-II": {
         "exit": 0,
         "stdout": "da99cf35c0222a6b87da2781ddd46a019c065e9b3f6c7b7fe3adc5bd9c27419a",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "1e73ca5e3dad40291deecb65b70a668d394a4390e9ead5fecaf219f80991674c",
-        "apriori_convergence.json": "0559f88740ea551b55f02eea3706498cb5ebddca4be09537181e75bdaec185e1",
+        "apriori_convergence.csv": "75c925efdeb961b938212755c511f98813f2bb55f55d9fbd4e6aa6f1aa7c3d9a",
+        "apriori_convergence.json": "9c09f4db4141c2145c18f80cf24468c69bb523764779199fff60ed0073bd54f3",
         "explicit_convergence.csv": "2d985c1411a8c3f0b3b2930358aa49f6d14f92a00f0ed83c36b0f237fd94ac9c",
         "explicit_convergence.json": "a4d9839c20f7beccf3acd8645bf732bcd96bde5c6709ca82ca48c7cf7c6873bd",
     },
@@ -1178,8 +1180,8 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "96dfba3124471a65306513d23adec977d99ada0c454aadebe30404aa7af0f227",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "1e73ca5e3dad40291deecb65b70a668d394a4390e9ead5fecaf219f80991674c",
-        "apriori_convergence.json": "0559f88740ea551b55f02eea3706498cb5ebddca4be09537181e75bdaec185e1",
+        "apriori_convergence.csv": "75c925efdeb961b938212755c511f98813f2bb55f55d9fbd4e6aa6f1aa7c3d9a",
+        "apriori_convergence.json": "9c09f4db4141c2145c18f80cf24468c69bb523764779199fff60ed0073bd54f3",
         "explicit_convergence.csv": "055f4482e3607032cad04ddb028111afae9a0f650864c8d40488971540676658",
         "explicit_convergence.json": "12bbde20aff533a086a04adefe65308494ceec8fdfabc5053a58ee724043db4a",
     },
@@ -1187,8 +1189,8 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "8be3c7693629ce35b20e310f9f156690c6637ff2f1c7d2dd9dbb9ee5c2299289",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "7ca15407c9bd3d4bead30f4c1edc2e79a7fa7db8a5bf50490c388d00e863d900",
-        "apriori_convergence.json": "be9a7e8a7f989f42c087444a967a6fac2136b8de5011890419e5112952af41bc",
+        "apriori_convergence.csv": "ef12867178047cc11347f60868159d7261fec2a566a815f1284447b29289a4b3",
+        "apriori_convergence.json": "54023e3a50399a318bfe108b3e4a6c1f0b7282cace1253c773a100664000cf45",
         "explicit_convergence.csv": "77d10defed53c8413031917f582599431d9e90ce986c1d1567aa93cab03472b0",
         "explicit_convergence.json": "0d792b15e0c38c1542d6d48cad2b45f53e7ebe03b9eda514231d8cbaf54f72a4",
     },
@@ -1287,6 +1289,23 @@ _PARITY_DIGESTS = {
 
 def test_cli_battery_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert _battery_digests(tmp_path, monkeypatch, capsys) == _PARITY_DIGESTS
+
+
+def test_parity_battery_compare_tells_outcomes_from_bytes(capsys):
+    report = {"verdict": True, "rows": 7, "failed": 0, "pass_within_rounding": 2}
+    run = {"exit": 0, "stdout": "s", "stderr": "e", "a.csv": "x", "reports": {"a.json": report}}
+    parent = {"same": run, "bytes": run, "counts": run}
+    change = {"same": run, "bytes": {**run, "a.csv": "y"},
+              "counts": {**run, "reports": {"a.json": {**report, "pass_within_rounding": 0}}}}
+    assert parity_battery.compare(parent, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "3 runs in both files, 0 in one only",
+        "1 runs differ in exit code, stderr, verdicts or counts",
+        "  counts: a.json pass_within_rounding 2 -> 0",
+        "1 runs differ in bytes alone",
+        "  bytes: a.csv",
+    ]
+    assert parity_battery.compare(parent, {**parent, "bytes": change["bytes"]}) == 0
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
