@@ -11,12 +11,13 @@ Three layers, mirroring how the estimates stack up:
   second derivative of the map plus the co-eccentricity rate, along with
   every intermediate term bound.
 
-All left-hand sides are measured quantities (frame distances are taken up
-to the sign ambiguity); right-hand sides are assembled in log form and
-exponentiated only for the final comparison, with pass defined as
-lhs <= rhs * (1 + DEFAULT_REL_TOL), plus a rounding allowance of
-ROUNDING_UNIT on the drift rows.  These two are the only tolerances: no
-verifier takes a tolerance or constants from its caller.
+All left-hand sides are measured from one pull-back of the contracted
+direction e_k (``MatrixCocycle.contracted_images``): the pushes |DPhi^i e_k|
+directly, and the drift |e_k - e_i|, taken up to the sign ambiguity, from
+the angle between DPhi^i e_k and DPhi^i f_i (``_drifts``).  Right-hand sides
+are assembled in log form and exponentiated only for the final comparison.
+A bound row passes iff lhs <= rhs * (1 + DEFAULT_REL_TOL), the only
+tolerance: no verifier takes a tolerance or constants from its caller.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .cocycle import (
 from .errors import (
     BoundOverflow,
     CertificateRequired,
-    DegenerateStep,
     HypcoordsError,
     InvalidInput,
     ZeroDeterminant,
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .hypframe import (
     HyperbolicFrame,
-    aligned_distance,
     frame_coecc,
     frame_sequence,
     hyperbolic_coordinates,
@@ -65,14 +64,6 @@ from .report import BoundReport
 
 SQRT2 = math.sqrt(2.0)
 DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
-
-# A measured drift |e_k - e_i| is a difference of rounded unit vectors and
-# bottoms out near eps, so the drift rows get an absolute allowance of
-# ROUNDING_UNIT -- orders of magnitude below any meaningful violation.  The
-# push and det rows read the cocycle's pull-back, correct to relative
-# precision, and get none.
-ROUNDING_UNIT = 64.0 * 2.220446049250313e-16
-_ABS_TOL = (ROUNDING_UNIT, 0.0, 0.0)  # of the drift, push and det rows
 
 
 # Per-index terms of ctilde and the logs of the terms of the two a-priori
@@ -117,7 +108,7 @@ def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
 
 def _log_terms(coc: MatrixCocycle, j: int) -> Tuple[float, float]:
     """Logs of the j-th terms of the drift and tail sums of a pair (i, k),
-    which do not depend on i; a +inf tail for a zero one-step co-eccentricity."""
+    which do not depend on i."""
     log_coecc = coc.log_coecc(j)
     return (
         log_coecc + coc.log_norm[j] + coc.step_log_norm[j] - coc.log_norm[j + 1],
@@ -127,12 +118,9 @@ def _log_terms(coc: MatrixCocycle, j: int) -> Tuple[float, float]:
 
 def _log_sum(coc: MatrixCocycle, i: int, k: int, term: int) -> float:
     """log of the sum over j = i..k-1 of the exponential of ``_log_terms``'
-    ``term`` (0 drift, 1 tail), -inf for an empty sum; at a step of zero
-    one-step co-eccentricity a tail is a DegenerateStep."""
+    ``term`` (0 drift, 1 tail), -inf for an empty sum."""
     total = -math.inf
     for j in range(i, k):
-        if term == 1 and math.isinf(coc.step_log_coecc(j)):
-            raise DegenerateStep(f"one-step co-eccentricity at {j} is zero")
         total = float(np.logaddexp(total, _log_terms(coc, j)[term]))
     return total
 
@@ -152,20 +140,38 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     return math.sqrt(worst)
 
 
+def _drifts(w: np.ndarray, u: np.ndarray, log_push: np.ndarray, log_norm) -> np.ndarray:
+    """The drifts |e_k - e_i|, up to sign, of pairs (i, k) given as arrays
+    over the pairs: w and u the directions of DPhi^i e_k and DPhi^i f_i,
+    and the logs of |DPhi^i e_k| and |DPhi^i|.  DPhi^i maps e_i and f_i to
+    orthogonal vectors, the image of f_i of length |DPhi^i|, so
+    s = |<w, u>| |DPhi^i e_k| / |DPhi^i| is |sin| of the angle between e_k
+    and e_i; with c = sqrt(1 - s^2) the drift, 2 sin of half that angle,
+    is s / sqrt((1 + c) / 2).  Elementwise, so that one pair alone and in a
+    sweep round alike."""
+    s = np.abs(w[..., 0] * u[..., 0] + w[..., 1] * u[..., 1]) * _exp_or_inf(log_push - log_norm)
+    s = np.minimum(s, 1.0)  # a |sin| that rounds above 1
+    c = np.sqrt((1.0 - s) * (1.0 + s))
+    return s / np.sqrt((1.0 + c) / 2.0)
+
+
 def _pair_measurements(
     coc: MatrixCocycle, frames: List[HyperbolicFrame], i: int, k: int
 ) -> Tuple[float, float, float]:
     """The measured left sides of pair (i, k): the drift |e_k - e_i|,
-    |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i|.  |DPhi^i e_k| is the
-    cocycle's pull-back, which a singular DPhi^k leaves undefined
-    (ZeroDeterminant); a side whose log or its negative is beyond the
-    double range is a BoundOverflow."""
-    drift = aligned_distance(frames[k - 1].e, frames[i - 1].e)
-    log_push = float(coc.contracted_images([k])[1][0, i])
+    |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i|, all from the cocycle's
+    pull-back of e_k, which a singular DPhi^k leaves undefined
+    (ZeroDeterminant), and the drift from the image of f_i as well
+    (``_drifts``); a side whose log or its negative is beyond the double
+    range is a BoundOverflow."""
+    directions, log_norms = coc.contracted_images([k])
+    log_push = float(log_norms[0, i])
     logs = (log_push, log_push - coc.log_absdet[i])
     for x in logs:
         if abs(x) > _LOG_MAX:
             raise _overflow(x)
+    u = coc.images(frames[i - 1].f, [i])[0]
+    drift = float(_drifts(directions[0, i], u, np.array([log_push]), coc.log_norm[i])[0])
     return (drift, *map(math.exp, logs))
 
 
@@ -187,27 +193,25 @@ def _order_pairs(k: int) -> slice:
 
 def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     """``_pair_measurements`` of every pair in one array pass, bit for bit
-    where that function returns, with each order's contracted direction in
-    the frame's sign whether or not the frame exists.  Raises nothing: a
-    term beyond the double range is inf or 0, the pushes of an order whose
-    product is singular are NaN, and a sweep checks the frame and
-    ``in_range`` of an order before it reads the order's pairs;
-    ``_first_error`` names what the per-pair function raises."""
+    where that function returns, with each order's f in the frame's sign
+    whether or not the frame exists, pushed to its order by one ``images``
+    call.  Raises nothing: a term beyond the double range is inf or 0, the
+    measurements of an order whose product is singular are NaN, and a sweep
+    checks the frame and ``in_range`` of an order before it reads the
+    order's pairs; ``_first_error`` names what the per-pair function raises."""
     orders = np.arange(1, coc.k + 1)
     k = np.repeat(orders, orders)
     i = np.arange(len(k)) - k * (k - 1) // 2 + 1
-    e = linalg2.canonical_sign(coc.contracted)
+    f = linalg2.rotate_quarter_cw(linalg2.canonical_sign(coc.contracted))
+    u = coc.images(f, range(coc.k + 1))[0]  # DPhi^i f_i
     log_absdet = np.array(coc.log_absdet)
     pulled = np.count_nonzero(log_absdet > -math.inf)  # orders 0.. with a pull-back
     with np.errstate(all="ignore"):  # inf and NaN as on Python floats
-        # a stack of (1, 2) @ (2, 1) matmuls runs the dot of np.linalg.norm on
-        # each row; a*a + b*b and einsum round differently
-        drift = np.minimum(*(
-            np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-            for d in (e[k] - e[i], e[k] + e[i])
-        ))
-        log_push, rows = np.full(len(k), math.nan), k < pulled
-        log_push[rows] = coc.contracted_images(range(pulled))[1][k[rows], i[rows]]
+        rows = k < pulled
+        w, log_push = np.full((len(k), 2), math.nan), np.full(len(k), math.nan)
+        directions, log_norms = coc.contracted_images(range(pulled))
+        w[rows], log_push[rows] = directions[k[rows], i[rows]], log_norms[k[rows], i[rows]]
+        drift = _drifts(w, u[i], log_push, np.array(coc.log_norm)[i])
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))
     in_range = np.ones(coc.k + 1, dtype=bool)
     in_range[1:] = np.logical_and.reduceat(rows & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
@@ -246,7 +250,6 @@ _APRIORI_CHECKS = (
     "det_normalized_tail",
     "frame_drift_quotient",
 )
-_APRIORI_ABS_TOL = _ABS_TOL * 2 + _ABS_TOL[:1]
 
 
 def _apriori_rhs_logs(log_ct, log_norm, log_conorm, log_absdet, log_drift, log_tail, log_quotient):
@@ -301,7 +304,7 @@ def verify_apriori_convergence(
     log_quotient = coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k]
     logs = _apriori_rhs_logs(log_ct, coc.log_norm[i], coc.log_conorm[i], coc.log_absdet[i],
                              *log_sums, log_quotient)
-    rep.add(_APRIORI_CHECKS, [(i, k)], _apriori_lhs(measured), [_exp(x) for x in logs], _APRIORI_ABS_TOL)
+    rep.add(_APRIORI_CHECKS, [(i, k)], _apriori_lhs(measured), [_exp(x) for x in logs])
     return rep
 
 
@@ -353,8 +356,7 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
             if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
                 raise _first_error(coc, columns, k, (peak, logs))
             rhs = linalg2.each(math.exp, logs.ravel()).reshape(logs.shape)
-            rep.add(_APRIORI_CHECKS, columns.indices[pairs], _apriori_lhs(columns.measured[:, pairs]),
-                    rhs, _APRIORI_ABS_TOL)
+            rep.add(_APRIORI_CHECKS, columns.indices[pairs], _apriori_lhs(columns.measured[:, pairs]), rhs)
     return rep
 
 
@@ -419,7 +421,7 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
     types = len(rates) // 3
     rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
     rep.add([check for check, _, _ in rates], columns.indices, tuple(columns.measured) * types,
-            envelopes[:, columns.i], _ABS_TOL * types)
+            envelopes[:, columns.i])
     return rep
 
 

@@ -51,10 +51,6 @@ class ConformalDegenerate(HypcoordsError):
     """Every direction is critical: the angle equation degenerates."""
 
 
-class DegenerateStep(HypcoordsError):
-    """A one-step co-eccentricity vanishes (singular step Jacobian)."""
-
-
 class ZeroDeterminant(HypcoordsError):
     """A determinant needed in a denominator is zero."""
 

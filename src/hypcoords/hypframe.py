@@ -7,8 +7,9 @@ one (most expanded).  The frame exists whenever the co-eccentricity
 (co-norm over norm) is strictly below 1.
 
 Sign convention: e is chosen with e_y > 0, or e_y = 0 and e_x > 0, and f is
-e rotated by -pi/2.  Signs are only a labelling; helpers that difference or
-compare frames align them first (``aligned_distance``).
+e rotated by -pi/2.  Signs are only a labelling: ``bounds`` measures the
+drift |e_k - e_i| up to sign, from the angle between the images of e_k and
+f_i under DPhi^i, and never differences two frames.
 
 Critical angles use the (sin t, cos t) parametrization of the unit circle.
 For the derivative with entries m = [[Phi1_x, Phi1_y], [Phi2_x, Phi2_y]],
@@ -60,14 +61,6 @@ class HyperbolicFrame:
     coecc: float
     theta: float
     low_confidence: bool
-
-
-def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Distance between unit vectors defined up to sign."""
-    return min(
-        float(np.linalg.norm(u - v)),
-        float(np.linalg.norm(u + v)),
-    )
 
 
 def frame_coecc(log_max: float, log_min: float) -> float:

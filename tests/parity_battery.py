@@ -19,6 +19,9 @@ output directory:
   (the test fixture iterated 25 j times, j = 0..39) at k = 80: ``certify``
   and ``verify-convergence`` under flavors II, I and both, then
   ``aux-constants`` and ``verify-variation`` under II;
+* ``verify-convergence`` at k = 80 under flavors II and I from the Henon
+  starts A and B of ``tests/conftest.py``, whose float SVD frames lie
+  farther from the exact ones than some true drifts;
 * ``certify`` and ``verify-convergence`` on the lorenz2d and standard-map
   fixtures at k = 5, 12 and 40 under every flavor;
 * ``oracle-check`` with seeds 0..4 at grids of 10^6 and 20,001 points,
@@ -39,6 +42,8 @@ import tempfile
 
 HENON_A, HENON_B = 1.4, 0.3
 HENON_FIXTURE = (0.7058109212783455, 0.019317772022865685)
+HENON_STARTS = {"A": (0.6985013692329781, -0.010485509461833464),
+                "B": (-0.8104708147484793, 0.3310660637099755)}
 STANDARD_K = 6.0
 STANDARD_FIXTURE = (3.676553231625218, 3.176553231625218)
 LORENZ_FIXTURE = (0.2916092987128571, -0.04250950927462577)
@@ -68,6 +73,11 @@ def battery() -> dict:
                 runs[f"henon-{entry}-{command}-{flavor}"] = [command, *henon, "--flavor", flavor]
         for command in ("aux-constants", "verify-variation"):
             runs[f"henon-{entry}-{command}-II"] = [command, *henon, "--flavor", "II"]
+    for name, start in HENON_STARTS.items():
+        for flavor in ("II", "I"):
+            runs[f"henon-{name}-verify-convergence-{flavor}"] = [
+                "verify-convergence", "--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B),
+                *_start(start), "--k", "80", "--flavor", flavor]
     maps = {
         "lorenz2d": ["--map", "lorenz2d", *_start(LORENZ_FIXTURE)],
         "standard": ["--map", "standard", "--K", repr(STANDARD_K), *_start(STANDARD_FIXTURE)],

@@ -12,6 +12,7 @@ benchmark runs.
 import importlib
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -108,18 +109,29 @@ def test_bracket_pool_pruned_norm_equals_every_slot_norm(monkeypatch):
 def test_tracer_counts_rows_as_the_report_status_says(monkeypatch, tmp_path):
     # perfbench/tracing.py counts ``bounds.allowance_rows`` with its own copy
     # of the row rule and ``certificate.check_rows`` from the rows; both must
-    # agree with the status that ``BoundReport.add`` stored
+    # agree with the status that ``BoundReport.add`` stored.  Bound rows take
+    # no allowance, so a report with rows that pass only through one is
+    # built by hand
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
     from hypcoords import bounds, certificate, compute_orbit, make_map
 
-    # at the full size: the tiny op's rows all pass outright
+    report = bounds.BoundReport("hand_built", 1e-9)
+    report.add(["a", "b"], [(0,), (1,), (2,)], [[1.0, 2.0, 3.0], [1.0, 0.6, np.nan]],
+               [[1.0, 1.5, 3.0], [2.0, 0.5, 1.0]], [1.0, 0.25])
+    counts = Counter()
+    tracing._count_report("bounds.apriori")(counts, (), {}, report)
+    status = report.columns()[-1]
+    assert sorted(status.tolist()) == [0, 1, 1, 2, 2, 2]
+    assert counts["bounds.allowance_rows"] == int((status == 1).sum())
+    assert counts["bounds.apriori_rows"] == len(status)
+
     with tracing.Tracer() as tracer:
         op = workloads.make_op("converge-k80", 0, "full", str(tmp_path / "out"))
         assert op.outcome(op.prepare()())["exit"] == 0
-        allowance_rows = tracer.counts["bounds.allowance_rows"]
+        assert tracer.counts["bounds.allowance_rows"] == 0
         henon = make_map("henon", a=workloads.HENON_A, b=workloads.HENON_B)
         k = workloads.PARAMS["converge-k80"]["full"]["k"]
         orbit = compute_orbit(henon, np.array(workloads.attractor_start(0)), k)
@@ -127,7 +139,4 @@ def test_tracer_counts_rows_as_the_report_status_says(monkeypatch, tmp_path):
         before = tracer.counts["certificate.check_rows"]
         cert = certificate.check_quasi_hyperbolic(orbit, ledger)
         check_rows = tracer.counts["certificate.check_rows"] - before
-    statuses = [bounds.verify_apriori_all(orbit).columns()[-1],
-                bounds.verify_explicit_convergence(orbit, ledger).columns()[-1]]
-    assert allowance_rows == sum(int((status == 1).sum()) for status in statuses) > 0
     assert check_rows == len(cert.columns()[-1]) > 0

@@ -17,7 +17,6 @@ from hypcoords.cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, cocycle
 from hypcoords.errors import (
     BoundOverflow,
     CertificateRequired,
-    DegenerateStep,
     HypcoordsError,
     IndexOutOfRange,
     Infeasible,
@@ -77,10 +76,13 @@ def test_tail_diagonal_geometric(diag_orbit):
         assert math.isclose(math.exp(log_tail(diag_orbit, i, k)), expected, rel_tol=1e-12)
 
 
-def test_tail_at_a_singular_step_is_a_degenerate_step():
+def test_tail_at_a_singular_step_is_a_zero_determinant():
+    # a zero one-step co-eccentricity makes the product through that step
+    # singular, so the pair's pull-back is undefined before its tail is read
     coc = MatrixCocycle([np.diag([2.0, 0.5]), np.array([[1.0, 0.0], [0.0, 0.0]])])
-    with pytest.raises(DegenerateStep, match="^one-step co-eccentricity at 1 is zero$"):
-        log_tail(coc, 1, 2)
+    for verify in (lambda: bounds.verify_apriori_convergence(coc, 1, 2), lambda: bounds.verify_apriori_all(coc)):
+        with pytest.raises(ZeroDeterminant, match=r"^det DPhi\^2 is zero: determinant-normalized rows undefined$"):
+            verify()
 
 
 def test_tail_henon_regression(henon_orbit20):
@@ -383,18 +385,20 @@ def test_apriori_sweep_equals_per_pair_on_random_cocycles(seed):
 
 
 def verify_consecutive_rotation(source):
-    """Per-step frame rotation: the sine-squared bound and drift <= sqrt(2)|sin|."""
+    """Per-step frame rotation: the sine-squared bound and drift <= sqrt(2)|sin|,
+    |sin| of the angle between e_j and e_(j+1) read from the pull-back:
+    |<w, u>| |DPhi^j e_(j+1)| / |DPhi^j|, w and u the directions of
+    DPhi^j e_(j+1) and DPhi^j f_j."""
     coc = cocycle_of(source)
     frames = frame_sequence(coc)
     rep = bounds.BoundReport("consecutive_rotation", bounds.DEFAULT_REL_TOL)
     for j in range(1, coc.k):
-        nxt = frames[j]
-        e_j = frames[j - 1].e
-        cos = float(np.dot(e_j, nxt.e))
-        sin = float(np.dot(e_j, nxt.f))
-        if cos < 0.0:  # align so the rotation angle is at most a quarter turn
-            cos, sin = -cos, -sin
-        cc_next = nxt.coecc
+        directions, log_norms = coc.contracted_images([j + 1])
+        w, log_push = directions[0, j], log_norms[0, j : j + 1]
+        u = coc.images(frames[j - 1].f, [j])[0]
+        sin = abs(float(w @ u[0])) * math.exp(float(log_push[0]) - coc.log_norm[j])
+        drift = float(bounds._drifts(w, u, log_push, coc.log_norm[j])[0])
+        cc_next = frames[j].coecc
         bound = (
             1.0
             / (1.0 - cc_next * cc_next)
@@ -408,11 +412,7 @@ def verify_consecutive_rotation(source):
                 )
             )
         )
-        # angles below the double-precision angular floor measure as noise,
-        # hence the squared rounding allowance
-        drift = math.hypot(1.0 - cos, sin)
-        rep.add(("rotation_sine_squared", "drift_vs_sine"), [(j,)], (sin * sin, drift),
-                (bound, SQRT2 * abs(sin)), (bounds.ROUNDING_UNIT**2, bounds.ROUNDING_UNIT))
+        rep.add(("rotation_sine_squared", "drift_vs_sine"), [(j,)], (sin * sin, drift), (bound, SQRT2 * sin))
     return rep
 
 
@@ -456,9 +456,8 @@ def test_explicit_convergence_requires_certificate(henon_orbit20):
 def _envelope_rows(rep, rates, index, measured):
     """The envelope rows of one pair, given its ``_pair_measurements``."""
     lhs = itertools.cycle(measured)  # drift, push, push_over_det
-    abs_tol = itertools.cycle((bounds.ROUNDING_UNIT, 0.0, 0.0))  # only drift rows have an allowance
-    for (check, q, r), lhs_value, tol_value in zip(rates, lhs, abs_tol):
-        rep.add([check], [index], [lhs_value], [q * r ** index[0]], [tol_value])
+    for (check, q, r), lhs_value in zip(rates, lhs):
+        rep.add([check], [index], [lhs_value], [q * r ** index[0]])
 
 
 def _explicit_per_pair(orbit, ledger):
@@ -984,24 +983,29 @@ def test_stacked_pull_back_equals_the_per_order_reference():
             assert np.isnan(directions[k, k + 1:]).all() and np.isnan(log_norms[k, k + 1:]).all()
 
 
+def _exact_frames(mp, coc):
+    """P_0..P_k and e_1..e_k (at positions 1..k) in mpmath at the caller's
+    precision: the float steps converted exactly, P_k their product and e_k
+    the unit eigenvector of P_k^T P_k for its smaller eigenvalue."""
+    products, frames = [mp.eye(2)], [None]
+    for step in coc.steps:
+        products.append(mp.matrix(step.tolist()) * products[-1])
+        gram = products[-1].T * products[-1]
+        a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
+        small = (a + d) / 2 - mp.sqrt(((a - d) / 2) ** 2 + b * b)
+        e = max((mp.matrix([b, small - a]), mp.matrix([small - d, b])), key=mp.norm)
+        frames.append(e / mp.norm(e))
+    return products, frames
+
+
 def _exact_contracted_logs(coc):
     """log |P_i e_k| for 1 <= i <= k <= coc.k, keyed (i, k), in 400-digit
-    mpmath: the float steps converted exactly, P_k their product and e_k the
-    unit eigenvector of P_k^T P_k for its smaller eigenvalue."""
+    mpmath (``_exact_frames``)."""
     mp = pytest.importorskip("mpmath")
-    logs = {}
     with mp.workdps(400):
-        products = [mp.eye(2)]
-        for step in coc.steps:
-            products.append(mp.matrix(step.tolist()) * products[-1])
-        for k in range(1, coc.k + 1):
-            gram = products[k].T * products[k]
-            a, b, d = gram[0, 0], gram[0, 1], gram[1, 1]
-            small = (a + d) / 2 - mp.sqrt(((a - d) / 2) ** 2 + b * b)
-            e = max((mp.matrix([b, small - a]), mp.matrix([small - d, b])), key=mp.norm)
-            e /= mp.norm(e)
-            logs.update(((i, k), float(mp.log(mp.norm(products[i] * e)))) for i in range(1, k + 1))
-    return logs
+        products, frames = _exact_frames(mp, coc)
+        return {(i, k): float(mp.log(mp.norm(products[i] * frames[k])))
+                for k in range(1, coc.k + 1) for i in range(1, k + 1)}
 
 
 @pytest.mark.parametrize("start", [HENON_FIXTURE, HENON_START_A, HENON_START_B], ids=["fixture", "A", "B"])
@@ -1015,6 +1019,36 @@ def test_pull_back_matches_mpmath_at_every_pair(henon, start):
         assert math.isclose(math.exp(log_norms[77, 15]), 3.7e-12, rel_tol=0.01)
         forward = coc.images(hyperbolic_coordinates(coc, 77).e, [15])[1][0]
         assert math.isclose(math.exp(forward), 8.5e-11, rel_tol=0.01)
+
+
+@pytest.mark.parametrize("start", [HENON_FIXTURE, HENON_START_A, HENON_START_B], ids=["fixture", "A", "B"])
+def test_pull_back_drift_matches_mpmath_at_every_pair(henon, start):
+    # the drift column the sweeps read against |e_k -+ e_i| of the 400-digit
+    # frames of the float steps; a pair (k, k) reads exactly 0
+    mp = pytest.importorskip("mpmath")
+    coc = compute_orbit(henon, start, 80).cocycle
+    columns = bounds._pair_columns(coc)
+    worst = 0.0
+    with mp.workdps(400):
+        frames = _exact_frames(mp, coc)[1]
+        for (i, k), drift in zip(columns.indices, columns.measured[0].tolist()):
+            if i == k:
+                assert drift == 0.0
+                continue
+            exact = min(mp.norm(frames[k] - frames[i]), mp.norm(frames[k] + frames[i]))
+            worst = max(worst, float(abs(drift / exact - 1)))
+    assert worst <= 1e-12
+
+
+def test_drift_of_perpendicular_frames_is_sqrt2():
+    # e_2 is perpendicular to e_1, and at some angles of the conjugating
+    # rotation the measured |sin| of pair (1, 2) rounds above 1: the drift
+    # is still sqrt(2), not NaN.  Near a quarter turn c = sqrt(1 - s^2)
+    # keeps only about half the digits of s, hence the wide tolerance
+    for theta in np.linspace(0.01, 3.1, 300):
+        r = _rotation(theta)
+        coc = MatrixCocycle([r @ np.diag([2.0, 0.5]) @ r.T, r @ np.diag([0.1, 10.0]) @ r.T])
+        assert math.isclose(bounds._pair_columns(coc).measured[0, 1], SQRT2, rel_tol=1e-7), theta
 
 
 def test_log_sums_match_mpmath_at_every_pair(henon):

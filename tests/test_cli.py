@@ -970,9 +970,10 @@ def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
     # each sweep measures its pairs once and reads the cocycle's pull-back of
-    # e, which the run computes once, with one push of f to seed it; nothing
-    # goes order by order or pair by pair
-    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 1}
+    # e, which the run computes once, with one push of f to seed it, and one
+    # push of f per sweep for the drift; nothing goes order by order or pair
+    # by pair
+    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 3}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair
@@ -1163,36 +1164,36 @@ def _battery_digests(tmp_path, monkeypatch, capsys):
 
 
 # Recorded with Python 3.11.7 and numpy 2.4.6.  A change that declares new
-# report bytes (ROADMAP items 2, 3, 5 and 10, and the a-priori right sides
-# added as logs) updates these digests in the same change; any other change
+# report bytes (ROADMAP items 2, 3, 5, 10 and 23, and the a-priori right
+# sides added as logs) updates these digests in the same change; any other change
 # keeps every byte, stream and exit code.
 _PARITY_DIGESTS = {
     "converge-henon-II": {
         "exit": 0,
-        "stdout": "da99cf35c0222a6b87da2781ddd46a019c065e9b3f6c7b7fe3adc5bd9c27419a",
+        "stdout": "ed43fecdc461b4387e6a364793317f179d3e7155e63a1f2718bcaa0d02749960",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "75c925efdeb961b938212755c511f98813f2bb55f55d9fbd4e6aa6f1aa7c3d9a",
-        "apriori_convergence.json": "9c09f4db4141c2145c18f80cf24468c69bb523764779199fff60ed0073bd54f3",
-        "explicit_convergence.csv": "2d985c1411a8c3f0b3b2930358aa49f6d14f92a00f0ed83c36b0f237fd94ac9c",
-        "explicit_convergence.json": "a4d9839c20f7beccf3acd8645bf732bcd96bde5c6709ca82ca48c7cf7c6873bd",
+        "apriori_convergence.csv": "8ace3d7958990d5e03afaab554782eb4afd1c8f0da3aff7d97b6f4de3ca2b8c9",
+        "apriori_convergence.json": "055d55c68a4b1b771532358ed373c5536f69a736b3de151e9626f5d4e78f7e84",
+        "explicit_convergence.csv": "5f4a9cec434eb7121612b73d156203817a5e1fe4c5cdef1f31f8e9bf2c3aa1ae",
+        "explicit_convergence.json": "cb2d51f6aaa50ea99ab7da83f128b52a23c96597ab06444cece65a8b831266b2",
     },
     "converge-henon-I": {
         "exit": 0,
-        "stdout": "96dfba3124471a65306513d23adec977d99ada0c454aadebe30404aa7af0f227",
+        "stdout": "8fa7fee7571fcf14a3f7f4f6404df2bd74be5390489c31695f3107f30e5d6503",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "75c925efdeb961b938212755c511f98813f2bb55f55d9fbd4e6aa6f1aa7c3d9a",
-        "apriori_convergence.json": "9c09f4db4141c2145c18f80cf24468c69bb523764779199fff60ed0073bd54f3",
-        "explicit_convergence.csv": "055f4482e3607032cad04ddb028111afae9a0f650864c8d40488971540676658",
+        "apriori_convergence.csv": "8ace3d7958990d5e03afaab554782eb4afd1c8f0da3aff7d97b6f4de3ca2b8c9",
+        "apriori_convergence.json": "055d55c68a4b1b771532358ed373c5536f69a736b3de151e9626f5d4e78f7e84",
+        "explicit_convergence.csv": "6ca6f929d67847aed368bd0894674fc56f1fc3b1c6a6199ec7db7f44b28c0ccf",
         "explicit_convergence.json": "12bbde20aff533a086a04adefe65308494ceec8fdfabc5053a58ee724043db4a",
     },
     "converge-lorenz-I": {
         "exit": 0,
-        "stdout": "8be3c7693629ce35b20e310f9f156690c6637ff2f1c7d2dd9dbb9ee5c2299289",
+        "stdout": "7d1d0135896fad0f7f4970836efdbed7f5cbb6b2260b5c1051205d6b1e77f36a",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "ef12867178047cc11347f60868159d7261fec2a566a815f1284447b29289a4b3",
-        "apriori_convergence.json": "54023e3a50399a318bfe108b3e4a6c1f0b7282cace1253c773a100664000cf45",
-        "explicit_convergence.csv": "77d10defed53c8413031917f582599431d9e90ce986c1d1567aa93cab03472b0",
-        "explicit_convergence.json": "0d792b15e0c38c1542d6d48cad2b45f53e7ebe03b9eda514231d8cbaf54f72a4",
+        "apriori_convergence.csv": "682b9d070f4b5d89f577d50ea7f1df845452d385f830d977a884e1ddb8650a7a",
+        "apriori_convergence.json": "eb64ee248982f3309589cfe3ef149f15a469158dc1df33408e63bb48327258f7",
+        "explicit_convergence.csv": "fbf6b239d46569e4a3d80365ec24c23e09a31b8470ea9534c9fa50a545f7bf79",
+        "explicit_convergence.json": "f53715729bdb118749d0e46ec74684ed51b779f8f19e15ac58e97a867b20e62b",
     },
     "frames-henon": {
         "exit": 0,
