@@ -193,23 +193,24 @@ def _order_pairs(k: int) -> slice:
 
 def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     """``_pair_measurements`` of every pair in one array pass, bit for bit
-    where that function returns, with each order's f in the frame's sign
-    whether or not the frame exists, pushed to its order by one ``images``
-    call.  Raises nothing: a term beyond the double range is inf or 0, the
-    measurements of an order whose product is singular are NaN, and a sweep
-    checks the frame and ``in_range`` of an order before it reads the
-    order's pairs; ``_first_error`` names what the per-pair function raises."""
+    where that function returns, all read off the cocycle's pull-back:
+    DPhi^i f_i, up to sign, is its vector of order i at i turned a quarter,
+    since the pull-back starts from the normal to it.  Raises nothing: a
+    term beyond the double range is inf or 0, the measurements of an order
+    whose product is singular are NaN, and a sweep checks the frame and
+    ``in_range`` of an order before it reads the order's pairs;
+    ``_first_error`` names what the per-pair function raises."""
     orders = np.arange(1, coc.k + 1)
     k = np.repeat(orders, orders)
     i = np.arange(len(k)) - k * (k - 1) // 2 + 1
-    f = linalg2.rotate_quarter_cw(linalg2.canonical_sign(coc.contracted))
-    u = coc.images(f, range(coc.k + 1))[0]  # DPhi^i f_i
     log_absdet = np.array(coc.log_absdet)
     pulled = np.count_nonzero(log_absdet > -math.inf)  # orders 0.. with a pull-back
     with np.errstate(all="ignore"):  # inf and NaN as on Python floats
         rows = k < pulled
         w, log_push = np.full((len(k), 2), math.nan), np.full(len(k), math.nan)
         directions, log_norms = coc.contracted_images(range(pulled))
+        u = np.full((coc.k + 1, 2), math.nan)
+        u[:pulled] = linalg2.rotate_quarter_cw(directions[range(pulled), range(pulled)])  # DPhi^i f_i
         w[rows], log_push[rows] = directions[k[rows], i[rows]], log_norms[k[rows], i[rows]]
         drift = _drifts(w, u[i], log_push, np.array(coc.log_norm)[i])
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))

@@ -111,6 +111,28 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
             prefix_bodies, prefix_log_scales)
 
 
+def measure_orders(bodies: np.ndarray, log_scales, log_absdet) -> Tuple[np.ndarray, ...]:
+    """The frame measurement of an (n, 2, 2) stack of renormalized products,
+    given their log scales and log |det|s: ``(smax, log_norm, log_conorm,
+    contracted)``, the closed-form SVD's larger singular value of each body,
+    the log norm, the log co-norm as |det| / norm, and the most contracted
+    direction, ``Svd2.v_min`` in the frame's sign (``linalg2.canonical_sign``).
+    A zero body has log norm -inf.  Callers silence numpy's warnings on
+    inf - inf."""
+    svd = linalg2.svd2_closed_array(*bodies.reshape(-1, 4).T)
+    log_norm = linalg2.log_each(svd.smax) + log_scales
+    # The larger singular value is well conditioned, but extracting the
+    # smaller one from the assembled product cancels catastrophically once the
+    # co-eccentricity drops below the working precision, so the co-norm is
+    # |det| / norm with the determinant accumulated stepwise (exact
+    # multiplicativity).
+    log_conorm = log_absdet - log_norm
+    contracted = np.empty((len(svd.theta_v), 2))
+    contracted[:, 0] = -linalg2.each(math.sin, svd.theta_v)
+    contracted[:, 1] = linalg2.each(math.cos, svd.theta_v)
+    return svd.smax, log_norm, log_conorm, linalg2.canonical_sign(contracted)
+
+
 def is_int(value) -> bool:
     """Whether ``value`` is an int; a bool is not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -205,7 +227,8 @@ class MatrixCocycle:
     the base point), ``prefix(0)`` the identity.  Steps and products are
     stacks of scaled bodies (``step_bodies``, ``prefix_bodies``), from which
     array passes take the log norm, co-norm and |det| of every step and
-    order, and the most contracted direction of every order; ``images``
+    order, and the most contracted direction of every order in the frame's
+    sign (``contracted``, by ``measure_orders``); ``images``
     pushes vectors through the products, ``contracted_images`` pulls the
     contracted directions back.  Each value equals its scalar closed form
     bit for bit, but for the co-norm of a step whose closed-form smin
@@ -229,38 +252,27 @@ class MatrixCocycle:
         if lost_steps.any():
             raise InvalidInput(f"step {lost_steps.argmax()} has a nonzero entry below 2^-1022 once scaled")
         with np.errstate(all="ignore"):  # overflow and inf - inf as on Python floats
-            # the steps, then the products of every order, in one SVD pass
-            svd = linalg2.svd2_closed_array(*np.concatenate((raw, self.prefix_bodies)).reshape(-1, 4).T)
-            zero = np.flatnonzero(np.concatenate((zero_steps, svd.smax[k:] == 0.0)))
+            log_absdet = np.cumsum(np.concatenate(([0.0], step_log_absdet)))
+            smax, log_norm, log_conorm, self.contracted = measure_orders(
+                self.prefix_bodies, self.prefix_log_scales, log_absdet)
+            zero = np.flatnonzero(np.concatenate((zero_steps, smax == 0.0)))
             if zero.size:  # steps first; entry k + i is order i
                 j = zero[0]
                 what = f"step {j}" if j < k else f"product of steps 0..{j - k - 1}"
                 raise ZeroMatrix(what + " is the zero matrix")
-            log_smax = linalg2.each(math.log, svd.smax)
-            # Per-order norms.  The larger singular value is well conditioned,
-            # but extracting the smaller one from the assembled product cancels
-            # catastrophically once the co-eccentricity drops below the working
-            # precision, so the co-norm is taken as |det| / norm with the
-            # determinant accumulated stepwise (exact multiplicativity).
-            log_norm = log_smax[k:] + self.prefix_log_scales
-            log_absdet = np.cumsum(np.concatenate(([0.0], step_log_absdet)))
-            log_conorm = log_absdet - log_norm
+            step_svd = linalg2.svd2_closed_array(*raw.reshape(-1, 4).T)
+            step_log_norm = linalg2.each(math.log, step_svd.smax)
             # q - r cancels to 0 below a step co-eccentricity of about 1e-16;
             # there the co-norm is |det| / norm, as for the orders
-            step_log_conorm = linalg2.log_each(svd.smin[:k])
-            cancelled = ~(svd.smin[:k] > 0.0)  # NaN included
+            step_log_conorm = linalg2.log_each(step_svd.smin)
+            cancelled = ~(step_svd.smin > 0.0)  # NaN included
             step_log_conorm[cancelled] = np.where(
-                np.isfinite(step_log_absdet), step_log_absdet - log_smax[:k], -math.inf)[cancelled]
+                np.isfinite(step_log_absdet), step_log_absdet - step_log_norm, -math.inf)[cancelled]
         # lists of Python floats, as messages and reports print them
         self.step_log_norm, self.step_log_conorm, self.step_log_absdet = (
-            x.tolist() for x in (log_smax[:k], step_log_conorm, step_log_absdet))
+            x.tolist() for x in (step_log_norm, step_log_conorm, step_log_absdet))
         self.log_norm, self.log_conorm, self.log_absdet = (
             x.tolist() for x in (log_norm, log_conorm, log_absdet))
-        # the most contracted input direction of every order, Svd2.v_min
-        theta_v = svd.theta_v[k:]
-        self.contracted = np.stack(
-            (-linalg2.each(math.sin, theta_v), linalg2.each(math.cos, theta_v)), axis=1
-        )
         self._pulled_back: Optional[Tuple[np.ndarray, np.ndarray]] = None  # on first use
 
     def prefix(self, i: int) -> ScaledMatrix:
@@ -309,7 +321,7 @@ class MatrixCocycle:
         over +-hypot, signed as det(body); the vector at i = 0, parallel to
         e_k, fixes the scale and sign of the others."""
         n = self.log_absdet.index(-math.inf) if -math.inf in self.log_absdet else self.k + 1
-        e = linalg2.canonical_sign(self.contracted[:n])
+        e = self.contracted[:n]
         u = self.images(linalg2.rotate_quarter_cw(e), range(n))[0]  # DPhi^k f_k
         w = np.vstack((-u[:, 1], u[:, 0], np.zeros(n)))  # x, y and log norm of each order
         table = np.full((3, n, self.k + 1), math.nan)  # w of order k at i in [:, k, i]

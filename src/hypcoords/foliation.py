@@ -16,8 +16,9 @@ of each order in a list, and drops those that leave the domain or come
 near the singular set (a guard that runs only on a map that declares a
 singular set); the derivative pass then takes the Jacobians at every
 step of every surviving orbit in one stacked call and measures them with
-``cocycle.measure_steps``, the measurement ``MatrixCocycle`` makes of one
-orbit, with the same ``math`` functions.  The scalar path gives the exact
+``cocycle.measure_steps`` and the order-k products with
+``cocycle.measure_orders``, the measurements ``MatrixCocycle`` makes of one
+orbit.  The scalar path gives the exact
 direction at each seed and stays the reference the kernel is tested against.
 """
 
@@ -30,7 +31,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import check_orbit_order, compute_orbit, float_array, guard_limit, is_finite_real, measure_steps
+from .cocycle import (check_orbit_order, compute_orbit, float_array, guard_limit, is_finite_real, measure_orders,
+                      measure_steps)
 from .errors import (
     HypcoordsError,
     InvalidInput,
@@ -98,7 +100,8 @@ def _field_directions(
 
     Returns ``(directions, stops)``.  Where ``stops[j]`` is 0,
     ``directions[j]`` is the order-k field direction at point j (canonical
-    sign), equal to the scalar one to rounding.  Elsewhere it is NaN and
+    sign), equal to the scalar one bit for bit wherever the map's callbacks
+    give the same bits on arrays as on floats.  Elsewhere it is NaN and
     ``TERMINATIONS[stops[j]]`` is the reason the scalar path stops there:
     "singular", "domain" or "degenerate".
 
@@ -110,11 +113,12 @@ def _field_directions(
     a stopped point leaves the pass and every stored order.  As in
     ``compute_orbit``, the guard runs only where ``spec.has_singular_set``
     declares a singular set.  The derivative pass takes the k steps of
-    every orbit that reached order k at once: one ``jacobian`` call and one
-    ``cocycle.measure_steps``, as ``MatrixCocycle`` measures one orbit;
-    then the co-eccentricity and direction of the order-k product as
-    ``hyperbolic_coordinates`` takes them.  A zero or lost step, a zero
-    product or a co-eccentricity above ``LOW_CONFIDENCE_COECC`` is degenerate.
+    every orbit that reached order k at once: one ``jacobian`` call, one
+    ``cocycle.measure_steps`` and one ``cocycle.measure_orders`` of the
+    order-k products, as ``MatrixCocycle`` measures one orbit; then the
+    co-eccentricity as ``hyperbolic_coordinates`` takes it.  A zero or lost
+    step, a zero product or a co-eccentricity above ``LOW_CONFIDENCE_COECC``
+    is degenerate.
     So the map callbacks see only points the scalar path would evaluate.
     """
     limit = guard_limit(spec, guard)
@@ -158,23 +162,17 @@ def _field_directions(
             np.concatenate(xs), np.concatenate(ys)
         )
         *_, step_log_absdet, zero_steps, lost_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
-        svd = linalg2.svd2_closed_array(*bodies[k].reshape(-1, 4).T)
-        log_norm = linalg2.log_each(svd.smax) + log_scales[k]
+        smax, log_norm, log_conorm, e = measure_orders(
+            bodies[k], log_scales[k], np.cumsum(step_log_absdet, axis=0)[-1])
         # as hyperbolic_coordinates takes it, but capped at 1, where math.exp could overflow
-        log_coecc = np.cumsum(step_log_absdet, axis=0)[-1] - log_norm - log_norm
-        coecc = linalg2.each(math.exp, np.minimum(log_coecc, 0.0))
+        coecc = linalg2.each(math.exp, np.minimum(log_conorm - log_norm, 0.0))
         # A zero product stays zero, so the last one stands for every order;
         # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
-        degenerate = (zero_steps | lost_steps).any(axis=0) | (svd.smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
-    theta_v = svd.theta_v
+        degenerate = (zero_steps | lost_steps).any(axis=0) | (smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
     if np.count_nonzero(degenerate):
         stops[live[degenerate]] = _DEGENERATE
         ok = ~degenerate
-        live, theta_v = live[ok], theta_v[ok]
-    e = np.empty((len(live), 2))
-    e[:, 0] = -linalg2.each(math.sin, theta_v)
-    e[:, 1] = linalg2.each(math.cos, theta_v)
-    e = linalg2.canonical_sign(e)
+        live, e = live[ok], e[ok]
     directions[live] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 

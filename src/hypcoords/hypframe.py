@@ -136,7 +136,6 @@ class CoeccValues:
     from_det_over_norm2: Optional[float]
     from_conorm2_over_det: Optional[float]
     from_conorm_over_norm: float
-    log_value: float
     singular: bool
 
 
@@ -155,12 +154,11 @@ def coeccentricity(source: Union[OrbitSegment, MatrixCocycle], k: int) -> CoeccV
     s = linalg2.svd2_matrix(m.body)
     det_body = abs(linalg2.det2(m.body))
     if det_body == 0.0 or s.smin == 0.0:
-        return CoeccValues(None, None, 0.0, float("-inf"), True)
+        return CoeccValues(None, None, 0.0, True)
     return CoeccValues(
         from_det_over_norm2=det_body / (s.smax * s.smax),
         from_conorm2_over_det=s.smin * s.smin / det_body,
         from_conorm_over_norm=s.smin / s.smax,
-        log_value=math.log(s.smin) - math.log(s.smax),
         singular=False,
     )
 
@@ -227,7 +225,6 @@ class OracleResult:
     theta_min: float
     norm_max: float
     norm_min: float
-    flat: bool
     grid_n: int
 
 
@@ -429,7 +426,6 @@ def oracle_extremal_directions(m: np.ndarray, grid_n: int) -> OracleResult:
         theta_min=imin * step,
         norm_max=math.sqrt(max(fmax, 0.0)),
         norm_min=math.sqrt(max(fmin, 0.0)),
-        flat=(fmax - fmin) <= 1e-12 * max(fmax, 1e-300),
         grid_n=grid_n,
     )
 

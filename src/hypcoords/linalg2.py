@@ -18,11 +18,11 @@ import numpy as np
 
 
 class Svd2(NamedTuple):
-    """SVD of a 2x2 matrix: M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T."""
+    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T,
+    without the left angle theta_u, which nothing reads."""
 
     smax: float
     smin: float
-    theta_u: float
     theta_v: float
     det_sign: float
 
@@ -44,7 +44,7 @@ def svd2_closed(a: float, b: float, c: float, d: float) -> Svd2:
     a1 = math.atan2(g, f)  # theta_u + theta_v
     a2 = math.atan2(h, e)  # theta_u - theta_v
     sign = 1.0 if s2 > 0.0 else (-1.0 if s2 < 0.0 else 0.0)
-    return Svd2(q + r, abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
+    return Svd2(q + r, abs(s2), 0.5 * (a1 - a2), sign)
 
 
 def each(fn, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
@@ -82,7 +82,7 @@ def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
     a1 = each(math.atan2, g, f)
     a2 = each(math.atan2, h, e)
     sign = (s2 > 0.0).astype(float) - (s2 < 0.0)
-    return Svd2(q + r, np.abs(s2), 0.5 * (a1 + a2), 0.5 * (a1 - a2), sign)
+    return Svd2(q + r, np.abs(s2), 0.5 * (a1 - a2), sign)
 
 
 def spectral_norm_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -25,7 +25,12 @@ output directory:
 * ``certify`` and ``verify-convergence`` on the lorenz2d and standard-map
   fixtures at k = 5, 12 and 40 under every flavor;
 * ``oracle-check`` with seeds 0..4 at grids of 10^6 and 20,001 points,
-  100 trials each.
+  100 trials each;
+* ``orbit`` and ``frames`` at k = 80 from the Henon fixture, A and B and
+  the lorenz2d and standard-map fixtures;
+* ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
+  the ``foliate-k8`` workload's unshifted Henon seed lattice and on one
+  lorenz2d and one standard-map rectangle.
 
 Digests are SHA-256.  The starts are recomputed here, as the benchmark
 computes them; this file imports nothing from the benchmark.  pytest does
@@ -48,6 +53,15 @@ STANDARD_K = 6.0
 STANDARD_FIXTURE = (3.676553231625218, 3.176553231625218)
 LORENZ_FIXTURE = (0.2916092987128571, -0.04250950927462577)
 FLAVORS = ("nonsingular", "I", "II", "both")
+# foliate rectangles: the rows of the foliate-k8 lattice, each 0.2 high
+# from y = -0.4 + 0.2 row, with its spacing, length and step
+FOLIATE_RECTS = {
+    **{f"henon-row{row}": ("henon", f"-1.0,1.0,{-0.4 + row * 0.2!r},{-0.4 + row * 0.2 + 0.2!r}")
+       for row in range(4)},
+    "lorenz2d": ("lorenz2d", "-1.0,1.0,-0.1,0.1"),
+    "standard": ("standard", "0.0,2.0,3.0,3.2"),
+}
+FOLIATE_SETTINGS = ["--spacing", "0.2", "--length", "0.2", "--step", "0.002"]
 
 
 def henon_start(entry: int) -> tuple:
@@ -79,15 +93,28 @@ def battery() -> dict:
                 "verify-convergence", "--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B),
                 *_start(start), "--k", "80", "--flavor", flavor]
     maps = {
-        "lorenz2d": ["--map", "lorenz2d", *_start(LORENZ_FIXTURE)],
-        "standard": ["--map", "standard", "--K", repr(STANDARD_K), *_start(STANDARD_FIXTURE)],
+        "henon": ["--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B)],
+        "lorenz2d": ["--map", "lorenz2d"],
+        "standard": ["--map", "standard", "--K", repr(STANDARD_K)],
     }
-    for name, args in maps.items():
+    for name, start in (("lorenz2d", LORENZ_FIXTURE), ("standard", STANDARD_FIXTURE)):
         for k in (5, 12, 40):
             for command in ("certify", "verify-convergence"):
                 for flavor in FLAVORS:
-                    runs[f"{name}-k{k}-{command}-{flavor}"] = [command, *args, "--k", str(k),
-                                                              "--flavor", flavor]
+                    runs[f"{name}-k{k}-{command}-{flavor}"] = [command, *maps[name], *_start(start),
+                                                              "--k", str(k), "--flavor", flavor]
+    starts = {"henon-fixture": ("henon", HENON_FIXTURE),
+              **{f"henon-{name}": ("henon", start) for name, start in HENON_STARTS.items()},
+              "lorenz2d": ("lorenz2d", LORENZ_FIXTURE), "standard": ("standard", STANDARD_FIXTURE)}
+    for name, (map_name, start) in starts.items():
+        for command in ("orbit", "frames"):
+            runs[f"{name}-k80-{command}"] = [command, *maps[map_name], *_start(start), "--k", "80"]
+    for name, (map_name, rect) in FOLIATE_RECTS.items():
+        for k in (2, 8):
+            for field in ("stable", "unstable"):
+                runs[f"foliate-{name}-k{k}-{field}"] = [
+                    "foliate", *maps[map_name], "--k", str(k), f"--rect={rect}", *FOLIATE_SETTINGS,
+                    "--field", field]
     for seed in range(5):
         for grid_n in (1_000_000, 20_001):
             runs[f"oracle-{seed}-{grid_n}"] = ["oracle-check", "--seed", str(seed), "--trials", "100",
@@ -118,25 +145,31 @@ def run_battery() -> dict:
     and under "reports" the ``_tallies`` of each bound report."""
     from hypcoords import cli  # here, so that --compare runs without the package
 
-    results = {}
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
-        for label, argv in battery().items():
-            out_dir = os.path.join(scratch, label)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([*argv, "--out-dir", out_dir])
-            entry = {"exit": code, "stdout": _digest(out.getvalue().encode()),
-                     "stderr": _digest(err.getvalue().encode()), "reports": {}}
-            for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
-                with open(os.path.join(out_dir, name), "rb") as fh:
-                    data = fh.read()
-                entry[name] = _digest(data)
-                if name.endswith(".json"):
-                    report = json.loads(data)
-                    if "checks" in report and "verdict" in report:
-                        entry["reports"][name] = _tallies(report)
-            results[label] = entry
-    return results
+        os.chdir(scratch)  # relative output directories, so a printed path is the same in every run
+        try:
+            return {label: _run(cli, label, argv) for label, argv in battery().items()}
+        finally:
+            os.chdir(cwd)
+
+
+def _run(cli, out_dir: str, argv: list) -> dict:
+    """One run of ``run_battery``, writing to ``out_dir``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--out-dir", out_dir])
+    entry = {"exit": code, "stdout": _digest(out.getvalue().encode()),
+             "stderr": _digest(err.getvalue().encode()), "reports": {}}
+    for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            data = fh.read()
+        entry[name] = _digest(data)
+        if name.endswith(".json"):
+            report = json.loads(data)
+            if "checks" in report and "verdict" in report:
+                entry["reports"][name] = _tallies(report)
+    return entry
 
 
 def compare(parent: dict, change: dict) -> int:

@@ -951,7 +951,7 @@ def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
                 "--out-dir", tmp_path]) == 0
 
 
-def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
+def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypatch):
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -969,11 +969,10 @@ def test_verify_convergence_measures_each_pair_once(tmp_path, monkeypatch):
         counted(MatrixCocycle, name)
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
-    # each sweep measures its pairs once and reads the cocycle's pull-back of
-    # e, which the run computes once, with one push of f to seed it, and one
-    # push of f per sweep for the drift; nothing goes order by order or pair
-    # by pair
-    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 3}
+    # each of the two sweeps measures its pairs in one pass that reads the
+    # cocycle's pull-back of e, which the run computes once, with the one
+    # push of f that seeds it; nothing goes order by order or pair by pair
+    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 1}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair

@@ -481,13 +481,13 @@ def _scalar_cocycle(steps, v):
             raise ZeroMatrix(f"step {j} is the zero matrix")
     step_log_absdet = [_scalar_log_abs_det(s) for s in steps]
     log_absdet = list(itertools.accumulate(step_log_absdet, initial=0.0))
-    log_norm, contracted = [0.0], [linalg2.svd2_matrix(np.eye(2)).v_min]
+    log_norm, contracted = [0.0], [linalg2.canonical_sign(linalg2.svd2_matrix(np.eye(2)).v_min)]
     for i in range(1, len(steps) + 1):
         s = linalg2.svd2_matrix(prefixes[i].body)
         if s.smax == 0.0:
             raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
         log_norm.append(math.log(s.smax) + prefixes[i].log_scale)
-        contracted.append(s.v_min)
+        contracted.append(linalg2.canonical_sign(s.v_min))
     images = [_scalar_apply(p, v) for p in prefixes]
     return _reprs(
         step_log_norm=[math.log(s.smax) for s in step_svd],

@@ -329,12 +329,27 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
         expected, reason = _scalar_field(spec, p, k, field, guard)
         assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
         if spec.name == "lorenz2d":
-            # numpy's ``**`` on an array and on a scalar differ in the last bit
-            # on some inputs, so the two orbits may part by an ulp: 190 of 5,711
-            # points drawn from these strategies were not bit-equal
+            # lorenz2d's callbacks raise |x| to powers with ``**``, which numpy
+            # rounds differently on an array and on a float: for the exponents
+            # 0.8, -0.5 and -0.2 about 5 % of 10^5 uniform |x| < 1 differ in the
+            # last bit, so the two orbits may part by an ulp (190 of 5,711 points
+            # drawn from these strategies were not bit-equal)
             np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
         else:
             assert v.tobytes() == expected.tobytes(), (p, v, expected)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("spec", [henon(), standard(6.0)], ids=["henon", "standard"])
+def test_field_directions_equal_the_scalar_path_bit_for_bit(spec, k):
+    # 200 seeded points of the foliate-k8 rectangle: the kernel reads the
+    # frame of cocycle.measure_orders, as MatrixCocycle does
+    points = np.random.default_rng(k).uniform((-1.0, -0.4), (1.0, 0.4), (200, 2))
+    for field in (foliation.STABLE, foliation.UNSTABLE):
+        directions, stops = foliation._field_directions(spec, points, k, field, None)
+        expected = [foliation._field_direction(spec, p, k, field, None) for p in points]
+        assert stops.tolist() == [stop for _, stop in expected]
+        assert directions.tobytes() == np.array([v for v, _ in expected]).tobytes()
 
 
 # MapSpec lets a point callback answer arrays with a scalar
