@@ -140,18 +140,21 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     return math.sqrt(worst)
 
 
-def _drifts(w: np.ndarray, u: np.ndarray, log_push: np.ndarray, log_norm) -> np.ndarray:
+def _drifts(w: np.ndarray, u: np.ndarray, e_k: np.ndarray, e_i: np.ndarray, log_push: np.ndarray,
+            log_norm) -> np.ndarray:
     """The drifts |e_k - e_i|, up to sign, of pairs (i, k) given as arrays
     over the pairs: w and u the directions of DPhi^i e_k and DPhi^i f_i,
-    and the logs of |DPhi^i e_k| and |DPhi^i|.  DPhi^i maps e_i and f_i to
-    orthogonal vectors, the image of f_i of length |DPhi^i|, so
-    s = |<w, u>| |DPhi^i e_k| / |DPhi^i| is |sin| of the angle between e_k
-    and e_i; with c = sqrt(1 - s^2) the drift, 2 sin of half that angle,
-    is s / sqrt((1 + c) / 2).  Elementwise, so that one pair alone and in a
-    sweep round alike."""
+    e_k and e_i the pulled-back vectors at 0, and the logs of |DPhi^i e_k|
+    and |DPhi^i|.  DPhi^i maps e_i and f_i to orthogonal vectors, the image
+    of f_i of length |DPhi^i|, so s = |<w, u>| |DPhi^i e_k| / |DPhi^i| is
+    |sin| of the angle between e_k and e_i, and c = |<e_k, e_i>| its |cos|;
+    the drift, 2 sin of half that angle, is s / sqrt((1 + c) / 2).  c is
+    read off the vectors rather than taken as sqrt(1 - s^2), which near a
+    quarter turn would keep only half the digits of s.  Elementwise, so
+    that one pair alone and in a sweep round alike."""
     s = np.abs(w[..., 0] * u[..., 0] + w[..., 1] * u[..., 1]) * _exp_or_inf(log_push - log_norm)
     s = np.minimum(s, 1.0)  # a |sin| that rounds above 1
-    c = np.sqrt((1.0 - s) * (1.0 + s))
+    c = np.abs(e_k[..., 0] * e_i[..., 0] + e_k[..., 1] * e_i[..., 1])
     return s / np.sqrt((1.0 + c) / 2.0)
 
 
@@ -161,17 +164,17 @@ def _pair_measurements(
     """The measured left sides of pair (i, k): the drift |e_k - e_i|,
     |DPhi^i e_k| and |DPhi^i e_k| / |det DPhi^i|, all from the cocycle's
     pull-back of e_k, which a singular DPhi^k leaves undefined
-    (ZeroDeterminant), and the drift from the image of f_i as well
-    (``_drifts``); a side whose log or its negative is beyond the double
-    range is a BoundOverflow."""
-    directions, log_norms = coc.contracted_images([k])
+    (ZeroDeterminant), and the drift from the image of f_i and the
+    pull-back of e_i as well (``_drifts``); a side whose log or its
+    negative is beyond the double range is a BoundOverflow."""
+    directions, log_norms = coc.contracted_images([k, i])
     log_push = float(log_norms[0, i])
     logs = (log_push, log_push - coc.log_absdet[i])
     for x in logs:
         if abs(x) > _LOG_MAX:
             raise _overflow(x)
     u = coc.images(frames[i - 1].f, [i])[0]
-    drift = float(_drifts(directions[0, i], u, np.array([log_push]), coc.log_norm[i])[0])
+    drift = float(_drifts(directions[0, i], u, *directions[:, 0], np.array([log_push]), coc.log_norm[i])[0])
     return (drift, *map(math.exp, logs))
 
 
@@ -209,10 +212,11 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
         rows = k < pulled
         w, log_push = np.full((len(k), 2), math.nan), np.full(len(k), math.nan)
         directions, log_norms = coc.contracted_images(range(pulled))
-        u = np.full((coc.k + 1, 2), math.nan)
-        u[:pulled] = linalg2.rotate_quarter_cw(directions[range(pulled), range(pulled)])  # DPhi^i f_i
+        e, u = np.full((2, coc.k + 1, 2), math.nan)  # of each order i: e_i and DPhi^i f_i
+        e[:pulled] = directions[:, 0]
+        u[:pulled] = linalg2.rotate_quarter_cw(directions[range(pulled), range(pulled)])
         w[rows], log_push[rows] = directions[k[rows], i[rows]], log_norms[k[rows], i[rows]]
-        drift = _drifts(w, u[i], log_push, np.array(coc.log_norm)[i])
+        drift = _drifts(w, u[i], e[k], e[i], log_push, np.array(coc.log_norm)[i])
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))
     in_range = np.ones(coc.k + 1, dtype=bool)
     in_range[1:] = np.logical_and.reduceat(rows & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
