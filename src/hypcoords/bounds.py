@@ -140,18 +140,16 @@ def ctilde(source: Union[OrbitSegment, MatrixCocycle], k: int) -> float:
     return math.sqrt(worst)
 
 
-def _drifts(w: np.ndarray, u: np.ndarray, e_k: np.ndarray, e_i: np.ndarray, log_push: np.ndarray,
-            log_norm) -> np.ndarray:
+def _drifts(w: np.ndarray, u: np.ndarray, e_k: np.ndarray, e_i: np.ndarray, log_push: np.ndarray, log_norm):
     """The drifts |e_k - e_i|, up to sign, of pairs (i, k) given as arrays
     over the pairs: w and u the directions of DPhi^i e_k and DPhi^i f_i,
     e_k and e_i the pulled-back vectors at 0, and the logs of |DPhi^i e_k|
     and |DPhi^i|.  DPhi^i maps e_i and f_i to orthogonal vectors, the image
     of f_i of length |DPhi^i|, so s = |<w, u>| |DPhi^i e_k| / |DPhi^i| is
-    |sin| of the angle between e_k and e_i, and c = |<e_k, e_i>| its |cos|;
-    the drift, 2 sin of half that angle, is s / sqrt((1 + c) / 2).  c is
-    read off the vectors rather than taken as sqrt(1 - s^2), which near a
-    quarter turn would keep only half the digits of s.  Elementwise, so
-    that one pair alone and in a sweep round alike."""
+    |sin| of the angle between e_k and e_i, and c = |<e_k, e_i>| (not
+    sqrt(1 - s^2), which keeps half the digits of s near a quarter turn)
+    its |cos|; the drift, 2 sin of half that angle, is s / sqrt((1 + c) / 2).
+    Elementwise, so that one pair alone and in a sweep round alike."""
     s = np.abs(w[..., 0] * u[..., 0] + w[..., 1] * u[..., 1]) * _exp_or_inf(log_push - log_norm)
     s = np.minimum(s, 1.0)  # a |sin| that rounds above 1
     c = np.abs(e_k[..., 0] * e_i[..., 0] + e_k[..., 1] * e_i[..., 1])
@@ -196,11 +194,10 @@ def _order_pairs(k: int) -> slice:
 
 def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     """``_pair_measurements`` of every pair in one array pass, bit for bit
-    where that function returns, all read off the cocycle's pull-back:
-    DPhi^i f_i, up to sign, is its vector of order i at i turned a quarter,
-    since the pull-back starts from the normal to it.  Raises nothing: a
-    term beyond the double range is inf or 0, the measurements of an order
-    whose product is singular are NaN, and a sweep checks the frame and
+    where that function returns, all read off the cocycle's pull-back, which
+    starts order i from the normal to DPhi^i f_i.  Raises nothing: a term
+    beyond the double range is inf or 0, the measurements of an order whose
+    product is singular are NaN, and a sweep checks the frame and
     ``in_range`` of an order before it reads the order's pairs;
     ``_first_error`` names what the per-pair function raises."""
     orders = np.arange(1, coc.k + 1)
@@ -208,18 +205,17 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     i = np.arange(len(k)) - k * (k - 1) // 2 + 1
     log_absdet = np.array(coc.log_absdet)
     pulled = np.count_nonzero(log_absdet > -math.inf)  # orders 0.. with a pull-back
+    n = coc.k + 1
     with np.errstate(all="ignore"):  # inf and NaN as on Python floats
-        rows = k < pulled
-        w, log_push = np.full((len(k), 2), math.nan), np.full(len(k), math.nan)
-        directions, log_norms = coc.contracted_images(range(pulled))
-        e, u = np.full((2, coc.k + 1, 2), math.nan)  # of each order i: e_i and DPhi^i f_i
-        e[:pulled] = directions[:, 0]
-        u[:pulled] = linalg2.rotate_quarter_cw(directions[range(pulled), range(pulled)])
-        w[rows], log_push[rows] = directions[k[rows], i[rows]], log_norms[k[rows], i[rows]]
-        drift = _drifts(w, u[i], e[k], e[i], log_push, np.array(coc.log_norm)[i])
+        directions, log_norms = np.full((n, n, 2), math.nan), np.full((n, n), math.nan)
+        directions[:pulled], log_norms[:pulled] = coc.contracted_images(range(pulled))
+        u = linalg2.rotate_quarter_cw(directions[range(n), range(n)])  # DPhi^i f_i, up to sign
+        log_push = log_norms[k, i]
+        drift = _drifts(directions[k, i], u[i], directions[k, 0], directions[i, 0], log_push,
+                        np.array(coc.log_norm)[i])
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))
-    in_range = np.ones(coc.k + 1, dtype=bool)
-    in_range[1:] = np.logical_and.reduceat(rows & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
+    in_range = np.ones(n, dtype=bool)
+    in_range[1:] = np.logical_and.reduceat((k < pulled) & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
                                            orders * (orders - 1) // 2)
     measured = np.vstack(([drift], _exp_or_inf(log_pushes)))
     return _PairColumns(list(zip(i.tolist(), k.tolist())), i, measured, log_pushes, in_range)

@@ -112,20 +112,16 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def measure_orders(bodies: np.ndarray, log_scales, log_absdet) -> Tuple[np.ndarray, ...]:
-    """The frame measurement of an (n, 2, 2) stack of renormalized products,
-    given their log scales and log |det|s: ``(smax, log_norm, log_conorm,
-    contracted)``, the closed-form SVD's larger singular value of each body,
-    the log norm, the log co-norm as |det| / norm, and the most contracted
-    direction, ``Svd2.v_min`` in the frame's sign (``linalg2.canonical_sign``).
-    A zero body has log norm -inf.  Callers silence numpy's warnings on
-    inf - inf."""
+    """``(smax, log_norm, log_conorm, contracted)`` of an (n, 2, 2) stack of
+    renormalized products with their log scales and log |det|s: the
+    closed-form SVD's larger singular value, the log norm (-inf for a zero
+    body), the log co-norm and ``Svd2.v_min`` in the frame's sign
+    (``linalg2.canonical_sign``).  Callers silence numpy's inf - inf warning."""
     svd = linalg2.svd2_closed_array(*bodies.reshape(-1, 4).T)
     log_norm = linalg2.log_each(svd.smax) + log_scales
-    # The larger singular value is well conditioned, but extracting the
-    # smaller one from the assembled product cancels catastrophically once the
-    # co-eccentricity drops below the working precision, so the co-norm is
-    # |det| / norm with the determinant accumulated stepwise (exact
-    # multiplicativity).
+    # smin of the assembled product cancels once the co-eccentricity drops
+    # below the working precision; |det| / norm, with the determinant
+    # accumulated stepwise (exact multiplicativity), does not
     log_conorm = log_absdet - log_norm
     contracted = np.empty((len(svd.theta_v), 2))
     contracted[:, 0] = -linalg2.each(math.sin, svd.theta_v)
@@ -227,8 +223,8 @@ class MatrixCocycle:
     the base point), ``prefix(0)`` the identity.  Steps and products are
     stacks of scaled bodies (``step_bodies``, ``prefix_bodies``), from which
     array passes take the log norm, co-norm and |det| of every step and
-    order, and the most contracted direction of every order in the frame's
-    sign (``contracted``, by ``measure_orders``); ``images``
+    order, and the signed most contracted direction of every order
+    (``contracted``, by ``measure_orders``); ``images``
     pushes vectors through the products, ``contracted_images`` pulls the
     contracted directions back.  Each value equals its scalar closed form
     bit for bit, but for the co-norm of a step whose closed-form smin
@@ -262,12 +258,11 @@ class MatrixCocycle:
                 raise ZeroMatrix(what + " is the zero matrix")
             step_svd = linalg2.svd2_closed_array(*raw.reshape(-1, 4).T)
             step_log_norm = linalg2.each(math.log, step_svd.smax)
-            # q - r cancels to 0 below a step co-eccentricity of about 1e-16;
-            # there the co-norm is |det| / norm, as for the orders
+            # q - r cancels to 0 below a step co-eccentricity of about 1e-16; there the
+            # co-norm is |det| / norm, as for the orders (a step's log |det| is never +inf)
             step_log_conorm = linalg2.log_each(step_svd.smin)
             cancelled = ~(step_svd.smin > 0.0)  # NaN included
-            step_log_conorm[cancelled] = np.where(
-                np.isfinite(step_log_absdet), step_log_absdet - step_log_norm, -math.inf)[cancelled]
+            step_log_conorm[cancelled] = (step_log_absdet - step_log_norm)[cancelled]
         # lists of Python floats, as messages and reports print them
         self.step_log_norm, self.step_log_conorm, self.step_log_absdet = (
             x.tolist() for x in (step_log_norm, step_log_conorm, step_log_absdet))

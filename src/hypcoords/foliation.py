@@ -18,8 +18,8 @@ singular set); the derivative pass then takes the Jacobians at every
 step of every surviving orbit in one stacked call and measures them with
 ``cocycle.measure_steps`` and the order-k products with
 ``cocycle.measure_orders``, the measurements ``MatrixCocycle`` makes of one
-orbit.  The scalar path gives the exact
-direction at each seed and stays the reference the kernel is tested against.
+orbit.  The scalar path gives the exact direction at each seed and stays
+the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def _field_directions(
     order-k products, as ``MatrixCocycle`` measures one orbit; then the
     co-eccentricity as ``hyperbolic_coordinates`` takes it.  A zero or lost
     step, a zero product or a co-eccentricity above ``LOW_CONFIDENCE_COECC``
-    is degenerate.
-    So the map callbacks see only points the scalar path would evaluate.
+    is degenerate.  So the map callbacks see only points the scalar path
+    would evaluate.
     """
     limit = guard_limit(spec, guard)
     n = len(points)
@@ -171,8 +171,7 @@ def _field_directions(
         degenerate = (zero_steps | lost_steps).any(axis=0) | (smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)
     if np.count_nonzero(degenerate):
         stops[live[degenerate]] = _DEGENERATE
-        ok = ~degenerate
-        live, e = live[ok], e[ok]
+        live, e = live[~degenerate], e[~degenerate]
     directions[live] = e if field == STABLE else linalg2.rotate_quarter_cw(e)
     return directions, stops
 

@@ -74,10 +74,9 @@ def frame_coecc(log_max: float, log_min: float) -> float:
     return coecc
 
 
-def _frame(k: int, e_dir: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
-    """Frame of order k from the contracted direction and the log singular values."""
+def _frame(k: int, e: np.ndarray, log_max: float, log_min: float) -> HyperbolicFrame:
+    """Frame of order k from the signed contracted direction and the log singular values."""
     coecc = frame_coecc(log_max, log_min)
-    e = linalg2.canonical_sign(e_dir)
     f = linalg2.rotate_quarter_cw(e)
     return HyperbolicFrame(
         k=k,
@@ -101,7 +100,7 @@ def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
     if s.smax == 0.0:
         raise ZeroMatrix("norms undefined for the zero matrix")
     log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
-    return _frame(0, s.v_min, math.log(s.smax) + m.log_scale, log_min)
+    return _frame(0, linalg2.canonical_sign(s.v_min), math.log(s.smax) + m.log_scale, log_min)
 
 
 def hyperbolic_coordinates(
@@ -113,7 +112,7 @@ def hyperbolic_coordinates(
     long after direct extraction from the assembled product has cancelled."""
     coc = cocycle_of(source)
     check_order(k, 1, coc.k, "order")
-    return _frame(k, coc.contracted[k], coc.log_norm[k], coc.log_conorm[k])
+    return _frame(k, coc.contracted[k].copy(), coc.log_norm[k], coc.log_conorm[k])
 
 
 def frame_sequence(

@@ -18,8 +18,7 @@ import numpy as np
 
 
 class Svd2(NamedTuple):
-    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T,
-    without the left angle theta_u, which nothing reads."""
+    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T, but theta_u."""
 
     smax: float
     smin: float

@@ -307,10 +307,13 @@ def _scalar_field(spec, p, k, field, guard):
 @given(
     st.sampled_from(range(len(KERNEL_SPECS))),
     st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=6),
-    st.integers(1, 6),
+    st.integers(1, 8),
     st.sampled_from([foliation.STABLE, foliation.UNSTABLE]),
     st.sampled_from([None, 0.0, 1e-3]),
 )
+# points of the foliate-k8 rectangle at its order, on Henon and the standard map
+@example(0, [(-0.9, -0.3), (-0.25, 0.05), (0.1, 0.35), (0.7, -0.15)], 8, "unstable", None)
+@example(1, [(-0.9, -0.3), (-0.25, 0.05), (0.1, 0.35), (0.7, -0.15)], 8, "stable", None)
 @example(3, [(1e-9, 0.2), (-4.5, 0.1), (0.3, 0.2)], 2, "unstable", None)
 @example(1, [(1e308, 1e308), (0.3, 0.7)], 3, "stable", None)
 @example(9, [(0.25, 0.25), (0.75, 0.25)], 1, "stable", None)
@@ -338,18 +341,6 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
         else:
             assert v.tobytes() == expected.tobytes(), (p, v, expected)
 
-
-@pytest.mark.parametrize("k", [1, 3, 8])
-@pytest.mark.parametrize("spec", [henon(), standard(6.0)], ids=["henon", "standard"])
-def test_field_directions_equal_the_scalar_path_bit_for_bit(spec, k):
-    # 200 seeded points of the foliate-k8 rectangle: the kernel reads the
-    # frame of cocycle.measure_orders, as MatrixCocycle does
-    points = np.random.default_rng(k).uniform((-1.0, -0.4), (1.0, 0.4), (200, 2))
-    for field in (foliation.STABLE, foliation.UNSTABLE):
-        directions, stops = foliation._field_directions(spec, points, k, field, None)
-        expected = [foliation._field_direction(spec, p, k, field, None) for p in points]
-        assert stops.tolist() == [stop for _, stop in expected]
-        assert directions.tobytes() == np.array([v for v, _ in expected]).tobytes()
 
 
 # MapSpec lets a point callback answer arrays with a scalar
