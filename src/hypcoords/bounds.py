@@ -12,9 +12,9 @@ Three layers, mirroring how the estimates stack up:
   every intermediate term bound.
 
 All left-hand sides are measured from one pull-back of the contracted
-direction e_k (``MatrixCocycle.contracted_images``): the pushes |DPhi^i e_k|
-directly, and the drift |e_k - e_i|, taken up to the sign ambiguity, from
-the angle between DPhi^i e_k and DPhi^i f_i (``_drifts``).  Right-hand sides
+directions (``MatrixCocycle.contracted_images``): the pushes |DPhi^i e_k|
+directly, and the drift |e_k - e_i|, up to sign, from the angles between
+DPhi^i e_k and DPhi^i f_i and between e_k and e_i (``_drifts``).  Right-hand sides
 are assembled in log form and exponentiated only for the final comparison.
 A bound row passes iff lhs <= rhs * (1 + DEFAULT_REL_TOL), the only
 tolerance: no verifier takes a tolerance or constants from its caller.

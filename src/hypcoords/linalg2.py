@@ -18,7 +18,7 @@ import numpy as np
 
 
 class Svd2(NamedTuple):
-    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T, but theta_u."""
+    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T; theta_u is not kept."""
 
     smax: float
     smin: float
