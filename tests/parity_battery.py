@@ -79,9 +79,13 @@ def _start(point) -> list:
 def battery() -> dict:
     """The argv of every run, by label."""
     runs = {}
+    maps = {
+        "henon": ["--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B)],
+        "lorenz2d": ["--map", "lorenz2d"],
+        "standard": ["--map", "standard", "--K", repr(STANDARD_K)],
+    }
     for entry in range(40):
-        henon = ["--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B),
-                 *_start(henon_start(entry)), "--k", "80"]
+        henon = [*maps["henon"], *_start(henon_start(entry)), "--k", "80"]
         for command in ("certify", "verify-convergence"):
             for flavor in ("II", "I", "both"):
                 runs[f"henon-{entry}-{command}-{flavor}"] = [command, *henon, "--flavor", flavor]
@@ -90,13 +94,7 @@ def battery() -> dict:
     for name, start in HENON_STARTS.items():
         for flavor in ("II", "I"):
             runs[f"henon-{name}-verify-convergence-{flavor}"] = [
-                "verify-convergence", "--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B),
-                *_start(start), "--k", "80", "--flavor", flavor]
-    maps = {
-        "henon": ["--map", "henon", "--a", repr(HENON_A), "--b", repr(HENON_B)],
-        "lorenz2d": ["--map", "lorenz2d"],
-        "standard": ["--map", "standard", "--K", repr(STANDARD_K)],
-    }
+                "verify-convergence", *maps["henon"], *_start(start), "--k", "80", "--flavor", flavor]
     for name, start in (("lorenz2d", LORENZ_FIXTURE), ("standard", STANDARD_FIXTURE)):
         for k in (5, 12, 40):
             for command in ("certify", "verify-convergence"):
