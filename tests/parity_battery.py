@@ -30,7 +30,11 @@ output directory:
   the lorenz2d and standard-map fixtures;
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
   the ``foliate-k8`` workload's unshifted Henon seed lattice and on one
-  lorenz2d and one standard-map rectangle.
+  lorenz2d and one standard-map rectangle;
+* three runs that end in a sweep error: ``verify-convergence`` from the
+  Henon fixture at k = 441 under flavor I and ``verify-variation`` at
+  k = 288, each one order past its overflow horizon, and
+  ``verify-convergence`` of a linear map whose step has determinant 0.
 
 Digests are SHA-256.  The starts are recomputed here, as the benchmark
 computes them; this file imports nothing from the benchmark.  pytest does
@@ -113,6 +117,12 @@ def battery() -> dict:
                 runs[f"foliate-{name}-k{k}-{field}"] = [
                     "foliate", *maps[map_name], "--k", str(k), f"--rect={rect}", *FOLIATE_SETTINGS,
                     "--field", field]
+    fixture = [*maps["henon"], *_start(HENON_FIXTURE)]
+    runs["henon-fixture-k441-verify-convergence-I"] = ["verify-convergence", *fixture, "--k", "441",
+                                                        "--flavor", "I"]
+    runs["henon-fixture-k288-verify-variation"] = ["verify-variation", *fixture, "--k", "288"]
+    runs["linear-singular-verify-convergence"] = ["verify-convergence", "--map", "linear", "--matrix", "2,0,0,0",
+                                                  "--x0", "0.3", "--y0", "0.2", "--k", "3"]
     for seed in range(5):
         for grid_n in (1_000_000, 20_001):
             runs[f"oracle-{seed}-{grid_n}"] = ["oracle-check", "--seed", str(seed), "--trials", "100",
