@@ -69,13 +69,11 @@ DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
 # Per-index terms of ctilde and the logs of the terms of the two a-priori
 # sums, drift and tail.  The per-pair functions add these logs left to right
 # with ``np.logaddexp`` on floats; the sweeps add the same logs in the same
-# order with ``np.logaddexp`` over i, which rounds each addition alike, so
-# their sums equal the per-pair sums bit for bit.  Logs and exponentials
-# stay ``math`` calls per element (``linalg2.each``): ``np.log`` and
-# ``np.exp`` differ from them in the last bit on a few percent of inputs.
+# order with ``np.logaddexp`` over i, so their sums equal the per-pair sums
+# bit for bit.
 
 
-_LOG_MAX = math.log(np.finfo(float).max)  # math.exp overflows on finite x above it
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows on finite x above it
 _LN2 = math.log(2.0)
 
 
@@ -84,19 +82,10 @@ def _overflow(x: float) -> BoundOverflow:
 
 
 def _exp(x: float) -> float:
-    """math.exp of a bound term; a term beyond the double range is a BoundOverflow."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise _overflow(x) from None
-
-
-def _exp_or_inf(x: np.ndarray) -> np.ndarray:
-    """math.exp over the elements of an array, with inf beyond the double range."""
-    out = np.full(x.shape, math.inf)
-    finite = ~(x > _LOG_MAX)  # NaN included
-    out[finite] = linalg2.each(math.exp, x[finite])
-    return out
+    """np.exp of a bound term; a term beyond the double range is a BoundOverflow."""
+    if x > _LOG_MAX:
+        raise _overflow(x)
+    return float(np.exp(x))
 
 
 def _ctilde_sq_term(coc: MatrixCocycle, i: int) -> float:
@@ -150,7 +139,7 @@ def _drifts(w: np.ndarray, u: np.ndarray, e_k: np.ndarray, e_i: np.ndarray, log_
     sqrt(1 - s^2), which keeps half the digits of s near a quarter turn)
     its |cos|; the drift, 2 sin of half that angle, is s / sqrt((1 + c) / 2).
     Elementwise, so that one pair alone and in a sweep round alike."""
-    s = np.abs(w[..., 0] * u[..., 0] + w[..., 1] * u[..., 1]) * _exp_or_inf(log_push - log_norm)
+    s = np.abs(w[..., 0] * u[..., 0] + w[..., 1] * u[..., 1]) * np.exp(log_push - log_norm)
     s = np.minimum(s, 1.0)  # a |sin| that rounds above 1
     c = np.abs(e_k[..., 0] * e_i[..., 0] + e_k[..., 1] * e_i[..., 1])
     return s / np.sqrt((1.0 + c) / 2.0)
@@ -173,7 +162,7 @@ def _pair_measurements(
             raise _overflow(x)
     u = coc.images(frames[i - 1].f, [i])[0]
     drift = float(_drifts(directions[0, i], u, *directions[:, 0], np.array([log_push]), coc.log_norm[i])[0])
-    return (drift, *map(math.exp, logs))
+    return (drift, *map(float, np.exp(logs)))
 
 
 class _PairColumns(NamedTuple):
@@ -214,10 +203,10 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
         drift = _drifts(directions[k, i], u[i], directions[k, 0], directions[i, 0], log_push,
                         np.array(coc.log_norm)[i])
         log_pushes = np.stack((log_push, log_push - log_absdet[i]))
+        measured = np.vstack(([drift], np.exp(log_pushes)))
     in_range = np.ones(n, dtype=bool)
     in_range[1:] = np.logical_and.reduceat((k < pulled) & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
                                            orders * (orders - 1) // 2)
-    measured = np.vstack(([drift], _exp_or_inf(log_pushes)))
     return _PairColumns(list(zip(i.tolist(), k.tolist())), i, measured, log_pushes, in_range)
 
 
@@ -299,7 +288,7 @@ def verify_apriori_convergence(
     _check_pair(coc, i, k)
     rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
-    log_ct = math.log(ctilde(coc, k))
+    log_ct = np.log(ctilde(coc, k))
     log_sums = (_log_sum(coc, i, k, 0), _log_sum(coc, i, k, 1))
     block_log_norm = norm_conorm_det(coc.block(i, k)).log_norm
     log_quotient = coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k]
@@ -318,14 +307,13 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
     block(i, k - 1) forward by step k - 1, the two log sums add their
     j = k - 1 terms (``_log_terms``) elementwise, and the measured left
     sides are the order's slice of ``_pair_columns``, measured once before
-    the sweep.  Array operations round as their scalar counterparts
-    (``math`` per element for logs, hypots and exponentials).  After the
-    frame of order k, one test of the order's measured terms, blocks and
-    right-side logs catches a singular product, a zero block or a term
-    beyond the double range; only then does ``_first_error`` go pair by pair.
+    the sweep.  After the frame of order k, one test of the order's
+    measured terms, blocks and right-side logs catches a singular product,
+    a zero block or a term beyond the double range; only then does
+    ``_first_error`` go pair by pair.  The right-side logs of every order
+    are exponentiated and added as rows once, after the sweep.
     """
     coc = cocycle_of(source)
-    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     n = coc.k
     # slot i holds the state of pair (i, k) once the sweep has reached k
     blocks = np.tile(np.eye(2), (n + 1, 1, 1))
@@ -335,11 +323,12 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
     log_coecc = log_conorm - log_norm
     worst = 0.0
     columns = _pair_columns(coc)
+    log_rhs = np.empty((len(_APRIORI_CHECKS), len(columns.indices)))
 
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, n + 1):
             worst = max(worst, _ctilde_sq_term(coc, k))  # the frame of order k exists
-            log_ct = math.log(math.sqrt(worst))
+            log_ct = np.log(math.sqrt(worst))
             before, upto, pairs = slice(1, k), slice(1, k + 1), _order_pairs(k)
             bodies, scales, peak = normalize_stack(
                 np.matmul(coc.step_bodies[k - 1], blocks[before]),
@@ -348,16 +337,16 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
             blocks[before], block_log_scales[before] = bodies, scales
             terms = np.array(_log_terms(coc, k - 1))[:, None]  # of j = k - 1, for the pairs i < k
             log_sums[:, before] = np.logaddexp(log_sums[:, before], terms)
-            smax = linalg2.spectral_norm_array(*blocks[upto].reshape(-1, 4).T)
-            block_log_norm = linalg2.log_each(smax)
+            block_log_norm = np.log(linalg2.svd2_closed(*blocks[upto].reshape(-1, 4).T).smax)
             block_log_norm += block_log_scales[upto]
             log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
-            logs = np.array(_apriori_rhs_logs(log_ct, log_norm[upto], log_conorm[upto], log_absdet[upto],
-                                              *log_sums[:, upto], log_quotient))
+            logs = log_rhs[:, pairs]
+            logs[:] = _apriori_rhs_logs(log_ct, log_norm[upto], log_conorm[upto], log_absdet[upto],
+                                        *log_sums[:, upto], log_quotient)
             if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
                 raise _first_error(coc, columns, k, (peak, logs))
-            rhs = linalg2.each(math.exp, logs.ravel()).reshape(logs.shape)
-            rep.add(_APRIORI_CHECKS, columns.indices[pairs], _apriori_lhs(columns.measured[:, pairs]), rhs)
+        rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
+        rep.add(_APRIORI_CHECKS, columns.indices, _apriori_lhs(columns.measured), np.exp(log_rhs))
     return rep
 
 
@@ -719,9 +708,8 @@ def slow_variation_terms(
 
     The frame and the images of e and f are built once and serve both axes.
     The terms are (axis, vector, step) arrays, and one loop over the steps
-    pushes the four carries dM_i v (axis x or y, v = e or f) together.  Logs
-    and exponentials are ``math`` per element, norms the stacked dot of
-    ``_pair_columns``, and log terms and sums add left to right.
+    pushes the four carries dM_i v (axis x or y, v = e or f) together.
+    Log terms and sums add left to right.
     """
     coc = orbit.cocycle
     check_order(k, 1, coc.k, "order")
@@ -745,7 +733,7 @@ def slow_variation_terms(
         dmat = w_dirs[..., 0, None, None] * dx + w_dirs[..., 1, None, None] * dy
         d2 = np.matmul(dmat, dirs[:, :k, :, None])[..., 0]  # axis, vector, step, entry
         d2_norm = np.sqrt(np.matmul(d2[..., None, :], d2[..., None])[..., 0, 0])
-        log_d2 = linalg2.log_each(np.where(d2_norm > 0.0, d2_norm, 0.0).ravel()).reshape(d2_norm.shape)
+        log_d2 = np.log(np.where(d2_norm > 0.0, d2_norm, 0.0))
         # added left to right, as the per-step scalar terms: grouping otherwise moves last bits
         log_terms = log_d2 + w_logs + logs[:, :k] + logs[:, 1:] - np.array(coc.log_absdet[1:k + 1])
         source_logs = w_logs + logs[:, :k]  # of the source term of each carry
@@ -756,8 +744,7 @@ def slow_variation_terms(
             source_log = source_logs[..., i]
             lead = np.maximum(image_log, source_log)
             image = np.matmul(coc.step_bodies[i], carry[..., None])[..., 0]
-            weights = linalg2.each(math.exp, (np.stack((image_log, source_log)) - lead).ravel())
-            image_weight, source_weight = weights.reshape(2, 2, 2, 1)
+            image_weight, source_weight = np.exp(np.stack((image_log, source_log)) - lead)[..., None]
             out = image * image_weight + d2[..., i, :] * source_weight
             _, e = np.frexp(np.maximum.reduce(np.abs(out), axis=-1))
             carry, carry_log = np.ldexp(out, -e[..., None]), lead + e * _LN2

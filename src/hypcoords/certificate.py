@@ -220,9 +220,9 @@ def _step_log_d2_norms(orbit: OrbitSegment) -> List[float]:
     stricter, never laxer.
     """
     partials = np.array(orbit.step_second_partials, dtype=float)  # step, axis, 2, 2
-    with np.errstate(over="ignore"):  # a norm beyond the double range is inf, as on Python floats
-        axis_norms = linalg2.spectral_norm_array(*partials.reshape(-1, 4).T).reshape(-1, 2)
-        return linalg2.log_each(math.sqrt(2.0) * axis_norms.max(axis=1)).tolist()
+    with np.errstate(all="ignore"):  # a norm beyond the double range is inf, log 0 is -inf
+        axis_norms = linalg2.svd2_closed(*partials.reshape(-1, 4).T).smax.reshape(-1, 2)
+        return np.log(math.sqrt(2.0) * axis_norms.max(axis=1)).tolist()
 
 
 def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> BoundReport:

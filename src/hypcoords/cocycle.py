@@ -82,15 +82,15 @@ def measure_steps(steps: np.ndarray) -> Tuple[np.ndarray, ...]:
     with np.errstate(all="ignore"):
         step_bodies, step_log_scales, peak = normalize_stack(steps, 0.0)
         det = np.abs(linalg2.det2(steps))
-        step_log_absdet = linalg2.log_each(det.ravel()).reshape(det.shape)
+        step_log_absdet = np.log(det)
         redo = ~((det >= sys.float_info.min) & (det < math.inf))  # NaN included
         if np.count_nonzero(redo):
             body_det = np.abs(linalg2.det2(step_bodies[redo]))
-            body_log_det = linalg2.log_each(body_det) + 2.0 * step_log_scales[redo]
+            body_log_det = np.log(body_det) + 2.0 * step_log_scales[redo]
             step_log_absdet[redo] = np.where(body_det > 0.0, body_log_det, -math.inf)  # NaN included
         zero_steps = peak < _TINY
         if np.count_nonzero(zero_steps):
-            zero_steps[zero_steps] = linalg2.spectral_norm_array(*steps[zero_steps].reshape(-1, 4).T) == 0.0
+            zero_steps[zero_steps] = linalg2.svd2_closed(*steps[zero_steps].reshape(-1, 4).T).smax == 0.0
         lost_steps = np.zeros(peak.shape, dtype=bool)
         below = np.abs(step_bodies) < sys.float_info.min  # as is every zero entry: more are lost ones
         if np.count_nonzero(below) + np.count_nonzero(steps) > steps.size:
@@ -116,17 +116,15 @@ def measure_orders(bodies: np.ndarray, log_scales, log_absdet) -> Tuple[np.ndarr
     renormalized products with their log scales and log |det|s: the
     closed-form SVD's larger singular value, the log norm (-inf for a zero
     body), the log co-norm and ``Svd2.v_min`` in the frame's sign
-    (``linalg2.canonical_sign``).  Callers silence numpy's inf - inf warning."""
-    svd = linalg2.svd2_closed_array(*bodies.reshape(-1, 4).T)
-    log_norm = linalg2.log_each(svd.smax) + log_scales
+    (``linalg2.canonical_sign``).  Callers silence numpy's log 0 and
+    inf - inf warnings."""
+    svd = linalg2.svd2_closed(*bodies.reshape(-1, 4).T)
+    log_norm = np.log(svd.smax) + log_scales
     # smin of the assembled product cancels once the co-eccentricity drops
     # below the working precision; |det| / norm, with the determinant
     # accumulated stepwise (exact multiplicativity), does not
     log_conorm = log_absdet - log_norm
-    contracted = np.empty((len(svd.theta_v), 2))
-    contracted[:, 0] = -linalg2.each(math.sin, svd.theta_v)
-    contracted[:, 1] = linalg2.each(math.cos, svd.theta_v)
-    return svd.smax, log_norm, log_conorm, linalg2.canonical_sign(contracted)
+    return svd.smax, log_norm, log_conorm, linalg2.canonical_sign(svd.v_min)
 
 
 def is_int(value) -> bool:
@@ -209,10 +207,10 @@ def norm_conorm_det(m: ScaledMatrix) -> NormData:
     if float(np.abs(m.body).max()) == 0.0:
         raise ZeroMatrix("norms undefined for the zero matrix")
     s = linalg2.svd2_matrix(m.body)
-    log_norm = math.log(s.smax) + m.log_scale
+    log_norm = np.log(s.smax) + m.log_scale
     if s.smin == 0.0:
         return NormData(log_norm, float("-inf"), float("-inf"), 0.0)
-    log_conorm = math.log(s.smin) + m.log_scale
+    log_conorm = np.log(s.smin) + m.log_scale
     return NormData(log_norm, log_conorm, log_norm + log_conorm, s.det_sign)
 
 
@@ -256,11 +254,11 @@ class MatrixCocycle:
                 j = zero[0]
                 what = f"step {j}" if j < k else f"product of steps 0..{j - k - 1}"
                 raise ZeroMatrix(what + " is the zero matrix")
-            step_svd = linalg2.svd2_closed_array(*raw.reshape(-1, 4).T)
-            step_log_norm = linalg2.each(math.log, step_svd.smax)
+            step_svd = linalg2.svd2_closed(*raw.reshape(-1, 4).T)
+            step_log_norm = np.log(step_svd.smax)
             # q - r cancels to 0 below a step co-eccentricity of about 1e-16; there the
             # co-norm is |det| / norm, as for the orders (a step's log |det| is never +inf)
-            step_log_conorm = linalg2.log_each(step_svd.smin)
+            step_log_conorm = np.log(step_svd.smin)
             cancelled = ~(step_svd.smin > 0.0)  # NaN included
             step_log_conorm[cancelled] = (step_log_absdet - step_log_norm)[cancelled]
         # lists of Python floats, as messages and reports print them
@@ -278,7 +276,7 @@ class MatrixCocycle:
         """The image under ``prefix(i)`` for each i of ``orders``, from one
         stacked matmul: of ``v``, or of row j of an (n, 2) ``v`` at the j-th
         order.  Returns the unit directions as an (n, 2) array and the log
-        norms, each the body's image w over math.hypot(w) and log hypot(w)
+        norms, each the body's image w over hypot(w) and log hypot(w)
         plus the log scale; a zero image has a zero direction and log norm
         -inf.  It pushes f and the axis vectors; e goes by ``contracted_images``.
         Orders are checked by ``check_orders``; a ``v`` of any other shape, or
@@ -288,10 +286,11 @@ class MatrixCocycle:
         if v.shape not in ((2,), (len(orders), 2)):
             raise InvalidInput(f"vector has shape {v.shape}; expected (2,) or ({len(orders)}, 2)")
         w = np.matmul(self.prefix_bodies[orders], v[..., None])[..., 0]
-        norms = linalg2.each(math.hypot, w[:, 0], w[:, 1])
+        norms = np.hypot(w[:, 0], w[:, 1])
         nonzero = (norms != 0.0)[:, None]
         directions = np.divide(w, norms[:, None], out=np.zeros_like(w), where=nonzero)
-        return directions, linalg2.log_each(norms) + self.prefix_log_scales[orders]
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            return directions, np.log(norms) + self.prefix_log_scales[orders]
 
     def contracted_images(self, orders) -> Tuple[np.ndarray, np.ndarray]:
         """DPhi^i e_k at i = 0..k for each order k of ``orders`` (as ``images``
@@ -323,17 +322,17 @@ class MatrixCocycle:
         table[:, range(n), range(n)] = w
         bodies, log_scales = self.step_bodies.tolist(), self.step_log_scales.tolist()
         dets = linalg2.det2(self.step_bodies[: n - 1])
-        log_dets = linalg2.log_each(np.abs(dets)).tolist()
         with np.errstate(all="ignore"):  # a body det that underflows: inf and NaN as on Python floats
+            log_dets = np.log(np.abs(dets)).tolist()
             for j in range(n - 2, -1, -1):
                 (a, b), (c, d) = bodies[j]
                 x, y, log_norm = w[:, j + 1:]
                 p, q = d * x - b * y, a * y - c * x
-                norm = linalg2.each(math.hypot, p, q)
+                norm = np.hypot(p, q)
                 signed = norm if dets[j] > 0.0 else -norm
                 np.divide(p, signed, out=x)
                 np.divide(q, signed, out=y)
-                log_norm += (linalg2.log_each(norm) - log_dets[j]) - log_scales[j]
+                log_norm += (np.log(norm) - log_dets[j]) - log_scales[j]
                 table[:, j + 1:, j] = w[:, j + 1:]
             x, y, log_norms = table
             sign = np.where(x[:, 0] * e[:, 0] + y[:, 0] * e[:, 1] > 0.0, 1.0, -1.0)[:, None]

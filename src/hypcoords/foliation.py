@@ -24,7 +24,6 @@ the reference the kernel is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -100,8 +99,7 @@ def _field_directions(
 
     Returns ``(directions, stops)``.  Where ``stops[j]`` is 0,
     ``directions[j]`` is the order-k field direction at point j (canonical
-    sign), equal to the scalar one bit for bit wherever the map's callbacks
-    give the same bits on arrays as on floats.  Elsewhere it is NaN and
+    sign), equal to the scalar one bit for bit.  Elsewhere it is NaN and
     ``TERMINATIONS[stops[j]]`` is the reason the scalar path stops there:
     "singular", "domain" or "degenerate".
 
@@ -164,8 +162,7 @@ def _field_directions(
         *_, step_log_absdet, zero_steps, lost_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
         smax, log_norm, log_conorm, e = measure_orders(
             bodies[k], log_scales[k], np.cumsum(step_log_absdet, axis=0)[-1])
-        # as hyperbolic_coordinates takes it, but capped at 1, where math.exp could overflow
-        coecc = linalg2.each(math.exp, np.minimum(log_conorm - log_norm, 0.0))
+        coecc = np.exp(log_conorm - log_norm)  # as hyperbolic_coordinates takes it
         # A zero product stays zero, so the last one stands for every order;
         # coecc >= 1 - EPS_COECC (no frame) implies coecc > LOW_CONFIDENCE_COECC.
         degenerate = (zero_steps | lost_steps).any(axis=0) | (smax == 0.0) | (coecc > LOW_CONFIDENCE_COECC)

@@ -66,7 +66,7 @@ class HyperbolicFrame:
 def frame_coecc(log_max: float, log_min: float) -> float:
     """exp(log_min - log_max), 0 for a singular product; NoHyperbolicCoordinates
     unless it is below 1 - EPS_COECC, as a frame needs."""
-    coecc = math.exp(log_min - log_max)
+    coecc = float(np.exp(log_min - log_max))
     if coecc >= 1.0 - EPS_COECC:
         raise NoHyperbolicCoordinates(
             f"co-eccentricity {coecc} >= 1 - {EPS_COECC:g}: frame undefined"
@@ -99,8 +99,8 @@ def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
     s = linalg2.svd2_matrix(m.body)
     if s.smax == 0.0:
         raise ZeroMatrix("norms undefined for the zero matrix")
-    log_min = math.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
-    return _frame(0, linalg2.canonical_sign(s.v_min), math.log(s.smax) + m.log_scale, log_min)
+    log_min = np.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
+    return _frame(0, linalg2.canonical_sign(s.v_min), np.log(s.smax) + m.log_scale, log_min)
 
 
 def hyperbolic_coordinates(

@@ -1,24 +1,28 @@
 """Closed-form 2x2 linear algebra used throughout the package.
 
-Everything here works on plain floats so the hot paths (orbit frames,
-curve integration) avoid small-array overhead.  The SVD uses the
-two-rotation closed form: split M into its rotation-like and
-reflection-like parts, take two hypots for the singular values and two
+The SVD uses the two-rotation closed form: split M into its rotation-like
+and reflection-like parts, take two hypots for the singular values and two
 arctangents for the rotation angles.  No iterative eigensolver is
 involved, so orthogonality of the singular directions is exact by
-construction.
+construction.  ``svd2_closed`` takes four floats or four arrays of
+entries alike: its elementwise functions are numpy's ufuncs, which give
+the same bits on a float as on each element of an array, so a matrix
+measured alone and in a stack agree bit for bit.  Callers that take logs,
+exponentials or hypots of what it returns use the same ufuncs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 
 class Svd2(NamedTuple):
-    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T; theta_u is not kept."""
+    """SVD of a 2x2 matrix, M = R(theta_u) diag(smax, det_sign*smin) R(theta_v)^T; theta_u is not kept.
+
+    Each field is a float, or an array over a stack of matrices."""
 
     smax: float
     smin: float
@@ -26,68 +30,25 @@ class Svd2(NamedTuple):
     det_sign: float
 
     @property
-    def v_min(self):
-        """Right singular vector for smin (most contracted input direction)."""
-        return np.array([-math.sin(self.theta_v), math.cos(self.theta_v)])
+    def v_min(self) -> np.ndarray:
+        """Right singular vector for smin (most contracted input direction),
+        shape (2,), or (n, 2) over a stack."""
+        return np.array([-np.sin(self.theta_v), np.cos(self.theta_v)]).T
 
 
-def svd2_closed(a: float, b: float, c: float, d: float) -> Svd2:
-    """Closed-form SVD of [[a, b], [c, d]]."""
+def svd2_closed(a, b, c, d) -> Svd2:
+    """Closed-form SVD of [[a, b], [c, d]], or of each matrix of four
+    equal-length arrays of entries."""
     e = 0.5 * (a + d)
     f = 0.5 * (a - d)
     g = 0.5 * (c + b)
     h = 0.5 * (c - b)
-    q = math.hypot(e, h)
-    r = math.hypot(f, g)
+    q = np.hypot(e, h)
+    r = np.hypot(f, g)
     s2 = q - r
-    a1 = math.atan2(g, f)  # theta_u + theta_v
-    a2 = math.atan2(h, e)  # theta_u - theta_v
-    sign = 1.0 if s2 > 0.0 else (-1.0 if s2 < 0.0 else 0.0)
-    return Svd2(q + r, abs(s2), 0.5 * (a1 - a2), sign)
-
-
-def each(fn, u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """fn over the elements of a 1-d array, or of two of equal length, called
-    on Python floats.
-
-    For the ``math`` functions whose numpy counterparts differ in the last
-    bit on some inputs (hypot, atan2, log, exp).  Two fixed arguments rather
-    than ``*arrays``, which costs about a microsecond more per call.
-    """
-    if v is None:
-        return np.fromiter(map(fn, u.tolist()), float, len(u))
-    return np.fromiter(map(fn, u.tolist(), v.tolist()), float, len(u))
-
-
-def log_each(u: np.ndarray) -> np.ndarray:
-    """``math.log`` over the elements of a 1-d array, with log 0 = -inf."""
-    return each(math.log if u.all() else lambda x: math.log(x) if x else -math.inf, u)
-
-
-def svd2_closed_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> Svd2:
-    """``svd2_closed`` over 1-d arrays of entries: an Svd2 whose fields are arrays.
-
-    Every field equals the scalar one bit for bit: hypot and atan2 come from
-    ``math``, whose results numpy's vectorized versions miss by an ulp on a
-    few percent of inputs.  ``v_min`` is for scalar fields only.
-    """
-    e = 0.5 * (a + d)
-    f = 0.5 * (a - d)
-    g = 0.5 * (c + b)
-    h = 0.5 * (c - b)
-    q = each(math.hypot, e, h)
-    r = each(math.hypot, f, g)
-    s2 = q - r
-    a1 = each(math.atan2, g, f)
-    a2 = each(math.atan2, h, e)
-    sign = (s2 > 0.0).astype(float) - (s2 < 0.0)
-    return Svd2(q + r, np.abs(s2), 0.5 * (a1 - a2), sign)
-
-
-def spectral_norm_array(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``svd2_closed_array(a, b, c, d).smax`` without the angle columns: q + r."""
-    q = each(math.hypot, 0.5 * (a + d), 0.5 * (c - b))
-    return q + each(math.hypot, 0.5 * (a - d), 0.5 * (c + b))
+    a1 = np.arctan2(g, f)  # theta_u + theta_v
+    a2 = np.arctan2(h, e)  # theta_u - theta_v
+    return Svd2(q + r, abs(s2), 0.5 * (a1 - a2), np.sign(s2))
 
 
 def svd2_matrix(m: np.ndarray) -> Svd2:

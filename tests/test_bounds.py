@@ -868,7 +868,7 @@ def test_frames_measurements_and_slow_variation_read_the_cocycle(henon, monkeypa
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("svd2_closed", "svd2_matrix", "svd2_closed_array"):
+    for name in ("svd2_closed", "svd2_matrix"):
         counted(linalg2, name)
     frames = [hyperbolic_coordinates(orbit, k) for k in range(1, 9)]
     columns = bounds._pair_columns(orbit.cocycle)
@@ -933,7 +933,7 @@ def _push_tangent(coc, j, v, v_log, source, source_log):
     image_log = v_log + float(coc.step_log_scales[j])
     lead = max(image_log, source_log)
     image = coc.step_bodies[j] @ v
-    out = image * math.exp(image_log - lead) + source * math.exp(source_log - lead)
+    out = image * np.exp(image_log - lead) + source * np.exp(source_log - lead)
     _, e = math.frexp(float(np.abs(out).max()))
     return np.ldexp(out, -e), lead + e * math.log(2.0)
 
@@ -950,10 +950,10 @@ def contracted_images_per_order(coc, e, u1, k):
     for j in range(k - 1, -1, -1):
         (a, b), (c, d) = coc.step_bodies[j].tolist()
         adj_w = np.array([d * w[0] - b * w[1], a * w[1] - c * w[0]])  # det(body) body^-1 w
-        n = math.hypot(float(adj_w[0]), float(adj_w[1]))
+        n = np.hypot(float(adj_w[0]), float(adj_w[1]))
         det = a * d - b * c
         w = adj_w / (n if det > 0.0 else -n)
-        w_log += math.log(n) - math.log(abs(det)) - log_scales[j]
+        w_log += np.log(n) - np.log(abs(det)) - log_scales[j]
         directions[j], log_norms[j] = w, w_log
     sign = 1.0 if float(directions[0] @ e) > 0.0 else -1.0
     return sign * directions, log_norms - log_norms[0]
@@ -1134,10 +1134,10 @@ def slow_variation_terms_per_axis(orbit, k):
             de = float(np.linalg.norm(d2e))
             dfv = float(np.linalg.norm(d2f))
             log_ee.append(
-                (math.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
+                (np.log(de) if de > 0.0 else float("-inf")) + w_log + e_log + e1_log - det_log
             )
             log_ff.append(
-                (math.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
+                (np.log(dfv) if dfv > 0.0 else float("-inf")) + w_log + f_log + f1_log - det_log
             )
             de_vec, de_log = _push_tangent(coc, i, de_vec, de_log, d2e, w_log + e_log)
             df_vec, df_log = _push_tangent(coc, i, df_vec, df_log, d2f, w_log + f_log)

@@ -1172,34 +1172,34 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "ed43fecdc461b4387e6a364793317f179d3e7155e63a1f2718bcaa0d02749960",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "e898f61f7c5000cb1ac495aac614413b252906aac1d55bf03fecb7090c918497",
-        "apriori_convergence.json": "055d55c68a4b1b771532358ed373c5536f69a736b3de151e9626f5d4e78f7e84",
-        "explicit_convergence.csv": "9bbb72541beef18f055bcb09dd1194cd1b042ebd608057472f435a97c1807816",
+        "apriori_convergence.csv": "9b1f9c58dcea8a4beeec714beabe347eb714683e2504ab2631b63805da102403",
+        "apriori_convergence.json": "e5ee8956d86379bbf3a83017c2cee91685bb93c9bfa899d1c290ef723e1e2f4f",
+        "explicit_convergence.csv": "15d5e38676e49a5c103f6025fea8cebf0b8c745487ebdf7d9d6ed800563821e6",
         "explicit_convergence.json": "cb2d51f6aaa50ea99ab7da83f128b52a23c96597ab06444cece65a8b831266b2",
     },
     "converge-henon-I": {
         "exit": 0,
         "stdout": "8fa7fee7571fcf14a3f7f4f6404df2bd74be5390489c31695f3107f30e5d6503",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "e898f61f7c5000cb1ac495aac614413b252906aac1d55bf03fecb7090c918497",
-        "apriori_convergence.json": "055d55c68a4b1b771532358ed373c5536f69a736b3de151e9626f5d4e78f7e84",
-        "explicit_convergence.csv": "e7fd01df05d267309d12d1ce9bfee1e7143ea38dda3f0d4ab2cdaf6ca2785746",
+        "apriori_convergence.csv": "9b1f9c58dcea8a4beeec714beabe347eb714683e2504ab2631b63805da102403",
+        "apriori_convergence.json": "e5ee8956d86379bbf3a83017c2cee91685bb93c9bfa899d1c290ef723e1e2f4f",
+        "explicit_convergence.csv": "1bdec000571e3e68f718639bb1ed15385f2a9b5a393a7bf928f54e8859dec06f",
         "explicit_convergence.json": "12bbde20aff533a086a04adefe65308494ceec8fdfabc5053a58ee724043db4a",
     },
     "converge-lorenz-I": {
         "exit": 0,
-        "stdout": "7d1d0135896fad0f7f4970836efdbed7f5cbb6b2260b5c1051205d6b1e77f36a",
+        "stdout": "de88b0a09e8dc620578c6ae0645202f93603958be0165da3ceacdfe12fbdef75",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "37c2a71f70c56758d83154ef59564a926be9cc77905ac201b64674b00de121c8",
-        "apriori_convergence.json": "eb64ee248982f3309589cfe3ef149f15a469158dc1df33408e63bb48327258f7",
-        "explicit_convergence.csv": "6bebd7255308a13ade013de721d8c13e5e76004cdd7710fbc66b5a2bc7533e5d",
+        "apriori_convergence.csv": "11950fe1a65bcdd61881cb404c930028b43fc2f8c48152927617ec0e540b89f3",
+        "apriori_convergence.json": "96ab38c40909d850847bbacf198a4c588e9bb288076266b1263640227850bc60",
+        "explicit_convergence.csv": "d50dbad59511434d65d6c275f4074488eef7ad96fb8223b446c642cfeddfa8ca",
         "explicit_convergence.json": "f53715729bdb118749d0e46ec74684ed51b779f8f19e15ac58e97a867b20e62b",
     },
     "frames-henon": {
         "exit": 0,
         "stdout": "3cdc071699b4ab556d1cc8e6e7ff4582396870164be432e55eea71225d4bc967",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "frames.csv": "87b65f98c7d92a6bc585c14b6721ff6df443bc054786a2e72c576150f1fe9afe",
+        "frames.csv": "f74eff3bfbf0ae0cf745c1a9ad1c1d7d663cfee067d86c6ab5b18f7568bbe99f",
     },
     "orbit-henon": {
         "exit": 0,
@@ -1211,7 +1211,7 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "35c279cb570df73a1b25256a0b284782980d55a6d8a0e70c722dc603a766b562",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "frames.csv": "620f04f90a80c81ddbe47d2049b918719659f2a45057b224e1b33e101ca88d78",
+        "frames.csv": "786723d29dc99a4cec67d3a2e80b3095f349d54892ec5c4f429abbd9e5052daa",
     },
     "orbit-standard": {
         "exit": 0,
@@ -1223,7 +1223,7 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "c9e7a0d8819b4681efc914c36b39284343de99bb32d8327f502a81446a7ab09f",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "frames.csv": "aaba880932f62b130aa15102c5ca820f8183f514f09ba253495a39c9e8f09fef",
+        "frames.csv": "87126cc44500aabac27b65c54b4b4aa1f46f990b4c0446406a50d513a5795a59",
     },
     "orbit-lorenz": {
         "exit": 0,
@@ -1261,8 +1261,8 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "3bf73022a7b8a27aa29d1918517b8b7f99450627d98eab7666157f0a6ed145ae",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "slow_variation.csv": "3cc00b2e6a1df0e0a7aeac42310846e7825763eb9c93ba0a1aeb09704c015b68",
-        "slow_variation.json": "4f6fa0384753e58853405e5e3cdc93a2085b1c9e1878a84eb3631340946cade1",
+        "slow_variation.csv": "1095d6dc3c6e02fed21a19f1bc4a4e217300782c76c36f84d8be362d1e07c8fd",
+        "slow_variation.json": "25b287a82ea7ad7de3057625111ac82d541ac77be5b985b2bc7a0cd3eb54cd04",
     },
     "foliate": {
         "exit": 0,

@@ -433,10 +433,10 @@ def _scalar_log_abs_det(step):
     a, b, c, d = step.ravel().tolist()
     det = abs(a * d - b * c)
     if math.isfinite(det) and det >= sys.float_info.min:
-        return math.log(det)
+        return np.log(det)
     m = _scalar_scaled(step, 0.0)
     body_det = abs(linalg2.det2(m.body))
-    return math.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
+    return np.log(body_det) + 2.0 * m.log_scale if body_det > 0.0 else float("-inf")
 
 
 def _scalar_scaled(body, log_scale):
@@ -452,10 +452,10 @@ def _scalar_apply(m, v):
     """The image of v under a ScaledMatrix as (unit direction, log norm), one
     vector at a time: the reference for ``MatrixCocycle.images``."""
     w = m.body @ v
-    n = math.hypot(float(w[0]), float(w[1]))
+    n = np.hypot(float(w[0]), float(w[1]))
     if n == 0.0:
         return np.zeros(2), float("-inf")
-    return w / n, math.log(n) + m.log_scale
+    return w / n, np.log(n) + m.log_scale
 
 
 def _scalar_cocycle(steps, v):
@@ -486,14 +486,14 @@ def _scalar_cocycle(steps, v):
         s = linalg2.svd2_matrix(prefixes[i].body)
         if s.smax == 0.0:
             raise ZeroMatrix(f"product of steps 0..{i - 1} is the zero matrix")
-        log_norm.append(math.log(s.smax) + prefixes[i].log_scale)
+        log_norm.append(np.log(s.smax) + prefixes[i].log_scale)
         contracted.append(linalg2.canonical_sign(s.v_min))
     images = [_scalar_apply(p, v) for p in prefixes]
     return _reprs(
-        step_log_norm=[math.log(s.smax) for s in step_svd],
+        step_log_norm=[np.log(s.smax) for s in step_svd],
         # a cancelled closed-form co-norm is |det| / norm, as for the orders
         step_log_conorm=[
-            math.log(s.smin) if s.smin > 0.0 else d - math.log(s.smax) if math.isfinite(d) else -math.inf
+            np.log(s.smin) if s.smin > 0.0 else d - np.log(s.smax) if math.isfinite(d) else -math.inf
             for s, d in zip(step_svd, step_log_absdet)
         ],
         step_log_absdet=step_log_absdet,

@@ -467,11 +467,11 @@ PINNED_GRID_CASES = GRID_CASES + [
 # Recorded with Python 3.11.7 and numpy 2.4.6.  A change to the field kernel
 # or the integrator keeps these bytes unless it declares new curves.
 _GRID_DIGESTS = [
-    "4b43f857ae8779c7ce2c48eddde3f95074f16c1d076cae2c2bfa6030f721344e",
-    "f831944f94828114898c0298e0bfc2e565480a06edebc8e828788d88af3dda2d",
-    "3bdb4a4763be2b5971f3d9cee48df1242127c942b1757646f42aad298ea365ba",
+    "a6c0144c1a06fa744ecc81dbccf16761f496e386a0b8d4de6285d75a4bbb12ba",
+    "fb9f36caef2aa74ce8961455faa847bdb2204c43b66480f12c7a27b9e6a0fbbb",
+    "776599f0fb7660c1e7155707b821a141574e1c01a2d9e36ed5a5a8dc35441579",
     "92690d2c7678b89c940ca5575e38cf83ca58e314182a9918841d1b4e2efabda2",
-    "b6065212e88b89c3a007929a51306d7136571c01ea20634294407a615ab3a2b3",
+    "eb8cd724b82e08e0e8103c4b3b678a1e53b525419b58db92020bd3385a82eb13",
 ]
 
 

@@ -64,14 +64,16 @@ def test_svd2_matches_numpy_on_random_matrices():
         )
 
 
-def test_spectral_norm_array_is_the_closed_form_smax_bit_for_bit():
+def test_svd2_closed_of_a_stack_is_each_matrix_alone_bit_for_bit():
     rng = np.random.default_rng(2)
     for scale in (1.0, 1e-300, 1e300):
         entries = rng.uniform(-3, 3, size=(4, 200)) * scale
         entries[:, :4] = [[0.0, 1.0, 0.0, -0.0], [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 2.0, 5e-324], [0.0, 1.0, 0.0, 0.0]]
-        norms = linalg2.spectral_norm_array(*entries)
-        assert norms.tobytes() == linalg2.svd2_closed_array(*entries).smax.tobytes()
-        assert norms.tobytes() == np.array([linalg2.svd2_closed(*m).smax for m in entries.T.tolist()]).tobytes()
+        stacked = linalg2.svd2_closed(*entries)
+        alone = [linalg2.svd2_closed(*m) for m in entries.T.tolist()]
+        for field, values in zip(linalg2.Svd2._fields, stacked):
+            assert values.tobytes() == np.array([getattr(s, field) for s in alone]).tobytes(), field
+        assert stacked.v_min.tobytes() == np.array([s.v_min for s in alone]).tobytes()
 
 
 def test_frame_sign_convention_and_orthogonality():
