@@ -188,19 +188,20 @@ def lorenz2d(
     if not 0.0 < alpha < 1.0:
         raise InvalidInput("lorenz2d requires 0 < alpha < 1")
 
+    # np.power rather than **, which rounds differently on a float and on an array
     def f(x, y):
         s = np.copysign(1.0, x)
         ax = np.abs(x)
-        return s * (ax**alpha * (a1 + b1 * y) + c1), ax**beta * (a2 + b2 * y) + c2
+        return s * (np.power(ax, alpha) * (a1 + b1 * y) + c1), np.power(ax, beta) * (a2 + b2 * y) + c2
 
     def jac(x, y):
         s = np.copysign(1.0, x)
         ax = np.abs(x)
         return (
-            alpha * ax ** (alpha - 1.0) * (a1 + b1 * y),
-            s * ax**alpha * b1,
-            s * beta * ax ** (beta - 1.0) * (a2 + b2 * y),
-            ax**beta * b2,
+            alpha * np.power(ax, alpha - 1.0) * (a1 + b1 * y),
+            s * np.power(ax, alpha) * b1,
+            s * beta * np.power(ax, beta - 1.0) * (a2 + b2 * y),
+            np.power(ax, beta) * b2,
         )
 
     def second(x, y):

@@ -1190,9 +1190,9 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "de88b0a09e8dc620578c6ae0645202f93603958be0165da3ceacdfe12fbdef75",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "apriori_convergence.csv": "11950fe1a65bcdd61881cb404c930028b43fc2f8c48152927617ec0e540b89f3",
-        "apriori_convergence.json": "96ab38c40909d850847bbacf198a4c588e9bb288076266b1263640227850bc60",
-        "explicit_convergence.csv": "d50dbad59511434d65d6c275f4074488eef7ad96fb8223b446c642cfeddfa8ca",
+        "apriori_convergence.csv": "e527a17e732fae8d473d7984b85f9f58debe10663d154999d93e15c0a7880971",
+        "apriori_convergence.json": "f33d1dabd10398f786c9a07f504d3402737b749ab8d3605806c82dff0c1237ae",
+        "explicit_convergence.csv": "5fe6fa2c46124dfbe2d8f101653d48e62d1fb8c84b7a9e194622db403996e453",
         "explicit_convergence.json": "f53715729bdb118749d0e46ec74684ed51b779f8f19e15ac58e97a867b20e62b",
     },
     "frames-henon": {
@@ -1223,13 +1223,13 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "c9e7a0d8819b4681efc914c36b39284343de99bb32d8327f502a81446a7ab09f",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "frames.csv": "87126cc44500aabac27b65c54b4b4aa1f46f990b4c0446406a50d513a5795a59",
+        "frames.csv": "d6217e9aa414b5afb7a178af4346c67796267404a51523b48c2910ef39e5eb63",
     },
     "orbit-lorenz": {
         "exit": 0,
         "stdout": "fdd37a1fa888ff95618bf4488558124c90dc1e0e6ffc2f49aaa097dd3edbe9e9",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "orbit.csv": "b3257221aa81b405e89afed7c576306ee7b2935243f1736cae582168dc0b699f",
+        "orbit.csv": "e44c804609fcc0778cfa2a2c56d9fa3a478b75871f68f1b31dd07a81455457e1",
     },
     "frames-zero-step": {
         "exit": 1,

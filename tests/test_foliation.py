@@ -331,15 +331,7 @@ def test_field_directions_match_scalar_field_direction(which, pts, k, field, gua
     for p, v, code in zip(points, directions, stops):
         expected, reason = _scalar_field(spec, p, k, field, guard)
         assert (foliation.TERMINATIONS[code] if code else "ok") == reason, (p, reason)
-        if spec.name == "lorenz2d":
-            # lorenz2d's callbacks raise |x| to powers with ``**``, which numpy
-            # rounds differently on an array and on a float: for the exponents
-            # 0.8, -0.5 and -0.2 about 5 % of 10^5 uniform |x| < 1 differ in the
-            # last bit, so the two orbits may part by an ulp (190 of 5,711 points
-            # drawn from these strategies were not bit-equal)
-            np.testing.assert_allclose(v, expected, rtol=0, atol=1e-12)
-        else:
-            assert v.tobytes() == expected.tobytes(), (p, v, expected)
+        assert v.tobytes() == expected.tobytes(), (p, v, expected)
 
 
 
