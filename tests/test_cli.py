@@ -1164,9 +1164,10 @@ def _battery_digests(tmp_path, monkeypatch, capsys):
 
 # Recorded with Python 3.11.7 and numpy 2.4.6.  A change that declares new
 # report bytes (ROADMAP items 2, 3, 5, 10 and 23, the a-priori right sides
-# added as logs, and the drift's cosine read off the pulled-back vectors)
-# updates these digests in the same change; any other change keeps every
-# byte, stream and exit code.
+# added as logs, the drift's cosine read off the pulled-back vectors, numpy's
+# ufuncs in place of ``math`` and lorenz2d's ``np.power``) updates these
+# digests in the same change; any other change keeps every byte, stream and
+# exit code.
 _PARITY_DIGESTS = {
     "converge-henon-II": {
         "exit": 0,
