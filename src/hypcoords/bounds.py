@@ -345,8 +345,8 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
                                         *log_sums[:, upto], log_quotient)
             if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
                 raise _first_error(coc, columns, k, (peak, logs))
-        rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
-        rep.add(_APRIORI_CHECKS, columns.indices, _apriori_lhs(columns.measured), np.exp(log_rhs))
+    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
+    rep.add(_APRIORI_CHECKS, columns.indices, _apriori_lhs(columns.measured), np.exp(log_rhs))
     return rep
 
 
