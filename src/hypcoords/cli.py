@@ -27,6 +27,7 @@ from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
 from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
+from .report import _TEXT_WIDTH, _digit_tables, _spell, _strings
 
 # The keys a --config file may set: each the dest of a flag, whose type
 # converts the file's text as it converts the flag's.
@@ -52,11 +53,22 @@ def fmt(x) -> str:
     return str(x)
 
 
+# Most rows that ``_write_csv`` spells at once, which bounds its temporary texts
+_CSV_ROWS_PER_WRITE = 256
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """``header`` and ``rows`` as CSV lines; the floats of each column are
+    spelled by ``_spell``, its other values by ``fmt``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for start in range(0, len(rows), _CSV_ROWS_PER_WRITE):
+            columns = []
+            for column in zip(*rows[start:start + _CSV_ROWS_PER_WRITE], strict=True):
+                floats = [isinstance(v, float) for v in column]
+                spelled = iter(_strings(np.array([v for v, f in zip(column, floats) if f], dtype=np.float64)))
+                columns.append([next(spelled) if f else fmt(v) for v, f in zip(column, floats)])
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _write_json(path: str, payload) -> None:
@@ -65,24 +77,52 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+# The byte that pads the fields of a bound-report line, which no UTF-8 text
+# holds (a check name may hold NUL)
+_PAD = 0xFF
+
+
+def _padded(texts: Sequence[bytes]) -> np.ndarray:
+    """``texts`` as the rows of an (n, longest) uint8 array, padded with _PAD."""
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join(text.ljust(width, bytes([_PAD])) for text in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
 # The last field of a bound-report CSV line, the pass flag and status, by status code
-_FLAG_STATUS = np.array(["0,fail\n", "1,pass_within_rounding\n", "1,pass\n"], dtype=object)
-_ROWS_PER_WRITE = 1024
+_FLAG_STATUS = _padded([b"0,fail\n", b"1,pass_within_rounding\n", b"1,pass\n"])
+_ROWS_PER_WRITE = 4096
 
 
-def _spelled(columns: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per float64 column, the texts (``fmt`` and a comma) of its distinct
-    values as an object array, and the position of each value's text.  Each
-    distinct bit pattern among all columns is spelled once, so 0.0 and -0.0
-    stay apart; patterns are found per column first, to keep the sorts small."""
+def _index_texts(indices: Sequence[tuple]) -> np.ndarray:
+    """Each index tuple joined by ":" with a comma after it, as the rows of
+    ``_padded``; tuples of one length of ints in [0, 10^8) are spelled in
+    numpy, with _PAD for the leading zeros of each int."""
+    flat = list(itertools.chain.from_iterable(indices))
+    if (len(set(map(len, indices))) == 1 and flat and set(map(type, flat)) == {int}
+            and 0 <= min(flat) and max(flat) < 10**8):
+        values = np.array(flat, dtype=np.int64).reshape(len(indices), -1)
+        quads = _digit_tables()[0]
+        digits = np.stack((quads[values // 10**4], quads[values % 10**4]), axis=-1).view(np.uint8)
+        digits[~np.logical_or.accumulate(digits != ord("0"), axis=-1) & (np.arange(8) < 7)] = _PAD
+        separators = np.full(values.shape + (1,), ord(":"), np.uint8)
+        separators[:, -1] = ord(",")
+        return np.concatenate((digits, separators), axis=-1).reshape(len(indices), -1)
+    return _padded([(":".join(map(str, i)) + ",").encode() for i in indices])
+
+
+def _spelled(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The text and a comma of each distinct float64 bit pattern among
+    ``columns``, as the rows of ``_spell`` padded with _PAD, and per column
+    the row of each value.  0.0 and -0.0 stay apart; patterns are found per
+    column first, to keep the sorts small."""
     found = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
     distinct, merged = np.unique(np.concatenate([bits for bits, _ in found]), return_inverse=True)
-    texts = np.empty(len(distinct), dtype=object)
-    for start in range(0, len(distinct), 4096):  # in blocks, which bound the peak memory
-        values = tuple(distinct[start:start + 4096].view(np.float64).tolist())
-        texts[start:start + len(values)] = ("%.17g,\n" * len(values) % values).split("\n")[:-1]
+    texts = np.full((len(distinct), _TEXT_WIDTH + 1), ord(","), np.uint8)
+    texts[:, :-1] = _spell(distinct.view(np.float64))
+    texts[texts == 0] = _PAD
     starts = np.cumsum([0] + [len(bits) for bits, _ in found])
-    return [(texts[merged[start:start + len(bits)]], where) for start, (bits, where) in zip(starts, found)]
+    return texts, [merged[start:start + len(bits)][where] for start, (bits, where) in zip(starts, found)]
 
 
 def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, dict]:
@@ -94,25 +134,27 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
     or ``pass``.  A check's summary counts its rows, failures and
     allowance-only passes, lists its failing rows, and names its first row
     of least finite margin / |rhs| (none where rhs = 0).  All of it is
-    computed on the report's columns; the CSV spells each distinct float
-    and each index tuple once, and is written in blocks.
+    computed on the report's columns.  The CSV spells each check name,
+    index tuple and distinct float once, as a padded byte row; a block of
+    lines is the rows of its fields side by side, without the padding.
     """
     checks, check, indices, index, lhs, rhs, status = report.columns()
     with np.errstate(all="ignore"):  # inf and NaN are valid sides
         margin = rhs - lhs
         relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
-    # each field carries the separator after it, so a block of rows is one join
-    check_text = np.array([name + "," for name in checks], dtype=object)
-    index_text = np.array([":".join(map(str, i)) + "," for i in indices], dtype=object)
-    numbers = _spelled((lhs, rhs, margin))
-    with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("check,index,lhs,rhs,margin,passed,status\n")
+    numbers, rows = _spelled((lhs, rhs, margin))
+    fields = [(_padded([name.encode() + b"," for name in checks]), check), (_index_texts(indices), index),
+              *((numbers, at) for at in rows), (_FLAG_STATUS, status)]
+    line = np.dtype([(f"f{n}", (np.void, text.shape[1])) for n, (text, _) in enumerate(fields)])
+    fields = [(text.view(line[n]).ravel(), at) for n, (text, at) in enumerate(fields)]
+    with open(os.path.join(out_dir, stem + ".csv"), "wb") as fh:
+        fh.write(b"check,index,lhs,rhs,margin,passed,status\n")
         for start in range(0, len(lhs), _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
-            fh.write("".join(itertools.chain.from_iterable(zip(
-                check_text[check[block]].tolist(), index_text[index[block]].tolist(),
-                *(texts[at[block]].tolist() for texts, at in numbers), _FLAG_STATUS[status[block]].tolist(),
-            ))))
+            lines = np.empty(len(lhs[block]), line)
+            for n, (text, at) in enumerate(fields):
+                lines[f"f{n}"] = text[at[block]]
+            fh.write(lines.tobytes().translate(None, bytes([_PAD])))
     summaries = {}
     for code, name in enumerate(checks):
         mine = check == code

@@ -31,6 +31,9 @@ output directory:
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
   the ``foliate-k8`` workload's unshifted Henon seed lattice and on one
   lorenz2d and one standard-map rectangle;
+* ``verify-convergence`` from the Henon fixture at k = 440 under flavor I
+  and ``verify-variation`` at k = 287, the last orders that pass, whose
+  reports reach 1e-305 and subnormal numbers;
 * three runs that end in a sweep error: ``verify-convergence`` from the
   Henon fixture at k = 441 under flavor I and ``verify-variation`` at
   k = 288, each one order past its overflow horizon, and
@@ -118,6 +121,9 @@ def battery() -> dict:
                     "foliate", *maps[map_name], "--k", str(k), f"--rect={rect}", *FOLIATE_SETTINGS,
                     "--field", field]
     fixture = [*maps["henon"], *_start(HENON_FIXTURE)]
+    runs["henon-fixture-k440-verify-convergence-I"] = ["verify-convergence", *fixture, "--k", "440",
+                                                        "--flavor", "I"]
+    runs["henon-fixture-k287-verify-variation"] = ["verify-variation", *fixture, "--k", "287"]
     runs["henon-fixture-k441-verify-convergence-I"] = ["verify-convergence", *fixture, "--k", "441",
                                                         "--flavor", "I"]
     runs["henon-fixture-k288-verify-variation"] = ["verify-variation", *fixture, "--k", "288"]

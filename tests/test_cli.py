@@ -9,14 +9,17 @@ import math
 import os
 import pathlib
 import re
+import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import MatrixCocycle, bounds, certificate, cli, compute_orbit, make_map
+from hypcoords import report as report_module
 from hypcoords.cli import fmt, main, write_bound_report
 from hypcoords.errors import ConfigError
 
@@ -838,11 +841,22 @@ def _written_bytes(writer, report):
         return [pathlib.Path(out, "report" + ext).read_bytes() for ext in (".csv", ".json")]
 
 
+# Exact 17th-digit ties: k / 2^(q + 1) for odd k scales by 10^q to a
+# half-integer with 17 digits before the point (k / 4 for k in [4e15, 9e15])
+TIES = st.sampled_from([1, 2, 3, 8]).flatmap(lambda q: st.integers(
+    2 * 10**15 // 5 ** (q - 1), min(2 * 10**16 // 5 ** (q - 1), 2**52) - 1).map(
+        lambda j: (2 * j + 1) / 2 ** (q + 1)))
+# Every power of ten that is not below the double range, and its two float neighbours
+POWERS_OF_TEN = st.tuples(st.integers(-323, 308), st.sampled_from([None, 0.0, math.inf])).map(
+    lambda e_toward: float(f"1e{e_toward[0]}") if e_toward[1] is None
+    else math.nextafter(float(f"1e{e_toward[0]}"), e_toward[1]))
 REPORT_NUMBERS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.nan, math.inf, -math.inf]),
     st.floats().map(np.float64),
     st.integers(-10**15, 10**15),
+    TIES,
+    POWERS_OF_TEN,
 )
 CHECK_NAMES = st.one_of(
     st.sampled_from(['say "when"', "back\\slash", "\\\"", "naïve", "Hénon–Lozi", "\u2211\u03b4"]),
@@ -940,6 +954,73 @@ def block_reports(draw):
 @given(block_reports())
 def test_bound_report_writer_spells_blocks_as_rows(report):
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
+
+
+def _percent_17g(values):
+    return ["%.17g" % v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), TIES, POWERS_OF_TEN), max_size=50))
+@example([])
+def test_speller_is_percent_17g_on_any_floats(values):
+    assert report_module._strings(np.array(values, dtype=np.float64)) == _percent_17g(values)
+
+
+def test_speller_is_percent_17g_on_a_million_random_bit_patterns():
+    bits = np.random.default_rng(20261020).integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    assert report_module._strings(values) == _percent_17g(values.tolist())
+
+
+def test_speller_is_percent_17g_at_powers_of_ten_notation_edges_ties_and_specials():
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    edges = [1e-5, 1e-4, 1e16, 1e17, tiny, huge, 1.0, 0.1]
+    values = [v for x in powers + edges for v in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+    subnormals = [5e-324, 1e-320, math.nextafter(tiny, 0.0), tiny / 3, 2.0**-1070]
+    specials = [0.0, math.inf, math.nan, -math.nan, *subnormals]
+    ties = [k / 4 for k in range(4 * 10**15 + 1, 9 * 10**15, 10**11 + 2)]  # odd k
+    ties += [k / 2 ** (q + 1) for q in range(2, 10)
+             for k in range(4 * 10**15 // 5 ** (q - 1) + 1, min(4 * 10**16 // 5 ** (q - 1), 2**53), 10**11 + 2)]
+    for t in ties[::50]:
+        scaled = Fraction(t) * Fraction(10) ** (16 - math.floor(math.log10(t)))
+        assert scaled.denominator == 2 and 10**16 <= scaled < 10**17
+    values = np.array(values + specials + ties)
+    values = np.concatenate((values, -values))
+    assert report_module._strings(values) == _percent_17g(values.tolist())
+
+
+@pytest.mark.parametrize("k, fallback, distinct", [(80, 1, 21725), (440, 1104, 158537)])
+def test_speller_hands_only_zeros_and_subnormals_of_the_fixture_report_to_python(
+        henon, monkeypatch, tmp_path, k, fallback, distinct):
+    """How many of the distinct numbers of the fixture's a-priori report
+    Python spells: those that the numpy path leaves, all 0.0 or subnormal."""
+    given_to = {"_spell": [], "_python_spelled": []}
+    for module, name in ((cli, "_spell"), (report_module, "_python_spelled")):
+        monkeypatch.setattr(module, name, lambda v, fn=getattr(module, name), seen=given_to[name]:
+                            seen.append(v) or fn(v))
+    orbit = compute_orbit(henon, HENON_FIXTURE, k)
+    write_bound_report(bounds.verify_apriori_all(orbit), tmp_path, "report")
+    spelled, python = (np.concatenate(given_to[name]) for name in ("_spell", "_python_spelled"))
+    assert (python.size, spelled.size) == (fallback, distinct)
+    assert (np.abs(python) < sys.float_info.min).all()
+
+
+# Rows as the CLI builds them: ints, Python and numpy floats, bools, "" and
+# check names, with the floats of a column spread among other values
+CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(CSV_VALUES, min_size=n, max_size=n), max_size=12)))
+def test_write_csv_spells_every_value_as_fmt(rows):
+    with tempfile.TemporaryDirectory() as out:
+        path = pathlib.Path(out, "table.csv")
+        cli._write_csv(str(path), ["a", "b"], rows)
+        written = path.read_bytes()
+    expected = "a,b\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert written == expected.encode("utf-8")
 
 
 def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
