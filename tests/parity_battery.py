@@ -24,6 +24,10 @@ output directory:
   farther from the exact ones than some true drifts;
 * ``certify`` and ``verify-convergence`` on the lorenz2d and standard-map
   fixtures at k = 5, 12 and 40 under every flavor;
+* ``orbit`` of the linear map with matrix 1,0,0,0 at k = 3, whose CSV
+  has empty last-row Jacobian cells and -inf logs;
+* ``scan-constants`` under flavor I at lambda 1.5 and 3 and Gamma 2,
+  whose ``violated`` cells are empty and a text holding a comma;
 * ``oracle-check`` with seeds 0..4 at grids of 10^6 and 20,001 points,
   100 trials each;
 * ``orbit`` and ``frames`` at k = 80 from the Henon fixture, A and B and
@@ -129,6 +133,9 @@ def battery() -> dict:
     runs["henon-fixture-k288-verify-variation"] = ["verify-variation", *fixture, "--k", "288"]
     runs["linear-singular-verify-convergence"] = ["verify-convergence", "--map", "linear", "--matrix", "2,0,0,0",
                                                   "--x0", "0.3", "--y0", "0.2", "--k", "3"]
+    runs["linear-rank-one-orbit"] = ["orbit", "--map", "linear", "--matrix", "1,0,0,0", "--x0", "1", "--y0", "1",
+                                     "--k", "3"]
+    runs["scan-constants-I"] = ["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2"]
     for seed in range(5):
         for grid_n in (1_000_000, 20_001):
             runs[f"oracle-{seed}-{grid_n}"] = ["oracle-check", "--seed", str(seed), "--trials", "100",

@@ -1221,6 +1221,9 @@ _PARITY_BATTERY = {
                 "--length", "0.05", "--step", "0.005"],
     "certify": ["certify", *_PARITY_HENON, "--k", "12", "--flavor", "II"],
     "aux-constants": ["aux-constants", *_PARITY_HENON, "--k", "12", "--flavor", "II"],
+    "scan-constants-I": ["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2"],
+    "orbit-linear-rank-one": ["orbit", "--map", "linear", "--matrix", "1,0,0,0", *_start((1.0, 1.0)),
+                              "--k", "3"],
 }
 
 
@@ -1366,6 +1369,18 @@ _PARITY_DIGESTS = {
         "stdout": "c8cd68e9f13cc42c63778da0147b1229a12f284977f955e54583b20741998172",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "aux_constants.json": "f61293bc73866339edff1f863eaa7db7e41c2e9ed4187f31b095d0a431887a6c",
+    },
+    "scan-constants-I": {
+        "exit": 0,
+        "stdout": "a7f0f0b69a29d65b8716a1104861e034d84dd7297d038999861aa372fc5c7443",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "scan.csv": "da7a9ef14ff7ae954e4acf7426b3a498141f5b073940559cfed4651234a7ccb2",
+    },
+    "orbit-linear-rank-one": {
+        "exit": 0,
+        "stdout": "1160097a45eefc9df90fd70efc23faef77b2cf3820403eba366b942030af256b",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "orbit.csv": "64688ded36b97385b069125d5a99c1a31488fcae7b75f409e9bbf63e418727ca",
     },
 }
 
