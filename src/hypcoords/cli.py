@@ -11,6 +11,7 @@ every verdict passed, 1 names the first failing inequality on stderr,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -27,7 +28,7 @@ from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
 from .errors import HypcoordsError, ConfigError, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
-from .report import _TEXT_WIDTH, _digit_tables, _spell, _strings
+from .report import _TEXT_WIDTH, _digit_tables, _spell
 
 # The keys a --config file may set: each the dest of a flag, whose type
 # converts the file's text as it converts the flag's.
@@ -53,76 +54,87 @@ def fmt(x) -> str:
     return str(x)
 
 
-# Most rows that ``_write_csv`` spells at once, which bounds its temporary texts
-_CSV_ROWS_PER_WRITE = 256
+# The byte that pads the texts of a CSV field, which no UTF-8 text holds (a
+# check name may hold NUL)
+_PAD = 0xFF
+# Most lines that ``_write_csv`` assembles at once, which bounds its temporary bytes
+_ROWS_PER_WRITE = 4096
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """``header`` and ``rows`` as CSV lines; the floats of each column are
-    spelled by ``_spell``, its other values by ``fmt``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_ROWS_PER_WRITE):
-            columns = []
-            for column in zip(*rows[start:start + _CSV_ROWS_PER_WRITE], strict=True):
-                floats = [isinstance(v, float) for v in column]
-                spelled = iter(_strings(np.array([v for v, f in zip(column, floats) if f], dtype=np.float64)))
-                columns.append([next(spelled) if f else fmt(v) for v, f in zip(column, floats)])
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+def _cell(value) -> bytes:
+    """``fmt`` of ``value``, or a tuple's items joined by ":", and a comma."""
+    text = ":".join(map(str, value)) if isinstance(value, tuple) else fmt(value)
+    return text.encode() + b","
+
+
+def _texts(values: Sequence) -> np.ndarray:
+    """``_cell`` of each of ``values`` as the rows of an (n, longest) uint8
+    array, padded with _PAD; tuples of one length of ints in [0, 10^8) are
+    spelled in numpy, with _PAD for the leading zeros of each int."""
+    if set(map(type, values)) == {tuple} and len(set(map(len, values))) == 1:
+        flat = list(itertools.chain.from_iterable(values))
+        if flat and set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < 10**8:
+            ints = np.array(flat, dtype=np.int64).reshape(len(values), -1)
+            quads = _digit_tables()[0]
+            digits = np.stack((quads[ints // 10**4], quads[ints % 10**4]), axis=-1).view(np.uint8)
+            digits[~np.logical_or.accumulate(digits != ord("0"), axis=-1) & (np.arange(8) < 7)] = _PAD
+            separators = np.full(ints.shape + (1,), ord(":"), np.uint8)
+            separators[:, -1] = ord(",")
+            return np.concatenate((digits, separators), axis=-1).reshape(len(values), -1)
+    texts = [_cell(value) for value in values]
+    width = max(map(len, texts), default=0)
+    return np.frombuffer(b"".join(text.ljust(width, bytes([_PAD])) for text in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
+def _field(column) -> Tuple[np.ndarray, np.ndarray]:
+    """A CSV column as the texts of its values, each with a comma, as rows
+    padded with _PAD, and each line's row among them.  A column is a float64 array, whose
+    distinct bit patterns ``_spell`` spells (0.0 and -0.0 stay apart);
+    another array, whose distinct values ``_texts`` spells; a list, spelled
+    by ``_texts`` value by value; or a tuple of such a column and each
+    line's position in it."""
+    if isinstance(column, tuple):
+        texts, at = _field(column[0])
+        return texts, at[column[1]]
+    if not isinstance(column, np.ndarray):
+        return _texts(column), np.arange(len(column))
+    if column.dtype != np.float64:
+        distinct, at = np.unique(column, return_inverse=True)
+        return _texts(distinct.tolist()), at
+    distinct, at = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.full((len(distinct), _TEXT_WIDTH + 1), ord(","), np.uint8)
+    texts[:, :-1] = _spell(distinct.view(np.float64))
+    texts[texts == 0] = _PAD
+    return texts, at
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """``header`` and the lines of ``columns``, each a ``_field``, as CSV.
+    Each text is built once; a block of lines is the rows of its fields
+    side by side, without the padding, the last field's comma turned into
+    a line break."""
+    *fields, (last, at) = map(_field, columns)
+    last = last.copy()
+    if last.size:
+        last[np.arange(len(last)), last.shape[1] - 1 - np.argmax(last[:, ::-1] != _PAD, axis=1)] = ord("\n")
+    fields.append((last, at))
+    line = np.dtype([(f"f{n}", (np.void, texts.shape[1])) for n, (texts, _) in enumerate(fields)])
+    fields = [(texts.view(line[n]).ravel(), at) for n, (texts, at) in enumerate(fields)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(at), _ROWS_PER_WRITE):
+            block = slice(start, start + _ROWS_PER_WRITE)
+            lines = np.empty(len(at[block]), line)
+            for n, (texts, rows) in enumerate(fields):
+                lines[f"f{n}"] = texts[rows[block]]
+            fh.write(lines.tobytes().translate(None, bytes([_PAD])))
 
 
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# The byte that pads the fields of a bound-report line, which no UTF-8 text
-# holds (a check name may hold NUL)
-_PAD = 0xFF
-
-
-def _padded(texts: Sequence[bytes]) -> np.ndarray:
-    """``texts`` as the rows of an (n, longest) uint8 array, padded with _PAD."""
-    width = max(map(len, texts), default=0)
-    return np.frombuffer(b"".join(text.ljust(width, bytes([_PAD])) for text in texts),
-                         np.uint8).reshape(len(texts), width)
-
-
-# The last field of a bound-report CSV line, the pass flag and status, by status code
-_FLAG_STATUS = _padded([b"0,fail\n", b"1,pass_within_rounding\n", b"1,pass\n"])
-_ROWS_PER_WRITE = 4096
-
-
-def _index_texts(indices: Sequence[tuple]) -> np.ndarray:
-    """Each index tuple joined by ":" with a comma after it, as the rows of
-    ``_padded``; tuples of one length of ints in [0, 10^8) are spelled in
-    numpy, with _PAD for the leading zeros of each int."""
-    flat = list(itertools.chain.from_iterable(indices))
-    if (len(set(map(len, indices))) == 1 and flat and set(map(type, flat)) == {int}
-            and 0 <= min(flat) and max(flat) < 10**8):
-        values = np.array(flat, dtype=np.int64).reshape(len(indices), -1)
-        quads = _digit_tables()[0]
-        digits = np.stack((quads[values // 10**4], quads[values % 10**4]), axis=-1).view(np.uint8)
-        digits[~np.logical_or.accumulate(digits != ord("0"), axis=-1) & (np.arange(8) < 7)] = _PAD
-        separators = np.full(values.shape + (1,), ord(":"), np.uint8)
-        separators[:, -1] = ord(",")
-        return np.concatenate((digits, separators), axis=-1).reshape(len(indices), -1)
-    return _padded([(":".join(map(str, i)) + ",").encode() for i in indices])
-
-
-def _spelled(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The text and a comma of each distinct float64 bit pattern among
-    ``columns``, as the rows of ``_spell`` padded with _PAD, and per column
-    the row of each value.  0.0 and -0.0 stay apart; patterns are found per
-    column first, to keep the sorts small."""
-    found = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
-    distinct, merged = np.unique(np.concatenate([bits for bits, _ in found]), return_inverse=True)
-    texts = np.full((len(distinct), _TEXT_WIDTH + 1), ord(","), np.uint8)
-    texts[:, :-1] = _spell(distinct.view(np.float64))
-    texts[texts == 0] = _PAD
-    starts = np.cumsum([0] + [len(bits) for bits, _ in found])
-    return texts, [merged[start:start + len(bits)][where] for start, (bits, where) in zip(starts, found)]
 
 
 def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, dict]:
@@ -134,27 +146,16 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
     or ``pass``.  A check's summary counts its rows, failures and
     allowance-only passes, lists its failing rows, and names its first row
     of least finite margin / |rhs| (none where rhs = 0).  All of it is
-    computed on the report's columns.  The CSV spells each check name,
-    index tuple and distinct float once, as a padded byte row; a block of
-    lines is the rows of its fields side by side, without the padding.
+    computed on the report's columns.
     """
     checks, check, indices, index, lhs, rhs, status = report.columns()
     with np.errstate(all="ignore"):  # inf and NaN are valid sides
         margin = rhs - lhs
         relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
-    numbers, rows = _spelled((lhs, rhs, margin))
-    fields = [(_padded([name.encode() + b"," for name in checks]), check), (_index_texts(indices), index),
-              *((numbers, at) for at in rows), (_FLAG_STATUS, status)]
-    line = np.dtype([(f"f{n}", (np.void, text.shape[1])) for n, (text, _) in enumerate(fields)])
-    fields = [(text.view(line[n]).ravel(), at) for n, (text, at) in enumerate(fields)]
-    with open(os.path.join(out_dir, stem + ".csv"), "wb") as fh:
-        fh.write(b"check,index,lhs,rhs,margin,passed,status\n")
-        for start in range(0, len(lhs), _ROWS_PER_WRITE):
-            block = slice(start, start + _ROWS_PER_WRITE)
-            lines = np.empty(len(lhs[block]), line)
-            for n, (text, at) in enumerate(fields):
-                lines[f"f{n}"] = text[at[block]]
-            fh.write(lines.tobytes().translate(None, bytes([_PAD])))
+    header = ["check", "index", "lhs", "rhs", "margin", "passed", "status"]
+    _write_csv(os.path.join(out_dir, stem + ".csv"), header, [
+        (checks, check), (indices, index), lhs, rhs, margin,
+        ([False, True, True], status), (["fail", "pass_within_rounding", "pass"], status)])
     summaries = {}
     for code, name in enumerate(checks):
         mine = check == code
@@ -196,13 +197,17 @@ def write_certificate_report(report: bounds.BoundReport, flavor: certificate.Fla
                              out_dir: str, stem: str) -> None:
     """The certificate rows of ``report``, log values at index (i,), as
     ``stem``.csv and, grouped by check, ``stem``.json."""
+    checks, check, indices, index, lhs, rhs, status = report.columns()
+    with np.errstate(all="ignore"):  # inf and NaN are valid sides
+        values = [lhs, rhs, rhs - lhs, status > 0]
     header = ["i", "check", "log_lhs", "log_rhs", "margin", "passed"]
-    rows = [(r.index[0], r.check, r.lhs, r.rhs, r.margin, r.passed) for r in report.rows]
-    _write_csv(os.path.join(out_dir, stem + ".csv"), header, rows)
+    _write_csv(os.path.join(out_dir, stem + ".csv"), header, [(indices, index), (checks, check), *values])
+    rows = [(indices[n][0], checks[c], *rest)
+            for n, c, *rest in zip(*(x.tolist() for x in (index, check, *values)))]
     nested: Dict[str, List[dict]] = {}
-    for i, check, *values in rows:
-        nested.setdefault(check, []).append(dict(zip(header[:1] + header[2:], (i, *values))))
-    first = next(([i, check] for i, check, *_, passed in rows if not passed), None)
+    for i, name, *rest in rows:
+        nested.setdefault(name, []).append(dict(zip(header[:1] + header[2:], (i, *rest))))
+    first = next(([i, name] for i, name, *_, passed in rows if not passed), None)
     _write_json(os.path.join(out_dir, stem + ".json"),
                 {"flavor": flavor.value, "verdict": report.verdict, "first_failure": first, "checks": nested})
 
@@ -242,23 +247,13 @@ def _out_dir(args) -> str:
 def cmd_orbit(args) -> int:
     spec, orbit = _orbit_from_args(args)
     out = _out_dir(args)
-    rows = []
     coc = orbit.cocycle
-    for i in range(orbit.k + 1):
-        if i < orbit.k:
-            j = coc.steps[i]
-            jac = [j[0, 0], j[0, 1], j[1, 0], j[1, 1]]
-        else:
-            jac = ["", "", "", ""]
-        rows.append(
-            [i, orbit.points[i][0], orbit.points[i][1], *jac,
-             coc.log_norm[i], coc.log_conorm[i], coc.log_absdet[i]]
-        )
-    _write_csv(
-        os.path.join(out, "orbit.csv"),
-        ["i", "x", "y", "j11", "j12", "j21", "j22", "log_norm", "log_conorm", "log_absdet"],
-        rows,
-    )
+    # each Jacobian entry of the k steps, and an empty cell at the last point
+    jacobian = [entries + [""] for entries in np.reshape(coc.steps, (-1, 4)).T.tolist()]
+    _write_csv(os.path.join(out, "orbit.csv"),
+               ["i", "x", "y", "j11", "j12", "j21", "j22", "log_norm", "log_conorm", "log_absdet"],
+               [np.arange(orbit.k + 1), *orbit.points.T, *jacobian,
+                *map(np.array, (coc.log_norm, coc.log_conorm, coc.log_absdet))])
     print(f"wrote {os.path.join(out, 'orbit.csv')}")
     return 0
 
@@ -266,14 +261,12 @@ def cmd_orbit(args) -> int:
 def cmd_frames(args) -> int:
     spec, orbit = _orbit_from_args(args)
     out = _out_dir(args)
-    rows = [[frame.k, frame.e[0], frame.e[1], frame.f[0], frame.f[1], frame.log_sigma_max,
-             frame.log_sigma_min, frame.coecc, frame.theta, frame.low_confidence]
-            for frame in hypframe.frame_sequence(orbit)]
-    _write_csv(
-        os.path.join(out, "frames.csv"),
-        ["k", "e_x", "e_y", "f_x", "f_y", "log_sigma_max", "log_sigma_min", "coecc", "theta", "confidence_flag"],
-        rows,
-    )
+    frames = hypframe.frame_sequence(orbit)
+    k, e, f, *logs, flags = (np.array([getattr(frame, name) for frame in frames]) for name in (
+        "k", "e", "f", "log_sigma_max", "log_sigma_min", "coecc", "theta", "low_confidence"))
+    _write_csv(os.path.join(out, "frames.csv"), ["k", "e_x", "e_y", "f_x", "f_y", "log_sigma_max", "log_sigma_min",
+                                                 "coecc", "theta", "confidence_flag"],
+               [k, *e.T, *f.T, *logs, flags])
     print(f"wrote {os.path.join(out, 'frames.csv')}")
     return 0
 
@@ -377,10 +370,10 @@ def cmd_foliate(args) -> int:
     if not grid.curves and not grid.failed_seeds:
         raise ConfigError(f"--rect holds no seed at spacing {spacing!r}")
     out = _out_dir(args)
-    rows = []
-    for cid, curve in enumerate(grid.curves):
-        rows.extend(foliation.curve_to_csv_rows(cid, curve))
-    _write_csv(os.path.join(out, "curves.csv"), ["curve_id", "s", "x", "y"], rows)
+    sizes = [len(curve.points) for curve in grid.curves]
+    points = np.concatenate([np.zeros((0, 3)), *(np.column_stack((c.arclengths, c.points)) for c in grid.curves)])
+    _write_csv(os.path.join(out, "curves.csv"), ["curve_id", "s", "x", "y"],
+               [np.repeat(np.arange(len(sizes)), sizes), *points.T])
     svg = foliation.curves_to_svg(grid.curves, tuple(rect))
     with open(os.path.join(out, "curves.svg"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
@@ -450,14 +443,10 @@ def cmd_scan_constants(args) -> int:
     grids = [getattr(args, f"{name}_values") for name in _SCAN_GRIDS]
     cells = certificate.feasibility_region_scan(args.flavor, *grids)
     out = _out_dir(args)
-    _write_csv(
-        os.path.join(out, "scan.csv"),
-        ["lambda", "Gamma", "c", "b", "Gamma_tilde", "c_tilde", "feasible", "violated"],
-        [
-            [c.lam, c.Gamma, c.c, c.b, c.Gamma_tilde, c.c_tilde, c.feasible, c.violated]
-            for c in cells
-        ],
-    )
+    *numbers, feasible, violated = ([getattr(cell, field.name) for cell in cells]
+                                    for field in dataclasses.fields(certificate.ScanCell))
+    _write_csv(os.path.join(out, "scan.csv"), ["lambda", "Gamma", "c", "b", "Gamma_tilde", "c_tilde", "feasible",
+                                               "violated"], [*np.array(numbers), np.array(feasible), violated])
     feasible = sum(1 for c in cells if c.feasible)
     print(f"scanned {len(cells)} cells, {feasible} feasible")
     return 0

@@ -340,13 +340,6 @@ def pushforward_seed_angle(spec: MapSpec, seed: np.ndarray, k: int, i: int) -> f
     return linalg2.angle_between(pushed.e_dir, pushed.f_dir)
 
 
-def curve_to_csv_rows(curve_id: int, curve: FoliationCurve) -> List[Tuple[int, float, float, float]]:
-    return [
-        (curve_id, float(s), float(p[0]), float(p[1]))
-        for s, p in zip(curve.arclengths, curve.points)
-    ]
-
-
 def curves_to_svg(
     curves: List[FoliationCurve], viewbox: Tuple[float, float, float, float]
 ) -> str:

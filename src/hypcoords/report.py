@@ -270,11 +270,3 @@ def _spell(values: np.ndarray) -> np.ndarray:
         rest[at] = False
         block[rest] = _python_spelled(x[rest])
     return out
-
-
-def _strings(values: np.ndarray) -> List[str]:
-    """``_spell`` of ``values`` as a list of str."""
-    text = np.empty((len(values), _TEXT_WIDTH + 1), np.uint8)
-    text[:, :-1] = _spell(values)
-    text[:, -1] = ord("\n")
-    return text[text != 0].tobytes().decode().split("\n")[:-1]

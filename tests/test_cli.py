@@ -960,17 +960,25 @@ def _percent_17g(values):
     return ["%.17g" % v for v in values]
 
 
+def _strings(values):
+    """The texts of ``report._spell`` of ``values``, as a list of str."""
+    text = np.empty((len(values), report_module._TEXT_WIDTH + 1), np.uint8)
+    text[:, :-1] = report_module._spell(np.asarray(values, dtype=np.float64))
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes().decode().split("\n")[:-1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(), TIES, POWERS_OF_TEN), max_size=50))
 @example([])
 def test_speller_is_percent_17g_on_any_floats(values):
-    assert report_module._strings(np.array(values, dtype=np.float64)) == _percent_17g(values)
+    assert _strings(np.array(values, dtype=np.float64)) == _percent_17g(values)
 
 
 def test_speller_is_percent_17g_on_a_million_random_bit_patterns():
     bits = np.random.default_rng(20261020).integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
     values = bits.view(np.float64)
-    assert report_module._strings(values) == _percent_17g(values.tolist())
+    assert _strings(values) == _percent_17g(values.tolist())
 
 
 def test_speller_is_percent_17g_at_powers_of_ten_notation_edges_ties_and_specials():
@@ -988,38 +996,77 @@ def test_speller_is_percent_17g_at_powers_of_ten_notation_edges_ties_and_special
         assert scaled.denominator == 2 and 10**16 <= scaled < 10**17
     values = np.array(values + specials + ties)
     values = np.concatenate((values, -values))
-    assert report_module._strings(values) == _percent_17g(values.tolist())
+    assert _strings(values) == _percent_17g(values.tolist())
 
 
 @pytest.mark.parametrize("k, fallback, distinct", [(80, 1, 21725), (440, 1104, 158537)])
 def test_speller_hands_only_zeros_and_subnormals_of_the_fixture_report_to_python(
         henon, monkeypatch, tmp_path, k, fallback, distinct):
     """How many of the distinct numbers of the fixture's a-priori report
-    Python spells: those that the numpy path leaves, all 0.0 or subnormal."""
+    Python spells: those that the numpy path leaves, all 0.0 or subnormal.
+    Each of the columns lhs, rhs and margin is spelled once per distinct
+    bit pattern in it."""
     given_to = {"_spell": [], "_python_spelled": []}
     for module, name in ((cli, "_spell"), (report_module, "_python_spelled")):
         monkeypatch.setattr(module, name, lambda v, fn=getattr(module, name), seen=given_to[name]:
                             seen.append(v) or fn(v))
-    orbit = compute_orbit(henon, HENON_FIXTURE, k)
-    write_bound_report(bounds.verify_apriori_all(orbit), tmp_path, "report")
-    spelled, python = (np.concatenate(given_to[name]) for name in ("_spell", "_python_spelled"))
+    report = bounds.verify_apriori_all(compute_orbit(henon, HENON_FIXTURE, k))
+    write_bound_report(report, tmp_path, "report")
+    lhs, rhs = report.columns()[4:6]
+    with np.errstate(all="ignore"):
+        columns = (lhs, rhs, rhs - lhs)
+    assert [len(v) for v in given_to["_spell"]] == [len(np.unique(c.view(np.int64))) for c in columns]
+    spelled, python = (np.unique(np.concatenate(given_to[name]).view(np.int64)).view(np.float64)
+                       for name in ("_spell", "_python_spelled"))
     assert (python.size, spelled.size) == (fallback, distinct)
     assert (np.abs(python) < sys.float_info.min).all()
 
 
-# Rows as the CLI builds them: ints, Python and numpy floats, bools, "" and
-# check names, with the floats of a column spread among other values
-CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES)
+# Values of a list column as the CLI builds them: ints, Python and numpy
+# floats, bools, "", check names and index tuples, the floats spread among
+# other values
+CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES,
+                       st.lists(st.integers(-1, 10**9), max_size=3).map(tuple))
+CSV_FLOATS = st.one_of(st.floats(), TIES, POWERS_OF_TEN, st.sampled_from([0.0, -0.0, 5e-324, -math.nan]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(CSV_VALUES, min_size=n, max_size=n), max_size=12)))
-def test_write_csv_spells_every_value_as_fmt(rows):
+def _cell_text(value):
+    return ":".join(map(str, value)) if isinstance(value, tuple) else fmt(value)
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one number of lines, of each kind that ``_write_csv``
+    takes, and the values that each column's lines hold."""
+    lines = draw(st.integers(0, 12))
+    columns, values = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["list", "float64", "int64", "bool", "pair"]))
+        if kind == "pair":
+            distinct = draw(st.lists(CSV_VALUES, min_size=1, max_size=4))
+            codes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=lines, max_size=lines))
+            columns.append((distinct, np.array(codes, dtype=np.intp)))
+            values.append([distinct[c] for c in codes])
+            continue
+        elements = {"list": CSV_VALUES, "float64": CSV_FLOATS, "int64": st.integers(-2**63, 2**63 - 1),
+                    "bool": st.booleans()}[kind]
+        column = draw(st.lists(elements, min_size=lines, max_size=lines))
+        columns.append(column if kind == "list" else np.array(column, dtype=kind))
+        values.append(column)
+    return columns, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_columns())
+def test_write_csv_spells_every_value_as_fmt(columns_and_values):
+    columns, values = columns_and_values
+    header = [f"c{n}" for n in range(len(columns))]
     with tempfile.TemporaryDirectory() as out:
         path = pathlib.Path(out, "table.csv")
-        cli._write_csv(str(path), ["a", "b"], rows)
+        cli._write_csv(str(path), header, columns)
         written = path.read_bytes()
-    expected = "a,b\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(_cell_text(v) for v in row) + "\n" for row in zip(*values))
     assert written == expected.encode("utf-8")
 
 

@@ -12,7 +12,6 @@ from hypcoords import compute_orbit, foliation
 from hypcoords.cocycle import guard_limit
 from hypcoords.errors import HypcoordsError, IndexOutOfRange, InvalidInput, NoFrameAtStart
 from hypcoords.foliation import (
-    curve_to_csv_rows,
     curves_to_svg,
     foliation_grid,
     integrate_curve,
@@ -213,9 +212,9 @@ def test_pushforward_consistency_henon(henon):
 
 def test_exports(henon, tmp_path):
     curve = integrate_curve(henon, np.array([0.0, 0.0]), 1, "stable", 0.1, 2e-3)
-    rows = curve_to_csv_rows(0, curve)
-    assert rows[0] == (0, 0.0, 0.0, 0.0)
-    assert len(rows) == len(curve.points)
+    # curves.csv holds each point with its arclength, from 0 at the seed
+    assert (curve.arclengths[0], *curve.points[0]) == (0.0, 0.0, 0.0)
+    assert len(curve.arclengths) == len(curve.points)
     svg = curves_to_svg([curve], (-1.0, 1.0, -1.0, 1.0))
     assert svg.startswith("<svg") and "<polyline" in svg and svg.rstrip().endswith("</svg>")
 
@@ -247,10 +246,7 @@ def test_henon_curve_families_export_across_orders(henon, tmp_path):
     for k in (1, 2, 3):
         grid = foliation_grid(henon, rect, k, 0.5, "stable", 0.2, 2e-3)
         assert grid.curves
-        rows = []
-        for cid, curve in enumerate(grid.curves):
-            rows.extend(curve_to_csv_rows(cid, curve))
-        assert rows
+        assert all(len(curve.arclengths) == len(curve.points) > 0 for curve in grid.curves)
         svg = curves_to_svg(grid.curves, rect)
         path = tmp_path / f"stable_k{k}.svg"
         path.write_text(svg)
