@@ -62,8 +62,12 @@ _ROWS_PER_WRITE = 4096
 
 
 def _cell(value) -> bytes:
-    """``fmt`` of ``value``, or a tuple's items joined by ":", and a comma."""
+    """``fmt`` of ``value``, or a tuple's items joined by ":", and a comma; a
+    text that holds a comma, a double quote or a line break goes in double
+    quotes, its own doubled (RFC 4180)."""
     text = ":".join(map(str, value)) if isinstance(value, tuple) else fmt(value)
+    if any(mark in text for mark in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
     return text.encode() + b","
 
 

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import csv
 import filecmp
 import hashlib
 import io
@@ -229,6 +230,17 @@ def test_scan_constants_command(tmp_path):
     for cell in cells:
         if cell[2] == "1":
             assert cell[6] == "0"
+
+
+def test_scan_csv_quotes_a_cell_that_holds_a_comma(tmp_path):
+    assert run(["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2",
+                "--out-dir", tmp_path]) == 0
+    with open(tmp_path / "scan.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    cells = certificate.feasibility_region_scan(certificate.Flavor.SINGULAR_I, [1.5, 3.0], [2.0], [0.1], [1.0])
+    assert [cell.violated for cell in cells] == ["", "Gamma > max(lambda, 1)"]
+    assert len(rows) == 3 and all(len(row) == 8 for row in rows)
+    assert [row[-1] for row in rows[1:]] == [cell.violated for cell in cells]
 
 
 def test_scan_constants_keeps_zero_and_negative_values_as_infeasible_cells(tmp_path):
@@ -816,15 +828,22 @@ def _reference_summary(rows, tol):
     return checks
 
 
+def _quoted(text):
+    """``text`` as a CSV cell: in double quotes, its own doubled, where it
+    holds a comma, a double quote or a line break (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"' if re.search('[,"\r\n]', text) else text
+
+
 def _reference_bound_report(report, out_dir, stem):
-    """The bound-report writer without a memo or a running tally: fmt rows,
-    a status per row, and json.dump of a summary recomputed from the rows;
-    numpy-scalar overflow to inf or NaN is a valid status input, not a warning."""
+    """The bound-report writer without a memo or a running tally: fmt rows
+    with the check name quoted, a status per row, and json.dump of a summary
+    recomputed from the rows; numpy-scalar overflow to inf or NaN is a valid
+    status input, not a warning."""
     with open(os.path.join(out_dir, stem + ".csv"), "w", encoding="utf-8", newline="\n") as fh, \
             np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fh.write("check,index,lhs,rhs,margin,passed,status\n")
         for r in report.rows:
-            row = [r.check, ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed,
+            row = [_quoted(r.check), ":".join(str(i) for i in r.index), r.lhs, r.rhs, r.margin, r.passed,
                    _reference_status(r, report.tol)]
             fh.write(",".join(fmt(v) for v in row) + "\n")
         checks = _reference_summary(report.rows, report.tol)
@@ -1031,7 +1050,7 @@ CSV_FLOATS = st.one_of(st.floats(), TIES, POWERS_OF_TEN, st.sampled_from([0.0, -
 
 
 def _cell_text(value):
-    return ":".join(map(str, value)) if isinstance(value, tuple) else fmt(value)
+    return _quoted(":".join(map(str, value)) if isinstance(value, tuple) else fmt(value))
 
 
 @st.composite
@@ -1296,9 +1315,9 @@ def _battery_digests(tmp_path, monkeypatch, capsys):
 # Recorded with Python 3.11.7 and numpy 2.4.6.  A change that declares new
 # report bytes (ROADMAP items 2, 3, 5, 10 and 23, the a-priori right sides
 # added as logs, the drift's cosine read off the pulled-back vectors, numpy's
-# ufuncs in place of ``math`` and lorenz2d's ``np.power``) updates these
-# digests in the same change; any other change keeps every byte, stream and
-# exit code.
+# ufuncs in place of ``math``, lorenz2d's ``np.power`` and the quoting of a
+# CSV text that holds a comma) updates these digests in the same change;
+# any other change keeps every byte, stream and exit code.
 _PARITY_DIGESTS = {
     "converge-henon-II": {
         "exit": 0,
@@ -1421,7 +1440,7 @@ _PARITY_DIGESTS = {
         "exit": 0,
         "stdout": "a7f0f0b69a29d65b8716a1104861e034d84dd7297d038999861aa372fc5c7443",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "scan.csv": "da7a9ef14ff7ae954e4acf7426b3a498141f5b073940559cfed4651234a7ccb2",
+        "scan.csv": "dec0d8bab0c5ae8f3b82a1552fe81acdc7253212c81fcc80b314b721e1b3cd31",
     },
     "orbit-linear-rank-one": {
         "exit": 0,
