@@ -140,3 +140,21 @@ def test_tracer_counts_rows_as_the_report_status_says(monkeypatch, tmp_path):
         cert = certificate.check_quasi_hyperbolic(orbit, ledger)
         check_rows = tracer.counts["certificate.check_rows"] - before
     assert check_rows == len(cert.columns()[-1]) > 0
+
+
+def test_tracer_counts_every_byte_a_converge_op_writes(monkeypatch, tmp_path):
+    # ``cli.bytes_written`` adds the size of each file that ``_write_csv``
+    # and ``_write_json`` wrote, so a report that bypassed them would be
+    # missing from it; a ``converge-k80`` op writes two CSVs and two JSONs
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    out = tmp_path / "out"
+    with tracing.Tracer() as tracer:
+        op = workloads.make_op("converge-k80", 0, "full", str(out))
+        assert op.outcome(op.prepare()())["exit"] == 0
+    sizes = {path.name: path.stat().st_size for path in out.iterdir()}
+    assert sorted(sizes) == [f"{stem}.{ext}" for stem in ("apriori_convergence", "explicit_convergence")
+                             for ext in ("csv", "json")]
+    assert tracer.counts["cli.bytes_written"] == sum(sizes.values()) > 10**6

@@ -1096,6 +1096,10 @@ def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
     monkeypatch.setattr("hypcoords.report.BoundRow", refuse)
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "both",
                 "--out-dir", tmp_path]) == 0
+    # the certificate writer reads the report's columns too
+    assert run(["certify", *HENON_ARGS, "--k", "20", "--flavor", "both", "--out-dir", tmp_path]) == 0
+    lines = (tmp_path / "certificate.csv").read_text().splitlines()
+    assert lines[0] == "i,check,log_lhs,log_rhs,margin,passed" and len(lines) == 1 + 20 * 8
 
 
 def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypatch):
@@ -1453,6 +1457,23 @@ _PARITY_DIGESTS = {
 
 def test_cli_battery_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     assert _battery_digests(tmp_path, monkeypatch, capsys) == _PARITY_DIGESTS
+
+
+def test_every_csv_goes_through_the_one_writer(tmp_path, monkeypatch):
+    """Every subcommand, run with ``_write_csv`` wrapped: each CSV file in
+    its output directory went through the wrapper once."""
+    written = []
+    write = cli._write_csv
+    monkeypatch.setattr(cli, "_write_csv", lambda path, *rest: written.append(os.path.realpath(path))
+                        or write(path, *rest))
+    runs = {**_PARITY_BATTERY, "oracle-check": ["oracle-check", "--trials", "3", "--grid-n", "100"]}
+    assert {argv[0] for argv in runs.values()} == set(cli._subcommands(cli.build_parser()))
+    found = []
+    for name, argv in runs.items():
+        assert run([*argv, "--out-dir", tmp_path / name]) in (0, 1)
+        found += [os.path.realpath(path) for path in (tmp_path / name).glob("*.csv")]
+    assert len(found) > 10
+    assert sorted(written) == sorted(found)
 
 
 def test_parity_battery_compare_tells_outcomes_from_bytes(capsys):
