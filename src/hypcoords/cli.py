@@ -93,11 +93,11 @@ def _texts(values: Sequence) -> np.ndarray:
 
 def _field(column) -> Tuple[np.ndarray, np.ndarray]:
     """A CSV column as the texts of its values, each with a comma, as rows
-    padded with _PAD, and each line's row among them.  A column is a float64 array, whose
-    distinct bit patterns ``_spell`` spells (0.0 and -0.0 stay apart);
-    another array, whose distinct values ``_texts`` spells; a list, spelled
-    by ``_texts`` value by value; or a tuple of such a column and each
-    line's position in it."""
+    padded with _PAD, and each line's row among them.  A column is a
+    float64 array, whose distinct bit patterns ``_spell`` spells (0.0 and
+    -0.0 stay apart); another array, whose distinct values ``_texts``
+    spells; a list, spelled by ``_texts`` value by value; or a tuple of
+    such a column and each line's position in it."""
     if isinstance(column, tuple):
         texts, at = _field(column[0])
         return texts, at[column[1]]
@@ -114,10 +114,9 @@ def _field(column) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """``header`` and the lines of ``columns``, each a ``_field``, as CSV.
-    Each text is built once; a block of lines is the rows of its fields
-    side by side, without the padding, the last field's comma turned into
-    a line break."""
+    """``header`` and the lines of ``columns`` (see ``_field``) as CSV.  A
+    block of lines is the rows of their fields side by side, without the
+    padding, the last field's comma turned into a line break."""
     *fields, (last, at) = map(_field, columns)
     last = last.copy()
     if last.size:
