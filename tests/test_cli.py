@@ -778,6 +778,8 @@ def test_non_finite_orbit_is_a_typed_error(tmp_path, capsys):
     assert run(["foliate", "--map", "standard", "--K", "6", "--rect=1e308,1.7e308,1e308,1.7e308",
                 "--spacing", "1e307", "--out-dir", tmp_path]) == 0
     assert "wrote 0 curves (49 seeds without frames)" in capsys.readouterr().out
+    # an empty int column still writes the header
+    assert (tmp_path / "curves.csv").read_bytes() == b"curve_id,s,x,y\n"
 
 
 def test_certify_step_determinant_beyond_double_range_is_named(tmp_path, capsys):
