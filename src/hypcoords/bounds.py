@@ -22,6 +22,7 @@ tolerance: no verifier takes a tolerance or constants from its caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -167,10 +168,9 @@ def _pair_measurements(
 
 class _PairColumns(NamedTuple):
     """``_pair_measurements`` of every pair (i, k), k outer and i inner, as
-    rows over the pairs; ``_order_pairs(k)`` is where order k sits."""
+    read-only rows over the pairs; ``_order_pairs(k)`` is where order k sits."""
 
-    indices: List[Tuple[int, int]]
-    i: np.ndarray
+    pairs: np.ndarray  # (i, k) of each pair, as an (n, 2) int array
     measured: np.ndarray  # drift, push, push_over_det
     log_pushes: np.ndarray  # the logs of push and push_over_det
     in_range: np.ndarray  # at k: whether order k has a pull-back and all its logs are in range
@@ -181,13 +181,14 @@ def _order_pairs(k: int) -> slice:
     return slice(k * (k - 1) // 2, k * (k + 1) // 2)
 
 
+@functools.lru_cache(maxsize=1)  # the a-priori and envelope sweeps of one cocycle share it
 def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
-    """``_pair_measurements`` of every pair in one array pass, bit for bit
-    where that function returns, all read off the cocycle's pull-back, which
-    starts order i from the normal to DPhi^i f_i.  Raises nothing: a term
-    beyond the double range is inf or 0, the measurements of an order whose
-    product is singular are NaN, and a sweep checks the frame and
-    ``in_range`` of an order before it reads the order's pairs;
+    """``_pair_measurements`` of every pair in one array pass, once per
+    cocycle, bit for bit where that function returns, all read off the
+    cocycle's pull-back, which starts order i from the normal to DPhi^i f_i.
+    Raises nothing: a term beyond the double range is inf or 0, the
+    measurements of a singular order are NaN, and a sweep checks the frame
+    and ``in_range`` of an order before it reads the order's pairs;
     ``_first_error`` names what the per-pair function raises."""
     orders = np.arange(1, coc.k + 1)
     k = np.repeat(orders, orders)
@@ -207,7 +208,10 @@ def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
     in_range = np.ones(n, dtype=bool)
     in_range[1:] = np.logical_and.reduceat((k < pulled) & ~(np.abs(log_pushes) > _LOG_MAX).any(axis=0),
                                            orders * (orders - 1) // 2)
-    return _PairColumns(list(zip(i.tolist(), k.tolist())), i, measured, log_pushes, in_range)
+    columns = _PairColumns(np.column_stack((i, k)), measured, log_pushes, in_range)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _first_error(coc: MatrixCocycle, columns: _PairColumns, k: int, rhs=None) -> HypcoordsError:
@@ -323,7 +327,7 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
     log_coecc = log_conorm - log_norm
     worst = 0.0
     columns = _pair_columns(coc)
-    log_rhs = np.empty((len(_APRIORI_CHECKS), len(columns.indices)))
+    log_rhs = np.empty((len(_APRIORI_CHECKS), len(columns.pairs)))
 
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
         for k in range(1, n + 1):
@@ -346,7 +350,7 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
             if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
                 raise _first_error(coc, columns, k, (peak, logs))
     rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
-    rep.add(_APRIORI_CHECKS, columns.indices, _apriori_lhs(columns.measured), np.exp(log_rhs))
+    rep.add(_APRIORI_CHECKS, columns.pairs, _apriori_lhs(columns.measured), np.exp(log_rhs))
     return rep
 
 
@@ -410,8 +414,8 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
         envelopes[:, k] = [q * r**k for _, q, r in rates]
     types = len(rates) // 3
     rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
-    rep.add([check for check, _, _ in rates], columns.indices, tuple(columns.measured) * types,
-            envelopes[:, columns.i])
+    rep.add([check for check, _, _ in rates], columns.pairs, tuple(columns.measured) * types,
+            envelopes[:, columns.pairs[:, 0]])
     return rep
 
 

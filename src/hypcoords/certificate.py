@@ -252,7 +252,7 @@ def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> Boun
         rows.append(("onestep_coecc", lg["B_tilde"] + (i - 1) * lg["c_tilde"], step_log_coecc, False))
     checks, lhs, rhs, strict = zip(*rows)
     report = BoundReport("certificate", 0.0)
-    report.add(checks, [(n,) for n in i.tolist()], lhs, rhs,
+    report.add(checks, i[:, None], lhs, rhs,
                [-LOG_STRICT_MARGIN if s else LOG_STRICT_MARGIN for s in strict])
     return report
 

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import inspect
-import itertools
 import json
 import math
 import os
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import bounds, certificate, foliation, hypframe, linalg2
 from .cocycle import ScaledMatrix, compute_orbit
-from .errors import HypcoordsError, ConfigError, parse_value, read_config
+from .errors import HypcoordsError, ConfigError, InvalidInput, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 from .report import _TEXT_WIDTH, _digit_tables, _spell
 
@@ -61,31 +60,15 @@ _PAD = 0xFF
 _ROWS_PER_WRITE = 4096
 
 
-def _cell(value) -> bytes:
-    """``fmt`` of ``value``, or a tuple's items joined by ":", and a comma; a
-    text that holds a comma, a double quote or a line break goes in double
-    quotes, its own doubled (RFC 4180)."""
-    text = ":".join(map(str, value)) if isinstance(value, tuple) else fmt(value)
-    if any(mark in text for mark in ',"\r\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text.encode() + b","
-
-
 def _texts(values: Sequence) -> np.ndarray:
-    """``_cell`` of each of ``values`` as the rows of an (n, longest) uint8
-    array, padded with _PAD; tuples of one length of ints in [0, 10^8) are
-    spelled in numpy, with _PAD for the leading zeros of each int."""
-    if set(map(type, values)) == {tuple} and len(set(map(len, values))) == 1:
-        flat = list(itertools.chain.from_iterable(values))
-        if flat and set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < 10**8:
-            ints = np.array(flat, dtype=np.int64).reshape(len(values), -1)
-            quads = _digit_tables()[0]
-            digits = np.stack((quads[ints // 10**4], quads[ints % 10**4]), axis=-1).view(np.uint8)
-            digits[~np.logical_or.accumulate(digits != ord("0"), axis=-1) & (np.arange(8) < 7)] = _PAD
-            separators = np.full(ints.shape + (1,), ord(":"), np.uint8)
-            separators[:, -1] = ord(",")
-            return np.concatenate((digits, separators), axis=-1).reshape(len(values), -1)
-    texts = [_cell(value) for value in values]
+    """``fmt`` of each of ``values`` and a comma, as the rows of an (n,
+    longest) uint8 array padded with _PAD; a text that holds a comma, a double
+    quote or a line break goes in double quotes, its own doubled (RFC 4180)."""
+    texts = []
+    for text in map(fmt, values):
+        if any(mark in text for mark in ',"\r\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        texts.append(text.encode() + b",")
     width = max(map(len, texts), default=0)
     return np.frombuffer(b"".join(text.ljust(width, bytes([_PAD])) for text in texts),
                          np.uint8).reshape(len(texts), width)
@@ -95,17 +78,26 @@ def _field(column) -> Tuple[np.ndarray, np.ndarray]:
     """A CSV column as the texts of its values, each with a comma, as rows
     padded with _PAD, and each line's row among them.  A column is a
     float64 array, whose distinct bit patterns ``_spell`` spells (0.0 and
-    -0.0 stay apart); another array, whose distinct values ``_texts``
-    spells; a list, spelled by ``_texts`` value by value; or a tuple of
-    such a column and each line's position in it."""
+    -0.0 stay apart); an int or bool array, 1-d or (n, d), each row its d
+    ints in [0, 10^8) (else InvalidInput) joined by ":", in as many digits
+    as the largest; a list, spelled by ``_texts`` value by value; or a tuple
+    of such a column and each line's position in it."""
     if isinstance(column, tuple):
         texts, at = _field(column[0])
         return texts, at[column[1]]
     if not isinstance(column, np.ndarray):
         return _texts(column), np.arange(len(column))
-    if column.dtype != np.float64:
-        distinct, at = np.unique(column, return_inverse=True)
-        return _texts(distinct.tolist()), at
+    if column.dtype != np.float64:  # digits from the four-digit groups of ``_digit_tables``
+        ints = column.astype(np.int64, casting="same_kind")
+        ints = ints[:, None] if ints.ndim == 1 else ints
+        if not ((ints >= 0) & (ints < 10**8)).all():
+            raise InvalidInput("an int column holds a value outside [0, 10^8)")
+        width = len(str(ints.max(initial=0)))
+        texts = np.full(ints.shape + (width + 1,), ord(":"), np.uint8)
+        texts[:, -1:, -1] = ord(",")
+        texts[..., :-1] = _digit_tables()[0][np.stack(np.divmod(ints, 10**4), -1)].view(np.uint8)[..., 8 - width:]
+        texts[..., :-2][~np.logical_or.accumulate(texts[..., :-2] != ord("0"), axis=-1)] = _PAD  # leading zeros
+        return texts.reshape(len(ints), ints.shape[1] * (width + 1)), np.arange(len(ints))
     distinct, at = np.unique(column.view(np.int64), return_inverse=True)
     texts = np.full((len(distinct), _TEXT_WIDTH + 1), ord(","), np.uint8)
     texts[:, :-1] = _spell(distinct.view(np.float64))
@@ -158,18 +150,16 @@ def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> D
     header = ["check", "index", "lhs", "rhs", "margin", "passed", "status"]
     _write_csv(os.path.join(out_dir, stem + ".csv"), header, [
         (checks, check), (indices, index), lhs, rhs, margin,
-        ([False, True, True], status), (["fail", "pass_within_rounding", "pass"], status)])
-    summaries = {}
+        (np.array([False, True, True]), status), (["fail", "pass_within_rounding", "pass"], status)])
+    summaries, where = {}, indices[index]  # each row's index
     for code, name in enumerate(checks):
         mine = check == code
         failed = np.flatnonzero(mine & (status == 0))
-        candidates = np.flatnonzero(mine & np.isfinite(relative))
-        least = None
-        if candidates.size:
-            n = candidates[np.flatnonzero(relative[candidates] == relative[candidates].min())[0]]
-            least = {"index": indices[index[n]], "value": relative[n].item()}
-        failures = [{"check": name, "index": indices[i], "lhs": a, "rhs": b, "margin": m, "passed": False}
-                    for i, a, b, m in zip(*(column[failed].tolist() for column in (index, lhs, rhs, margin)))]
+        finite = np.flatnonzero(mine & np.isfinite(relative))
+        n = finite[np.argmin(relative[finite])] if finite.size else None  # the first of least margin
+        least = None if n is None else {"index": tuple(where[n].tolist()), "value": relative[n].item()}
+        failures = [{"check": name, "index": tuple(i), "lhs": a, "rhs": b, "margin": m, "passed": False}
+                    for i, a, b, m in zip(*(x[failed].tolist() for x in (where, lhs, rhs, margin)))]
         summaries[name] = {
             "rows": int(np.count_nonzero(mine)), "failed": len(failures), "failures": failures,
             "pass_within_rounding": int(np.count_nonzero(mine & (status == 1))),
@@ -205,8 +195,8 @@ def write_certificate_report(report: bounds.BoundReport, flavor: certificate.Fla
         values = [lhs, rhs, rhs - lhs, status > 0]
     header = ["i", "check", "log_lhs", "log_rhs", "margin", "passed"]
     _write_csv(os.path.join(out_dir, stem + ".csv"), header, [(indices, index), (checks, check), *values])
-    rows = [(indices[n][0], checks[c], *rest)
-            for n, c, *rest in zip(*(x.tolist() for x in (index, check, *values)))]
+    rows = [(i, checks[c], *rest)
+            for i, c, *rest in zip(*(x.tolist() for x in (indices[index, 0], check, *values)))]
     nested: Dict[str, List[dict]] = {}
     for i, name, *rest in rows:
         nested.setdefault(name, []).append(dict(zip(header[:1] + header[2:], (i, *rest))))

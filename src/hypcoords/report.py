@@ -13,6 +13,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .errors import InvalidInput
+
 
 class BoundRow(NamedTuple):
     check: str
@@ -27,24 +29,27 @@ class BoundReport:
     """Rows ``lhs <= rhs * (1 + tol) + abs_tol``, each a check at an index,
     with a status: 0 fail, 1 pass only through abs_tol (lhs > rhs * (1 + tol)),
     2 pass.  Kept as the blocks ``add`` received: the codes of their checks,
-    the position of their first index tuple, then lhs, rhs (float64; an int
-    beyond 2^53 becomes its float) and status, each a check x index array."""
+    their index rows, then lhs, rhs (float64; an int beyond 2^53 becomes its
+    float) and status, each a check x index array."""
 
     def __init__(self, name: str, tol: float):
         self.name = name
         self.tol = tol
         self.context: Dict[str, float] = {}
         self._codes: Dict[str, int] = {}  # each check name's position, in the order first added
-        self._indices: List[Tuple[int, ...]] = []
         self._blocks: List[tuple] = []
 
     def add(self, checks, indices, lhs, rhs, abs_tol=0.0) -> None:
-        """For each index tuple of ``indices`` in turn, one row per check of
-        ``checks``.  ``lhs`` and ``rhs`` hold per check a value, or an array
-        over ``indices``; so does ``abs_tol``, which may also be one value for
-        every row; a count other than one per check is a ValueError.  Inf and
-        NaN are valid sides and raise no warning; a row with a NaN in its
-        rule fails."""
+        """For each row of ``indices``, an (n, d) int array or n int tuples,
+        one d per report, one row per check of ``checks``.  ``lhs`` and ``rhs``
+        hold per check a value, or an array over ``indices``; so does
+        ``abs_tol``, which may also be one value for every row; a count other
+        than one per check is a ValueError.  Inf and NaN are valid sides and
+        raise no warning; a row with a NaN in its rule fails."""
+        indices = np.array(indices)
+        width = self._blocks[0][1].shape[1] if self._blocks else indices.shape[-1]
+        if indices.dtype.kind not in "iu" or indices.ndim != 2 or indices.shape[1] != width:
+            raise InvalidInput(f"index rows {indices.dtype} {indices.shape} in a report of width {width}")
         if isinstance(abs_tol, numbers.Real):  # one allowance for every row
             abs_tol = [abs_tol] * len(checks)
         sides = np.empty((3, len(checks), len(indices)))
@@ -57,26 +62,27 @@ class BoundReport:
             passed = lhs <= limit + allowance
             status = passed.view(np.int8) + (passed & (lhs <= limit))
         codes = [self._codes.setdefault(check, len(self._codes)) for check in checks]
-        self._blocks.append((codes, len(self._indices), lhs, rhs, status))
-        self._indices.extend(indices)
+        self._blocks.append((codes, indices, lhs, rhs, status))
 
     def columns(self) -> tuple:
-        """The check names and the index tuples, each followed by every row's
-        position among them, then lhs, rhs and status; numpy copies but the lists."""
+        """The check names and the (m, d) int array of index rows, each followed
+        by every row's position among them, then lhs, rhs and status; all copies."""
         check, index, *sides = ([np.zeros(0, dtype)] for dtype in (np.intp, np.intp, float, float, np.int8))
-        for codes, start, *blocks in self._blocks:
-            n = blocks[0].shape[1]
-            check.append(np.tile(np.array(codes, np.intp), n))
-            index.append(np.arange(start, start + n).repeat(len(codes)))
+        start = 0
+        for codes, rows, *blocks in self._blocks:
+            check.append(np.tile(np.array(codes, np.intp), len(rows)))
+            index.append(np.arange(start, start + len(rows)).repeat(len(codes)))
+            start += len(rows)
             for column, block in zip(sides, blocks):
                 column.append(block.T.ravel())
-        return (list(self._codes), np.concatenate(check), self._indices, np.concatenate(index),
+        indices = [rows for _, rows, *_ in self._blocks] or [np.zeros((0, 0), np.int64)]
+        return (list(self._codes), np.concatenate(check), np.concatenate(indices), np.concatenate(index),
                 *map(np.concatenate, sides))
 
     def _each_row(self) -> Iterator[BoundRow]:
         checks, check, indices, index, *sides = self.columns()
-        for c, i, lhs, rhs, status in zip(check.tolist(), index.tolist(), *(x.tolist() for x in sides)):
-            yield BoundRow(checks[c], indices[i], lhs, rhs, rhs - lhs, status > 0)
+        for c, i, lhs, rhs, status in zip(check.tolist(), indices[index].tolist(), *(x.tolist() for x in sides)):
+            yield BoundRow(checks[c], tuple(i), lhs, rhs, rhs - lhs, status > 0)
 
     @property
     def rows(self) -> Tuple[BoundRow, ...]:

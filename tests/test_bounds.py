@@ -874,7 +874,7 @@ def test_frames_measurements_and_slow_variation_read_the_cocycle(henon, monkeypa
     columns = bounds._pair_columns(orbit.cocycle)
     _, by_axis = bounds.slow_variation_terms(orbit, 8)
     assert calls == {}
-    assert len(frames) == 8 and len(columns.indices) == 36 and len(by_axis) == 2
+    assert len(frames) == 8 and len(columns.pairs) == 36 and len(by_axis) == 2
 
 
 def test_bounds_keep_no_state_on_the_cocycle(henon):
@@ -1033,7 +1033,7 @@ def test_pull_back_drift_matches_mpmath_at_every_pair(henon, start):
     worst = 0.0
     with mp.workdps(400):
         frames = _exact_frames(mp, coc)[1]
-        for (i, k), drift in zip(columns.indices, columns.measured[0].tolist()):
+        for (i, k), drift in zip(columns.pairs.tolist(), columns.measured[0].tolist()):
             if i == k:
                 assert drift == 0.0
                 continue
@@ -1644,7 +1644,7 @@ def test_order_measurements_equal_per_pair_on_fuzzed_steps(steps):
             if not c.in_range[k]:
                 raise bounds._first_error(coc, c, k)
             pairs = bounds._order_pairs(k)
-            yield from zip(c.indices[pairs], *c.measured[:, pairs].tolist())
+            yield from zip(map(tuple, c.pairs[pairs].tolist()), *c.measured[:, pairs].tolist())
 
     def per_pair():
         for k in range(1, coc.k + 1):

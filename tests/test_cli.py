@@ -3,6 +3,7 @@ import collections
 import contextlib
 import csv
 import filecmp
+import functools
 import hashlib
 import io
 import json
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypcoords import MatrixCocycle, bounds, certificate, cli, compute_orbit, make_map
 from hypcoords import report as report_module
@@ -894,9 +896,11 @@ ALLOWANCES = st.sampled_from([math.inf, -math.inf, 0.0])
 def bound_reports(draw):
     names = draw(st.lists(CHECK_NAMES, min_size=1, max_size=4, unique=True))
     report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS))
+    width = draw(st.integers(1, 3))  # of every index row of the report
     for _ in range(draw(st.integers(0, 12))):
         report.add(
-            [draw(st.sampled_from(names))], [draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3).map(tuple))],
+            [draw(st.sampled_from(names))],
+            [draw(st.lists(st.integers(0, 10**8 - 1), min_size=width, max_size=width).map(tuple))],
             [draw(REPORT_NUMBERS)], [draw(REPORT_NUMBERS)], draw(ALLOWANCES),
         )
     report.context.update(draw(st.dictionaries(CHECK_NAMES, REPORT_NUMBERS, min_size=1, max_size=3)))
@@ -927,8 +931,8 @@ SHARED_NUMBERS = [
 @st.composite
 def shared_value_reports(draw):
     number = st.sampled_from(SHARED_NUMBERS)
-    # (1,) and (1.0,) are equal tuples with different spellings
-    indices = [(0,), (1,), (1.0,), (1, 2), (2, 1), (0, 0, 0)]
+    # index rows of one width, each shared by many rows
+    indices = draw(st.sampled_from([[(0,), (1,), (10,)], [(1, 2), (2, 1), (0, 0)], [(0, 0, 0), (9, 10, 0)]]))
     report = bounds.BoundReport("shared", draw(number))
     for _ in range(draw(st.integers(1, 40))):
         report.add([draw(st.sampled_from(["a", "b", "c"]))], [draw(st.sampled_from(indices))],
@@ -954,18 +958,19 @@ BLOCK_NUMBERS = [
 
 @st.composite
 def block_reports(draw):
-    """Reports built by adds of several index tuples, with one-row adds between them."""
+    """Reports built by adds of an array of several index pairs, with
+    one-row adds of a list of one pair between them."""
     number = st.sampled_from(BLOCK_NUMBERS)
     report = bounds.BoundReport("blocks", draw(st.sampled_from([0.0, 1e-9, -0.5])))
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
-            report.add([draw(st.sampled_from("abc"))], [(draw(st.integers(0, 3)),)], [draw(number)],
+            report.add([draw(st.sampled_from("abc"))], [(draw(st.integers(0, 3)), 0)], [draw(number)],
                        [draw(number)], draw(ALLOWANCES))
             continue
         checks = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
         indices = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8))
         side = st.lists(number, min_size=len(indices), max_size=len(indices)).map(np.array)
-        report.add(checks, indices, [draw(side) for _ in checks], [draw(side) for _ in checks],
+        report.add(checks, np.array(indices), [draw(side) for _ in checks], [draw(side) for _ in checks],
                          [draw(st.one_of(ALLOWANCES, side)) for _ in checks])
     return report
 
@@ -1044,15 +1049,13 @@ def test_speller_hands_only_zeros_and_subnormals_of_the_fixture_report_to_python
 
 
 # Values of a list column as the CLI builds them: ints, Python and numpy
-# floats, bools, "", check names and index tuples, the floats spread among
-# other values
-CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES,
-                       st.lists(st.integers(-1, 10**9), max_size=3).map(tuple))
+# floats, bools, "" and check names, the floats spread among other values
+CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES)
 CSV_FLOATS = st.one_of(st.floats(), TIES, POWERS_OF_TEN, st.sampled_from([0.0, -0.0, 5e-324, -math.nan]))
 
 
 def _cell_text(value):
-    return _quoted(":".join(map(str, value)) if isinstance(value, tuple) else fmt(value))
+    return _quoted(fmt(value))
 
 
 @st.composite
@@ -1069,7 +1072,7 @@ def csv_columns(draw):
             columns.append((distinct, np.array(codes, dtype=np.intp)))
             values.append([distinct[c] for c in codes])
             continue
-        elements = {"list": CSV_VALUES, "float64": CSV_FLOATS, "int64": st.integers(-2**63, 2**63 - 1),
+        elements = {"list": CSV_VALUES, "float64": CSV_FLOATS, "int64": st.integers(0, 10**8 - 1),
                     "bool": st.booleans()}[kind]
         column = draw(st.lists(elements, min_size=lines, max_size=lines))
         columns.append(column if kind == "list" else np.array(column, dtype=kind))
@@ -1091,6 +1094,31 @@ def test_write_csv_spells_every_value_as_fmt(columns_and_values):
     assert written == expected.encode("utf-8")
 
 
+# Ints at the edges of a group of four digits, and the largest an int
+# column may hold
+INT_EDGES = [0, 9, 10, 99, 100, 9999, 10**4, 10**8 - 1]
+INT_SHAPES = st.one_of(st.tuples(st.integers(0, 12)), st.tuples(st.integers(0, 12), st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hnp.arrays(np.int64, INT_SHAPES, elements=st.one_of(st.sampled_from(INT_EDGES),
+                                                                     st.integers(0, 10**8 - 1))),
+                 hnp.arrays(np.bool_, INT_SHAPES)),
+       st.one_of(st.integers(-2**63, -1), st.integers(10**8, 2**63 - 1)))
+@example(np.array(INT_EDGES), -1)
+@example(np.array(INT_EDGES).reshape(4, 2), 10**8)
+def test_write_csv_spells_int_and_bool_rows_joined_by_colons(column, outside):
+    rows = [row if isinstance(row, list) else [row] for row in column.astype(np.int64).tolist()]
+    with tempfile.TemporaryDirectory() as out:
+        path = pathlib.Path(out, "table.csv")
+        cli._write_csv(str(path), ["c"], [column])
+        assert path.read_text() == "c\n" + "".join(":".join(map(str, row)) + "\n" for row in rows)
+        if column.size and column.dtype == np.int64:
+            column.flat[outside % column.size] = outside
+            with pytest.raises(ValueError):
+                cli._write_csv(str(path), ["c"], [column])
+
+
 def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a BoundRow was built")
@@ -1104,31 +1132,35 @@ def test_no_bound_row_is_built_by_a_sweep_or_the_writer(tmp_path, monkeypatch):
     assert lines[0] == "i,check,log_lhs,log_rhs,margin,passed" and len(lines) == 1 + 20 * 8
 
 
-def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypatch):
+def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypatch, henon_orbit20):
     calls = collections.Counter()
 
-    def counted(owner, name):
-        fn = getattr(owner, name)
-
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
 
-    for name in ("_pair_columns", "_pair_measurements", "hyperbolic_coordinates",
-                 "frame_sequence"):
-        counted(bounds, name)
+    for name in ("_pair_measurements", "hyperbolic_coordinates", "frame_sequence"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     for name in ("images", "contracted_images", "_pull_back"):
-        counted(MatrixCocycle, name)
+        monkeypatch.setattr(MatrixCocycle, name, counted(name, getattr(MatrixCocycle, name)))
+    # the measurement itself is counted, under a cache like the module's own
+    measure = counted("_pair_columns", bounds._pair_columns.__wrapped__)
+    monkeypatch.setattr(bounds, "_pair_columns", functools.lru_cache(maxsize=1)(measure))
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
-    # each of the two sweeps measures its pairs in one pass that reads the
-    # cocycle's pull-back of e, which the run computes once, with the one
-    # push of f that seeds it; nothing goes order by order or pair by pair
-    assert calls == {"_pair_columns": 2, "contracted_images": 2, "_pull_back": 1, "images": 1}
+    # the two sweeps share one measurement of the pairs, in one pass that
+    # reads the cocycle's pull-back of e, with the one push of f that seeds
+    # it; nothing goes order by order or pair by pair
+    assert calls == {"_pair_columns": 1, "contracted_images": 1, "_pull_back": 1, "images": 1}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair
+    # what the cache hands out cannot be written to
+    for column in bounds._pair_columns(henon_orbit20.cocycle):
+        with pytest.raises(ValueError):
+            column[(0,) * column.ndim] = 0
 
 
 def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):

@@ -65,8 +65,9 @@ def test_add_stores_the_row_rule_evaluated_row_by_row(block):
             a, b = _value(lhs, c, j), _value(rhs, c, j)
             allowance = _value(abs_tol, c, j) if isinstance(abs_tol, list) else float(abs_tol)
             expected.append((check, index, a.hex(), b.hex(), python_status(a, b, tol, allowance)))
-    names, check, index_tuples, index, lhs_column, rhs_column, status = report.columns()
-    stored = [(names[c], index_tuples[i], a.hex(), b.hex(), s) for c, i, a, b, s in zip(
+    names, check, index_rows, index, lhs_column, rhs_column, status = report.columns()
+    assert index_rows.tolist() == [list(index) for index in indices]
+    stored = [(names[c], tuple(index_rows[i].tolist()), a.hex(), b.hex(), s) for c, i, a, b, s in zip(
         check.tolist(), index.tolist(), lhs_column.tolist(), rhs_column.tolist(), status.tolist())]
     assert stored == expected
     assert status.dtype == np.int8
@@ -98,3 +99,17 @@ def test_a_side_without_one_value_per_check_is_refused():
         with pytest.raises(ValueError):
             report.add(["a", "b"], [(0,), (1,)], lhs, rhs, abs_tol)
     assert report.rows == ()
+
+
+def test_index_rows_are_ints_of_one_width():
+    report = BoundReport("width", 0.0)
+    report.add(["a"], np.array([[1, 2], [3, 4]]), [np.zeros(2)], [np.ones(2)])
+    report.add(["a", "b"], [(5, 6)], [0.0, 2.0], [1.0, 1.0])
+    for indices in ([(7,)], [(7, 8, 9)], [(1.0, 2.0)], np.array([[True, False]]), [(1, 2), (3,)]):
+        with pytest.raises(ValueError):
+            report.add(["a"], indices, [0.0], [1.0])
+    rows = report.rows
+    assert [(r.check, r.index) for r in rows] == [("a", (1, 2)), ("a", (3, 4)), ("a", (5, 6)), ("b", (5, 6))]
+    assert all(type(i) is int for r in rows for i in r.index)
+    assert report.columns()[2].tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert report.first_failure().index == (5, 6)
