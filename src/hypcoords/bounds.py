@@ -22,8 +22,8 @@ tolerance: no verifier takes a tolerance or constants from its caller.
 
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -181,11 +181,19 @@ def _order_pairs(k: int) -> slice:
     return slice(k * (k - 1) // 2, k * (k + 1) // 2)
 
 
-@functools.lru_cache(maxsize=1)  # the a-priori and envelope sweeps of one cocycle share it
+# Each cocycle's ``_measure_pairs``, which its two sweeps share; an entry goes with its cocycle
+_MEASURED: "weakref.WeakKeyDictionary[MatrixCocycle, _PairColumns]" = weakref.WeakKeyDictionary()
+
+
 def _pair_columns(coc: MatrixCocycle) -> _PairColumns:
-    """``_pair_measurements`` of every pair in one array pass, once per
-    cocycle, bit for bit where that function returns, all read off the
-    cocycle's pull-back, which starts order i from the normal to DPhi^i f_i.
+    """``_measure_pairs`` of ``coc``, measured at its first call."""
+    return _MEASURED.get(coc) or _MEASURED.setdefault(coc, _measure_pairs(coc))
+
+
+def _measure_pairs(coc: MatrixCocycle) -> _PairColumns:
+    """``_pair_measurements`` of every pair in one array pass, bit for bit
+    where that function returns, all read off the cocycle's pull-back,
+    which starts order i from the normal to DPhi^i f_i.
     Raises nothing: a term beyond the double range is inf or 0, the
     measurements of a singular order are NaN, and a sweep checks the frame
     and ``in_range`` of an order before it reads the order's pairs;
@@ -290,7 +298,6 @@ def verify_apriori_convergence(
     """
     coc = cocycle_of(source)
     _check_pair(coc, i, k)
-    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
     measured = _pair_measurements(coc, frame_sequence(coc, k), i, k)
     log_ct = np.log(ctilde(coc, k))
     log_sums = (_log_sum(coc, i, k, 0), _log_sum(coc, i, k, 1))
@@ -298,8 +305,8 @@ def verify_apriori_convergence(
     log_quotient = coc.log_coecc(i) + coc.log_norm[i] + block_log_norm - coc.log_norm[k]
     logs = _apriori_rhs_logs(log_ct, coc.log_norm[i], coc.log_conorm[i], coc.log_absdet[i],
                              *log_sums, log_quotient)
-    rep.add(_APRIORI_CHECKS, [(i, k)], _apriori_lhs(measured), [_exp(x) for x in logs])
-    return rep
+    return BoundReport("apriori_convergence", DEFAULT_REL_TOL, _APRIORI_CHECKS, [(i, k)], _apriori_lhs(measured),
+                       [_exp(x) for x in logs])
 
 
 def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundReport:
@@ -349,9 +356,8 @@ def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundRepor
                                         *log_sums[:, upto], log_quotient)
             if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
                 raise _first_error(coc, columns, k, (peak, logs))
-    rep = BoundReport("apriori_convergence", DEFAULT_REL_TOL)
-    rep.add(_APRIORI_CHECKS, columns.pairs, _apriori_lhs(columns.measured), np.exp(log_rhs))
-    return rep
+    return BoundReport("apriori_convergence", DEFAULT_REL_TOL, _APRIORI_CHECKS, columns.pairs,
+                       _apriori_lhs(columns.measured), np.exp(log_rhs))
 
 
 def _envelope_rates(
@@ -413,10 +419,8 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
             raise _first_error(coc, columns, k)
         envelopes[:, k] = [q * r**k for _, q, r in rates]
     types = len(rates) // 3
-    rep = BoundReport("explicit_convergence", DEFAULT_REL_TOL)
-    rep.add([check for check, _, _ in rates], columns.pairs, tuple(columns.measured) * types,
-            envelopes[:, columns.pairs[:, 0]])
-    return rep
+    return BoundReport("explicit_convergence", DEFAULT_REL_TOL, [check for check, _, _ in rates], columns.pairs,
+                       tuple(columns.measured) * types, envelopes[:, columns.pairs[:, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,8 @@ _D2_IDENTITY_SCALE = 1e-10
 
 def d2_contraction_identity(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> BoundReport:
     """Entrywise check that D2Phi(v, axis_k) equals (d_axis_k DPhi) v, to
-    ``_D2_IDENTITY_SCALE`` times the scale of the second partials.
+    ``_D2_IDENTITY_SCALE`` times the scale of the second partials: the check
+    ``coordinate_identity`` at index (k,) for the axes k = 0, 1.
 
     The left side is assembled from the Hessian coordinate expansion, the
     right from the partial matrices; equality encodes symmetry of the
@@ -440,14 +445,11 @@ def d2_contraction_identity(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> Boun
     dx, dy = spec.second_partials_at(p)
     h1 = np.array([dx[0], dy[0]])  # Hessians of the two components
     h2 = np.array([dx[1], dy[1]])
-    rep = BoundReport("d2_contraction_identity", 0.0)
     scale = max(float(np.abs(dx).max()), float(np.abs(dy).max()), 1.0)
-    for axis, (unit, dmat) in enumerate(zip(np.eye(2), (dx, dy))):
-        lhs_vec = np.array([v @ h1 @ unit, v @ h2 @ unit])
-        rhs_vec = dmat @ np.asarray(v, dtype=float)
-        err = float(np.abs(lhs_vec - rhs_vec).max())
-        rep.add([f"coordinate_identity_axis{axis}"], [(axis,)], [err], [_D2_IDENTITY_SCALE * scale])
-    return rep
+    errors = [float(np.abs(np.array([v @ h1 @ unit, v @ h2 @ unit]) - dmat @ np.asarray(v, dtype=float)).max())
+              for unit, dmat in zip(np.eye(2), (dx, dy))]  # D2Phi(v, axis) less (d_axis DPhi) v
+    return BoundReport("d2_contraction_identity", 0.0, ["coordinate_identity"], [(0,), (1,)], [np.array(errors)],
+                       [_D2_IDENTITY_SCALE * scale])
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +618,6 @@ def bilinear_column_bounds(
     if not (is_int(samples) and samples >= 0):
         raise InvalidInput(f"samples must be an int >= 0, got {samples!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    rep = BoundReport("bilinear_column_bounds", DEFAULT_REL_TOL)
     if matrix is not None:
         a, e_a = _bracket_input(matrix, "matrix", 2)
     if bilinear is not None:
@@ -624,7 +625,7 @@ def bilinear_column_bounds(
         if v is not None:  # v is read only with a bilinear map
             vv, e_v = _bracket_input(v, "v", 1, t.shape[0])
 
-    rows = []  # (check, lhs, rhs) of each row, all at index (0,)
+    context, rows = {}, []  # rows: (check, lhs, rhs) of each row, all at index (0,)
 
     def add(check: str, lhs: float, rhs: float, e: int) -> None:
         rows.append((check, _scaled_back(lhs, e), _scaled_back(rhs, e)))
@@ -634,8 +635,8 @@ def bilinear_column_bounds(
         col_max = float(np.linalg.norm(a, axis=0).max())
         norm = float(_power_norms(a[None])[0])
         norm_sampled = _sampled_matrix_norm(a, rng, samples)
-        rep.context["matrix_norm"] = _scaled_back(norm, e_a)
-        rep.context["matrix_norm_sampled"] = _scaled_back(norm_sampled, e_a)
+        context["matrix_norm"] = _scaled_back(norm, e_a)
+        context["matrix_norm_sampled"] = _scaled_back(norm_sampled, e_a)
         add("matrix_norm_cross_check", abs(norm - norm_sampled), 0.02 * max(norm, 1e-300), e_a)
         add("column_lower", col_max, norm, e_a)
         add("column_upper", norm, math.sqrt(n) * col_max, e_a)
@@ -654,7 +655,7 @@ def bilinear_column_bounds(
         second_mats = np.einsum("pij,kj->kpi", t, basis)
         second_slot = _power_norms(second_mats)
         full_norm = max(_largest_norm(slot_mats), float(second_slot.max()))
-        rep.context["bilinear_norm_sampled"] = _scaled_back(full_norm, e_t)
+        context["bilinear_norm_sampled"] = _scaled_back(full_norm, e_t)
 
         add("bilinear_slice_lower", float(second_slot.max()), full_norm, e_t)
         add("bilinear_slice_upper", full_norm, math.sqrt(n) * float(second_slot.max()), e_t)
@@ -667,7 +668,8 @@ def bilinear_column_bounds(
             add("bilinear_v_upper", norm_v, math.sqrt(n) * max(per_basis), e_v + e_t)
 
     checks, lhs, rhs = zip(*rows) if rows else ((),) * 3
-    rep.add(checks, [(0,)], lhs, rhs)
+    rep = BoundReport("bilinear_column_bounds", DEFAULT_REL_TOL, checks, [(0,)], lhs, rhs)
+    rep.context.update(context)
     return rep
 
 
@@ -796,8 +798,6 @@ def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> Bound
     # d_axis f = <e, d_axis f> e, so |D f| is the norm of the two inner products
     df_norm = math.hypot(by_axis["x"].e_dot_df, by_axis["y"].e_dot_df)
 
-    rep = BoundReport("slow_variation", DEFAULT_REL_TOL)
-    rep.context.update(d2_e1_norm=d2e1_norm, d2_e1_axis_x=axis_e1[0], d2_e1_axis_y=axis_e1[1])
     rows = [  # (check, lhs, rhs), all at index (k,)
         ("frame_derivative_master_bound", df_norm, aux.K1 * d2e1_norm + aux.K2 * ledger.c),
         ("second_derivative_factor_upper", d2e1_norm, SQRT2 * max(axis_e1)),
@@ -820,5 +820,6 @@ def verify_slow_variation(orbit: OrbitSegment, ledger: ConstantsLedger) -> Bound
             rows.append((f"middle_terms_bound_{kind}_{axis}", terms.sum_EE_tail, middle))
         rows.append((f"expanded_terms_bound_{axis}", ratio_sq * terms.sum_FF, aux.Q * ledger.c))
     checks, lhs, rhs = zip(*rows)
-    rep.add(checks, [(k,)], lhs, rhs)
+    rep = BoundReport("slow_variation", DEFAULT_REL_TOL, checks, [(k,)], lhs, rhs)
+    rep.context.update(d2_e1_norm=d2e1_norm, d2_e1_axis_x=axis_e1[0], d2_e1_axis_y=axis_e1[1])
     return rep

@@ -251,10 +251,8 @@ def check_quasi_hyperbolic(orbit: OrbitSegment, ledger: ConstantsLedger) -> Boun
         step_log_coecc = np.array(coc.step_log_conorm) - coc.step_log_norm
         rows.append(("onestep_coecc", lg["B_tilde"] + (i - 1) * lg["c_tilde"], step_log_coecc, False))
     checks, lhs, rhs, strict = zip(*rows)
-    report = BoundReport("certificate", 0.0)
-    report.add(checks, i[:, None], lhs, rhs,
-               [-LOG_STRICT_MARGIN if s else LOG_STRICT_MARGIN for s in strict])
-    return report
+    return BoundReport("certificate", 0.0, checks, i[:, None], lhs, rhs,
+                       [-LOG_STRICT_MARGIN if s else LOG_STRICT_MARGIN for s in strict])
 
 
 def _fitted(name: str, log_value: float) -> float:

@@ -60,16 +60,16 @@ _PAD = 0xFF
 _ROWS_PER_WRITE = 4096
 
 
-def _texts(values: Sequence) -> np.ndarray:
-    """``fmt`` of each of ``values`` and a comma, as the rows of an (n,
-    longest) uint8 array padded with _PAD; a text that holds a comma, a double
-    quote or a line break goes in double quotes, its own doubled (RFC 4180)."""
+def _texts(names: Sequence[str]) -> np.ndarray:
+    """Each of ``names`` and a comma, as the rows of an (n, longest) uint8
+    array padded with _PAD; a name that holds a comma, a double quote or a
+    line break goes in double quotes, its own doubled (RFC 4180)."""
     texts = []
-    for text in map(fmt, values):
+    for text in names:
         if any(mark in text for mark in ',"\r\n'):
             text = '"' + text.replace('"', '""') + '"'
         texts.append(text.encode() + b",")
-    width = max(map(len, texts), default=0)
+    width = max(map(len, texts), default=1)
     return np.frombuffer(b"".join(text.ljust(width, bytes([_PAD])) for text in texts),
                          np.uint8).reshape(len(texts), width)
 
@@ -80,8 +80,8 @@ def _field(column) -> Tuple[np.ndarray, np.ndarray]:
     float64 array, whose distinct bit patterns ``_spell`` spells (0.0 and
     -0.0 stay apart); an int or bool array, 1-d or (n, d), each row its d
     ints in [0, 10^8) (else InvalidInput) joined by ":", in as many digits
-    as the largest; a list, spelled by ``_texts`` value by value; or a tuple
-    of such a column and each line's position in it."""
+    as the largest; a list of names (``_texts``); or a tuple of such a
+    column and each line's position in it."""
     if isinstance(column, tuple):
         texts, at = _field(column[0])
         return texts, at[column[1]]
@@ -106,10 +106,18 @@ def _field(column) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """``header`` and the lines of ``columns`` (see ``_field``) as CSV.  A
-    block of lines is the rows of their fields side by side, without the
-    padding, the last field's comma turned into a line break."""
-    *fields, (last, at) = map(_field, columns)
+    """``header`` and the lines of ``columns`` (see ``_field``) as CSV, as
+    many as the longest column has; a shorter column leaves its last cells
+    empty.  A block of lines is the rows of their fields side by side,
+    without the padding, the last field's comma turned into a line break."""
+    fields = list(map(_field, columns))
+    lines = max(len(at) for _, at in fields)
+    for n, (texts, at) in enumerate(fields):
+        if len(at) < lines:  # each missing cell reads an empty text: a comma
+            empty = np.full((1, texts.shape[1]), _PAD, np.uint8)
+            empty[0, 0] = ord(",")
+            fields[n] = np.vstack((texts, empty)), np.pad(at, (0, lines - len(at)), constant_values=len(texts))
+    *fields, (last, at) = fields
     last = last.copy()
     if last.size:
         last[np.arange(len(last)), last.shape[1] - 1 - np.argmax(last[:, ::-1] != _PAD, axis=1)] = ord("\n")
@@ -132,39 +140,41 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _check_summary(name: str, indices: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, status: np.ndarray) -> dict:
+    """The summary of one check of a bound report, from its row of the report's table."""
+    with np.errstate(all="ignore"):  # inf and NaN are valid sides
+        margin = rhs - lhs
+        relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
+    failed = np.flatnonzero(status == 0)
+    finite = np.flatnonzero(np.isfinite(relative))
+    n = finite[np.argmin(relative[finite])] if finite.size else None  # the first of least margin
+    least = None if n is None else {"index": tuple(indices[n].tolist()), "value": relative[n].item()}
+    failures = [{"check": name, "index": tuple(i), "lhs": a, "rhs": b, "margin": m, "passed": False}
+                for i, a, b, m in zip(*(x[failed].tolist() for x in (indices, lhs, rhs, margin)))]
+    return {"rows": len(status), "failed": len(failures), "failures": failures,
+            "pass_within_rounding": int(np.count_nonzero(status == 1)), "least_relative_margin": least}
+
+
 def write_bound_report(report: bounds.BoundReport, out_dir: str, stem: str) -> Dict[str, dict]:
     """Write ``report`` to ``stem``.csv and a summary of each check to
     ``stem``.json; return the summaries by check.
 
-    Each CSV row ends with the status ``add`` gave it: ``fail``,
-    ``pass_within_rounding`` (passed only through its absolute allowance)
-    or ``pass``.  A check's summary counts its rows, failures and
+    The CSV rows are the report's ``columns``, each ending with the status
+    the report gave it: ``fail``, ``pass_within_rounding`` (passed only
+    through its absolute allowance) or ``pass``.  A check's summary, taken
+    from its row of the report's table, counts its rows, failures and
     allowance-only passes, lists its failing rows, and names its first row
-    of least finite margin / |rhs| (none where rhs = 0).  All of it is
-    computed on the report's columns.
+    of least finite margin / |rhs| (none where rhs = 0).
     """
     checks, check, indices, index, lhs, rhs, status = report.columns()
     with np.errstate(all="ignore"):  # inf and NaN are valid sides
         margin = rhs - lhs
-        relative = np.where(rhs != 0.0, margin / np.abs(rhs), np.nan)
     header = ["check", "index", "lhs", "rhs", "margin", "passed", "status"]
     _write_csv(os.path.join(out_dir, stem + ".csv"), header, [
         (checks, check), (indices, index), lhs, rhs, margin,
         (np.array([False, True, True]), status), (["fail", "pass_within_rounding", "pass"], status)])
-    summaries, where = {}, indices[index]  # each row's index
-    for code, name in enumerate(checks):
-        mine = check == code
-        failed = np.flatnonzero(mine & (status == 0))
-        finite = np.flatnonzero(mine & np.isfinite(relative))
-        n = finite[np.argmin(relative[finite])] if finite.size else None  # the first of least margin
-        least = None if n is None else {"index": tuple(where[n].tolist()), "value": relative[n].item()}
-        failures = [{"check": name, "index": tuple(i), "lhs": a, "rhs": b, "margin": m, "passed": False}
-                    for i, a, b, m in zip(*(x[failed].tolist() for x in (where, lhs, rhs, margin)))]
-        summaries[name] = {
-            "rows": int(np.count_nonzero(mine)), "failed": len(failures), "failures": failures,
-            "pass_within_rounding": int(np.count_nonzero(mine & (status == 1))),
-            "least_relative_margin": least,
-        }
+    summaries = {name: _check_summary(name, indices, *row)
+                 for name, *row in zip(checks, report.lhs, report.rhs, report.status)}
     _write_json(
         os.path.join(out_dir, stem + ".json"),
         {"name": report.name, "tol": report.tol, "verdict": report.verdict,
@@ -193,14 +203,14 @@ def write_certificate_report(report: bounds.BoundReport, flavor: certificate.Fla
     checks, check, indices, index, lhs, rhs, status = report.columns()
     with np.errstate(all="ignore"):  # inf and NaN are valid sides
         values = [lhs, rhs, rhs - lhs, status > 0]
+        table = [report.lhs, report.rhs, report.rhs - report.lhs, report.status > 0]
     header = ["i", "check", "log_lhs", "log_rhs", "margin", "passed"]
     _write_csv(os.path.join(out_dir, stem + ".csv"), header, [(indices, index), (checks, check), *values])
-    rows = [(i, checks[c], *rest)
-            for i, c, *rest in zip(*(x.tolist() for x in (indices[index, 0], check, *values)))]
-    nested: Dict[str, List[dict]] = {}
-    for i, name, *rest in rows:
-        nested.setdefault(name, []).append(dict(zip(header[:1] + header[2:], (i, *rest))))
-    first = next(([i, name] for i, name, *_, passed in rows if not passed), None)
+    i = indices[:, 0].tolist()
+    nested = {name: [dict(zip(header[:1] + header[2:], cells)) for cells in zip(i, *(x.tolist() for x in row))]
+              for name, *row in zip(checks, *table)}  # each check's row of the table
+    failed = np.flatnonzero(status == 0)
+    first = [i[index[failed[0]]], checks[check[failed[0]]]] if failed.size else None
     _write_json(os.path.join(out_dir, stem + ".json"),
                 {"flavor": flavor.value, "verdict": report.verdict, "first_failure": first, "checks": nested})
 
@@ -241,11 +251,10 @@ def cmd_orbit(args) -> int:
     spec, orbit = _orbit_from_args(args)
     out = _out_dir(args)
     coc = orbit.cocycle
-    # each Jacobian entry of the k steps, and an empty cell at the last point
-    jacobian = [entries + [""] for entries in np.reshape(coc.steps, (-1, 4)).T.tolist()]
+    # each Jacobian entry of the k steps, one line short: the last point's cells stay empty
     _write_csv(os.path.join(out, "orbit.csv"),
                ["i", "x", "y", "j11", "j12", "j21", "j22", "log_norm", "log_conorm", "log_absdet"],
-               [np.arange(orbit.k + 1), *orbit.points.T, *jacobian,
+               [np.arange(orbit.k + 1), *orbit.points.T, *np.reshape(coc.steps, (-1, 4)).T,
                 *map(np.array, (coc.log_norm, coc.log_conorm, coc.log_absdet))])
     print(f"wrote {os.path.join(out, 'orbit.csv')}")
     return 0

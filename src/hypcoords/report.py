@@ -1,7 +1,7 @@
 """Verdict reports: every inequality the package checks is a row of a
-``BoundReport``, and ``BoundReport.add`` is the one place that evaluates a
-row's rule and decides its status.  ``_spell`` gives the %.17g text of the
-floats that the CSV reports hold."""
+``BoundReport``, whose constructor is the one place that evaluates a row's
+rule and decides its status.  ``_spell`` gives the %.17g text of the floats
+that the CSV reports hold."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import functools
 import math
 import numbers
 import sys
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,58 +26,46 @@ class BoundRow(NamedTuple):
 
 
 class BoundReport:
-    """Rows ``lhs <= rhs * (1 + tol) + abs_tol``, each a check at an index,
-    with a status: 0 fail, 1 pass only through abs_tol (lhs > rhs * (1 + tol)),
-    2 pass.  Kept as the blocks ``add`` received: the codes of their checks,
-    their index rows, then lhs, rhs (float64; an int beyond 2^53 becomes its
-    float) and status, each a check x index array."""
+    """Rows ``lhs <= rhs * (1 + tol) + abs_tol``, one for each of ``checks``
+    at each row of ``indices``, an (n, d) int array or n int tuples of one
+    length d, with a status: 0 fail, 1 pass only through abs_tol (lhs > rhs
+    * (1 + tol)), 2 pass.  Kept as one table: the check names, ``indices``,
+    and ``lhs``, ``rhs`` (float64; an int beyond 2^53 becomes its float) and
+    ``status``, each a check x index array; ``columns`` flattens it to rows.
 
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.context: Dict[str, float] = {}
-        self._codes: Dict[str, int] = {}  # each check name's position, in the order first added
-        self._blocks: List[tuple] = []
+    Other index rows, or a check named twice, are InvalidInput.  ``lhs`` and
+    ``rhs`` hold per check a value, or an array over ``indices``; so does
+    ``abs_tol``, which may also be one value for every row; a count other
+    than one per check is a ValueError.  Inf and NaN are valid sides and
+    raise no warning; a row with a NaN in its rule fails."""
 
-    def add(self, checks, indices, lhs, rhs, abs_tol=0.0) -> None:
-        """For each row of ``indices``, an (n, d) int array or n int tuples,
-        one d per report, one row per check of ``checks``.  ``lhs`` and ``rhs``
-        hold per check a value, or an array over ``indices``; so does
-        ``abs_tol``, which may also be one value for every row; a count other
-        than one per check is a ValueError.  Inf and NaN are valid sides and
-        raise no warning; a row with a NaN in its rule fails."""
+    def __init__(self, name: str, tol: float, checks, indices, lhs, rhs, abs_tol=0.0):
         indices = np.array(indices)
-        width = self._blocks[0][1].shape[1] if self._blocks else indices.shape[-1]
-        if indices.dtype.kind not in "iu" or indices.ndim != 2 or indices.shape[1] != width:
-            raise InvalidInput(f"index rows {indices.dtype} {indices.shape} in a report of width {width}")
+        if indices.dtype.kind not in "iu" or indices.ndim != 2:
+            raise InvalidInput(f"index rows {indices.dtype} {indices.shape} are not an (n, d) int array")
+        if len(set(checks)) != len(checks):
+            raise InvalidInput(f"a check is named twice among {list(checks)}")
+        self.name, self.tol, self.checks, self.indices = name, tol, list(checks), indices
+        self.context: Dict[str, float] = {}
         if isinstance(abs_tol, numbers.Real):  # one allowance for every row
             abs_tol = [abs_tol] * len(checks)
         sides = np.empty((3, len(checks), len(indices)))
         for side, values in zip(sides, (lhs, rhs, abs_tol)):
             for c, value in zip(range(len(checks)), values, strict=True):
                 side[c] = value
-        lhs, rhs, allowance = sides
+        self.lhs, self.rhs, allowance = sides
         with np.errstate(all="ignore"):
-            limit = rhs * (1.0 + float(self.tol))
-            passed = lhs <= limit + allowance
-            status = passed.view(np.int8) + (passed & (lhs <= limit))
-        codes = [self._codes.setdefault(check, len(self._codes)) for check in checks]
-        self._blocks.append((codes, indices, lhs, rhs, status))
+            limit = self.rhs * (1.0 + float(tol))
+            passed = self.lhs <= limit + allowance
+            self.status = passed.view(np.int8) + (passed & (self.lhs <= limit))
 
     def columns(self) -> tuple:
-        """The check names and the (m, d) int array of index rows, each followed
-        by every row's position among them, then lhs, rhs and status; all copies."""
-        check, index, *sides = ([np.zeros(0, dtype)] for dtype in (np.intp, np.intp, float, float, np.int8))
-        start = 0
-        for codes, rows, *blocks in self._blocks:
-            check.append(np.tile(np.array(codes, np.intp), len(rows)))
-            index.append(np.arange(start, start + len(rows)).repeat(len(codes)))
-            start += len(rows)
-            for column, block in zip(sides, blocks):
-                column.append(block.T.ravel())
-        indices = [rows for _, rows, *_ in self._blocks] or [np.zeros((0, 0), np.int64)]
-        return (list(self._codes), np.concatenate(check), np.concatenate(indices), np.concatenate(index),
-                *map(np.concatenate, sides))
+        """The table as rows, index outer and check inner: the check names and
+        each row's position among them, the index rows and each row's
+        position among them, then lhs, rhs and status; all copies."""
+        count, n = self.status.shape
+        return (list(self.checks), np.tile(np.arange(count), n), self.indices.copy(), np.arange(n).repeat(count),
+                *(side.T.flatten() for side in (self.lhs, self.rhs, self.status)))
 
     def _each_row(self) -> Iterator[BoundRow]:
         checks, check, indices, index, *sides = self.columns()
@@ -91,7 +79,7 @@ class BoundReport:
 
     @property
     def verdict(self) -> bool:
-        return all(status.all() for *_, status in self._blocks)
+        return bool(self.status.all())
 
     def first_failure(self) -> Optional[BoundRow]:
         return next((row for row in self._each_row() if not row.passed), None)

@@ -109,18 +109,18 @@ def test_bracket_pool_pruned_norm_equals_every_slot_norm(monkeypatch):
 def test_tracer_counts_rows_as_the_report_status_says(monkeypatch, tmp_path):
     # perfbench/tracing.py counts ``bounds.allowance_rows`` with its own copy
     # of the row rule and ``certificate.check_rows`` from the rows; both must
-    # agree with the status that ``BoundReport.add`` stored.  Bound rows take
-    # no allowance, so a report with rows that pass only through one is
-    # built by hand
+    # agree with the status that the ``BoundReport`` constructor stored.
+    # Bound rows take no allowance, so a report with rows that pass only
+    # through one is built by hand
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
     from hypcoords import bounds, certificate, compute_orbit, make_map
 
-    report = bounds.BoundReport("hand_built", 1e-9)
-    report.add(["a", "b"], [(0,), (1,), (2,)], [[1.0, 2.0, 3.0], [1.0, 0.6, np.nan]],
-               [[1.0, 1.5, 3.0], [2.0, 0.5, 1.0]], [1.0, 0.25])
+    report = bounds.BoundReport("hand_built", 1e-9, ["a", "b"], [(0,), (1,), (2,)],
+                                [[1.0, 2.0, 3.0], [1.0, 0.6, np.nan]], [[1.0, 1.5, 3.0], [2.0, 0.5, 1.0]],
+                                [1.0, 0.25])
     counts = Counter()
     tracing._count_report("bounds.apriori")(counts, (), {}, report)
     status = report.columns()[-1]

@@ -393,7 +393,7 @@ def verify_consecutive_rotation(source):
     e_(j+1) and e_j at 0."""
     coc = cocycle_of(source)
     frames = frame_sequence(coc)
-    rep = bounds.BoundReport("consecutive_rotation", bounds.DEFAULT_REL_TOL)
+    lhs, rhs = [], []  # per step j: (sine squared, drift) and their bounds
     for j in range(1, coc.k):
         directions, log_norms = coc.contracted_images([j + 1, j])
         w, log_push = directions[0, j], log_norms[0, j : j + 1]
@@ -414,8 +414,11 @@ def verify_consecutive_rotation(source):
                 )
             )
         )
-        rep.add(("rotation_sine_squared", "drift_vs_sine"), [(j,)], (sin * sin, drift), (bound, SQRT2 * sin))
-    return rep
+        lhs.append((sin * sin, drift))
+        rhs.append((bound, SQRT2 * sin))
+    checks = ("rotation_sine_squared", "drift_vs_sine")
+    return bounds.BoundReport("consecutive_rotation", bounds.DEFAULT_REL_TOL, checks, np.arange(1, coc.k)[:, None],
+                              np.reshape(lhs, (-1, 2)).T, np.reshape(rhs, (-1, 2)).T)
 
 
 def test_consecutive_rotation_henon_and_random(henon_orbit20):
@@ -455,22 +458,22 @@ def test_explicit_convergence_requires_certificate(henon_orbit20):
         bounds.verify_explicit_convergence(henon_orbit20, corrupted)
 
 
-def _envelope_rows(rep, rates, index, measured):
-    """The envelope rows of one pair, given its ``_pair_measurements``."""
-    lhs = itertools.cycle(measured)  # drift, push, push_over_det
-    for (check, q, r), lhs_value in zip(rates, lhs):
-        rep.add([check], [index], [lhs_value], [q * r ** index[0]])
-
-
 def _explicit_per_pair(orbit, ledger):
-    """verify_explicit_convergence's rows, pair by pair from scratch."""
+    """verify_explicit_convergence's rows, pair by pair from scratch: at
+    pair (i, k), for each rate, the pair's ``_pair_measurements`` in turn
+    against Q r^i."""
     coc = orbit.cocycle
     rates = bounds._envelope_rates(ledger, auxiliary_constants(ledger))
-    rep = bounds.BoundReport("explicit_convergence", bounds.DEFAULT_REL_TOL)
+    pairs, lhs, rhs = [], [], []  # per pair: the sides of its rows
     for k in range(1, coc.k + 1):
         frames = frame_sequence(coc, k)
         for i in range(1, k + 1):
-            _envelope_rows(rep, rates, (i, k), bounds._pair_measurements(coc, frames, i, k))
+            measured = itertools.cycle(bounds._pair_measurements(coc, frames, i, k))  # drift, push, push_over_det
+            pairs.append((i, k))
+            lhs.append([value for _, value in zip(rates, measured)])
+            rhs.append([q * r ** i for _, q, r in rates])
+    rep = bounds.BoundReport("explicit_convergence", bounds.DEFAULT_REL_TOL, [check for check, _, _ in rates],
+                             pairs, np.transpose(lhs), np.transpose(rhs))
     return _exact_rows(rep)
 
 

@@ -3,7 +3,7 @@ import collections
 import contextlib
 import csv
 import filecmp
-import functools
+import gc
 import hashlib
 import io
 import json
@@ -14,6 +14,7 @@ import re
 import sys
 import tempfile
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -892,17 +893,21 @@ CHECK_NAMES = st.one_of(
 ALLOWANCES = st.sampled_from([math.inf, -math.inf, 0.0])
 
 
+def _table(draw, checks, indices, number, allowance):
+    """Sides of a report over ``indices``: per check a list of one ``number``
+    per index row for lhs and rhs, and of one ``allowance`` per row."""
+    sides = [st.lists(values, min_size=len(indices), max_size=len(indices)) for values in (number, number, allowance)]
+    return [[draw(side) for _ in checks] for side in sides]
+
+
 @st.composite
 def bound_reports(draw):
-    names = draw(st.lists(CHECK_NAMES, min_size=1, max_size=4, unique=True))
-    report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS))
+    checks = draw(st.lists(CHECK_NAMES, min_size=1, max_size=4, unique=True))
     width = draw(st.integers(1, 3))  # of every index row of the report
-    for _ in range(draw(st.integers(0, 12))):
-        report.add(
-            [draw(st.sampled_from(names))],
-            [draw(st.lists(st.integers(0, 10**8 - 1), min_size=width, max_size=width).map(tuple))],
-            [draw(REPORT_NUMBERS)], [draw(REPORT_NUMBERS)], draw(ALLOWANCES),
-        )
+    indices = draw(st.lists(st.lists(st.integers(0, 10**8 - 1), min_size=width, max_size=width).map(tuple),
+                            min_size=1, max_size=4))
+    report = bounds.BoundReport(draw(CHECK_NAMES), draw(REPORT_NUMBERS), checks, indices,
+                                *_table(draw, checks, indices, REPORT_NUMBERS, ALLOWANCES))
     report.context.update(draw(st.dictionaries(CHECK_NAMES, REPORT_NUMBERS, min_size=1, max_size=3)))
     return report
 
@@ -910,7 +915,8 @@ def bound_reports(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(bound_reports())
-@example(bounds.BoundReport("empty", 1e-9))
+@example(bounds.BoundReport("empty", 1e-9, [], np.zeros((0, 1), int), [], []))
+@example(bounds.BoundReport("no_checks", 1e-9, [], [(0,)], [], []))
 def test_bound_report_writer_matches_json_dump(report):
     assert _written_bytes(write_bound_report, report) == _written_bytes(_reference_bound_report, report)
 
@@ -933,10 +939,10 @@ def shared_value_reports(draw):
     number = st.sampled_from(SHARED_NUMBERS)
     # index rows of one width, each shared by many rows
     indices = draw(st.sampled_from([[(0,), (1,), (10,)], [(1, 2), (2, 1), (0, 0)], [(0, 0, 0), (9, 10, 0)]]))
-    report = bounds.BoundReport("shared", draw(number))
-    for _ in range(draw(st.integers(1, 40))):
-        report.add([draw(st.sampled_from(["a", "b", "c"]))], [draw(st.sampled_from(indices))],
-                   [draw(number)], [draw(number)], draw(ALLOWANCES))
+    indices = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=13))
+    checks = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    report = bounds.BoundReport("shared", draw(number), checks, indices, *_table(draw, checks, indices, number,
+                                                                                  ALLOWANCES))
     report.context.update(draw(st.dictionaries(st.sampled_from("xyz"), number, min_size=1)))
     return report
 
@@ -949,7 +955,7 @@ def test_bound_report_writer_keeps_equal_values_apart(report):
 
 
 # Signed zeros and NaNs of three bit patterns among a few other values, so
-# that blocks of rows repeat them
+# that the rows of a table repeat them
 BLOCK_NUMBERS = [
     0.0, -0.0, math.nan, -math.nan, np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0].item(),
     1.0, -1.0, 0.1, math.inf, -math.inf, 5e-324,
@@ -958,21 +964,17 @@ BLOCK_NUMBERS = [
 
 @st.composite
 def block_reports(draw):
-    """Reports built by adds of an array of several index pairs, with
-    one-row adds of a list of one pair between them."""
+    """Reports over an array of index pairs whose sides hold per check
+    one value for every row or an array over the rows, and whose allowance
+    is one value for the whole report, or per check."""
     number = st.sampled_from(BLOCK_NUMBERS)
-    report = bounds.BoundReport("blocks", draw(st.sampled_from([0.0, 1e-9, -0.5])))
-    for _ in range(draw(st.integers(1, 6))):
-        if draw(st.booleans()):
-            report.add([draw(st.sampled_from("abc"))], [(draw(st.integers(0, 3)), 0)], [draw(number)],
-                       [draw(number)], draw(ALLOWANCES))
-            continue
-        checks = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
-        indices = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8))
-        side = st.lists(number, min_size=len(indices), max_size=len(indices)).map(np.array)
-        report.add(checks, np.array(indices), [draw(side) for _ in checks], [draw(side) for _ in checks],
-                         [draw(st.one_of(ALLOWANCES, side)) for _ in checks])
-    return report
+    checks = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)))
+    indices = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8))
+    side = st.one_of(number, st.lists(number, min_size=len(indices), max_size=len(indices)).map(np.array))
+    allowance = st.one_of(ALLOWANCES, st.lists(st.one_of(ALLOWANCES, side), min_size=len(checks),
+                                               max_size=len(checks)))
+    return bounds.BoundReport("blocks", draw(st.sampled_from([0.0, 1e-9, -0.5])), checks, np.array(indices),
+                              [draw(side) for _ in checks], [draw(side) for _ in checks], draw(allowance))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1048,9 +1050,8 @@ def test_speller_hands_only_zeros_and_subnormals_of_the_fixture_report_to_python
     assert (np.abs(python) < sys.float_info.min).all()
 
 
-# Values of a list column as the CLI builds them: ints, Python and numpy
-# floats, bools, "" and check names, the floats spread among other values
-CSV_VALUES = st.one_of(REPORT_NUMBERS, st.booleans(), st.just(""), CHECK_NAMES)
+# Texts of a list column as the CLI builds them: "" and check names
+CSV_NAMES = st.one_of(st.just(""), CHECK_NAMES)
 CSV_FLOATS = st.one_of(st.floats(), TIES, POWERS_OF_TEN, st.sampled_from([0.0, -0.0, 5e-324, -math.nan]))
 
 
@@ -1060,23 +1061,28 @@ def _cell_text(value):
 
 @st.composite
 def csv_columns(draw):
-    """Columns of one number of lines, of each kind that ``_write_csv``
-    takes, and the values that each column's lines hold."""
+    """Columns of each kind that ``_write_csv`` takes, all of one number of
+    lines but for float64 columns one line short after the first column,
+    and the values that each column's lines hold ("" where one is short)."""
     lines = draw(st.integers(0, 12))
     columns, values = [], []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["list", "float64", "int64", "bool", "pair"]))
+        kind = draw(st.sampled_from(["list", "float64", "int64", "bool", "pair"] + ["short"] * bool(columns)))
         if kind == "pair":
-            distinct = draw(st.lists(CSV_VALUES, min_size=1, max_size=4))
+            distinct = draw(st.one_of(st.lists(CSV_NAMES, min_size=1, max_size=4),
+                                      st.lists(CSV_FLOATS, min_size=1, max_size=4).map(np.array),
+                                      st.lists(st.booleans(), min_size=1, max_size=2).map(np.array)))
             codes = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=lines, max_size=lines))
             columns.append((distinct, np.array(codes, dtype=np.intp)))
-            values.append([distinct[c] for c in codes])
+            listed = distinct.tolist() if isinstance(distinct, np.ndarray) else distinct
+            values.append([listed[c] for c in codes])
             continue
-        elements = {"list": CSV_VALUES, "float64": CSV_FLOATS, "int64": st.integers(0, 10**8 - 1),
+        elements = {"list": CSV_NAMES, "float64": CSV_FLOATS, "short": CSV_FLOATS, "int64": st.integers(0, 10**8 - 1),
                     "bool": st.booleans()}[kind]
-        column = draw(st.lists(elements, min_size=lines, max_size=lines))
-        columns.append(column if kind == "list" else np.array(column, dtype=kind))
-        values.append(column)
+        length = max(lines - 1, 0) if kind == "short" else lines
+        column = draw(st.lists(elements, min_size=length, max_size=length))
+        columns.append(column if kind == "list" else np.array(column, dtype="float64" if kind == "short" else kind))
+        values.append(column + [""] * (lines - length))
     return columns, values
 
 
@@ -1145,15 +1151,14 @@ def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypa
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     for name in ("images", "contracted_images", "_pull_back"):
         monkeypatch.setattr(MatrixCocycle, name, counted(name, getattr(MatrixCocycle, name)))
-    # the measurement itself is counted, under a cache like the module's own
-    measure = counted("_pair_columns", bounds._pair_columns.__wrapped__)
-    monkeypatch.setattr(bounds, "_pair_columns", functools.lru_cache(maxsize=1)(measure))
+    # the measurement itself is counted, under the module's own cache
+    monkeypatch.setattr(bounds, "_measure_pairs", counted("_measure_pairs", bounds._measure_pairs))
     assert run(["verify-convergence", *HENON_ARGS, "--k", "20", "--flavor", "II",
                 "--out-dir", tmp_path]) == 0
     # the two sweeps share one measurement of the pairs, in one pass that
     # reads the cocycle's pull-back of e, with the one push of f that seeds
     # it; nothing goes order by order or pair by pair
-    assert calls == {"_pair_columns": 1, "contracted_images": 1, "_pull_back": 1, "images": 1}
+    assert calls == {"_measure_pairs": 1, "contracted_images": 1, "_pull_back": 1, "images": 1}
     for stem, per_pair in (("apriori_convergence", 7), ("explicit_convergence", 3)):
         rows = (tmp_path / f"{stem}.csv").read_text().splitlines()[1:]
         assert len(rows) == 20 * 21 // 2 * per_pair
@@ -1161,6 +1166,18 @@ def test_verify_convergence_pulls_back_once_and_pushes_f_once(tmp_path, monkeypa
     for column in bounds._pair_columns(henon_orbit20.cocycle):
         with pytest.raises(ValueError):
             column[(0,) * column.ndim] = 0
+
+
+def test_a_measured_cocycle_goes_with_its_pair_measurement(henon):
+    # the measurement that both sweeps share is held only as long as its
+    # cocycle: neither outlives the orbit
+    orbit = compute_orbit(henon, HENON_FIXTURE, 20)
+    assert bounds.verify_apriori_all(orbit).verdict
+    cocycle = weakref.ref(orbit.cocycle)
+    measured = weakref.ref(bounds._pair_columns(orbit.cocycle).measured)
+    del orbit
+    gc.collect()
+    assert cocycle() is None and measured() is None
 
 
 def test_bound_report_json_round_trips_on_henon(tmp_path, henon_orbit20):
