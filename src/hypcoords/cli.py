@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bounds, certificate, foliation, hypframe, linalg2
-from .cocycle import ScaledMatrix, compute_orbit
+from .cocycle import compute_orbit
 from .errors import HypcoordsError, ConfigError, InvalidInput, parse_value, read_config
 from .planar_maps import BUILTIN_MAPS, MapSpec, make_map
 from .report import _TEXT_WIDTH, _digit_tables, _spell
@@ -43,6 +43,9 @@ _CONFIG_KEYS = (
 MAX_COUNT = 10**6
 # Most angles in an oracle-check grid sweep: about 4 GB at 40 B per angle.
 MAX_GRID_N = 10**8
+# oracle-check trials per stacked frame and oracle call, which bounds the
+# lists and arrays of a call (about 3 MB)
+_ORACLE_TRIALS = 4096
 
 
 def fmt(x) -> str:
@@ -385,19 +388,38 @@ def cmd_foliate(args) -> int:
     return 0
 
 
-def _random_test_matrix(rng: np.random.Generator):
-    """Seeded random 2x2 matrix with co-eccentricity < 0.9 and co-norm >= 0.05."""
-    while True:
-        m = rng.uniform(-2.0, 2.0, size=(2, 2))
-        s = linalg2.svd2_matrix(m)
-        if s.smin >= 0.05 and s.smin / s.smax < 0.9:
-            return m, s
+def _random_test_matrices(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` seeded random 2x2 matrices with co-eccentricity < 0.9 and
+    co-norm >= 0.05, (count, 2, 2): the uniform draws from [-2, 2] that pass,
+    in the order drawn."""
+    passed = []
+    while count > 0:
+        m = rng.uniform(-2.0, 2.0, size=(min(2 * count + 8, 2**16), 2, 2))
+        s = linalg2.svd2_closed(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
+        keep = s.smin >= 0.05
+        keep[keep] = s.smin[keep] / s.smax[keep] < 0.9
+        passed.append(m[keep][:count])
+        count -= len(passed[-1])
+    return np.concatenate(passed)
+
+
+def _oracle_trials(ms: np.ndarray, grid_n: int):
+    """Per trial matrix: its entries as a nested list, its frame angle, its
+    singular values and the grid oracle's angle of the max and norms, from
+    one stacked call of each per _ORACLE_TRIALS matrices."""
+    for start in range(0, len(ms), _ORACLE_TRIALS):
+        stack = ms[start : start + _ORACLE_TRIALS]
+        s = linalg2.svd2_closed(stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1])
+        _, thetas = hypframe.frame_directions(stack)
+        oracle = hypframe.oracle_extremal_directions(stack, grid_n)
+        yield from zip(stack.tolist(), thetas, s.smax, s.smin, oracle.theta_max.tolist(),
+                       oracle.norm_max.tolist(), oracle.norm_min.tolist())
 
 
 def cmd_oracle_check(args) -> int:
     seed, trials, grid_n = args.seed, args.trials, args.grid_n
     out = _out_dir(args)
-    rng = np.random.default_rng(seed)
+    ms = _random_test_matrices(np.random.default_rng(seed), trials)
     angle_tol = math.pi / grid_n
     # nearest grid angle sits within pi/(2 n) of the extremum; the induced
     # norm error scales with the curvature over the extremal value, which
@@ -406,18 +428,15 @@ def cmd_oracle_check(args) -> int:
     violations = 0
     worst_angle = 0.0
     worst_norm = 0.0
-    for _ in range(trials):
-        m, s = _random_test_matrix(rng)
-        frame = hypframe.frame_from_scaled(ScaledMatrix.from_matrix(m))
-        angles = hypframe.angle_theta(m[0, 0], m[1, 0], m[0, 1], m[1, 1])
-        oracle = hypframe.oracle_extremal_directions(m, grid_n)
-        theta_svd = frame.theta
+    # per trial in math.atan2, whose last bit np.arctan2 does not always match
+    for ((a, b), (c, d)), theta_svd, smax, smin, theta_max, norm_max, norm_min in _oracle_trials(ms, grid_n):
+        angles = hypframe.angle_theta(a, c, b, d)
         d1 = linalg2.line_angle_distance(theta_svd, angles.theta_expand)
-        d2 = linalg2.line_angle_distance(theta_svd, oracle.theta_max)
-        n1 = abs(oracle.norm_max - s.smax) / s.smax
-        n2 = abs(oracle.norm_min - s.smin) / s.smin
+        d2 = linalg2.line_angle_distance(theta_svd, theta_max)
+        n1 = abs(norm_max - smax) / smax
+        n2 = abs(norm_min - smin) / smin
         tol_max = max(1e-8, 2.0 * delta_sq)
-        tol_min = max(1e-8, 2.0 * delta_sq * (s.smax / s.smin) ** 2)
+        tol_min = max(1e-8, 2.0 * delta_sq * (smax / smin) ** 2)
         worst_angle = max(worst_angle, d1, d2)
         worst_norm = max(worst_norm, n1, n2)
         if d1 > 1e-9 or d2 > angle_tol + 1e-9 or n1 > tol_max or n2 > tol_min:

@@ -23,9 +23,10 @@ directly; the contracting angle sits a quarter turn away.
 
 The grid oracle (``oracle_extremal_directions``) checks these closed forms
 without the SVD: it maximizes and minimizes |M (sin t, cos t)|^2 over a
-uniform angle grid.  It skips grid blocks whose mean-value enclosure,
-widened by a floating-point error bound, shows that they cannot hold an
-extremum, so it returns exactly what the full sweep returns.
+uniform angle grid, for one matrix or a stack of them.  It skips grid
+blocks, coarse ones and then fine ones inside them, whose mean-value
+enclosure, widened by a floating-point error bound, shows that they cannot
+hold an extremum, so it returns exactly what the full sweep returns.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from . import linalg2
-from .cocycle import MatrixCocycle, OrbitSegment, ScaledMatrix, check_order, cocycle_of, float_array, is_int
+from .cocycle import (MatrixCocycle, OrbitSegment, ScaledMatrix, check_order, cocycle_of, float_array, is_int,
+                      normalize_stack)
 from .errors import ConformalDegenerate, InvalidInput, NoHyperbolicCoordinates, ZeroMatrix
 
 EPS_COECC = 1e-12  # below double discrimination of the two singular values
@@ -101,6 +103,30 @@ def frame_from_scaled(m: ScaledMatrix) -> HyperbolicFrame:
         raise ZeroMatrix("norms undefined for the zero matrix")
     log_min = np.log(s.smin) + m.log_scale if s.smin > 0.0 else float("-inf")
     return _frame(0, linalg2.canonical_sign(s.v_min), np.log(s.smax) + m.log_scale, log_min)
+
+
+def frame_directions(ms: np.ndarray) -> Tuple[np.ndarray, List[float]]:
+    """(e, theta) of ``frame_from_scaled(ScaledMatrix.from_matrix(m))`` for
+    each matrix m of an (n, 2, 2) stack: e as an (n, 2) array, theta as a
+    list.  The first matrix that call refuses raises its error here."""
+    bodies, log_scales, peak = normalize_stack(ms, 0.0)
+    finite = np.isfinite(peak)
+    bodies[~finite] = 0.0
+    s = linalg2.svd2_closed(bodies[:, 0, 0], bodies[:, 0, 1], bodies[:, 1, 0], bodies[:, 1, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the log and ratio of a zero matrix
+        log_max = np.log(s.smax) + log_scales
+        log_min = np.where(s.smin > 0.0, np.log(s.smin) + log_scales, -np.inf)
+        coecc = np.exp(log_min - log_max)
+    refused = ~finite | (s.smax == 0.0) | (coecc >= 1.0 - EPS_COECC)
+    if refused.any():
+        i = int(np.argmax(refused))
+        if not finite[i]:
+            raise InvalidInput("matrix has a non-finite entry")
+        if s.smax[i] == 0.0:
+            raise ZeroMatrix("norms undefined for the zero matrix")
+        frame_coecc(float(log_max[i]), float(log_min[i]))
+    e = linalg2.canonical_sign(s.v_min)
+    return e, [linalg2.direction_to_sincos_angle(f) for f in linalg2.rotate_quarter_cw(e).tolist()]
 
 
 def hyperbolic_coordinates(
@@ -218,22 +244,25 @@ def pushforward_frames(
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Brute-force extremal directions of theta -> |M (sin theta, cos theta)|."""
+    """Brute-force extremal directions of theta -> |M (sin theta, cos theta)|:
+    floats for one matrix, arrays over a stack of matrices."""
 
-    theta_max: float
-    theta_min: float
-    norm_max: float
-    norm_min: float
+    theta_max: Union[float, np.ndarray]
+    theta_min: Union[float, np.ndarray]
+    norm_max: Union[float, np.ndarray]
+    norm_min: Union[float, np.ndarray]
     grid_n: int
 
 
-# Grid points per block of the oracle's block bounds.
+# Grid points per fine block of the oracle's block bounds.
 _ORACLE_BLOCK = 256
-# Each block is bounded about its centre point, its point 128 (or its last
-# point, if it has fewer): no point of it is more than this many steps away.
-_ORACLE_REACH = 128.0
+# Fine blocks per coarse block (4,096 grid points).
+_ORACLE_COARSE = 16
 # Grid points per pass of the first differences, which reuse one buffer.
 _ORACLE_CHUNK = 64 * _ORACLE_BLOCK
+# Most matrices times fine blocks (16 per coarse block) per pass of the
+# prune, which bounds its temporaries where every block of every matrix is kept.
+_ORACLE_PASS = 2**19
 # Allowance of the block bounds in units of sigma * (|g11| + |g12| + |g22|),
 # plus an absolute term for products that underflow (derivation in
 # ``oracle_extremal_directions``).
@@ -244,32 +273,53 @@ _ORACLE_GRAM_LIMIT = 2.0 ** 1020
 
 
 class _BlockBounds(NamedTuple):
-    """Per-block data of the oracle's mean-value bounds over nb blocks.
+    """Data of the oracle's mean-value bounds over one level of blocks.
 
-    centre_slope: (3, 2 nb); row k holds grid column k (sin^2, 2 sin cos,
-    cos^2) at the centre of each block, then the midpoint of the range of
-    its first differences in each block times _ORACLE_REACH.  reach: per
-    column, the largest half-width of those ranges over the blocks, widened
-    for rounding, times _ORACLE_REACH.  sigma: the largest |centre value|
-    plus the largest |slope term| plus the largest reach, which bounds
-    every |grid value|.
+    centre_slope: (groups, 3, 2 w), the blocks in groups of w; row k of a
+    group holds grid column k (sin^2, 2 sin cos, cos^2) at the centre point
+    of each of its blocks, then the midpoint of the range of its first
+    differences in each block times the reach T, half the block size.  The
+    coarse level is one group; the fine level has one group of 16 per
+    coarse block, the last padded with copies of the grid's last fine block.
+    reach: per column, the largest half-width of those ranges over the
+    blocks, widened for rounding, times T.  sigma: the largest |centre
+    value| plus the largest |slope term| plus the largest reach, which
+    bounds every |grid value|.  count: the number of blocks.
     """
 
     centre_slope: np.ndarray
-    reach: Tuple[float, float, float]
+    reach: np.ndarray
     sigma: float
+    count: int
 
 
-def _block_bounds(columns) -> _BlockBounds:
-    """Centre values and first-difference ranges of each grid column per block."""
+def _level(columns, starts: np.ndarray, dlo: np.ndarray, dhi: np.ndarray, size: int,
+           width: int) -> _BlockBounds:
+    """Bound data of the blocks of ``size`` grid points at ``starts``, in
+    groups of ``width``, from their first-difference ranges, (3, blocks) each."""
+    steps = size // 2  # T: no point of a block is further from its centre point
+    centre = np.stack([x[np.minimum(starts + (steps - 1), len(x) - 1)] for x in columns])
+    slope = dlo + dhi
+    slope *= 0.5 * steps
+    largest = np.maximum(-dlo.min(axis=1), dhi.max(axis=1))
+    reach = (0.5 * (dhi - dlo).max(axis=1) + 8.0 * 2.0 ** -53 * largest) * steps
+    sigma = float(np.abs(centre).max() + np.abs(slope).max() + reach.max())
+    groups = -(-len(starts) // width)
+    pad = ((0, 0), (0, groups * width - len(starts)))
+    layout = np.stack([np.pad(v, pad, mode="edge") for v in (centre, slope)], axis=1)
+    layout = layout.reshape(3, 2, groups, width).transpose(2, 0, 1, 3)
+    return _BlockBounds(layout.reshape(groups, 3, 2 * width), reach, sigma, len(starts))
+
+
+def _block_bounds(columns) -> Tuple[_BlockBounds, _BlockBounds]:
+    """Coarse and fine bound data of the grid columns, from one pass of first
+    differences per column: a coarse range is the union of its fine ones."""
     grid_n = len(columns[0])
     starts = np.arange(0, grid_n, _ORACLE_BLOCK)
     nb, per_pass = len(starts), _ORACLE_CHUNK // _ORACLE_BLOCK
     diff = np.empty(min(grid_n, _ORACLE_CHUNK))
-    dlo, dhi = np.empty(nb), np.empty(nb)
-    centre_slope = np.empty((3, 2, nb))
-    reach = []
-    for x, (centre, slope) in zip(columns, centre_slope):
+    dlo, dhi = np.empty((3, nb)), np.empty((3, nb))
+    for x, x_lo, x_hi in zip(columns, dlo, dhi):
         for j in range(0, nb, per_pass):
             first = int(starts[j])
             d = diff[: min(_ORACLE_CHUNK, grid_n - first)]
@@ -277,24 +327,19 @@ def _block_bounds(columns) -> _BlockBounds:
             np.subtract(x[first + 1 : first + 1 + inner], x[first : first + inner], out=d[:inner])
             d[inner:] = d[inner - 1] if inner else 0.0  # a last block of one point needs none
             block = starts[j : j + per_pass] - first
-            dlo[j : j + per_pass] = np.minimum.reduceat(d, block)
-            dhi[j : j + per_pass] = np.maximum.reduceat(d, block)
-        centre[:] = x[np.minimum(starts + (_ORACLE_BLOCK // 2 - 1), grid_n - 1)]
-        np.add(dlo, dhi, out=slope)
-        slope *= 0.5 * _ORACLE_REACH
-        widest = float(np.max(dhi - dlo))
-        largest = max(-float(np.min(dlo)), float(np.max(dhi)))
-        reach.append((0.5 * widest + 8.0 * 2.0 ** -53 * largest) * _ORACLE_REACH)
-    centre_max, slope_max = (
-        max(-float(np.min(v)), float(np.max(v))) for v in centre_slope.swapaxes(0, 1)
+            x_lo[j : j + per_pass] = np.minimum.reduceat(d, block)
+            x_hi[j : j + per_pass] = np.maximum.reduceat(d, block)
+    coarse = np.arange(0, nb, _ORACLE_COARSE)
+    return (
+        _level(columns, starts[coarse], np.minimum.reduceat(dlo, coarse, axis=1),
+               np.maximum.reduceat(dhi, coarse, axis=1), _ORACLE_COARSE * _ORACLE_BLOCK, len(coarse)),
+        _level(columns, starts, dlo, dhi, _ORACLE_BLOCK, _ORACLE_COARSE),
     )
-    sigma = centre_max + slope_max + max(reach)
-    return _BlockBounds(centre_slope.reshape(3, -1), tuple(reach), sigma)
 
 
 @functools.lru_cache(maxsize=1)  # keep one resolution resident
 def _grid_basis(grid_n: int):
-    """sin^2, 2 sin cos and cos^2 on the grid, and their per-block bound data."""
+    """sin^2, 2 sin cos and cos^2 on the grid, and their coarse and fine block bound data."""
     # in place where an operand is dead: each fresh 8 MB array costs page faults
     theta = np.arange(grid_n, dtype=float)
     theta *= math.pi / grid_n
@@ -303,130 +348,183 @@ def _grid_basis(grid_n: int):
     sc2 = 2.0 * s
     sc2 *= c
     columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
-    return columns, _block_bounds(columns)
+    return (columns, *_block_bounds(columns))
 
 
 def _block_enclosures(
-    g11: float, g12: float, g22: float, blocks: _BlockBounds
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(lo, hi, tol): every swept value of f in block b lies in
-    [lo[b] - tol, hi[b] + tol], where sigma G is at most _ORACLE_GRAM_LIMIT."""
-    nb = blocks.centre_slope.shape[1] // 2
-    values = np.array([g11, g12, g22]) @ blocks.centre_slope
-    centre, slope = values[:nb], values[nb:]
-    r11, r12, r22 = blocks.reach
-    bound = np.abs(slope)
-    bound += abs(g11) * r11 + abs(g12) * r12 + abs(g22) * r22
-    tol = _ORACLE_ROUNDING * blocks.sigma * (abs(g11) + abs(g12) + abs(g22)) + _ORACLE_UNDERFLOW
-    return centre - bound, centre + bound, tol
+    gram: np.ndarray, values: np.ndarray, level: _BlockBounds
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, tol) of w blocks of a level for each row of gram, (n, 3),
+    from ``values``, (n, 2 w), the row times the blocks' centre and slope
+    data, which it overwrites: every swept value of f in block b lies in
+    [lo[i, b] - tol[i], hi[i, b] + tol[i]], where sigma G is at most
+    _ORACLE_GRAM_LIMIT."""
+    size = np.abs(gram)
+    centre, bound = np.hsplit(values, 2)
+    np.abs(bound, out=bound)
+    bound += (size @ level.reach)[:, None]
+    lo = centre - bound
+    hi = np.add(centre, bound, out=bound)
+    return lo, hi, _ORACLE_ROUNDING * level.sigma * size.sum(axis=1) + _ORACLE_UNDERFLOW
 
 
-def _kept_runs(g11: float, g12: float, g22: float, blocks: _BlockBounds) -> List[Tuple[int, int]]:
-    """Runs [first, last) of consecutive blocks that may hold the max or the min of f."""
-    nb = blocks.centre_slope.shape[1] // 2
-    if not (abs(g11) + abs(g12) + abs(g22)) * blocks.sigma <= _ORACLE_GRAM_LIMIT:
-        return [(0, nb)]  # NaN, infinite or near overflow
-    lo, hi, tol = _block_enclosures(g11, g12, g22, blocks)
-    # negated prune tests, so that a NaN bound keeps its block
-    keep = ~(hi + tol < lo.max() - tol) | ~(lo - tol > hi.min() + tol)
-    edges = (np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist()
-    if keep[0]:
-        edges.insert(0, 0)
-    if keep[-1]:
-        edges.append(nb)
-    return list(zip(edges[0::2], edges[1::2]))
+def _may_hold_extremum(lo, hi, tol, lo_max, hi_min) -> np.ndarray:
+    """The blocks that the best lower and upper bounds do not rule out, from
+    hi + tol < lo_max - tol and lo - tol > hi_min + tol, which it negates, so
+    that a NaN bound keeps its block; overwrites lo and hi."""
+    hi += tol
+    lo -= tol
+    return ~(hi < lo_max - tol) | ~(lo > hi_min + tol)
 
 
-def _sweep_extremes(
-    g11: float, g12: float, g22: float, grid_n: int
-) -> Tuple[int, int, float, float]:
-    """(imax, imin, f[imax], f[imin]) of the squared image norm f on the grid."""
-    (s2, sc2, c2), blocks = _grid_basis(grid_n)
-    run_max: List[Tuple[int, float]] = []
-    run_min: List[Tuple[int, float]] = []
-    for first, last in _kept_runs(g11, g12, g22, blocks):
-        lo, hi = first * _ORACLE_BLOCK, min(last * _ORACLE_BLOCK, grid_n)
-        f = g11 * s2[lo:hi]
-        f += g12 * sc2[lo:hi]
-        f += g22 * c2[lo:hi]
-        i, j = int(np.argmax(f)), int(np.argmin(f))
-        run_max.append((lo + i, float(f[i])))
-        run_min.append((lo + j, float(f[j])))
-    imax, fmax = run_max[int(np.argmax([v for _, v in run_max]))]
-    imin, fmin = run_min[int(np.argmin([v for _, v in run_min]))]
-    return imax, imin, fmax, fmin
+def _kept_runs(gram: np.ndarray, coarse: _BlockBounds, fine: _BlockBounds) -> Tuple[np.ndarray, ...]:
+    """Runs [first, last) of consecutive fine blocks that may hold the max or
+    the min of f, for each row (g11, g12, g22) of gram, (n, 3): arrays (row,
+    first, last), the runs of each row in index order."""
+    with np.errstate(over="ignore"):
+        size = np.abs(gram).sum(axis=1) * max(coarse.sigma, fine.sigma)
+    sure = np.flatnonzero(size <= _ORACLE_GRAM_LIMIT)
+    whole = np.flatnonzero(~(size <= _ORACLE_GRAM_LIMIT))  # NaN, infinite or near overflow
+    bounded = gram[sure]
+    lo, hi, tol = _block_enclosures(bounded, bounded @ coarse.centre_slope[0], coarse)
+    # each row keeps at least the coarse block of its largest lo
+    keep = _may_hold_extremum(lo, hi, tol[:, None], lo.max(axis=1)[:, None], hi.min(axis=1)[:, None])
+    pair_row, group = np.nonzero(keep)
+    paired = bounded[pair_row]
+    values = np.matmul(paired[:, None, :], fine.centre_slope[group])[:, 0]
+    lo, hi, tol = _block_enclosures(paired, values, fine)
+    each_row = np.flatnonzero(np.diff(pair_row, prepend=-1))
+    lo_max = np.maximum.reduceat(lo.max(axis=1), each_row)[pair_row, None]
+    hi_min = np.minimum.reduceat(hi.min(axis=1), each_row)[pair_row, None]
+    blocks = group[:, None] * _ORACLE_COARSE + np.arange(_ORACLE_COARSE)
+    keep = _may_hold_extremum(lo, hi, tol[:, None], lo_max, hi_min)
+    pair, column = np.nonzero(keep & (blocks < fine.count))  # not the padding
+    row, block = pair_row[pair], blocks[pair, column]
+    starts = np.flatnonzero((np.diff(row, prepend=-1) != 0) | (np.diff(block, prepend=-1) != 1))
+    firsts = block[starts]
+    return (np.concatenate([sure[row[starts]], whole]),
+            np.concatenate([firsts, np.zeros_like(whole)]),
+            np.concatenate([firsts + np.diff(starts, append=len(block)), np.full_like(whole, fine.count)]))
 
 
-def oracle_extremal_directions(m: np.ndarray, grid_n: int) -> OracleResult:
-    """Maximize/minimize the image norm over a uniform angle grid on [0, pi).
+def _sweep_extremes(gram: np.ndarray, grid_n: int) -> Tuple[np.ndarray, ...]:
+    """(imax, imin, fmax, fmin): for each row (g11, g12, g22) of gram, (n, 3),
+    the first index of the max and of the min of the squared image norm f
+    on the grid, and f there, as arrays."""
+    (s2, sc2, c2), coarse, fine = _grid_basis(grid_n)
+    per_pass = max(1, _ORACLE_PASS // (len(fine.centre_slope) * _ORACLE_COARSE))
+    g = gram.tolist()
+    best: List[Optional[List]] = [None] * len(g)
+    for start in range(0, len(g), per_pass):
+        rows, firsts, lasts = _kept_runs(gram[start : start + per_pass], coarse, fine)
+        for row, first, last in zip((rows + start).tolist(), firsts.tolist(), lasts.tolist()):
+            g11, g12, g22 = g[row]
+            lo, hi = first * _ORACLE_BLOCK, min(last * _ORACLE_BLOCK, grid_n)
+            f = g11 * s2[lo:hi]
+            f += g12 * sc2[lo:hi]
+            f += g22 * c2[lo:hi]
+            i, j = int(f.argmax()), int(f.argmin())
+            run = [lo + i, float(f[i]), lo + j, float(f[j])]
+            known = best[row]
+            if known is None:
+                best[row] = run
+                continue
+            # argmax and argmin over the runs in index order: a later run wins
+            # with a larger max (smaller min).  Only a row with finite bounds
+            # has several runs, and its f holds no NaN.
+            if run[1] > known[1]:
+                known[:2] = run[:2]
+            if run[3] < known[3]:
+                known[2:] = run[2:]
+    imax, fmax, imin, fmin = zip(*best) if best else ((),) * 4
+    return (np.array(imax, dtype=np.intp), np.array(imin, dtype=np.intp),
+            np.array(fmax, dtype=float), np.array(fmin, dtype=float))
+
+
+def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
+    """Maximize/minimize the image norm over a uniform angle grid on [0, pi),
+    for one 2x2 matrix (float fields) or each matrix of an (n, 2, 2) stack
+    (array fields); one matrix is the stack of one.
 
     Entirely independent of the closed-form SVD: the squared image norm
     f = g11 sin^2 + g12 (2 sin cos) + g22 cos^2 of the Gram entries is
     evaluated on grid points, and the returned angles are within pi/grid_n
     of the true extremal angles.  A grid_n that is not an int, is a bool or
     is below 4 is InvalidInput, and so is an ``m`` that is not a 2x2 array
-    of finite numbers.
+    or a stack of them, or that holds a number that is not finite.
 
     Blocks of the grid that cannot hold an extremum are skipped; the result
-    is that of the full sweep, index for index.
+    is that of the full sweep, index for index.  The prune has two levels:
+    coarse blocks of 4,096 points, bounded for the whole stack at once, and
+    fine blocks of 256 points, bounded only inside the coarse blocks kept.
 
     Block bounds.  Write X for one of the stored grid columns (sin^2,
     2 sin cos, cos^2), g_X for its Gram entry, G = |g11| + |g12| + |g22|,
     u = 2^-53 and eta = 2^-1075, the largest error of a product that
-    underflows.  Every point i of a block lies within T = 128 steps of the
-    block's centre point c.  The computed first differences
-    D_l = fl(X[l+1] - X[l]) of a block lie in [dlo, dhi]; the exact ones
-    lie within u |D_l| of them (none underflows: nonzero grid values and
-    their differences are far above 2^-1022).  With a = fl(dlo + dhi) / 2,
-    every exact difference lies within (dhi - dlo) / 2 + 2u max(|dlo|,
-    |dhi|) of a; h_X, the largest of these over the blocks, is stored
-    rounded up (half the widest computed range plus 8u times the largest
-    |D| covers the roundings).  X_i - X_c is a sum of |i - c| exact
-    differences, so the exact value of f on the stored grid values of the
-    block lies within T (|sum g_X a_X| + sum |g_X| h_X) of
-    F = sum g_X X_c, the mean-value form.  Near an extremum
-    sum g_X a_X ~ f' ~ 0, so the enclosure is second order in the block
-    width: a few blocks survive, not some 80 around each extremum as with
-    per-column interval ranges.  lo and hi are F minus and plus that bound.
+    underflows.  Every point i of a block lies within T steps of the
+    block's centre point c: T = 128 for a fine block, 2,048 for a coarse
+    one.  The computed first differences D_l = fl(X[l+1] - X[l]) of a block
+    lie in [dlo, dhi] (for a coarse block, the least dlo and the largest
+    dhi of its fine blocks); the exact ones lie within u |D_l| of them (none
+    underflows: nonzero grid values and their differences are far above
+    2^-1022).  With a = fl(dlo + dhi) / 2, every exact difference lies
+    within (dhi - dlo) / 2 + 2u max(|dlo|, |dhi|) of a; h_X, the largest of
+    these over the blocks of a level, is stored rounded up (half the widest
+    computed range plus 8u times the largest |D| covers the roundings).
+    X_i - X_c is a sum of |i - c| exact differences, so the exact value of f
+    on the stored grid values of the block lies within
+    T (|sum g_X a_X| + sum |g_X| h_X) of F = sum g_X X_c, the mean-value
+    form.  Near an extremum sum g_X a_X ~ f' ~ 0, so the enclosure is second
+    order in the block width: a few blocks survive, not some 80 around each
+    extremum as with per-column interval ranges.  lo and hi are F minus and
+    plus that bound.
 
     Allowance.  Let sigma be the largest |X_c| plus the largest T |a_X| plus
-    the largest T h_X over the grid (stored with the block data; about
-    1 + pi for grids of 256 points or more), so every |X_i| <= sigma.
-    Three-term dot products are within 3u(1 + 3u) times the sum of their
-    absolute terms, plus 3 eta, of their exact values in any summation
-    order, FMA or not.  The matrix product that forms F and
-    T sum g_X a_X and the sum of |g_X| T h_X thus err by at most
-    3u sigma G + 9 eta together (to first order in u); the sum forming the
-    bound and the sum forming lo or hi add two roundings, so each computed
-    lo and hi is within 5u sigma G + 9 eta of its exact value.  Each swept
-    f (three roundings) is within 3u sigma G + 3 eta of the exact value.
-    The two comparison sides hi + tol and max(lo) - tol round by at most
-    2u sigma G between them.  A block skipped for the maximum, hi + tol < max(lo) - tol, then
+    the largest T h_X over the blocks of a level (stored with its block
+    data), so every |X_i| <= sigma.  Three-term dot products are within
+    3u(1 + 3u) times the sum of their absolute terms, plus 3 eta, of their
+    exact values in any summation order, FMA or not.  The matrix product
+    that forms F and T sum g_X a_X and the sum of |g_X| T h_X thus err by
+    at most 3u sigma G + 9 eta together (to first order in u); the sum
+    forming the bound and the sum forming lo or hi add two roundings, so
+    each computed lo and hi is within 5u sigma G + 9 eta of its exact value.
+    Each swept f (three roundings) is within 3u sigma G + 3 eta of the
+    exact value.  The two comparison sides hi + tol and max(lo) - tol round
+    by at most 2u sigma G between them.  A block skipped for the maximum,
+    hi + tol < max(lo) - tol with the max over the blocks compared, then
     holds only values strictly below one attained in the block with the
     largest lo as soon as 2 tol >= 2 (5 + 3) u sigma G + 2u sigma G
     + 24 eta, that is tol >= 9u sigma G + 12 eta.  tol = 16u sigma G
-    + 2^-1070 covers this and the roundings of tol, G and sigma.  The
-    minimum is the mirror image.  So the first occurrence of each extremum,
-    ties included, lies in a kept block.  Kept blocks are evaluated with
-    the same three statements as the full sweep, and the per-run extremes
-    are combined by argmax/argmin in index order.  When sigma G is NaN,
-    infinite or above 2^1020 every block is kept, which is the full sweep;
-    below it nothing in the bounds overflows.
+    + 2^-1070, with the sigma of the level, covers this and the roundings
+    of tol, G and sigma.  The minimum is the mirror image.  Coarse blocks
+    are compared with all coarse blocks, and fine blocks with the fine
+    blocks of the kept coarse blocks.  So the first occurrence of each
+    extremum, ties included, lies in a kept fine block of a kept coarse
+    block.  Kept fine blocks are evaluated in runs with the same three
+    statements as the full sweep, and the per-run extremes are combined by
+    argmax/argmin in index order.  When sigma G is NaN, infinite or above
+    2^1020 for the larger sigma of the two levels, every block is kept,
+    which is the full sweep; below it nothing in the bounds overflows.
     """
     if not (is_int(grid_n) and grid_n >= 4):
         raise InvalidInput(f"grid_n must be an int >= 4, got {grid_n!r}")
-    (a, b), (c, d) = float_array(m, "matrix", (2, 2)).tolist()
-    if not all(map(math.isfinite, (a, b, c, d))):
+    ms = float_array(m, "matrix")
+    if ms.ndim not in (2, 3) or ms.shape[-2:] != (2, 2):
+        expected = "(n, 2, 2)" if ms.ndim == 3 else "(2, 2)"
+        raise InvalidInput(f"matrix has shape {ms.shape}; expected {expected}")
+    if not np.isfinite(ms).all():
         raise InvalidInput("matrix has a non-finite entry")
-    imax, imin, fmax, fmin = _sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
+    stack = ms.reshape(-1, 2, 2)
+    a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, silent as with floats
+        gram = np.stack([a * a + c * c, a * b + c * d, b * b + d * d], axis=1)
+    imax, imin, fmax, fmin = _sweep_extremes(gram, grid_n)
     step = math.pi / grid_n
-    return OracleResult(
-        theta_max=imax * step,
-        theta_min=imin * step,
-        norm_max=math.sqrt(max(fmax, 0.0)),
-        norm_min=math.sqrt(max(fmin, 0.0)),
-        grid_n=grid_n,
-    )
+    fields = (imax * step, imin * step, np.sqrt(np.where(fmax < 0.0, 0.0, fmax)),
+              np.sqrt(np.where(fmin < 0.0, 0.0, fmin)))
+    if ms.ndim == 2:
+        fields = tuple(float(v[0]) for v in fields)
+    return OracleResult(*fields, grid_n=grid_n)
 
 
 def diagonal_form_residuals(

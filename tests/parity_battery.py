@@ -28,8 +28,10 @@ output directory:
   has empty last-row Jacobian cells and -inf logs;
 * ``scan-constants`` under flavor I at lambda 1.5 and 3 and Gamma 2,
   whose ``violated`` cells are empty and a text holding a comma;
-* ``oracle-check`` with seeds 0..4 at grids of 10^6 and 20,001 points,
-  100 trials each;
+* ``oracle-check`` with seeds 0..4 at grids of 10^6, 20,001, 4,095 and
+  4,097 points (the last two on the edges of one coarse block of the
+  oracle's prune), 100 trials each, and with seed 0 at 10^6 points and one
+  trial;
 * ``orbit`` and ``frames`` at k = 80 from the Henon fixture, A and B and
   the lorenz2d and standard-map fixtures;
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
@@ -137,9 +139,10 @@ def battery() -> dict:
                                      "--k", "3"]
     runs["scan-constants-I"] = ["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2"]
     for seed in range(5):
-        for grid_n in (1_000_000, 20_001):
+        for grid_n in (1_000_000, 20_001, 4_095, 4_097):
             runs[f"oracle-{seed}-{grid_n}"] = ["oracle-check", "--seed", str(seed), "--trials", "100",
                                               "--grid-n", str(grid_n)]
+    runs["oracle-0-1000000-trials-1"] = ["oracle-check", "--seed", "0", "--trials", "1", "--grid-n", "1000000"]
     return runs
 
 

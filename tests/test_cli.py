@@ -220,6 +220,27 @@ def test_oracle_check_command(tmp_path):
     assert payload["violations"] == 0
 
 
+def _random_test_matrix(rng):
+    """One-at-a-time reference of ``cli._random_test_matrices``: uniform draws
+    from [-2, 2] until one has co-eccentricity < 0.9 and co-norm >= 0.05."""
+    while True:
+        m = rng.uniform(-2.0, 2.0, size=(2, 2))
+        s = cli.linalg2.svd2_matrix(m)
+        if s.smin >= 0.05 and s.smin / s.smax < 0.9:
+            return m
+
+
+@pytest.mark.parametrize("seeds, trials", [(range(40), 1), (range(40), 100), ([0], 70000)],
+                         ids=["pool-trials-1", "pool-trials-100", "two-bulk-draws"])
+def test_oracle_check_draws_the_matrices_of_one_at_a_time_draws(seeds, trials):
+    # seeds 0..39 are the oracle-1e6 benchmark pool
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expected = np.array([_random_test_matrix(rng) for _ in range(trials)])
+        got = cli._random_test_matrices(np.random.default_rng(seed), trials)
+        assert got.shape == (trials, 2, 2) and got.tobytes() == expected.tobytes()
+
+
 def test_scan_constants_command(tmp_path):
     code = run(["scan-constants", "--flavor", "II",
                 "--lambda-values", "1.5", "--gamma-values", "1.5,2.0",

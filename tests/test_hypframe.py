@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -282,15 +283,19 @@ def test_oracle_agrees_with_svd_small_sweep():
         assert math.isclose(res.norm_max, math.exp(frame.log_sigma_max), rel_tol=1e-8)
 
 
+def gram_rows(ms):
+    """(g11, g12, g22) of each matrix in float arithmetic, as an (n, 3) array."""
+    rows = []
+    for m in ms:
+        (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+        rows.append((a * a + c * c, a * b + c * d, b * b + d * d))
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
 def full_sweep(m, grid_n):
     """Reference for the pruned oracle: f on every grid point, then argmax and argmin."""
-    body = np.asarray(m, dtype=float)
-    a, b = float(body[0, 0]), float(body[0, 1])
-    c, d = float(body[1, 0]), float(body[1, 1])
-    g11 = a * a + c * c
-    g12 = a * b + c * d
-    g22 = b * b + d * d
-    (s2, sc2, c2), _ = hypframe._grid_basis(grid_n)
+    g11, g12, g22 = gram_rows([m])[0].tolist()
+    (s2, sc2, c2), *_ = hypframe._grid_basis(grid_n)
     f = g11 * s2
     f += g12 * sc2
     f += g22 * c2
@@ -301,6 +306,14 @@ def full_sweep(m, grid_n):
 
 def same_float(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def assert_sweeps_equal(got, expected):
+    """Row i of the stacked sweep ``got`` is expected[i], index for index."""
+    assert len(got[0]) == len(expected)
+    for i, (imax, imin, fmax, fmin) in enumerate(expected):
+        assert (got[0][i], got[1][i]) == (imax, imin)
+        assert same_float(got[2][i], fmax) and same_float(got[3][i], fmin)
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -333,50 +346,57 @@ _T = 255.0 * math.pi / 256.0
 PEAK_AT_LAST_POINT_OF_256 = np.diag([2.0, 1.0]) @ np.array(
     [[math.sin(_T), math.cos(_T)], [math.cos(_T), -math.sin(_T)]]
 )
+# a finite Gram sum above _ORACLE_GRAM_LIMIT, and an infinite one: every block is kept
+_GRAM_ABOVE_LIMIT = np.diag([4e153, 1.0])
+_GRAM_INFINITE = np.array([[1.0, 1e160], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("grid_n", [4, 5, 255, 256, 257, 20001, 10**6])
+# grids of one to three fine blocks, on the edges of a coarse block, of 17
+# coarse blocks less a point, and two of many coarse blocks
+@pytest.mark.parametrize("grid_n", [4, 5, 255, 256, 257, 4095, 4096, 4097, 20001, 65537, 10**6])
 @settings(max_examples=60, deadline=None)
-@given(m=oracle_matrices())
-@example(m=np.eye(2))
-@example(m=np.array([[1e160, 1.0], [0.0, 1.0]]))
-@example(m=np.array([[math.nan, 1.0], [0.0, 1.0]]))
-@example(m=np.array([[math.inf, 1.0], [0.0, 1.0]]))
-@example(m=np.array([[1e-170, 3e-170], [0.0, 1e-200]]))
-@example(m=PEAK_AT_LAST_POINT_OF_256)
-def test_oracle_pruned_sweep_equals_full_sweep(grid_n, m):
+@given(ms=st.lists(oracle_matrices(), min_size=1, max_size=3))
+@example(ms=[np.eye(2)])
+@example(ms=[np.array([[1e160, 1.0], [0.0, 1.0]])])
+@example(ms=[np.array([[math.nan, 1.0], [0.0, 1.0]])])
+@example(ms=[np.array([[math.inf, 1.0], [0.0, 1.0]])])
+@example(ms=[np.array([[1e-170, 3e-170], [0.0, 1e-200]])])
+@example(ms=[PEAK_AT_LAST_POINT_OF_256])
+@example(ms=[PEAK_AT_LAST_POINT_OF_256, _GRAM_ABOVE_LIMIT, np.diag([3.0, 1.0]), _GRAM_INFINITE])
+def test_oracle_pruned_sweep_equals_full_sweep(grid_n, ms):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        expected = full_sweep(m, grid_n)
-    finite = np.isfinite(m).all()
+        expected = [full_sweep(m, grid_n) for m in ms]
+    finite = np.isfinite(ms).all()
     with warnings.catch_warnings():
         # the pruned sweep warns only where the full sweep does
         warnings.simplefilter("ignore" if caught else "error")
         if finite:
-            res = oracle_extremal_directions(m, grid_n)
-        else:  # the oracle refuses the matrix; its sweep still equals the full one
+            res = oracle_extremal_directions(np.array(ms), grid_n)
+            alone = [oracle_extremal_directions(m, grid_n) for m in ms]
+        else:  # the oracle refuses the stack; its sweep still equals the full one
             with pytest.raises(InvalidInput, match=r"^matrix has a non-finite entry$"):
-                oracle_extremal_directions(m, grid_n)
-        a, b, c, d = (float(v) for v in np.asarray(m, dtype=float).ravel())
-        got = hypframe._sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
-    assert got[:2] == expected[:2]
-    assert same_float(got[2], expected[2]) and same_float(got[3], expected[3])
+                oracle_extremal_directions(np.array(ms), grid_n)
+        got = hypframe._sweep_extremes(gram_rows(ms), grid_n)
+    assert_sweeps_equal(got, expected)
     if not finite:
         return
     step = math.pi / grid_n
-    assert res.theta_max == float(np.arange(grid_n)[expected[0]] * step)
-    assert res.theta_min == float(np.arange(grid_n)[expected[1]] * step)
-    assert same_float(res.norm_max, math.sqrt(max(expected[2], 0.0)))
-    assert same_float(res.norm_min, math.sqrt(max(expected[3], 0.0)))
+    for i, (imax, imin, fmax, fmin) in enumerate(expected):
+        fields = (imax * step, imin * step, math.sqrt(max(fmax, 0.0)), math.sqrt(max(fmin, 0.0)))
+        for name, value in zip(("theta_max", "theta_min", "norm_max", "norm_min"), fields):
+            # a stack gives what each of its matrices gives alone, as floats
+            assert same_float(float(getattr(res, name)[i]), value)
+            assert type(getattr(alone[i], name)) is float and same_float(getattr(alone[i], name), value)
 
 
-def _battery_matrix(rng, grid_n):
+def _battery_matrix(rng, grid_n, edge_blocks=1):
     """A seeded matrix of one of four kinds, at a scale from 1e-161 to 1e160.
 
     The block-edge kind maps the grid direction (sin t, cos t) to the major
-    or minor axis, with t within a grid step of a block boundary or halfway
-    between two grid points there, so that the extremum or a near tie sits
-    on the edge of two blocks.
+    or minor axis, with t within a grid step of the edge of two runs of
+    ``edge_blocks`` fine blocks or halfway between two grid points there, so
+    that the extremum or a near tie sits on the edge of two blocks.
     """
     kind = rng.integers(4)
     if kind == 0:
@@ -389,62 +409,91 @@ def _battery_matrix(rng, grid_n):
     elif kind == 2:
         m = np.outer(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2))
     else:
-        edge = hypframe._ORACLE_BLOCK * rng.integers(grid_n // hypframe._ORACLE_BLOCK + 1)
+        edge_size = hypframe._ORACLE_BLOCK * edge_blocks
+        edge = edge_size * rng.integers(grid_n // edge_size + 1)
         t = (edge + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) * math.pi / grid_n
         axes = np.diag(rng.permutation([2.0, rng.uniform(0.0, 1.9)]))
         m = axes @ np.array([[math.sin(t), math.cos(t)], [math.cos(t), -math.sin(t)]])
     return m * 10.0 ** rng.choice([-161, -160, -155, -150, 0, 150, 155, 160])
 
 
-# (grids, matrices per grid): every grid up to four blocks, grids on the edges
-# of the difference passes (_ORACLE_CHUNK points), a medium and the full grid
+# (grids, matrices per grid, fine blocks between the edges of the block-edge
+# kind): every grid up to four blocks, grids on the edges of the difference
+# passes (_ORACLE_CHUNK points) and of the coarse blocks, a medium and the
+# full grid
 _BATTERY = {
-    "4-1024": (range(4, 1025), 3),
-    "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60),
-    "20001": ((20001,), 1500),
-    "1e6": ((10**6,), 12),
+    "4-1024": (range(4, 1025), 3, 1),
+    "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60, 1),
+    "coarse-edges": ((4095, 4096, 4097, 8191, 8192, 8193, 65537), 60, hypframe._ORACLE_COARSE),
+    "20001": ((20001,), 1500, 1),
+    "1e6": ((10**6,), 12, 1),
 }
 
 
-@pytest.mark.parametrize("grids, count", _BATTERY.values(), ids=_BATTERY.keys())
-def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count):
+@pytest.mark.parametrize("grids, count, edge_blocks", _BATTERY.values(), ids=_BATTERY.keys())
+def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count, edge_blocks):
     rng = np.random.default_rng(31)
     with np.errstate(all="ignore"):
         for grid_n in grids:
-            for _ in range(count):
-                m = _battery_matrix(rng, grid_n)
-                a, b, c, d = (float(v) for v in m.ravel())
-                got = hypframe._sweep_extremes(a * a + c * c, a * b + c * d, b * b + d * d, grid_n)
-                expected = full_sweep(m, grid_n)
-                assert got[:2] == expected[:2], (grid_n, m.tolist())
-                assert same_float(got[2], expected[2]) and same_float(got[3], expected[3])
+            ms = [_battery_matrix(rng, grid_n, edge_blocks) for _ in range(count)]
+            gram = gram_rows(ms)
+            expected = [full_sweep(m, grid_n) for m in ms]
+            assert_sweeps_equal(hypframe._sweep_extremes(gram, grid_n), expected)
+            for i in range(count):  # so each matrix alone gives its row of the stack
+                assert_sweeps_equal(hypframe._sweep_extremes(gram[i : i + 1], grid_n), expected[i : i + 1])
 
 
-@pytest.mark.parametrize("grid_n", [300, 1000, 20001, 10**6])
+def _all_enclosures(gram, grid_n):
+    """The coarse and the fine (lo, hi, tol) of every block, for each row of
+    gram, with the block size of each level."""
+    _, coarse, fine = hypframe._grid_basis(grid_n)
+    groups = len(fine.centre_slope)
+    rows = np.repeat(gram, groups, axis=0)
+    values = np.matmul(rows[:, None, :], np.tile(fine.centre_slope, (len(gram), 1, 1)))[:, 0]
+    lo, hi, tol = hypframe._block_enclosures(rows, values, fine)
+    fine_blocks = tuple(v.reshape(len(gram), -1)[:, : fine.count] for v in (lo, hi)) + (tol[::groups],)
+    coarse_blocks = hypframe._block_enclosures(gram, gram @ coarse.centre_slope[0], coarse)
+    return ((coarse_blocks, hypframe._ORACLE_COARSE * hypframe._ORACLE_BLOCK),
+            (fine_blocks, hypframe._ORACLE_BLOCK))
+
+
+@pytest.mark.parametrize("grid_n", [300, 1000, 4097, 20001, 65537, 10**6])
 def test_oracle_block_bounds_enclose_every_swept_value(grid_n):
-    # the mean-value enclosure itself, on monotone blocks as well as around
-    # the extrema; the argmax above needs only part of it
+    # the mean-value enclosures of both levels, on monotone blocks as well as
+    # around the extrema; the argmax above needs only part of them
     rng = np.random.default_rng(32)
-    (s2, sc2, c2), blocks = hypframe._grid_basis(grid_n)
-    starts = np.arange(0, grid_n, hypframe._ORACLE_BLOCK)
+    (s2, sc2, c2), coarse, fine = hypframe._grid_basis(grid_n)
     with np.errstate(all="ignore"):
-        for _ in range(40 if grid_n < 10**6 else 6):
-            a, b, c, d = (float(v) for v in _battery_matrix(rng, grid_n).ravel())
-            g11, g12, g22 = a * a + c * c, a * b + c * d, b * b + d * d
-            if not (abs(g11) + abs(g12) + abs(g22)) * blocks.sigma <= hypframe._ORACLE_GRAM_LIMIT:
-                continue
-            f = g11 * s2
-            f += g12 * sc2
-            f += g22 * c2
-            lo, hi, tol = hypframe._block_enclosures(g11, g12, g22, blocks)
-            assert np.all(np.maximum.reduceat(f, starts) <= hi + tol)
-            assert np.all(np.minimum.reduceat(f, starts) >= lo - tol)
+        gram = gram_rows([_battery_matrix(rng, grid_n) for _ in range(40 if grid_n < 10**6 else 6)])
+        sigma = max(coarse.sigma, fine.sigma)
+        gram = gram[np.abs(gram).sum(axis=1) * sigma <= hypframe._ORACLE_GRAM_LIMIT]
+    assert len(gram) >= 3
+    levels = _all_enclosures(gram, grid_n)
+    for i, (g11, g12, g22) in enumerate(gram.tolist()):
+        f = g11 * s2
+        f += g12 * sc2
+        f += g22 * c2
+        for (lo, hi, tol), size in levels:
+            starts = np.arange(0, grid_n, size)
+            assert np.all(np.maximum.reduceat(f, starts) <= hi[i] + tol[i])
+            assert np.all(np.minimum.reduceat(f, starts) >= lo[i] - tol[i])
 
 
 def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
-    _, blocks = hypframe._grid_basis(10**6)
-    runs = hypframe._kept_runs(10.0, 1.0, 0.5, blocks)
-    assert 0 < sum(last - first for first, last in runs) <= 16
+    # of 245 coarse and 3,907 fine blocks, 8 and 8: a run around each extremum
+    _, coarse, fine = hypframe._grid_basis(10**6)
+    gram = np.array([[10.0, 1.0, 0.5]])
+    lo, hi, tol = hypframe._block_enclosures(gram, gram @ coarse.centre_slope[0], coarse)
+    coarse_kept = hypframe._may_hold_extremum(lo, hi, tol[:, None], lo.max(axis=1)[:, None],
+                                              hi.min(axis=1)[:, None])[0]
+    assert 0 < coarse_kept.sum() <= 10
+    rows, firsts, lasts = hypframe._kept_runs(np.tile(gram, (3, 1)), coarse, fine)
+    assert rows.tolist() == [0, 0, 1, 1, 2, 2]
+    assert 0 < sum(lasts[:2] - firsts[:2]) <= 16
+    assert (firsts.tolist(), lasts.tolist()) == (firsts[:2].tolist() * 3, lasts[:2].tolist() * 3)
+    # every kept fine block lies in a kept coarse block
+    kept = np.concatenate([np.arange(first, last) for first, last in zip(firsts[:2], lasts[:2])])
+    assert coarse_kept[kept // hypframe._ORACLE_COARSE].all()
 
 
 @pytest.mark.parametrize("grid_n", [10.5, 3, True, 4.0, "1000", None])
@@ -460,6 +509,9 @@ def test_oracle_grid_n_must_be_an_int_of_at_least_4(grid_n):
     (np.array([[1.0, math.nan], [0.0, 1.0]]), "matrix has a non-finite entry"),
     (np.array([[1.0, 0.0], [-math.inf, 1.0]]), "matrix has a non-finite entry"),
     (np.array([[1.0, 0.0], [0.0, math.nan]]), "matrix has a non-finite entry"),
+    (np.ones((3, 2, 3)), r"matrix has shape \(3, 2, 3\); expected \(n, 2, 2\)"),
+    (np.ones((1, 1, 2, 2)), r"matrix has shape \(1, 1, 2, 2\); expected \(2, 2\)"),
+    (np.array([np.eye(2), [[1.0, 0.0], [math.inf, 1.0]]]), "matrix has a non-finite entry"),
 ])
 def test_oracle_matrix_must_be_a_finite_2x2(m, message):
     with warnings.catch_warnings():
@@ -473,6 +525,45 @@ def test_frame_of_a_zero_matrix_is_zero_matrix(m):
     # 5e-324 / 2 underflows to 0 in the closed form, which then reads a zero matrix
     with pytest.raises(ZeroMatrix, match="^norms undefined for the zero matrix$"):
         frame_from_scaled(ScaledMatrix(m, 0.0))
+
+
+def test_frame_directions_of_a_stack_are_those_of_each_frame():
+    rng = np.random.default_rng(45)
+    random = np.concatenate([
+        rng.uniform(-2.0, 2.0, (300, 2, 2)),
+        [np.outer(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)) for _ in range(20)],
+    ]) * 10.0 ** rng.choice([-300, -150, 0, 150, 300], (320, 1, 1))
+    ms = np.concatenate([random, [
+        np.diag([1.0, 0.0]), np.diag([0.0, -3.0]), np.diag([5e-324, 0.0]), np.diag([2.0, -1.0]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]), PEAK_AT_LAST_POINT_OF_256]])
+    e, theta = hypframe.frame_directions(ms)
+    for m, e_i, theta_i in zip(ms, e, theta):
+        frame = frame_from_scaled(scaled(m))
+        assert e_i.tobytes() == frame.e.tobytes() and theta_i == frame.theta
+        assert type(theta_i) is float
+
+
+_REFUSED = {
+    "zero": np.zeros((2, 2)),
+    "nan": np.array([[1.0, math.nan], [0.0, 1.0]]),
+    "inf": np.array([[1.0, 0.0], [-math.inf, 1.0]]),
+    "conformal": np.eye(2) * 3.0,
+    "near-conformal": np.diag([1.0, 1.0 + 1e-13]),
+}
+
+
+@pytest.mark.parametrize("first, second", [(a, b) for a in _REFUSED for b in _REFUSED if a != b])
+@pytest.mark.parametrize("at", [0, 2])
+def test_frame_directions_raise_what_the_first_refused_frame_raises(first, second, at):
+    ms = [np.diag([2.0, 1.0])] * 4
+    ms[at], ms[at + 1] = _REFUSED[first], _REFUSED[second]
+    with pytest.raises((InvalidInput, ZeroMatrix, NoHyperbolicCoordinates)) as each:
+        for m in ms:
+            frame_from_scaled(ScaledMatrix.from_matrix(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(each.value), match=f"^{re.escape(str(each.value))}$"):
+            hypframe.frame_directions(np.array(ms))
 
 
 def test_diagonal_form_identity():
