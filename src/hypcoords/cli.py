@@ -393,7 +393,7 @@ def _random_test_matrices(rng: np.random.Generator, count: int) -> np.ndarray:
     co-norm >= 0.05, (count, 2, 2): the uniform draws from [-2, 2] that pass,
     in the order drawn."""
     passed = []
-    while count > 0:
+    while count > 0:  # about 95 % of draws pass, so one batch nearly always does
         m = rng.uniform(-2.0, 2.0, size=(min(2 * count + 8, 2**16), 2, 2))
         s = linalg2.svd2_closed(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1])
         keep = s.smin >= 0.05
