@@ -403,44 +403,61 @@ def _random_test_matrices(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate(passed)
 
 
-def _oracle_trials(ms: np.ndarray, grid_n: int):
-    """Per trial matrix: its entries as a nested list, its frame angle, its
-    singular values and the grid oracle's angle of the max and norms, from
-    one stacked call of each per _ORACLE_TRIALS matrices."""
+def _oracle_stacks(ms: np.ndarray, grid_n: int):
+    """Per stack of up to _ORACLE_TRIALS trial matrices: the stack, its
+    singular values, its frame angles as an array and the grid oracle's
+    result, from one stacked call of each."""
     for start in range(0, len(ms), _ORACLE_TRIALS):
         stack = ms[start : start + _ORACLE_TRIALS]
         s = linalg2.svd2_closed(stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1])
         _, thetas = hypframe.frame_directions(stack)
-        oracle = hypframe.oracle_extremal_directions(stack, grid_n)
-        yield from zip(stack.tolist(), thetas, s.smax, s.smin, oracle.theta_max.tolist(),
-                       oracle.norm_max.tolist(), oracle.norm_min.tolist())
+        yield stack, s, np.array(thetas), hypframe.oracle_extremal_directions(stack, grid_n)
+
+
+def _trial_checks(stack: np.ndarray, s: linalg2.Svd2, theta_svd: np.ndarray, oracle: hypframe.OracleResult,
+                  grid_n: int) -> Tuple[np.ndarray, ...]:
+    """Per trial of one stack: whether it fails a check; the distance of the
+    closed-form frame angle from the critical angle of
+    ``hypframe.angle_theta`` and from the grid oracle's; and the relative
+    errors of the oracle's norms against the singular values.  Array
+    expressions in the arithmetic of one trial at a time; math.atan2 and
+    Python's ** 2 stay per trial, whose last bit np.arctan2 and x * x do not
+    always match."""
+    a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+    num = 2.0 * (a * b + c * d)  # angle_theta(a, c, b, d)
+    den = (b * b + d * d) - (a * a + c * c)
+    degenerate = (np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)
+    if degenerate.any():  # ConformalDegenerate, from the first such trial
+        i = int(np.argmax(degenerate))
+        hypframe.angle_theta(float(a[i]), float(c[i]), float(b[i]), float(d[i]))
+    theta_expand = 0.5 * np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
+    theta_expand[theta_expand < 0.0] += math.pi
+    d1 = linalg2.line_angle_distance(theta_svd, theta_expand)
+    d2 = linalg2.line_angle_distance(theta_svd, oracle.theta_max)
+    n1 = np.abs(oracle.norm_max - s.smax) / s.smax
+    n2 = np.abs(oracle.norm_min - s.smin) / s.smin
+    # nearest grid angle sits within pi/(2 n) of the extremum; the induced
+    # norm error scales with the curvature over the extremal value, which
+    # for the small singular value carries a 1/coecc^2 factor
+    delta_sq = (math.pi / (2.0 * grid_n)) ** 2
+    tol_max = max(1e-8, 2.0 * delta_sq)
+    tol_min = np.maximum(1e-8, 2.0 * delta_sq * np.array([r**2 for r in (s.smax / s.smin).tolist()]))
+    failed = (d1 > 1e-9) | (d2 > math.pi / grid_n + 1e-9) | (n1 > tol_max) | (n2 > tol_min)
+    return failed, d1, d2, n1, n2
 
 
 def cmd_oracle_check(args) -> int:
     seed, trials, grid_n = args.seed, args.trials, args.grid_n
     out = _out_dir(args)
     ms = _random_test_matrices(np.random.default_rng(seed), trials)
-    angle_tol = math.pi / grid_n
-    # nearest grid angle sits within pi/(2 n) of the extremum; the induced
-    # norm error scales with the curvature over the extremal value, which
-    # for the small singular value carries a 1/coecc^2 factor
-    delta_sq = (math.pi / (2.0 * grid_n)) ** 2
     violations = 0
     worst_angle = 0.0
     worst_norm = 0.0
-    # per trial in math.atan2, whose last bit np.arctan2 does not always match
-    for ((a, b), (c, d)), theta_svd, smax, smin, theta_max, norm_max, norm_min in _oracle_trials(ms, grid_n):
-        angles = hypframe.angle_theta(a, c, b, d)
-        d1 = linalg2.line_angle_distance(theta_svd, angles.theta_expand)
-        d2 = linalg2.line_angle_distance(theta_svd, theta_max)
-        n1 = abs(norm_max - smax) / smax
-        n2 = abs(norm_min - smin) / smin
-        tol_max = max(1e-8, 2.0 * delta_sq)
-        tol_min = max(1e-8, 2.0 * delta_sq * (smax / smin) ** 2)
-        worst_angle = max(worst_angle, d1, d2)
-        worst_norm = max(worst_norm, n1, n2)
-        if d1 > 1e-9 or d2 > angle_tol + 1e-9 or n1 > tol_max or n2 > tol_min:
-            violations += 1
+    for stack in _oracle_stacks(ms, grid_n):
+        failed, d1, d2, n1, n2 = _trial_checks(*stack, grid_n)
+        violations += int(np.count_nonzero(failed))
+        worst_angle = max(worst_angle, float(d1.max()), float(d2.max()))
+        worst_norm = max(worst_norm, float(n1.max()), float(n2.max()))
     payload = {
         "seed": seed,
         "trials": trials,

@@ -24,9 +24,9 @@ directly; the contracting angle sits a quarter turn away.
 The grid oracle (``oracle_extremal_directions``) checks these closed forms
 without the SVD: it maximizes and minimizes |M (sin t, cos t)|^2 over a
 uniform angle grid, for one matrix or a stack of them.  It skips grid
-blocks, coarse ones and then fine ones inside them, whose mean-value
-enclosure, widened by a floating-point error bound, shows that they cannot
-hold an extremum, so it returns exactly what the full sweep returns.
+blocks, at three levels of block size, whose mean-value enclosure, widened
+by a floating-point error bound, shows that they cannot hold an extremum,
+so it returns exactly what the full sweep returns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -254,15 +254,17 @@ class OracleResult:
     grid_n: int
 
 
-# Grid points per fine block of the oracle's block bounds.
-_ORACLE_BLOCK = 256
-# Fine blocks per coarse block (4,096 grid points).
-_ORACLE_COARSE = 16
+# Grid points per block of the finest level of the oracle's block bounds.
+_ORACLE_BLOCK = 16
+# Blocks per block of the level above, and levels: blocks of 4,096, 256
+# and 16 grid points.
+_ORACLE_FANOUT = 16
+_ORACLE_LEVELS = 3
 # Grid points per pass of the first differences, which reuse one buffer.
-_ORACLE_CHUNK = 64 * _ORACLE_BLOCK
-# Most matrices times fine blocks (16 per coarse block) per pass of the
-# prune, which bounds its temporaries where every block of every matrix is kept.
-_ORACLE_PASS = 2**19
+_ORACLE_CHUNK = 2**14
+# Most blocks bounded, or swept, per pass of the prune, which bounds its
+# temporaries where every block is kept.
+_ORACLE_PASS = 2**15
 # Allowance of the block bounds in units of sigma * (|g11| + |g12| + |g22|),
 # plus an absolute term for products that underflow (derivation in
 # ``oracle_extremal_directions``).
@@ -279,12 +281,12 @@ class _BlockBounds(NamedTuple):
     group holds grid column k (sin^2, 2 sin cos, cos^2) at the centre point
     of each of its blocks, then the midpoint of the range of its first
     differences in each block times the reach T, half the block size.  The
-    coarse level is one group; the fine level has one group of 16 per
-    coarse block, the last padded with copies of the grid's last fine block.
-    reach: per column, the largest half-width of those ranges over the
-    blocks, widened for rounding, times T.  sigma: the largest |centre
-    value| plus the largest |slope term| plus the largest reach, which
-    bounds every |grid value|.  count: the number of blocks.
+    top level is one group; every lower level has one group of 16 per block
+    of the level above, its children, the last padded with copies of the
+    grid's last block.  reach: per column, the largest half-width of those
+    ranges over the blocks, widened for rounding, times T.  sigma: the
+    largest |centre value| plus the largest |slope term| plus the largest
+    reach, which bounds every |grid value|.  count: the number of blocks.
     """
 
     centre_slope: np.ndarray
@@ -293,27 +295,30 @@ class _BlockBounds(NamedTuple):
     count: int
 
 
-def _level(columns, starts: np.ndarray, dlo: np.ndarray, dhi: np.ndarray, size: int,
-           width: int) -> _BlockBounds:
-    """Bound data of the blocks of ``size`` grid points at ``starts``, in
-    groups of ``width``, from their first-difference ranges, (3, blocks) each."""
+def _level(columns, size: int, dlo: np.ndarray, dhi: np.ndarray, width: int) -> _BlockBounds:
+    """Bound data of the blocks of ``size`` grid points, in groups of
+    ``width``, from their first-difference ranges, (3, blocks) each."""
     steps = size // 2  # T: no point of a block is further from its centre point
-    centre = np.stack([x[np.minimum(starts + (steps - 1), len(x) - 1)] for x in columns])
-    slope = dlo + dhi
+    count = dlo.shape[1]
+    groups = -(-count // width)
+    # the blocks of each group, the last repeated into the padding
+    at = np.minimum(np.arange(groups * width), count - 1)
+    centre = np.stack([x[np.minimum(at * size + (steps - 1), len(x) - 1)] for x in columns])
+    slope = dlo[:, at] + dhi[:, at]
     slope *= 0.5 * steps
     largest = np.maximum(-dlo.min(axis=1), dhi.max(axis=1))
     reach = (0.5 * (dhi - dlo).max(axis=1) + 8.0 * 2.0 ** -53 * largest) * steps
     sigma = float(np.abs(centre).max() + np.abs(slope).max() + reach.max())
-    groups = -(-len(starts) // width)
-    pad = ((0, 0), (0, groups * width - len(starts)))
-    layout = np.stack([np.pad(v, pad, mode="edge") for v in (centre, slope)], axis=1)
-    layout = layout.reshape(3, 2, groups, width).transpose(2, 0, 1, 3)
-    return _BlockBounds(layout.reshape(groups, 3, 2 * width), reach, sigma, len(starts))
+    layout = np.empty((groups, 3, 2, width))
+    for half, v in enumerate((centre, slope)):
+        layout[:, :, half] = v.reshape(3, groups, width).transpose(1, 0, 2)
+    return _BlockBounds(layout.reshape(groups, 3, 2 * width), reach, sigma, count)
 
 
-def _block_bounds(columns) -> Tuple[_BlockBounds, _BlockBounds]:
-    """Coarse and fine bound data of the grid columns, from one pass of first
-    differences per column: a coarse range is the union of its fine ones."""
+def _block_bounds(columns) -> List[_BlockBounds]:
+    """Bound data of every level of the grid columns, the top level first,
+    from one pass of first differences per column: a block's range is the
+    union of the ranges of its children."""
     grid_n = len(columns[0])
     starts = np.arange(0, grid_n, _ORACLE_BLOCK)
     nb, per_pass = len(starts), _ORACLE_CHUNK // _ORACLE_BLOCK
@@ -329,17 +334,20 @@ def _block_bounds(columns) -> Tuple[_BlockBounds, _BlockBounds]:
             block = starts[j : j + per_pass] - first
             x_lo[j : j + per_pass] = np.minimum.reduceat(d, block)
             x_hi[j : j + per_pass] = np.maximum.reduceat(d, block)
-    coarse = np.arange(0, nb, _ORACLE_COARSE)
-    return (
-        _level(columns, starts[coarse], np.minimum.reduceat(dlo, coarse, axis=1),
-               np.maximum.reduceat(dhi, coarse, axis=1), _ORACLE_COARSE * _ORACLE_BLOCK, len(coarse)),
-        _level(columns, starts, dlo, dhi, _ORACLE_BLOCK, _ORACLE_COARSE),
-    )
+    levels = []
+    for depth in range(_ORACLE_LEVELS):
+        if depth:
+            parents = np.arange(0, dlo.shape[1], _ORACLE_FANOUT)
+            dlo, dhi = np.minimum.reduceat(dlo, parents, axis=1), np.maximum.reduceat(dhi, parents, axis=1)
+        top = depth == _ORACLE_LEVELS - 1
+        levels.append(_level(columns, _ORACLE_BLOCK * _ORACLE_FANOUT**depth, dlo, dhi,
+                             dlo.shape[1] if top else _ORACLE_FANOUT))
+    return levels[::-1]
 
 
 @functools.lru_cache(maxsize=1)  # keep one resolution resident
 def _grid_basis(grid_n: int):
-    """sin^2, 2 sin cos and cos^2 on the grid, and their coarse and fine block bound data."""
+    """sin^2, 2 sin cos and cos^2 on the grid, and the block bound data of every level, the top first."""
     # in place where an operand is dead: each fresh 8 MB array costs page faults
     theta = np.arange(grid_n, dtype=float)
     theta *= math.pi / grid_n
@@ -348,7 +356,7 @@ def _grid_basis(grid_n: int):
     sc2 = 2.0 * s
     sc2 *= c
     columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
-    return (columns, *_block_bounds(columns))
+    return columns, _block_bounds(columns)
 
 
 def _block_enclosures(
@@ -360,85 +368,114 @@ def _block_enclosures(
     [lo[i, b] - tol[i], hi[i, b] + tol[i]], where sigma G is at most
     _ORACLE_GRAM_LIMIT."""
     size = np.abs(gram)
-    centre, bound = np.hsplit(values, 2)
+    width = values.shape[1] // 2
+    centre, bound = values[:, :width], values[:, width:]
     np.abs(bound, out=bound)
     bound += (size @ level.reach)[:, None]
-    lo = centre - bound
-    hi = np.add(centre, bound, out=bound)
-    return lo, hi, _ORACLE_ROUNDING * level.sigma * size.sum(axis=1) + _ORACLE_UNDERFLOW
+    return centre - bound, centre + bound, _ORACLE_ROUNDING * level.sigma * size.sum(axis=1) + _ORACLE_UNDERFLOW
 
 
 def _may_hold_extremum(lo, hi, tol, lo_max, hi_min) -> np.ndarray:
-    """The blocks that the best lower and upper bounds do not rule out, from
-    hi + tol < lo_max - tol and lo - tol > hi_min + tol, which it negates, so
-    that a NaN bound keeps its block; overwrites lo and hi."""
-    hi += tol
-    lo -= tol
-    return ~(hi < lo_max - tol) | ~(lo > hi_min + tol)
+    """The blocks, (pairs, w), that the best lower and upper bounds of their
+    row, lo_max and hi_min (pairs,), do not rule out, from hi < lo_max - 2 tol
+    and lo > hi_min + 2 tol, which it negates, so that a NaN bound keeps its
+    block; each threshold takes two roundings."""
+    return ~((hi < (lo_max - tol - tol)[:, None]) & (lo > (hi_min + tol + tol)[:, None]))
 
 
-def _kept_runs(gram: np.ndarray, coarse: _BlockBounds, fine: _BlockBounds) -> Tuple[np.ndarray, ...]:
-    """Runs [first, last) of consecutive fine blocks that may hold the max or
-    the min of f, for each row (g11, g12, g22) of gram, (n, 3): arrays (row,
-    first, last), the runs of each row in index order."""
-    with np.errstate(over="ignore"):
-        size = np.abs(gram).sum(axis=1) * max(coarse.sigma, fine.sigma)
-    sure = np.flatnonzero(size <= _ORACLE_GRAM_LIMIT)
-    whole = np.flatnonzero(~(size <= _ORACLE_GRAM_LIMIT))  # NaN, infinite or near overflow
-    bounded = gram[sure]
-    lo, hi, tol = _block_enclosures(bounded, bounded @ coarse.centre_slope[0], coarse)
-    # each row keeps at least the coarse block of its largest lo
-    keep = _may_hold_extremum(lo, hi, tol[:, None], lo.max(axis=1)[:, None], hi.min(axis=1)[:, None])
-    pair_row, group = np.nonzero(keep)
-    paired = bounded[pair_row]
-    values = np.matmul(paired[:, None, :], fine.centre_slope[group])[:, 0]
-    lo, hi, tol = _block_enclosures(paired, values, fine)
-    each_row = np.flatnonzero(np.diff(pair_row, prepend=-1))
-    lo_max = np.maximum.reduceat(lo.max(axis=1), each_row)[pair_row, None]
-    hi_min = np.minimum.reduceat(hi.min(axis=1), each_row)[pair_row, None]
-    blocks = group[:, None] * _ORACLE_COARSE + np.arange(_ORACLE_COARSE)
-    keep = _may_hold_extremum(lo, hi, tol[:, None], lo_max, hi_min)
-    pair, column = np.nonzero(keep & (blocks < fine.count))  # not the padding
-    row, block = pair_row[pair], blocks[pair, column]
-    starts = np.flatnonzero((np.diff(row, prepend=-1) != 0) | (np.diff(block, prepend=-1) != 1))
-    firsts = block[starts]
-    return (np.concatenate([sure[row[starts]], whole]),
-            np.concatenate([firsts, np.zeros_like(whole)]),
-            np.concatenate([firsts + np.diff(starts, append=len(block)), np.full_like(whole, fine.count)]))
+def _segments(row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First position and length of each run of equal values of ``row``."""
+    edge = np.empty(len(row) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(row[1:], row[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _kept_children(gram: np.ndarray, row: np.ndarray, group: np.ndarray,
+                   level: _BlockBounds) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, block) of the blocks of ``level`` in the groups ``group`` of the
+    rows ``row`` of gram, in index order, that may hold the max or the min
+    of f: each is compared with the blocks of its row bounded here."""
+    paired = gram[row]
+    layout = level.centre_slope
+    values = np.matmul(paired[:, None, :], layout if len(layout) == 1 else layout[group])[:, 0]
+    lo, hi, tol = _block_enclosures(paired, values, level)
+    width = lo.shape[1]
+    first, length = _segments(row)
+    lo_max = np.repeat(np.maximum.reduceat(lo.reshape(-1), first * width), length)
+    hi_min = np.repeat(np.minimum.reduceat(hi.reshape(-1), first * width), length)
+    pair, column = np.divmod(np.flatnonzero(_may_hold_extremum(lo, hi, tol, lo_max, hi_min)), width)
+    block = group[pair] * width + column
+    real = block < level.count  # not the padding
+    return row[pair[real]], block[real]
+
+
+def _kept_blocks(gram: np.ndarray, row: np.ndarray, group: np.ndarray, levels) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(row, block) of the finest blocks that may hold the max or the min of
+    f in the groups ``group`` of ``levels[0]`` (the children of kept blocks)
+    in the rows ``row`` of gram, (n, 3), in index order, in passes of at
+    most _ORACLE_PASS blocks: each pass of groups, then their children."""
+    level, *lower = levels
+    step = _ORACLE_PASS // _ORACLE_FANOUT
+    for i in range(0, len(row), step):
+        kept = _kept_children(gram, row[i : i + step], group[i : i + step], level)
+        yield from _kept_blocks(gram, *kept, lower) if lower else [kept]
 
 
 def _sweep_extremes(gram: np.ndarray, grid_n: int) -> Tuple[np.ndarray, ...]:
     """(imax, imin, fmax, fmin): for each row (g11, g12, g22) of gram, (n, 3),
     the first index of the max and of the min of the squared image norm f
     on the grid, and f there, as arrays."""
-    (s2, sc2, c2), coarse, fine = _grid_basis(grid_n)
-    per_pass = max(1, _ORACLE_PASS // (len(fine.centre_slope) * _ORACLE_COARSE))
-    g = gram.tolist()
-    best: List[Optional[List]] = [None] * len(g)
-    for start in range(0, len(g), per_pass):
-        rows, firsts, lasts = _kept_runs(gram[start : start + per_pass], coarse, fine)
-        for row, first, last in zip((rows + start).tolist(), firsts.tolist(), lasts.tolist()):
-            g11, g12, g22 = g[row]
-            lo, hi = first * _ORACLE_BLOCK, min(last * _ORACLE_BLOCK, grid_n)
-            f = g11 * s2[lo:hi]
-            f += g12 * sc2[lo:hi]
-            f += g22 * c2[lo:hi]
-            i, j = int(f.argmax()), int(f.argmin())
-            run = [lo + i, float(f[i]), lo + j, float(f[j])]
-            known = best[row]
-            if known is None:
-                best[row] = run
-                continue
-            # argmax and argmin over the runs in index order: a later run wins
-            # with a larger max (smaller min).  Only a row with finite bounds
-            # has several runs, and its f holds no NaN.
-            if run[1] > known[1]:
-                known[:2] = run[:2]
-            if run[3] < known[3]:
-                known[2:] = run[2:]
-    imax, fmax, imin, fmin = zip(*best) if best else ((),) * 4
-    return (np.array(imax, dtype=np.intp), np.array(imin, dtype=np.intp),
-            np.array(fmax, dtype=float), np.array(fmin, dtype=float))
+    (s2, sc2, c2), (top, *lower) = _grid_basis(grid_n)
+    with np.errstate(over="ignore"):
+        size = np.abs(gram).sum(axis=1) * max(level.sigma for level in (top, *lower))
+    bounded = np.flatnonzero(size <= _ORACLE_GRAM_LIMIT)
+    n = len(gram)
+    imax, imin, fmax, fmin = np.zeros(n, np.intp), np.zeros(n, np.intp), np.full(n, -np.inf), np.full(n, np.inf)
+    whole = [np.flatnonzero(~(size <= _ORACLE_GRAM_LIMIT))]  # NaN, infinite or near overflow
+    step = max(1, _ORACLE_PASS // top.count)
+    for i in range(0, len(bounded), step):
+        rows = bounded[i : i + step]
+        top_row, top_block = _kept_children(gram, rows, np.zeros_like(rows), top)
+        first, length = _segments(top_row)
+        # a row that keeps most top blocks is nearly flat to the bounds: its
+        # full sweep reads the grid in order, faster than gathered blocks
+        flat = length > max(top.count // 2, _ORACLE_FANOUT)
+        whole.append(top_row[first[flat]])
+        pruned = np.repeat(~flat, length)
+        for row, block in _kept_blocks(gram, top_row[pruned], top_block[pruned], lower):
+            g = gram[row]
+            # the three statements of the full sweep, as products of the same
+            # factors, on the kept blocks of every row, one block per row of
+            # at; a last block short of 16 points repeats the grid's last point
+            at = block[:, None] * _ORACLE_BLOCK + np.arange(_ORACLE_BLOCK)
+            np.minimum(at, grid_n - 1, out=at)
+            f = s2[at] * g[:, :1]
+            f += sc2[at] * g[:, 1:2]
+            f += c2[at] * g[:, 2:]
+            # per row, the extremum and the first point that attains it (f
+            # holds no NaN where the bounds are finite); a later pass wins
+            # only with a larger max (smaller min)
+            first, length = _segments(row)
+            owner, starts = row[first], first * _ORACLE_BLOCK
+            for best_i, best_f, extreme, better in ((imax, fmax, np.maximum, np.greater),
+                                                    (imin, fmin, np.minimum, np.less)):
+                per_row = extreme.reduceat(f.reshape(-1), starts)
+                hits = np.flatnonzero(f == np.repeat(per_row, length)[:, None])
+                hit = hits[_segments(np.searchsorted(starts, hits, side="right"))[0]]  # the first of each row
+                update = better(per_row, best_f[owner])
+                target = owner[update]
+                best_f[target] = per_row[update]
+                best_i[target] = at.reshape(-1)[hit[update]]
+    for row in np.concatenate(whole).tolist():
+        g11, g12, g22 = gram[row].tolist()
+        f = g11 * s2
+        f += g12 * sc2
+        f += g22 * c2
+        imax[row], imin[row] = f.argmax(), f.argmin()
+        fmax[row], fmin[row] = f[imax[row]], f[imin[row]]
+    return imax, imin, fmax, fmin
 
 
 def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
@@ -454,20 +491,22 @@ def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
     or a stack of them, or that holds a number that is not finite.
 
     Blocks of the grid that cannot hold an extremum are skipped; the result
-    is that of the full sweep, index for index.  The prune has two levels:
-    coarse blocks of 4,096 points, bounded for the whole stack at once, and
-    fine blocks of 256 points, bounded only inside the coarse blocks kept.
+    is that of the full sweep, index for index.  The prune has three
+    levels: blocks of 4,096 points, bounded for the whole stack at once,
+    then the 16 blocks of 256 points inside each one kept, then the 16
+    blocks of 16 points inside each of those kept.  The kept 16-point
+    blocks of every matrix are swept in one gathered array pass.
 
     Block bounds.  Write X for one of the stored grid columns (sin^2,
     2 sin cos, cos^2), g_X for its Gram entry, G = |g11| + |g12| + |g22|,
     u = 2^-53 and eta = 2^-1075, the largest error of a product that
-    underflows.  Every point i of a block lies within T steps of the
-    block's centre point c: T = 128 for a fine block, 2,048 for a coarse
-    one.  The computed first differences D_l = fl(X[l+1] - X[l]) of a block
-    lie in [dlo, dhi] (for a coarse block, the least dlo and the largest
-    dhi of its fine blocks); the exact ones lie within u |D_l| of them (none
-    underflows: nonzero grid values and their differences are far above
-    2^-1022).  With a = fl(dlo + dhi) / 2, every exact difference lies
+    underflows.  At any level, every point i of a block lies within T
+    steps of the block's centre point c, T half the block size (2,048, 128
+    or 8).  The computed first differences D_l = fl(X[l+1] - X[l]) of a
+    block lie in [dlo, dhi] (above the finest level, the least dlo and the
+    largest dhi of its children); the exact ones lie within u |D_l| of them
+    (none underflows: nonzero grid values and their differences are far
+    above 2^-1022).  With a = fl(dlo + dhi) / 2, every exact difference lies
     within (dhi - dlo) / 2 + 2u max(|dlo|, |dhi|) of a; h_X, the largest of
     these over the blocks of a level, is stored rounded up (half the widest
     computed range plus 8u times the largest |D| covers the roundings).
@@ -475,9 +514,9 @@ def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
     on the stored grid values of the block lies within
     T (|sum g_X a_X| + sum |g_X| h_X) of F = sum g_X X_c, the mean-value
     form.  Near an extremum sum g_X a_X ~ f' ~ 0, so the enclosure is second
-    order in the block width: a few blocks survive, not some 80 around each
-    extremum as with per-column interval ranges.  lo and hi are F minus and
-    plus that bound.
+    order in the block width: a few blocks survive at each level, not some
+    80 around each extremum as with per-column interval ranges.  lo and hi
+    are F minus and plus that bound.
 
     Allowance.  Let sigma be the largest |X_c| plus the largest T |a_X| plus
     the largest T h_X over the blocks of a level (stored with its block
@@ -489,22 +528,23 @@ def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
     forming the bound and the sum forming lo or hi add two roundings, so
     each computed lo and hi is within 5u sigma G + 9 eta of its exact value.
     Each swept f (three roundings) is within 3u sigma G + 3 eta of the
-    exact value.  The two comparison sides hi + tol and max(lo) - tol round
-    by at most 2u sigma G between them.  A block skipped for the maximum,
-    hi + tol < max(lo) - tol with the max over the blocks compared, then
+    exact value.  The threshold max(lo) - 2 tol, formed in two roundings,
+    errs by at most 2u sigma G.  A block skipped for the maximum,
+    hi < max(lo) - 2 tol with the max over any blocks of the row, then
     holds only values strictly below one attained in the block with the
     largest lo as soon as 2 tol >= 2 (5 + 3) u sigma G + 2u sigma G
     + 24 eta, that is tol >= 9u sigma G + 12 eta.  tol = 16u sigma G
     + 2^-1070, with the sigma of the level, covers this and the roundings
-    of tol, G and sigma.  The minimum is the mirror image.  Coarse blocks
-    are compared with all coarse blocks, and fine blocks with the fine
-    blocks of the kept coarse blocks.  So the first occurrence of each
-    extremum, ties included, lies in a kept fine block of a kept coarse
-    block.  Kept fine blocks are evaluated in runs with the same three
-    statements as the full sweep, and the per-run extremes are combined by
-    argmax/argmin in index order.  When sigma G is NaN, infinite or above
-    2^1020 for the larger sigma of the two levels, every block is kept,
-    which is the full sweep; below it nothing in the bounds overflows.
+    of tol, G and sigma.  The minimum is the mirror image.  Each level
+    compares a block with the blocks of its row bounded in the same pass,
+    so the first occurrence of each extremum, ties included, lies in a kept
+    16-point block.  Kept blocks are evaluated with the same three products
+    and sums as the full sweep, and each row takes the first index of its
+    extremum over them.  When sigma G is NaN, infinite or above 2^1020 for
+    the largest sigma of the levels, nothing is pruned: the row is swept
+    whole, as is a row that keeps more than half of its top blocks (and
+    more than 16), which a gather would only slow; below the limit nothing
+    in the bounds overflows.
     """
     if not (is_int(grid_n) and grid_n >= 4):
         raise InvalidInput(f"grid_n must be an int >= 4, got {grid_n!r}")

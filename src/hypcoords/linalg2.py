@@ -87,12 +87,12 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return abs(math.atan2(cross, dot))
 
 
-def line_angle_distance(t1: float, t2: float) -> float:
-    """Distance between two undirected line angles, in [0, pi/2]."""
-    d = math.fmod(t1 - t2, math.pi)
-    if d < 0.0:
-        d += math.pi
-    return min(d, math.pi - d)
+def line_angle_distance(t1, t2):
+    """Distance between two undirected line angles, in [0, pi/2], or of
+    each pair of two arrays of them."""
+    d = np.fmod(t1 - t2, math.pi)
+    d = np.where(d < 0.0, d + math.pi, d)
+    return np.minimum(d, math.pi - d)
 
 
 def direction_to_sincos_angle(v: np.ndarray) -> float:

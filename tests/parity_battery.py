@@ -28,10 +28,11 @@ output directory:
   has empty last-row Jacobian cells and -inf logs;
 * ``scan-constants`` under flavor I at lambda 1.5 and 3 and Gamma 2,
   whose ``violated`` cells are empty and a text holding a comma;
-* ``oracle-check`` with seeds 0..4 at grids of 10^6, 20,001, 4,095 and
-  4,097 points (the last two on the edges of one coarse block of the
-  oracle's prune), 100 trials each, and with seed 0 at 10^6 points and one
-  trial;
+* ``oracle-check`` with seeds 0..4 at grids of 10^6, 20,001, 4,095,
+  4,097, 4,111 and 65,551 points (4,095 and 4,097 on the edges of one top
+  block of the oracle's prune, 4,111 and 65,551 a point short of the edge
+  of a 16-point block), 100 trials each, and with seed 0 at 10^6 points and
+  one trial;
 * ``orbit`` and ``frames`` at k = 80 from the Henon fixture, A and B and
   the lorenz2d and standard-map fixtures;
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
@@ -139,7 +140,7 @@ def battery() -> dict:
                                      "--k", "3"]
     runs["scan-constants-I"] = ["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2"]
     for seed in range(5):
-        for grid_n in (1_000_000, 20_001, 4_095, 4_097):
+        for grid_n in (1_000_000, 20_001, 4_095, 4_097, 4_111, 65_551):
             runs[f"oracle-{seed}-{grid_n}"] = ["oracle-check", "--seed", str(seed), "--trials", "100",
                                               "--grid-n", str(grid_n)]
     runs["oracle-0-1000000-trials-1"] = ["oracle-check", "--seed", "0", "--trials", "1", "--grid-n", "1000000"]

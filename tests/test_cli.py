@@ -2,6 +2,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import dataclasses
 import filecmp
 import gc
 import hashlib
@@ -239,6 +240,73 @@ def test_oracle_check_draws_the_matrices_of_one_at_a_time_draws(seeds, trials):
         expected = np.array([_random_test_matrix(rng) for _ in range(trials)])
         got = cli._random_test_matrices(np.random.default_rng(seed), trials)
         assert got.shape == (trials, 2, 2) and got.tobytes() == expected.tobytes()
+
+
+def _line_angle_distance(t1, t2):
+    """``linalg2.line_angle_distance`` of two floats, in math's arithmetic."""
+    d = math.fmod(t1 - t2, math.pi)
+    if d < 0.0:
+        d += math.pi
+    return min(d, math.pi - d)
+
+
+def _per_trial_checks(stack, s, theta_svd, oracle, grid_n):
+    """Reference of ``cli._trial_checks``: the scalar loop over the trials,
+    through ``angle_theta`` and a line angle distance in floats, as lists."""
+    angle_tol = math.pi / grid_n
+    delta_sq = (math.pi / (2.0 * grid_n)) ** 2
+    checks = []
+    for ((a, b), (c, d)), theta, smax, smin, theta_max, norm_max, norm_min in zip(
+            stack.tolist(), theta_svd.tolist(), s.smax, s.smin, oracle.theta_max.tolist(),
+            oracle.norm_max.tolist(), oracle.norm_min.tolist()):
+        angles = cli.hypframe.angle_theta(a, c, b, d)
+        d1 = _line_angle_distance(theta, angles.theta_expand)
+        d2 = _line_angle_distance(theta, theta_max)
+        n1 = abs(norm_max - smax) / smax
+        n2 = abs(norm_min - smin) / smin
+        tol_max = max(1e-8, 2.0 * delta_sq)
+        tol_min = max(1e-8, 2.0 * delta_sq * (smax / smin) ** 2)
+        checks.append((d1 > 1e-9 or d2 > angle_tol + 1e-9 or n1 > tol_max or n2 > tol_min, d1, d2, n1, n2))
+    return [list(column) for column in zip(*checks)]
+
+
+@pytest.mark.parametrize("grid_n", [4, 7, 64, 1000])
+def test_trial_checks_of_a_stack_equal_the_per_trial_loop(grid_n):
+    # 10^4 draws in stacks of 4,096, as oracle-check makes them, then the
+    # same stacks against an oracle whose angles and norms are shifted, so
+    # that some trials fail each check; every value is compared bit for bit
+    ms = cli._random_test_matrices(np.random.default_rng(grid_n), 10**4)
+    rng = np.random.default_rng(0)
+    failed = 0
+    for stack, s, theta_svd, oracle in cli._oracle_stacks(ms, grid_n):
+        shifted = dataclasses.replace(
+            oracle, theta_max=oracle.theta_max + rng.choice([0.0, 1e-9, 1.0, -2.0], len(stack)) * math.pi / grid_n,
+            norm_max=oracle.norm_max * (1.0 + rng.choice([0.0, 1e-8, 1e-3, 1.0], len(stack))),
+            norm_min=oracle.norm_min * (1.0 - rng.choice([0.0, 1e-8, 1e-3, 0.5], len(stack))))
+        for checked in (oracle, shifted):
+            got = cli._trial_checks(stack, s, theta_svd, checked, grid_n)
+            expected = _per_trial_checks(stack, s, theta_svd, checked, grid_n)
+            assert [v.tolist() for v in got] == expected
+            assert all(float(x).hex() == float(y).hex() for v, e in zip(got[1:], expected[1:]) for x, y in zip(v, e))
+            failed += int(got[0].sum())
+    assert failed > 0
+
+
+def test_trial_checks_raise_for_the_first_conformal_trial(monkeypatch):
+    # trials 3 and 7 are conformal: every direction is critical
+    stack = cli._random_test_matrices(np.random.default_rng(5), 10)
+    stack[3] = [[0.0, -2.0], [2.0, 0.0]]
+    stack[7] = np.eye(2)
+    s = cli.linalg2.svd2_closed(stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1])
+    inputs = (stack, s, np.zeros(10), cli.hypframe.oracle_extremal_directions(stack, 100), 100)
+    calls = []
+    angle_theta = cli.hypframe.angle_theta
+    monkeypatch.setattr(cli.hypframe, "angle_theta", lambda *args: calls.append(args) or angle_theta(*args))
+    for checks in (cli._trial_checks, _per_trial_checks):
+        calls.clear()
+        with pytest.raises(cli.hypframe.ConformalDegenerate, match="^conformal derivative"):
+            checks(*inputs)
+        assert calls[-1] == (0.0, 2.0, -2.0, 0.0)
 
 
 def test_scan_constants_command(tmp_path):

@@ -62,7 +62,7 @@ def test_unary_ufuncs_give_the_same_bits_on_floats_and_lanes(fn):
         _assert_same_bits(_four_ways(fn, _inputs(np.random.default_rng(0), 3000)))
 
 
-@pytest.mark.parametrize("fn", [np.hypot, np.arctan2, np.logaddexp], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [np.hypot, np.arctan2, np.logaddexp, np.fmod], ids=lambda fn: fn.__name__)
 def test_binary_ufuncs_give_the_same_bits_on_floats_and_lanes(fn):
     with np.errstate(all="ignore"):
         _assert_same_bits(_four_ways(fn, *_pairs(np.random.default_rng(1), 3000)))

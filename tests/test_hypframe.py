@@ -346,14 +346,17 @@ _T = 255.0 * math.pi / 256.0
 PEAK_AT_LAST_POINT_OF_256 = np.diag([2.0, 1.0]) @ np.array(
     [[math.sin(_T), math.cos(_T)], [math.cos(_T), -math.sin(_T)]]
 )
-# a finite Gram sum above _ORACLE_GRAM_LIMIT, and an infinite one: every block is kept
+# a finite Gram sum above _ORACLE_GRAM_LIMIT, and an infinite one: every
+# block is kept; the identity's flat f keeps most blocks, so it is swept whole
 _GRAM_ABOVE_LIMIT = np.diag([4e153, 1.0])
 _GRAM_INFINITE = np.array([[1.0, 1e160], [0.0, 1.0]])
 
 
-# grids of one to three fine blocks, on the edges of a coarse block, of 17
-# coarse blocks less a point, and two of many coarse blocks
-@pytest.mark.parametrize("grid_n", [4, 5, 255, 256, 257, 4095, 4096, 4097, 20001, 65537, 10**6])
+# grids of one block of each level and on its edges, on the edges of a
+# 16-point block past one top block, of 17 top blocks less a point, and
+# two of many top blocks
+@pytest.mark.parametrize("grid_n", [4, 5, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 4111, 4112, 4113, 20001,
+                                    65537, 65551, 10**6])
 @settings(max_examples=60, deadline=None)
 @given(ms=st.lists(oracle_matrices(), min_size=1, max_size=3))
 @example(ms=[np.eye(2)])
@@ -362,7 +365,7 @@ _GRAM_INFINITE = np.array([[1.0, 1e160], [0.0, 1.0]])
 @example(ms=[np.array([[math.inf, 1.0], [0.0, 1.0]])])
 @example(ms=[np.array([[1e-170, 3e-170], [0.0, 1e-200]])])
 @example(ms=[PEAK_AT_LAST_POINT_OF_256])
-@example(ms=[PEAK_AT_LAST_POINT_OF_256, _GRAM_ABOVE_LIMIT, np.diag([3.0, 1.0]), _GRAM_INFINITE])
+@example(ms=[PEAK_AT_LAST_POINT_OF_256, _GRAM_ABOVE_LIMIT, np.diag([3.0, 1.0]), _GRAM_INFINITE, np.eye(2)])
 def test_oracle_pruned_sweep_equals_full_sweep(grid_n, ms):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -390,13 +393,14 @@ def test_oracle_pruned_sweep_equals_full_sweep(grid_n, ms):
             assert type(getattr(alone[i], name)) is float and same_float(getattr(alone[i], name), value)
 
 
-def _battery_matrix(rng, grid_n, edge_blocks=1):
+def _battery_matrix(rng, grid_n):
     """A seeded matrix of one of four kinds, at a scale from 1e-161 to 1e160.
 
     The block-edge kind maps the grid direction (sin t, cos t) to the major
-    or minor axis, with t within a grid step of the edge of two runs of
-    ``edge_blocks`` fine blocks or halfway between two grid points there, so
-    that the extremum or a near tie sits on the edge of two blocks.
+    or minor axis, with t within a grid step of the edge of two blocks of a
+    level of the prune (16, 256 or 4,096 points) or halfway between two grid
+    points there, so that the extremum or a near tie sits on the edge of
+    two blocks.
     """
     kind = rng.integers(4)
     if kind == 0:
@@ -409,7 +413,7 @@ def _battery_matrix(rng, grid_n, edge_blocks=1):
     elif kind == 2:
         m = np.outer(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2))
     else:
-        edge_size = hypframe._ORACLE_BLOCK * edge_blocks
+        edge_size = hypframe._ORACLE_BLOCK * hypframe._ORACLE_FANOUT ** rng.integers(hypframe._ORACLE_LEVELS)
         edge = edge_size * rng.integers(grid_n // edge_size + 1)
         t = (edge + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) * math.pi / grid_n
         axes = np.diag(rng.permutation([2.0, rng.uniform(0.0, 1.9)]))
@@ -417,25 +421,25 @@ def _battery_matrix(rng, grid_n, edge_blocks=1):
     return m * 10.0 ** rng.choice([-161, -160, -155, -150, 0, 150, 155, 160])
 
 
-# (grids, matrices per grid, fine blocks between the edges of the block-edge
-# kind): every grid up to four blocks, grids on the edges of the difference
-# passes (_ORACLE_CHUNK points) and of the coarse blocks, a medium and the
-# full grid
+# (grids, matrices per grid): every grid up to 64 finest blocks, grids on
+# the edges of the difference passes (_ORACLE_CHUNK points), of 16-point
+# blocks and of the top (coarsest) blocks, a medium and the full grid
 _BATTERY = {
-    "4-1024": (range(4, 1025), 3, 1),
-    "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60, 1),
-    "coarse-edges": ((4095, 4096, 4097, 8191, 8192, 8193, 65537), 60, hypframe._ORACLE_COARSE),
-    "20001": ((20001,), 1500, 1),
-    "1e6": ((10**6,), 12, 1),
+    "4-1024": (range(4, 1025), 3),
+    "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60),
+    "block-edges": ((4111, 4112, 4113, 20015, 20016, 20017, 65551), 60),
+    "coarse-edges": ((4095, 4096, 4097, 8191, 8192, 8193, 65537), 60),
+    "20001": ((20001,), 1500),
+    "1e6": ((10**6,), 12),
 }
 
 
-@pytest.mark.parametrize("grids, count, edge_blocks", _BATTERY.values(), ids=_BATTERY.keys())
-def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count, edge_blocks):
+@pytest.mark.parametrize("grids, count", _BATTERY.values(), ids=_BATTERY.keys())
+def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count):
     rng = np.random.default_rng(31)
     with np.errstate(all="ignore"):
         for grid_n in grids:
-            ms = [_battery_matrix(rng, grid_n, edge_blocks) for _ in range(count)]
+            ms = [_battery_matrix(rng, grid_n) for _ in range(count)]
             gram = gram_rows(ms)
             expected = [full_sweep(m, grid_n) for m in ms]
             assert_sweeps_equal(hypframe._sweep_extremes(gram, grid_n), expected)
@@ -444,56 +448,64 @@ def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count,
 
 
 def _all_enclosures(gram, grid_n):
-    """The coarse and the fine (lo, hi, tol) of every block, for each row of
-    gram, with the block size of each level."""
-    _, coarse, fine = hypframe._grid_basis(grid_n)
-    groups = len(fine.centre_slope)
-    rows = np.repeat(gram, groups, axis=0)
-    values = np.matmul(rows[:, None, :], np.tile(fine.centre_slope, (len(gram), 1, 1)))[:, 0]
-    lo, hi, tol = hypframe._block_enclosures(rows, values, fine)
-    fine_blocks = tuple(v.reshape(len(gram), -1)[:, : fine.count] for v in (lo, hi)) + (tol[::groups],)
-    coarse_blocks = hypframe._block_enclosures(gram, gram @ coarse.centre_slope[0], coarse)
-    return ((coarse_blocks, hypframe._ORACLE_COARSE * hypframe._ORACLE_BLOCK),
-            (fine_blocks, hypframe._ORACLE_BLOCK))
+    """The (lo, hi, tol) of every block of every level, the top level first,
+    for each row of gram, with the block size of the level."""
+    _, levels = hypframe._grid_basis(grid_n)
+    enclosures = []
+    for depth, level in enumerate(levels):
+        groups = len(level.centre_slope)
+        rows = np.repeat(gram, groups, axis=0)
+        values = np.matmul(rows[:, None, :], np.tile(level.centre_slope, (len(gram), 1, 1)))[:, 0]
+        lo, hi, tol = hypframe._block_enclosures(rows, values, level)
+        blocks = tuple(v.reshape(len(gram), -1)[:, : level.count] for v in (lo, hi)) + (tol[::groups],)
+        enclosures.append((blocks, hypframe._ORACLE_BLOCK * hypframe._ORACLE_FANOUT ** (len(levels) - 1 - depth)))
+    return enclosures
 
 
-@pytest.mark.parametrize("grid_n", [300, 1000, 4097, 20001, 65537, 10**6])
+@pytest.mark.parametrize("grid_n", [17, 300, 1000, 4097, 4113, 20001, 65537, 10**6])
 def test_oracle_block_bounds_enclose_every_swept_value(grid_n):
-    # the mean-value enclosures of both levels, on monotone blocks as well as
-    # around the extrema; the argmax above needs only part of them
+    # the mean-value enclosures of every level, on monotone blocks as well
+    # as around the extrema; the argmax above needs only part of them
     rng = np.random.default_rng(32)
-    (s2, sc2, c2), coarse, fine = hypframe._grid_basis(grid_n)
+    (s2, sc2, c2), levels = hypframe._grid_basis(grid_n)
     with np.errstate(all="ignore"):
         gram = gram_rows([_battery_matrix(rng, grid_n) for _ in range(40 if grid_n < 10**6 else 6)])
-        sigma = max(coarse.sigma, fine.sigma)
+        sigma = max(level.sigma for level in levels)
         gram = gram[np.abs(gram).sum(axis=1) * sigma <= hypframe._ORACLE_GRAM_LIMIT]
     assert len(gram) >= 3
-    levels = _all_enclosures(gram, grid_n)
+    enclosures = _all_enclosures(gram, grid_n)
+    assert [size for _, size in enclosures] == [4096, 256, 16]
     for i, (g11, g12, g22) in enumerate(gram.tolist()):
         f = g11 * s2
         f += g12 * sc2
         f += g22 * c2
-        for (lo, hi, tol), size in levels:
+        for (lo, hi, tol), size in enclosures:
             starts = np.arange(0, grid_n, size)
             assert np.all(np.maximum.reduceat(f, starts) <= hi[i] + tol[i])
             assert np.all(np.minimum.reduceat(f, starts) >= lo[i] - tol[i])
 
 
 def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
-    # of 245 coarse and 3,907 fine blocks, 8 and 8: a run around each extremum
-    _, coarse, fine = hypframe._grid_basis(10**6)
+    # of 245, 3,907 and 62,500 blocks of 4,096, 256 and 16 points, a run of
+    # four around each extremum at every level: 128 grid points are swept
+    _, levels = hypframe._grid_basis(10**6)
     gram = np.array([[10.0, 1.0, 0.5]])
-    lo, hi, tol = hypframe._block_enclosures(gram, gram @ coarse.centre_slope[0], coarse)
-    coarse_kept = hypframe._may_hold_extremum(lo, hi, tol[:, None], lo.max(axis=1)[:, None],
-                                              hi.min(axis=1)[:, None])[0]
-    assert 0 < coarse_kept.sum() <= 10
-    rows, firsts, lasts = hypframe._kept_runs(np.tile(gram, (3, 1)), coarse, fine)
-    assert rows.tolist() == [0, 0, 1, 1, 2, 2]
-    assert 0 < sum(lasts[:2] - firsts[:2]) <= 16
-    assert (firsts.tolist(), lasts.tolist()) == (firsts[:2].tolist() * 3, lasts[:2].tolist() * 3)
-    # every kept fine block lies in a kept coarse block
-    kept = np.concatenate([np.arange(first, last) for first, last in zip(firsts[:2], lasts[:2])])
-    assert coarse_kept[kept // hypframe._ORACLE_COARSE].all()
+    row, block = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    kept = []
+    for level in levels:
+        parents = set(block.tolist())
+        row, block = hypframe._kept_children(gram, row, block, level)
+        assert (row == 0).all() and np.all(np.diff(block) > 0)
+        if kept:  # every kept block lies in a kept block of the level above
+            assert set((block // hypframe._ORACLE_FANOUT).tolist()) <= parents
+        kept.append(block.tolist())
+    assert [len(blocks) for blocks in kept] == [8, 8, 8]
+    assert kept[-1] == [29184, 29185, 29186, 29187, 60434, 60435, 60436, 60437]
+    # a stack keeps the blocks of each matrix alone, in one pass
+    (rows, blocks), = hypframe._kept_blocks(np.tile(gram, (3, 1)), np.arange(3), np.zeros(3, dtype=np.intp), levels)
+    assert rows.tolist() == [0] * 8 + [1] * 8 + [2] * 8
+    assert blocks.tolist() == kept[-1] * 3
+    assert len(blocks) * hypframe._ORACLE_BLOCK == 3 * 128
 
 
 @pytest.mark.parametrize("grid_n", [10.5, 3, True, 4.0, "1000", None])
