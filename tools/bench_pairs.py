@@ -12,8 +12,8 @@ each workload, pair i runs
 in the parent's copy and in the change's, one after the other, the parent
 first in even pairs and the change first in odd ones, one process at a
 time, with PYTHONDONTWRITEBYTECODE=1 and no PYTHONPATH.  The run length T
-is BENCHMARK.json's ``run_seconds`` unless --seconds is given.  With
---trace W=S, one traced run per side of workload W at seed S is added.
+is BENCHMARK.json's ``run_seconds``.  With --trace W=S, one traced run per
+side of workload W at seed S is added.
 
 The file holds every run made (``runs``), and per workload and end-to-end
 metric of BENCHMARK.json: each side's median and quartiles (numpy linear
@@ -114,18 +114,16 @@ def parse_args(argv):
     parser.add_argument("--parent", help="the parent commit")
     parser.add_argument("--change", help="the commit of the change")
     parser.add_argument("--number", type=int, help="n of the BENCH_<n>.json written at the root of the repository")
-    parser.add_argument("--out", help="the file to write, in place of BENCH_<n>.json")
     parser.add_argument("--workload", action="append", default=[], metavar="NAME=SEED",
                         help="a workload and the seed of its first pair (repeatable)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--trace", metavar="NAME=SEED", help="one traced run per side of this workload")
     parser.add_argument("--title", default="")
     parser.add_argument("--description", default="", help="what the change does")
     parser.add_argument("--workdir", help="where the copies go (default: a temporary directory)")
     args = parser.parse_args(argv)
-    if not (args.parent and args.change and args.workload and (args.number is not None or args.out)):
-        parser.error("--parent, --change, --workload and --number or --out are required")
+    if not (args.parent and args.change and args.workload and args.number is not None):
+        parser.error("--parent, --change, --workload and --number are required")
     return args
 
 
@@ -142,7 +140,7 @@ def main(argv=None) -> int:
                  "change": export(change, os.path.join(scratch, "change"))}
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             benchmark = json.load(fh)
-        seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+        seconds = benchmark["run_seconds"]
         runs, seeds, machine = [], {}, None
         for workload, first_seed in map(_named_seed, args.workload):
             seeds[workload] = list(range(first_seed, first_seed + args.pairs))
@@ -187,7 +185,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "notes": [],
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.number}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
