@@ -55,6 +55,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .hypframe import (
+    EPS_COECC,
     HyperbolicFrame,
     frame_coecc,
     frame_sequence,
@@ -69,9 +70,9 @@ DEFAULT_REL_TOL = 1e-9  # read by each verifier when it is called
 
 # Per-index terms of ctilde and the logs of the terms of the two a-priori
 # sums, drift and tail.  The per-pair functions add these logs left to right
-# with ``np.logaddexp`` on floats; the sweeps add the same logs in the same
-# order with ``np.logaddexp`` over i, so their sums equal the per-pair sums
-# bit for bit.
+# with ``np.logaddexp`` on floats; the sweep adds the same logs in the same
+# order with ``np.logaddexp.accumulate`` (``_log_sum_table``), so its sums
+# equal the per-pair sums bit for bit.
 
 
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows on finite x above it
@@ -224,23 +225,41 @@ def _measure_pairs(coc: MatrixCocycle) -> _PairColumns:
 
 def _first_error(coc: MatrixCocycle, columns: _PairColumns, k: int, rhs=None) -> HypcoordsError:
     """What the per-pair function raises at the first pair (i, k) of order k
-    to fail, in row order, meeting each pair's terms as it does: the measured
-    ones, then ``verify_apriori_all``'s ``rhs`` (the max |entry| of each
-    block and the logs of the right sides); index i < k passed at order i."""
-    log_pushes = columns.log_pushes[:, _order_pairs(k)]
+    to fail, in row order, meeting each pair's terms as it does: the frame of
+    order k, which it raises here, the measured terms, then
+    ``verify_apriori_all``'s ``rhs`` (the max |entry| of each block and the
+    logs of the right sides, over all pairs); index i < k passed at order i."""
+    frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # NoHyperbolicCoordinates where order k has no frame
+    pairs = _order_pairs(k)
+    log_pushes = columns.log_pushes[:, pairs]
+    peak, logs = (None, None) if rhs is None else (x[..., pairs] for x in rhs)
 
     def errors(i):
         if i == 1 and coc.log_absdet[k] == -math.inf:  # the first order of a singular product
             yield ZeroDeterminant(f"det DPhi^{k} is zero: determinant-normalized rows undefined")
         yield from (_overflow(x) for x in log_pushes[:, i - 1] if abs(x) > _LOG_MAX)
-        if rhs is None:
+        if peak is None:
             return
-        peak, logs = rhs
         if i < k and peak[i - 1] == 0.0:
             yield ZeroMatrix("norms undefined for the zero matrix")  # as norm_conorm_det
         yield from (_overflow(x) for x in logs[:, i - 1] if x > _LOG_MAX)
 
     return next(e for i in range(1, k + 1) for e in errors(i))
+
+
+def _order_coeccs(coc: MatrixCocycle) -> np.ndarray:
+    """``frame_coecc`` of every order 0..k, unchecked, as an array: NaN where
+    log_norm - log_conorm is inf - inf."""
+    with np.errstate(all="ignore"):
+        return np.exp(np.subtract(coc.log_conorm, coc.log_norm))
+
+
+def _first_stop(coecc: np.ndarray, failed: np.ndarray) -> int:
+    """The first order k >= 1 whose frame is undefined (``frame_coecc``
+    raises at ``coecc[k]``) or whose ``failed[k]`` is set, for arrays over
+    the orders 0..K; K + 1 where there is none."""
+    stops = np.flatnonzero(((coecc >= 1.0 - EPS_COECC) | failed)[1:])
+    return int(stops[0]) + 1 if stops.size else len(coecc)
 
 
 _APRIORI_CHECKS = (
@@ -309,53 +328,72 @@ def verify_apriori_convergence(
                        [_exp(x) for x in logs])
 
 
+def _log_sum_table(coc: MatrixCocycle) -> np.ndarray:
+    """``_log_sum`` of every pair (i, k) and term at [term, k - 1, i], as a
+    2 x K x (K + 1) table: column i holds -inf above row i and the terms
+    j = i..K-1 (``_log_terms``) from there, added down the column by one
+    ``np.logaddexp.accumulate``, the additions of ``_log_sum`` in its order
+    (-inf and -inf add to -inf)."""
+    terms = np.array([_log_terms(coc, j) for j in range(coc.k)]).T
+    j, i = np.ogrid[: coc.k, : coc.k + 1]
+    table = np.where(j >= i, terms[:, :, None], -math.inf)
+    return np.logaddexp.accumulate(table, axis=1, out=table)
+
+
+def _block_log_norms(coc: MatrixCocycle, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """log |block(i, k)| of each pair (i, k) of ``pairs``, k outer and i
+    inner, and the max |entry| of each block's body before its last
+    scaling, 1 for block(k, k) = I.  The one loop over the orders:
+    block(i, k) is step k - 1 times block(i, k - 1) for every i < k, one
+    matmul per order, scaled as ``MatrixCocycle.block`` scales its products."""
+    i, k = pairs.T
+    bodies, log_scales, peak = np.empty((len(pairs), 2, 2)), np.zeros(len(pairs)), np.ones(len(pairs))
+    bodies[i == k] = np.eye(2)
+    with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
+        for order in range(2, coc.k + 1):
+            last = _order_pairs(order - 1)
+            now = slice(last.stop, last.stop + order - 1)  # the pairs (i, order), i < order
+            bodies[now], log_scales[now], peak[now] = normalize_stack(
+                np.matmul(coc.step_bodies[order - 1], bodies[last]),
+                coc.step_log_scales[order - 1] + log_scales[last],
+            )
+        return np.log(linalg2.svd2_closed(*bodies.reshape(-1, 4).T).smax) + log_scales, peak
+
+
 def verify_apriori_all(source: Union[OrbitSegment, MatrixCocycle]) -> BoundReport:
     """Drift bounds over every pair 1 <= i <= k <= length, in one O(k^2) sweep.
 
     Rows come k outer, i inner, and equal those of
-    ``verify_apriori_convergence`` bit for bit; so do its errors.  Each
-    order k is one array pass over i = 1..k: one matmul carries the blocks
-    block(i, k - 1) forward by step k - 1, the two log sums add their
-    j = k - 1 terms (``_log_terms``) elementwise, and the measured left
-    sides are the order's slice of ``_pair_columns``, measured once before
-    the sweep.  After the frame of order k, one test of the order's
-    measured terms, blocks and right-side logs catches a singular product,
-    a zero block or a term beyond the double range; only then does
-    ``_first_error`` go pair by pair.  The right-side logs of every order
-    are exponentiated and added as rows once, after the sweep.
+    ``verify_apriori_convergence`` bit for bit; so do its errors.  Only the
+    blocks need a loop over the orders (``_block_log_norms``).  Every other
+    term is one array pass over all pairs: ctilde's running max
+    (``np.fmax.accumulate``, which skips a NaN term as Python's ``max``
+    does), the log drift and tail sums (``_log_sum_table``), the right-side
+    logs, and the measured left sides, the pairs' ``_pair_columns``.  The
+    first order with no frame, or with a singular product, a zero block or
+    a term beyond the double range, then raises what the per-pair function
+    raises there (``_first_error``).
     """
     coc = cocycle_of(source)
     n = coc.k
-    # slot i holds the state of pair (i, k) once the sweep has reached k
-    blocks = np.tile(np.eye(2), (n + 1, 1, 1))
-    block_log_scales = np.zeros(n + 1)
-    log_sums = np.full((2, n + 1), -math.inf)  # drift, tail
-    log_norm, log_conorm, log_absdet = map(np.array, (coc.log_norm, coc.log_conorm, coc.log_absdet))
-    log_coecc = log_conorm - log_norm
-    worst = 0.0
     columns = _pair_columns(coc)
-    log_rhs = np.empty((len(_APRIORI_CHECKS), len(columns.pairs)))
-
+    i, k = columns.pairs.T
+    log_norm, log_conorm, log_absdet = map(np.array, (coc.log_norm, coc.log_conorm, coc.log_absdet))
+    coecc = _order_coeccs(coc)
+    block_log_norm, peak = _block_log_norms(coc, columns.pairs)
     with np.errstate(all="ignore"):  # overflow to inf, as on Python floats
-        for k in range(1, n + 1):
-            worst = max(worst, _ctilde_sq_term(coc, k))  # the frame of order k exists
-            log_ct = np.log(math.sqrt(worst))
-            before, upto, pairs = slice(1, k), slice(1, k + 1), _order_pairs(k)
-            bodies, scales, peak = normalize_stack(
-                np.matmul(coc.step_bodies[k - 1], blocks[before]),
-                coc.step_log_scales[k - 1] + block_log_scales[before],
-            )
-            blocks[before], block_log_scales[before] = bodies, scales
-            terms = np.array(_log_terms(coc, k - 1))[:, None]  # of j = k - 1, for the pairs i < k
-            log_sums[:, before] = np.logaddexp(log_sums[:, before], terms)
-            block_log_norm = np.log(linalg2.svd2_closed(*blocks[upto].reshape(-1, 4).T).smax)
-            block_log_norm += block_log_scales[upto]
-            log_quotient = log_coecc[upto] + log_norm[upto] + block_log_norm - log_norm[k]
-            logs = log_rhs[:, pairs]
-            logs[:] = _apriori_rhs_logs(log_ct, log_norm[upto], log_conorm[upto], log_absdet[upto],
-                                        *log_sums[:, upto], log_quotient)
-            if not (columns.in_range[k] and peak.all()) or (logs > _LOG_MAX).any():
-                raise _first_error(coc, columns, k, (peak, logs))
+        worst = np.fmax.accumulate(np.concatenate(([0.0], 2.0 / (1.0 - coecc[1:] * coecc[1:]))))
+        log_ct = np.log(np.sqrt(worst))
+        log_quotient = (log_conorm - log_norm)[i] + log_norm[i] + block_log_norm - log_norm[k]
+        log_rhs = np.array(_apriori_rhs_logs(log_ct[k], log_norm[i], log_conorm[i], log_absdet[i],
+                                             *_log_sum_table(coc)[:, k - 1, i], log_quotient))
+    failed = ~columns.in_range
+    orders = np.arange(1, n + 1)
+    failed[1:] |= np.logical_or.reduceat((peak == 0.0) | (log_rhs > _LOG_MAX).any(axis=0),
+                                         orders * (orders - 1) // 2)
+    stop = _first_stop(coecc, failed)
+    if stop <= n:
+        raise _first_error(coc, columns, stop, (peak, log_rhs))
     return BoundReport("apriori_convergence", DEFAULT_REL_TOL, _APRIORI_CHECKS, columns.pairs,
                        _apriori_lhs(columns.measured), np.exp(log_rhs))
 
@@ -403,21 +441,21 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
     Rows come k outer, i inner: at pair (i, k), for each row of
     ``_envelope_rates``, the measured left side of ``_pair_measurements``
     against Q r^i.  The pairs are measured in one pass (``_pair_columns``)
-    and their rows added at once.  Before that, each order k in turn raises
-    what its first pair to fail would raise if the rows were built pair by
-    pair: an undefined frame of order k, else what ``_first_error`` names
-    from the measured terms; Q r^k is formed after them, as at pair (k, k).
+    and their rows added at once.  Before that, the sweep raises what the
+    first pair to fail would raise if the rows were built pair by pair: at
+    the first order k with no frame or with a measured term out of range,
+    what ``_first_error`` names, after Q r^j of every order j < k, each
+    formed by Python's ``**`` as at pair (j, j).
     """
     aux = _certified_aux(orbit, ledger)
     coc = orbit.cocycle
     rates = _envelope_rates(ledger, aux)
-    envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
     columns = _pair_columns(coc)
-    for k in range(1, coc.k + 1):
-        frame_coecc(coc.log_norm[k], coc.log_conorm[k])  # the frame of order k exists
-        if not columns.in_range[k]:
-            raise _first_error(coc, columns, k)
-        envelopes[:, k] = [q * r**k for _, q, r in rates]
+    stop = _first_stop(_order_coeccs(coc), ~columns.in_range)
+    envelopes = np.zeros((len(rates), coc.k + 1))  # column i: the right sides at index i
+    envelopes[:, 1:stop] = np.reshape([q * r**j for j in range(1, stop) for _, q, r in rates], (-1, len(rates))).T
+    if stop <= coc.k:
+        raise _first_error(coc, columns, stop)
     types = len(rates) // 3
     return BoundReport("explicit_convergence", DEFAULT_REL_TOL, [check for check, _, _ in rates], columns.pairs,
                        tuple(columns.measured) * types, envelopes[:, columns.pairs[:, 0]])
@@ -467,7 +505,9 @@ def _scaled_grams(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # a long axis much faster than many axes of 4 to 16 entries
     _, e = np.frexp(np.abs(mats.reshape(len(mats), -1).T, order="C").max(axis=0))
     m = np.ldexp(mats, -e[:, None, None])
-    return np.swapaxes(m, 1, 2) @ m, e
+    # a contiguous transpose: with both operands on one buffer numpy makes one
+    # BLAS syrk call per matrix, with two it takes the stacked gemm path
+    return np.ascontiguousarray(np.swapaxes(m, 1, 2)) @ m, e
 
 
 def _gram_norms(grams: np.ndarray, e: np.ndarray) -> np.ndarray:

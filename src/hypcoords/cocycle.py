@@ -312,29 +312,38 @@ class MatrixCocycle:
     def _pull_back(self) -> Tuple[np.ndarray, np.ndarray]:
         """``contracted_images`` of each nonsingular order, stepping back from
         the last step: step j maps w of each order k > j to its adjugate image
-        over +-hypot, signed as det(body); the vector at i = 0, parallel to
-        e_k, fixes the scale and sign of the others."""
+        over +-hypot, signed as det(body); the log norm of w at i adds the log
+        growths of steps k - 1 down to i, in that order, by one accumulate
+        after the loop; the vector at i = 0, parallel to e_k, fixes the scale
+        and sign of the others."""
         n = self.log_absdet.index(-math.inf) if -math.inf in self.log_absdet else self.k + 1
         e = self.contracted[:n]
         u = self.images(linalg2.rotate_quarter_cw(e), range(n))[0]  # DPhi^k f_k
-        w = np.vstack((-u[:, 1], u[:, 0], np.zeros(n)))  # x, y and log norm of each order
-        table = np.full((3, n, self.k + 1), math.nan)  # w of order k at i in [:, k, i]
-        table[:, range(n), range(n)] = w
-        bodies, log_scales = self.step_bodies.tolist(), self.step_log_scales.tolist()
+        w = np.vstack((-u[:, 1], u[:, 0]))  # x and y of each order
+        table = np.full((3, self.k + 1, n), math.nan)  # x, y and log norm of w of order k at i in [:, i, k]
+        table[:2, range(n), range(n)] = w
+        hypots = np.ones((n, n))  # of step j's image of w of order k in [j, k]
+        bodies = self.step_bodies.tolist()
         dets = linalg2.det2(self.step_bodies[: n - 1])
         with np.errstate(all="ignore"):  # a body det that underflows: inf and NaN as on Python floats
-            log_dets = np.log(np.abs(dets)).tolist()
             for j in range(n - 2, -1, -1):
                 (a, b), (c, d) = bodies[j]
-                x, y, log_norm = w[:, j + 1:]
+                x, y = w[:, j + 1:]
                 p, q = d * x - b * y, a * y - c * x
                 norm = np.hypot(p, q)
+                hypots[j, j + 1:] = norm
                 signed = norm if dets[j] > 0.0 else -norm
                 np.divide(p, signed, out=x)
                 np.divide(q, signed, out=y)
-                log_norm += (np.log(norm) - log_dets[j]) - log_scales[j]
-                table[:, j + 1:, j] = w[:, j + 1:]
-            x, y, log_norms = table
+                table[:2, j, j + 1:] = w[:, j + 1:]
+            # the log growth of step j for order k in [j, k] where j < k, else 0
+            growth = np.log(hypots)
+            growth[: n - 1] -= np.log(np.abs(dets))[:, None]
+            growth[: n - 1] -= self.step_log_scales[: n - 1, None]
+            np.copyto(growth, 0.0, where=np.tri(n, dtype=bool))
+            # added from j = n - 1, a zero, up to i, as the loop added them
+            np.copyto(table[2, :n], np.add.accumulate(growth[::-1])[::-1], where=~np.tri(n, k=-1, dtype=bool))
+            x, y, log_norms = table.transpose(0, 2, 1)
             sign = np.where(x[:, 0] * e[:, 0] + y[:, 0] * e[:, 1] > 0.0, 1.0, -1.0)[:, None]
             return np.stack((x * sign, y * sign), axis=-1), log_norms - log_norms[:, :1]
 

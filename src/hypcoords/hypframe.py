@@ -322,18 +322,20 @@ def _block_bounds(columns) -> List[_BlockBounds]:
     grid_n = len(columns[0])
     starts = np.arange(0, grid_n, _ORACLE_BLOCK)
     nb, per_pass = len(starts), _ORACLE_CHUNK // _ORACLE_BLOCK
-    diff = np.empty(min(grid_n, _ORACLE_CHUNK))
+    diff = np.empty(min(nb * _ORACLE_BLOCK, _ORACLE_CHUNK))
     dlo, dhi = np.empty((3, nb)), np.empty((3, nb))
     for x, x_lo, x_hi in zip(columns, dlo, dhi):
         for j in range(0, nb, per_pass):
-            first = int(starts[j])
-            d = diff[: min(_ORACLE_CHUNK, grid_n - first)]
+            first, blocks = int(starts[j]), min(per_pass, nb - j)
+            d = diff[: blocks * _ORACLE_BLOCK]
             inner = min(len(d), grid_n - 1 - first)  # differences within the grid
             np.subtract(x[first + 1 : first + 1 + inner], x[first : first + inner], out=d[:inner])
-            d[inner:] = d[inner - 1] if inner else 0.0  # a last block of one point needs none
-            block = starts[j : j + per_pass] - first
-            x_lo[j : j + per_pass] = np.minimum.reduceat(d, block)
-            x_hi[j : j + per_pass] = np.maximum.reduceat(d, block)
+            # a short last block repeats its last difference; one of one point needs none
+            d[inner:] = d[inner - 1] if inner else 0.0
+            lo = hi = d
+            while len(lo) > blocks:  # pairwise halvings, down to one range per block
+                lo, hi = np.minimum(lo[0::2], lo[1::2]), np.maximum(hi[0::2], hi[1::2])
+            x_lo[j : j + blocks], x_hi[j : j + blocks] = lo, hi
     levels = []
     for depth in range(_ORACLE_LEVELS):
         if depth:

@@ -41,10 +41,12 @@ output directory:
 * ``verify-convergence`` from the Henon fixture at k = 440 under flavor I
   and ``verify-variation`` at k = 287, the last orders that pass, whose
   reports reach 1e-305 and subnormal numbers;
-* three runs that end in a sweep error: ``verify-convergence`` from the
+* five runs that end in a sweep error: ``verify-convergence`` from the
   Henon fixture at k = 441 under flavor I and ``verify-variation`` at
-  k = 288, each one order past its overflow horizon, and
-  ``verify-convergence`` of a linear map whose step has determinant 0.
+  k = 288, each one order past its overflow horizon,
+  ``verify-convergence`` of a linear map whose step has determinant 0,
+  and of the rotation by theta = 0.3 at k = 1 and 5, whose first order
+  has no frame.
 
 Digests are SHA-256.  The starts are recomputed here, as the benchmark
 computes them; this file imports nothing from the benchmark.  pytest does
@@ -136,6 +138,9 @@ def battery() -> dict:
     runs["henon-fixture-k288-verify-variation"] = ["verify-variation", *fixture, "--k", "288"]
     runs["linear-singular-verify-convergence"] = ["verify-convergence", "--map", "linear", "--matrix", "2,0,0,0",
                                                   "--x0", "0.3", "--y0", "0.2", "--k", "3"]
+    for k in (1, 5):
+        runs[f"rotation-k{k}-verify-convergence"] = ["verify-convergence", "--map", "rotation", "--param", "theta=0.3",
+                                                   "--x0", "0.3", "--y0", "0.2", "--k", str(k)]
     runs["linear-rank-one-orbit"] = ["orbit", "--map", "linear", "--matrix", "1,0,0,0", "--x0", "1", "--y0", "1",
                                      "--k", "3"]
     runs["scan-constants-I"] = ["scan-constants", "--flavor", "I", "--lambda-values", "1.5,3", "--gamma-values", "2"]

@@ -24,8 +24,9 @@ from hypcoords.errors import (
     InvalidInput,
     NoHyperbolicCoordinates,
     ZeroDeterminant,
+    ZeroMatrix,
 )
-from hypcoords.hypframe import frame_coecc, frame_sequence, hyperbolic_coordinates
+from hypcoords.hypframe import EPS_COECC, frame_coecc, frame_sequence, hyperbolic_coordinates
 from hypcoords.planar_maps import henon, linear, lorenz2d, rotation, standard
 
 from conftest import (
@@ -359,6 +360,60 @@ def test_apriori_sweep_raises_like_per_pair(steps, expected, message, pair):
     assert outcome == _per_pair_outcome(coc)
 
 
+# 0.1 * 3 and 0.7 * 3 round as the second column does, so this step maps
+# (3, -1) to zero in doubles, while its computed det is -5.6e-17, not 0
+_FLOAT_KERNEL = np.array([[0.1, 0.1 * 3], [0.7, 0.7 * 3]])
+_POWER_SQUASH = np.diag([2.0**300, 2.0**-240])  # scaled, twice: diag(1/4, 0)
+
+# (steps, error, its message, first failing pair, and the orders with no
+# frame and with a measured term out of range) where failures of two kinds
+# meet: both paths raise at the first order to fail, whatever its kind
+_RAISING_ACROSS_KINDS = [
+    # DPhi^3 = 4e-10 I has no frame; |DPhi^4 e_4| = 4e-310 is out of range
+    (
+        [np.diag([4e-10, 1e-10]), np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), np.diag([1e-300, 2e-300])],
+        NoHyperbolicCoordinates,
+        "co-eccentricity 1.000000000000007 >= 1 - 1e-12: frame undefined",
+        (1, 3),
+        ([3], [4]),
+    ),
+    # |DPhi^2 e_2| = 1e-600 is out of range; DPhi^3 = 4e-600 I has no frame
+    (
+        [np.diag([1e-300, 2e-300])] * 2 + [np.diag([4.0, 1.0])],
+        BoundOverflow,
+        "bound term exp(-1381.55) exceeds the double range",
+        (2, 2),
+        ([3], [2, 3]),
+    ),
+    # orders 1..4 pass; block(1, 5) is zero: the squash leaves diag(1/4, 0),
+    # the next step maps it onto (3, -1) exactly, the last to zero, while
+    # the rounding of the full product DPhi^5 leaves it nonzero
+    (
+        [np.array([[0.7, 0.2], [0.1, 0.9]]), _POWER_SQUASH, _POWER_SQUASH, np.array([[3.0, 1.0], [-1.0, 1.0]]),
+         _FLOAT_KERNEL],
+        ZeroMatrix,
+        "norms undefined for the zero matrix",
+        (1, 5),
+        ([], []),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "steps, expected, message, pair, failing",
+    [pytest.param(*case, id=f"steps{n}-{case[1].__name__}") for n, case in enumerate(_RAISING_ACROSS_KINDS)],
+)
+def test_apriori_sweep_raises_at_the_first_failing_order_across_kinds(steps, expected, message, pair, failing):
+    coc = MatrixCocycle(steps)
+    frameless = np.flatnonzero(bounds._order_coeccs(coc)[1:] >= 1.0 - EPS_COECC) + 1
+    assert (frameless.tolist(), np.flatnonzero(~bounds._pair_columns(coc).in_range).tolist()) == failing
+    assert _first_failing_pair(coc) == pair
+    outcome = _sweep_outcome(coc)
+    assert outcome == (expected, message)
+    assert outcome == _per_pair_outcome(coc)
+    assert _sweep_outcome_alone(coc) == outcome
+
+
 def _barred(*args, **kwargs):
     raise AssertionError("verify_apriori_all called the per-pair path")
 
@@ -670,6 +725,14 @@ def test_power_norms_match_mpmath_singular_values(scale):
                     assert norm == 0.0
                 else:
                     assert abs(mp.mpf(float(norm)) / exact - 1) <= 8 * np.finfo(float).eps, m
+
+
+def test_scaled_grams_are_exactly_symmetric():
+    rng = np.random.default_rng(4747)
+    for stack in _norm_stacks(rng):
+        for scale in (1e-200, 1.0, 1e150):
+            grams, _ = bounds._scaled_grams(scale * stack)
+            assert np.array_equal(grams, np.swapaxes(grams, 1, 2))
 
 
 def _prune_stacks(rng):
