@@ -41,7 +41,9 @@ _CONFIG_KEYS = (
 # curve and oracle-check trials.  Far larger counts do not fit in memory or
 # run for hours, and an infinite one overflows the count.
 MAX_COUNT = 10**6
-# Most angles in an oracle-check grid sweep: about 4 GB at 40 B per angle.
+# Most angles in an oracle-check grid.  Only a matrix that the oracle sweeps
+# whole (flat or near-conformal, which the trials never are) builds the
+# grid's columns: about 4 GB at 40 B per angle.
 MAX_GRID_N = 10**8
 # oracle-check trials per stacked frame and oracle call, which bounds the
 # lists and arrays of a call (about 3 MB)

@@ -23,10 +23,10 @@ directly; the contracting angle sits a quarter turn away.
 
 The grid oracle (``oracle_extremal_directions``) checks these closed forms
 without the SVD: it maximizes and minimizes |M (sin t, cos t)|^2 over a
-uniform angle grid, for one matrix or a stack of them.  It skips grid
-blocks, at three levels of block size, whose mean-value enclosure, widened
-by a floating-point error bound, shows that they cannot hold an extremum,
-so it returns exactly what the full sweep returns.
+uniform angle grid, for one matrix or a stack of them.  It evaluates only
+a window of grid points around each closed-form extremal angle of the Gram
+form, certified by the values at the window's ends, so it returns exactly
+what the full sweep returns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -254,223 +254,106 @@ class OracleResult:
     grid_n: int
 
 
-# Grid points per block of the finest level of the oracle's block bounds.
-_ORACLE_BLOCK = 16
-# Blocks per block of the level above, and levels: blocks of 4,096, 256
-# and 16 grid points.
-_ORACLE_FANOUT = 16
-_ORACLE_LEVELS = 3
-# Grid points per pass of the first differences, which reuse one buffer.
-_ORACLE_CHUNK = 2**14
-# Most blocks bounded, or swept, per pass of the prune, which bounds its
-# temporaries where every block is kept.
-_ORACLE_PASS = 2**15
-# Allowance of the block bounds in units of sigma * (|g11| + |g12| + |g22|),
-# plus an absolute term for products that underflow (derivation in
+# The premise of the window sweep: numpy's sin and cos are within this of
+# the exact sine and cosine at every grid angle (libm's errors are below
+# 2^-52).
+_TRIG_DELTA = 2.0 ** -40
+# A window's extremum must clear both of its end values by more than
+# _WINDOW_TOL * G, G = |g11| + |g12| + |g22| (derivation in
 # ``oracle_extremal_directions``).
-_ORACLE_ROUNDING = 16.0 * 2.0 ** -53
-_ORACLE_UNDERFLOW = 2.0 ** -1070
-# sigma * Gram sums above this could overflow in the bounds: every block is kept.
-_ORACLE_GRAM_LIMIT = 2.0 ** 1020
+_WINDOW_TOL = 16.0 * _TRIG_DELTA
+# Rows whose G is outside this range, or NaN, are swept whole.
+_WINDOW_GRAM_RANGE = (2.0 ** -1022, 2.0 ** 1020)
+# Widest half-width of a window, and most grid points evaluated per pass of
+# windows, each padded to the widest of its pass.
+_WINDOW_MAX = 2**14
+_WINDOW_PASS = 2**17
 
 
-class _BlockBounds(NamedTuple):
-    """Data of the oracle's mean-value bounds over one level of blocks.
-
-    centre_slope: (groups, 3, 2 w), the blocks in groups of w; row k of a
-    group holds grid column k (sin^2, 2 sin cos, cos^2) at the centre point
-    of each of its blocks, then the midpoint of the range of its first
-    differences in each block times the reach T, half the block size.  The
-    top level is one group; every lower level has one group of 16 per block
-    of the level above, its children, the last padded with copies of the
-    grid's last block.  reach: per column, the largest half-width of those
-    ranges over the blocks, widened for rounding, times T.  sigma: the
-    largest |centre value| plus the largest |slope term| plus the largest
-    reach, which bounds every |grid value|.  count: the number of blocks.
-    """
-
-    centre_slope: np.ndarray
-    reach: np.ndarray
-    sigma: float
-    count: int
-
-
-def _level(columns, size: int, dlo: np.ndarray, dhi: np.ndarray, width: int) -> _BlockBounds:
-    """Bound data of the blocks of ``size`` grid points, in groups of
-    ``width``, from their first-difference ranges, (3, blocks) each."""
-    steps = size // 2  # T: no point of a block is further from its centre point
-    count = dlo.shape[1]
-    groups = -(-count // width)
-    # the blocks of each group, the last repeated into the padding
-    at = np.minimum(np.arange(groups * width), count - 1)
-    centre = np.stack([x[np.minimum(at * size + (steps - 1), len(x) - 1)] for x in columns])
-    slope = dlo[:, at] + dhi[:, at]
-    slope *= 0.5 * steps
-    largest = np.maximum(-dlo.min(axis=1), dhi.max(axis=1))
-    reach = (0.5 * (dhi - dlo).max(axis=1) + 8.0 * 2.0 ** -53 * largest) * steps
-    sigma = float(np.abs(centre).max() + np.abs(slope).max() + reach.max())
-    layout = np.empty((groups, 3, 2, width))
-    for half, v in enumerate((centre, slope)):
-        layout[:, :, half] = v.reshape(3, groups, width).transpose(1, 0, 2)
-    return _BlockBounds(layout.reshape(groups, 3, 2 * width), reach, sigma, count)
-
-
-def _block_bounds(columns) -> List[_BlockBounds]:
-    """Bound data of every level of the grid columns, the top level first,
-    from one pass of first differences per column: a block's range is the
-    union of the ranges of its children."""
-    grid_n = len(columns[0])
-    starts = np.arange(0, grid_n, _ORACLE_BLOCK)
-    nb, per_pass = len(starts), _ORACLE_CHUNK // _ORACLE_BLOCK
-    diff = np.empty(min(nb * _ORACLE_BLOCK, _ORACLE_CHUNK))
-    dlo, dhi = np.empty((3, nb)), np.empty((3, nb))
-    for x, x_lo, x_hi in zip(columns, dlo, dhi):
-        for j in range(0, nb, per_pass):
-            first, blocks = int(starts[j]), min(per_pass, nb - j)
-            d = diff[: blocks * _ORACLE_BLOCK]
-            inner = min(len(d), grid_n - 1 - first)  # differences within the grid
-            np.subtract(x[first + 1 : first + 1 + inner], x[first : first + inner], out=d[:inner])
-            # a short last block repeats its last difference; one of one point needs none
-            d[inner:] = d[inner - 1] if inner else 0.0
-            lo = hi = d
-            while len(lo) > blocks:  # pairwise halvings, down to one range per block
-                lo, hi = np.minimum(lo[0::2], lo[1::2]), np.maximum(hi[0::2], hi[1::2])
-            x_lo[j : j + blocks], x_hi[j : j + blocks] = lo, hi
-    levels = []
-    for depth in range(_ORACLE_LEVELS):
-        if depth:
-            parents = np.arange(0, dlo.shape[1], _ORACLE_FANOUT)
-            dlo, dhi = np.minimum.reduceat(dlo, parents, axis=1), np.maximum.reduceat(dhi, parents, axis=1)
-        top = depth == _ORACLE_LEVELS - 1
-        levels.append(_level(columns, _ORACLE_BLOCK * _ORACLE_FANOUT**depth, dlo, dhi,
-                             dlo.shape[1] if top else _ORACLE_FANOUT))
-    return levels[::-1]
-
-
-@functools.lru_cache(maxsize=1)  # keep one resolution resident
-def _grid_basis(grid_n: int):
-    """sin^2, 2 sin cos and cos^2 on the grid, and the block bound data of every level, the top first."""
+def _grid_values(theta: np.ndarray, grid_n: int) -> Tuple[np.ndarray, ...]:
+    """sin^2, 2 sin cos and cos^2 at the grid indices ``theta``, a float
+    array that it overwrites: the whole grid and a window take the same
+    operations, so their values agree bit for bit."""
     # in place where an operand is dead: each fresh 8 MB array costs page faults
-    theta = np.arange(grid_n, dtype=float)
     theta *= math.pi / grid_n
     s = np.sin(theta)
     c = np.cos(theta, out=theta)
     sc2 = 2.0 * s
     sc2 *= c
-    columns = (np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c))
-    return columns, _block_bounds(columns)
+    return np.multiply(s, s, out=s), sc2, np.multiply(c, c, out=c)
 
 
-def _block_enclosures(
-    gram: np.ndarray, values: np.ndarray, level: _BlockBounds
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, tol) of w blocks of a level for each row of gram, (n, 3),
-    from ``values``, (n, 2 w), the row times the blocks' centre and slope
-    data, which it overwrites: every swept value of f in block b lies in
-    [lo[i, b] - tol[i], hi[i, b] + tol[i]], where sigma G is at most
-    _ORACLE_GRAM_LIMIT."""
-    size = np.abs(gram)
-    width = values.shape[1] // 2
-    centre, bound = values[:, :width], values[:, width:]
-    np.abs(bound, out=bound)
-    bound += (size @ level.reach)[:, None]
-    return centre - bound, centre + bound, _ORACLE_ROUNDING * level.sigma * size.sum(axis=1) + _ORACLE_UNDERFLOW
+@functools.lru_cache(maxsize=1)  # keep one resolution resident
+def _grid_basis(grid_n: int) -> Tuple[np.ndarray, ...]:
+    """sin^2, 2 sin cos and cos^2 on the whole grid."""
+    return _grid_values(np.arange(grid_n, dtype=float), grid_n)
 
 
-def _may_hold_extremum(lo, hi, tol, lo_max, hi_min) -> np.ndarray:
-    """The blocks, (pairs, w), that the best lower and upper bounds of their
-    row, lo_max and hi_min (pairs,), do not rule out, from hi < lo_max - 2 tol
-    and lo > hi_min + 2 tol, which it negates, so that a NaN bound keeps its
-    block; each threshold takes two roundings."""
-    return ~((hi < (lo_max - tol - tol)[:, None]) & (lo > (hi_min + tol + tol)[:, None]))
+def _windows(gram: np.ndarray, grid_n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(half, centre) for each row (g11, g12, g22) of gram, (n, 3): the
+    half-width W of its two windows, 0 for a row swept whole, and the grid
+    indices nearest its closed-form angles of the max and of the min, (n, 2)."""
+    step = math.pi / grid_n
+    low, high = _WINDOW_GRAM_RANGE
+    with np.errstate(all="ignore"):  # NaN, infinite and conformal rows are swept whole
+        x, y = 0.5 * (gram[:, 2] - gram[:, 0]), gram[:, 1]
+        size = np.abs(gram).sum(axis=1)
+        half = np.ceil(1.6 * np.sqrt(_WINDOW_TOL * size / np.hypot(x, y)) / step) + 2.0
+        windowed = (size >= low) & (size <= high) & (half <= min(_WINDOW_MAX, (grid_n - 2) // 4))
+        at_max = np.where(windowed, np.arctan2(y, x) / (2.0 * step), 0.0)
+    centre = np.floor(np.stack([at_max, at_max + 0.5 * grid_n], axis=1) + 0.5) % grid_n
+    return np.where(windowed, half, 0.0).astype(np.intp), centre.astype(np.intp)
 
 
-def _segments(row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """First position and length of each run of equal values of ``row``."""
-    edge = np.empty(len(row) + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(row[1:], row[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    return bounds[:-1], bounds[1:] - bounds[:-1]
-
-
-def _kept_children(gram: np.ndarray, row: np.ndarray, group: np.ndarray,
-                   level: _BlockBounds) -> Tuple[np.ndarray, np.ndarray]:
-    """(row, block) of the blocks of ``level`` in the groups ``group`` of the
-    rows ``row`` of gram, in index order, that may hold the max or the min
-    of f: each is compared with the blocks of its row bounded here."""
-    paired = gram[row]
-    layout = level.centre_slope
-    values = np.matmul(paired[:, None, :], layout if len(layout) == 1 else layout[group])[:, 0]
-    lo, hi, tol = _block_enclosures(paired, values, level)
-    width = lo.shape[1]
-    first, length = _segments(row)
-    lo_max = np.repeat(np.maximum.reduceat(lo.reshape(-1), first * width), length)
-    hi_min = np.repeat(np.minimum.reduceat(hi.reshape(-1), first * width), length)
-    pair, column = np.divmod(np.flatnonzero(_may_hold_extremum(lo, hi, tol, lo_max, hi_min)), width)
-    block = group[pair] * width + column
-    real = block < level.count  # not the padding
-    return row[pair[real]], block[real]
-
-
-def _kept_blocks(gram: np.ndarray, row: np.ndarray, group: np.ndarray, levels) -> Iterator[Tuple[np.ndarray, ...]]:
-    """(row, block) of the finest blocks that may hold the max or the min of
-    f in the groups ``group`` of ``levels[0]`` (the children of kept blocks)
-    in the rows ``row`` of gram, (n, 3), in index order, in passes of at
-    most _ORACLE_PASS blocks: each pass of groups, then their children."""
-    level, *lower = levels
-    step = _ORACLE_PASS // _ORACLE_FANOUT
-    for i in range(0, len(row), step):
-        kept = _kept_children(gram, row[i : i + step], group[i : i + step], level)
-        yield from _kept_blocks(gram, *kept, lower) if lower else [kept]
+def _sweep_windows(gram: np.ndarray, centre: np.ndarray, half: int, grid_n: int) -> Tuple[np.ndarray, ...]:
+    """(imax, imin, fmax, fmin, certified) for each row of gram, (n, 3), from
+    its windows of the max and of the min: the 2 half + 1 grid indices
+    around each of its ``centre``, (n, 2), mod grid_n; certified where each
+    extremum clears both ends of its window, so that it is the full sweep's."""
+    at = centre[:, :, None] + np.arange(-half, half + 1)
+    at %= grid_n
+    s2, sc2, c2 = _grid_values(at.astype(float), grid_n)
+    g11, g12, g22 = (gram[:, i, None, None] for i in range(3))
+    # the three statements of the full sweep, on the same grid values
+    f = s2 * g11
+    f += sc2 * g12
+    f += c2 * g22
+    fmax, fmin = f[:, 0].max(axis=1), f[:, 1].min(axis=1)
+    tol = _WINDOW_TOL * np.abs(gram).sum(axis=1)
+    certified = ((fmax - np.maximum(f[:, 0, 0], f[:, 0, -1]) > tol)
+                 & (np.minimum(f[:, 1, 0], f[:, 1, -1]) - fmin > tol))
+    # the least index that attains each extremum, whichever way the window wraps
+    imax = np.where(f[:, 0] == fmax[:, None], at[:, 0], grid_n).min(axis=1)
+    imin = np.where(f[:, 1] == fmin[:, None], at[:, 1], grid_n).min(axis=1)
+    return imax, imin, fmax, fmin, certified
 
 
 def _sweep_extremes(gram: np.ndarray, grid_n: int) -> Tuple[np.ndarray, ...]:
     """(imax, imin, fmax, fmin): for each row (g11, g12, g22) of gram, (n, 3),
     the first index of the max and of the min of the squared image norm f
     on the grid, and f there, as arrays."""
-    (s2, sc2, c2), (top, *lower) = _grid_basis(grid_n)
-    with np.errstate(over="ignore"):
-        size = np.abs(gram).sum(axis=1) * max(level.sigma for level in (top, *lower))
-    bounded = np.flatnonzero(size <= _ORACLE_GRAM_LIMIT)
     n = len(gram)
     imax, imin, fmax, fmin = np.zeros(n, np.intp), np.zeros(n, np.intp), np.full(n, -np.inf), np.full(n, np.inf)
-    whole = [np.flatnonzero(~(size <= _ORACLE_GRAM_LIMIT))]  # NaN, infinite or near overflow
-    step = max(1, _ORACLE_PASS // top.count)
-    for i in range(0, len(bounded), step):
-        rows = bounded[i : i + step]
-        top_row, top_block = _kept_children(gram, rows, np.zeros_like(rows), top)
-        first, length = _segments(top_row)
-        # a row that keeps most top blocks is nearly flat to the bounds: its
-        # full sweep reads the grid in order, faster than gathered blocks
-        flat = length > max(top.count // 2, _ORACLE_FANOUT)
-        whole.append(top_row[first[flat]])
-        pruned = np.repeat(~flat, length)
-        for row, block in _kept_blocks(gram, top_row[pruned], top_block[pruned], lower):
-            g = gram[row]
-            # the three statements of the full sweep, as products of the same
-            # factors, on the kept blocks of every row, one block per row of
-            # at; a last block short of 16 points repeats the grid's last point
-            at = block[:, None] * _ORACLE_BLOCK + np.arange(_ORACLE_BLOCK)
-            np.minimum(at, grid_n - 1, out=at)
-            f = s2[at] * g[:, :1]
-            f += sc2[at] * g[:, 1:2]
-            f += c2[at] * g[:, 2:]
-            # per row, the extremum and the first point that attains it (f
-            # holds no NaN where the bounds are finite); a later pass wins
-            # only with a larger max (smaller min)
-            first, length = _segments(row)
-            owner, starts = row[first], first * _ORACLE_BLOCK
-            for best_i, best_f, extreme, better in ((imax, fmax, np.maximum, np.greater),
-                                                    (imin, fmin, np.minimum, np.less)):
-                per_row = extreme.reduceat(f.reshape(-1), starts)
-                hits = np.flatnonzero(f == np.repeat(per_row, length)[:, None])
-                hit = hits[_segments(np.searchsorted(starts, hits, side="right"))[0]]  # the first of each row
-                update = better(per_row, best_f[owner])
-                target = owner[update]
-                best_f[target] = per_row[update]
-                best_i[target] = at.reshape(-1)[hit[update]]
-    for row in np.concatenate(whole).tolist():
+    half, centre = _windows(gram, grid_n)
+    whole = [np.flatnonzero(half == 0)]
+    rows = np.flatnonzero(half)
+    rows = rows[np.argsort(half[rows], kind="stable")]
+    points = 4 * half[rows] + 2  # of both windows of each row, narrowest first
+    start = 0
+    while start < len(rows):
+        # the most rows whose windows, padded to the widest, fit in a pass
+        stop = start + int(np.searchsorted(points[start:] * np.arange(1, len(rows) - start + 1), _WINDOW_PASS,
+                                           side="right"))
+        take = rows[start:stop]
+        *found, certified = _sweep_windows(gram[take], centre[take], int(half[take[-1]]), grid_n)
+        for best, value in zip((imax, imin, fmax, fmin), found):
+            best[take] = value
+        whole.append(take[~certified])
+        start = stop
+    whole = np.concatenate(whole)
+    if len(whole):
+        s2, sc2, c2 = _grid_basis(grid_n)
+    for row in whole.tolist():
         g11, g12, g22 = gram[row].tolist()
         f = g11 * s2
         f += g12 * sc2
@@ -492,61 +375,56 @@ def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
     is below 4 is InvalidInput, and so is an ``m`` that is not a 2x2 array
     or a stack of them, or that holds a number that is not finite.
 
-    Blocks of the grid that cannot hold an extremum are skipped; the result
-    is that of the full sweep, index for index.  The prune has three
-    levels: blocks of 4,096 points, bounded for the whole stack at once,
-    then the 16 blocks of 256 points inside each one kept, then the 16
-    blocks of 16 points inside each of those kept.  The kept 16-point
-    blocks of every matrix are swept in one gathered array pass.
+    Only a window of grid points around each extremal angle of the Gram
+    form is evaluated; the result is that of the full sweep, index for
+    index.  Exactly, f(t) = A + R cos(2t - phi) with A = (g11 + g22) / 2,
+    R = hypot((g22 - g11) / 2, g12) and phi = atan2(g12, (g22 - g11) / 2):
+    the maximum lies at phi / 2 and the minimum a quarter turn away, mod
+    pi.  A window holds the 2 W + 1 grid indices within W of the index
+    nearest one of these angles, mod grid_n.  The windows of all rows are
+    evaluated in array passes of at most _WINDOW_PASS points, narrowest
+    first, each padded to the widest window of its pass.
 
-    Block bounds.  Write X for one of the stored grid columns (sin^2,
-    2 sin cos, cos^2), g_X for its Gram entry, G = |g11| + |g12| + |g22|,
-    u = 2^-53 and eta = 2^-1075, the largest error of a product that
-    underflows.  At any level, every point i of a block lies within T
-    steps of the block's centre point c, T half the block size (2,048, 128
-    or 8).  The computed first differences D_l = fl(X[l+1] - X[l]) of a
-    block lie in [dlo, dhi] (above the finest level, the least dlo and the
-    largest dhi of its children); the exact ones lie within u |D_l| of them
-    (none underflows: nonzero grid values and their differences are far
-    above 2^-1022).  With a = fl(dlo + dhi) / 2, every exact difference lies
-    within (dhi - dlo) / 2 + 2u max(|dlo|, |dhi|) of a; h_X, the largest of
-    these over the blocks of a level, is stored rounded up (half the widest
-    computed range plus 8u times the largest |D| covers the roundings).
-    X_i - X_c is a sum of |i - c| exact differences, so the exact value of f
-    on the stored grid values of the block lies within
-    T (|sum g_X a_X| + sum |g_X| h_X) of F = sum g_X X_c, the mean-value
-    form.  Near an extremum sum g_X a_X ~ f' ~ 0, so the enclosure is second
-    order in the block width: a few blocks survive at each level, not some
-    80 around each extremum as with per-column interval ranges.  lo and hi
-    are F minus and plus that bound.
+    Premise.  numpy's sin and cos lie within delta = 2^-40 of the exact
+    sine and cosine at every grid angle; libm's errors are below 2^-52,
+    and tests/test_hypframe.py checks the grids of the tests against
+    mpmath.
 
-    Allowance.  Let sigma be the largest |X_c| plus the largest T |a_X| plus
-    the largest T h_X over the blocks of a level (stored with its block
-    data), so every |X_i| <= sigma.  Three-term dot products are within
-    3u(1 + 3u) times the sum of their absolute terms, plus 3 eta, of their
-    exact values in any summation order, FMA or not.  The matrix product
-    that forms F and T sum g_X a_X and the sum of |g_X| T h_X thus err by
-    at most 3u sigma G + 9 eta together (to first order in u); the sum
-    forming the bound and the sum forming lo or hi add two roundings, so
-    each computed lo and hi is within 5u sigma G + 9 eta of its exact value.
-    Each swept f (three roundings) is within 3u sigma G + 3 eta of the
-    exact value.  The threshold max(lo) - 2 tol, formed in two roundings,
-    errs by at most 2u sigma G.  A block skipped for the maximum,
-    hi < max(lo) - 2 tol with the max over any blocks of the row, then
-    holds only values strictly below one attained in the block with the
-    largest lo as soon as 2 tol >= 2 (5 + 3) u sigma G + 2u sigma G
-    + 24 eta, that is tol >= 9u sigma G + 12 eta.  tol = 16u sigma G
-    + 2^-1070, with the sigma of the level, covers this and the roundings
-    of tol, G and sigma.  The minimum is the mirror image.  Each level
-    compares a block with the blocks of its row bounded in the same pass,
-    so the first occurrence of each extremum, ties included, lies in a kept
-    16-point block.  Kept blocks are evaluated with the same three products
-    and sums as the full sweep, and each row takes the first index of its
-    extremum over them.  When sigma G is NaN, infinite or above 2^1020 for
-    the largest sigma of the levels, nothing is pruned: the row is swept
-    whole, as is a row that keeps more than half of its top blocks (and
-    more than 16), which a gather would only slow; below the limit nothing
-    in the bounds overflows.
+    Certificate.  Write u = 2^-53, eta = 2^-1075 (the largest error of a
+    product that underflows), G = |g11| + |g12| + |g22| and t_i for the
+    stored angle of grid index i.  Each stored column value, one or two
+    roundings of products of a sine and a cosine within delta, lies within
+    5 delta of its exact value at t_i, and each swept f (three products and
+    two sums) within E = (5 delta + 4u) G + 3 eta of the exact f(t_i).
+    When R > 0, f falls strictly from its maximum to its minimum either way
+    round the circle of angles mod pi.  So where the exact f at an index m
+    of a window exceeds f at both of its end indices a and b, the maximum
+    lies on the window's arc, and f(t_p) <= max(f(t_a), f(t_b)) at every
+    index p outside it.  A window of the maximum is accepted when its
+    largest swept value exceeds both of its end values by more than
+    tol = 16 delta G.  The roundings of that test and of tol are below
+    3u G, and 6 eta is below delta G / 2^10 as G >= 2^-1022, so the swept
+    gap then exceeds 2E: every swept value outside the window lies strictly
+    below the window's largest, and the first index that attains the
+    maximum on the grid is the least index that attains it in the window,
+    which the sweep takes.  The minimum is the mirror image.  The window's
+    grid values come from ``_grid_values``, the operations of the stored
+    columns on the same angles, and f from the three products and two sums
+    of the full sweep, so they equal the full sweep's bit for bit.
+
+    Width.  W = ceil(1.6 sqrt(tol / R) / step) + 2, step = pi / grid_n,
+    makes the test pass whenever the centre index of a window is the grid
+    index nearest the exact angle: at a distance d <= pi / 2 from the
+    maximum, f lies 2R sin^2 d >= 8 R d^2 / pi^2 below it, the window's
+    ends lie at least (W - 1) steps from the maximum and its centre within
+    half a step, so the exact gap exceeds 2 tol.  W sizes only the work:
+    a row whose window fails the test is swept whole.
+
+    Whole sweep.  A row is swept whole, over the cached ``_grid_basis``,
+    where G is NaN, infinite, above 2^1020 (where a product could
+    overflow) or below 2^-1022; where W exceeds _WINDOW_MAX or
+    (grid_n - 2) / 4, so that a window would reach half the grid (flat and
+    near-conformal rows, tiny grids); and where a window fails the test.
     """
     if not (is_int(grid_n) and grid_n >= 4):
         raise InvalidInput(f"grid_n must be an int >= 4, got {grid_n!r}")

@@ -29,10 +29,10 @@ output directory:
 * ``scan-constants`` under flavor I at lambda 1.5 and 3 and Gamma 2,
   whose ``violated`` cells are empty and a text holding a comma;
 * ``oracle-check`` with seeds 0..4 at grids of 10^6, 20,001, 4,095,
-  4,097, 4,111 and 65,551 points (4,095 and 4,097 on the edges of one top
-  block of the oracle's prune, 4,111 and 65,551 a point short of the edge
-  of a 16-point block), 100 trials each, and with seed 0 at 10^6 points and
-  one trial;
+  4,097, 4,111 and 65,551 points (odd grids next to powers of two, kept
+  from the edges of the block prune that the window sweep replaced; the
+  oracle's windows wrap and pass the grid's midpoint on them as on any
+  grid), 100 trials each, and with seed 0 at 10^6 points and one trial;
 * ``orbit`` and ``frames`` at k = 80 from the Henon fixture, A and B and
   the lorenz2d and standard-map fixtures;
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of

@@ -1,7 +1,9 @@
 import math
 import re
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -293,9 +295,9 @@ def gram_rows(ms):
 
 
 def full_sweep(m, grid_n):
-    """Reference for the pruned oracle: f on every grid point, then argmax and argmin."""
+    """Reference for the windowed oracle: f on every grid point, then argmax and argmin."""
     g11, g12, g22 = gram_rows([m])[0].tolist()
-    (s2, sc2, c2), *_ = hypframe._grid_basis(grid_n)
+    s2, sc2, c2 = hypframe._grid_basis(grid_n)
     f = g11 * s2
     f += g12 * sc2
     f += g22 * c2
@@ -346,15 +348,14 @@ _T = 255.0 * math.pi / 256.0
 PEAK_AT_LAST_POINT_OF_256 = np.diag([2.0, 1.0]) @ np.array(
     [[math.sin(_T), math.cos(_T)], [math.cos(_T), -math.sin(_T)]]
 )
-# a finite Gram sum above _ORACLE_GRAM_LIMIT, and an infinite one: every
-# block is kept; the identity's flat f keeps most blocks, so it is swept whole
+# a finite Gram sum above the window's limit of 2^1020, and an infinite one:
+# both are swept whole, as is the identity's flat f
 _GRAM_ABOVE_LIMIT = np.diag([4e153, 1.0])
 _GRAM_INFINITE = np.array([[1.0, 1e160], [0.0, 1.0]])
 
 
-# grids of one block of each level and on its edges, on the edges of a
-# 16-point block past one top block, of 17 top blocks less a point, and
-# two of many top blocks
+# grids too small for a window (up to 16 points), grids next to powers of
+# two, and a medium and the full grid
 @pytest.mark.parametrize("grid_n", [4, 5, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 4111, 4112, 4113, 20001,
                                     65537, 65551, 10**6])
 @settings(max_examples=60, deadline=None)
@@ -372,7 +373,7 @@ def test_oracle_pruned_sweep_equals_full_sweep(grid_n, ms):
         expected = [full_sweep(m, grid_n) for m in ms]
     finite = np.isfinite(ms).all()
     with warnings.catch_warnings():
-        # the pruned sweep warns only where the full sweep does
+        # the windowed sweep warns only where the full sweep does
         warnings.simplefilter("ignore" if caught else "error")
         if finite:
             res = oracle_extremal_directions(np.array(ms), grid_n)
@@ -396,11 +397,10 @@ def test_oracle_pruned_sweep_equals_full_sweep(grid_n, ms):
 def _battery_matrix(rng, grid_n):
     """A seeded matrix of one of four kinds, at a scale from 1e-161 to 1e160.
 
-    The block-edge kind maps the grid direction (sin t, cos t) to the major
-    or minor axis, with t within a grid step of the edge of two blocks of a
-    level of the prune (16, 256 or 4,096 points) or halfway between two grid
-    points there, so that the extremum or a near tie sits on the edge of
-    two blocks.
+    The wrap kind maps the grid direction (sin t, cos t) to the major or
+    minor axis, with t on a grid point or halfway between two, within a grid
+    step of index 0, of index grid_n - 1 or of a random index, so that an
+    extremum sits at the wrap of its window or in a near tie of two points.
     """
     kind = rng.integers(4)
     if kind == 0:
@@ -413,17 +413,16 @@ def _battery_matrix(rng, grid_n):
     elif kind == 2:
         m = np.outer(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2))
     else:
-        edge_size = hypframe._ORACLE_BLOCK * hypframe._ORACLE_FANOUT ** rng.integers(hypframe._ORACLE_LEVELS)
-        edge = edge_size * rng.integers(grid_n // edge_size + 1)
-        t = (edge + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) * math.pi / grid_n
+        near = rng.choice([0, grid_n - 1, rng.integers(grid_n)])
+        t = (near + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0])) * math.pi / grid_n
         axes = np.diag(rng.permutation([2.0, rng.uniform(0.0, 1.9)]))
         m = axes @ np.array([[math.sin(t), math.cos(t)], [math.cos(t), -math.sin(t)]])
     return m * 10.0 ** rng.choice([-161, -160, -155, -150, 0, 150, 155, 160])
 
 
-# (grids, matrices per grid): every grid up to 64 finest blocks, grids on
-# the edges of the difference passes (_ORACLE_CHUNK points), of 16-point
-# blocks and of the top (coarsest) blocks, a medium and the full grid
+# (grids, matrices per grid): every grid up to 1,024 points, grids next to
+# powers of two (the ids name the edges of the block prune that the window
+# sweep replaced), a medium and the full grid
 _BATTERY = {
     "4-1024": (range(4, 1025), 3),
     "chunk-edges": ((16383, 16384, 16385, 16386, 16640, 16641, 32769), 60),
@@ -447,65 +446,228 @@ def test_oracle_pruned_sweep_equals_full_sweep_on_a_seeded_battery(grids, count)
                 assert_sweeps_equal(hypframe._sweep_extremes(gram[i : i + 1], grid_n), expected[i : i + 1])
 
 
-def _all_enclosures(gram, grid_n):
-    """The (lo, hi, tol) of every block of every level, the top level first,
-    for each row of gram, with the block size of the level."""
-    _, levels = hypframe._grid_basis(grid_n)
-    enclosures = []
-    for depth, level in enumerate(levels):
-        groups = len(level.centre_slope)
-        rows = np.repeat(gram, groups, axis=0)
-        values = np.matmul(rows[:, None, :], np.tile(level.centre_slope, (len(gram), 1, 1)))[:, 0]
-        lo, hi, tol = hypframe._block_enclosures(rows, values, level)
-        blocks = tuple(v.reshape(len(gram), -1)[:, : level.count] for v in (lo, hi)) + (tol[::groups],)
-        enclosures.append((blocks, hypframe._ORACLE_BLOCK * hypframe._ORACLE_FANOUT ** (len(levels) - 1 - depth)))
-    return enclosures
+def row_sweep(g, grid_n):
+    """full_sweep of a Gram row (g11, g12, g22)."""
+    s2, sc2, c2 = hypframe._grid_basis(grid_n)
+    f = g[0] * s2
+    f += g[1] * sc2
+    f += g[2] * c2
+    imax, imin = int(np.argmax(f)), int(np.argmin(f))
+    return imax, imin, float(f[imax]), float(f[imin])
+
+
+def _window(half, centre, grid_n):
+    """The grid indices of a window, in the order of its arc."""
+    return (centre + np.arange(-half, half + 1)) % grid_n
 
 
 @pytest.mark.parametrize("grid_n", [17, 300, 1000, 4097, 4113, 20001, 65537, 10**6])
-def test_oracle_block_bounds_enclose_every_swept_value(grid_n):
-    # the mean-value enclosures of every level, on monotone blocks as well
-    # as around the extrema; the argmax above needs only part of them
+def test_oracle_window_certificate_separates_every_swept_value(grid_n):
+    # every swept value off a window lies strictly beyond its extremum, and
+    # the swept values of the window lie within the derivation's E of the
+    # exact f at their angles
     rng = np.random.default_rng(32)
-    (s2, sc2, c2), levels = hypframe._grid_basis(grid_n)
+    s2, sc2, c2 = hypframe._grid_basis(grid_n)
+    step = math.pi / grid_n
     with np.errstate(all="ignore"):
-        gram = gram_rows([_battery_matrix(rng, grid_n) for _ in range(40 if grid_n < 10**6 else 6)])
-        sigma = max(level.sigma for level in levels)
-        gram = gram[np.abs(gram).sum(axis=1) * sigma <= hypframe._ORACLE_GRAM_LIMIT]
-    assert len(gram) >= 3
-    enclosures = _all_enclosures(gram, grid_n)
-    assert [size for _, size in enclosures] == [4096, 256, 16]
-    for i, (g11, g12, g22) in enumerate(gram.tolist()):
-        f = g11 * s2
-        f += g12 * sc2
-        f += g22 * c2
-        for (lo, hi, tol), size in enclosures:
-            starts = np.arange(0, grid_n, size)
-            assert np.all(np.maximum.reduceat(f, starts) <= hi[i] + tol[i])
-            assert np.all(np.minimum.reduceat(f, starts) >= lo[i] - tol[i])
+        gram = gram_rows([_battery_matrix(rng, grid_n) for _ in range(40 if grid_n < 10**6 else 12)])
+    half, centre = hypframe._windows(gram, grid_n)
+    assert np.count_nonzero(half) >= 3
+    windowed = half > 0
+    assert hypframe._sweep_windows(gram[windowed], centre[windowed], int(half.max()), grid_n)[-1].all()
+    with mpmath.workdps(50):
+        for g, w, (cmax, cmin) in zip(gram[windowed].tolist(), half[windowed].tolist(), centre[windowed].tolist()):
+            f = g[0] * s2
+            f += g[1] * sc2
+            f += g[2] * c2
+            allowance = (5.0 * hypframe._TRIG_DELTA + 4.0 * 2.0**-53) * sum(map(abs, g)) + 3.0 * 2.0**-1075
+            at_max, at_min = _window(w, cmax, grid_n), _window(w, cmin, grid_n)
+            assert f[at_max].max() > np.delete(f, at_max).max()
+            assert f[at_min].min() < np.delete(f, at_min).min()
+            for i in np.concatenate([at_max, at_min])[::3].tolist():
+                s, c = mpmath.sin(mpmath.mpf(i * step)), mpmath.cos(mpmath.mpf(i * step))
+                assert abs(f[i] - (g[0] * s * s + g[1] * 2 * s * c + g[2] * c * c)) <= allowance
 
 
-def test_oracle_prunes_most_blocks_of_a_hyperbolic_matrix():
-    # of 245, 3,907 and 62,500 blocks of 4,096, 256 and 16 points, a run of
-    # four around each extremum at every level: 128 grid points are swept
-    _, levels = hypframe._grid_basis(10**6)
+def _count_grid_values(monkeypatch):
+    """The sizes of the arrays of angles that ``_grid_values`` evaluates from
+    here on, where the whole grid's basis may not be used."""
+    counted = []
+    grid_values = hypframe._grid_values
+
+    def counting(theta, grid_n):
+        counted.append(theta.size)
+        return grid_values(theta, grid_n)
+
+    monkeypatch.setattr(hypframe, "_grid_values", counting)
+    monkeypatch.setattr(hypframe, "_grid_basis", None)
+    return counted
+
+
+def test_oracle_window_evaluates_22_points_of_a_hyperbolic_matrix(monkeypatch):
+    # 11 points around each extremum of this row at 10^6 points
     gram = np.array([[10.0, 1.0, 0.5]])
-    row, block = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    kept = []
-    for level in levels:
-        parents = set(block.tolist())
-        row, block = hypframe._kept_children(gram, row, block, level)
-        assert (row == 0).all() and np.all(np.diff(block) > 0)
-        if kept:  # every kept block lies in a kept block of the level above
-            assert set((block // hypframe._ORACLE_FANOUT).tolist()) <= parents
-        kept.append(block.tolist())
-    assert [len(blocks) for blocks in kept] == [8, 8, 8]
-    assert kept[-1] == [29184, 29185, 29186, 29187, 60434, 60435, 60436, 60437]
-    # a stack keeps the blocks of each matrix alone, in one pass
-    (rows, blocks), = hypframe._kept_blocks(np.tile(gram, (3, 1)), np.arange(3), np.zeros(3, dtype=np.intp), levels)
-    assert rows.tolist() == [0] * 8 + [1] * 8 + [2] * 8
-    assert blocks.tolist() == kept[-1] * 3
-    assert len(blocks) * hypframe._ORACLE_BLOCK == 3 * 128
+    expected = row_sweep(gram[0], 10**6)
+    assert expected[:2] == (466976, 966976)
+    counted = _count_grid_values(monkeypatch)
+    assert_sweeps_equal(hypframe._sweep_extremes(gram, 10**6), [expected])
+    assert counted == [22]
+    # a stack takes the windows of each matrix alone, in one pass
+    assert_sweeps_equal(hypframe._sweep_extremes(np.tile(gram, (3, 1)), 10**6), [expected] * 3)
+    assert counted == [22, 66]
+
+
+@pytest.mark.parametrize("grid_n", [256, 1000, 10**6])
+def test_oracle_window_holds_both_ends_of_the_grid_at_the_wrap(grid_n):
+    # the maximum at index 0 (diag(1, 2)) and at index grid_n - 1, and the
+    # minimum at index 0 (diag(2, 1)): each of these windows wraps
+    t = (grid_n - 1) * math.pi / grid_n
+    peak_at_last = np.diag([2.0, 1.0]) @ np.array([[math.sin(t), math.cos(t)], [math.cos(t), -math.sin(t)]])
+    ms = [np.diag([1.0, 2.0]), peak_at_last, np.diag([2.0, 1.0])]
+    gram = gram_rows(ms)
+    expected = [full_sweep(m, grid_n) for m in ms]
+    assert (expected[0][0], expected[1][0], expected[2][1]) == (0, grid_n - 1, 0)
+    half, centre = hypframe._windows(gram, grid_n)
+    for row, extreme in ((0, 0), (1, 0), (2, 1)):
+        assert half[row] > 0 and {0, grid_n - 1} <= set(_window(half[row], centre[row, extreme], grid_n).tolist())
+    assert hypframe._sweep_windows(gram, centre, int(half.max()), grid_n)[-1].all()
+    assert_sweeps_equal(hypframe._sweep_extremes(gram, grid_n), expected)
+
+
+@pytest.mark.parametrize("grid_n", [1001, 4097, 20001, 10**6 + 1])
+def test_oracle_window_takes_the_first_index_of_a_tie(grid_n):
+    # on an odd grid the extremum at pi / 2 of diag(3, 1) (the max) and of
+    # diag(1, 3) (the min) lies midway between two grid points, whose swept
+    # values tie; the first of them wins
+    ms = [np.diag([3.0, 1.0]), np.diag([1.0, 3.0])]
+    first = (grid_n - 1) // 2
+    expected = [full_sweep(m, grid_n) for m in ms]
+    assert expected[0][0] == expected[1][1] == first
+    for m in ms:
+        g = gram_rows([m])[0]
+        s2, sc2, c2 = hypframe._grid_basis(grid_n)
+        f = g[0] * s2[first : first + 2] + g[1] * sc2[first : first + 2] + g[2] * c2[first : first + 2]
+        assert f[0] == f[1]
+    assert_sweeps_equal(hypframe._sweep_extremes(gram_rows(ms), grid_n), expected)
+
+
+@pytest.mark.parametrize("grid_n", [1000, 4096, 10**6])
+def test_oracle_window_at_the_wrap_takes_index_0_of_a_tie(grid_n):
+    # the maximum half a step below pi, between indices grid_n - 1 and 0:
+    # rows whose swept values there tie take index 0, the first on the
+    # grid, though grid_n - 1 comes first along the window
+    s2, sc2, c2 = hypframe._grid_basis(grid_n)
+    step = math.pi / grid_n
+    mean = np.linspace(1.5, 3.0, 201)
+    gram = np.stack([mean - math.cos(step), np.full_like(mean, -math.sin(step)), mean + math.cos(step)], axis=1)
+    ends = [g11 * s2[[0, -1]] + g12 * sc2[[0, -1]] + g22 * c2[[0, -1]] for g11, g12, g22 in gram.tolist()]
+    gram = gram[[f[0] == f[1] for f in ends]]
+    assert len(gram) >= 20
+    half, centre = hypframe._windows(gram, grid_n)
+    assert half.all() and set(centre[:, 0].tolist()) <= {0, grid_n - 1}
+    expected = [row_sweep(g, grid_n) for g in gram]
+    assert all(row[0] == 0 for row in expected)
+    assert_sweeps_equal(hypframe._sweep_extremes(gram, grid_n), expected)
+
+
+@pytest.mark.parametrize("shift", [-9, -4, 4, 9])
+def test_oracle_window_that_fails_its_test_is_swept_whole(monkeypatch, shift):
+    # windows moved off their extrema, to an end or past it: the test fails
+    # and the row is swept whole, so the result is still the full sweep's
+    rng = np.random.default_rng(35)
+    gram = gram_rows(rng.uniform(-1.0, 1.0, (8, 2, 2)))
+    half, centre = hypframe._windows(gram, 1000)
+    assert (half == 3).all()
+    assert not hypframe._sweep_windows(gram, centre + shift, 3, 1000)[-1].any()
+    windows = hypframe._windows
+
+    def shifted(g, n):
+        half, centre = windows(g, n)
+        return half, centre + shift
+
+    monkeypatch.setattr(hypframe, "_windows", shifted)
+    assert_sweeps_equal(hypframe._sweep_extremes(gram, 1000), [row_sweep(g, 1000) for g in gram])
+
+
+@pytest.mark.parametrize("grid_n", [20001, 10**6])
+def test_oracle_near_conformal_rows_on_both_sides_of_the_whole_sweep(grid_n):
+    # diag(1, 1 + eps) turned by 0.3: the last eps whose window would reach
+    # half the grid (20,001) or pass _WINDOW_MAX (10^6), and the first whose
+    # window does not
+    turn = jacobian_at(rotation(0.3), np.zeros(2))
+    eps = np.geomspace(1e-14, 1e-4, 4001)
+    gram = gram_rows([np.diag([1.0, 1.0 + e]) @ turn for e in eps.tolist()])
+    half, centre = hypframe._windows(gram, grid_n)
+    last = int(np.flatnonzero(half == 0).max())
+    widest = min(hypframe._WINDOW_MAX, (grid_n - 2) // 4)
+    assert (half[last + 1 :] > 0).all() and 0.99 * widest <= half[last + 1] <= widest
+    assert hypframe._sweep_windows(gram[last + 1 : last + 2], centre[last + 1 : last + 2], int(half[last + 1]),
+                                   grid_n)[-1].all()
+    pair = gram[last : last + 2]
+    assert_sweeps_equal(hypframe._sweep_extremes(pair, grid_n), [row_sweep(g, grid_n) for g in pair])
+
+
+@pytest.mark.parametrize("grid_n", [1000, 10**6])
+def test_oracle_gram_entries_near_1e_320(grid_n):
+    # a subnormal Gram sum is swept whole; next to a normal entry, products
+    # of entries near 1e-320 underflow inside an accepted window
+    gram = np.array([[1e-320, 0.0, 3e-320], [2e-320, -1e-320, 1e-321], [5e-324, 5e-324, 0.0],
+                     [3e-308, 1e-320, 1e-308], [1e-300, 2e-320, 3e-320], [2.5e-308, -3e-320, 2.3e-308],
+                     [1e-320, 1e-320, 4e-308], [3e-320, -2e-320, 2.5e-308]])
+    half, centre = hypframe._windows(gram, grid_n)
+    assert not half[:3].any() and half[3:].all()
+    assert hypframe._sweep_windows(gram[3:], centre[3:], int(half.max()), grid_n)[-1].all()
+    assert_sweeps_equal(hypframe._sweep_extremes(gram, grid_n), [row_sweep(g, grid_n) for g in gram])
+
+
+def test_oracle_mixed_stack_stays_within_a_bounded_allocation(monkeypatch):
+    # 3,584 narrow rows and 512 near-conformal rows with windows of 9,000 to
+    # 11,500 points at 10^6: padded to the widest, one pass would take about
+    # 4,096 x 46,000 points, 1.5 GB a float array
+    rng = np.random.default_rng(33)
+    narrow = gram_rows(rng.uniform(-1.0, 1.0, (3584, 2, 2)))
+    wide = gram_rows([np.diag([1.0, 1.0 + e]) for e in rng.uniform(6e-8, 1e-7, 512).tolist()])
+    gram = np.concatenate([narrow, wide])[rng.permutation(4096)]
+    half, _ = hypframe._windows(gram, 10**6)
+    assert half.all() and half.max() > hypframe._WINDOW_MAX // 2 and np.median(half) < 16
+    counted = _count_grid_values(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = hypframe._sweep_extremes(gram, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # passes of at most _WINDOW_PASS points, padding at most a fifth
+    assert max(counted) <= hypframe._WINDOW_PASS and sum(counted) <= 1.2 * np.sum(4 * half + 2)
+    assert peak < 16e6
+    monkeypatch.undo()
+    for i in [*rng.choice(np.flatnonzero(half < 16), 3), *rng.choice(np.flatnonzero(half > 1000), 3)]:
+        assert_sweeps_equal(tuple(v[i : i + 1] for v in got), [row_sweep(gram[i], 10**6)])
+
+
+# every grid that the tests sweep, and MAX_GRID_N
+_TEST_GRIDS = sorted({*range(4, 1025), 4095, 4096, 4097, 4111, 4112, 4113, 8191, 8192, 8193, 10**4, 10001,
+                      16383, 16384, 16385, 16386, 16640, 16641, 20001, 20015, 20016, 20017, 32769, 65537, 65551,
+                      100001, 10**6, 10**6 + 1, 10**8})
+
+
+def test_numpy_sin_and_cos_are_within_the_premise_of_the_window():
+    # the premise of the window's certificate, at sampled angles of every
+    # grid of the tests and next to 0, pi / 2 and pi
+    rng = np.random.default_rng(34)
+    angles = [0.0, 5e-324, 2.0**-1022, 1e-300, 1e-17, 1e-8]
+    for edge in (math.pi / 2, math.pi):
+        angles += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0), edge - 1e-15, edge - 1e-8]
+    for grid_n in _TEST_GRIDS:
+        picks = {1, 2, grid_n // 4, grid_n // 2 - 1, grid_n // 2, grid_n // 2 + 1, grid_n - 2, grid_n - 1}
+        theta = np.array(sorted(picks | set(rng.integers(grid_n, size=4).tolist())), dtype=float)
+        theta *= math.pi / grid_n  # the angles of _grid_values
+        angles += theta.tolist()
+    angles = np.array(angles)
+    with mpmath.workdps(50):
+        for ufunc, exact in ((np.sin, mpmath.sin), (np.cos, mpmath.cos)):
+            for t, value in zip(angles.tolist(), ufunc(angles).tolist()):
+                assert abs(value - exact(mpmath.mpf(t))) <= hypframe._TRIG_DELTA
 
 
 @pytest.mark.parametrize("grid_n", [10.5, 3, True, 4.0, "1000", None])
