@@ -27,7 +27,7 @@ from .errors import (
     ZeroDeterminant,
     ZeroMatrix,
 )
-from .planar_maps import MapSpec, jacobian_matrix
+from .planar_maps import MapSpec
 
 _LN2 = math.log(2.0)
 # A 2x2 matrix whose max |entry| reaches this has a nonzero closed-form SVD
@@ -371,7 +371,7 @@ class OrbitSegment:
 
     spec: MapSpec
     points: np.ndarray  # shape (k+1, 2)
-    step_second_partials: List[Tuple[np.ndarray, np.ndarray]]
+    step_second_partials: np.ndarray  # shape (k, 2, 2, 2): step, axis, row, column
     cocycle: MatrixCocycle
 
     @property
@@ -384,59 +384,111 @@ def cocycle_of(source: Union[OrbitSegment, MatrixCocycle]) -> MatrixCocycle:
     return source.cocycle if isinstance(source, OrbitSegment) else source
 
 
+# Why an orbit stops, by code; 0 is an orbit that reaches order k
+ORBIT_SINGULAR, ORBIT_DOMAIN, ORBIT_DERIVATIVES = 1, 2, 3
+
+
+def _derivatives_at(spec: MapSpec, xs: np.ndarray, ys: np.ndarray, valid) -> np.ndarray:
+    """The Jacobians and the second partials d_x and d_y, a (3, k, m, 2, 2)
+    array, at the ``valid`` entries of (k, m) points (a slice: all), NaN at
+    the others."""
+    x, y = xs[valid].ravel(), ys[valid].ravel()
+    derivatives = np.empty((3, len(x), 2, 2))
+    if len(x):  # MapSpec callbacks take no empty arrays
+        jacobians = derivatives[0]
+        jacobians[:, 0, 0], jacobians[:, 0, 1], jacobians[:, 1, 0], jacobians[:, 1, 1] = spec.jacobian(x, y)
+        for axis, d in enumerate(spec.second_partials(x, y), 1):
+            d = np.asarray(d)
+            derivatives[axis] = d if d.ndim == 2 else d.transpose(2, 0, 1)  # (2, 2) or (2, 2, n)
+    if isinstance(valid, slice):
+        return derivatives.reshape(3, *xs.shape, 2, 2)
+    out = np.full((3, *xs.shape, 2, 2), math.nan)
+    out[:, valid] = derivatives
+    return out
+
+
+def cocycle(spec: MapSpec, starts: np.ndarray, k: int, guard: Optional[float]) -> Tuple[np.ndarray, ...]:
+    """The orbits of an (m, 2) array of starts to order k, orbit j in column j,
+    as ``(stops, orders, points, jacobians, second_partials)``: why each one
+    stops (int8 ORBIT_* codes, 0 where it reaches order k) and at which order
+    (k where it does not), the points (k + 1, m, 2), the Jacobians
+    (k, m, 2, 2) and the second partials (k, m, 2, 2, 2) by step, orbit,
+    axis, row and column.  Entries past a stop are no part of the orbit.
+
+    At orbit point i an orbit stops at the first that fails of the domain
+    check (False at a non-finite point), the singular guard (only where
+    ``spec.has_singular_set``) and, for i < k, finite first and second
+    partials.  ``eval`` takes each order's points that passed both checks,
+    the derivative callbacks every step before each stop in one call.  A
+    callback that raises OverflowError ends every orbit running at that
+    order: in ``eval`` at order i at i + 1, in a derivative at the first
+    order whose call raises."""
+    limit = guard_limit(spec, guard)
+    m = len(starts)
+    xs, ys = coords = np.full((2, k + 1, m), math.nan)  # orbit point i of orbit j at [i, j]
+    coords[:, 0] = starts.T
+    stops, orders = np.zeros(m, dtype=np.int8), np.full(m, k)
+    live, x, y = slice(None), xs[0], ys[0]  # the running orbits: all of them until one stops
+
+    def end(ended, code: int, order: int) -> None:  # stop the running orbits where ``ended`` holds
+        nonlocal live, x, y
+        if np.count_nonzero(ended):  # faster than .any() on small arrays
+            index = np.arange(m)[live]
+            ended = np.broadcast_to(ended, index.shape)
+            stops[index[ended]], orders[index[ended]] = code, order
+            live, x, y = index[~ended], x[~ended], y[~ended]
+
+    # overflow to inf and NaN are tested for explicitly, as on Python floats
+    with np.errstate(all="ignore"):
+        for i in range(k + 1):
+            end(np.logical_not(spec.domain_check(x, y)), ORBIT_DOMAIN, i)
+            if spec.has_singular_set and len(x):
+                end(np.less(spec.singular_set_distance(x, y), limit), ORBIT_SINGULAR, i)
+            if i == k or not len(x):
+                break
+            try:  # a scalar image, which MapSpec allows, broadcasts
+                xs[i + 1, live], ys[i + 1, live] = spec.eval(x, y)
+            except OverflowError:
+                end(True, ORBIT_DOMAIN, i + 1)
+                break
+            x, y = xs[i + 1, live], ys[i + 1, live]
+
+        # the steps before each stop, step i of orbit j at [i, j]
+        valid = np.arange(k)[:, None] < orders if np.count_nonzero(stops) else slice(None)
+        try:
+            derivs = _derivatives_at(spec, xs[:k], ys[:k], valid)
+        except OverflowError:  # order by order; the first call that raises gives inf
+            valid = np.arange(k)[:, None] < orders
+            derivs = np.full((3, k, m, 2, 2), math.nan)
+            for i in range(k):
+                try:
+                    derivs[:, i : i + 1] = _derivatives_at(spec, xs[i : i + 1], ys[i : i + 1], valid[i : i + 1])
+                except OverflowError:
+                    derivs[:, i, valid[i]] = math.inf
+                    break
+        if not np.isfinite(derivs).all():  # NaN past each stop
+            finite = np.isfinite(derivs).all(axis=(0, -2, -1))
+            first = np.where(finite.all(axis=0), k, finite.argmin(axis=0))
+            earlier = first < orders
+            stops[earlier], orders[earlier] = ORBIT_DERIVATIVES, first[earlier]
+    return stops, orders, coords.transpose(1, 2, 0), derivs[0], derivs[1:].transpose(1, 2, 0, 3, 4)
+
+
 def compute_orbit(
     spec: MapSpec, xi0: np.ndarray, k: int, guard: Optional[float] = None
 ) -> OrbitSegment:
-    """Iterate the map k times from xi0, collecting derivative data.
-
-    Raises SingularEncounter(i) if any orbit point comes within ``guard`` of
-    the singular set, OrbitEscaped(i) if one is not finite, leaves the
-    domain or has non-finite first or second partials (a callback that
-    raises OverflowError counts as a non-finite value); either means the
-    orbit is unusable at this order.  ``guard`` defaults to 1e-8 for maps
-    with a singular set and 0 for smooth ones; on a map that declares no
-    singular set the guard does not run.  A start that is not two
-    coordinates, or a ``k`` that is not an int >= 1 (a bool is not), is
-    InvalidInput.
-    """
+    """Iterate the map k times from xi0, collecting derivative data: the
+    one-start case of ``cocycle``, whose stop at orbit point i it raises as
+    SingularEncounter(i) at the guard, else as OrbitEscaped(i).  ``guard``
+    defaults to 1e-8 for maps with a singular set and 0 for smooth ones.  A
+    start that is not two coordinates, or a ``k`` that is not an int >= 1
+    (a bool is not), is InvalidInput."""
     check_orbit_order(k)
     start = float_array(xi0, "orbit start", (2,))
-    limit = guard_limit(spec, guard)
-
-    pts = np.empty((k + 1, 2))
-    pts[0] = start
-    jacobians = []
-    seconds = []
-    p = pts[0]
-    # overflow to inf is tested for explicitly, as on Python floats
-    with np.errstate(all="ignore"):
-        for i in range(k + 1):
-            x, y = float(p[0]), float(p[1])
-            if not (math.isfinite(x) and math.isfinite(y) and spec.domain_check(x, y)):
-                raise OrbitEscaped(i)
-            if spec.has_singular_set and spec.singular_set_distance(x, y) < limit:
-                raise SingularEncounter(i)
-            if i == k:
-                break
-            try:  # a callback on Python floats raises where numpy would give inf
-                jacobian = jacobian_matrix(spec.jacobian(x, y))
-                second = spec.second_partials(x, y)
-                finite = np.isfinite(jacobian).all() and np.isfinite(second).all()
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives")
-            jacobians.append(jacobian)
-            seconds.append(second)
-            try:
-                p = np.array(spec.eval(x, y))
-            except OverflowError:
-                raise OrbitEscaped(i + 1) from None
-            pts[i + 1] = p
-
-    return OrbitSegment(
-        spec=spec,
-        points=pts,
-        step_second_partials=seconds,
-        cocycle=MatrixCocycle(jacobians),
-    )
+    stops, orders, points, jacobians, seconds = cocycle(spec, start[None], k, guard)
+    stop, i = stops[0], int(orders[0])
+    if stop == ORBIT_SINGULAR:
+        raise SingularEncounter(i)
+    if stop:
+        raise OrbitEscaped(i, f"orbit point {i} has non-finite derivatives" if stop == ORBIT_DERIVATIVES else None)
+    return OrbitSegment(spec, points[:, 0].copy(), seconds[:, 0], MatrixCocycle(jacobians[:, 0]))

@@ -10,12 +10,10 @@ spurious reversals across the convention's flip locus).
 
 All curves of a call advance in lockstep: each integrator stage samples the
 field at every curve still running with ``_field_directions``, the array
-form of the scalar ``_field_direction``.  It works in two passes: the orbit
-pass iterates all points together, order by order, keeps the coordinates
-of each order in a list, and drops those that leave the domain or come
-near the singular set (a guard that runs only on a map that declares a
-singular set); the derivative pass then takes the Jacobians at every
-step of every surviving orbit in one stacked call and measures them with
+form of the scalar ``_field_direction``.  It takes the orbits of all
+points, and why and where each one stops, from ``cocycle.cocycle``, the
+one orbit pass, of which ``compute_orbit`` is the one-start case; then it
+measures the steps of every orbit that reached order k with
 ``cocycle.measure_steps`` and the order-k products with
 ``cocycle.measure_orders``, the measurements ``MatrixCocycle`` makes of one
 orbit.  The scalar path gives the exact direction at each seed and stays
@@ -30,8 +28,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg2
-from .cocycle import (check_orbit_order, compute_orbit, float_array, guard_limit, is_finite_real, measure_orders,
-                      measure_steps)
+from .cocycle import (check_orbit_order, cocycle, compute_orbit, float_array, guard_limit, is_finite_real,
+                      measure_orders, measure_steps)
 from .errors import (
     HypcoordsError,
     InvalidInput,
@@ -49,6 +47,8 @@ UNSTABLE = "unstable"
 # and, from ``_field_directions``, a usable direction.
 TERMINATIONS = ("length", "singular", "domain", "degenerate", "stalled")
 _SINGULAR, _DOMAIN, _DEGENERATE, _STALLED = 1, 2, 3, 4
+# The termination code of each ``cocycle`` stop code; "domain" where compute_orbit raises OrbitEscaped
+_ORBIT_STOPS = np.array([0, _SINGULAR, _DOMAIN, _DOMAIN], dtype=np.int8)
 
 # SVG polyline width, in the units of the viewbox
 _STROKE_WIDTH = 0.004
@@ -95,71 +95,26 @@ def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) ->
 def _field_directions(
     spec: MapSpec, points: np.ndarray, k: int, field: str, guard: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``_field_direction`` at the n points of an (n, 2) array, in two numpy passes.
+    """``_field_direction`` at the n points of an (n, 2) array, in numpy passes.
 
     Returns ``(directions, stops)``.  Where ``stops[j]`` is 0,
     ``directions[j]`` is the order-k field direction at point j (canonical
     sign), equal to the scalar one bit for bit.  Elsewhere it is NaN and
     ``TERMINATIONS[stops[j]]`` is the reason the scalar path stops there:
-    "singular", "domain" or "degenerate".
-
-    The steps follow ``compute_orbit``, ``MatrixCocycle`` and
-    ``hyperbolic_coordinates``.  The orbit pass runs order by order: the
-    domain check (a non-finite point fails it), then the singular guard on
-    the points in the domain, then ``eval`` on the points that passed both.
-    The coordinates of each order are kept in a list, one array per order;
-    a stopped point leaves the pass and every stored order.  As in
-    ``compute_orbit``, the guard runs only where ``spec.has_singular_set``
-    declares a singular set.  The derivative pass takes the k steps of
-    every orbit that reached order k at once: one ``jacobian`` call, one
-    ``cocycle.measure_steps`` and one ``cocycle.measure_orders`` of the
-    order-k products, as ``MatrixCocycle`` measures one orbit; then the
-    co-eccentricity as ``hyperbolic_coordinates`` takes it.  A zero or lost
-    step, a zero product or a co-eccentricity above ``LOW_CONFIDENCE_COECC``
-    is degenerate.  So the map callbacks see only points the scalar path
-    would evaluate.
+    "singular", "domain" (the stops of ``cocycle``, whose one-start case
+    is ``compute_orbit``) or "degenerate": a zero or lost step, a zero
+    product or a co-eccentricity above ``LOW_CONFIDENCE_COECC``, measured
+    as ``MatrixCocycle`` and ``hyperbolic_coordinates`` measure one orbit.
     """
-    limit = guard_limit(spec, guard)
-    n = len(points)
-    stops = np.zeros(n, dtype=np.int8)
-    directions = np.full((n, 2), np.nan)
-    live = np.arange(n)
-    x, y = points[:, 0], points[:, 1]
-    xs, ys = [], []  # orbit point i of the live seeds at [i]
-
-    def drop(bad: np.ndarray, code: int) -> None:
-        nonlocal live, x, y
-        stops[live[bad]] = code
-        keep = ~bad
-        live, x, y = live[keep], x[keep], y[keep]
-        xs[:] = [u[keep] for u in xs]
-        ys[:] = [u[keep] for u in ys]
-
+    orbit_stops, _, _, steps, _ = cocycle(spec, points, k, guard)
+    stops = _ORBIT_STOPS[orbit_stops]
+    directions = np.full((len(points), 2), np.nan)
+    live = np.flatnonzero(stops == 0)
+    steps = steps[:, live] if len(live) < len(points) else steps
     # Overflow to inf, log(0) and NaN are tested for explicitly, as the
     # scalar path tests them on Python floats.
     with np.errstate(all="ignore"):
-        for i in range(k + 1):
-            bad = np.logical_not(spec.domain_check(x, y))
-            if np.count_nonzero(bad):  # also for a scalar; faster than .any() on small arrays
-                drop(np.broadcast_to(bad, x.shape), _DOMAIN)
-            if spec.has_singular_set:
-                near = np.less(spec.singular_set_distance(x, y), limit)
-                if np.count_nonzero(near):
-                    drop(np.broadcast_to(near, x.shape), _SINGULAR)
-            if i == k:
-                break
-            xs.append(x)
-            ys.append(y)
-            x, y = spec.eval(x, y)
-            if np.ndim(x) + np.ndim(y) < 2:  # a scalar image, which MapSpec allows
-                x, y = np.broadcast_to(x, live.shape), np.broadcast_to(y, live.shape)
-        # every step of every surviving orbit at once, step i of seed j at [i, j]
-        m = len(live)
-        jac = np.empty((k * m, 2, 2))
-        jac[:, 0, 0], jac[:, 0, 1], jac[:, 1, 0], jac[:, 1, 1] = spec.jacobian(
-            np.concatenate(xs), np.concatenate(ys)
-        )
-        *_, step_log_absdet, zero_steps, lost_steps, bodies, log_scales = measure_steps(jac.reshape(k, m, 2, 2))
+        *_, step_log_absdet, zero_steps, lost_steps, bodies, log_scales = measure_steps(steps)
         smax, log_norm, log_conorm, e = measure_orders(
             bodies[k], log_scales[k], np.cumsum(step_log_absdet, axis=0)[-1])
         coecc = np.exp(log_conorm - log_norm)  # as hyperbolic_coordinates takes it
@@ -350,7 +305,8 @@ def curves_to_svg(
         f'viewBox="{xmin:g} {ymin:g} {xmax - xmin:g} {ymax - ymin:g}">'
     ]
     for curve in curves:
-        pts = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in curve.points)
+        coords = curve.points.ravel().tolist()  # Python floats format faster than numpy scalars
+        pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in zip(coords[::2], coords[1::2]))
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="black" '
             f'stroke-width="{_STROKE_WIDTH:g}"/>'

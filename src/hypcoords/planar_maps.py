@@ -11,9 +11,9 @@ the entrywise x-derivative of the Jacobian and ``[1]`` the y-derivative:
     d_s(DPhi) = [[Phi1_sx, Phi1_sy],
                  [Phi2_sx, Phi2_sy]]      for s in {x, y}.
 
-Nothing here is differentiated symbolically.  The point callbacks take
-Python floats or equal-length arrays alike, so the orbit code and the
-batched foliation kernel call the same definition of each map.
+Nothing here is differentiated symbolically.  Every callback takes
+Python floats or equal-length arrays alike, and the one orbit pass
+(``cocycle.cocycle``) calls it on arrays, for one start as for many.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _nowhere_singular(x, y) -> float:
     return _INF
 
 
-def jacobian_matrix(entries) -> Matrix:
-    """The 2x2 Jacobian from the entries (j11, j12, j21, j22) of a point."""
-    return np.array(entries, dtype=float).reshape(2, 2)
-
-
 @dataclass(frozen=True)
 class MapSpec:
     """A planar map with analytic derivative data.
@@ -52,19 +47,21 @@ class MapSpec:
     Immutable after construction; all callbacks are pure, so instances are
     safe to share across workers.
 
-    ``eval``, ``jacobian``, ``singular_set_distance`` and ``domain_check``
-    take either two Python floats or two equal-length 1-d arrays x and y,
-    and return
+    Every callback takes either two Python floats or two equal-length 1-d
+    arrays x and y of n points, and returns
 
     * ``eval``: the image coordinates (X, Y);
-    * ``jacobian``: the entries (j11, j12, j21, j22), which
-      ``jacobian_matrix`` turns into the 2x2 matrix;
+    * ``jacobian``: the entries (j11, j12, j21, j22) of the 2x2 matrix;
+    * ``second_partials``: the matrices (d_x, d_y) of the module
+      docstring, each a (2, 2) array, or on arrays a (2, 2) constant or a
+      (2, 2, n) stack with the points on the last axis (what
+      ``np.array([[a, b], [c, d]])`` of arrays gives);
     * ``singular_set_distance``: the distance to the singular set;
     * ``domain_check``: whether the point lies in the domain, False at
       every non-finite point.
 
-    On arrays, each returned value may be a scalar that broadcasts against
-    x.  ``second_partials`` takes floats only.
+    On arrays, each other returned value may be a scalar that broadcasts
+    against x.
     """
 
     name: str
@@ -108,7 +105,7 @@ def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:
         eval=lambda x, y: (1.0 + y - a * x * x, b * x),
         jacobian=lambda x, y: (-2.0 * a * x, 1.0, b, 0.0),
         second_partials=second,
-        domain_check=lambda x, y: (abs(x) < 1e6) & (abs(y) < 1e6),
+        domain_check=lambda x, y: np.maximum(abs(x), abs(y)) < 1e6,  # False at NaN, as maximum passes it on
     )
 
 
@@ -128,8 +125,9 @@ def standard(K: float = 6.0) -> MapSpec:
         return 1.0 + kc, 1.0, kc, 1.0
 
     def second(x, y):
-        ks = -K * math.sin(x)
-        return np.array([[ks, 0.0], [ks, 0.0]]), np.zeros((2, 2))
+        ks = -K * np.sin(x)
+        zero = np.zeros_like(ks)
+        return np.array([[ks, zero], [ks, zero]]), np.zeros((2, 2))
 
     return MapSpec(
         name="standard",
@@ -157,14 +155,6 @@ def linear(
 def rotation(theta: float) -> MapSpec:
     ct, st = math.cos(theta), math.sin(theta)
     return linear(ct, -st, st, ct)
-
-
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent for base >= 0, inf where the float result overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
 
 
 def lorenz2d(
@@ -205,16 +195,17 @@ def lorenz2d(
         )
 
     def second(x, y):
-        s = math.copysign(1.0, x)
-        ax = abs(x)
+        s = np.copysign(1.0, x)
+        ax = np.abs(x)
         g1 = a1 + b1 * y
         g2 = a2 + b2 * y
-        dxx1 = alpha * (alpha - 1.0) * _power(ax, alpha - 2.0) * s * g1
-        dxy1 = alpha * _power(ax, alpha - 1.0) * b1
-        dxx2 = beta * (beta - 1.0) * _power(ax, beta - 2.0) * g2
-        dxy2 = s * beta * _power(ax, beta - 1.0) * b2
+        dxx1 = alpha * (alpha - 1.0) * np.power(ax, alpha - 2.0) * s * g1
+        dxy1 = alpha * np.power(ax, alpha - 1.0) * b1
+        dxx2 = beta * (beta - 1.0) * np.power(ax, beta - 2.0) * g2
+        dxy2 = s * beta * np.power(ax, beta - 1.0) * b2
+        zero = np.zeros_like(dxy1)
         d_x = np.array([[dxx1, dxy1], [dxx2, dxy2]])
-        d_y = np.array([[dxy1, 0.0], [dxy2, 0.0]])
+        d_y = np.array([[dxy1, zero], [dxy2, zero]])
         return d_x, d_y
 
     return MapSpec(

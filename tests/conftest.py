@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from hypcoords import compute_orbit, make_map
-from hypcoords.planar_maps import MapSpec, jacobian_matrix
+from hypcoords.planar_maps import MapSpec
 
 # Tier-1 checks the same inputs on every run: the "fixed" profile derives each
 # test's examples from its name and keeps no database of earlier failures.
@@ -82,6 +82,11 @@ def evaluate(spec, p):
     """Phi(p), with the domain and singular-set checks of MapSpec.second_partials_at."""
     x, y = spec._guard(p)
     return np.array(spec.eval(x, y))
+
+
+def jacobian_matrix(entries):
+    """The 2x2 Jacobian from the entries (j11, j12, j21, j22) of a point."""
+    return np.array(entries, dtype=float).reshape(2, 2)
 
 
 def jacobian_at(spec, p):

@@ -38,6 +38,12 @@ output directory:
 * ``foliate`` at k = 2 and 8, stable and unstable, on the four rows of
   the ``foliate-k8`` workload's unshifted Henon seed lattice and on one
   lorenz2d and one standard-map rectangle;
+* one run that ends in each orbit stop: ``orbit`` from the Henon start
+  (3, 0) at k = 6, which leaves the domain, ``orbit`` of lorenz2d from
+  the start whose first image lands on the singular line x = 0, which
+  meets the guard, and from x = 1e-238 with ``--guard 0``, whose second
+  partials are not finite; and ``foliate`` of lorenz2d with ``--guard 0``
+  at k = 2 over a rectangle across x = 0;
 * ``verify-convergence`` from the Henon fixture at k = 440 under flavor I
   and ``verify-variation`` at k = 287, the last orders that pass, whose
   reports reach 1e-305 and subnormal numbers;
@@ -78,6 +84,8 @@ FOLIATE_RECTS = {
     "standard": ("standard", "0.0,2.0,3.0,3.2"),
 }
 FOLIATE_SETTINGS = ["--spacing", "0.2", "--length", "0.2", "--step", "0.002"]
+# lorenz2d maps (x, y) to x = 0 from x = (1 / a1)^(1 / alpha), up to rounding
+LORENZ_HIT = (1.0 / 1.2) ** (1.0 / 0.5)
 
 
 def henon_start(entry: int) -> tuple:
@@ -129,6 +137,13 @@ def battery() -> dict:
                 runs[f"foliate-{name}-k{k}-{field}"] = [
                     "foliate", *maps[map_name], "--k", str(k), f"--rect={rect}", *FOLIATE_SETTINGS,
                     "--field", field]
+    runs["henon-escape-k6-orbit"] = ["orbit", *maps["henon"], *_start((3.0, 0.0)), "--k", "6"]
+    runs["lorenz2d-guard-k3-orbit"] = ["orbit", *maps["lorenz2d"], *_start((LORENZ_HIT, 0.0)), "--k", "3"]
+    runs["lorenz2d-derivatives-k1-orbit"] = ["orbit", *maps["lorenz2d"], *_start((1e-238, 0.0)), "--k", "1",
+                                             "--guard", "0"]
+    runs["foliate-lorenz2d-guard0-k2-unstable"] = [
+        "foliate", *maps["lorenz2d"], "--k", "2", "--rect=-0.5,0.5,-0.1,0.1", *FOLIATE_SETTINGS,
+        "--field", "unstable", "--guard", "0"]
     fixture = [*maps["henon"], *_start(HENON_FIXTURE)]
     runs["henon-fixture-k440-verify-convergence-I"] = ["verify-convergence", *fixture, "--k", "440",
                                                         "--flavor", "I"]

@@ -10,8 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import hypframe, linalg2
 from hypcoords.cocycle import (
+    ORBIT_DERIVATIVES,
+    ORBIT_DOMAIN,
+    ORBIT_SINGULAR,
     MatrixCocycle,
     ScaledMatrix,
+    cocycle,
     compute_orbit,
     guard_limit,
     measure_steps,
@@ -248,6 +252,75 @@ def test_map_callback_overflow_escapes_the_orbit():
     with pytest.raises(OrbitEscaped) as err:
         compute_orbit(dataclasses.replace(h, eval=overflowing), np.array([0.1, 0.1]), 3)
     assert (err.value.index, str(err.value)) == (1, "orbit point 1 left the domain")
+
+
+def _doubling(jacobian=None, eval=None):
+    """(x, y) -> (2 x, y) on |x|, |y| < 4, with optional callbacks swapped in."""
+    zero = np.zeros((2, 2))
+    spec = MapSpec(
+        name="doubling",
+        parameters={},
+        eval=lambda x, y: (2.0 * x, y),
+        jacobian=lambda x, y: (2.0, 0.0, 0.0, 1.0),
+        second_partials=lambda x, y: (zero.copy(), zero.copy()),
+        domain_check=lambda x, y: (abs(x) < 4.0) & (abs(y) < 4.0),
+    )
+    return dataclasses.replace(spec, **{name: f for name, f in (("jacobian", jacobian), ("eval", eval)) if f})
+
+
+def _raising_past_one(x, y):
+    if np.any(np.abs(x) > 1.0):
+        raise OverflowError("math range error")
+    return 2.0, 0.0, 0.0, 1.0
+
+
+def test_one_orbit_pass_for_many_starts_equals_compute_orbit_per_start():
+    spec = lorenz2d()
+    hit = (1.0 / spec.parameters["a1"]) ** (1.0 / spec.parameters["alpha"])  # image on x = 0
+    starts = np.array([[0.3, 0.2], [hit, 0.0], [5.0, 0.0], [1e-250, 0.1], [-0.4, 0.1], [math.nan, 0.0]])
+    stops, orders, points, jacobians, seconds = cocycle(spec, starts, 3, 0.0)
+    assert stops.tolist() == [0, ORBIT_SINGULAR, ORBIT_DOMAIN, ORBIT_DERIVATIVES, 0, ORBIT_DOMAIN]
+    assert orders.tolist() == [3, 1, 0, 0, 3, 0]
+    assert (points.shape, jacobians.shape, seconds.shape) == ((4, 6, 2), (3, 6, 2, 2), (3, 6, 2, 2, 2))
+    for j, start in enumerate(starts):
+        if stops[j]:
+            with pytest.raises((OrbitEscaped, SingularEncounter)) as err:
+                compute_orbit(spec, start, 3, 0.0)
+            assert err.value.index == orders[j]
+            continue
+        orbit = compute_orbit(spec, start, 3, 0.0)
+        assert orbit.points.tobytes() == points[:, j].tobytes()
+        assert np.array(orbit.cocycle.steps).tobytes() == jacobians[:, j].tobytes()
+        assert orbit.step_second_partials.tobytes() == seconds[:, j].tobytes()
+        for i, p in enumerate(orbit.points[:-1]):
+            assert np.array(spec.second_partials_at(p)).tobytes() == orbit.step_second_partials[i].tobytes()
+
+
+def test_overflow_in_a_derivative_ends_every_orbit_running_at_that_order():
+    # the batched call raises; order by order, order 2 is the first that does
+    spec = _doubling(jacobian=_raising_past_one)
+    stops, orders, _, jacobians, _ = cocycle(spec, np.array([[0.3, 0.0], [0.1, 0.0], [5.0, 0.0]]), 5, None)
+    assert stops.tolist() == [ORBIT_DERIVATIVES, ORBIT_DERIVATIVES, ORBIT_DOMAIN]
+    assert orders.tolist() == [2, 2, 0]
+    assert not np.isfinite(jacobians[2:]).any() and np.isfinite(jacobians[:2, :2]).all()
+    for start, index in (((0.3, 0.0), 2), ((0.1, 0.0), 4)):
+        with pytest.raises(OrbitEscaped) as err:
+            compute_orbit(spec, np.array(start), 5)
+        assert (err.value.index, str(err.value)) == (index, f"orbit point {index} has non-finite derivatives")
+
+
+def test_overflow_in_eval_ends_every_orbit_running_at_that_order():
+    def raising_past_one(x, y):
+        if np.any(np.abs(x) > 1.0):
+            raise OverflowError("math range error")
+        return 2.0 * x, y
+
+    stops, orders, points, jacobians, _ = cocycle(
+        _doubling(eval=raising_past_one), np.array([[0.3, 0.0], [0.1, 0.0], [5.0, 0.0]]), 5, None)
+    # at order 2, 0.3 has become 1.2: both running orbits escape at order 3
+    assert stops.tolist() == [ORBIT_DOMAIN] * 3
+    assert orders.tolist() == [3, 3, 0]
+    assert np.isnan(points[3:]).all() and not np.isnan(jacobians[:3, :2]).any()
 
 
 def test_cocycle_block_identity_and_full():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import compute_orbit, foliation
 from hypcoords.cocycle import guard_limit
-from hypcoords.errors import HypcoordsError, IndexOutOfRange, InvalidInput, NoFrameAtStart
+from hypcoords.errors import HypcoordsError, IndexOutOfRange, InvalidInput, NoFrameAtStart, OrbitEscaped
 from hypcoords.foliation import (
     curves_to_svg,
     foliation_grid,
@@ -219,6 +219,14 @@ def test_exports(henon, tmp_path):
     assert svg.startswith("<svg") and "<polyline" in svg and svg.rstrip().endswith("</svg>")
 
 
+def test_svg_spells_each_coordinate_with_6_significant_digits():
+    points = np.array([[1e-300, -0.0], [0.1, 2.0 / 3.0], [-123456789.0, 5e-324], [math.nan, math.inf]])
+    curve = foliation.FoliationCurve(1, "stable", points, np.arange(4.0), "length", 1.0, np.array([1.0, 0.0]))
+    expected = " ".join(f"{p[0]:.6g},{p[1]:.6g}" for p in points)  # numpy scalars, point by point
+    assert f'<polyline points="{expected}" ' in curves_to_svg([curve], (-1.0, 1.0, -1.0, 1.0))
+    assert expected == "1e-300,-0 0.1,0.666667 -1.23457e+08,4.94066e-324 nan,inf"
+
+
 def test_frame_field_convergence_mirrors_envelope(henon):
     # at a seed with a passing certificate, successive frame orders rotate
     # by a geometrically decaying angle no slower than the certificate's
@@ -287,11 +295,7 @@ KERNEL_SPECS = [
 ]
 SPECIAL_COORDS = [0.0, -0.0, 1e-9, -1e-9, 1e-3, 4.5, -5.0, 1e7, 1e308, -1e308,
                   math.inf, -math.inf, math.nan]
-# Within about 1e-205 of x = 0, lorenz2d's second partials overflow when the
-# guard is 0: the scalar reference stops there ("domain", non-finite
-# derivatives), while the kernel, which needs no second partials, does not.
-COORDS = st.one_of(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-200 or v == 0.0),
-                   st.sampled_from(SPECIAL_COORDS))
+COORDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(SPECIAL_COORDS))
 
 
 def _scalar_field(spec, p, k, field, guard):
@@ -320,6 +324,10 @@ def _scalar_field(spec, p, k, field, guard):
 @example(0, [(3.0, 0.0), (0.1, 0.1), (0.2, -0.1)], 6, "stable", None)
 @example(3, [(0.3, 0.2), (_LORENZ_HIT, 0.0), (-0.4, 0.1)], 3, "unstable", None)
 @example(11, [(0.0, 1.0), (0.0, 1.25)], 3, "stable", None)
+# within about 1e-205 of x = 0 lorenz2d's second partials overflow at guard 0:
+# both paths stop there as "domain" (non-finite derivatives)
+@example(3, [(1e-250, 0.1), (-1e-210, 0.3)], 1, "stable", 0.0)
+@example(3, [(1e-250, 0.1), (-1e-210, 0.3)], 2, "unstable", 0.0)
 def test_field_directions_match_scalar_field_direction(which, pts, k, field, guard):
     spec = KERNEL_SPECS[which]
     points = np.array(pts, dtype=float)
@@ -363,7 +371,7 @@ def test_field_directions_take_scalar_callback_answers(which, pts, k, field):
         assert v.tobytes() == expected.tobytes(), (p, v, expected)
 
 
-_POINT_CALLBACKS = ("domain_check", "singular_set_distance", "jacobian", "eval")
+_POINT_CALLBACKS = ("domain_check", "singular_set_distance", "jacobian", "second_partials", "eval")
 
 
 def _recording(spec):
@@ -406,9 +414,41 @@ def test_field_kernel_callbacks_see_only_points_that_passed_the_checks(which, pt
     with np.errstate(all="ignore"):
         for q in seen["singular_set_distance"]:
             assert in_domain(q).all(), q
-        for name in ("jacobian", "eval"):
+        for name in ("jacobian", "second_partials", "eval"):
             for q in seen[name]:
                 assert (in_domain(q) & off_singular(q)).all(), (name, q)
+
+
+def _infinite_jacobian_map(region):
+    """A linear map whose Jacobian entry j11 is inf where ``region(x)``: the
+    orbit's points stay finite while its derivative does not."""
+    return MapSpec(
+        name="infinite-jacobian",
+        parameters={},
+        eval=lambda x, y: (0.5 * x + 0.1 * y, 0.2 * x + 2.0 * y),
+        jacobian=lambda x, y: (np.where(region(x), math.inf, 0.5), 0.1, 0.2, 2.0),
+        second_partials=lambda x, y: (_ZERO.copy(), _ZERO.copy()),
+    )
+
+
+def test_curve_ends_at_a_non_finite_jacobian_with_the_points_of_the_scalar_rules():
+    # the second stage of step 1 lands in x < 0.45; the kernel once let that
+    # orbit through with a NaN direction and wrote a (nan, nan) point
+    spec = _infinite_jacobian_map(lambda x: x < 0.45)
+    curve = integrate_curve(spec, (0.4575, 0.0), 1, "stable", total_arclength=0.1, step=0.005)
+    assert curve.termination == "domain"
+    assert curve.points.shape == (2, 2) and np.isfinite(curve.points).all()
+    assert curve.points[0].tolist() == [0.4575, 0.0]
+
+
+def test_field_kernel_stops_at_a_non_finite_jacobian_as_the_scalar_path_does():
+    spec = _infinite_jacobian_map(lambda x: x > 0.5)
+    point = np.array([0.7, 0.0])  # the start's Jacobian is infinite, its image's is not
+    directions, stops = foliation._field_directions(spec, point[None], 2, "stable", None)
+    assert foliation.TERMINATIONS[stops[0]] == "domain" and np.isnan(directions).all()
+    assert _scalar_field(spec, point, 2, "stable", None)[1] == "domain"
+    with pytest.raises(OrbitEscaped, match="^orbit point 0 has non-finite derivatives$"):
+        compute_orbit(spec, point, 2)
 
 
 def test_field_directions_stop_reasons_on_lorenz2d():

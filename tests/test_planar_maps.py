@@ -10,7 +10,6 @@ from hypcoords.linalg2 import det2
 from hypcoords.planar_maps import (
     BUILTIN_MAPS,
     henon,
-    jacobian_matrix,
     linear,
     lorenz2d,
     make_map,
@@ -18,7 +17,7 @@ from hypcoords.planar_maps import (
     standard,
 )
 
-from conftest import STANDARD_K, evaluate, jacobian_at
+from conftest import STANDARD_K, evaluate, jacobian_at, jacobian_matrix
 
 
 @dataclass(frozen=True)
@@ -256,3 +255,34 @@ def test_array_callbacks_agree_with_scalar_callbacks(spec):
         np.testing.assert_allclose([images[0][i], images[1][i]], spec.eval(a, b), rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose([e[i] for e in entries], spec.jacobian(a, b), rtol=1e-14, atol=1e-15)
 
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MAPS))
+def test_second_partials_take_arrays_as_floats(name):
+    # per axis a (2, 2) constant or a (2, 2, n) stack, equal bit for bit to the
+    # (2, 2) matrices of each point alone
+    spec = make_map(name, **({"theta": 0.7} if name == "rotation" else {}))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1.5, 1.5, 64), rng.uniform(-1.5, 1.5, 64)
+    x[:4] = 0.3, -1e-250, 1e-210, 1e-3
+    with np.errstate(all="ignore"):
+        stacks = spec.second_partials(x, y)
+        for axis, stack in enumerate(stacks):
+            stack = np.asarray(stack)
+            assert stack.shape in ((2, 2), (2, 2, len(x))), (axis, stack.shape)
+            stack = np.broadcast_to(np.reshape(stack, (2, 2, -1)), (2, 2, len(x)))
+            for j, (u, v) in enumerate(zip(x.tolist(), y.tolist())):
+                alone = np.asarray(spec.second_partials(u, v)[axis], dtype=float)
+                assert alone.shape == (2, 2)
+                assert stack[:, :, j].tobytes() == alone.tobytes(), (axis, u, v)
+
+
+@pytest.mark.parametrize("name, bound, closed", [("henon", 1e6, False), ("lorenz2d", 4.0, True)])
+def test_domain_is_a_box_that_holds_no_non_finite_point(name, bound, closed):
+    spec = make_map(name)
+    edges = [0.0, -0.0, 1.0, -3.5, bound, -bound, np.nextafter(bound, 0.0), np.nextafter(bound, math.inf),
+             1e300, -math.inf, math.inf, math.nan]
+    x, y = (np.array(v) for v in zip(*[(u, v) for u in edges for v in edges]))
+    inside = (abs(x) <= bound) & (abs(y) <= bound) if closed else (abs(x) < bound) & (abs(y) < bound)
+    assert np.array_equal(spec.domain_check(x, y), inside)
+    assert [bool(spec.domain_check(u, v)) for u, v in zip(x.tolist(), y.tolist())] == inside.tolist()
