@@ -61,7 +61,6 @@ from .hypframe import (
     frame_sequence,
     hyperbolic_coordinates,
 )
-from .planar_maps import MapSpec
 from .report import BoundReport
 
 SQRT2 = math.sqrt(2.0)
@@ -462,35 +461,6 @@ def verify_explicit_convergence(orbit: OrbitSegment, ledger: ConstantsLedger) ->
 
 
 # ---------------------------------------------------------------------------
-# Second-derivative identity
-# ---------------------------------------------------------------------------
-
-
-# Entrywise error ``d2_contraction_identity`` allows, per unit of the
-# largest |second partial| (at least 1)
-_D2_IDENTITY_SCALE = 1e-10
-
-
-def d2_contraction_identity(spec: MapSpec, p: np.ndarray, v: np.ndarray) -> BoundReport:
-    """Entrywise check that D2Phi(v, axis_k) equals (d_axis_k DPhi) v, to
-    ``_D2_IDENTITY_SCALE`` times the scale of the second partials: the check
-    ``coordinate_identity`` at index (k,) for the axes k = 0, 1.
-
-    The left side is assembled from the Hessian coordinate expansion, the
-    right from the partial matrices; equality encodes symmetry of the
-    supplied mixed partials.
-    """
-    dx, dy = spec.second_partials_at(p)
-    h1 = np.array([dx[0], dy[0]])  # Hessians of the two components
-    h2 = np.array([dx[1], dy[1]])
-    scale = max(float(np.abs(dx).max()), float(np.abs(dy).max()), 1.0)
-    errors = [float(np.abs(np.array([v @ h1 @ unit, v @ h2 @ unit]) - dmat @ np.asarray(v, dtype=float)).max())
-              for unit, dmat in zip(np.eye(2), (dx, dy))]  # D2Phi(v, axis) less (d_axis DPhi) v
-    return BoundReport("d2_contraction_identity", 0.0, ["coordinate_identity"], [(0,), (1,)], [np.array(errors)],
-                       [_D2_IDENTITY_SCALE * scale])
-
-
-# ---------------------------------------------------------------------------
 # Column / bilinear norm bounds in dimension n <= 4
 # ---------------------------------------------------------------------------
 
@@ -633,7 +603,7 @@ def bilinear_column_bounds(
 
     A bilinear map B is an (n, n, n) tensor, ``bilinear[p, i, j]`` being
     component p of B(e_i, e_j).  A planar map's second derivative at a point
-    p is the Hessian tensor ``np.stack(spec.second_partials_at(p), axis=1)``,
+    (x, y) is the Hessian tensor ``np.stack(spec.second_partials(x, y), axis=1)``,
     whose entry [p, i, j] is d_i d_j Phi_p.  The slices B(., e_k) bracket
     |B| = max |B(u, w)| over unit u, w as the columns bracket |A|, and the
     columns B(v, e_k) bracket |B(v, .)|.  |A|, the slice norms and

@@ -201,9 +201,6 @@ class ConstantsLedger:
         """The constants by ledger key, in field order."""
         return {key: getattr(self, name) for name, key in _LEDGER_KEYS.items()}
 
-    def with_c(self, c: float) -> "ConstantsLedger":
-        return replace(self, c=c)
-
 
 # the ledger key of each constant: its field name, but lambda for lam
 _LEDGER_KEYS = {

@@ -422,19 +422,10 @@ def _trial_checks(stack: np.ndarray, s: linalg2.Svd2, theta_svd: np.ndarray, ora
     closed-form frame angle from the critical angle of
     ``hypframe.angle_theta`` and from the grid oracle's; and the relative
     errors of the oracle's norms against the singular values.  Array
-    expressions in the arithmetic of one trial at a time; math.atan2 and
-    Python's ** 2 stay per trial, whose last bit np.arctan2 and x * x do not
-    always match."""
+    expressions in the arithmetic of one trial at a time; Python's ** 2
+    stays per trial, whose last bit x * x does not always match."""
     a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
-    num = 2.0 * (a * b + c * d)  # angle_theta(a, c, b, d)
-    den = (b * b + d * d) - (a * a + c * c)
-    degenerate = (np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)
-    if degenerate.any():  # ConformalDegenerate, from the first such trial
-        i = int(np.argmax(degenerate))
-        hypframe.angle_theta(float(a[i]), float(c[i]), float(b[i]), float(d[i]))
-    theta_expand = 0.5 * np.array([math.atan2(y, x) for y, x in zip(num.tolist(), den.tolist())])
-    theta_expand[theta_expand < 0.0] += math.pi
-    d1 = linalg2.line_angle_distance(theta_svd, theta_expand)
+    d1 = linalg2.line_angle_distance(theta_svd, hypframe.angle_theta(a, c, b, d).theta_expand)
     d2 = linalg2.line_angle_distance(theta_svd, oracle.theta_max)
     n1 = np.abs(oracle.norm_max - s.smax) / s.smax
     n2 = np.abs(oracle.norm_min - s.smin) / s.smin

@@ -11,14 +11,6 @@ class HypcoordsError(Exception):
     """Base class for all package errors."""
 
 
-class OutsideDomain(HypcoordsError):
-    """Point rejected by the map's domain check."""
-
-
-class OnSingularSet(HypcoordsError):
-    """Point lies on (or too close to) the map's singular set."""
-
-
 class SingularEncounter(HypcoordsError):
     """Orbit hit the singular-set guard at some step."""
 

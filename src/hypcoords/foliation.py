@@ -37,7 +37,7 @@ from .errors import (
     OrbitEscaped,
     SingularEncounter,
 )
-from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates, pushforward_frames
+from .hypframe import LOW_CONFIDENCE_COECC, hyperbolic_coordinates
 from .planar_maps import MapSpec
 
 STABLE = "stable"
@@ -67,10 +67,6 @@ class FoliationCurve:
     @property
     def seed(self) -> np.ndarray:
         return self.points[0]
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
 
 
 def _field_direction(spec: MapSpec, p: np.ndarray, k: int, field: str, guard) -> Tuple[np.ndarray, int]:
@@ -286,13 +282,6 @@ def foliation_grid(
         k, field, total_arclength, step, guard,
     )
     return FoliationGrid(curves=curves, failed_seeds=failed)
-
-
-def pushforward_seed_angle(spec: MapSpec, seed: np.ndarray, k: int, i: int) -> float:
-    """Angle between the i-step images of e and f at a seed (pi/2 at i = k)."""
-    orbit = compute_orbit(spec, np.asarray(seed, dtype=float), k)
-    pushed = pushforward_frames(orbit, k, i)
-    return linalg2.angle_between(pushed.e_dir, pushed.f_dir)
 
 
 def curves_to_svg(

@@ -152,94 +152,34 @@ def frame_sequence(
 
 
 @dataclass(frozen=True)
-class CoeccValues:
-    """The co-eccentricity computed three ways (they agree for invertible maps):
-
-    |det| / norm^2,  conorm^2 / |det|,  conorm / norm.
-    """
-
-    from_det_over_norm2: Optional[float]
-    from_conorm2_over_det: Optional[float]
-    from_conorm_over_norm: float
-    singular: bool
-
-
-def coeccentricity(source: Union[OrbitSegment, MatrixCocycle], k: int) -> CoeccValues:
-    """Three independent evaluations of the order-k co-eccentricity.
-
-    The determinant comes from the entrywise cross product of the scaled
-    body, the singular values from the closed-form SVD; the three routes
-    agree whenever the contracted direction is resolvable at working
-    precision.  A singular product only supports the ratio form (reported
-    as 0); the other two are flagged unavailable.
-    """
-    coc = cocycle_of(source)
-    check_order(k, 1, coc.k, "order")
-    m = coc.prefix(k)
-    s = linalg2.svd2_matrix(m.body)
-    det_body = abs(linalg2.det2(m.body))
-    if det_body == 0.0 or s.smin == 0.0:
-        return CoeccValues(None, None, 0.0, True)
-    return CoeccValues(
-        from_det_over_norm2=det_body / (s.smax * s.smax),
-        from_conorm2_over_det=s.smin * s.smin / det_body,
-        from_conorm_over_norm=s.smin / s.smax,
-        singular=False,
-    )
-
-
-@dataclass(frozen=True)
 class CriticalAngles:
-    """Critical angles of the norm over the unit circle, (sin t, cos t) form."""
+    """Critical angles of the norm over the unit circle, (sin t, cos t) form:
+    floats for four floats, arrays for four arrays."""
 
-    theta_contract: float
-    theta_expand: float
+    theta_contract: Union[float, np.ndarray]
+    theta_expand: Union[float, np.ndarray]
 
 
-def angle_theta(px1: float, px2: float, py1: float, py2: float) -> CriticalAngles:
-    """Critical angles from the four first partials (x1, x2, y1, y2 order).
+def angle_theta(px1, px2, py1, py2) -> CriticalAngles:
+    """Critical angles from the four first partials (x1, x2, y1, y2 order),
+    four floats or four equal-length arrays of them.
 
     Arguments are d_x Phi1, d_x Phi2, d_y Phi1, d_y Phi2.  Raises
-    ConformalDegenerate when numerator and denominator both vanish
-    (every direction is critical).
+    ConformalDegenerate when numerator and denominator both vanish at any
+    entry (every direction is critical).  The arctangent is numpy's ufunc,
+    so an entry of an array gets the bits of the same entry as a float.
     """
     num = 2.0 * (px1 * py1 + px2 * py2)
     den = (py1 * py1 + py2 * py2) - (px1 * px1 + px2 * px2)
-    if abs(num) < 1e-14 and abs(den) < 1e-14:
+    if np.any((np.abs(num) < 1e-14) & (np.abs(den) < 1e-14)):
         raise ConformalDegenerate("conformal derivative: every direction is critical")
-    theta_expand = 0.5 * math.atan2(num, den)
-    if theta_expand < 0.0:
-        theta_expand += math.pi
+    theta_expand = 0.5 * np.arctan2(num, den)
+    theta_expand = np.where(theta_expand < 0.0, theta_expand + math.pi, theta_expand)
     theta_contract = theta_expand + 0.5 * math.pi
-    if theta_contract >= math.pi:
-        theta_contract -= math.pi
+    theta_contract = np.where(theta_contract >= math.pi, theta_contract - math.pi, theta_contract)
+    if theta_expand.ndim == 0:
+        return CriticalAngles(theta_contract=float(theta_contract), theta_expand=float(theta_expand))
     return CriticalAngles(theta_contract=theta_contract, theta_expand=theta_expand)
-
-
-@dataclass(frozen=True)
-class PushedFrame:
-    """Images of the order-k frame under the first i steps, as (direction, log norm)."""
-
-    k: int
-    i: int
-    e_dir: np.ndarray
-    e_log_norm: float
-    f_dir: np.ndarray
-    f_log_norm: float
-
-
-def pushforward_frames(
-    source: Union[OrbitSegment, MatrixCocycle], k: int, i: int
-) -> PushedFrame:
-    """e and f of order k pushed forward i steps (orthogonal only at i == k);
-    e by the cocycle's pull-back, f by its forward push."""
-    coc = cocycle_of(source)
-    frame = hyperbolic_coordinates(coc, k)
-    check_order(i, 0, k, "pushforward step")
-    e_dirs, e_logs = coc.contracted_images([k])
-    (f_dir,), (f_log,) = coc.images(frame.f, [i])
-    return PushedFrame(k=k, i=i, e_dir=e_dirs[0, i], e_log_norm=float(e_logs[0, i]), f_dir=f_dir,
-                       f_log_norm=float(f_log))
 
 
 @dataclass(frozen=True)
@@ -445,29 +385,3 @@ def oracle_extremal_directions(m, grid_n: int) -> OracleResult:
     if ms.ndim == 2:
         fields = tuple(float(v[0]) for v in fields)
     return OracleResult(*fields, grid_n=grid_n)
-
-
-def diagonal_form_residuals(
-    source: Union[OrbitSegment, MatrixCocycle], k: int
-) -> Tuple[float, float]:
-    """Express the k-step derivative in the frame bases and measure diagonality.
-
-    In the input basis {f, e} and the normalized output basis {f_k, e_k} the
-    matrix must be diag(sigma_max, sigma_min).  Returns (max off-diagonal
-    relative to sigma_max, max relative diagonal error).
-    """
-    coc = cocycle_of(source)
-    frame = hyperbolic_coordinates(coc, k)
-    pushed = pushforward_frames(coc, k, k)
-    m = coc.prefix(k)
-    basis_in = np.column_stack([frame.f, frame.e])
-    basis_out = np.column_stack([pushed.f_dir, pushed.e_dir])
-    rep = basis_out.T @ m.body @ basis_in  # representation in body scale
-    smax_body = math.exp(frame.log_sigma_max - m.log_scale)
-    smin_body = math.exp(frame.log_sigma_min - m.log_scale)
-    off = max(abs(float(rep[0, 1])), abs(float(rep[1, 0]))) / smax_body
-    diag_err = max(
-        abs(abs(float(rep[0, 0])) - smax_body) / smax_body,
-        abs(abs(float(rep[1, 1])) - smin_body) / max(smin_body, 1e-300),
-    )
-    return off, diag_err

@@ -80,13 +80,6 @@ def rotate_quarter_cw(v: np.ndarray) -> np.ndarray:
     return w
 
 
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Unsigned angle between two nonzero vectors, in [0, pi]."""
-    cross = float(u[0] * v[1] - u[1] * v[0])
-    dot = float(u[0] * v[0] + u[1] * v[1])
-    return abs(math.atan2(cross, dot))
-
-
 def line_angle_distance(t1, t2):
     """Distance between two undirected line angles, in [0, pi/2], or of
     each pair of two arrays of them."""

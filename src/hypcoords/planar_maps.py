@@ -24,9 +24,8 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput, OnSingularSet, OutsideDomain
+from .errors import InvalidInput
 
-Point = np.ndarray
 Matrix = np.ndarray
 
 _INF = float("inf")
@@ -71,23 +70,11 @@ class MapSpec:
     second_partials: Callable[[float, float], Tuple[Matrix, Matrix]]
     singular_set_distance: Callable[[float, float], float] = _nowhere_singular
     domain_check: Callable[[float, float], bool] = _finite
-    # True when the map declares a singular set: only then do compute_orbit,
-    # the foliation kernel and second_partials_at call singular_set_distance;
-    # it also sets compute_orbit's default guard and whether fit_constants
-    # fits the tilde constants
+    # True when the map declares a singular set: only then does the orbit
+    # pass (``cocycle.cocycle``) call singular_set_distance; it also sets
+    # compute_orbit's default guard and whether fit_constants fits the tilde
+    # constants
     has_singular_set: bool = False
-
-    def _guard(self, p: Point) -> Tuple[float, float]:
-        x, y = float(p[0]), float(p[1])
-        if not self.domain_check(x, y):
-            raise OutsideDomain(f"{self.name}: point ({x}, {y}) outside domain")
-        if self.has_singular_set and self.singular_set_distance(x, y) == 0.0:
-            raise OnSingularSet(f"{self.name}: point ({x}, {y}) on the singular set")
-        return x, y
-
-    def second_partials_at(self, p: Point) -> Tuple[Matrix, Matrix]:
-        x, y = self._guard(p)
-        return self.second_partials(x, y)
 
 
 def henon(a: float = 1.4, b: float = 0.3) -> MapSpec:

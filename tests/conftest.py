@@ -79,9 +79,8 @@ def dense(m):
 
 
 def evaluate(spec, p):
-    """Phi(p), with the domain and singular-set checks of MapSpec.second_partials_at."""
-    x, y = spec._guard(p)
-    return np.array(spec.eval(x, y))
+    """Phi(p) as an array, from the map's callback on the two floats of p."""
+    return np.array(spec.eval(float(p[0]), float(p[1])))
 
 
 def jacobian_matrix(entries):
@@ -90,9 +89,8 @@ def jacobian_matrix(entries):
 
 
 def jacobian_at(spec, p):
-    """DPhi(p) as a 2x2 matrix, with the checks of ``evaluate``."""
-    x, y = spec._guard(p)
-    return jacobian_matrix(spec.jacobian(x, y))
+    """DPhi(p) as a 2x2 matrix, from the map's callback on the two floats of p."""
+    return jacobian_matrix(spec.jacobian(float(p[0]), float(p[1])))
 
 
 def random_step_matrix(rng: np.random.Generator, coecc_max: float = 0.9, conorm_min: float = 0.05):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import inspect
 import itertools
 import math
@@ -93,10 +94,12 @@ def test_tail_henon_regression(henon_orbit20):
     assert math.isclose(math.exp(log_tail(henon_orbit20, 2, 10)), 0.5446182426249054, rel_tol=1e-12)
 
 
+# The co-eccentricity and the pushed frame of order k are read as the commands
+# read them: from the frame of ``hyperbolic_coordinates``, pushed by the cocycle
 _ORDER_CALLS = {
     "hyperbolic_coordinates": lambda orbit, k: hypframe.hyperbolic_coordinates(orbit, k),
-    "coeccentricity": lambda orbit, k: hypframe.coeccentricity(orbit, k),
-    "pushforward_frames": lambda orbit, k: hypframe.pushforward_frames(orbit, k, 0),
+    "coeccentricity": lambda orbit, k: hypframe.hyperbolic_coordinates(orbit, k).coecc,
+    "pushforward_frames": lambda orbit, k: orbit.cocycle.images(hypframe.hyperbolic_coordinates(orbit, k).f, [0]),
     "ctilde": lambda orbit, k: bounds.ctilde(orbit, k),
     "verify_apriori_convergence": lambda orbit, k: bounds.verify_apriori_convergence(orbit, 1, k),
     "slow_variation_terms": lambda orbit, k: bounds.slow_variation_terms(orbit, k),
@@ -118,7 +121,7 @@ def test_order_that_is_not_an_int_is_invalid_input(henon, name, k):
     # the rule compute_orbit applies to its k: an int, and not a bool
     calls = {
         **_ORDER_CALLS,
-        "pushforward step": lambda orbit, i: hypframe.pushforward_frames(orbit, 2, i),
+        "pushforward step": lambda orbit, i: orbit.cocycle.images(hypframe.hyperbolic_coordinates(orbit, 2).f, i),
         "verify_apriori_convergence index": lambda orbit, i: bounds.verify_apriori_convergence(orbit, i, 3),
     }
     orbit = compute_orbit(henon, HENON_FIXTURE, 5)
@@ -132,8 +135,10 @@ _CURVE = {"total_arclength": 0.01, "step": 0.005}
 _VALUE_CALLS = {
     **_ORDER_CALLS,
     "frame_sequence": lambda o, v: hypframe.frame_sequence(o, v),
-    "pushforward_frames step": lambda o, v: hypframe.pushforward_frames(o, 2, v),
-    "diagonal_form_residuals": lambda o, v: hypframe.diagonal_form_residuals(o, v),
+    # the frame of order 2 pushed v steps, and the frame of order v pushed to
+    # its diagonal form, each at one step
+    "pushforward_frames step": lambda o, v: o.cocycle.images(hypframe.hyperbolic_coordinates(o, 2).f, [v]),
+    "diagonal_form_residuals": lambda o, v: o.cocycle.images(hypframe.hyperbolic_coordinates(o, v).f, [v]),
     "oracle matrix": lambda o, v: hypframe.oracle_extremal_directions(v, 100),
     "prefix": lambda o, v: o.cocycle.prefix(v),
     "block start": lambda o, v: o.cocycle.block(v, 3),
@@ -508,7 +513,7 @@ def test_explicit_convergence_henon(henon_orbit20):
 
 def test_explicit_convergence_requires_certificate(henon_orbit20):
     ledger = fit_constants(henon_orbit20, Flavor.SINGULAR_II, 1.05)
-    corrupted = ledger.with_c(ledger.c / 100.0)  # below the true decay rate
+    corrupted = dataclasses.replace(ledger, c=ledger.c / 100.0)  # below the true decay rate
     with pytest.raises(CertificateRequired, match=r"^coecc_decay fails at i=1$"):
         bounds.verify_explicit_convergence(henon_orbit20, corrupted)
 
@@ -585,7 +590,7 @@ def test_geometric_tail_dominates_finite_sums(henon_orbit20):
 def _hessian_tensor(spec, p):
     """A planar map's second derivative at p as a bilinear tensor:
     entry [q, i, j] is d_i d_j Phi_q."""
-    return np.stack(spec.second_partials_at(p), axis=1)
+    return np.stack(spec.second_partials(*p), axis=1)
 
 
 def _rows_by_check(rep):
@@ -618,7 +623,7 @@ def test_second_derivative_brackets_contain_sampled_norm():
     for _ in range(500):
         spec = make_cubic_map(rng)
         p = rng.uniform(-1, 1, size=2)
-        partials = spec.second_partials_at(p)
+        partials = spec.second_partials(*p)
         lower = max(map(linalg2.spectral_norm, partials))  # closed-form slice norms
         v = None
         if lower != 0.0:
@@ -641,24 +646,27 @@ def test_second_derivative_brackets_contain_sampled_norm():
         assert v_norm <= by["bilinear_v_upper"].rhs * (1.0 + 1e-12)
 
 
+# D2Phi(v, e_k) = (d_k DPhi) v: contracting the second derivative in either
+# slot gives the same vector, as the mixed partials agree; the bracket rows
+# of ``bilinear_column_bounds`` read the slices of this symmetric tensor
 def test_d2_contraction_identity_examples():
-    assert bounds.d2_contraction_identity(
-        linear(1.0, 2.0, 0.5, -1.0), np.zeros(2), np.array([0.3, 0.7])
-    ).verdict
-    h = henon(a=1.4, b=0.3)
-    rep = bounds.d2_contraction_identity(h, np.array([0.2, 0.1]), np.array([1.0, 0.0]))
-    assert rep.verdict
-    dx, _ = h.second_partials_at(np.array([0.2, 0.1]))
-    assert np.allclose(dx @ np.array([1.0, 0.0]), [-2.8, 0.0])
+    hessian = _hessian_tensor(linear(1.0, 2.0, 0.5, -1.0), np.zeros(2))
+    assert not hessian.any()
+    hessian = _hessian_tensor(henon(a=1.4, b=0.3), np.array([0.2, 0.1]))
+    v = np.array([1.0, 0.0])
+    assert np.array_equal(hessian @ v, np.einsum("qij,i->qj", hessian, v))
+    dx, _ = henon(a=1.4, b=0.3).second_partials(0.2, 0.1)
+    assert np.allclose(dx @ v, [-2.8, 0.0])
 
 
 def test_d2_contraction_identity_random_cubics():
     rng = np.random.default_rng(14)
     for _ in range(200):
         spec = make_cubic_map(rng)
-        p = rng.uniform(-1, 1, size=2)
+        hessian = _hessian_tensor(spec, rng.uniform(-1, 1, size=2))
         v = rng.uniform(-1, 1, size=2)
-        assert bounds.d2_contraction_identity(spec, p, v).verdict
+        scale = max(float(np.abs(hessian).max()), 1.0)
+        assert np.abs(hessian @ v - np.einsum("qij,i->qj", hessian, v)).max() <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1554,7 +1562,7 @@ def test_verify_slow_variation_requires_certificate(henon):
     orbit = compute_orbit(henon, HENON_FIXTURE, 8)
     ledger = fit_constants(orbit, Flavor.SINGULAR_II, 1.05)
     with pytest.raises(CertificateRequired, match=r"^coecc_decay fails at i=1$"):
-        bounds.verify_slow_variation(orbit, ledger.with_c(ledger.c / 100.0))
+        bounds.verify_slow_variation(orbit, dataclasses.replace(ledger, c=ledger.c / 100.0))
 
 
 def test_consecutive_rotation_standard_fixture():

@@ -251,7 +251,7 @@ def test_aux_constants_monotone_in_c():
         flavor = flavors[trial % len(flavors)]
         led = random_valid_ledger(rng, flavor)
         aux = auxiliary_constants(led)
-        aux_half = auxiliary_constants(led.with_c(led.c / 2.0))
+        aux_half = auxiliary_constants(dataclasses.replace(led, c=led.c / 2.0))
         for name, before in aux.as_dict().items():
             after = aux_half.as_dict()[name]
             if before is None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hypcoords import hypframe, linalg2
+from hypcoords import linalg2
 from hypcoords.cocycle import (
     ORBIT_DERIVATIVES,
     ORBIT_DOMAIN,
@@ -156,7 +156,6 @@ def test_singular_set_distance_runs_only_on_a_map_that_declares_a_singular_set()
     start = np.array([0.0, 1.0])  # orbit point 2 lies exactly on y = 2
     assert compute_orbit(spec, start, 3).k == 3
     assert compute_orbit(spec, start, 3, guard=0.5).k == 3
-    assert len(spec.second_partials_at(np.array([0.0, 2.0]))) == 2
     with pytest.raises(SingularEncounter) as err:
         compute_orbit(_shift_map(True), start, 3, guard=0.0)
     assert err.value.index == 2
@@ -240,7 +239,9 @@ def test_non_finite_orbit_point_escapes_before_any_callback(start, index):
 
 
 def test_map_callback_overflow_escapes_the_orbit():
-    # the cubic's Python float powers raise OverflowError inside its jacobian
+    # the orbit pass calls the cubic's callbacks on arrays, where its powers
+    # overflow to inf, not to OverflowError: point 14 ends the orbit through
+    # the rule on non-finite derivatives
     with pytest.raises(OrbitEscaped) as err:
         compute_orbit(make_cubic_map(np.random.default_rng(4)), np.array([0.2535, 0.0381]), 32)
     assert (err.value.index, str(err.value)) == (14, "orbit point 14 has non-finite derivatives")
@@ -293,7 +294,7 @@ def test_one_orbit_pass_for_many_starts_equals_compute_orbit_per_start():
         assert np.array(orbit.cocycle.steps).tobytes() == jacobians[:, j].tobytes()
         assert orbit.step_second_partials.tobytes() == seconds[:, j].tobytes()
         for i, p in enumerate(orbit.points[:-1]):
-            assert np.array(spec.second_partials_at(p)).tobytes() == orbit.step_second_partials[i].tobytes()
+            assert np.array(spec.second_partials(*p.tolist())).tobytes() == orbit.step_second_partials[i].tobytes()
 
 
 def test_overflow_in_a_derivative_ends_every_orbit_running_at_that_order():
@@ -735,5 +736,3 @@ def test_no_pull_back_through_a_singular_step():
     for orders in ([2], [1, 4], [3]):
         with pytest.raises(ZeroDeterminant, match=r"^det DPhi\^2 is zero: determinant-normalized"):
             coc.contracted_images(orders)
-    with pytest.raises(ZeroDeterminant, match=r"^det DPhi\^2 is zero"):
-        hypframe.pushforward_frames(coc, 2, 0)

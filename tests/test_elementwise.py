@@ -4,13 +4,20 @@ A matrix measured alone and the same matrix measured in a stack agree bit
 for bit because both call the same numpy ufunc: on a Python float, an
 ``np.float64``, or an element of an array, contiguous or strided.  This file
 checks that each ufunc the package applies elementwise gives identical bits
-in all four forms, over random inputs and edge values, so that a numpy
+in all four forms, over random inputs and edge values, and so does
+``hypframe.angle_theta``, which is built from them, so that a numpy
 build or CPU on which that stops holding fails here by name rather than in
 the sweep-equals-reference tests one by one.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+
+from hypcoords.errors import ConformalDegenerate
+from hypcoords.hypframe import angle_theta
 
 _EDGES = np.array([
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310, 1.0, -1.0, 0.5, 2.0,
@@ -76,3 +83,43 @@ def test_power_to_one_exponent_gives_the_same_bits_on_floats_and_lanes(exponent)
     # where the exponents are an array, which differs in the last bit
     with np.errstate(all="ignore"):
         _assert_same_bits(_four_ways(lambda x: np.power(x, exponent), _inputs(np.random.default_rng(2), 3000)))
+
+
+def _critical_angles(px1, px2, py1, py2):
+    """``angle_theta``'s contracting and expanding angles side by side: a
+    pair for four floats, an (n, 2) array for four arrays."""
+    angles = angle_theta(px1, px2, py1, py2)
+    return np.stack([angles.theta_contract, angles.theta_expand], axis=-1)
+
+
+def _conformal(row):
+    try:
+        angle_theta(*row)
+    except ConformalDegenerate:
+        return True
+    return False
+
+
+def test_angle_theta_gives_the_same_bits_on_floats_and_lanes():
+    rng = np.random.default_rng(3)
+    # random partials with the edge values among them, then every row of
+    # signed zeros, ones and halves, so that arctan2 meets each sign of zero
+    random_rows = zip(*(rng.permutation(_inputs(rng, 3000)).tolist() for _ in range(4)))
+    signed_rows = itertools.product([0.0, -0.0, 1.0, -1.0, 0.5], repeat=4)
+    with np.errstate(all="ignore"):
+        rows = [row for row in (*random_rows, *signed_rows) if not _conformal(row)]
+        results = _four_ways(_critical_angles, *np.array(rows).T)
+    assert len(rows) > 3000
+    _assert_same_bits(results)
+    assert type(angle_theta(1.0, -0.0, 0.0, 0.5).theta_expand) is float
+
+
+def test_angle_theta_raises_on_floats_and_on_an_array_holding_a_conformal_entry():
+    c, s = math.cos(0.4), math.sin(0.4)
+    conformal = [(0.0, 0.0, 0.0, 0.0), (-0.0, 2.0, -2.0, 0.0), (c, s, -s, c)]
+    regular = [(2.0, 0.0, 0.0, 0.5), (1.0, 0.3, -0.2, 0.7)]
+    mixed = np.array([*regular, conformal[1]]).T  # four lanes whose last entry is conformal
+    for args in [*conformal, mixed]:
+        with pytest.raises(ConformalDegenerate, match="^conformal derivative: every direction is critical$"):
+            angle_theta(*args)
+    assert len(angle_theta(*np.array(regular).T).theta_expand) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypcoords import hypframe, linalg2
-from hypcoords.cocycle import MatrixCocycle, ScaledMatrix, compute_orbit
+from hypcoords.cocycle import MatrixCocycle, ScaledMatrix, cocycle_of, compute_orbit
 from hypcoords.errors import (
     ConformalDegenerate,
     InvalidInput,
@@ -18,15 +18,12 @@ from hypcoords.errors import (
 )
 from hypcoords.hypframe import (
     angle_theta,
-    coeccentricity,
-    diagonal_form_residuals,
     frame_from_scaled,
     frame_sequence,
     hyperbolic_coordinates,
     oracle_extremal_directions,
-    pushforward_frames,
 )
-from hypcoords.linalg2 import line_angle_distance
+from hypcoords.linalg2 import det2, line_angle_distance, svd2_matrix
 from hypcoords.planar_maps import henon, linear, rotation
 
 from conftest import dense, jacobian_at, random_step_matrix
@@ -136,35 +133,31 @@ def test_henon_k2_coecc_vs_grid_oracle():
 
 
 def test_coeccentricity_three_expressions():
-    lin = linear(2.0, 0.0, 0.0, 0.5)
-    vals = coeccentricity(compute_orbit(lin, np.zeros(2), 1), 1)
-    for v in (vals.from_det_over_norm2, vals.from_conorm2_over_det, vals.from_conorm_over_norm):
-        assert math.isclose(v, 0.25, rel_tol=1e-12)
+    # |det| / norm^2 and conorm^2 / |det| against the cocycle's co-eccentricity
+    for orbit, coecc in ((compute_orbit(linear(2.0, 0.0, 0.0, 0.5), np.zeros(2), 1), 0.25),
+                         (compute_orbit(rotation(0.3), np.zeros(2), 1), 1.0),
+                         (MatrixCocycle([np.array([[0.0, 1.0], [0.3, 0.0]])]), 0.3)):
+        coc = cocycle_of(orbit)
+        m = coc.steps[0]
+        s, det = svd2_matrix(m), abs(det2(m))
+        for v in (det / s.smax**2, s.smin**2 / det, math.exp(coc.log_coecc(1))):
+            assert math.isclose(v, coecc, rel_tol=1e-12)
 
-    rot = compute_orbit(rotation(0.3), np.zeros(2), 1)
-    vals = coeccentricity(rot, 1)
-    for v in (vals.from_det_over_norm2, vals.from_conorm2_over_det, vals.from_conorm_over_norm):
-        assert math.isclose(v, 1.0, rel_tol=1e-12)
-
-    anti = MatrixCocycle([np.array([[0.0, 1.0], [0.3, 0.0]])])
-    vals = coeccentricity(anti, 1)
-    assert math.isclose(vals.from_conorm_over_norm, 0.3, rel_tol=1e-12)
-
-    singular = MatrixCocycle([np.array([[1.0, 0.0], [0.0, 0.0]])])
-    vals = coeccentricity(singular, 1)
-    assert vals.singular
-    assert vals.from_det_over_norm2 is None and vals.from_conorm2_over_det is None
-    assert vals.from_conorm_over_norm == 0.0
+    # a singular product: the co-eccentricity reads 0, and |det| is 0
+    singular = np.array([[1.0, 0.0], [0.0, 0.0]])
+    assert math.exp(MatrixCocycle([singular]).log_coecc(1)) == 0.0
+    assert det2(singular) == 0.0
 
 
 def test_coeccentricity_three_way_agreement_random():
     rng = np.random.default_rng(2)
     for _ in range(500):
-        coc = MatrixCocycle([random_step_matrix(rng)])
-        vals = coeccentricity(coc, 1)
-        assert vals.from_conorm_over_norm <= 1.0 + 1e-12
-        for v in (vals.from_det_over_norm2, vals.from_conorm2_over_det):
-            assert math.isclose(v, vals.from_conorm_over_norm, rel_tol=1e-10)
+        m = random_step_matrix(rng)
+        s, det = svd2_matrix(m), abs(det2(m))
+        coecc = math.exp(MatrixCocycle([m]).log_coecc(1))
+        assert coecc <= 1.0 + 1e-12
+        for v in (det / s.smax**2, s.smin**2 / det, s.smin / s.smax):
+            assert math.isclose(v, coecc, rel_tol=1e-10)
 
 
 def test_angle_theta_diagonal():
@@ -209,24 +202,26 @@ def test_angle_theta_agrees_with_svd_randomly():
 
 
 def test_pushforward_identity_at_zero_and_orthogonal_at_k(henon):
-    orbit = compute_orbit(henon, np.array([0.1, 0.0]), 6)
-    frame = hyperbolic_coordinates(orbit, 6)
-    p0 = pushforward_frames(orbit, 6, 0)
-    assert np.allclose(p0.e_dir, frame.e) and abs(p0.e_log_norm) <= 1e-14
-    pk = pushforward_frames(orbit, 6, 6)
-    assert abs(np.dot(pk.e_dir, pk.f_dir)) <= 1e-9
-    assert math.isclose(pk.f_log_norm, frame.log_sigma_max, rel_tol=1e-9, abs_tol=1e-9)
+    # the images of the order-6 frame: e by the pull-back, f by the forward push
+    coc = compute_orbit(henon, np.array([0.1, 0.0]), 6).cocycle
+    frame = hyperbolic_coordinates(coc, 6)
+    e_dirs, e_logs = coc.contracted_images([6])
+    assert np.allclose(e_dirs[0, 0], frame.e) and abs(e_logs[0, 0]) <= 1e-14
+    (f_dir,), (f_log,) = coc.images(frame.f, [6])
+    assert abs(np.dot(e_dirs[0, 6], f_dir)) <= 1e-9
+    assert math.isclose(f_log, frame.log_sigma_max, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_pushforward_not_orthogonal_between(henon):
     # some intermediate image frame deviates from orthogonality by > 0.1 rad
     found = False
     for x0 in (0.0, 0.1, 0.2, -0.3):
-        orbit = compute_orbit(henon, np.array([x0, 0.05]), 5)
-        for i in range(1, 5):
-            p = pushforward_frames(orbit, 5, i)
-            cross = float(p.e_dir[0] * p.f_dir[1] - p.e_dir[1] * p.f_dir[0])
-            angle = abs(math.atan2(cross, float(np.dot(p.e_dir, p.f_dir))))
+        coc = compute_orbit(henon, np.array([x0, 0.05]), 5).cocycle
+        e_dirs = coc.contracted_images([5])[0][0]
+        f_dirs = coc.images(hyperbolic_coordinates(coc, 5).f, [1, 2, 3, 4])[0]
+        for e_dir, f_dir in zip(e_dirs[1:5], f_dirs):
+            cross = float(e_dir[0] * f_dir[1] - e_dir[1] * f_dir[0])
+            angle = abs(math.atan2(cross, float(np.dot(e_dir, f_dir))))
             if abs(angle - math.pi / 2) > 0.1:
                 found = True
     assert found
@@ -741,12 +736,18 @@ def test_frame_directions_raise_what_the_first_refused_frame_raises(first, secon
 
 
 def test_diagonal_form_identity():
+    # the 3-step product maps the frame {f, e} of order 3 to orthogonal
+    # vectors of lengths sigma_max and sigma_min (in the product's body scale)
     rng = np.random.default_rng(5)
     for _ in range(200):
         coc = MatrixCocycle([random_step_matrix(rng) for _ in range(3)])
-        off, diag_err = diagonal_form_residuals(coc, 3)
-        assert off <= 1e-9
-        assert diag_err <= 1e-9
+        frame = hyperbolic_coordinates(coc, 3)
+        m = coc.prefix(3)
+        u, w = m.body @ frame.f, m.body @ frame.e
+        smax, smin = math.exp(frame.log_sigma_max - m.log_scale), math.exp(frame.log_sigma_min - m.log_scale)
+        assert abs(float(np.dot(u, w))) / smax**2 <= 1e-9
+        assert abs(np.linalg.norm(u) - smax) / smax <= 1e-9
+        assert abs(np.linalg.norm(w) - smin) / smin <= 1e-9
 
 
 def test_frame_sequence_matches_individual(henon):
@@ -761,9 +762,9 @@ def test_frame_sequence_matches_individual(henon):
 def test_coecc_not_multiplicative():
     a = np.diag([4.0, 1.0])
     b = np.array([[0.0, -1.0], [4.0, 0.0]])
-    c_a = coeccentricity(MatrixCocycle([a]), 1).from_conorm_over_norm
-    c_b = coeccentricity(MatrixCocycle([b]), 1).from_conorm_over_norm
-    c_ab = coeccentricity(MatrixCocycle([b, a]), 2).from_conorm_over_norm
+    c_a = math.exp(MatrixCocycle([a]).log_coecc(1))
+    c_b = math.exp(MatrixCocycle([b]).log_coecc(1))
+    c_ab = math.exp(MatrixCocycle([b, a]).log_coecc(2))
     # the product a @ b is conformal although both factors are far from it
     assert abs(c_ab - c_a * c_b) > 0.1
 
